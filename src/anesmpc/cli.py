@@ -10,7 +10,7 @@ Subcommands:
 * ``steady-set``: print the admissible steady-input segment.
 
 Exit codes: 0 success, 1 validation failure, 2 config/model error,
-3 runtime infeasibility.
+3 runtime infeasibility or QP iteration limit.
 """
 
 from __future__ import annotations
@@ -376,7 +376,10 @@ def main(argv=None) -> int:
         return _RUNNERS[args.subcommand](args)
     except SolverInfeasibleError as exc:
         step = f" at step {exc.step}" if exc.step is not None else ""
-        print(f"error: controller infeasible{step}: {exc}", file=sys.stderr)
+        if exc.status == "max_iter":
+            print(f"error: QP solver hit its iteration limit{step}: {exc}", file=sys.stderr)
+        else:
+            print(f"error: controller infeasible{step}: {exc}", file=sys.stderr)
         return 3
     except ModelConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

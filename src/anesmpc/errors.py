@@ -16,11 +16,14 @@ class GeometryError(AnesMpcError):
 class SolverInfeasibleError(AnesMpcError):
     """A QP that must be feasible in nominal operation was not (CLI exit code 3).
 
-    Carries an optional ``report`` with the violated constraints and, when
-    raised inside a closed-loop run, the step index.
+    Carries an optional ``report`` with the violated constraints, the QP
+    solver ``status`` ("infeasible" or "max_iter") and, when raised inside a
+    closed-loop run, the step index.
     """
 
-    def __init__(self, message: str, report=None, step: int | None = None):
+    def __init__(self, message: str, report=None, step: int | None = None,
+                 status: str = "infeasible"):
         super().__init__(message)
         self.report = report
         self.step = step
+        self.status = status

@@ -220,6 +220,7 @@ class Controller:
         self.Fx_AN = Fx @ powers[N]
         self.A_eq = np.concatenate([np.zeros(m * N), zs.g_eff])[None, :]
         self.b_eq = np.array([zs.c])
+        self.qp_factor = qp.QpFactor(self.H, self.A_eq, self.A_in)
 
         self._warm: np.ndarray | None = None
         self._clamp_warned = False
@@ -274,12 +275,15 @@ class Controller:
         self._last_x0 = x_f
         problem = self._assemble(x_f)
         warm = self._warm
-        sol = qp.qp_solve(problem, warm_start=warm)
-        if sol.status != "optimal":
-            report = sol.infeasibility_report or sol.kkt_residuals
+        sol = qp.qp_solve(problem, warm_start=warm, factor=self.qp_factor)
+        if sol.status == "max_iter":
             raise SolverInfeasibleError(
-                f"tracking QP returned status '{sol.status}'", report=report
-            )
+                f"tracking QP stopped after {sol.iterations} iterations",
+                report=sol.kkt_residuals, status=sol.status)
+        if sol.status != "optimal":
+            raise SolverInfeasibleError(
+                f"tracking QP is infeasible: {_describe(sol.infeasibility_report)}",
+                report=sol.infeasibility_report, status=sol.status)
         z = sol.z
         self._warm = self._shift_warm_start(z)
 
@@ -319,6 +323,14 @@ class Controller:
             raise SolverInfeasibleError(
                 f"terminal pair violates invariant-set row {worst} by {slack[worst]:.3g}"
             )
+
+
+def _describe(report) -> str:
+    """'<row> violated by <amount>, blocked by <rows>' from a QP
+    infeasibility report."""
+    (row, amount), *blockers = report
+    blocked = f", blocked by {', '.join(r for r, _ in blockers)}" if blockers else ""
+    return f"{row} violated by {amount:.3g}{blocked}"
 
 
 def build_controller(disc: DiscreteDynamics, pd: PdParams, gain: CompensationGain,

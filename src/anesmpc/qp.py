@@ -1,17 +1,20 @@
-"""Dense convex QP solver: primal active set with warm starting.
+"""Dense convex QP solver: Goldfarb–Idnani dual active set on a cached factor.
 
 Solves  min 0.5 z'Hz + f'z  s.t.  A_eq z = b_eq,  A_in z <= b_in.
 
-Equality constraints stay in the KKT basis throughout; inequality rows
-enter and leave a working set. Problems in this package are small
-(~50 variables, a few hundred rows) and solved repeatedly with nearby
-data, which is exactly where an exact active-set method with warm starts
-beats first-order solvers: KKT residuals come out at linear-algebra
-precision. Pivot ordering is fixed, so solves are deterministic.
+The MPC re-solves one QP whose H, A_eq and A_in never change, so a
+:class:`QpFactor` built once per controller (or inside a one-off
+:func:`qp_solve`) caches the Cholesky factor of H (regularised once if it
+fails), H^-1 A' and the Gram matrix G = A H^-1 A' of A = [A_eq; A_in].
 
-When a starting point is missing or infeasible, a phase-I LP (reusing
-the simplex from :mod:`anesmpc.geometry`) produces one, or an
-infeasibility certificate.
+The dual method (Goldfarb & Idnani 1983) starts at z_u = -H^-1 f with the
+equality rows in the working set S, adds the most violated inequality row
+(lowest index on ties) and drops rows whose multipliers would turn negative.
+Each iterate minimises the objective on S, so no phase I is needed: G_SS
+lam = A_S z_u - b_S, A z = A z_u - G[:, S] lam, and the inverse Cholesky
+factor of G_SS grows one row per added constraint. A hot start admits the
+rows tight at a warm-start point through that factor, skipping near-zero
+pivots as dependent, then drops negative multipliers.
 """
 
 from __future__ import annotations
@@ -20,12 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
-
-KKT_TOL = 1e-8
 _FEAS_TOL = 1e-9
 _REG_EIG_FLOOR = 1e-10
 _REG_DELTA = 1e-9
+_DEP_TOL = 1e-10  # squared pivot / G_pp at or below which a row is dependent
 
 
 @dataclass(frozen=True)
@@ -78,161 +79,156 @@ class QpSolution:
     kkt_residuals: KktResiduals | None
     iterations: int = 0
     active_set: tuple = ()
+    # on "infeasible": (row, violation) of the row that cannot be met, then
+    # (row, weight) of each working row blocking it; rows are "A_eq[i]"/"A_in[i]"
     infeasibility_report: list = field(default_factory=list)
 
 
-def _phase_one(p: QpProblem) -> tuple[np.ndarray | None, list]:
-    """LP start: min sum(s) s.t. A_in z - s <= b_in, s >= 0, A_eq z = b_eq.
+class QpFactor:
+    """Everything fixed across QPs that share H, A_eq and A_in."""
 
-    Returns (feasible z, []) or (None, report of irreducibly violated rows).
-    """
-    n, q, peq = p.nvars, p.A_in.shape[0], p.A_eq.shape[0]
-    nf = n + q
-    blocks_F = []
-    blocks_g = []
-    if q:
-        blocks_F.append(np.hstack([p.A_in, -np.eye(q)]))
-        blocks_g.append(p.b_in)
-        blocks_F.append(np.hstack([np.zeros((q, n)), -np.eye(q)]))
-        blocks_g.append(np.zeros(q))
-    if peq:
-        blocks_F.append(np.hstack([p.A_eq, np.zeros((peq, q))]))
-        blocks_g.append(p.b_eq)
-        blocks_F.append(np.hstack([-p.A_eq, np.zeros((peq, q))]))
-        blocks_g.append(-p.b_eq)
-    if not blocks_F:
-        return np.zeros(n), []
-    poly = geometry.Polyhedron(np.vstack(blocks_F), np.concatenate(blocks_g))
-    c = np.zeros(nf)
-    c[n:] = -1.0
-    res = geometry.lp_max(c, poly)
-    if res.status == "infeasible":
-        return None, [("equalities inconsistent", np.inf)]
-    if res.status == "optimal" and -res.value <= 1e-8:
-        return res.argmax[:n], []
-    z = res.argmax[:n] if res.argmax is not None else None
-    report = []
-    if z is not None and q:
-        viol = p.A_in @ z - p.b_in
-        report = [(int(i), float(v)) for i, v in enumerate(viol) if v > 1e-8]
-    return None, report
+    def __init__(self, H: np.ndarray, A_eq: np.ndarray, A_in: np.ndarray):
+        self.source = (H, A_eq, A_in)
+        self.H = 0.5 * (H + H.T)
+        try:
+            L = np.linalg.cholesky(self.H)
+            if L.size and np.min(np.diag(L)) ** 2 < _REG_EIG_FLOOR:
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            self.H = self.H + _REG_DELTA * np.eye(len(H))
+            L = np.linalg.cholesky(self.H)  # raises when H is indefinite
+        self.H_inv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(len(H))))
+        self.neq = A_eq.shape[0]
+        self.A = np.vstack([A_eq, A_in])
+        self.HinvAt = np.linalg.solve(L.T, np.linalg.solve(L, self.A.T))
+        self.G = self.A @ self.HinvAt
+        self.G = 0.5 * (self.G + self.G.T)
 
 
-def _residuals(p: QpProblem, z: np.ndarray, lam_eq: np.ndarray,
-               lam_in: np.ndarray) -> KktResiduals:
-    grad = p.H @ z + p.f
-    if p.A_eq.size:
-        grad = grad + p.A_eq.T @ lam_eq
-    if p.A_in.size:
-        grad = grad + p.A_in.T @ lam_in
-    stat = float(np.max(np.abs(grad))) if grad.size else 0.0
-    peq = float(np.max(np.abs(p.A_eq @ z - p.b_eq))) if p.A_eq.size else 0.0
-    slack = p.A_in @ z - p.b_in if p.A_in.size else np.zeros(0)
-    pin = float(max(0.0, np.max(slack))) if slack.size else 0.0
-    comp = float(np.max(np.abs(lam_in * slack))) if slack.size else 0.0
-    return KktResiduals(stat, peq, pin, comp)
+class _WorkingSet:
+    """Working rows (indices into the stacked A) and the inverse Li of the
+    lower Cholesky factor of their block of G, so G_SS^-1 = Li' Li."""
+
+    def __init__(self, G: np.ndarray):
+        self.G, self.rows, self.Li = G, [], np.zeros((0, 0))
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        return self.Li.T @ (self.Li @ v)
+
+    def pivot(self, j: int) -> tuple[np.ndarray, float, bool]:
+        """G_SS^-1 G[S, j], the squared pivot of row j, and whether j depends on S."""
+        g = self.G[self.rows, j]
+        r = self.solve(g)
+        d2 = float(self.G[j, j] - g @ r)
+        return r, d2, d2 <= _DEP_TOL * self.G[j, j]
+
+    def admit(self, j: int) -> None:
+        r, d2, dependent = self.pivot(j)
+        if not dependent:
+            self.append(j, r, d2)
+
+    def append(self, j: int, r: np.ndarray, d2: float) -> None:
+        row = np.append(-r, 1.0) / np.sqrt(d2)
+        self.Li = np.vstack([np.hstack([self.Li, np.zeros((len(r), 1))]), row])
+        self.rows.append(j)
+
+    def remove(self, pos: int) -> None:
+        del self.rows[pos]
+        L = np.linalg.cholesky(self.G[np.ix_(self.rows, self.rows)])
+        self.Li = np.linalg.solve(L, np.eye(len(self.rows)))
 
 
-def _nullspace(C: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal basis of null(C) via full QR of C'."""
-    if C.shape[0] == 0:
-        return np.eye(n)
-    Qfull, Rfull = np.linalg.qr(C.T, mode="complete")
-    rank = int(np.sum(np.abs(np.diag(Rfull[: min(C.shape), :])) > 1e-11))
-    return Qfull[:, rank:]
+def _residuals(p: QpProblem, z, lam_eq, lam_in) -> KktResiduals:
+    grad = p.H @ z + p.f + p.A_eq.T @ lam_eq + p.A_in.T @ lam_in
+    slack = p.A_in @ z - p.b_in
+    return KktResiduals(float(np.max(np.abs(grad), initial=0.0)),
+                        float(np.max(np.abs(p.A_eq @ z - p.b_eq), initial=0.0)),
+                        float(np.max(slack, initial=0.0)),
+                        float(np.max(np.abs(lam_in * slack), initial=0.0)))
 
 
 def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
-             max_iter: int = 500) -> QpSolution:
-    """Solve the QP; on "optimal" all KKT residuals are <= 1e-8."""
-    n = p.nvars
-    H = 0.5 * (p.H + p.H.T)
-    if n and float(np.min(np.linalg.eigvalsh(H))) < _REG_EIG_FLOOR:
-        H = H + _REG_DELTA * np.eye(n)
+             max_iter: int = 500, factor: QpFactor | None = None) -> QpSolution:
+    """Solve the QP; on "optimal" all KKT residuals are <= 1e-8.
 
-    z = None
+    Hot-starts from the inequality rows tight (or violated) at
+    ``warm_start``. ``factor`` must come from this problem's H, A_eq and
+    A_in. Each working-set change is one iteration; past ``max_iter`` the
+    current iterate is returned with status "max_iter".
+    """
+    if factor is None:
+        factor = QpFactor(p.H, p.A_eq, p.A_in)
+    elif any(a is not b for a, b in zip(factor.source, (p.H, p.A_eq, p.A_in))):
+        raise ValueError("QpFactor was built for a different H, A_eq or A_in")
+    neq, G = factor.neq, factor.G
+    z_u = -(factor.H_inv @ p.f)
+    z_u -= factor.H_inv @ (factor.H @ z_u + p.f)  # one refinement step
+    c = factor.A @ z_u - np.concatenate([p.b_eq, p.b_in])  # row residuals at z_u
+
+    def finish(status, lam, it, extra=()):
+        rows = ws.rows + [j for j, _ in extra]
+        lam_all = np.zeros(c.size)
+        lam_all[rows] = np.concatenate([lam, [t for _, t in extra]])
+        z = z_u - factor.HinvAt @ lam_all
+        res = _residuals(p, z, lam_all[:neq], np.maximum(lam_all[neq:], 0.0))
+        return QpSolution(z, float(0.5 * z @ p.H @ z + p.f @ z), status, res, it,
+                          tuple(sorted(j - neq for j in ws.rows[ne:])))
+
+    def label(row):
+        return f"A_eq[{row}]" if row < neq else f"A_in[{row - neq}]"
+
+    def infeasible(report, it):
+        return QpSolution(None, np.inf, "infeasible", None, it, infeasibility_report=report)
+
+    ws = _WorkingSet(G)
+    for j in range(neq):
+        ws.admit(j)
+    ne = len(ws.rows)
+    if ne < neq:  # a dependent equality row must be implied by the others
+        off = np.abs(c[:neq] - G[:neq, ws.rows] @ ws.solve(c[ws.rows]))
+        if np.max(off) > _FEAS_TOL:
+            return infeasible([(label(int(np.argmax(off))), float(np.max(off)))], 0)
     if warm_start is not None:
-        z0 = np.asarray(warm_start, dtype=float).ravel().copy()
-        if z0.shape == (n,):
-            if p.A_eq.size:  # re-project onto the equalities
-                r = p.A_eq @ z0 - p.b_eq
-                if np.max(np.abs(r)) > 1e-12:
-                    z0 = z0 - p.A_eq.T @ np.linalg.lstsq(
-                        p.A_eq @ p.A_eq.T, r, rcond=None)[0]
-            ok_in = (not p.A_in.size) or np.all(p.A_in @ z0 <= p.b_in + _FEAS_TOL)
-            if ok_in:
-                z = z0
-    if z is None:
-        z, report = _phase_one(p)
-        if z is None:
-            return QpSolution(None, np.inf, "infeasible", None,
-                              infeasibility_report=report)
+        for i in np.flatnonzero(p.A_in @ np.ravel(warm_start) - p.b_in >= -_FEAS_TOL):
+            ws.admit(neq + int(i))
+    lam = ws.solve(c[ws.rows])
 
-    Ain, bin_ = p.A_in, p.b_in
-    q = Ain.shape[0]
-    # working set: active rows at the start, kept linearly independent
-    work: list[int] = []
-    if q:
-        resid = Ain @ z - bin_
-        for i in np.nonzero(resid >= -_FEAS_TOL)[0]:
-            cand = np.vstack([p.A_eq, Ain[work + [int(i)]]]) if (work or p.A_eq.size) \
-                else Ain[[int(i)]]
-            if np.linalg.matrix_rank(cand, tol=1e-11) == cand.shape[0]:
-                work.append(int(i))
+    it = 0
+    while np.min(lam[ne:], initial=0.0) < 0.0:
+        if it >= max_iter:
+            return finish("max_iter", lam, it)
+        it += 1
+        ws.remove(ne + int(np.argmin(lam[ne:])))
+        lam = ws.solve(c[ws.rows])
 
-    lam_eq = np.zeros(p.A_eq.shape[0])
-    lam_in = np.zeros(q)
-    for it in range(1, max_iter + 1):
-        C = np.vstack([p.A_eq, Ain[work]]) if (work or p.A_eq.size) else np.zeros((0, n))
-        grad = H @ z + p.f
-        Z = _nullspace(C, n)
-        if Z.shape[1]:
-            Hr = Z.T @ H @ Z
-            pdir = Z @ np.linalg.solve(Hr, -(Z.T @ grad))
-        else:
-            pdir = np.zeros(n)
-
-        if np.max(np.abs(pdir), initial=0.0) <= 1e-11:
-            # stationary on the working set: check multipliers
-            if C.shape[0]:
-                lam = np.linalg.lstsq(C.T, -grad, rcond=None)[0]
-            else:
-                lam = np.zeros(0)
-            neq = p.A_eq.shape[0]
-            lam_eq = lam[:neq]
-            lam_in = np.zeros(q)
-            lam_in[work] = lam[neq:]
-            if not work or np.min(lam[neq:]) >= -KKT_TOL:
-                obj = float(0.5 * z @ p.H @ z + p.f @ z)
-                res = _residuals(p, z, lam_eq, np.maximum(lam_in, 0.0))
-                return QpSolution(z, obj, "optimal", res, it, tuple(sorted(work)))
-            drop = int(np.argmin(lam[neq:]))
-            work.pop(drop)
-            continue
-
-        alpha = 1.0
-        block = -1
-        if q:
-            inactive = [i for i in range(q) if i not in work]
-            if inactive:
-                Ai = Ain[inactive]
-                denom = Ai @ pdir
-                slack = bin_[inactive] - Ai @ z
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    steps = np.where(denom > 1e-12, slack / denom, np.inf)
-                steps = np.maximum(steps, 0.0)
-                jmin = int(np.argmin(steps))
-                if steps[jmin] < alpha:
-                    alpha = float(steps[jmin])
-                    block = inactive[jmin]
-        z = z + alpha * pdir
-        if block >= 0:
-            cand = np.vstack([p.A_eq, Ain[work + [block]]])
-            if np.linalg.matrix_rank(cand, tol=1e-11) == cand.shape[0]:
-                work.append(block)
-            # a dependent blocking row leaves the step truncated; the next
-            # multiplier pass reshuffles the working set
-
-    obj = float(0.5 * z @ p.H @ z + p.f @ z)
-    res = _residuals(p, z, lam_eq, np.maximum(lam_in, 0.0))
-    return QpSolution(z, obj, "max_iter", res, max_iter, tuple(sorted(work)))
+    while True:
+        viol = c[neq:] - G[neq:, ws.rows] @ lam
+        viol[[j - neq for j in ws.rows[ne:]]] = -np.inf
+        i = int(np.argmax(viol)) if viol.size else -1
+        if i < 0 or viol[i] <= _FEAS_TOL:
+            return finish("optimal", lam, it)
+        # raise the multiplier t of row j from 0 until the row is met,
+        # dropping working rows whose multipliers reach zero first
+        j, t, res_j = neq + i, 0.0, float(viol[i])
+        while True:
+            if it >= max_iter:
+                return finish("max_iter", lam, it, extra=[(j, t)])
+            it += 1
+            r, d2, dependent = ws.pivot(j)  # d lam_S / d t = -r
+            step_full = np.inf if dependent else res_j / d2
+            pos = ne + np.flatnonzero(r[ne:] > 0.0)
+            ratios = np.maximum(lam[pos], 0.0) / r[pos]
+            step_drop = float(np.min(ratios, initial=np.inf))
+            if dependent and not pos.size:
+                big = np.abs(r) > 1e-12 * np.max(np.abs(r), initial=0.0)
+                return infeasible([(label(j), res_j)] + [
+                    (label(row), float(w)) for row, w, b in zip(ws.rows, r, big) if b], it)
+            step = min(step_full, step_drop)
+            lam, t, res_j = lam - step * r, t + step, res_j - step * d2
+            if step_full <= step_drop:
+                ws.append(j, r, d2)
+                lam = ws.solve(c[ws.rows])
+                break
+            drop = int(pos[np.argmin(ratios)])
+            ws.remove(drop)
+            lam = np.delete(lam, drop)

@@ -212,7 +212,7 @@ def sample_invariant_set(ing: TerminalIngredients, n_samples: int,
     F, g = ing.X_a.F, ing.X_a.g
     dim = F.shape[1]
     # interior start: steady state of the tightened box center
-    lo, hi = _va_box(ing.X_a)
+    lo, hi = _va_box(ing.X_a, ing.K.shape[1])
     va0 = 0.5 * (lo + hi)
     n = dim - va0.size
     phi = ing.A_w[:n, :n]
@@ -243,11 +243,12 @@ def sample_invariant_set(ing: TerminalIngredients, n_samples: int,
     return out
 
 
-def _va_box(X_a: Polyhedron):
-    """Bounding interval of the v_a coordinates of X_a via LPs."""
+def _va_box(X_a: Polyhedron, n_fast: int):
+    """Bounding interval of the v_a coordinates of X_a, which follow the
+    n_fast fast-state coordinates, via LPs."""
     dim = X_a.dim
     lo, hi = [], []
-    for j in range(4, dim):
+    for j in range(n_fast, dim):
         e = np.zeros(dim)
         e[j] = 1.0
         up = lp_max(e, X_a)

@@ -1,9 +1,10 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from anesmpc import cli, geometry, mpc
+from anesmpc import cli, geometry, mpc, qp
 from anesmpc.errors import ModelConfigError
 
 from conftest import controller_path, patient_path
@@ -188,6 +189,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert "step 7" in err
+
+    def test_iteration_limit_has_its_own_message(self, paths, tmp_path, monkeypatch,
+                                                 capsys):
+        # the cold first solve of the tracking QP needs many iterations
+        monkeypatch.setattr(qp, "qp_solve", partial(qp.qp_solve, max_iter=1))
+        rc = cli.main(["simulate", "--patient", paths[0], "--config", paths[1],
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "iteration limit at step 0" in err
+        assert "infeasible" not in err
 
 
 class TestDeterminism:

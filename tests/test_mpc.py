@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anesmpc import mpc
+from anesmpc import mpc, qp, sim
 from anesmpc.errors import ModelConfigError, SolverInfeasibleError
 
 from conftest import U_BOUNDS
@@ -152,6 +152,17 @@ class TestControlStep:
         with pytest.raises(SolverInfeasibleError):
             ctrl.control_step(huge, np.zeros(4))
 
+    def test_infeasible_error_names_the_rows(self, controller):
+        controller.reset()
+        with pytest.raises(SolverInfeasibleError) as info:
+            controller.control_step(np.full(4, 1e4), np.zeros(4))
+        exc = info.value
+        assert exc.status == "infeasible"
+        row, amount = exc.report[0]
+        assert row.startswith("A_in[") and amount > 0.0
+        assert f"{row} violated by" in str(exc)
+        assert "blocked by" in str(exc)
+
 
 class TestRetarget:
     def test_modest_setpoint_change_resettles(self, disc, patient, gain, v_box,
@@ -207,3 +218,39 @@ class TestLyapunovDescent:
             assert abs(zs.g_eff @ log.v_a[k] - zs.c) <= 1e-8
             np.testing.assert_allclose(
                 log.x_a[k], controller.T @ log.v_a[k], atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def reference_run(disc, patient, gain, v_box, zs, ingredients):
+    """600 s nominal run of a fresh controller, counting QP factorisations
+    and keeping every QP solution."""
+    factors, solutions = [], []
+    init, solve = qp.QpFactor.__init__, qp.qp_solve
+
+    def counting_init(self, *args, **kwargs):
+        factors.append(self)
+        init(self, *args, **kwargs)
+
+    def capturing_solve(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp.QpFactor, "__init__", counting_init)
+        mp.setattr(qp, "qp_solve", capturing_solve)
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS, zs,
+                                    ingredients, mpc.MpcConfig())
+        log = sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0)
+    return log, factors, solutions
+
+
+class TestQpReuse:
+    def test_hessian_factored_once(self, reference_run):
+        log, factors, solutions = reference_run
+        assert len(solutions) == len(log) == 120
+        assert len(factors) == 1
+
+    def test_steady_phase_has_empty_active_set(self, reference_run):
+        log, _, solutions = reference_run
+        assert all(s.status == "optimal" for s in solutions)
+        assert [k for k, s in enumerate(solutions) if k >= 30 and s.active_set] == []

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from anesmpc.qp import QpProblem, qp_solve
+from anesmpc.qp import QpFactor, QpProblem, qp_solve
 
 
 def enumerate_active_sets(p):
@@ -73,6 +73,43 @@ class TestBasics:
         assert sol.status == "infeasible"
         assert sol.z is None
         assert sol.infeasibility_report
+
+    def test_infeasibility_names_violated_and_blocking_rows(self):
+        # z <= 0 and z >= 1: once row 1 is met, row 0 stays violated by 1
+        # and depends on row 1 alone
+        p = QpProblem(np.eye(1), [0.0], A_in=[[1.0], [-1.0]], b_in=[0.0, -1.0])
+        report = qp_solve(p).infeasibility_report
+        assert report[0][0] == "A_in[0]"
+        assert report[0][1] == pytest.approx(1.0)
+        assert [row for row, _ in report[1:]] == ["A_in[1]"]
+
+    def test_inconsistent_equalities_reported(self):
+        p = QpProblem(np.eye(2), [0.0, 0.0], A_eq=[[1.0, 1.0], [2.0, 2.0]],
+                      b_eq=[1.0, 3.0])
+        sol = qp_solve(p)
+        assert sol.status == "infeasible"
+        assert sol.infeasibility_report[0][0] == "A_eq[1]"
+
+    def test_iteration_limit_is_not_infeasible(self):
+        # MPC-sized: the cold solve needs many working-set changes
+        p = random_qp(np.random.default_rng(3), n=30, q=60, neq=2)
+        sol = qp_solve(p, max_iter=1)
+        assert sol.status == "max_iter"
+        assert sol.iterations == 1
+        assert sol.z is not None and sol.kkt_residuals is not None
+        assert sol.kkt_residuals.primal_in > 1e-8
+        assert qp_solve(p).status == "optimal"
+
+    def test_factor_reused_only_for_its_own_data(self):
+        rng = np.random.default_rng(4)
+        p = random_qp(rng, n=5, q=4, neq=1)
+        factor = QpFactor(p.H, p.A_eq, p.A_in)
+        shifted = QpProblem(p.H, p.f + 1.0, p.A_eq, p.b_eq + 0.1, p.A_in, p.b_in + 0.2)
+        assert qp_solve(shifted, factor=factor).objective == pytest.approx(
+            qp_solve(shifted).objective, abs=1e-12)
+        other = QpProblem(p.H.copy(), p.f, p.A_eq, p.b_eq, p.A_in, p.b_in)
+        with pytest.raises(ValueError, match="QpFactor"):
+            qp_solve(other, factor=factor)
 
     def test_equality_only_matches_kkt_solve(self):
         rng = np.random.default_rng(1)
@@ -160,3 +197,43 @@ class TestProperties:
                 warm = qp_solve(p, warm_start=rng.normal(scale=scale, size=30))
                 assert warm.status == "optimal"
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+
+    def test_hot_start_from_bad_working_sets(self):
+        # warm starts whose tight rows make a bad working set: dependent
+        # rows, rows not tight at the optimum, rows whose multipliers come
+        # out negative; the hot start must repair it and land on the cold
+        # optimum
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            p = random_qp(rng, n=30, q=60, neq=2)
+            cold = qp_solve(p)
+            assert cold.status == "optimal"
+            active = list(cold.active_set)
+            slack = p.b_in - p.A_in @ cold.z
+            loose = [i for i in range(60) if slack[i] > 1e-6][:12]
+            assert len(loose) == 12
+            # forcing the loose rows to equality gives a negative multiplier
+            C = np.vstack([p.A_eq, p.A_in[loose]])
+            m = C.shape[0]
+            KKT = np.block([[p.H, C.T], [C, np.zeros((m, m))]])
+            lam = np.linalg.solve(KKT, np.concatenate([-p.f, p.b_eq, p.b_in[loose]]))[30:]
+            assert np.min(lam[2:]) < 0.0
+            # a point where the loose rows are tight
+            dz = np.linalg.lstsq(p.A_in[loose], slack[loose], rcond=None)[0]
+            # duplicates and pairwise sums of the active rows, tight at the
+            # optimum and dependent on the rows they repeat
+            pairs = np.array(active[:-1]), np.array(active[1:])
+            A_dep = np.vstack([p.A_in, p.A_in[active], p.A_in[pairs[0]] + p.A_in[pairs[1]]])
+            b_dep = np.concatenate([p.b_in, p.b_in[active], p.b_in[pairs[0]] + p.b_in[pairs[1]]])
+            p_dep = QpProblem(p.H, p.f, p.A_eq, p.b_eq, A_dep, b_dep)
+            starts = {
+                "loose rows tight": (p, cold.z + dz),
+                "dependent rows": (p_dep, cold.z),
+                "dependent and loose rows": (p_dep, cold.z + dz),
+            }
+            for name, (prob, z0) in starts.items():
+                hot = qp_solve(prob, warm_start=z0)
+                assert hot.status == "optimal", name
+                assert hot.kkt_residuals.max() <= 1e-8, name
+                np.testing.assert_allclose(hot.z, cold.z, atol=1e-7, err_msg=name)
+                assert hot.objective == pytest.approx(cold.objective, abs=1e-7)

@@ -184,6 +184,31 @@ class TestMaxAdmissibleInvariantSet:
             terminal.max_admissible_invariant_set(rot, W, max_iter=20)
 
 
+class TestSteadyInputBox:
+    def test_va_box_follows_fast_dimension(self):
+        # 3 fast states, 2 steady inputs: a box whose last two coordinates
+        # carry the v_a bounds
+        upper = np.array([1.0, 1.0, 1.0, 2.0, 3.0])
+        lower = np.array([-1.0, -1.0, -1.0, 0.5, 0.25])
+        box = Polyhedron(np.vstack([np.eye(5), -np.eye(5)]),
+                         np.concatenate([upper, -lower]))
+        lo, hi = terminal._va_box(box, 3)
+        np.testing.assert_allclose(lo, [0.5, 0.25], atol=1e-12)
+        np.testing.assert_allclose(hi, [2.0, 3.0], atol=1e-12)
+
+    def test_sampling_with_two_fast_states(self):
+        # fast dimension 2 (K is 1 x 2), one steady input in [0.2, 0.8]
+        A_w = np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        g = np.array([1.0, 1.0, 0.8, 1.0, 1.0, -0.2])
+        X_a = Polyhedron(np.vstack([np.eye(3), -np.eye(3)]), g)
+        ing = terminal.TerminalIngredients(
+            K=np.zeros((1, 2)), P=np.eye(2), psi=np.zeros((1, 1)), A_w=A_w,
+            X_a=X_a, lam=0.99)
+        samples = terminal.sample_invariant_set(ing, 50, seed=3)
+        assert samples.shape == (50, 3)
+        assert np.all(X_a.F @ samples.T <= g[:, None] + 1e-12)
+
+
 class TestBundle:
     def test_compute_terminal_ingredients(self, ingredients):
         assert ingredients.determination_index <= 500
