@@ -73,7 +73,9 @@ def build_bundle(patient_path, config_path, ingredients_dir=None) -> Bundle:
 def _load_ingredients_bundle(outdir: Path, patient_path, config_path,
                              lam: float) -> terminal.TerminalIngredients | None:
     """Reuse a previously written ingredient bundle when its manifest
-    matches the requested patient/config pair; otherwise recompute."""
+    matches the requested patient/config pair (paths and SHA-256 of their
+    bytes, so an input edited in place forces a recompute); otherwise
+    recompute."""
     manifest_path = outdir / "manifest.json"
     if not manifest_path.exists():
         return None
@@ -84,6 +86,8 @@ def _load_ingredients_bundle(outdir: Path, patient_path, config_path,
     if (manifest.get("subcommand") != "ingredients"
             or manifest.get("patient") != str(patient_path)
             or manifest.get("config") != str(config_path)
+            or manifest.get("patient_sha256") != _sha256(patient_path)
+            or manifest.get("config_sha256") != _sha256(config_path)
             or manifest.get("parameters", {}).get("lambda") != lam):
         return None
     try:
@@ -100,6 +104,14 @@ def _load_ingredients_bundle(outdir: Path, patient_path, config_path,
         return None
 
 
+def _sha256(path) -> str:
+    # imported on use: hashlib loads OpenSSL, ~4 MB resident, which a
+    # build without manifests never needs
+    import hashlib
+
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def write_manifest(outdir: Path, subcommand: str, args, extra: dict) -> None:
     manifest = {
         "tool": "anesmpc",
@@ -108,6 +120,8 @@ def write_manifest(outdir: Path, subcommand: str, args, extra: dict) -> None:
         "subcommand": subcommand,
         "patient": str(args.patient),
         "config": str(args.config),
+        "patient_sha256": _sha256(args.patient),
+        "config_sha256": _sha256(args.config),
         "out": str(outdir),
         "parameters": extra,
     }
@@ -206,7 +220,7 @@ def run_simulate(args) -> int:
 # -- validate ---------------------------------------------------------------
 
 
-def _check_cancellation(bundle) -> tuple[bool, str]:
+def _check_cancellation(bundle, shared) -> tuple[bool, str]:
     disc, D = bundle.disc, bundle.gain.D
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -220,14 +234,14 @@ def _check_cancellation(bundle) -> tuple[bool, str]:
     return worst <= 1e-12, f"max deviation {worst:.2e}"
 
 
-def _check_dare(bundle) -> tuple[bool, str]:
+def _check_dare(bundle, shared) -> tuple[bool, str]:
     cfg = bundle.file_cfg.mpc
     res = terminal.dare_residual(bundle.disc.A_f, bundle.disc.B, cfg.Q, cfg.R,
                                  bundle.ingredients.P)
     return res <= 1e-8, f"residual {res:.2e}"
 
 
-def _check_invariance(bundle) -> tuple[bool, str]:
+def _check_invariance(bundle, shared) -> tuple[bool, str]:
     ing = bundle.ingredients
     samples = terminal.sample_invariant_set(ing, 1000, seed=1)
     W = samples.T
@@ -238,7 +252,14 @@ def _check_invariance(bundle) -> tuple[bool, str]:
     return True, "1000 samples stayed in X_a for 200 steps"
 
 
-def _check_qp_oracle(bundle) -> tuple[bool, str]:
+def _check_invariance_lp(bundle, shared) -> tuple[bool, str]:
+    ing = bundle.ingredients
+    excess = terminal.invariance_excess(ing.A_w, ing.X_a)
+    return excess <= 1e-9, (f"{ing.X_a.nrows} LPs, max over X_a of F_j A_w w - g_j "
+                            f"= {excess:.2e}")
+
+
+def _check_qp_oracle(bundle, shared) -> tuple[bool, str]:
     rng = np.random.default_rng(2)
     for trial in range(100):
         n = int(rng.integers(2, 7))
@@ -271,21 +292,24 @@ def _check_qp_oracle(bundle) -> tuple[bool, str]:
     return True, "100 random QPs match enumeration to 1e-6"
 
 
-def _nominal_log(bundle):
-    bundle.controller.reset()
-    return sim.simulate_closed_loop(bundle.disc, bundle.patient.pd,
-                                    bundle.controller, 600.0)
+def _nominal_log(bundle, shared):
+    """The nominal 600 s closed loop, simulated once per validation run."""
+    if "nominal_log" not in shared:
+        bundle.controller.reset()
+        shared["nominal_log"] = sim.simulate_closed_loop(
+            bundle.disc, bundle.patient.pd, bundle.controller, 600.0)
+    return shared["nominal_log"]
 
 
-def _check_descent(bundle) -> tuple[bool, str]:
-    log = _nominal_log(bundle)
+def _check_descent(bundle, shared) -> tuple[bool, str]:
+    log = _nominal_log(bundle, shared)
     diffs = np.diff(log.cost[1:])
     ok = bool(np.all(diffs <= 1e-8))
     return ok, f"max cost increase {float(np.max(diffs)):.2e}"
 
 
-def _check_recursive_feasibility(bundle) -> tuple[bool, str]:
-    log = _nominal_log(bundle)
+def _check_recursive_feasibility(bundle, shared) -> tuple[bool, str]:
+    log = _nominal_log(bundle, shared)
     ok = all(s == "optimal" for s in log.status)
     return ok, f"{len(log)} solves, all optimal" if ok else "a solve failed"
 
@@ -294,6 +318,7 @@ VALIDATION_CHECKS = (
     ("cancellation", _check_cancellation),
     ("dare-residual", _check_dare),
     ("invariant-set-sampling", _check_invariance),
+    ("invariant-set-lp", _check_invariance_lp),
     ("qp-oracle", _check_qp_oracle),
     ("lyapunov-descent", _check_descent),
     ("recursive-feasibility", _check_recursive_feasibility),
@@ -301,10 +326,14 @@ VALIDATION_CHECKS = (
 
 
 def run_validation_checks(bundle, checks=VALIDATION_CHECKS):
+    """Run (name, check) pairs on one bundle; each check is called as
+    check(bundle, shared), where shared caches work that several checks
+    read (the nominal closed-loop log) for this run only."""
     results = []
+    shared = {}
     for name, fn in checks:
         tic = time.perf_counter()
-        ok, detail = fn(bundle)
+        ok, detail = fn(bundle, shared)
         results.append((name, ok, detail, time.perf_counter() - tic))
     return results
 

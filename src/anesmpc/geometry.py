@@ -6,7 +6,10 @@ variables, at most a few thousand rows), so no sparse machinery is used.
 
 The simplex uses Dantzig pricing by default and falls back to Bland's
 rule after a fixed number of pivots to break cycling; feasibility and
-optimality tolerances are both 1e-9.
+optimality tolerances are both 1e-9. Rows with a negative rhs get an
+artificial variable and a phase I; with a nonnegative rhs the LP starts
+from the slack basis. Redundancy removal uses that: it finds a Chebyshev
+centre once and runs every redundancy LP on the rows shifted to it.
 """
 
 from __future__ import annotations
@@ -203,22 +206,55 @@ def is_empty(poly: Polyhedron) -> bool:
     return lp_max(np.zeros(poly.dim), poly).status == "infeasible"
 
 
+def chebyshev_centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
+    """Centre w0 and radius r of a largest ball in the set, by one LP with
+    the radius capped at 1: max r s.t. F w + |F_i| r <= g, 0 <= r <= 1.
+
+    A flat set gives r = 0; an empty one raises GeometryError.
+    """
+    n = poly.dim
+    lifted = Polyhedron(
+        np.block([[poly.F, np.linalg.norm(poly.F, axis=1)[:, None]],
+                  [np.zeros((2, n)), np.array([[1.0], [-1.0]])]]),
+        np.concatenate([poly.g, [1.0, 0.0]]))
+    res = lp_max(np.eye(n + 1)[n], lifted)
+    if res.status != "optimal":
+        raise GeometryError("polyhedron is empty")
+    return res.argmax[:n], float(res.argmax[n])
+
+
 def remove_redundant(poly: Polyhedron) -> Polyhedron:
     """Drop every row whose LP-max over the remaining rows is <= g_j + 1e-9.
 
     Rows are tested one pass in the order given against the current
-    surviving set, so the output is deterministic.
+    surviving set, so the output is deterministic. The LPs run on the
+    rows shifted to the Chebyshev centre w0, F u <= g - F w0 with a
+    nonnegative rhs, so each starts from the slack basis without phase I.
+    A row equal to a later row (same F row and g) is dropped without an
+    LP: the later copy bounds it exactly.
     """
-    if is_empty(poly):
-        raise GeometryError("cannot reduce an empty polyhedron")
+    try:
+        w0, _ = chebyshev_centre(poly)
+    except GeometryError:
+        raise GeometryError("cannot reduce an empty polyhedron") from None
     F, g = poly.F, poly.g
+    h = np.maximum(g - F @ w0, 0.0)
+    seen = set()
+    repeated_later = np.zeros(poly.nrows, dtype=bool)
+    for j in reversed(range(poly.nrows)):
+        key = (tuple(F[j].tolist()), float(g[j]))  # -0.0 == 0.0
+        repeated_later[j] = key in seen
+        seen.add(key)
     surviving = list(range(poly.nrows))
     for j in range(poly.nrows):
+        if repeated_later[j]:
+            surviving.remove(j)
+            continue
         others = [i for i in surviving if i != j]
         if not others:
             continue
-        res = lp_max(F[j], Polyhedron(F[others], g[others]))
-        if res.status == "optimal" and res.value <= g[j] + FEAS_TOL:
+        res = lp_max(F[j], Polyhedron(F[others], h[others]))
+        if res.status == "optimal" and res.value <= h[j] + FEAS_TOL:
             surviving.remove(j)
     return Polyhedron(F[surviving], g[surviving])
 

@@ -1,10 +1,13 @@
 """Terminal ingredients for the tracking MPC.
 
 Produces the feedback gain K and terminal weight P from the discrete
-algebraic Riccati equation, the extended dynamics of (fast state,
-artificial steady input) pairs under the terminal law, and the maximal
-admissible invariant set for tracking used as the MPC terminal
-constraint.
+algebraic Riccati equation (structure-preserving doubling), the extended
+dynamics of (fast state, artificial steady input) pairs under the
+terminal law, and the maximal admissible invariant set for tracking used
+as the MPC terminal constraint. The set's LPs run in coordinates shifted
+to a steady pair inside the constraints, a fixed point of the extended
+dynamics, where every propagated row keeps a nonnegative rhs and no LP
+needs a phase I; invariance_excess proves invariance the same way.
 
 Sign convention: K is Schur-stabilizing for A + BK and enters the
 terminal law as v = K(x - x_a) + v_a; for the positive anesthesia
@@ -18,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compensation import InputBox
-from .errors import ModelConfigError
-from .geometry import Polyhedron, lp_max, remove_redundant
+from .errors import GeometryError, ModelConfigError
+from .geometry import Polyhedron, chebyshev_centre, lp_max, remove_redundant
 from .pkpd import DiscreteDynamics
 
 DARE_STEP_TOL = 1e-12
-DARE_MAX_ITER = 10**5
+DARE_MAX_ITER = 100
 DARE_RESIDUAL_TOL = 1e-8
 INVARIANT_MAX_ITER = 500
 _RANK_TOL = 1e-11
@@ -66,9 +69,11 @@ def _check_observable_sqrtQ(A: np.ndarray, Q: np.ndarray) -> None:
 
 
 def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-point iteration of the Riccati recursion from P0 = Q.
+    """Structure-preserving doubling from (A, B R^-1 B', Q).
 
-    Returns (P, K) with P the stabilizing solution and
+    Each step squares the closed-loop transition, so the error falls
+    quadratically: about ten steps where the Riccati recursion needs
+    hundreds. Returns (P, K) with P the stabilizing solution and
     K = -(R + B'PB)^-1 B'PA, so A + BK is Schur.
     """
     A = np.asarray(A, float)
@@ -82,18 +87,23 @@ def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
     _check_stabilizable(A, B)
     _check_observable_sqrtQ(A, Q)
 
-    P = Q.copy()
+    n = A.shape[0]
+    Ak, Gk, P = A, B @ np.linalg.solve(R, B.T), Q.copy()
     for _ in range(DARE_MAX_ITER):
-        APB = A.T @ P @ B
-        P_next = A.T @ P @ A - APB @ np.linalg.solve(R + B.T @ P @ B, APB.T) + Q
+        # X = (I + G P)^-1 [A, G]
+        X = np.linalg.solve(np.eye(n) + Gk @ P, np.hstack([Ak, Gk]))
+        P_next = P + Ak.T @ P @ X[:, :n]
         P_next = 0.5 * (P_next + P_next.T)
-        if np.max(np.abs(P_next - P)) <= DARE_STEP_TOL:
+        Gk = Gk + Ak @ X[:, n:] @ Ak.T
+        Gk = 0.5 * (Gk + Gk.T)
+        Ak = Ak @ X[:, :n]
+        if np.max(np.abs(P_next - P)) <= DARE_STEP_TOL * max(1.0, np.max(np.abs(P_next))):
             P = P_next
             break
         P = P_next
     else:
         raise ModelConfigError(
-            f"Riccati iteration did not converge within {DARE_MAX_ITER} steps"
+            f"Riccati doubling did not converge within {DARE_MAX_ITER} steps"
         )
     K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     return P, K
@@ -161,37 +171,81 @@ def build_W_lambda(K: np.ndarray, psi: np.ndarray, V: InputBox, lam: float) -> P
     return Polyhedron(F, g)
 
 
+def _steady_shift(A_w: np.ndarray, W: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
+    """A fixed point w0 = A_w w0 inside W, by one Chebyshev-centre LP over
+    the fixed subspace (for the extended dynamics: the steady pairs), and
+    the rhs h = g - F w0 of W's rows shifted to it.
+
+    Since F A_w^k w0 = F w0, every row F A_w^k w <= g shifted to w0 has
+    the rhs h >= 0, so LPs over such rows start from the slack basis.
+    When W holds no fixed point, w0 = 0 and h = g: no shift.
+    """
+    dim = A_w.shape[0]
+    _, s, Vt = np.linalg.svd(A_w - np.eye(dim))
+    N = Vt[s <= _RANK_TOL * max(1.0, s[0])].T
+    try:
+        t, _ = chebyshev_centre(Polyhedron(W.F @ N, W.g))
+    except GeometryError:
+        return np.zeros(dim), W.g
+    w0 = N @ t
+    return w0, np.maximum(W.g - W.F @ w0, 0.0)
+
+
 def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
                                  max_iter: int = INVARIANT_MAX_ITER):
     """Constraint-propagation fixpoint: accumulate the rows F A_w^i w <= g
     until every candidate row F A_w^(i+1) is redundant over the current
     set, then strip redundant rows.
 
+    The redundancy LPs run in coordinates shifted to a steady point of
+    W (see _steady_shift), where each starts from the slack basis.
+
     Returns (polyhedron, determination index k*).
     """
     F, g = W.F, W.g
-    F_acc, g_acc = F.copy(), g.copy()
+    _, h = _steady_shift(A_w, W)
+    F_acc, h_acc = F.copy(), h.copy()
     M = np.eye(A_w.shape[0])
     for k in range(max_iter + 1):
         M = M @ A_w
         cand = F @ M
-        current = Polyhedron(F_acc, g_acc)
+        current = Polyhedron(F_acc, h_acc)
         all_redundant = True
         for j in range(cand.shape[0]):
             res = lp_max(cand[j], current)
             if res.status == "infeasible":
                 raise ModelConfigError("constraint polyhedron is empty")
-            if res.status == "unbounded" or res.value > g[j] + 1e-9:
+            if res.status == "unbounded" or res.value > h[j] + 1e-9:
                 all_redundant = False
                 break
         if all_redundant:
-            return remove_redundant(current), k
+            return remove_redundant(Polyhedron(F_acc, np.tile(g, k + 1))), k
         F_acc = np.vstack([F_acc, cand])
-        g_acc = np.concatenate([g_acc, g])
+        h_acc = np.concatenate([h_acc, h])
     raise ModelConfigError(
         f"invariant set not finitely determined within {max_iter} iterations; "
         "check lambda < 1"
     )
+
+
+def invariance_excess(A_w: np.ndarray, X: Polyhedron) -> float:
+    """Largest max_{w in X} F_j A_w w - g_j over the rows j of X, one LP
+    per row started from a steady point of X as in the build; +inf if a
+    row is unbounded. X is invariant under A_w iff this is <= 0 (up to
+    the LP tolerance).
+    """
+    F, g = X.F, X.g
+    w0, h = _steady_shift(A_w, X)
+    shifted = Polyhedron(F, h)
+    FA = F @ A_w
+    offset = FA @ w0 - g
+    worst = -np.inf
+    for j in range(X.nrows):
+        res = lp_max(FA[j], shifted)
+        if res.status != "optimal":
+            return np.inf
+        worst = max(worst, res.value + offset[j])
+    return float(worst)
 
 
 def compute_terminal_ingredients(dyn: DiscreteDynamics, V: InputBox, Q, R,

@@ -87,6 +87,40 @@ class TestValidate:
             bad, checks=[("cancellation", cli._check_cancellation)])
         assert results[0][1] is False
 
+    def test_nominal_loop_simulated_once(self, bundle, monkeypatch):
+        runs = []
+        real = cli.sim.simulate_closed_loop
+
+        def counting(*a, **k):
+            runs.append(1)
+            return real(*a, **k)
+
+        monkeypatch.setattr(cli.sim, "simulate_closed_loop", counting)
+        results = cli.run_validation_checks(bundle)
+        assert all(ok for _, ok, *_ in results)
+        assert len(runs) == 1
+        # any subset still runs on its own
+        for name, fn in cli.VALIDATION_CHECKS:
+            runs.clear()
+            (result,) = cli.run_validation_checks(bundle, checks=[(name, fn)])
+            assert result[:2] == (name, True)
+            assert len(runs) == (name in ("lyapunov-descent", "recursive-feasibility"))
+
+    def test_non_invariant_set_fails_lp_proof(self, bundle):
+        import dataclasses
+
+        ing = bundle.ingredients
+        grown = dataclasses.replace(ing, A_w=1.05 * ing.A_w)
+        bad = dataclasses.replace(bundle, ingredients=grown)
+        checks = dict(cli.VALIDATION_CHECKS)
+        (result,) = cli.run_validation_checks(
+            bad, checks=[("invariant-set-lp", checks["invariant-set-lp"])])
+        assert result[1] is False
+        (result,) = cli.run_validation_checks(
+            bundle, checks=[("invariant-set-lp", checks["invariant-set-lp"])])
+        assert result[1] is True
+        assert f"{ing.X_a.nrows} LPs" in result[2]
+
     def test_lambda_one_rejected_cleanly(self, paths, tmp_path, capsys):
         cfg_text = controller_path().read_text().replace("lambda = 0.99", "lambda = 1.0")
         bad = tmp_path / "bad.ini"
@@ -173,6 +207,36 @@ class TestBundleReuse:
         m["config"] = "/somewhere/else.ini"
         (out / "manifest.json").write_text(json.dumps(m))
         assert cli._load_ingredients_bundle(out, paths[0], paths[1], 0.99) is None
+        capsys.readouterr()
+
+
+    def test_config_edited_in_place_recomputed(self, paths, tmp_path, capsys,
+                                                monkeypatch):
+        config = tmp_path / "controller.ini"
+        config.write_text(controller_path().read_text())
+        out = tmp_path / "bundle"
+        rc = cli.main(["ingredients", "--patient", paths[0], "--config", str(config),
+                       "--out", str(out)])
+        assert rc == 0
+        cached_P = geometry.load_matrix(out / "P.txt")
+        assert cli._load_ingredients_bundle(out, paths[0], config, 0.99) is not None
+        # same path, same lambda, new Q: the cached K, P and X_a are stale
+        config.write_text(config.read_text().replace("Q_diag = 1, 10, 1, 10",
+                                                     "Q_diag = 5, 50, 5, 50"))
+        assert cli._load_ingredients_bundle(out, paths[0], config, 0.99) is None
+        calls = []
+        real = cli.terminal.compute_terminal_ingredients
+
+        def counting(*a, **k):
+            calls.append(real(*a, **k))
+            return calls[-1]
+
+        monkeypatch.setattr(cli.terminal, "compute_terminal_ingredients", counting)
+        rc = cli.main(["simulate", "--patient", paths[0], "--config", str(config),
+                       "--out", str(out), "--duration", "100"])
+        assert rc == 0
+        assert len(calls) == 1
+        assert abs(calls[0].P[0, 0] - cached_P[0, 0]) > 1.0
         capsys.readouterr()
 
 

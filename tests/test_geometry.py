@@ -5,7 +5,9 @@ import pytest
 
 from anesmpc.errors import GeometryError
 from anesmpc.geometry import (
+    FEAS_TOL,
     Polyhedron,
+    chebyshev_centre,
     contains,
     load_matrix,
     load_polyhedron,
@@ -119,6 +121,53 @@ class TestLpMax:
         # the battery must actually exercise all three outcomes
         assert all(v > 0 for v in statuses.values()), statuses
 
+    def test_matches_linprog_on_offset_boxes_and_cuts(self):
+        # boxes away from the origin (rows with negative rhs), open
+        # half-space stacks (unbounded) and boxes cut off by a contradictory
+        # row (infeasible), each against HiGHS; every bounded case is also
+        # solved shifted to its Chebyshev centre (nonnegative rhs, no
+        # phase I), as the redundancy LPs are
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(41)
+        statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        negative_optimal = 0
+        for trial in range(90):
+            n = int(rng.integers(2, 7))
+            lo = rng.uniform(-3.0, 3.0, n)
+            B = box(lo, lo + rng.uniform(0.5, 2.0, n))
+            cuts = rng.normal(size=(int(rng.integers(1, 8)), n))
+            cut_g = cuts @ (lo + 0.5) + rng.uniform(-0.5, 1.0, cuts.shape[0])
+            kind = trial % 3
+            if kind == 0:
+                F, g = np.vstack([B.F, cuts]), np.concatenate([B.g, cut_g])
+            elif kind == 1:  # drop the upper bounds: open to +inf
+                F, g = np.vstack([B.F[n:], cuts]), np.concatenate([B.g[n:], cut_g])
+            else:  # sum of coordinates beyond the box
+                F = np.vstack([B.F, cuts, -np.ones((1, n))])
+                g = np.concatenate([B.g, cut_g, [-np.sum(lo) - 2.0 * n - 1.0]])
+            c = rng.normal(size=n)
+            if kind == 1:
+                c = np.abs(c)
+            mine = lp_max(c, Polyhedron(F, g))
+            ref = linprog(-c, A_ub=F, b_ub=g, bounds=[(None, None)] * n, method="highs")
+            if ref.status == 2:
+                assert mine.status == "infeasible"
+            elif ref.status == 3:
+                assert mine.status == "unbounded"
+            else:
+                assert mine.status == "optimal"
+                assert mine.value == pytest.approx(-ref.fun, abs=1e-7)
+                assert np.all(F @ mine.argmax <= g + 1e-9)
+                negative_optimal += bool(np.any(g < 0))
+                w0, r = chebyshev_centre(Polyhedron(F, g))
+                assert r > 0.0
+                shifted = lp_max(c, Polyhedron(F, g - F @ w0))
+                assert shifted.value + c @ w0 == pytest.approx(-ref.fun, abs=1e-7)
+            statuses[mine.status] += 1
+        assert all(v > 0 for v in statuses.values()), statuses
+        assert negative_optimal > 0
+
     def test_degenerate_vertex(self):
         # four planes through one corner of the unit cube
         F = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]])
@@ -176,6 +225,90 @@ class TestRemoveRedundant:
         P = Polyhedron([[1.0], [-1.0]], [0.0, -1.0])
         with pytest.raises(GeometryError):
             remove_redundant(P)
+
+    @staticmethod
+    def _reference(P):
+        """One pass in row order, each row an LP (HiGHS) over the rows still
+        kept, on the unshifted data."""
+        from scipy.optimize import linprog
+
+        keep = list(range(P.nrows))
+        for j in range(P.nrows):
+            others = [i for i in keep if i != j]
+            if not others:
+                continue
+            ref = linprog(-P.F[j], A_ub=P.F[others], b_ub=P.g[others],
+                          bounds=[(None, None)] * P.dim, method="highs")
+            if ref.status == 0 and -ref.fun <= P.g[j] + FEAS_TOL:
+                keep.remove(j)
+        return Polyhedron(P.F[keep], P.g[keep])
+
+    def _assert_matches_reference(self, P):
+        R, ref = remove_redundant(P), self._reference(P)
+        assert np.array_equal(R.F, ref.F)
+        assert np.array_equal(R.g, ref.g)
+        return R
+
+    def test_random_against_per_row_reference(self):
+        # boxes away from the origin (negative rhs) with random cuts and
+        # exact copies of some rows
+        rng = np.random.default_rng(19)
+        for _ in range(15):
+            n = int(rng.integers(2, 5))
+            lo = rng.uniform(0.5, 3.0, n)
+            B = box(lo, lo + rng.uniform(0.5, 2.0, n))
+            cuts = rng.normal(size=(8, n))
+            cut_g = cuts @ (lo + 0.25) + rng.uniform(0.0, 2.0, 8)
+            F, g = np.vstack([B.F, cuts]), np.concatenate([B.g, cut_g])
+            copies = rng.choice(F.shape[0], 3, replace=False)
+            order = rng.permutation(F.shape[0] + 3)
+            F = np.vstack([F, F[copies]])[order]
+            g = np.concatenate([g, g[copies]])[order]
+            assert np.any(g < 0)
+            R = self._assert_matches_reference(Polyhedron(F, g))
+            assert R.nrows <= F.shape[0] - 3
+
+    def test_exact_duplicates_keep_the_last_copy(self):
+        # the first row carries -0.0 where its copy has 0.0
+        F = np.array([[1.0, -0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0],
+                      [0.0, 1.0]])
+        g = np.array([1.0, 2.0, 1.0, 0.5, 0.5, 2.0])
+        R = self._assert_matches_reference(Polyhedron(F, g))
+        assert R.nrows == 4
+        np.testing.assert_array_equal(R.F, F[2:])
+
+    def test_unbounded_set(self):
+        # x1 <= 1 twice over, x2 <= 3, a loose cut; open towards -inf
+        F = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+        g = np.array([1.0, 2.0, 3.0, 10.0, 4.0])
+        R = self._assert_matches_reference(Polyhedron(F, g))
+        assert R.nrows == 3
+
+    def test_flat_set(self):
+        # the segment x1 = 1, 0 <= x2 <= 1 in the plane, with loose cuts
+        F = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                      [1.0, 1.0], [0.0, 1.0]])
+        g = np.array([1.0, -1.0, 1.0, 0.0, 5.0, 3.0])
+        assert chebyshev_centre(Polyhedron(F, g))[1] == pytest.approx(0.0, abs=1e-12)
+        R = self._assert_matches_reference(Polyhedron(F, g))
+        assert R.nrows == 4
+
+
+class TestChebyshevCentre:
+    def test_box(self):
+        w0, r = chebyshev_centre(box([1.0, 2.0], [1.6, 3.0]))
+        assert r == pytest.approx(0.3, abs=1e-12)
+        assert w0[0] == pytest.approx(1.3, abs=1e-12)
+        assert 2.3 - 1e-12 <= w0[1] <= 2.7 + 1e-12
+
+    def test_radius_capped_at_one(self):
+        w0, r = chebyshev_centre(box([-5.0, -5.0], [5.0, 5.0]))
+        assert r == 1.0
+        assert np.all(np.abs(w0) <= 4.0 + 1e-12)
+
+    def test_empty_raises(self):
+        with pytest.raises(GeometryError, match="empty"):
+            chebyshev_centre(Polyhedron([[1.0], [-1.0]], [0.0, -1.0]))
 
 
 class TestContains:

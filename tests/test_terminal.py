@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
-from anesmpc import terminal
+from anesmpc import geometry, terminal
 from anesmpc.errors import ModelConfigError
 from anesmpc.geometry import Polyhedron, contains, lp_max
 
@@ -11,6 +11,21 @@ from conftest import Q_DIAG, R_EYE
 TABLE1_K_ABS = np.array([[0.671, 1.58, 0.0, 0.0], [0.0, 0.0, 0.677, 1.267]])
 TABLE1_P22 = 218.025
 TABLE1_P44 = 58.574
+
+
+@pytest.fixture
+def negative_rhs(monkeypatch):
+    """Per lp_max call, whether its rows have a negative rhs (a phase I)."""
+    calls = []
+    real = geometry.lp_max
+
+    def recording(c, poly):
+        calls.append(bool(np.any(poly.g < 0)))
+        return real(c, poly)
+
+    monkeypatch.setattr(geometry, "lp_max", recording)
+    monkeypatch.setattr(terminal, "lp_max", recording)
+    return calls
 
 
 class TestSolveDare:
@@ -61,6 +76,30 @@ class TestSolveDare:
     def test_r_must_be_pd(self, disc):
         with pytest.raises(ModelConfigError, match="positive definite"):
             terminal.solve_dare(disc.A_f, disc.B, Q_DIAG, np.zeros((2, 2)))
+
+    def test_open_loop_unstable_against_scipy(self):
+        # eigenvalues 1.2 and 0.5 with one input: stabilizable, not stable
+        A = np.array([[1.2, 0.3, 0.0], [0.0, 0.5, 0.1], [0.0, 0.0, 0.9]])
+        B = np.array([[0.0], [1.0], [0.5]])
+        Q, R = np.diag([1.0, 0.0, 2.0]), np.array([[0.3]])
+        P, K = terminal.solve_dare(A, B, Q, R)
+        P_ref = solve_discrete_are(A, B, Q, R)
+        np.testing.assert_allclose(P, P_ref, rtol=1e-10, atol=1e-10)
+        assert np.max(np.abs(np.linalg.eigvals(A + B @ K))) < 1.0
+
+    def test_near_unit_eigenvalue_against_scipy(self):
+        A = np.array([[0.999, 0.05], [0.0, 0.7]])
+        B = np.array([[0.01], [0.2]])
+        Q, R = np.eye(2), np.array([[5.0]])
+        P, K = terminal.solve_dare(A, B, Q, R)
+        P_ref = solve_discrete_are(A, B, Q, R)
+        np.testing.assert_allclose(P, P_ref, rtol=1e-9)
+        assert terminal.dare_residual(A, B, Q, R, P) <= 1e-8 * np.max(np.abs(P))
+
+    def test_non_convergence_reported(self, disc, monkeypatch):
+        monkeypatch.setattr(terminal, "DARE_MAX_ITER", 1)
+        with pytest.raises(ModelConfigError, match="did not converge"):
+            terminal.solve_dare(disc.A_f, disc.B, Q_DIAG, R_EYE)
 
     def test_observability_checked(self):
         # q weighs nothing: (Q^1/2, A) unobservable
@@ -174,6 +213,28 @@ class TestMaxAdmissibleInvariantSet:
         _, k2 = terminal.max_admissible_invariant_set(ingredients.A_w, W_scaled)
         assert k1 == k2 == ingredients.determination_index
 
+    def test_patient_build_starts_from_a_steady_pair(self, disc, v_box, negative_rhs):
+        # only the steady-point LP and the Chebyshev-centre LP of the
+        # final reduction see rows with a negative rhs (need phase I)
+        ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
+        assert sum(negative_rhs) <= 2
+        assert len(negative_rhs) > 40
+        assert ing.X_a.nrows == 44
+        assert ing.determination_index == 11
+
+    def test_no_steady_point_falls_back_to_phase_one(self):
+        # w >= 1 under w -> 2w: no fixed point in W, so the rows stay
+        # unshifted (negative rhs, phase I) and W is returned as is
+        W = Polyhedron([[-1.0]], [-1.0])
+        O, k = terminal.max_admissible_invariant_set(np.array([[2.0]]), W)
+        assert k == 0
+        np.testing.assert_array_equal(O.F, W.F)
+        np.testing.assert_array_equal(O.g, W.g)
+        # 1 <= w <= 2 under w -> w/2: every point leaves, the set is empty
+        W = Polyhedron([[1.0], [-1.0]], [2.0, -1.0])
+        with pytest.raises(ModelConfigError, match="empty"):
+            terminal.max_admissible_invariant_set(np.array([[0.5]]), W)
+
     def test_termination_failure_reported(self):
         # an irrational rotation of a box is never finitely determined:
         # the true invariant set is the inscribed disk
@@ -182,6 +243,28 @@ class TestMaxAdmissibleInvariantSet:
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         with pytest.raises(ModelConfigError, match="finitely determined"):
             terminal.max_admissible_invariant_set(rot, W, max_iter=20)
+
+
+class TestInvarianceExcess:
+    def test_patient_set_proven_invariant(self, ingredients):
+        assert terminal.invariance_excess(ingredients.A_w, ingredients.X_a) <= 1e-9
+
+    def test_not_invariant_detected(self):
+        # a box is not invariant under a rotation by 1 rad
+        W = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+        rot = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+        excess = terminal.invariance_excess(rot, W)
+        assert excess == pytest.approx(np.cos(1.0) + np.sin(1.0) - 1.0, abs=1e-9)
+
+    def test_unbounded_row_reported(self):
+        # under w -> -2w the half-line w <= 1 maps onto w >= -2
+        W = Polyhedron([[1.0]], [1.0])
+        assert terminal.invariance_excess(np.array([[-2.0]]), W) == np.inf
+
+    def test_lps_start_from_a_steady_pair(self, ingredients, negative_rhs):
+        terminal.invariance_excess(ingredients.A_w, ingredients.X_a)
+        assert len(negative_rhs) == ingredients.X_a.nrows + 1
+        assert sum(negative_rhs) <= 1
 
 
 class TestSteadyInputBox:
