@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 validation failure, 2 config/model error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -238,7 +237,7 @@ def _check_dare(bundle, shared) -> tuple[bool, str]:
     cfg = bundle.file_cfg.mpc
     res = terminal.dare_residual(bundle.disc.A_f, bundle.disc.B, cfg.Q, cfg.R,
                                  bundle.ingredients.P)
-    return res <= 1e-8, f"residual {res:.2e}"
+    return res <= terminal.DARE_RESIDUAL_TOL, f"residual {res:.2e}"
 
 
 def _check_invariance(bundle, shared) -> tuple[bool, str]:
@@ -260,33 +259,9 @@ def _check_invariance_lp(bundle, shared) -> tuple[bool, str]:
 
 
 def _check_qp_oracle(bundle, shared) -> tuple[bool, str]:
-    rng = np.random.default_rng(2)
-    for trial in range(100):
-        n = int(rng.integers(2, 7))
-        nq = int(rng.integers(0, 4))
-        M = rng.normal(size=(n, n))
-        H = M @ M.T + (0.5 + rng.uniform()) * np.eye(n)
-        f = rng.normal(size=n)
-        z0 = rng.normal(size=n)
-        A_in = rng.normal(size=(nq, n)) if nq else None
-        b_in = A_in @ z0 + rng.uniform(0.1, 1.0, nq) if nq else None
-        problem = qp.QpProblem(H, f, A_in=A_in, b_in=b_in)
-        sol = qp.qp_solve(problem)
+    for trial, (sol, best) in enumerate(qp.oracle_trials(seed=2)):
         if sol.status != "optimal" or sol.kkt_residuals.max() > 1e-8:
             return False, f"trial {trial}: status {sol.status}"
-        best = np.inf
-        for k in range(nq + 1):
-            for combo in itertools.combinations(range(nq), k):
-                C = A_in[list(combo)] if combo else np.zeros((0, n))
-                KKT = np.block([[H, C.T], [C, np.zeros((k, k))]])
-                rhs = np.concatenate([-f, b_in[list(combo)] if combo else np.zeros(0)])
-                try:
-                    zc = np.linalg.solve(KKT, rhs)[:n]
-                except np.linalg.LinAlgError:
-                    continue
-                if nq and np.any(A_in @ zc > b_in + 1e-8):
-                    continue
-                best = min(best, 0.5 * zc @ H @ zc + f @ zc)
         if abs(sol.objective - best) > 1e-6:
             return False, f"trial {trial}: objective off by {abs(sol.objective - best):.2e}"
     return True, "100 random QPs match enumeration to 1e-6"

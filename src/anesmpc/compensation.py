@@ -6,6 +6,10 @@ and bounded below by -m_bar, the MPC input v must live in the tightened
 box V = U (-) M, the Pontryagin difference of the input box by
 {-m_bar <= m <= 0}: for axis-aligned boxes that is exactly
 [u_min + m_bar, u_max].
+
+The bound m_bar is either supplied ("fixed") or computed ("worst-case")
+as |D x_s| at the steady state of the full model under maximal input,
+one 8 x 8 linear solve.
 """
 
 from __future__ import annotations
@@ -15,12 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelConfigError
-from .pkpd import ContinuousDynamics, DiscreteDynamics
+from .pkpd import ContinuousDynamics, DiscreteDynamics, full_step_matrices
 
-DISTURBANCE_MODES = ("worst-case", "simulated", "fixed")
-
-_SIM_TOL = 1e-9
-_SIM_MAX_STEPS = 10**6
+DISTURBANCE_MODES = ("worst-case", "fixed")
 
 
 @dataclass(frozen=True)
@@ -60,32 +61,16 @@ def compensation_gain(dyn: ContinuousDynamics | DiscreteDynamics) -> Compensatio
     return CompensationGain(D=D)
 
 
-def _rates_per_drug(dyn: ContinuousDynamics | DiscreteDynamics):
-    """Recover (Cl1, Cl2, Cl3) ratios per drug from the assembled matrices."""
-    if isinstance(dyn, DiscreteDynamics):
-        A_f = (dyn.A_f - np.eye(4)) / dyn.Ts
-        A_s = dyn.A_s / dyn.Ts
-        B = dyn.B / dyn.Ts
-    else:
-        A_f, A_s, B = dyn.A_f, dyn.A_s, dyn.B
-    out = []
-    for i, j in ((0, 0), (2, 1)):  # blood row, input column per drug
-        V1 = 1.0 / B[i, j]
-        k12, k13 = A_s[i, i], A_s[i, i + 1]
-        k10 = -A_f[i, i] - k12 - k13
-        out.append((k10 * V1, k12 * V1, k13 * V1))
-    return out
-
-
-def disturbance_bound(dyn: ContinuousDynamics | DiscreteDynamics, U: InputBox,
-                      mode: str = "simulated", fixed=None) -> np.ndarray:
+def disturbance_bound(disc: DiscreteDynamics, U: InputBox, mode: str,
+                      fixed=None) -> np.ndarray:
     """Componentwise bound m_bar with -m_bar <= D x_s <= 0.
 
-    "worst-case" evaluates the closed form (Cl2+Cl3)/Cl1 * u_max from the
-    global steady state of the full model at maximal input; "simulated"
-    steps the full 8-state model at maximal input to steady state and
-    takes the largest compensation seen; "fixed" passes through a
-    user-supplied vector.
+    "worst-case" takes the global steady state of the full 8-state model
+    under maximal input, x = (I - M)^-1 B u_max, and returns m_bar =
+    -D x_s there. The model is positive, so from rest under constant
+    input the slow states rise monotonically to that point and no
+    trajectory from rest exceeds it; per drug it is the closed form
+    (Cl2+Cl3)/Cl1 * u_max. "fixed" passes through a user-supplied vector.
     """
     if mode == "fixed":
         if fixed is None:
@@ -95,38 +80,10 @@ def disturbance_bound(dyn: ContinuousDynamics | DiscreteDynamics, U: InputBox,
             raise ModelConfigError("fixed disturbance bound must be 2 nonnegative floats")
         return m_bar
     if mode == "worst-case":
-        ratios = np.array([(cl2 + cl3) / cl1 for cl1, cl2, cl3 in _rates_per_drug(dyn)])
-        return ratios * U.upper
-    if mode == "simulated":
-        return _simulated_bound(dyn, U)
+        M, B = full_step_matrices(disc)
+        x = np.linalg.solve(np.eye(8) - M, B @ U.upper)
+        return -(compensation_gain(disc).D @ x[4:])
     raise ModelConfigError(f"unknown disturbance bound mode '{mode}'")
-
-
-def _simulated_bound(dyn: ContinuousDynamics | DiscreteDynamics, U: InputBox) -> np.ndarray:
-    if isinstance(dyn, DiscreteDynamics):
-        disc = dyn
-    else:
-        from .pkpd import discretize_euler
-
-        # any stable Euler step works; the bound is a trajectory maximum
-        rho = float(np.max(np.abs(np.linalg.eigvals(dyn.A_f))))
-        disc = discretize_euler(dyn, min(1.0, 0.2 / rho))
-    M = np.block([[disc.A_f, disc.A_s], [disc.A_sf, disc.A_ss]])
-    Bfull = np.vstack([disc.B, np.zeros((4, 2))])
-    D = compensation_gain(disc).D
-    x = np.zeros(8)
-    push = Bfull @ U.upper
-    m_bar = np.zeros(2)
-    for _ in range(_SIM_MAX_STEPS):
-        x_next = M @ x + push
-        m_bar = np.maximum(m_bar, np.abs(D @ x_next[4:]))
-        if np.max(np.abs(x_next - x)) <= _SIM_TOL:
-            return m_bar
-        x = x_next
-    raise ModelConfigError(
-        "disturbance-bound simulation did not reach steady state "
-        f"within {_SIM_MAX_STEPS} steps (tolerance {_SIM_TOL})"
-    )
 
 
 def tracking_input_set(U: InputBox, m_bar) -> InputBox:

@@ -367,15 +367,23 @@ def load_controller_config(path) -> ControllerFileConfig:
         if raw is None:
             raise ModelConfigError(f"{path}: missing key '{key}'")
         try:
-            vals = [float(t) for t in raw.replace(",", " ").split()]
+            vals = np.array([float(t) for t in raw.replace(",", " ").split()])
         except ValueError as exc:
             raise ModelConfigError(f"{path}: key '{key}' is not numeric") from exc
-        if len(vals) != count:
+        if vals.size != count:
             raise ModelConfigError(f"{path}: key '{key}' needs {count} values")
-        return np.array(vals)
+        if not np.all(np.isfinite(vals)):
+            raise ModelConfigError(f"{path}: key '{key}' must be finite")
+        return vals
+
+    def positive_int(key):
+        val = floats(key, 1)[0]
+        if val < 1 or val != int(val):
+            raise ModelConfigError(f"{path}: key '{key}' must be an integer >= 1")
+        return int(val)
 
     mpc_cfg = MpcConfig(
-        N=int(floats("N", 1)[0]),
+        N=positive_int("N"),
         Q=np.diag(floats("Q_diag", 4)),
         R=np.diag(floats("R_diag", 2)),
         epsilon=float(floats("epsilon", 1)[0]),
@@ -388,11 +396,14 @@ def load_controller_config(path) -> ControllerFileConfig:
         ),
         y_ref=float(floats("y_ref", 1)[0]),
     )
-    mode = sec.get("disturbance_bound_mode", "simulated").strip()
+    modes = " or ".join(DISTURBANCE_MODES)
+    mode = sec.get("disturbance_bound_mode")
+    if mode is None:
+        raise ModelConfigError(f"{path}: missing key 'disturbance_bound_mode' ({modes})")
+    mode = mode.strip()
     if mode not in DISTURBANCE_MODES:
         raise ModelConfigError(
-            f"{path}: disturbance_bound_mode must be one of {DISTURBANCE_MODES}"
-        )
+            f"{path}: key 'disturbance_bound_mode' must be {modes}, not '{mode}'")
     m_bar = floats("m_bar", 2) if mode == "fixed" else None
     return ControllerFileConfig(
         mpc=mpc_cfg,
@@ -401,5 +412,5 @@ def load_controller_config(path) -> ControllerFileConfig:
         disturbance_bound_mode=mode,
         m_bar=m_bar,
         settling_band=float(floats("settling_band", 1)[0]) if sec.get("settling_band") else 2.0,
-        plant_substeps=int(floats("plant_substeps", 1)[0]) if sec.get("plant_substeps") else 1,
+        plant_substeps=positive_int("plant_substeps") if sec.get("plant_substeps") else 1,
     )

@@ -196,6 +196,14 @@ def discretize_euler(cont: ContinuousDynamics, Ts: float) -> DiscreteDynamics:
     )
 
 
+def full_step_matrices(disc: DiscreteDynamics) -> tuple[np.ndarray, np.ndarray]:
+    """(M, B) with one step of the full 8-state model x+ = M x + B u,
+    x = (x_f, x_s)."""
+    M = np.block([[disc.A_f, disc.A_s], [disc.A_sf, disc.A_ss]])
+    B = np.vstack([disc.B, np.zeros((4, 2))])
+    return M, B
+
+
 def bis_output(xf, pd: PdParams) -> float:
     """BIS from the effect-site concentrations (additive interaction)."""
     xf = as_fast_state(xf)

@@ -19,6 +19,7 @@ pivots as dependent, then drops negative multipliers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,3 +233,49 @@ def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
             drop = int(pos[np.argmin(ratios)])
             ws.remove(drop)
             lam = np.delete(lam, drop)
+
+
+def enumerate_active_sets(p: QpProblem) -> tuple[float, np.ndarray | None]:
+    """Oracle for small QPs: solve the KKT system of every active-set
+    guess (the equality rows plus each subset of the inequality rows),
+    keep the primal feasible candidates and return the best objective and
+    minimiser; (inf, None) when no candidate is feasible."""
+    n = p.nvars
+    q = p.A_in.shape[0]
+    best_obj, best_z = np.inf, None
+    for k in range(q + 1):
+        for combo in itertools.combinations(range(q), k):
+            C = np.vstack([p.A_eq, p.A_in[list(combo)]])
+            d = np.concatenate([p.b_eq, p.b_in[list(combo)]])
+            m = C.shape[0]
+            KKT = np.block([[p.H, C.T], [C, np.zeros((m, m))]])
+            try:
+                z = np.linalg.solve(KKT, np.concatenate([-p.f, d]))[:n]
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(p.A_in @ z > p.b_in + 1e-8):
+                continue
+            if np.any(np.abs(p.A_eq @ z - p.b_eq) > 1e-8):
+                continue
+            obj = float(0.5 * z @ p.H @ z + p.f @ z)
+            if obj < best_obj - 1e-12:
+                best_obj, best_z = obj, z
+    return best_obj, best_z
+
+
+def oracle_trials(seed: int, trials: int = 100):
+    """Yield (qp_solve solution, enumerated optimal objective) for random
+    strictly convex QPs with 2-6 variables and 0-3 inequality rows around
+    a feasible point."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        n = int(rng.integers(2, 7))
+        nq = int(rng.integers(0, 4))
+        M = rng.normal(size=(n, n))
+        H = M @ M.T + (0.5 + rng.uniform()) * np.eye(n)
+        f = rng.normal(size=n)
+        z0 = rng.normal(size=n)
+        A_in = rng.normal(size=(nq, n))
+        b_in = A_in @ z0 + rng.uniform(0.1, 1.0, nq)
+        problem = QpProblem(H, f, A_in=A_in, b_in=b_in)
+        yield qp_solve(problem), enumerate_active_sets(problem)[0]

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ModelConfigError, SolverInfeasibleError
 from .mpc import Controller
-from .pkpd import ContinuousDynamics, DiscreteDynamics, PdParams, bis_output, discretize_euler
+from .pkpd import (ContinuousDynamics, DiscreteDynamics, PdParams, bis_output,
+                   discretize_euler, full_step_matrices)
 
 CSV_HEADER = "t,bis,u_p,u_r,v_p,v_r,va_p,va_r,p1,p4,r1,r4,p2,p3,r2,r3,status,solve_ms"
 
@@ -58,12 +59,6 @@ class Metrics:
     max_v_deviation_after_settling: float
 
 
-def _full_step_matrices(disc: DiscreteDynamics):
-    M = np.block([[disc.A_f, disc.A_s], [disc.A_sf, disc.A_ss]])
-    B = np.vstack([disc.B, np.zeros((4, 2))])
-    return M, B
-
-
 def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
                          duration: float, x0=None, plant_substeps: int = 1,
                          cont: ContinuousDynamics | None = None) -> SimLog:
@@ -78,11 +73,11 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
         raise ModelConfigError("x0 must be 8 nonnegative concentrations")
 
     if plant_substeps == 1:
-        M, B = _full_step_matrices(disc)
+        M, B = full_step_matrices(disc)
     else:
         if cont is None:
             raise ModelConfigError("plant substepping needs the continuous dynamics")
-        M, B = _full_step_matrices(discretize_euler(cont, Ts / plant_substeps))
+        M, B = full_step_matrices(discretize_euler(cont, Ts / plant_substeps))
 
     t = np.arange(steps) * Ts
     log = SimLog(

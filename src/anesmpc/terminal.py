@@ -261,20 +261,12 @@ def compute_terminal_ingredients(dyn: DiscreteDynamics, V: InputBox, Q, R,
 
 def sample_invariant_set(ing: TerminalIngredients, n_samples: int,
                          seed: int = 0, burn_in: int = 50) -> np.ndarray:
-    """Hit-and-run samples from X_a, started at the steady pair of the
-    midpoint of the admissible v_a box."""
+    """Hit-and-run samples from X_a, started at the steady pair that
+    _steady_shift picks: the Chebyshev centre of X_a's fixed points."""
     F, g = ing.X_a.F, ing.X_a.g
     dim = F.shape[1]
-    # interior start: steady state of the tightened box center
-    lo, hi = _va_box(ing.X_a, ing.K.shape[1])
-    va0 = 0.5 * (lo + hi)
-    n = dim - va0.size
-    phi = ing.A_w[:n, :n]
-    Bpsi = ing.A_w[:n, n:]
-    x0 = np.linalg.solve(np.eye(n) - phi, Bpsi @ va0)
-    w = np.concatenate([x0, va0])
-    slack = g - F @ w
-    if np.any(slack <= 0.0):
+    w, _ = _steady_shift(ing.A_w, ing.X_a)
+    if np.any(g - F @ w <= 0.0):
         raise ModelConfigError("hit-and-run start is not interior to X_a")
     rng = np.random.default_rng(seed)
     out = np.empty((n_samples, dim))
@@ -295,20 +287,3 @@ def sample_invariant_set(ing: TerminalIngredients, n_samples: int,
                 out[kept] = w
                 kept += 1
     return out
-
-
-def _va_box(X_a: Polyhedron, n_fast: int):
-    """Bounding interval of the v_a coordinates of X_a, which follow the
-    n_fast fast-state coordinates, via LPs."""
-    dim = X_a.dim
-    lo, hi = [], []
-    for j in range(n_fast, dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        up = lp_max(e, X_a)
-        dn = lp_max(-e, X_a)
-        if up.status != "optimal" or dn.status != "optimal":
-            raise ModelConfigError("X_a unbounded in a steady-input coordinate")
-        hi.append(up.value)
-        lo.append(-dn.value)
-    return np.array(lo), np.array(hi)

@@ -59,3 +59,20 @@ def random_pk(rng):
         Cl3=rng.uniform(0.0005, 0.02),
         ke=rng.uniform(0.001, 0.01),
     )
+
+
+def rollout_compensation_max(disc, U):
+    """Brute force: step the full model at the maximal input from rest until
+    it stops moving; return the running maximum of the compensation |D x_s|."""
+    D = compensation.compensation_gain(disc).D
+    M, B = pkpd.full_step_matrices(disc)
+    push = B @ U.upper
+    x = np.zeros(M.shape[0])
+    seen = np.zeros(D.shape[0])
+    for _ in range(10**6):
+        x_next = M @ x + push
+        seen = np.maximum(seen, np.abs(D @ x_next[4:]))
+        if np.max(np.abs(x_next - x)) <= 1e-9:
+            return seen
+        x = x_next
+    pytest.fail("rollout did not reach steady state")

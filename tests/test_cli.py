@@ -164,6 +164,15 @@ class TestConfigLoader:
         with pytest.raises(ModelConfigError, match="disturbance_bound_mode"):
             mpc.load_controller_config(bad)
 
+    def test_missing_mode_named_with_its_choices(self, tmp_path):
+        text = "\n".join(l for l in controller_path().read_text().splitlines()
+                         if not l.startswith("disturbance_bound_mode"))
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        with pytest.raises(ModelConfigError,
+                           match="'disturbance_bound_mode' \\(worst-case or fixed\\)"):
+            mpc.load_controller_config(bad)
+
     def test_missing_key_named(self, tmp_path):
         text = "\n".join(l for l in controller_path().read_text().splitlines()
                          if not l.startswith("N ="))
@@ -171,6 +180,45 @@ class TestConfigLoader:
         bad.write_text(text)
         with pytest.raises(ModelConfigError, match="'N'"):
             mpc.load_controller_config(bad)
+
+
+def _config_with(tmp_path, key, value):
+    """A copy of the shipped controller config with `key` set to `value`."""
+    lines = controller_path().read_text().splitlines()
+    (i,) = [i for i, l in enumerate(lines) if l.split("=")[0].strip() == key]
+    lines[i] = f"{key} = {value}"
+    path = tmp_path / "edited.ini"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestBadConfigValues:
+    @pytest.mark.parametrize("key, value", [
+        ("N", "nan"), ("N", "inf"), ("N", "2.5"),
+        ("Q_diag", "1, nan, 1, 10"),
+        ("Ts", "inf"),
+        ("u_max", "6.67, inf"),
+        ("m_bar", "nan, 0.27"),
+        ("y_ref", "nan"),
+        ("plant_substeps", "0"), ("plant_substeps", "2.7"),
+    ])
+    def test_rejected_with_exit_2_naming_the_key(self, paths, tmp_path, capsys,
+                                                  key, value):
+        config = _config_with(tmp_path, key, value)
+        rc = cli.main(["simulate", "--patient", paths[0], "--config", config,
+                       "--out", str(tmp_path / "out"), "--duration", "10"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"'{key}'" in err
+
+    def test_worst_case_bound_leaves_no_input_room(self, paths, tmp_path, capsys):
+        # the computed bound (7.17, 10.33) exceeds the propofol limit 6.67
+        config = _config_with(tmp_path, "disturbance_bound_mode", "worst-case")
+        rc = cli.main(["ingredients", "--patient", paths[0], "--config", config,
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "input box too tight" in err
 
 
 class TestBundleReuse:

@@ -1,37 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from anesmpc.qp import QpFactor, QpProblem, qp_solve
-
-
-def enumerate_active_sets(p):
-    """Oracle: solve the KKT system of every active-set guess, keep primal
-    feasible candidates, return the best objective and minimizer."""
-    n = p.nvars
-    q = p.A_in.shape[0]
-    best_obj, best_z = np.inf, None
-    for k in range(q + 1):
-        for combo in itertools.combinations(range(q), k):
-            C = np.vstack([p.A_eq, p.A_in[list(combo)]])
-            d = np.concatenate([p.b_eq, p.b_in[list(combo)]])
-            m = C.shape[0]
-            KKT = np.block([[p.H, C.T], [C, np.zeros((m, m))]])
-            rhs = np.concatenate([-p.f, d])
-            try:
-                sol = np.linalg.solve(KKT, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            z = sol[:n]
-            if q and np.any(p.A_in @ z > p.b_in + 1e-8):
-                continue
-            if p.A_eq.size and np.any(np.abs(p.A_eq @ z - p.b_eq) > 1e-8):
-                continue
-            obj = 0.5 * z @ p.H @ z + p.f @ z
-            if obj < best_obj - 1e-12:
-                best_obj, best_z = obj, z
-    return best_obj, best_z
+from anesmpc.qp import QpFactor, QpProblem, enumerate_active_sets, qp_solve
 
 
 def random_qp(rng, n, q, neq=0):

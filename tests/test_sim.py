@@ -23,8 +23,7 @@ def closed_loop_log(disc, patient, controller):
 
 
 def open_loop(disc, u, steps, x0=None):
-    M = np.block([[disc.A_f, disc.A_s], [disc.A_sf, disc.A_ss]])
-    B = np.vstack([disc.B, np.zeros((4, 2))])
+    M, B = pkpd.full_step_matrices(disc)
     x = np.zeros(8) if x0 is None else np.asarray(x0, float)
     traj = [x]
     for _ in range(steps):
@@ -52,8 +51,7 @@ class TestOpenLoopPhysics:
     def test_nonnegativity_under_random_inputs(self, disc):
         rng = np.random.default_rng(0)
         x = np.zeros(8)
-        M = np.block([[disc.A_f, disc.A_s], [disc.A_sf, disc.A_ss]])
-        B = np.vstack([disc.B, np.zeros((4, 2))])
+        M, B = pkpd.full_step_matrices(disc)
         for _ in range(500):
             x = M @ x + B @ rng.uniform(0.0, U_BOUNDS.upper)
             assert np.all(x >= 0.0)

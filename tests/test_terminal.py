@@ -268,17 +268,6 @@ class TestInvarianceExcess:
 
 
 class TestSteadyInputBox:
-    def test_va_box_follows_fast_dimension(self):
-        # 3 fast states, 2 steady inputs: a box whose last two coordinates
-        # carry the v_a bounds
-        upper = np.array([1.0, 1.0, 1.0, 2.0, 3.0])
-        lower = np.array([-1.0, -1.0, -1.0, 0.5, 0.25])
-        box = Polyhedron(np.vstack([np.eye(5), -np.eye(5)]),
-                         np.concatenate([upper, -lower]))
-        lo, hi = terminal._va_box(box, 3)
-        np.testing.assert_allclose(lo, [0.5, 0.25], atol=1e-12)
-        np.testing.assert_allclose(hi, [2.0, 3.0], atol=1e-12)
-
     def test_sampling_with_two_fast_states(self):
         # fast dimension 2 (K is 1 x 2), one steady input in [0.2, 0.8]
         A_w = np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
