@@ -77,7 +77,7 @@ def disturbance_bound(disc: DiscreteDynamics, U: InputBox, mode: str,
             raise ModelConfigError("disturbance bound mode 'fixed' needs a vector")
         m_bar = np.asarray(fixed, dtype=float).ravel()
         if m_bar.shape != (2,) or np.any(m_bar < 0.0):
-            raise ModelConfigError("fixed disturbance bound must be 2 nonnegative floats")
+            raise ModelConfigError("fixed disturbance bound 'm_bar' must be 2 nonnegative floats")
         return m_bar
     if mode == "worst-case":
         M, B = full_step_matrices(disc)

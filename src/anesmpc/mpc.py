@@ -25,7 +25,8 @@ import numpy as np
 from . import qp
 from .compensation import DISTURBANCE_MODES, CompensationGain, InputBox
 from .errors import ModelConfigError, SolverInfeasibleError
-from .pkpd import DiscreteDynamics, PdParams, as_fast_state, as_slow_state, steady_output_row
+from .pkpd import (DiscreteDynamics, PdParams, as_fast_state, as_slow_state, ini_numbers,
+                   steady_output_row)
 from .terminal import TerminalIngredients, controllability_index
 
 logger = logging.getLogger(__name__)
@@ -42,6 +43,12 @@ class VdSpec:
     coeffs: tuple = (1.0, -0.5)
     offset: float = 0.0
     linear: tuple = (0.0, 0.0)
+
+    def __post_init__(self):
+        if not self.weight >= 0.0:
+            raise ModelConfigError(
+                "offset cost weight 'vd_weight' must be nonnegative: a negative "
+                "weight makes the offset cost concave")
 
     def __call__(self, v_a) -> float:
         v_a = np.asarray(v_a, float)
@@ -66,10 +73,10 @@ class MpcConfig:
         if self.N < 1:
             raise ModelConfigError("horizon N must be at least 1")
         if not self.epsilon > 0.0:
-            raise ModelConfigError("epsilon must be positive")
+            raise ModelConfigError("'epsilon' must be positive")
         if not 0.0 < self.lam < 1.0:
             raise ModelConfigError(
-                "lambda must lie in (0, 1): the terminal invariant set is "
+                "'lambda' must lie in (0, 1): the terminal invariant set is "
                 "only finitely determined for lambda < 1"
             )
 
@@ -117,15 +124,14 @@ def steady_segment(zs: SteadyInputSet):
     lo1, hi1 = zs.lower[0], zs.upper[0]
     lo2, hi2 = zs.lower[1], zs.upper[1]
     # v2(v1) = (c - g1 v1)/g2, monotone in v1 (sign of -g1/g2)
-    v1_from_v2 = lambda v2: (zs.c - g2 * v2) / g1 if abs(g1) > 1e-15 else None
     cands = []
     for v1 in (lo1, hi1):
         v2 = (zs.c - g1 * v1) / g2
         if lo2 - 1e-12 <= v2 <= hi2 + 1e-12:
             cands.append((v1, min(max(v2, lo2), hi2)))
-    for v2 in (lo2, hi2):
-        v1 = v1_from_v2(v2)
-        if v1 is not None and lo1 - 1e-12 <= v1 <= hi1 + 1e-12:
+    for v2 in (lo2, hi2) if abs(g1) > 1e-15 else ():
+        v1 = (zs.c - g2 * v2) / g1
+        if lo1 - 1e-12 <= v1 <= hi1 + 1e-12:
             cands.append((min(max(v1, lo1), hi1), v2))
     if not cands:
         raise ModelConfigError("no admissible steady input for the BIS target")
@@ -135,11 +141,12 @@ def steady_segment(zs: SteadyInputSet):
 
 
 class Controller:
-    """Precomputed QP template plus the per-step solve."""
+    """Precomputed QP template plus the per-step solve. The admissible
+    steady inputs `zs` follow from the target cfg.y_ref (see retarget)."""
 
     def __init__(self, disc: DiscreteDynamics, pd: PdParams, gain: CompensationGain,
-                 V: InputBox, U: InputBox, zs: SteadyInputSet,
-                 ingredients: TerminalIngredients, cfg: MpcConfig):
+                 V: InputBox, U: InputBox, ingredients: TerminalIngredients,
+                 cfg: MpcConfig):
         ctrl_idx = controllability_index(disc.A_f, disc.B)
         if cfg.N < ctrl_idx:
             raise ModelConfigError(
@@ -150,9 +157,9 @@ class Controller:
         self.D = gain.D
         self.V = V
         self.U = U
-        self.zs = zs
         self.ing = ingredients
         self.cfg = cfg
+        self.retarget(cfg.y_ref)
 
         A, B = disc.A_f, disc.B
         N = cfg.N
@@ -165,7 +172,6 @@ class Controller:
         powers = [np.eye(n)]
         for _ in range(N):
             powers.append(A @ powers[-1])
-        self.powers = powers
         S = np.zeros(((N + 1) * n, m * N))
         for k in range(1, N + 1):
             for j in range(k):
@@ -213,13 +219,12 @@ class Controller:
         ])
         self.b_in_base = np.concatenate([
             np.tile(V.upper, N), -np.tile(V.lower, N),
-            zs.upper, -zs.lower,
+            self.zs.upper, -self.zs.lower,
             g_xa,
         ])
         self.term_slice = slice(2 * m * N + 2 * m, 2 * m * N + 2 * m + g_xa.size)
         self.Fx_AN = Fx @ powers[N]
-        self.A_eq = np.concatenate([np.zeros(m * N), zs.g_eff])[None, :]
-        self.b_eq = np.array([zs.c])
+        self.A_eq = np.concatenate([np.zeros(m * N), self.zs.g_eff])[None, :]
         self.qp_factor = qp.QpFactor(self.H, self.A_eq, self.A_in)
 
         self._warm: np.ndarray | None = None
@@ -233,15 +238,12 @@ class Controller:
         b_in[self.term_slice] -= self.Fx_AN @ x0
         return qp.QpProblem(self.H, f, self.A_eq, self.b_eq, self.A_in, b_in)
 
-    def _objective_constant(self, x0: np.ndarray) -> float:
-        cvec = self.Gx @ x0
-        return float(cvec @ self.Qbar @ cvec) + self.obj_const_offset
-
-    def _shift_warm_start(self, z: np.ndarray) -> np.ndarray:
+    def _shift_warm_start(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Shift the plan in z by one step and append the terminal law at
+        its predicted terminal state x."""
         m, N = self.m, self.N
         v = z[: m * N].reshape(N, m)
         v_a = z[m * N:]
-        x = self.predict(self._last_x0, z)[-1]
         x_a = self.T @ v_a
         v_term = self.ing.K @ (x - x_a) + v_a
         v_new = np.vstack([v[1:], v_term])
@@ -256,9 +258,9 @@ class Controller:
         self._warm = None
 
     def retarget(self, y_ref: float) -> None:
-        """Move the BIS set-point mid-run by re-deriving the steady output
-        level c (the terminal set and input boxes stay valid); raises when
-        the new target has no admissible steady input."""
+        """Set the BIS target, at construction or mid-run, by deriving the
+        steady output level c (the terminal set and input boxes stay
+        valid); raises when the target has no admissible steady input."""
         zs = build_steady_input_set(self.disc, self.pd, y_ref, self.V,
                                     self.cfg.epsilon)
         self.zs = zs
@@ -272,7 +274,6 @@ class Controller:
         x_s = as_slow_state(x_s)
         if np.any(x_f < 0.0) or np.any(x_s < 0.0):
             raise ModelConfigError("negative concentrations passed to the controller")
-        self._last_x0 = x_f
         problem = self._assemble(x_f)
         warm = self._warm
         sol = qp.qp_solve(problem, warm_start=warm, factor=self.qp_factor)
@@ -285,14 +286,15 @@ class Controller:
                 f"tracking QP is infeasible: {_describe(sol.infeasibility_report)}",
                 report=sol.infeasibility_report, status=sol.status)
         z = sol.z
-        self._warm = self._shift_warm_start(z)
+        predicted = self.predict(x_f, z)
+        self._warm = self._shift_warm_start(z, predicted[-1])
 
         m, N = self.m, self.N
         v0 = z[:m].copy()
         v_a = z[m * N:].copy()
         x_a = self.T @ v_a
-        predicted = self.predict(x_f, z)
-        cost = sol.objective + self._objective_constant(x_f)
+        cvec = self.Gx @ x_f  # the state part the QP objective drops
+        cost = sol.objective + (float(cvec @ self.Qbar @ cvec) + self.obj_const_offset)
 
         u = v0 + self.D @ x_s
         clamped = np.clip(u, self.U.lower, self.U.upper)
@@ -334,9 +336,9 @@ def _describe(report) -> str:
 
 
 def build_controller(disc: DiscreteDynamics, pd: PdParams, gain: CompensationGain,
-                     V: InputBox, U: InputBox, zs: SteadyInputSet,
-                     ingredients: TerminalIngredients, cfg: MpcConfig) -> Controller:
-    return Controller(disc, pd, gain, V, U, zs, ingredients, cfg)
+                     V: InputBox, U: InputBox, ingredients: TerminalIngredients,
+                     cfg: MpcConfig) -> Controller:
+    return Controller(disc, pd, gain, V, U, ingredients, cfg)
 
 
 @dataclass(frozen=True)
@@ -358,23 +360,12 @@ def load_controller_config(path) -> ControllerFileConfig:
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if not cfg.read(path):
         raise ModelConfigError(f"cannot read controller config {path}")
-    if not cfg.has_section("controller"):
-        raise ModelConfigError(f"{path}: missing [controller] section")
-    sec = cfg["controller"]
 
     def floats(key, count):
-        raw = sec.get(key)
-        if raw is None:
-            raise ModelConfigError(f"{path}: missing key '{key}'")
-        try:
-            vals = np.array([float(t) for t in raw.replace(",", " ").split()])
-        except ValueError as exc:
-            raise ModelConfigError(f"{path}: key '{key}' is not numeric") from exc
-        if vals.size != count:
-            raise ModelConfigError(f"{path}: key '{key}' needs {count} values")
-        if not np.all(np.isfinite(vals)):
-            raise ModelConfigError(f"{path}: key '{key}' must be finite")
-        return vals
+        return ini_numbers(cfg, "controller", key, count, path)
+
+    def text(key):
+        return cfg.get("controller", key, fallback=None)
 
     def positive_int(key):
         val = floats(key, 1)[0]
@@ -392,12 +383,12 @@ def load_controller_config(path) -> ControllerFileConfig:
             weight=float(floats("vd_weight", 1)[0]),
             coeffs=tuple(floats("vd_coeffs", 2)),
             offset=float(floats("vd_offset", 1)[0]),
-            linear=tuple(floats("vd_linear", 2)) if sec.get("vd_linear") else (0.0, 0.0),
+            linear=tuple(floats("vd_linear", 2)) if text("vd_linear") else (0.0, 0.0),
         ),
         y_ref=float(floats("y_ref", 1)[0]),
     )
     modes = " or ".join(DISTURBANCE_MODES)
-    mode = sec.get("disturbance_bound_mode")
+    mode = text("disturbance_bound_mode")
     if mode is None:
         raise ModelConfigError(f"{path}: missing key 'disturbance_bound_mode' ({modes})")
     mode = mode.strip()
@@ -405,12 +396,15 @@ def load_controller_config(path) -> ControllerFileConfig:
         raise ModelConfigError(
             f"{path}: key 'disturbance_bound_mode' must be {modes}, not '{mode}'")
     m_bar = floats("m_bar", 2) if mode == "fixed" else None
+    u_min, u_max = floats("u_min", 2), floats("u_max", 2)
+    if np.any(u_min > u_max):
+        raise ModelConfigError(f"{path}: key 'u_min' exceeds 'u_max'")
     return ControllerFileConfig(
         mpc=mpc_cfg,
         Ts=float(floats("Ts", 1)[0]),
-        U=InputBox(lower=floats("u_min", 2), upper=floats("u_max", 2)),
+        U=InputBox(lower=u_min, upper=u_max),
         disturbance_bound_mode=mode,
         m_bar=m_bar,
-        settling_band=float(floats("settling_band", 1)[0]) if sec.get("settling_band") else 2.0,
-        plant_substeps=positive_int("plant_substeps") if sec.get("plant_substeps") else 1,
+        settling_band=float(floats("settling_band", 1)[0]) if text("settling_band") else 2.0,
+        plant_substeps=positive_int("plant_substeps") if text("plant_substeps") else 1,
     )

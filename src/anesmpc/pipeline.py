@@ -1,0 +1,248 @@
+"""The offline chain (PK/PD, compensation, terminal ingredients,
+controller) from in-memory configs (``build``) or INI files
+(``build_bundle``), the ingredient file format, the run manifest and the
+validation checks. Layers are called through their module attributes, so
+a wrapper patched onto a module sees every call."""
+
+from __future__ import annotations
+
+import json
+import time
+from dataclasses import dataclass
+from datetime import datetime, timezone
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__, compensation, geometry, mpc, pkpd, qp, sim, terminal
+
+_MATRIX_FILES = ("K", "P", "psi", "A_w")  # ingredient fields saved as <name>.txt
+
+
+@dataclass
+class Bundle:
+    """Everything derived from one (patient, controller-config) pair."""
+
+    patient: pkpd.PatientModel
+    cont: pkpd.ContinuousDynamics
+    disc: pkpd.DiscreteDynamics
+    gain: compensation.CompensationGain
+    m_bar: np.ndarray
+    ingredients: terminal.TerminalIngredients
+    controller: mpc.Controller
+    file_cfg: mpc.ControllerFileConfig
+
+
+def build(patient: pkpd.PatientModel, file_cfg: mpc.ControllerFileConfig,
+          ingredients: terminal.TerminalIngredients | None = None) -> Bundle:
+    """Run the construction chain; `ingredients`, when given, replace the
+    terminal-ingredient computation (they must belong to this pair)."""
+    cont = pkpd.build_continuous(patient.pk_propofol, patient.pk_remifentanil)
+    disc = pkpd.discretize_euler(cont, file_cfg.Ts)
+    gain = compensation.compensation_gain(disc)
+    m_bar = compensation.disturbance_bound(
+        disc, file_cfg.U, file_cfg.disturbance_bound_mode, fixed=file_cfg.m_bar)
+    V = compensation.tracking_input_set(file_cfg.U, m_bar)
+    cfg = file_cfg.mpc
+    if ingredients is None:
+        ingredients = terminal.compute_terminal_ingredients(disc, V, cfg.Q, cfg.R, cfg.lam)
+    ctrl = mpc.build_controller(disc, patient.pd, gain, V, file_cfg.U, ingredients, cfg)
+    return Bundle(patient=patient, cont=cont, disc=disc, gain=gain, m_bar=m_bar,
+                  ingredients=ingredients, controller=ctrl, file_cfg=file_cfg)
+
+
+def build_bundle(patient_path, config_path, ingredients_dir=None) -> Bundle:
+    """Load both files and build, reusing the ingredients saved in
+    `ingredients_dir` when its manifest matches the two files."""
+    patient = pkpd.load_patient(patient_path)
+    file_cfg = mpc.load_controller_config(config_path)
+    ing = None
+    if ingredients_dir is not None:
+        ing = load_ingredients(Path(ingredients_dir), patient_path, config_path,
+                               file_cfg.mpc.lam)
+    return build(patient, file_cfg, ing)
+
+
+# -- ingredient bundle files ------------------------------------------------
+
+
+def save_ingredients(outdir, bundle: Bundle, patient_path, config_path) -> None:
+    """Write K, P, psi, A_w, X_a, D, m_bar, V and the steady segment, with a
+    manifest that lets load_ingredients reuse them."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    ing, ctrl = bundle.ingredients, bundle.controller
+    for name in _MATRIX_FILES:
+        geometry.save_matrix(outdir / f"{name}.txt", getattr(ing, name))
+    geometry.save_polyhedron(outdir / "X_a.poly", ing.X_a)
+    geometry.save_matrix(outdir / "D.txt", bundle.gain.D)
+    geometry.save_matrix(outdir / "m_bar.txt", bundle.m_bar[None, :])
+    geometry.save_matrix(outdir / "V.txt", np.vstack([ctrl.V.lower, ctrl.V.upper]))
+    geometry.save_matrix(outdir / "steady_segment.txt",
+                         np.vstack(mpc.steady_segment(ctrl.zs)))
+    write_manifest(outdir, "ingredients", patient_path, config_path, {
+        "lambda": bundle.file_cfg.mpc.lam,
+        "epsilon": bundle.file_cfg.mpc.epsilon,
+        "m_bar": [float(v) for v in bundle.m_bar],
+        "disturbance_bound_mode": bundle.file_cfg.disturbance_bound_mode,
+        "determination_index": ing.determination_index,
+    })
+
+
+def load_ingredients(outdir: Path, patient_path, config_path,
+                     lam: float) -> terminal.TerminalIngredients | None:
+    """Reuse a previously written ingredient bundle when its manifest
+    matches the requested patient/config pair (paths and SHA-256 of their
+    bytes, so an input edited in place forces a recompute); otherwise
+    recompute."""
+    try:
+        manifest = json.loads((outdir / "manifest.json").read_text())
+    except (OSError, json.JSONDecodeError):
+        return None
+    if (manifest.get("subcommand") != "ingredients"
+            or manifest.get("patient") != str(patient_path)
+            or manifest.get("config") != str(config_path)
+            or manifest.get("patient_sha256") != _sha256(patient_path)
+            or manifest.get("config_sha256") != _sha256(config_path)
+            or manifest.get("parameters", {}).get("lambda") != lam):
+        return None
+    try:
+        return terminal.TerminalIngredients(
+            **{name: geometry.load_matrix(outdir / f"{name}.txt") for name in _MATRIX_FILES},
+            X_a=geometry.load_polyhedron(outdir / "X_a.poly"),
+            lam=lam,
+            determination_index=int(manifest["parameters"]["determination_index"]),
+        )
+    except (OSError, KeyError, ValueError):
+        return None
+
+
+def _sha256(path) -> str:
+    # imported on use: hashlib loads OpenSSL, ~4 MB resident, which a
+    # build without manifests never needs
+    import hashlib
+
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write_manifest(outdir: Path, subcommand: str, patient_path, config_path,
+                   extra: dict) -> None:
+    manifest = {
+        "tool": "anesmpc",
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "subcommand": subcommand,
+        "patient": str(patient_path),
+        "config": str(config_path),
+        "patient_sha256": _sha256(patient_path),
+        "config_sha256": _sha256(config_path),
+        "out": str(outdir),
+        "parameters": extra,
+    }
+    path = outdir / "manifest.json"
+    if path.exists():  # keep an ingredient bundle's manifest intact
+        try:
+            owner = json.loads(path.read_text()).get("subcommand")
+        except json.JSONDecodeError:
+            owner = None
+        if owner is not None and owner != subcommand:
+            path = outdir / f"manifest_{subcommand}.json"
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+# -- validation checks ------------------------------------------------------
+
+
+def _check_cancellation(bundle, shared) -> tuple[bool, str]:
+    disc, D = bundle.disc, bundle.gain.D
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(100):
+        xf = rng.uniform(0.0, 5.0, 4)
+        xs = rng.uniform(0.0, 5.0, 4)
+        v = rng.uniform(0.0, 5.0, 2)
+        full = disc.A_f @ xf + disc.B @ (v + D @ xs) + disc.A_s @ xs
+        nominal = disc.A_f @ xf + disc.B @ v
+        worst = max(worst, float(np.max(np.abs(full - nominal))))
+    return worst <= 1e-12, f"max deviation {worst:.2e}"
+
+
+def _check_dare(bundle, shared) -> tuple[bool, str]:
+    cfg = bundle.file_cfg.mpc
+    res = terminal.dare_residual(bundle.disc.A_f, bundle.disc.B, cfg.Q, cfg.R,
+                                 bundle.ingredients.P)
+    return res <= terminal.DARE_RESIDUAL_TOL, f"residual {res:.2e}"
+
+
+def _check_invariance(bundle, shared) -> tuple[bool, str]:
+    ing = bundle.ingredients
+    samples = terminal.sample_invariant_set(ing, 1000, seed=1)
+    W = samples.T
+    for _ in range(200):
+        if not np.all(ing.X_a.F @ W <= ing.X_a.g[:, None] + 1e-8):
+            return False, "a trajectory left X_a"
+        W = ing.A_w @ W
+    return True, "1000 samples stayed in X_a for 200 steps"
+
+
+def _check_invariance_lp(bundle, shared) -> tuple[bool, str]:
+    ing = bundle.ingredients
+    excess = terminal.invariance_excess(ing.A_w, ing.X_a)
+    return excess <= 1e-9, (f"{ing.X_a.nrows} LPs, max over X_a of F_j A_w w - g_j "
+                            f"= {excess:.2e}")
+
+
+def _check_qp_oracle(bundle, shared) -> tuple[bool, str]:
+    for trial, (sol, best) in enumerate(qp.oracle_trials(seed=2)):
+        if sol.status != "optimal" or sol.kkt_residuals.max() > 1e-8:
+            return False, f"trial {trial}: status {sol.status}"
+        if abs(sol.objective - best) > 1e-6:
+            return False, f"trial {trial}: objective off by {abs(sol.objective - best):.2e}"
+    return True, "100 random QPs match enumeration to 1e-6"
+
+
+def _nominal_log(bundle, shared):
+    """The nominal 600 s closed loop, simulated once per validation run."""
+    if "nominal_log" not in shared:
+        shared["nominal_log"] = sim.simulate_closed_loop(
+            bundle.disc, bundle.patient.pd, bundle.controller, 600.0)
+    return shared["nominal_log"]
+
+
+def _check_descent(bundle, shared) -> tuple[bool, str]:
+    log = _nominal_log(bundle, shared)
+    diffs = np.diff(log.cost[1:])
+    ok = bool(np.all(diffs <= 1e-8))
+    return ok, f"max cost increase {float(np.max(diffs)):.2e}"
+
+
+def _check_recursive_feasibility(bundle, shared) -> tuple[bool, str]:
+    log = _nominal_log(bundle, shared)
+    ok = all(s == "optimal" for s in log.status)
+    return ok, f"{len(log)} solves, all optimal" if ok else "a solve failed"
+
+
+VALIDATION_CHECKS = (
+    ("cancellation", _check_cancellation),
+    ("dare-residual", _check_dare),
+    ("invariant-set-sampling", _check_invariance),
+    ("invariant-set-lp", _check_invariance_lp),
+    ("qp-oracle", _check_qp_oracle),
+    ("lyapunov-descent", _check_descent),
+    ("recursive-feasibility", _check_recursive_feasibility),
+)
+
+
+def run_validation_checks(bundle, checks=VALIDATION_CHECKS):
+    """Run (name, check) pairs on one bundle; each check is called as
+    check(bundle, shared), where shared caches work that several checks
+    read (the nominal closed-loop log) for this run only."""
+    results = []
+    shared = {}
+    for name, fn in checks:
+        tic = time.perf_counter()
+        ok, detail = fn(bundle, shared)
+        results.append((name, ok, detail, time.perf_counter() - tic))
+    return results

@@ -39,8 +39,9 @@ class DrugPkParams:
 
     def __post_init__(self):
         for name in ("V1", "V2", "V3", "Cl1", "Cl2", "Cl3", "ke"):
-            if not getattr(self, name) > 0.0:
-                raise ModelConfigError(f"PK parameter {name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ModelConfigError(
+                    f"PK parameter {name} must be finite and strictly positive")
 
     # transfer rates, 1/s
     @property
@@ -78,8 +79,9 @@ class PdParams:
         if not 0.0 < self.E0 <= 100.0:
             raise ModelConfigError("PD parameter E0 must lie in (0, 100]")
         for name in ("Emax", "gamma", "Ce50p", "Ce50r"):
-            if not getattr(self, name) > 0.0:
-                raise ModelConfigError(f"PD parameter {name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ModelConfigError(
+                    f"PD parameter {name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -120,24 +122,23 @@ class PatientModel:
     label: str = ""
 
 
-def as_fast_state(x) -> np.ndarray:
-    """Validate and return a fast-state vector ordered (p1, p4, r1, r4)."""
+def _as_state(x, kind: str, order: tuple) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (4,):
-        raise ModelConfigError(f"fast state must have 4 entries {FAST_STATE_ORDER}")
+        raise ModelConfigError(f"{kind} state must have 4 entries {order}")
     if not np.all(np.isfinite(x)):
-        raise ModelConfigError("fast state contains NaN or Inf")
+        raise ModelConfigError(f"{kind} state contains NaN or Inf")
     return x
+
+
+def as_fast_state(x) -> np.ndarray:
+    """Validate and return a fast-state vector ordered (p1, p4, r1, r4)."""
+    return _as_state(x, "fast", FAST_STATE_ORDER)
 
 
 def as_slow_state(x) -> np.ndarray:
     """Validate and return a slow-state vector ordered (p2, p3, r2, r3)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape != (4,):
-        raise ModelConfigError(f"slow state must have 4 entries {SLOW_STATE_ORDER}")
-    if not np.all(np.isfinite(x)):
-        raise ModelConfigError("slow state contains NaN or Inf")
-    return x
+    return _as_state(x, "slow", SLOW_STATE_ORDER)
 
 
 def build_continuous(pk_p: DrugPkParams, pk_r: DrugPkParams) -> ContinuousDynamics:
@@ -216,7 +217,7 @@ def hill_invert(y_ref: float, pd: PdParams) -> float:
     x4p/Ce50p + x4r/Ce50r == c. Defined for y_ref in (E0 - Emax, E0]."""
     if y_ref > pd.E0 or y_ref <= pd.E0 - pd.Emax:
         raise ModelConfigError(
-            f"BIS target {y_ref} outside the reachable range "
+            f"BIS target 'y_ref' = {y_ref:g} outside the reachable range "
             f"({pd.E0 - pd.Emax:.6g}, {pd.E0:.6g}]"
         )
     num = pd.E0 - y_ref
@@ -236,18 +237,25 @@ _PK_KEYS = ("V1", "V2", "V3", "Cl1", "Cl2", "Cl3", "ke")
 _PD_KEYS = ("E0", "Emax", "gamma", "Ce50p", "Ce50r")
 
 
-def _read_section(cfg: configparser.ConfigParser, section: str, keys, path) -> dict:
+def ini_numbers(cfg: configparser.ConfigParser, section: str, key: str, count: int,
+                path) -> np.ndarray:
+    """The `count` comma- or space-separated finite numbers of `key` in
+    [section]; anything else raises ModelConfigError naming file, section and key."""
     if not cfg.has_section(section):
         raise ModelConfigError(f"{path}: missing [{section}] section")
-    out = {}
-    for key in keys:
-        if not cfg.has_option(section, key):
-            raise ModelConfigError(f"{path}: missing key '{key}' in [{section}]")
-        try:
-            out[key] = cfg.getfloat(section, key)
-        except ValueError as exc:
-            raise ModelConfigError(f"{path}: key '{key}' in [{section}] is not a number") from exc
-    return out
+    where = f"{path}: key '{key}' in [{section}]"
+    raw = cfg.get(section, key, fallback=None)
+    if raw is None:
+        raise ModelConfigError(f"{where} is missing")
+    try:
+        vals = np.array([float(t) for t in raw.replace(",", " ").split()])
+    except ValueError as exc:
+        raise ModelConfigError(f"{where} is not numeric") from exc
+    if vals.size != count:
+        raise ModelConfigError(f"{where} needs {count} value{'s' if count > 1 else ''}")
+    if not np.all(np.isfinite(vals)):
+        raise ModelConfigError(f"{where} must be finite")
+    return vals
 
 
 def load_patient(path) -> PatientModel:
@@ -258,20 +266,16 @@ def load_patient(path) -> PatientModel:
     if not cfg.read(path):
         raise ModelConfigError(f"cannot read patient file {path}")
 
-    def pk(section):
-        raw = _read_section(cfg, section, _PK_KEYS, path)
-        return DrugPkParams(
-            V1=raw["V1"], V2=raw["V2"], V3=raw["V3"],
-            Cl1=raw["Cl1"] / 60.0, Cl2=raw["Cl2"] / 60.0, Cl3=raw["Cl3"] / 60.0,
-            ke=raw["ke"] / 60.0,
-        )
+    def read(section, keys):
+        return {key: float(ini_numbers(cfg, section, key, 1, path)[0]) for key in keys}
 
-    pk_p = pk("propofol")
-    pk_r = pk("remifentanil")
-    pdraw = _read_section(cfg, "pd", _PD_KEYS, path)
+    def pk(section):  # volumes stay in L; clearances and ke go per minute -> per second
+        return DrugPkParams(**{key: value if key.startswith("V") else value / 60.0
+                               for key, value in read(section, _PK_KEYS).items()})
+
     return PatientModel(
-        pk_propofol=pk_p,
-        pk_remifentanil=pk_r,
-        pd=PdParams(**pdraw),
+        pk_propofol=pk("propofol"),
+        pk_remifentanil=pk("remifentanil"),
+        pd=PdParams(**read("pd", _PD_KEYS)),
         label=path.stem,
     )

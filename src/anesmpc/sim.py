@@ -56,7 +56,6 @@ class Metrics:
     settling_time: float
     undershoot: float
     terminal_error: float
-    max_v_deviation_after_settling: float
 
 
 def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
@@ -132,8 +131,7 @@ def simulate_nominal_fast(disc: DiscreteDynamics, v_seq: np.ndarray, x0=None) ->
 
 def compute_metrics(log: SimLog, y_ref: float, band: float) -> Metrics:
     """Settling time (first entry into the band with no later exit),
-    undershoot, final tracking error and the worst post-settling gap
-    between tracking and steady inputs."""
+    undershoot and final tracking error."""
     if len(log) == 0:
         raise ModelConfigError("empty simulation log")
     inside = np.abs(log.bis - y_ref) <= band
@@ -142,14 +140,8 @@ def compute_metrics(log: SimLog, y_ref: float, band: float) -> Metrics:
         if inside[i:].all():
             settle = float(log.t[i])
             break
-    if math.isfinite(settle):
-        after = log.t >= settle
-        dev = float(np.max(np.abs(log.v[after] - log.v_a[after])))
-    else:
-        dev = math.inf
     return Metrics(
         settling_time=settle,
         undershoot=float(np.min(log.bis)),
         terminal_error=float(abs(log.bis[-1] - y_ref)),
-        max_v_deviation_after_settling=dev,
     )

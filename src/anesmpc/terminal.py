@@ -160,8 +160,6 @@ def build_W_lambda(K: np.ndarray, psi: np.ndarray, V: InputBox, lam: float) -> P
     """
     if not 0.0 < lam < 1.0:
         raise ModelConfigError("lambda must lie strictly inside (0, 1)")
-    if np.any(V.lower > V.upper):
-        raise ModelConfigError("tracking input set is empty")
     m, n = K.shape
     F1 = np.hstack([K, np.eye(m) - psi])
     E = np.hstack([np.zeros((m, n)), np.eye(m)])

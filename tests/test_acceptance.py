@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from anesmpc import cli, mpc, pkpd, qp, sim, terminal
+from anesmpc import cli, mpc, pipeline, pkpd, qp, sim, terminal
 
 from conftest import controller_path, patient_path
 
@@ -77,10 +77,11 @@ def test_criterion_3_ratio_convergence(run, bundle):
     ok = gap <= 1e-3 * va[1]
     # supporting evidence that the asymptotic claim itself is sound: the
     # offset-cost minimizer is strictly interior to the steady segment
-    g = bundle.zs.g_eff
-    v2_star = bundle.zs.c / (g[0] / 2 + g[1])
+    zs = bundle.controller.zs
+    g = zs.g_eff
+    v2_star = zs.c / (g[0] / 2 + g[1])
     v_star = np.array([v2_star / 2, v2_star])
-    a, b = mpc.steady_segment(bundle.zs)
+    a, b = mpc.steady_segment(zs)
     lo, hi = min(a[0], b[0]), max(a[0], b[0])
     assert lo + 1e-6 < v_star[0] < hi - 1e-6, "minimizer not interior"
     assert report(3, ok, f"final |va1 - va2/2| = {gap:.6f} vs 1e-3 va2 = "
@@ -119,13 +120,13 @@ def test_criterion_5_dare_quality(bundle):
 def test_criterion_6_invariant_set(bundle):
     tic = time.perf_counter()
     ing = terminal.compute_terminal_ingredients(
-        bundle.disc, bundle.V, bundle.file_cfg.mpc.Q, bundle.file_cfg.mpc.R,
+        bundle.disc, bundle.controller.V, bundle.file_cfg.mpc.Q, bundle.file_cfg.mpc.R,
         bundle.file_cfg.mpc.lam)
     build_time = time.perf_counter() - tic
     samples = terminal.sample_invariant_set(ing, 1000, seed=11)
     W = samples.T
     worst = -np.inf
-    Wl = terminal.build_W_lambda(ing.K, ing.psi, bundle.V, ing.lam)
+    Wl = terminal.build_W_lambda(ing.K, ing.psi, bundle.controller.V, ing.lam)
     for _ in range(200):
         worst = max(worst, float(np.max(ing.X_a.F @ W - ing.X_a.g[:, None])))
         worst = max(worst, float(np.max(Wl.F @ W - Wl.g[:, None])))
@@ -158,7 +159,7 @@ def test_criterion_8_descent_and_feasibility(run):
 
 def test_criterion_9_steady_consistency(run, bundle):
     log, _ = run
-    zs, T = bundle.zs, bundle.controller.T
+    zs, T = bundle.controller.zs, bundle.controller.T
     eq_err = float(np.max(np.abs(log.v_a @ zs.g_eff - zs.c)))
     xa_err = float(np.max(np.abs(log.x_a - log.v_a @ T.T)))
     rng = np.random.default_rng(3)
@@ -183,7 +184,7 @@ def test_criterion_10_performance(run, bundle):
     log, _ = run
     median_ms = float(np.median(log.solve_ms))
     tic = time.perf_counter()
-    results = cli.run_validation_checks(bundle)
+    results = pipeline.run_validation_checks(bundle)
     validate_s = time.perf_counter() - tic
     ok = median_ms <= 50.0 and validate_s <= 120.0 and all(r[1] for r in results)
     assert report(10, ok, f"median solve {median_ms:.2f} ms (<= 50), validate "

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from anesmpc import cli, geometry, mpc, qp
+from anesmpc import cli, geometry, mpc, pipeline, qp
 from anesmpc.errors import ModelConfigError
 
 from conftest import controller_path, patient_path
@@ -75,7 +75,7 @@ class TestValidate:
         rc = cli.main(["validate", "--patient", paths[0], "--config", paths[1]])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("PASS") == len(cli.VALIDATION_CHECKS)
+        assert out.count("PASS") == len(pipeline.VALIDATION_CHECKS)
         assert "FAIL" not in out
 
     def test_corrupted_gain_fails_cancellation(self, bundle):
@@ -83,8 +83,8 @@ class TestValidate:
 
         bad = dataclasses.replace(bundle, gain=dataclasses.replace(
             bundle.gain, D=-bundle.gain.D))
-        results = cli.run_validation_checks(
-            bad, checks=[("cancellation", cli._check_cancellation)])
+        results = pipeline.run_validation_checks(
+            bad, checks=[("cancellation", pipeline._check_cancellation)])
         assert results[0][1] is False
 
     def test_nominal_loop_simulated_once(self, bundle, monkeypatch):
@@ -96,13 +96,13 @@ class TestValidate:
             return real(*a, **k)
 
         monkeypatch.setattr(cli.sim, "simulate_closed_loop", counting)
-        results = cli.run_validation_checks(bundle)
+        results = pipeline.run_validation_checks(bundle)
         assert all(ok for _, ok, *_ in results)
         assert len(runs) == 1
         # any subset still runs on its own
-        for name, fn in cli.VALIDATION_CHECKS:
+        for name, fn in pipeline.VALIDATION_CHECKS:
             runs.clear()
-            (result,) = cli.run_validation_checks(bundle, checks=[(name, fn)])
+            (result,) = pipeline.run_validation_checks(bundle, checks=[(name, fn)])
             assert result[:2] == (name, True)
             assert len(runs) == (name in ("lyapunov-descent", "recursive-feasibility"))
 
@@ -112,11 +112,11 @@ class TestValidate:
         ing = bundle.ingredients
         grown = dataclasses.replace(ing, A_w=1.05 * ing.A_w)
         bad = dataclasses.replace(bundle, ingredients=grown)
-        checks = dict(cli.VALIDATION_CHECKS)
-        (result,) = cli.run_validation_checks(
+        checks = dict(pipeline.VALIDATION_CHECKS)
+        (result,) = pipeline.run_validation_checks(
             bad, checks=[("invariant-set-lp", checks["invariant-set-lp"])])
         assert result[1] is False
-        (result,) = cli.run_validation_checks(
+        (result,) = pipeline.run_validation_checks(
             bundle, checks=[("invariant-set-lp", checks["invariant-set-lp"])])
         assert result[1] is True
         assert f"{ing.X_a.nrows} LPs" in result[2]
@@ -201,6 +201,8 @@ class TestBadConfigValues:
         ("m_bar", "nan, 0.27"),
         ("y_ref", "nan"),
         ("plant_substeps", "0"), ("plant_substeps", "2.7"),
+        ("u_min", "7, 0"), ("vd_weight", "-10"), ("y_ref", "99"),
+        ("epsilon", "0"), ("lambda", "1.5"), ("m_bar", "-0.1, 0.27"),
     ])
     def test_rejected_with_exit_2_naming_the_key(self, paths, tmp_path, capsys,
                                                   key, value):
@@ -221,6 +223,36 @@ class TestBadConfigValues:
         assert "input box too tight" in err
 
 
+def _patient_with(tmp_path, section, key, value):
+    """A copy of the shipped patient file with `key` in [section] set to `value`."""
+    lines = patient_path().read_text().splitlines()
+    start = lines.index(f"[{section}]")
+    i = next(i for i in range(start, len(lines)) if lines[i].split("=")[0].strip() == key)
+    lines[i] = f"{key} = {value}"
+    path = tmp_path / "patient.ini"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestBadPatientValues:
+    @pytest.mark.parametrize("section, key, value", [
+        ("propofol", "Cl1", "inf"),
+        ("propofol", "V2", "1e400"),
+        ("remifentanil", "ke", "nan"),
+        ("pd", "Ce50p", "inf"),
+        ("pd", "gamma", "inf"),
+        ("pd", "E0", "97.4, 1"),
+    ])
+    def test_rejected_with_exit_2_naming_the_key(self, paths, tmp_path, capsys,
+                                                  section, key, value):
+        patient = _patient_with(tmp_path, section, key, value)
+        rc = cli.main(["simulate", "--patient", patient, "--config", paths[1],
+                       "--out", str(tmp_path / "out"), "--duration", "10"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"'{key}' in [{section}]" in err
+
+
 class TestBundleReuse:
     def test_simulate_loads_matching_ingredient_bundle(self, paths, tmp_path,
                                                        capsys, monkeypatch):
@@ -229,13 +261,13 @@ class TestBundleReuse:
                        "--out", str(out)])
         assert rc == 0
         calls = []
-        real = cli.terminal.compute_terminal_ingredients
+        real = pipeline.terminal.compute_terminal_ingredients
 
         def counting(*a, **k):
             calls.append(1)
             return real(*a, **k)
 
-        monkeypatch.setattr(cli.terminal, "compute_terminal_ingredients", counting)
+        monkeypatch.setattr(pipeline.terminal, "compute_terminal_ingredients", counting)
         rc = cli.main(["simulate", "--patient", paths[0], "--config", paths[1],
                        "--out", str(out), "--duration", "100"])
         assert rc == 0
@@ -254,7 +286,7 @@ class TestBundleReuse:
         m = json.loads((out / "manifest.json").read_text())
         m["config"] = "/somewhere/else.ini"
         (out / "manifest.json").write_text(json.dumps(m))
-        assert cli._load_ingredients_bundle(out, paths[0], paths[1], 0.99) is None
+        assert pipeline.load_ingredients(out, paths[0], paths[1], 0.99) is None
         capsys.readouterr()
 
 
@@ -267,19 +299,19 @@ class TestBundleReuse:
                        "--out", str(out)])
         assert rc == 0
         cached_P = geometry.load_matrix(out / "P.txt")
-        assert cli._load_ingredients_bundle(out, paths[0], config, 0.99) is not None
+        assert pipeline.load_ingredients(out, paths[0], config, 0.99) is not None
         # same path, same lambda, new Q: the cached K, P and X_a are stale
         config.write_text(config.read_text().replace("Q_diag = 1, 10, 1, 10",
                                                      "Q_diag = 5, 50, 5, 50"))
-        assert cli._load_ingredients_bundle(out, paths[0], config, 0.99) is None
+        assert pipeline.load_ingredients(out, paths[0], config, 0.99) is None
         calls = []
-        real = cli.terminal.compute_terminal_ingredients
+        real = pipeline.terminal.compute_terminal_ingredients
 
         def counting(*a, **k):
             calls.append(real(*a, **k))
             return calls[-1]
 
-        monkeypatch.setattr(cli.terminal, "compute_terminal_ingredients", counting)
+        monkeypatch.setattr(pipeline.terminal, "compute_terminal_ingredients", counting)
         rc = cli.main(["simulate", "--patient", paths[0], "--config", str(config),
                        "--out", str(out), "--duration", "100"])
         assert rc == 0

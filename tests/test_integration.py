@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from anesmpc import compensation, mpc, pkpd, sim, terminal
+from anesmpc import compensation, mpc, pipeline, pkpd, sim
 
 from conftest import U_BOUNDS, rollout_compensation_max
 
@@ -29,15 +29,12 @@ def perturbed(patient, rng, spread=0.2):
 def test_pipeline_on_perturbed_patient(patient, seed):
     rng = np.random.default_rng(seed)
     pat = perturbed(patient, rng)
-    cont = pkpd.build_continuous(pat.pk_propofol, pat.pk_remifentanil)
-    disc = pkpd.discretize_euler(cont, 5.0)
-    gain = compensation.compensation_gain(disc)
-    V = compensation.tracking_input_set(U_BOUNDS, [0.12, 0.27])
-    cfg = mpc.MpcConfig()
-    ing = terminal.compute_terminal_ingredients(disc, V, cfg.Q, cfg.R, cfg.lam)
-    assert ing.determination_index <= 500
-    zs = mpc.build_steady_input_set(disc, pat.pd, cfg.y_ref, V, cfg.epsilon)
-    ctrl = mpc.build_controller(disc, pat.pd, gain, V, U_BOUNDS, zs, ing, cfg)
+    file_cfg = mpc.ControllerFileConfig(
+        mpc=mpc.MpcConfig(), Ts=5.0, U=U_BOUNDS, disturbance_bound_mode="fixed",
+        m_bar=np.array([0.12, 0.27]), settling_band=2.0, plant_substeps=1)
+    bundle = pipeline.build(pat, file_cfg)
+    disc, ctrl = bundle.disc, bundle.controller
+    assert bundle.ingredients.determination_index <= 500
     log = sim.simulate_closed_loop(disc, pat.pd, ctrl, 600.0)
     assert all(s == "optimal" for s in log.status)
     assert np.all(np.diff(log.cost[1:]) <= 1e-8)
@@ -53,10 +50,8 @@ def test_pipeline_on_perturbed_patient(patient, seed):
 def test_hour_long_soak(patient, disc, gain, v_box, ingredients):
     # late-run health: the warm-started active set must stay exact and
     # the cost monotone long after the transient has died out
-    cfg = mpc.MpcConfig()
-    zs = mpc.build_steady_input_set(disc, patient.pd, cfg.y_ref, v_box, cfg.epsilon)
-    ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS, zs,
-                                ingredients, cfg)
+    ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                ingredients, mpc.MpcConfig())
     log = sim.simulate_closed_loop(disc, patient.pd, ctrl, 3600.0)
     assert all(s == "optimal" for s in log.status)
     assert np.all(np.diff(log.cost[1:]) <= 1e-8)

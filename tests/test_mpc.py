@@ -14,7 +14,7 @@ def zs(disc, patient, v_box):
 
 @pytest.fixture(scope="module")
 def controller(disc, patient, gain, v_box, zs, ingredients):
-    return mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS, zs,
+    return mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                 ingredients, mpc.MpcConfig())
 
 
@@ -71,8 +71,25 @@ class TestBuildController:
     def test_horizon_below_controllability_index(self, disc, patient, gain,
                                                  v_box, zs, ingredients):
         with pytest.raises(ModelConfigError, match="controllability"):
-            mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS, zs,
+            mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                  ingredients, mpc.MpcConfig(N=1))
+
+    def test_target_set_as_retarget_sets_it(self, disc, patient, gain, v_box,
+                                            ingredients, controller):
+        # construction and retarget derive zs and b_eq on the same path
+        built = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                     ingredients, mpc.MpcConfig(y_ref=45.0))
+        moved = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                     ingredients, mpc.MpcConfig())
+        moved.retarget(45.0)
+        assert built.zs.c == moved.zs.c != controller.zs.c
+        np.testing.assert_array_equal(built.b_eq, moved.b_eq)
+        np.testing.assert_array_equal(built.A_eq, moved.A_eq)
+        np.testing.assert_array_equal(built.b_in_base, moved.b_in_base)
+
+    def test_negative_offset_weight_rejected(self):
+        with pytest.raises(ModelConfigError, match="'vd_weight'"):
+            mpc.VdSpec(weight=-10.0)
 
     def test_lambda_validated_in_config(self):
         with pytest.raises(ModelConfigError, match="finitely determined"):
@@ -98,6 +115,20 @@ class TestControlStep:
         np.testing.assert_allclose(out.v_a, v_a, atol=1e-6)
         assert out.cost == pytest.approx(controller.cfg.vd(v_a), abs=1e-6)
         np.testing.assert_allclose(out.u, v_a + gain.D @ x_s, atol=1e-12)
+
+    def test_one_prediction_per_step(self, controller, monkeypatch):
+        calls = []
+        real = mpc.Controller.predict
+
+        def counting(self, x0, z):
+            calls.append(1)
+            return real(self, x0, z)
+
+        monkeypatch.setattr(mpc.Controller, "predict", counting)
+        controller.reset()
+        first = controller.control_step(np.zeros(4), np.zeros(4))
+        controller.control_step(first.predicted_xf[1], np.zeros(4))
+        assert len(calls) == 2
 
     def test_awake_patient_feasible(self, controller, v_box):
         controller.reset()
@@ -146,7 +177,7 @@ class TestControlStep:
     def test_infeasible_state_raises_with_report(self, disc, patient, gain,
                                                  v_box, zs, ingredients):
         ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
-                                    zs, ingredients, mpc.MpcConfig())
+                                    ingredients, mpc.MpcConfig())
         # a state far above anything X_a admits within 24 steps
         huge = np.full(4, 1e4)
         with pytest.raises(SolverInfeasibleError):
@@ -170,7 +201,7 @@ class TestRetarget:
         from anesmpc import sim
 
         ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
-                                    zs, ingredients, mpc.MpcConfig())
+                                    ingredients, mpc.MpcConfig())
         first = sim.simulate_closed_loop(disc, patient.pd, ctrl, 420.0)
         assert abs(first.bis[-1] - 50.0) <= 2.0
         ctrl.retarget(53.0)
@@ -188,7 +219,7 @@ class TestRetarget:
         from anesmpc import sim
 
         ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
-                                    zs, ingredients, mpc.MpcConfig())
+                                    ingredients, mpc.MpcConfig())
         first = sim.simulate_closed_loop(disc, patient.pd, ctrl, 420.0)
         ctrl.retarget(60.0)  # nonempty steady segment, unreachable in N steps
         with pytest.raises(SolverInfeasibleError):
@@ -197,7 +228,7 @@ class TestRetarget:
     def test_unreachable_target_rejected(self, disc, patient, gain, v_box, zs,
                                          ingredients):
         ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
-                                    zs, ingredients, mpc.MpcConfig())
+                                    ingredients, mpc.MpcConfig())
         with pytest.raises(ModelConfigError):
             ctrl.retarget(0.5)
 
@@ -238,7 +269,7 @@ def reference_run(disc, patient, gain, v_box, zs, ingredients):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qp.QpFactor, "__init__", counting_init)
         mp.setattr(qp, "qp_solve", capturing_solve)
-        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS, zs,
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                     ingredients, mpc.MpcConfig())
         log = sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0)
     return log, factors, solutions

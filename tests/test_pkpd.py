@@ -59,6 +59,20 @@ class TestBuildContinuous:
         with pytest.raises(ModelConfigError, match="Cl2"):
             pkpd.DrugPkParams(V1=1, V2=1, V3=1, Cl1=0.1, Cl2=0.0, Cl3=0.1, ke=0.2)
 
+    @pytest.mark.parametrize("name, value", [("V2", np.inf), ("Cl1", np.nan)])
+    def test_non_finite_pk_param_named(self, name, value):
+        kwargs = dict(V1=1, V2=1, V3=1, Cl1=0.1, Cl2=0.1, Cl3=0.1, ke=0.2)
+        kwargs[name] = value
+        with pytest.raises(ModelConfigError, match=f"{name} must be finite"):
+            pkpd.DrugPkParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["Emax", "gamma", "Ce50p", "Ce50r"])
+    def test_non_finite_pd_param_named(self, name):
+        kwargs = dict(E0=97.4, Emax=97.4, gamma=1.43, Ce50p=4.47, Ce50r=19.3)
+        kwargs[name] = np.inf
+        with pytest.raises(ModelConfigError, match=f"{name} must be finite"):
+            pkpd.PdParams(**kwargs)
+
 
 class TestDiscretizeEuler:
     def test_small_ts_limit(self):

@@ -11,10 +11,8 @@ from conftest import U_BOUNDS
 
 @pytest.fixture(scope="module")
 def controller(disc, patient, gain, v_box, ingredients):
-    cfg = mpc.MpcConfig()
-    zs = mpc.build_steady_input_set(disc, patient.pd, cfg.y_ref, v_box, cfg.epsilon)
-    return mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS, zs,
-                                ingredients, cfg)
+    return mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                ingredients, mpc.MpcConfig())
 
 
 @pytest.fixture(scope="module")
