@@ -33,6 +33,7 @@ logger = logging.getLogger(__name__)
 
 EQ_TOL = 1e-8
 TERMINAL_TOL = 1e-8
+CLAMP_TOL = 1e-12  # clip of the applied input beyond which it is reported
 
 
 @dataclass(frozen=True)
@@ -224,10 +225,12 @@ class Controller:
         ])
         self.term_slice = slice(2 * m * N + 2 * m, 2 * m * N + 2 * m + g_xa.size)
         self.Fx_AN = Fx @ powers[N]
+        self.F_xN, self.F_va = Fx, Fv
         self.A_eq = np.concatenate([np.zeros(m * N), self.zs.g_eff])[None, :]
         self.qp_factor = qp.QpFactor(self.H, self.A_eq, self.A_in)
 
         self._warm: np.ndarray | None = None
+        self._warm_buf = np.empty(nz)
         self._clamp_warned = False
 
     # -- helpers -----------------------------------------------------------
@@ -240,14 +243,15 @@ class Controller:
 
     def _shift_warm_start(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Shift the plan in z by one step and append the terminal law at
-        its predicted terminal state x."""
-        m, N = self.m, self.N
-        v = z[: m * N].reshape(N, m)
-        v_a = z[m * N:]
-        x_a = self.T @ v_a
-        v_term = self.ing.K @ (x - x_a) + v_a
-        v_new = np.vstack([v[1:], v_term])
-        return np.concatenate([v_new.ravel(), v_a])
+        its predicted terminal state x; written into one buffer reused
+        across steps."""
+        mN = self.m * self.N
+        v_a = z[mN:]
+        w = self._warm_buf
+        w[: mN - self.m] = z[self.m: mN]
+        w[mN - self.m: mN] = self.ing.K @ (x - self.T @ v_a) + v_a
+        w[mN:] = v_a
+        return w
 
     def predict(self, x0: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Predicted fast states x_0 .. x_N under the input plan in z."""
@@ -270,6 +274,12 @@ class Controller:
     # -- main entry --------------------------------------------------------
 
     def control_step(self, x_f, x_s) -> ControlOutput:
+        """Solve the tracking QP at (x_f, x_s), hot-started from the shifted
+        previous plan, and return u = v_0 + D x_s clipped into U. The clip
+        is always applied; the first one that moves u by more than
+        CLAMP_TOL is logged as a warning. Raises SolverInfeasibleError when
+        the QP fails or its optimum leaves the tightened box, the steady
+        output line or X_a."""
         x_f = as_fast_state(x_f)
         x_s = as_slow_state(x_s)
         if np.any(x_f < 0.0) or np.any(x_s < 0.0):
@@ -298,14 +308,13 @@ class Controller:
 
         u = v0 + self.D @ x_s
         clamped = np.clip(u, self.U.lower, self.U.upper)
-        if not np.allclose(u, clamped, atol=1e-12):
-            if not self._clamp_warned:
-                logger.warning(
-                    "applied input clamped to the input box (u=%s); the "
-                    "disturbance bound is too small for this trajectory", u
-                )
-                self._clamp_warned = True
-            u = clamped
+        if not self._clamp_warned and np.max(np.abs(clamped - u)) > CLAMP_TOL:
+            logger.warning(
+                "applied input clamped to the input box (u=%s); the "
+                "disturbance bound is too small for this trajectory", u
+            )
+            self._clamp_warned = True
+        u = clamped
 
         self._validate_output(v0, v_a, predicted)
         return ControlOutput(
@@ -318,8 +327,7 @@ class Controller:
             raise SolverInfeasibleError(f"tracking input {v0} left the tightened box")
         if abs(self.zs.g_eff @ v_a - self.zs.c) > EQ_TOL:
             raise SolverInfeasibleError("steady-output equality violated at the optimum")
-        w_term = np.concatenate([predicted[-1], v_a])
-        slack = self.ing.X_a.F @ w_term - self.ing.X_a.g
+        slack = self.F_xN @ predicted[-1] + self.F_va @ v_a - self.ing.X_a.g
         if np.max(slack) > TERMINAL_TOL:
             worst = int(np.argmax(slack))
             raise SolverInfeasibleError(
@@ -399,12 +407,15 @@ def load_controller_config(path) -> ControllerFileConfig:
     u_min, u_max = floats("u_min", 2), floats("u_max", 2)
     if np.any(u_min > u_max):
         raise ModelConfigError(f"{path}: key 'u_min' exceeds 'u_max'")
+    settling_band = float(floats("settling_band", 1)[0]) if text("settling_band") else 2.0
+    if not settling_band > 0.0:
+        raise ModelConfigError(f"{path}: key 'settling_band' must be positive")
     return ControllerFileConfig(
         mpc=mpc_cfg,
         Ts=float(floats("Ts", 1)[0]),
         U=InputBox(lower=u_min, upper=u_max),
         disturbance_bound_mode=mode,
         m_bar=m_bar,
-        settling_band=float(floats("settling_band", 1)[0]) if text("settling_band") else 2.0,
+        settling_band=settling_band,
         plant_substeps=positive_int("plant_substeps") if text("plant_substeps") else 1,
     )

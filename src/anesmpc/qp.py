@@ -5,16 +5,18 @@ Solves  min 0.5 z'Hz + f'z  s.t.  A_eq z = b_eq,  A_in z <= b_in.
 The MPC re-solves one QP whose H, A_eq and A_in never change, so a
 :class:`QpFactor` built once per controller (or inside a one-off
 :func:`qp_solve`) caches the Cholesky factor of H (regularised once if it
-fails), H^-1 A' and the Gram matrix G = A H^-1 A' of A = [A_eq; A_in].
+fails), H^-1 A', the Gram matrix G = A H^-1 A' of A = [A_eq; A_in] and the
+factor of the equality rows' block of G, which every solve starts from.
 
 The dual method (Goldfarb & Idnani 1983) starts at z_u = -H^-1 f with the
 equality rows in the working set S, adds the most violated inequality row
 (lowest index on ties) and drops rows whose multipliers would turn negative.
 Each iterate minimises the objective on S, so no phase I is needed: G_SS
 lam = A_S z_u - b_S, A z = A z_u - G[:, S] lam, and the inverse Cholesky
-factor of G_SS grows one row per added constraint. A hot start admits the
-rows tight at a warm-start point through that factor, skipping near-zero
-pivots as dependent, then drops negative multipliers.
+factor of G_SS grows one row per added constraint. A hot start takes the
+rows tight at a warm-start point into S with one Cholesky factorisation of
+their block of G; when a pivot comes out near zero it admits them one at a
+time instead, skipping dependent rows. Then it drops negative multipliers.
 """
 
 from __future__ import annotations
@@ -104,14 +106,20 @@ class QpFactor:
         self.HinvAt = np.linalg.solve(L.T, np.linalg.solve(L, self.A.T))
         self.G = self.A @ self.HinvAt
         self.G = 0.5 * (self.G + self.G.T)
+        eq = _WorkingSet(self.G)
+        for j in range(self.neq):
+            eq.admit(j)
+        self.eq_rows, self.eq_Li = tuple(eq.rows), eq.Li  # every solve starts here
 
 
 class _WorkingSet:
     """Working rows (indices into the stacked A) and the inverse Li of the
-    lower Cholesky factor of their block of G, so G_SS^-1 = Li' Li."""
+    lower Cholesky factor of their block of G, so G_SS^-1 = Li' Li. Li is
+    replaced, never written in place: solves share QpFactor.eq_Li."""
 
-    def __init__(self, G: np.ndarray):
-        self.G, self.rows, self.Li = G, [], np.zeros((0, 0))
+    def __init__(self, G: np.ndarray, rows=(), Li: np.ndarray | None = None):
+        self.G, self.rows = G, list(rows)
+        self.Li = np.zeros((0, 0)) if Li is None else Li
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         return self.Li.T @ (self.Li @ v)
@@ -128,6 +136,21 @@ class _WorkingSet:
         if not dependent:
             self.append(j, r, d2)
 
+    def admit_all(self, rows: list[int]) -> None:
+        """Admit rows with one Cholesky factorisation of the block of G over
+        S + rows, kept only when every squared pivot passes the test of
+        :meth:`pivot`; otherwise row by row, skipping dependent rows."""
+        S = self.rows + rows
+        try:
+            L = np.linalg.cholesky(self.G[np.ix_(S, S)])
+        except np.linalg.LinAlgError:
+            L = None
+        if L is not None and np.all(np.diag(L) ** 2 > _DEP_TOL * self.G[S, S]):
+            self.rows, self.Li = S, np.linalg.solve(L, np.eye(len(S)))
+        else:
+            for j in rows:
+                self.admit(j)
+
     def append(self, j: int, r: np.ndarray, d2: float) -> None:
         row = np.append(-r, 1.0) / np.sqrt(d2)
         self.Li = np.vstack([np.hstack([self.Li, np.zeros((len(r), 1))]), row])
@@ -139,13 +162,17 @@ class _WorkingSet:
         self.Li = np.linalg.solve(L, np.eye(len(self.rows)))
 
 
-def _residuals(p: QpProblem, z, lam_eq, lam_in) -> KktResiduals:
-    grad = p.H @ z + p.f + p.A_eq.T @ lam_eq + p.A_in.T @ lam_in
-    slack = p.A_in @ z - p.b_in
+def _residuals(p: QpProblem, factor: QpFactor, b: np.ndarray, z, lam) -> KktResiduals:
+    """KKT residuals on the stacked rows A = [A_eq; A_in] and b = [b_eq; b_in],
+    with lam the equality multipliers followed by the inequality ones."""
+    neq = factor.neq
+    grad = p.H @ z + p.f + factor.A.T @ lam
+    r = factor.A @ z - b
+    slack = r[neq:]
     return KktResiduals(float(np.max(np.abs(grad), initial=0.0)),
-                        float(np.max(np.abs(p.A_eq @ z - p.b_eq), initial=0.0)),
+                        float(np.max(np.abs(r[:neq]), initial=0.0)),
                         float(np.max(slack, initial=0.0)),
-                        float(np.max(np.abs(lam_in * slack), initial=0.0)))
+                        float(np.max(np.abs(lam[neq:] * slack), initial=0.0)))
 
 
 def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
@@ -164,14 +191,16 @@ def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
     neq, G = factor.neq, factor.G
     z_u = -(factor.H_inv @ p.f)
     z_u -= factor.H_inv @ (factor.H @ z_u + p.f)  # one refinement step
-    c = factor.A @ z_u - np.concatenate([p.b_eq, p.b_in])  # row residuals at z_u
+    b = np.concatenate([p.b_eq, p.b_in])
+    c = factor.A @ z_u - b  # row residuals at z_u
 
     def finish(status, lam, it, extra=()):
         rows = ws.rows + [j for j, _ in extra]
         lam_all = np.zeros(c.size)
         lam_all[rows] = np.concatenate([lam, [t for _, t in extra]])
         z = z_u - factor.HinvAt @ lam_all
-        res = _residuals(p, z, lam_all[:neq], np.maximum(lam_all[neq:], 0.0))
+        np.maximum(lam_all[neq:], 0.0, out=lam_all[neq:])
+        res = _residuals(p, factor, b, z, lam_all)
         return QpSolution(z, float(0.5 * z @ p.H @ z + p.f @ z), status, res, it,
                           tuple(sorted(j - neq for j in ws.rows[ne:])))
 
@@ -181,17 +210,16 @@ def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
     def infeasible(report, it):
         return QpSolution(None, np.inf, "infeasible", None, it, infeasibility_report=report)
 
-    ws = _WorkingSet(G)
-    for j in range(neq):
-        ws.admit(j)
+    ws = _WorkingSet(G, factor.eq_rows, factor.eq_Li)
     ne = len(ws.rows)
     if ne < neq:  # a dependent equality row must be implied by the others
         off = np.abs(c[:neq] - G[:neq, ws.rows] @ ws.solve(c[ws.rows]))
         if np.max(off) > _FEAS_TOL:
             return infeasible([(label(int(np.argmax(off))), float(np.max(off)))], 0)
     if warm_start is not None:
-        for i in np.flatnonzero(p.A_in @ np.ravel(warm_start) - p.b_in >= -_FEAS_TOL):
-            ws.admit(neq + int(i))
+        tight = np.flatnonzero(p.A_in @ np.ravel(warm_start) - p.b_in >= -_FEAS_TOL)
+        if tight.size:
+            ws.admit_all((neq + tight).tolist())
     lam = ws.solve(c[ws.rows])
 
     it = 0

@@ -203,6 +203,7 @@ class TestBadConfigValues:
         ("plant_substeps", "0"), ("plant_substeps", "2.7"),
         ("u_min", "7, 0"), ("vd_weight", "-10"), ("y_ref", "99"),
         ("epsilon", "0"), ("lambda", "1.5"), ("m_bar", "-0.1, 0.27"),
+        ("settling_band", "-1"), ("settling_band", "0"),
     ])
     def test_rejected_with_exit_2_naming_the_key(self, paths, tmp_path, capsys,
                                                   key, value):

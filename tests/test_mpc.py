@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anesmpc import mpc, qp, sim
+from anesmpc import compensation, mpc, qp, sim
 from anesmpc.errors import ModelConfigError, SolverInfeasibleError
 
 from conftest import U_BOUNDS
@@ -129,6 +129,28 @@ class TestControlStep:
         first = controller.control_step(np.zeros(4), np.zeros(4))
         controller.control_step(first.predicted_xf[1], np.zeros(4))
         assert len(calls) == 2
+
+    def test_applied_input_clipped_into_box(self, disc, patient, gain, v_box,
+                                            ingredients, caplog):
+        # the shipped box: the first input sits on the propofol bound to
+        # rounding, is clipped onto it and raises no warning
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                    ingredients, mpc.MpcConfig())
+        with caplog.at_level("WARNING", logger="anesmpc.mpc"):
+            u = ctrl.control_step(np.zeros(4), np.zeros(4)).u
+        assert np.all(u >= U_BOUNDS.lower) and np.all(u <= U_BOUNDS.upper)
+        assert not caplog.records
+        # a box that ends 1e-7 (relative) below the remifentanil rate:
+        # u is clipped onto it and the clip is reported
+        tight = compensation.InputBox(lower=U_BOUNDS.lower,
+                                      upper=[U_BOUNDS.upper[0], u[1] * (1 - 1e-7)])
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, tight,
+                                    ingredients, mpc.MpcConfig())
+        with caplog.at_level("WARNING", logger="anesmpc.mpc"):
+            out = ctrl.control_step(np.zeros(4), np.zeros(4))
+        assert out.u[1] < u[1]
+        assert np.all(out.u >= tight.lower) and np.all(out.u <= tight.upper)
+        assert "clamped" in caplog.text
 
     def test_awake_patient_feasible(self, controller, v_box):
         controller.reset()

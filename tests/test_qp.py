@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anesmpc import qp
 from anesmpc.qp import QpFactor, QpProblem, enumerate_active_sets, qp_solve
 
 
@@ -207,3 +208,104 @@ class TestProperties:
                 assert hot.kkt_residuals.max() <= 1e-8, name
                 np.testing.assert_allclose(hot.z, cold.z, atol=1e-7, err_msg=name)
                 assert hot.objective == pytest.approx(cold.objective, abs=1e-7)
+
+
+class TestHotStart:
+    @staticmethod
+    def row_by_row(monkeypatch):
+        """Make every hot start admit its rows one at a time."""
+        monkeypatch.setattr(qp._WorkingSet, "admit_all",
+                            lambda ws, rows: [ws.admit(j) for j in rows])
+
+    @staticmethod
+    def count_admits(monkeypatch):
+        """Record each row admitted one at a time."""
+        calls = []
+        admit = qp._WorkingSet.admit
+
+        def counting(ws, j):
+            calls.append(j)
+            admit(ws, j)
+
+        monkeypatch.setattr(qp._WorkingSet, "admit", counting)
+        return calls
+
+    def test_independent_tight_rows_match_row_by_row_and_cold(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            p = random_qp(rng, n=30, q=60, neq=2)
+            factor = QpFactor(p.H, p.A_eq, p.A_in)
+            cold = qp_solve(p, factor=factor)
+            assert cold.active_set
+            # the cold optimum (tight rows = its active set) and a nearby point
+            for z0 in (cold.z, cold.z + rng.normal(scale=0.05, size=30)):
+                with monkeypatch.context() as mp:
+                    admits = self.count_admits(mp)
+                    hot = qp_solve(p, warm_start=z0, factor=factor)
+                assert admits == []  # one Cholesky took every tight row
+                with monkeypatch.context() as mp:
+                    self.row_by_row(mp)
+                    ref = qp_solve(p, warm_start=z0, factor=factor)
+                assert hot.active_set == ref.active_set == cold.active_set
+                assert hot.iterations == ref.iterations
+                np.testing.assert_allclose(hot.z, ref.z, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(hot.z, cold.z, rtol=0, atol=1e-10)
+
+    def test_dependent_tight_rows_fall_back_to_row_by_row(self, monkeypatch):
+        # duplicated active rows make the block of G singular
+        rng = np.random.default_rng(31)
+        p = random_qp(rng, n=30, q=60, neq=2)
+        cold = qp_solve(p)
+        active = list(cold.active_set)
+        p_dep = QpProblem(p.H, p.f, p.A_eq, p.b_eq, np.vstack([p.A_in, p.A_in[active]]),
+                          np.concatenate([p.b_in, p.b_in[active]]))
+        admits = self.count_admits(monkeypatch)
+        hot = qp_solve(p_dep, warm_start=cold.z)
+        assert len(admits) >= 2 * len(active)
+        assert hot.status == "optimal"
+        np.testing.assert_allclose(hot.z, cold.z, atol=1e-8)
+
+    def test_equality_factor_not_written_by_solves(self):
+        rng = np.random.default_rng(7)
+        p = random_qp(rng, n=30, q=60, neq=2)
+        factor = QpFactor(p.H, p.A_eq, p.A_in)
+        rows, Li = factor.eq_rows, factor.eq_Li.copy()
+        assert len(rows) == 2
+        iterations = 0
+        for _ in range(100):
+            shifted = QpProblem(p.H, p.f + rng.normal(scale=3.0, size=30), p.A_eq,
+                                p.b_eq, p.A_in, p.b_in)
+            sol = qp_solve(shifted, warm_start=rng.normal(size=30), factor=factor)
+            assert sol.status == "optimal"
+            iterations += sol.iterations
+        assert iterations > 100  # rows were added and dropped
+        assert factor.eq_rows == rows
+        assert np.array_equal(factor.eq_Li, Li)
+
+    def test_stacked_residuals_match_per_block_formula(self, monkeypatch):
+        # at each solution and at a perturbed pair, where no residual is zero
+        rng = np.random.default_rng(0)
+        checked = []
+        stacked = qp._residuals
+
+        def per_block(p, factor, b, z, lam):
+            neq = p.A_eq.shape[0]
+            for dz, dlam in ((0.0, 0.0), (rng.normal(size=z.size), rng.uniform(size=lam.size))):
+                zz, ll = z + dz, lam + dlam
+                got = stacked(p, factor, b, zz, ll)
+                lam_eq, lam_in = ll[:neq], ll[neq:]
+                grad = p.H @ zz + p.f + p.A_eq.T @ lam_eq + p.A_in.T @ lam_in
+                slack = p.A_in @ zz - p.b_in
+                want = (np.max(np.abs(grad), initial=0.0),
+                        np.max(np.abs(p.A_eq @ zz - p.b_eq), initial=0.0),
+                        np.max(slack, initial=0.0),
+                        np.max(np.abs(lam_in * slack), initial=0.0))
+                np.testing.assert_allclose(
+                    [got.stationarity, got.primal_eq, got.primal_in, got.complementarity],
+                    want, rtol=0, atol=1e-13)
+            checked.append(1)
+            return stacked(p, factor, b, z, lam)
+
+        monkeypatch.setattr(qp, "_residuals", per_block)
+        assert all(sol.status == "optimal" for sol, _ in qp.oracle_trials(seed=5))
+        assert len(checked) == 100

@@ -1,12 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anesmpc import compensation, mpc, pkpd, sim
+from anesmpc import compensation, mpc, pipeline, pkpd, sim
 from anesmpc.errors import ModelConfigError
 
-from conftest import U_BOUNDS
+from conftest import U_BOUNDS, controller_path, patient_path
+
+# 600 s run of the shipped patient and tuning, at full precision: the
+# numeric columns of run.csv without solve_ms, every status "optimal"
+REFERENCE_RUN = Path(__file__).parent / "data" / "reference_run.csv"
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +178,18 @@ class TestCsv:
             logs.append(p.read_text().splitlines())
         for la, lb in zip(*logs):
             assert la.rsplit(",", 1)[0] == lb.rsplit(",", 1)[0]
+
+
+class TestReferenceRun:
+    def test_matches_committed_run(self):
+        bundle = pipeline.build_bundle(patient_path(), controller_path())
+        log = sim.simulate_closed_loop(bundle.disc, bundle.patient.pd,
+                                       bundle.controller, 600.0)
+        header = REFERENCE_RUN.read_text().splitlines()[0]
+        assert header == sim.CSV_HEADER.removesuffix(",status,solve_ms")
+        ref = np.loadtxt(REFERENCE_RUN, delimiter=",", skiprows=1)
+        got = np.column_stack([log.t, log.bis, log.u, log.v, log.v_a, log.x_f, log.x_s])
+        assert got.shape == ref.shape == (120, 16)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+        assert log.status == ["optimal"] * 120
+        assert sim.compute_metrics(log, 50.0, 2.0).settling_time == 265.0
