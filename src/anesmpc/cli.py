@@ -2,8 +2,9 @@
 :mod:`anesmpc.pipeline` and prints. The subcommands are listed in
 ``make_parser``.
 
-Exit codes: 0 success, 1 validation failure, 2 config/model error,
-3 runtime infeasibility or QP iteration limit.
+Exit codes: 0 success, 1 validation failure, 2 config/model error or a
+failed polyhedron computation in the construction chain, 3 runtime
+infeasibility or QP iteration limit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _svg, mpc, pipeline, sim
-from .errors import ModelConfigError, SolverInfeasibleError
+from .errors import GeometryError, ModelConfigError, SolverInfeasibleError
 from .pipeline import build_bundle
 
 
@@ -150,6 +151,9 @@ def main(argv=None) -> int:
         return 3
     except ModelConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except GeometryError as exc:
+        print(f"error: polyhedron computation failed: {exc}", file=sys.stderr)
         return 2
 
 

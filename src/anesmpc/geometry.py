@@ -1,15 +1,15 @@
-"""H-representation polyhedra with a dense two-phase simplex LP core.
+"""H-representation polyhedra with a dense single-phase simplex LP core.
 
 A polyhedron is stored as ``{w in R^n : F w <= g}``. Everything here is
 dense numpy: the sets this package manipulates stay small (<= ~10
 variables, at most a few thousand rows), so no sparse machinery is used.
 
-The simplex uses Dantzig pricing by default and falls back to Bland's
-rule after a fixed number of pivots to break cycling; feasibility and
-optimality tolerances are both 1e-9. Rows with a negative rhs get an
-artificial variable and a phase I; with a nonnegative rhs the LP starts
-from the slack basis. Redundancy removal uses that: it finds a Chebyshev
-centre once and runs every redundancy LP on the rows shifted to it.
+Every LP starts from the slack basis, so its rhs must be nonnegative. The
+simplex uses Dantzig pricing and falls back to Bland's rule after a fixed
+number of pivots to break cycling; feasibility and optimality tolerances
+are both 1e-9. Rows with a negative rhs are first shifted to a Chebyshev
+centre, whose LP lets the radius go negative until w = 0 meets every row:
+that LP is the only feasibility step, and no LP needs a phase I.
 """
 
 from __future__ import annotations
@@ -76,12 +76,12 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, start_iter: int = 0) -> int:
+def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> int:
     """Drive the tableau T (last row = reduced costs of a minimization,
-    last column = rhs) to optimality. Returns the pivot count, raises on
-    unboundedness via GeometryError with a marker message."""
+    last column = rhs >= 0) to optimality. Returns the pivot count, raises
+    on unboundedness via GeometryError with a marker message."""
     m = T.shape[0] - 1
-    it = start_iter
+    it = 0
     while True:
         costs = T[-1, :ncols]
         if it < _BLAND_AFTER:
@@ -109,11 +109,35 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, start_iter: int =
             raise GeometryError("simplex did not converge within the pivot cap")
 
 
+def _centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
+    """Chebyshev-centre LP, max r s.t. F w + |F_i| r <= g, r_lo <= r <= 1,
+    solved in r - r_lo with r_lo = min(0, min_i g_i / |F_i|), where w = 0
+    meets every row, so every rhs is nonnegative. The set is empty iff
+    r < -FEAS_TOL; a row 0 w <= g < 0 gives r = -inf at once."""
+    F, g = poly.F, poly.g
+    n = poly.dim
+    norms = np.linalg.norm(F, axis=1)
+    flat = norms == 0.0
+    if np.any(g[flat] < -FEAS_TOL):
+        return np.zeros(n), -np.inf
+    r_lo = float(np.min(g[~flat] / norms[~flat], initial=0.0))
+    lifted = Polyhedron(
+        np.block([[F, norms[:, None]],
+                  [np.zeros((2, n)), np.array([[1.0], [-1.0]])]]),
+        np.concatenate([np.maximum(g - norms * r_lo, 0.0), [1.0 - r_lo, 0.0]]))
+    res = lp_max(np.eye(n + 1)[n], lifted)
+    return res.argmax[:n], float(res.argmax[n]) + r_lo
+
+
 def lp_max(c, poly: Polyhedron) -> LpResult:
     """Maximize c . w over {F w <= g} with free variables w.
 
-    Returns an LpResult whose status is "optimal", "infeasible" or
-    "unbounded"; on "optimal" the argmax satisfies F w <= g + 1e-9.
+    A single-phase simplex from the slack basis. When some g_i < 0 the
+    rows are first shifted to the Chebyshev centre w0, F u <= g - F w0
+    with a nonnegative rhs, and the result shifted back; an empty set
+    found there is "infeasible". Returns an LpResult whose status is
+    "optimal", "infeasible" or "unbounded"; on "optimal" the argmax
+    satisfies F w <= g + 1e-9.
     """
     c = np.asarray(c, dtype=float).ravel()
     F, g = poly.F, poly.g
@@ -124,73 +148,28 @@ def lp_max(c, poly: Polyhedron) -> LpResult:
         return LpResult(np.inf, None, "unbounded") if np.any(c != 0) else LpResult(
             0.0, np.zeros(n), "optimal"
         )
-
-    # standard form: w = wp - wn, slacks s; rows with negative rhs are
-    # negated and receive an artificial variable for phase I
-    neg = g < 0
-    sign = np.where(neg, -1.0, 1.0)
-    A = np.hstack([F * sign[:, None], -F * sign[:, None], np.diag(sign)])
-    b = g * sign
-    nstruct = 2 * n + m
-    art_rows = np.nonzero(neg)[0]
-    nart = art_rows.size
-
-    if nart > 0:
-        Aart = np.zeros((m, nart))
-        Aart[art_rows, np.arange(nart)] = 1.0
-        A = np.hstack([A, Aart])
-    ncols = A.shape[1]
-
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :ncols] = A
-    T[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-    basis[:] = 2 * n + np.arange(m)  # slacks
-    basis[art_rows] = nstruct + np.arange(nart)  # artificials
-
-    pivots = 0
-    if nart > 0:
-        # phase I: minimize the sum of artificials
-        T[-1, :] = 0.0
-        T[-1, nstruct:ncols] = 1.0
-        for r in art_rows:
-            T[-1, :] -= T[r, :]
-        pivots = _run_simplex(T, basis, ncols)
-        if T[-1, -1] < -FEAS_TOL:  # leftover artificial mass
+    w0 = np.zeros(n)
+    if np.any(g < 0):
+        w0, r = _centre(poly)
+        if r < -FEAS_TOL:
             return LpResult(-np.inf, None, "infeasible")
-        # pivot remaining basic artificials out (or zero their rows)
-        for r in np.nonzero(basis >= nstruct)[0]:
-            piv = np.nonzero(np.abs(T[r, :nstruct]) > FEAS_TOL)[0]
-            if piv.size:
-                _pivot(T, basis, int(r), int(piv[0]))
-        keep = basis < nstruct
-        if not np.all(keep):  # redundant rows: drop them
-            rows = np.concatenate([np.nonzero(keep)[0], [m]])
-            T = T[rows][:, list(range(nstruct)) + [ncols]]
-            basis = basis[keep]
-            m = basis.size
-        else:
-            T = T[:, list(range(nstruct)) + [ncols]]
-        ncols = nstruct
+        g = np.maximum(g - F @ w0, 0.0)
 
-    # phase II: minimize -c.(wp - wn)
-    obj = np.zeros(ncols + 1)
-    obj[:n] = -c
-    obj[n : 2 * n] = c
-    T[-1, :] = obj
-    for i in range(m):
-        if obj[basis[i]] != 0.0:
-            T[-1, :] -= obj[basis[i]] * T[i, :]
+    # w = wp - wn with slacks s, from the slack basis; minimize -c.(wp - wn)
+    T = np.empty((m + 1, 2 * n + m + 1))
+    T[:m] = np.hstack([F, -F, np.eye(m), g[:, None]])
+    T[-1] = np.concatenate([-c, c, np.zeros(m + 1)])
+    basis = 2 * n + np.arange(m)
     try:
-        _run_simplex(T, basis, ncols, start_iter=pivots)
+        _run_simplex(T, basis, 2 * n + m)
     except GeometryError as exc:
         if "_UNBOUNDED_" in str(exc):
             return LpResult(np.inf, None, "unbounded")
         raise
 
-    x = np.zeros(ncols)
-    x[basis] = T[: len(basis), -1]
-    w = x[:n] - x[n : 2 * n]
+    x = np.zeros(2 * n + m)
+    x[basis] = T[:m, -1]
+    w = x[:n] - x[n : 2 * n] + w0
     return LpResult(float(c @ w), w, "optimal")
 
 
@@ -208,19 +187,13 @@ def is_empty(poly: Polyhedron) -> bool:
 
 def chebyshev_centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
     """Centre w0 and radius r of a largest ball in the set, by one LP with
-    the radius capped at 1: max r s.t. F w + |F_i| r <= g, 0 <= r <= 1.
-
-    A flat set gives r = 0; an empty one raises GeometryError.
+    the radius capped at 1 (see _centre). A flat set gives r = 0; an
+    empty one raises GeometryError.
     """
-    n = poly.dim
-    lifted = Polyhedron(
-        np.block([[poly.F, np.linalg.norm(poly.F, axis=1)[:, None]],
-                  [np.zeros((2, n)), np.array([[1.0], [-1.0]])]]),
-        np.concatenate([poly.g, [1.0, 0.0]]))
-    res = lp_max(np.eye(n + 1)[n], lifted)
-    if res.status != "optimal":
+    w0, r = _centre(poly)
+    if r < -FEAS_TOL:
         raise GeometryError("polyhedron is empty")
-    return res.argmax[:n], float(res.argmax[n])
+    return w0, max(r, 0.0)
 
 
 def remove_redundant(poly: Polyhedron) -> Polyhedron:
@@ -229,7 +202,7 @@ def remove_redundant(poly: Polyhedron) -> Polyhedron:
     Rows are tested one pass in the order given against the current
     surviving set, so the output is deterministic. The LPs run on the
     rows shifted to the Chebyshev centre w0, F u <= g - F w0 with a
-    nonnegative rhs, so each starts from the slack basis without phase I.
+    nonnegative rhs, found once for all of them.
     A row equal to a later row (same F row and g) is dropped without an
     LP: the later copy bounds it exactly.
     """

@@ -27,7 +27,7 @@ from .compensation import DISTURBANCE_MODES, CompensationGain, InputBox
 from .errors import ModelConfigError, SolverInfeasibleError
 from .pkpd import (DiscreteDynamics, PdParams, as_fast_state, as_slow_state, ini_numbers,
                    steady_output_row)
-from .terminal import TerminalIngredients, controllability_index
+from .terminal import TerminalIngredients, controllability_index, tighten_box
 
 logger = logging.getLogger(__name__)
 
@@ -264,9 +264,19 @@ class Controller:
     def retarget(self, y_ref: float) -> None:
         """Set the BIS target, at construction or mid-run, by deriving the
         steady output level c (the terminal set and input boxes stay
-        valid); raises when the target has no admissible steady input."""
+        valid); raises when the target has no admissible steady input,
+        or none inside the lambda-tightened box that X_a allows."""
         zs = build_steady_input_set(self.disc, self.pd, y_ref, self.V,
                                     self.cfg.epsilon)
+        tight = tighten_box(self.V, self.cfg.lam)
+        try:
+            steady_segment(replace(zs, lower=np.maximum(zs.lower, tight.lower),
+                                   upper=np.minimum(zs.upper, tight.upper)))
+        except ModelConfigError:
+            raise ModelConfigError(
+                f"no steady input for BIS {y_ref:g} lies in the input box "
+                f"'u_min'/'u_max' shrunk by 'lambda' = {self.cfg.lam:g} about its "
+                "centre, which the terminal set requires") from None
         self.zs = zs
         self.b_eq = np.array([zs.c])
         self.cfg = replace(self.cfg, y_ref=float(y_ref))

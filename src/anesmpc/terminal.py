@@ -6,8 +6,9 @@ dynamics of (fast state, artificial steady input) pairs under the
 terminal law, and the maximal admissible invariant set for tracking used
 as the MPC terminal constraint. The set's LPs run in coordinates shifted
 to a steady pair inside the constraints, a fixed point of the extended
-dynamics, where every propagated row keeps a nonnegative rhs and no LP
-needs a phase I; invariance_excess proves invariance the same way.
+dynamics, where every propagated row keeps a nonnegative rhs: each LP
+starts from the slack basis with no Chebyshev-centre LP of its own, and
+invariance_excess proves invariance the same way.
 
 Sign convention: K is Schur-stabilizing for A + BK and enters the
 terminal law as v = K(x - x_a) + v_a; for the positive anesthesia

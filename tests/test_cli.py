@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from anesmpc import cli, geometry, mpc, pipeline, qp
-from anesmpc.errors import ModelConfigError
+from anesmpc.errors import GeometryError, ModelConfigError
 
 from conftest import controller_path, patient_path
 
@@ -222,6 +222,43 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert rc == 2
         assert "input box too tight" in err
+
+    @pytest.mark.parametrize("value", ["100, 16.67", "6.67, 100"])
+    def test_wide_input_box_misses_the_steady_segment(self, paths, tmp_path, capsys,
+                                                      value):
+        # lambda shrinks the wide box about its far-off centre, which lifts
+        # the steady-input floor past the whole BIS-50 segment
+        config = _config_with(tmp_path, "u_max", value)
+        rc = cli.main(["simulate", "--patient", paths[0], "--config", config,
+                       "--out", str(tmp_path / "out"), "--duration", "10"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "'lambda'" in err and "'u_max'" in err
+        assert err.count("\n") == 1
+
+    def test_failed_polyhedron_computation_exits_2(self, paths, tmp_path, capsys):
+        # u_max = 1e20 leaves the set's small rows below the rounding of its
+        # large ones
+        config = _config_with(tmp_path, "u_max", "1e20, 16.67")
+        rc = cli.main(["ingredients", "--patient", paths[0], "--config", config,
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: polyhedron computation failed:")
+        assert err.count("\n") == 1
+
+    def test_geometry_error_in_construction_exits_2(self, paths, tmp_path, capsys,
+                                                    monkeypatch):
+        def fail(*a, **k):
+            raise GeometryError("simplex did not converge within the pivot cap")
+
+        monkeypatch.setattr(pipeline.terminal, "compute_terminal_ingredients", fail)
+        rc = cli.main(["ingredients", "--patient", paths[0], "--config", paths[1],
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == ("error: polyhedron computation failed: "
+                       "simplex did not converge within the pivot cap\n")
 
 
 def _patient_with(tmp_path, section, key, value):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from anesmpc import geometry, terminal
 from anesmpc.errors import GeometryError
 from anesmpc.geometry import (
     FEAS_TOL,
@@ -16,6 +17,8 @@ from anesmpc.geometry import (
     save_matrix,
     save_polyhedron,
 )
+
+from conftest import Q_DIAG, R_EYE
 
 
 def box(lo, hi):
@@ -37,6 +40,17 @@ def vertex_enum_max(c, poly):
         if np.all(F @ w <= g + 1e-8):
             best = max(best, float(c @ w))
     return best
+
+
+def random_lps():
+    """60 random LPs (c, F, g) with 2-8 variables; every status occurs."""
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(n, 41))
+        F = rng.normal(size=(k, n))
+        g = rng.normal(size=k) + rng.uniform(-1.0, 2.0)
+        yield rng.normal(size=n), F, g
 
 
 class TestLpMax:
@@ -98,16 +112,10 @@ class TestLpMax:
     def test_cross_check_against_scipy(self):
         from scipy.optimize import linprog
 
-        rng = np.random.default_rng(23)
         statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-        for _ in range(60):
-            n = int(rng.integers(2, 9))
-            k = int(rng.integers(n, 41))
-            F = rng.normal(size=(k, n))
-            g = rng.normal(size=k) + rng.uniform(-1.0, 2.0)
-            c = rng.normal(size=n)
+        for c, F, g in random_lps():
             mine = lp_max(c, Polyhedron(F, g))
-            ref = linprog(-c, A_ub=F, b_ub=g, bounds=[(None, None)] * n,
+            ref = linprog(-c, A_ub=F, b_ub=g, bounds=[(None, None)] * c.size,
                           method="highs")
             if ref.status == 2:
                 assert mine.status == "infeasible"
@@ -125,8 +133,8 @@ class TestLpMax:
         # boxes away from the origin (rows with negative rhs), open
         # half-space stacks (unbounded) and boxes cut off by a contradictory
         # row (infeasible), each against HiGHS; every bounded case is also
-        # solved shifted to its Chebyshev centre (nonnegative rhs, no
-        # phase I), as the redundancy LPs are
+        # solved shifted to its Chebyshev centre (nonnegative rhs), as the
+        # redundancy LPs are
         from scipy.optimize import linprog
 
         rng = np.random.default_rng(41)
@@ -309,6 +317,88 @@ class TestChebyshevCentre:
     def test_empty_raises(self):
         with pytest.raises(GeometryError, match="empty"):
             chebyshev_centre(Polyhedron([[1.0], [-1.0]], [0.0, -1.0]))
+
+    def test_box_far_from_the_origin(self):
+        # every lower bound is a row with a negative rhs
+        P = box([100.0, -300.0], [101.0, -297.0])
+        w0, r = chebyshev_centre(P)
+        assert r == pytest.approx(0.5, abs=1e-9)
+        assert w0[0] == pytest.approx(100.5, abs=1e-9)
+        assert contains(P, w0)
+        res = lp_max([1.0, -1.0], P)
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(401.0, abs=1e-9)
+        np.testing.assert_allclose(res.argmax, [101.0, -300.0], atol=1e-9)
+
+    def test_flat_segment_off_the_origin(self):
+        # x1 = 5, 2 <= x2 <= 3
+        P = Polyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                       [5.0, -5.0, 3.0, -2.0])
+        w0, r = chebyshev_centre(P)
+        assert 0.0 <= r <= 1e-12
+        assert contains(P, w0)
+        res = lp_max([0.0, 1.0], P)
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.argmax, [5.0, 3.0], atol=1e-9)
+
+    @pytest.mark.parametrize("F, g", [
+        ([[1.0], [-1.0]], [0.0, -1e-6]),  # w <= 0 and w >= 1e-6
+        ([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [10.0, -5.0, -5.0 - 1e-6]),
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], [1.0, 1.0, -1.0]),  # 0 w <= -1
+    ], ids=["empty-by-1e-6", "empty-by-1e-6-off-origin", "zero-row"])
+    def test_empty_sets(self, F, g):
+        P = Polyhedron(F, g)
+        with pytest.raises(GeometryError, match="empty"):
+            chebyshev_centre(P)
+        assert lp_max(np.ones(P.dim), P).status == "infeasible"
+        assert lp_max(np.zeros(P.dim), P).status == "infeasible"
+
+    def test_nonempty_by_1e_6(self):
+        P = Polyhedron([[1.0], [-1.0]], [1e-6, 0.0])  # 0 <= w <= 1e-6
+        _, r = chebyshev_centre(P)
+        assert r == pytest.approx(5e-7, abs=1e-12)
+        res = lp_max([-1.0], P)
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSlackBasisOnly:
+    """Every tableau the simplex receives starts from the slack basis: its
+    rhs is nonnegative, in the construction chain and on random LPs."""
+
+    @pytest.fixture
+    def rhs_minima(self, monkeypatch):
+        """Smallest rhs entry of each tableau handed to the simplex, after
+        checking that its basis is the slack columns (the last ones)."""
+        seen = []
+        real = geometry._run_simplex
+
+        def recording(T, basis, ncols):
+            assert np.array_equal(basis, np.arange(ncols - basis.size, ncols))
+            seen.append(float(np.min(T[:-1, -1])))
+            return real(T, basis, ncols)
+
+        monkeypatch.setattr(geometry, "_run_simplex", recording)
+        return seen
+
+    def test_terminal_ingredients(self, disc, v_box, rhs_minima):
+        ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
+        assert ing.X_a.nrows == 44
+        assert len(rhs_minima) > 40
+        assert min(rhs_minima) >= 0.0
+
+    def test_invariance_excess(self, ingredients, rhs_minima):
+        assert terminal.invariance_excess(ingredients.A_w, ingredients.X_a) <= 1e-9
+        assert len(rhs_minima) > ingredients.X_a.nrows
+        assert min(rhs_minima) >= 0.0
+
+    def test_random_battery(self, rhs_minima):
+        negative = 0
+        for c, F, g in random_lps():
+            negative += bool(np.any(g < 0))
+            lp_max(c, Polyhedron(F, g))
+        assert negative > 0
+        assert min(rhs_minima) >= 0.0
 
 
 class TestContains:

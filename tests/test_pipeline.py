@@ -1,9 +1,12 @@
-"""Assembly from in-memory configs and from files gives the same controller."""
+"""Assembly from in-memory configs and from files gives the same controller,
+and the shipped files give the reference terminal set."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anesmpc import mpc, pipeline, pkpd
+from anesmpc import geometry, mpc, pipeline, pkpd
 
 from conftest import controller_path, patient_path
 
@@ -42,3 +45,19 @@ def test_saved_ingredients_load_back(from_files, tmp_path):
     np.testing.assert_array_equal(ing.X_a.F, ref.X_a.F)
     np.testing.assert_array_equal(ing.X_a.g, ref.X_a.g)
     assert ing.determination_index == ref.determination_index
+
+
+REFERENCE_X_A = Path(__file__).parent / "data" / "reference_X_a.poly"
+
+
+def test_shipped_build_reproduces_reference_X_a(from_files):
+    # tests/data/reference_X_a.poly holds X_a of the shipped patient and
+    # controller files, written with geometry.save_polyhedron
+    ref = geometry.load_polyhedron(REFERENCE_X_A)
+    ing = from_files.ingredients
+    assert ing.X_a.nrows == ref.nrows == 44
+    assert ing.determination_index == 11
+    # each row to 1e-12 relative to its largest entry
+    rows, ref_rows = (np.column_stack([P.F, P.g]) for P in (ing.X_a, ref))
+    scale = np.max(np.abs(ref_rows), axis=1, keepdims=True)
+    assert np.all(np.abs(rows - ref_rows) <= 1e-12 * scale)

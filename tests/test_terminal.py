@@ -15,7 +15,8 @@ TABLE1_P44 = 58.574
 
 @pytest.fixture
 def negative_rhs(monkeypatch):
-    """Per lp_max call, whether its rows have a negative rhs (a phase I)."""
+    """Per lp_max call, whether its rows have a negative rhs (an extra
+    Chebyshev-centre LP)."""
     calls = []
     real = geometry.lp_max
 
@@ -215,7 +216,7 @@ class TestMaxAdmissibleInvariantSet:
 
     def test_patient_build_starts_from_a_steady_pair(self, disc, v_box, negative_rhs):
         # only the steady-point LP and the Chebyshev-centre LP of the
-        # final reduction see rows with a negative rhs (need phase I)
+        # final reduction see rows with a negative rhs
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
         assert sum(negative_rhs) <= 2
         assert len(negative_rhs) > 40
@@ -224,7 +225,7 @@ class TestMaxAdmissibleInvariantSet:
 
     def test_no_steady_point_falls_back_to_phase_one(self):
         # w >= 1 under w -> 2w: no fixed point in W, so the rows stay
-        # unshifted (negative rhs, phase I) and W is returned as is
+        # unshifted (negative rhs) and W is returned as is
         W = Polyhedron([[-1.0]], [-1.0])
         O, k = terminal.max_admissible_invariant_set(np.array([[2.0]]), W)
         assert k == 0
