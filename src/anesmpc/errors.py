@@ -17,8 +17,9 @@ class SolverInfeasibleError(AnesMpcError):
     """A QP that must be feasible in nominal operation was not (CLI exit code 3).
 
     Carries an optional ``report`` with the violated constraints, the QP
-    solver ``status`` ("infeasible" or "max_iter") and, when raised inside a
-    closed-loop run, the step index.
+    solver ``status`` ("infeasible" or "max_iter") and, when raised by
+    ``Controller.control_step``, the ``step`` index counted from the
+    controller's last reset.
     """
 
     def __init__(self, message: str, report=None, step: int | None = None,

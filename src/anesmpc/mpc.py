@@ -4,9 +4,11 @@ Every sampling instant solves a condensed QP in the decision vector
 z = (v_0, ..., v_{N-1}, v_a): the predicted fast states are eliminated
 through the nominal dynamics, the artificial steady state is tied to the
 steady input by x_a = (I - A)^-1 B v_a, and the terminal pair
-(x_N, v_a) is constrained to the maximal admissible invariant set. The
-applied drug rate is u = v_0 + D x_s, the tracking input plus the
-slow-state compensation.
+(x_N, v_a) is constrained to the maximal admissible invariant set X_a.
+X_a lies in the lambda-tightened input box on v_a it was built on, so the
+QP has no box rows of its own on v_a, and the reachable steady inputs are
+the BIS line clipped to that box (SteadyInputSet). The applied drug rate
+is u = v_0 + D x_s, the tracking input plus the slow-state compensation.
 
 With n = 4 and N = 24 the dense Hessian is 50 x 50, small enough that
 condensing beats a sparse KKT formulation, and it makes the warm start a
@@ -26,7 +28,7 @@ from . import qp
 from .compensation import DISTURBANCE_MODES, CompensationGain, InputBox
 from .errors import ModelConfigError, SolverInfeasibleError
 from .pkpd import (DiscreteDynamics, PdParams, as_fast_state, as_slow_state, ini_numbers,
-                   steady_output_row)
+                   ini_reject_unknown, steady_output_row)
 from .terminal import TerminalIngredients, controllability_index, tighten_box
 
 logger = logging.getLogger(__name__)
@@ -38,12 +40,11 @@ CLAMP_TOL = 1e-12  # clip of the applied input beyond which it is reported
 
 @dataclass(frozen=True)
 class VdSpec:
-    """Offset cost q (a . v_a - b)^2 + l . v_a on the steady input."""
+    """Offset cost q (a . v_a - b)^2 on the steady input."""
 
     weight: float = 10.0
     coeffs: tuple = (1.0, -0.5)
     offset: float = 0.0
-    linear: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if not self.weight >= 0.0:
@@ -54,8 +55,7 @@ class VdSpec:
     def __call__(self, v_a) -> float:
         v_a = np.asarray(v_a, float)
         a = np.asarray(self.coeffs, float)
-        l = np.asarray(self.linear, float)
-        return float(self.weight * (a @ v_a - self.offset) ** 2 + l @ v_a)
+        return float(self.weight * (a @ v_a - self.offset) ** 2)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class MpcConfig:
     N: int = 24
     Q: np.ndarray = field(default_factory=lambda: np.diag([1.0, 10.0, 1.0, 10.0]))
     R: np.ndarray = field(default_factory=lambda: np.eye(2))
-    epsilon: float = 1e-6
     lam: float = 0.99
     vd: VdSpec = field(default_factory=VdSpec)
     y_ref: float = 50.0
@@ -73,8 +72,6 @@ class MpcConfig:
         object.__setattr__(self, "R", np.asarray(self.R, float))
         if self.N < 1:
             raise ModelConfigError("horizon N must be at least 1")
-        if not self.epsilon > 0.0:
-            raise ModelConfigError("'epsilon' must be positive")
         if not 0.0 < self.lam < 1.0:
             raise ModelConfigError(
                 "'lambda' must lie in (0, 1): the terminal invariant set is "
@@ -85,7 +82,8 @@ class MpcConfig:
 @dataclass(frozen=True)
 class SteadyInputSet:
     """Admissible steady inputs: the line g_eff . v_a = c intersected with
-    the epsilon-shrunk tracking input box."""
+    the tracking input box shrunk by lambda about its centre, the v_a box
+    of W_lambda that X_a lies in."""
 
     g_eff: np.ndarray
     c: float
@@ -106,12 +104,18 @@ class ControlOutput:
 
 
 def build_steady_input_set(disc: DiscreteDynamics, pd: PdParams, y_ref: float,
-                           V: InputBox, epsilon: float) -> SteadyInputSet:
+                           V: InputBox, lam: float) -> SteadyInputSet:
+    """Steady inputs holding BIS y_ref in tighten_box(V, lam); raises if none."""
     g_eff, c = steady_output_row(disc, pd, y_ref)
-    lower = V.lower + epsilon
-    upper = V.upper - epsilon
-    zs = SteadyInputSet(g_eff=g_eff, c=c, lower=lower, upper=upper)
-    steady_segment(zs)  # raises if empty
+    box = tighten_box(V, lam)
+    zs = SteadyInputSet(g_eff=g_eff, c=c, lower=box.lower, upper=box.upper)
+    try:
+        steady_segment(zs)
+    except ModelConfigError:
+        raise ModelConfigError(
+            f"no steady input for BIS {y_ref:g} lies in the input box "
+            f"'u_min'/'u_max' shrunk by 'lambda' = {lam:g} about its centre, "
+            "which the terminal set requires") from None
     return zs
 
 
@@ -143,7 +147,8 @@ def steady_segment(zs: SteadyInputSet):
 
 class Controller:
     """Precomputed QP template plus the per-step solve. The admissible
-    steady inputs `zs` follow from the target cfg.y_ref (see retarget)."""
+    steady inputs `zs` follow from the target cfg.y_ref and the lambda of
+    the terminal ingredients (see retarget)."""
 
     def __init__(self, disc: DiscreteDynamics, pd: PdParams, gain: CompensationGain,
                  V: InputBox, U: InputBox, ingredients: TerminalIngredients,
@@ -201,37 +206,25 @@ class Controller:
         # the dropped constant (Gx x0)'Qbar(Gx x0) + w b^2 is added back
         # when reporting the true objective
         self.f_x0_map = 2.0 * (M.T @ Qbar @ Gx)
-        f_const = -2.0 * cfg.vd.weight * cfg.vd.offset * a_sel
-        f_const[m * N:] += np.asarray(cfg.vd.linear, float)
-        self.f_const = f_const
+        self.f_const = -2.0 * cfg.vd.weight * cfg.vd.offset * a_sel
         self.obj_const_offset = cfg.vd.weight * cfg.vd.offset**2
 
-        # inequality template
+        # inequality template: the box on v_0 .. v_{N-1}, then X_a (which bounds v_a)
         rows_v = np.hstack([np.eye(m * N), np.zeros((m * N, m))])
-        E_a = np.hstack([np.zeros((m, m * N)), np.eye(m)])
         F_xa, g_xa = ingredients.X_a.F, ingredients.X_a.g
         Fx, Fv = F_xa[:, :n], F_xa[:, n:]
         S_N = S[N * n:, :]
-        term_rows = np.hstack([Fx @ S_N, Fv])
-        self.A_in = np.vstack([
-            rows_v, -rows_v,
-            E_a, -E_a,
-            term_rows,
-        ])
-        self.b_in_base = np.concatenate([
-            np.tile(V.upper, N), -np.tile(V.lower, N),
-            self.zs.upper, -self.zs.lower,
-            g_xa,
-        ])
-        self.term_slice = slice(2 * m * N + 2 * m, 2 * m * N + 2 * m + g_xa.size)
+        self.A_in = np.vstack([rows_v, -rows_v, np.hstack([Fx @ S_N, Fv])])
+        self.b_in_base = np.concatenate([np.tile(V.upper, N), -np.tile(V.lower, N), g_xa])
+        self.term_slice = slice(2 * m * N, None)
         self.Fx_AN = Fx @ powers[N]
         self.F_xN, self.F_va = Fx, Fv
         self.A_eq = np.concatenate([np.zeros(m * N), self.zs.g_eff])[None, :]
         self.qp_factor = qp.QpFactor(self.H, self.A_eq, self.A_in)
 
-        self._warm: np.ndarray | None = None
         self._warm_buf = np.empty(nz)
         self._clamp_warned = False
+        self.reset()
 
     # -- helpers -----------------------------------------------------------
 
@@ -259,26 +252,17 @@ class Controller:
         return stacked.reshape(self.N + 1, self.n)
 
     def reset(self) -> None:
-        self._warm = None
+        """Start a new run: no warm start, step count 0."""
+        self._warm: np.ndarray | None = None
+        self._steps = 0
 
     def retarget(self, y_ref: float) -> None:
         """Set the BIS target, at construction or mid-run, by deriving the
         steady output level c (the terminal set and input boxes stay
-        valid); raises when the target has no admissible steady input,
-        or none inside the lambda-tightened box that X_a allows."""
-        zs = build_steady_input_set(self.disc, self.pd, y_ref, self.V,
-                                    self.cfg.epsilon)
-        tight = tighten_box(self.V, self.cfg.lam)
-        try:
-            steady_segment(replace(zs, lower=np.maximum(zs.lower, tight.lower),
-                                   upper=np.minimum(zs.upper, tight.upper)))
-        except ModelConfigError:
-            raise ModelConfigError(
-                f"no steady input for BIS {y_ref:g} lies in the input box "
-                f"'u_min'/'u_max' shrunk by 'lambda' = {self.cfg.lam:g} about its "
-                "centre, which the terminal set requires") from None
-        self.zs = zs
-        self.b_eq = np.array([zs.c])
+        valid); raises when no steady input holds the target inside the
+        lambda-tightened box that X_a allows."""
+        self.zs = build_steady_input_set(self.disc, self.pd, y_ref, self.V, self.ing.lam)
+        self.b_eq = np.array([self.zs.c])
         self.cfg = replace(self.cfg, y_ref=float(y_ref))
 
     # -- main entry --------------------------------------------------------
@@ -289,14 +273,21 @@ class Controller:
         is always applied; the first one that moves u by more than
         CLAMP_TOL is logged as a warning. Raises SolverInfeasibleError when
         the QP fails or its optimum leaves the tightened box, the steady
-        output line or X_a."""
+        output line or X_a; its `step` counts the steps since reset()."""
         x_f = as_fast_state(x_f)
         x_s = as_slow_state(x_s)
         if np.any(x_f < 0.0) or np.any(x_s < 0.0):
             raise ModelConfigError("negative concentrations passed to the controller")
-        problem = self._assemble(x_f)
-        warm = self._warm
-        sol = qp.qp_solve(problem, warm_start=warm, factor=self.qp_factor)
+        try:
+            out = self._solve(x_f, x_s)
+        except SolverInfeasibleError as exc:
+            exc.step = self._steps
+            raise
+        self._steps += 1
+        return out
+
+    def _solve(self, x_f: np.ndarray, x_s: np.ndarray) -> ControlOutput:
+        sol = qp.qp_solve(self._assemble(x_f), warm_start=self._warm, factor=self.qp_factor)
         if sol.status == "max_iter":
             raise SolverInfeasibleError(
                 f"tracking QP stopped after {sol.iterations} iterations",
@@ -372,12 +363,18 @@ class ControllerFileConfig:
     plant_substeps: int
 
 
+_CONTROLLER_KEYS = ("N", "Ts", "Q_diag", "R_diag", "lambda", "y_ref", "u_min", "u_max",
+                   "disturbance_bound_mode", "m_bar", "vd_weight", "vd_coeffs",
+                   "vd_offset", "settling_band", "plant_substeps")
+
+
 def load_controller_config(path) -> ControllerFileConfig:
     """Read the [controller] section of an INI-style tuning file."""
     path = Path(path)
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if not cfg.read(path):
         raise ModelConfigError(f"cannot read controller config {path}")
+    ini_reject_unknown(cfg, "controller", _CONTROLLER_KEYS, path)
 
     def floats(key, count):
         return ini_numbers(cfg, "controller", key, count, path)
@@ -395,13 +392,11 @@ def load_controller_config(path) -> ControllerFileConfig:
         N=positive_int("N"),
         Q=np.diag(floats("Q_diag", 4)),
         R=np.diag(floats("R_diag", 2)),
-        epsilon=float(floats("epsilon", 1)[0]),
         lam=float(floats("lambda", 1)[0]),
         vd=VdSpec(
             weight=float(floats("vd_weight", 1)[0]),
             coeffs=tuple(floats("vd_coeffs", 2)),
             offset=float(floats("vd_offset", 1)[0]),
-            linear=tuple(floats("vd_linear", 2)) if text("vd_linear") else (0.0, 0.0),
         ),
         y_ref=float(floats("y_ref", 1)[0]),
     )

@@ -58,8 +58,7 @@ def build_bundle(patient_path, config_path, ingredients_dir=None) -> Bundle:
     file_cfg = mpc.load_controller_config(config_path)
     ing = None
     if ingredients_dir is not None:
-        ing = load_ingredients(Path(ingredients_dir), patient_path, config_path,
-                               file_cfg.mpc.lam)
+        ing = load_ingredients(Path(ingredients_dir), patient_path, config_path)
     return build(patient, file_cfg, ing)
 
 
@@ -81,20 +80,19 @@ def save_ingredients(outdir, bundle: Bundle, patient_path, config_path) -> None:
     geometry.save_matrix(outdir / "steady_segment.txt",
                          np.vstack(mpc.steady_segment(ctrl.zs)))
     write_manifest(outdir, "ingredients", patient_path, config_path, {
-        "lambda": bundle.file_cfg.mpc.lam,
-        "epsilon": bundle.file_cfg.mpc.epsilon,
+        "lambda": ing.lam,
         "m_bar": [float(v) for v in bundle.m_bar],
         "disturbance_bound_mode": bundle.file_cfg.disturbance_bound_mode,
         "determination_index": ing.determination_index,
     })
 
 
-def load_ingredients(outdir: Path, patient_path, config_path,
-                     lam: float) -> terminal.TerminalIngredients | None:
+def load_ingredients(outdir: Path, patient_path,
+                     config_path) -> terminal.TerminalIngredients | None:
     """Reuse a previously written ingredient bundle when its manifest
     matches the requested patient/config pair (paths and SHA-256 of their
-    bytes, so an input edited in place forces a recompute); otherwise
-    recompute."""
+    bytes, so an input edited in place, lambda included, forces a
+    recompute); otherwise recompute."""
     try:
         manifest = json.loads((outdir / "manifest.json").read_text())
     except (OSError, json.JSONDecodeError):
@@ -103,17 +101,16 @@ def load_ingredients(outdir: Path, patient_path, config_path,
             or manifest.get("patient") != str(patient_path)
             or manifest.get("config") != str(config_path)
             or manifest.get("patient_sha256") != _sha256(patient_path)
-            or manifest.get("config_sha256") != _sha256(config_path)
-            or manifest.get("parameters", {}).get("lambda") != lam):
+            or manifest.get("config_sha256") != _sha256(config_path)):
         return None
     try:
         return terminal.TerminalIngredients(
             **{name: geometry.load_matrix(outdir / f"{name}.txt") for name in _MATRIX_FILES},
             X_a=geometry.load_polyhedron(outdir / "X_a.poly"),
-            lam=lam,
+            lam=float(manifest["parameters"]["lambda"]),
             determination_index=int(manifest["parameters"]["determination_index"]),
         )
-    except (OSError, KeyError, ValueError):
+    except (OSError, KeyError, ValueError, TypeError):
         return None
 
 

@@ -258,6 +258,15 @@ def ini_numbers(cfg: configparser.ConfigParser, section: str, key: str, count: i
     return vals
 
 
+def ini_reject_unknown(cfg: configparser.ConfigParser, section: str, keys, path) -> None:
+    """Raise ModelConfigError naming file, section and key for the first key
+    of [section] outside `keys`, so a typo or a retired key is not ignored."""
+    known = {key.lower() for key in keys}  # configparser lower-cases keys
+    for key in cfg.options(section) if cfg.has_section(section) else ():
+        if key not in known:
+            raise ModelConfigError(f"{path}: unknown key '{key}' in [{section}]")
+
+
 def load_patient(path) -> PatientModel:
     """Read a patient file with [propofol], [remifentanil] and [pd]
     sections in clinical units and convert rates to per-second."""
@@ -267,6 +276,7 @@ def load_patient(path) -> PatientModel:
         raise ModelConfigError(f"cannot read patient file {path}")
 
     def read(section, keys):
+        ini_reject_unknown(cfg, section, keys, path)
         return {key: float(ini_numbers(cfg, section, key, 1, path)[0]) for key in keys}
 
     def pk(section):  # volumes stay in L; clearances and ke go per minute -> per second

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelConfigError, SolverInfeasibleError
+from .errors import ModelConfigError
 from .mpc import Controller
 from .pkpd import (ContinuousDynamics, DiscreteDynamics, PdParams, bis_output,
                    discretize_euler, full_step_matrices)
@@ -96,11 +96,7 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
     for k in range(steps):
         x_f, x_s = x[:4], x[4:]
         tic = time.perf_counter()
-        try:
-            out = ctrl.control_step(x_f, x_s)
-        except SolverInfeasibleError as exc:
-            exc.step = k
-            raise
+        out = ctrl.control_step(x_f, x_s)
         toc = time.perf_counter()
         log.bis[k] = bis_output(x_f, pd)
         log.u[k] = out.u

@@ -202,7 +202,7 @@ class TestBadConfigValues:
         ("y_ref", "nan"),
         ("plant_substeps", "0"), ("plant_substeps", "2.7"),
         ("u_min", "7, 0"), ("vd_weight", "-10"), ("y_ref", "99"),
-        ("epsilon", "0"), ("lambda", "1.5"), ("m_bar", "-0.1, 0.27"),
+        ("lambda", "1.5"), ("m_bar", "-0.1, 0.27"),
         ("settling_band", "-1"), ("settling_band", "0"),
     ])
     def test_rejected_with_exit_2_naming_the_key(self, paths, tmp_path, capsys,
@@ -213,6 +213,19 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"'{key}'" in err
+
+    @pytest.mark.parametrize("line", [
+        "epsilon = 0", "epsilon = 1e-6", "vd_linear = 0, 0", "plant_substep = 2",
+    ])
+    def test_unknown_key_rejected_with_exit_2(self, paths, tmp_path, capsys, line):
+        config = tmp_path / "extra.ini"
+        config.write_text(controller_path().read_text() + line + "\n")
+        rc = cli.main(["simulate", "--patient", paths[0], "--config", str(config),
+                       "--out", str(tmp_path / "out"), "--duration", "10"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        key = line.split("=")[0].strip()
+        assert err == f"error: {config}: unknown key '{key}' in [controller]\n"
 
     def test_worst_case_bound_leaves_no_input_room(self, paths, tmp_path, capsys):
         # the computed bound (7.17, 10.33) exceeds the propofol limit 6.67
@@ -290,6 +303,22 @@ class TestBadPatientValues:
         assert rc == 2
         assert f"'{key}' in [{section}]" in err
 
+    @pytest.mark.parametrize("section, line", [
+        ("pd", "Ce50 = 4.47"), ("propofol", "Cl4 = 0.1"), ("remifentanil", "k10 = 0.5"),
+    ])
+    def test_unknown_key_rejected_with_exit_2(self, paths, tmp_path, capsys, section,
+                                              line):
+        lines = patient_path().read_text().splitlines()
+        lines.insert(lines.index(f"[{section}]") + 1, line)
+        patient = tmp_path / "patient.ini"
+        patient.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["simulate", "--patient", str(patient), "--config", paths[1],
+                       "--out", str(tmp_path / "out"), "--duration", "10"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        key = line.split("=")[0].strip().lower()
+        assert err == f"error: {patient}: unknown key '{key}' in [{section}]\n"
+
 
 class TestBundleReuse:
     def test_simulate_loads_matching_ingredient_bundle(self, paths, tmp_path,
@@ -324,7 +353,7 @@ class TestBundleReuse:
         m = json.loads((out / "manifest.json").read_text())
         m["config"] = "/somewhere/else.ini"
         (out / "manifest.json").write_text(json.dumps(m))
-        assert pipeline.load_ingredients(out, paths[0], paths[1], 0.99) is None
+        assert pipeline.load_ingredients(out, paths[0], paths[1]) is None
         capsys.readouterr()
 
 
@@ -337,11 +366,11 @@ class TestBundleReuse:
                        "--out", str(out)])
         assert rc == 0
         cached_P = geometry.load_matrix(out / "P.txt")
-        assert pipeline.load_ingredients(out, paths[0], config, 0.99) is not None
+        assert pipeline.load_ingredients(out, paths[0], config) is not None
         # same path, same lambda, new Q: the cached K, P and X_a are stale
         config.write_text(config.read_text().replace("Q_diag = 1, 10, 1, 10",
                                                      "Q_diag = 5, 50, 5, 50"))
-        assert pipeline.load_ingredients(out, paths[0], config, 0.99) is None
+        assert pipeline.load_ingredients(out, paths[0], config) is None
         calls = []
         real = pipeline.terminal.compute_terminal_ingredients
 

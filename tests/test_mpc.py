@@ -9,7 +9,7 @@ from conftest import U_BOUNDS
 
 @pytest.fixture(scope="module")
 def zs(disc, patient, v_box):
-    return mpc.build_steady_input_set(disc, patient.pd, 50.0, v_box, 1e-6)
+    return mpc.build_steady_input_set(disc, patient.pd, 50.0, v_box, 0.99)
 
 
 @pytest.fixture(scope="module")
@@ -27,19 +27,23 @@ def offset_minimizer(zs):
 
 
 class TestSteadySegment:
-    def test_endpoints_against_clipping_oracle(self, zs, v_box):
+    def test_endpoints_against_clipping_oracle(self, zs):
         a, b = mpc.steady_segment(zs)
         for pt in (a, b):
             assert zs.g_eff @ pt == pytest.approx(zs.c, abs=1e-12)
             assert np.all(pt >= zs.lower - 1e-9)
             assert np.all(pt <= zs.upper + 1e-9)
-        # oracle: dense sweep along the line finds no admissible point
-        # outside [a, b] in the first coordinate
-        v1 = np.linspace(v_box.lower[0], v_box.upper[0], 2001)
+        # oracle: a dense sweep of the line over the zs box finds no
+        # admissible point outside [a, b] in either coordinate, to within
+        # one grid step
+        v1 = np.linspace(zs.lower[0], zs.upper[0], 200001)
         v2 = (zs.c - zs.g_eff[0] * v1) / zs.g_eff[1]
         ok = (v2 >= zs.lower[1]) & (v2 <= zs.upper[1])
-        assert v1[ok].min() == pytest.approx(min(a[0], b[0]), abs=1e-3)
-        assert v1[ok].max() == pytest.approx(max(a[0], b[0]), abs=1e-3)
+        step = v1[1] - v1[0]
+        tols = (step, step * abs(zs.g_eff[0] / zs.g_eff[1]))
+        for i, (swept, tol) in enumerate(zip((v1[ok], v2[ok]), tols)):
+            assert swept.min() == pytest.approx(min(a[i], b[i]), abs=tol)
+            assert swept.max() == pytest.approx(max(a[i], b[i]), abs=tol)
 
     def test_unit_box_diagonal(self):
         zs = mpc.SteadyInputSet(g_eff=np.array([1.0, 1.0]), c=1.0,
@@ -57,7 +61,7 @@ class TestSteadySegment:
     def test_build_checks_nonempty(self, disc, patient, v_box):
         # an unreachably deep target empties the segment
         with pytest.raises(ModelConfigError):
-            mpc.build_steady_input_set(disc, patient.pd, 0.5, v_box, 1e-6)
+            mpc.build_steady_input_set(disc, patient.pd, 0.5, v_box, 0.99)
 
 
 class TestBuildController:
@@ -65,7 +69,8 @@ class TestBuildController:
         N = controller.N
         assert controller.nz == 2 * N + 2 == 50
         assert controller.A_eq.shape == (1, 50)
-        expected_rows = 4 * N + 4 + ingredients.X_a.nrows
+        # no rows of its own on v_a: X_a bounds it to the lambda box
+        expected_rows = 4 * N + ingredients.X_a.nrows
         assert controller.A_in.shape == (expected_rows, 50)
 
     def test_horizon_below_controllability_index(self, disc, patient, gain,
@@ -211,6 +216,7 @@ class TestControlStep:
             controller.control_step(np.full(4, 1e4), np.zeros(4))
         exc = info.value
         assert exc.status == "infeasible"
+        assert exc.step == 0  # the shared controller has stepped before; reset() zeroes the count
         row, amount = exc.report[0]
         assert row.startswith("A_in[") and amount > 0.0
         assert f"{row} violated by" in str(exc)
@@ -244,8 +250,9 @@ class TestRetarget:
                                     ingredients, mpc.MpcConfig())
         first = sim.simulate_closed_loop(disc, patient.pd, ctrl, 420.0)
         ctrl.retarget(60.0)  # nonempty steady segment, unreachable in N steps
-        with pytest.raises(SolverInfeasibleError):
+        with pytest.raises(SolverInfeasibleError) as info:
             ctrl.control_step(first.x_f[-1], first.x_s[-1])
+        assert info.value.step == len(first) == 84  # counted since the run's reset
 
     def test_unreachable_target_rejected(self, disc, patient, gain, v_box, zs,
                                          ingredients):

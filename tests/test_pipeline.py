@@ -37,14 +37,14 @@ def test_given_ingredients_are_used(from_files, monkeypatch):
 
 def test_saved_ingredients_load_back(from_files, tmp_path):
     pipeline.save_ingredients(tmp_path, from_files, patient_path(), controller_path())
-    ing = pipeline.load_ingredients(tmp_path, patient_path(), controller_path(),
-                                    from_files.file_cfg.mpc.lam)
+    ing = pipeline.load_ingredients(tmp_path, patient_path(), controller_path())
     ref = from_files.ingredients
     for name in ("K", "P", "psi", "A_w"):
         np.testing.assert_array_equal(getattr(ing, name), getattr(ref, name), err_msg=name)
     np.testing.assert_array_equal(ing.X_a.F, ref.X_a.F)
     np.testing.assert_array_equal(ing.X_a.g, ref.X_a.g)
     assert ing.determination_index == ref.determination_index
+    assert ing.lam == ref.lam == 0.99
 
 
 REFERENCE_X_A = Path(__file__).parent / "data" / "reference_X_a.poly"

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
-from anesmpc import geometry, terminal
+from anesmpc import geometry, pkpd, terminal
 from anesmpc.errors import ModelConfigError
 from anesmpc.geometry import Polyhedron, contains, lp_max
 
-from conftest import Q_DIAG, R_EYE
+from conftest import Q_DIAG, R_EYE, random_pk
 
 TABLE1_K_ABS = np.array([[0.671, 1.58, 0.0, 0.0], [0.0, 0.0, 0.677, 1.267]])
 TABLE1_P22 = 218.025
@@ -269,6 +269,27 @@ class TestInvarianceExcess:
 
 
 class TestSteadyInputBox:
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_X_a_bounds_v_a_to_the_lambda_box(self, disc, v_box, ingredients, seed):
+        # the controller's only rows on v_a are X_a's, and the steady inputs
+        # it admits are the lambda box: each bound is attained, by the
+        # steady pair at the box corner, and none is exceeded
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            disc = pkpd.discretize_euler(
+                pkpd.build_continuous(random_pk(rng), random_pk(rng)), 5.0)
+            ingredients = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG,
+                                                                R_EYE, 0.99)
+        X_a = ingredients.X_a
+        tight = terminal.tighten_box(v_box, ingredients.lam)
+        for i in range(2):
+            e = np.zeros(X_a.dim)
+            e[4 + i] = 1.0
+            hi, lo = lp_max(e, X_a), lp_max(-e, X_a)
+            assert hi.status == lo.status == "optimal"
+            assert hi.value == pytest.approx(tight.upper[i], rel=1e-9)
+            assert -lo.value == pytest.approx(tight.lower[i], rel=1e-9)
+
     def test_sampling_with_two_fast_states(self):
         # fast dimension 2 (K is 1 x 2), one steady input in [0.2, 0.8]
         A_w = np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
