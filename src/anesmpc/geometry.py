@@ -5,11 +5,16 @@ dense numpy: the sets this package manipulates stay small (<= ~10
 variables, at most a few thousand rows), so no sparse machinery is used.
 
 Every LP starts from the slack basis, so its rhs must be nonnegative. The
-simplex uses Dantzig pricing and falls back to Bland's rule after a fixed
+simplex keeps a dictionary tableau: one column per nonbasic variable
+(2n of them for the split free variables) plus the rhs, with the basic
+columns, always unit vectors, left implicit. Dantzig pricing breaks ties
+by the lowest variable index and falls back to Bland's rule after a fixed
 number of pivots to break cycling; feasibility and optimality tolerances
-are both 1e-9. Rows with a negative rhs are first shifted to a Chebyshev
-centre, whose LP lets the radius go negative until w = 0 meets every row:
-that LP is the only feasibility step, and no LP needs a phase I.
+are both 1e-9. An LP asked only whether its maximum exceeds a level stops
+at the first vertex above it. Rows with a negative rhs are first shifted
+to a Chebyshev centre, whose LP lets the radius go negative until w = 0
+meets every row: that LP is the only feasibility step, and no LP needs a
+phase I.
 """
 
 from __future__ import annotations
@@ -60,53 +65,70 @@ class Polyhedron:
 class LpResult:
     value: float
     argmax: np.ndarray | None
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "exceeds" | "infeasible" | "unbounded"
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
+def _pivot(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, col: int,
+           work: np.ndarray) -> None:
+    """Exchange basis[row] and nonbasic[col] in the dictionary D. The
+    leaving variable takes the entering one's column, colvals * (-1/p)
+    with 1/p in the pivot row; every entry comes out as the full tableau
+    computes it. work is scratch of D's shape."""
+    p = D[row, col]
+    D[row] /= p
+    colvals = D[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    # clean the pivot column exactly and clamp tiny rhs drift
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    rhs = T[:-1, -1]
-    rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
-    basis[row] = col
+    np.multiply(colvals[:, None], D[row], out=work)
+    D -= work
+    inv = 1.0 / p
+    np.multiply(colvals, -inv, out=D[:, col])
+    D[row, col] = inv
+    # clamp tiny rhs drift
+    rhs = D[:-1, -1]
+    if rhs.min() < 0.0:
+        rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> int:
-    """Drive the tableau T (last row = reduced costs of a minimization,
-    last column = rhs >= 0) to optimality. Returns the pivot count, raises
-    on unboundedness via GeometryError with a marker message."""
-    m = T.shape[0] - 1
-    it = 0
-    while True:
-        costs = T[-1, :ncols]
-        if it < _BLAND_AFTER:
-            col = int(np.argmin(costs))
-            if costs[col] >= -OPT_TOL:
-                return it
-        else:  # Bland: first improving index
-            neg = np.nonzero(costs < -OPT_TOL)[0]
-            if neg.size == 0:
-                return it
-            col = int(neg[0])
-        colvals = T[:m, col]
+def _run_simplex(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
+                 stop_above: float = np.inf) -> bool:
+    """Drive the dictionary D (last row = reduced costs of a minimization
+    and, in its last entry, the objective gained so far; last column =
+    rhs >= 0) towards optimality. Returns True at the optimum, False as
+    soon as the objective gained exceeds stop_above. Raises on
+    unboundedness via GeometryError with a marker message."""
+    m = basis.size
+    costs = D[-1, :-1]
+    rhs = D[:m, -1]
+    ratios = np.empty(m)
+    work = np.empty_like(D)
+    bland_after = _BLAND_AFTER
+    for it in range(_MAX_PIVOTS + 1):
+        cl = costs.tolist()
+        if it < bland_after:
+            best = min(cl)
+            if best >= -OPT_TOL:
+                return True
+            cols = [j for j, v in enumerate(cl) if v == best]
+        else:  # Bland: every improving column
+            cols = [j for j, v in enumerate(cl) if v < -OPT_TOL]
+            if not cols:
+                return True
+        # the lowest variable index among them, whatever its column
+        col = min(cols, key=nonbasic.__getitem__)
+        if D[-1, -1] > stop_above:
+            return False
+        colvals = D[:m, col]
         pos = colvals > FEAS_TOL
-        if not np.any(pos):
+        if not pos.any():
             raise GeometryError("_UNBOUNDED_")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / colvals[pos]
-        best = np.min(ratios)
+        ratios.fill(np.inf)
+        np.divide(rhs, colvals, out=ratios, where=pos)
+        cand = (ratios <= ratios.min() + 1e-12).nonzero()[0]
         # deterministic tie-break: smallest basis index (Bland-compatible)
-        cand = np.nonzero(ratios <= best + 1e-12)[0]
-        row = int(cand[np.argmin(basis[cand])])
-        _pivot(T, basis, row, col)
-        it += 1
-        if it > _MAX_PIVOTS:
-            raise GeometryError("simplex did not converge within the pivot cap")
+        row = int(cand[0]) if cand.size == 1 else int(cand[basis[cand].argmin()])
+        _pivot(D, basis, nonbasic, row, col, work)
+    raise GeometryError("simplex did not converge within the pivot cap")
 
 
 def _centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
@@ -129,7 +151,7 @@ def _centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
     return res.argmax[:n], float(res.argmax[n]) + r_lo
 
 
-def lp_max(c, poly: Polyhedron) -> LpResult:
+def lp_max(c, poly: Polyhedron, stop_above: float = np.inf) -> LpResult:
     """Maximize c . w over {F w <= g} with free variables w.
 
     A single-phase simplex from the slack basis. When some g_i < 0 the
@@ -137,7 +159,9 @@ def lp_max(c, poly: Polyhedron) -> LpResult:
     with a nonnegative rhs, and the result shifted back; an empty set
     found there is "infeasible". Returns an LpResult whose status is
     "optimal", "infeasible" or "unbounded"; on "optimal" the argmax
-    satisfies F w <= g + 1e-9.
+    satisfies F w <= g + 1e-9. With a finite stop_above the simplex
+    returns at the first vertex w with c . w > stop_above, status
+    "exceeds": a feasible point that proves the maximum exceeds the level.
     """
     c = np.asarray(c, dtype=float).ravel()
     F, g = poly.F, poly.g
@@ -156,21 +180,31 @@ def lp_max(c, poly: Polyhedron) -> LpResult:
         g = np.maximum(g - F @ w0, 0.0)
 
     # w = wp - wn with slacks s, from the slack basis; minimize -c.(wp - wn)
-    T = np.empty((m + 1, 2 * n + m + 1))
-    T[:m] = np.hstack([F, -F, np.eye(m), g[:, None]])
-    T[-1] = np.concatenate([-c, c, np.zeros(m + 1)])
+    D = np.empty((m + 1, 2 * n + 1))
+    D[:m, :n] = F
+    D[:m, n:-1] = -F
+    D[:m, -1] = g
+    D[-1, :n] = -c
+    D[-1, n:-1] = c
+    D[-1, -1] = 0.0
     basis = 2 * n + np.arange(m)
+    nonbasic = np.arange(2 * n)
     try:
-        _run_simplex(T, basis, 2 * n + m)
+        optimal = _run_simplex(D, basis, nonbasic, stop_above - c @ w0)
     except GeometryError as exc:
         if "_UNBOUNDED_" in str(exc):
             return LpResult(np.inf, None, "unbounded")
         raise
 
     x = np.zeros(2 * n + m)
-    x[basis] = T[:m, -1]
+    x[basis] = D[:m, -1]
     w = x[:n] - x[n : 2 * n] + w0
-    return LpResult(float(c @ w), w, "optimal")
+    value = float(c @ w)
+    if optimal:
+        return LpResult(value, w, "optimal")
+    if value > stop_above:
+        return LpResult(value, w, "exceeds")
+    return lp_max(c, poly)  # rounding put the point back on the level
 
 
 def contains(poly: Polyhedron, w, tol: float = FEAS_TOL) -> bool:
@@ -226,7 +260,7 @@ def remove_redundant(poly: Polyhedron) -> Polyhedron:
         others = [i for i in surviving if i != j]
         if not others:
             continue
-        res = lp_max(F[j], Polyhedron(F[others], h[others]))
+        res = lp_max(F[j], Polyhedron(F[others], h[others]), stop_above=h[j] + FEAS_TOL)
         if res.status == "optimal" and res.value <= h[j] + FEAS_TOL:
             surviving.remove(j)
     return Polyhedron(F[surviving], g[surviving])

@@ -374,7 +374,7 @@ def load_controller_config(path) -> ControllerFileConfig:
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if not cfg.read(path):
         raise ModelConfigError(f"cannot read controller config {path}")
-    ini_reject_unknown(cfg, "controller", _CONTROLLER_KEYS, path)
+    ini_reject_unknown(cfg, {"controller": _CONTROLLER_KEYS}, path)
 
     def floats(key, count):
         return ini_numbers(cfg, "controller", key, count, path)

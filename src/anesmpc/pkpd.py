@@ -258,13 +258,18 @@ def ini_numbers(cfg: configparser.ConfigParser, section: str, key: str, count: i
     return vals
 
 
-def ini_reject_unknown(cfg: configparser.ConfigParser, section: str, keys, path) -> None:
-    """Raise ModelConfigError naming file, section and key for the first key
-    of [section] outside `keys`, so a typo or a retired key is not ignored."""
-    known = {key.lower() for key in keys}  # configparser lower-cases keys
-    for key in cfg.options(section) if cfg.has_section(section) else ():
-        if key not in known:
-            raise ModelConfigError(f"{path}: unknown key '{key}' in [{section}]")
+def ini_reject_unknown(cfg: configparser.ConfigParser, layout: dict, path) -> None:
+    """Raise ModelConfigError naming the file and the first section outside
+    `layout` (section -> its keys), or the section and key of the first
+    key outside its section's keys, so a typo or a retired name is not
+    ignored."""
+    for section in cfg.sections():
+        if section not in layout:
+            raise ModelConfigError(f"{path}: unknown section [{section}]")
+        known = {key.lower() for key in layout[section]}  # configparser lower-cases keys
+        for key in cfg.options(section):
+            if key not in known:
+                raise ModelConfigError(f"{path}: unknown key '{key}' in [{section}]")
 
 
 def load_patient(path) -> PatientModel:
@@ -275,8 +280,10 @@ def load_patient(path) -> PatientModel:
     if not cfg.read(path):
         raise ModelConfigError(f"cannot read patient file {path}")
 
+    ini_reject_unknown(cfg, {"propofol": _PK_KEYS, "remifentanil": _PK_KEYS, "pd": _PD_KEYS},
+                       path)
+
     def read(section, keys):
-        ini_reject_unknown(cfg, section, keys, path)
         return {key: float(ini_numbers(cfg, section, key, 1, path)[0]) for key in keys}
 
     def pk(section):  # volumes stay in L; clearances and ke go per minute -> per second

@@ -197,7 +197,8 @@ def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
     set, then strip redundant rows.
 
     The redundancy LPs run in coordinates shifted to a steady point of
-    W (see _steady_shift), where each starts from the slack basis.
+    W (see _steady_shift), where each starts from the slack basis, and
+    stop at the first vertex that breaks their row's bound.
 
     Returns (polyhedron, determination index k*).
     """
@@ -211,10 +212,10 @@ def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
         current = Polyhedron(F_acc, h_acc)
         all_redundant = True
         for j in range(cand.shape[0]):
-            res = lp_max(cand[j], current)
+            res = lp_max(cand[j], current, stop_above=h[j] + 1e-9)
             if res.status == "infeasible":
                 raise ModelConfigError("constraint polyhedron is empty")
-            if res.status == "unbounded" or res.value > h[j] + 1e-9:
+            if res.status != "optimal" or res.value > h[j] + 1e-9:
                 all_redundant = False
                 break
         if all_redundant:

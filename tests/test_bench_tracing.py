@@ -46,6 +46,11 @@ def test_build_spans_nest_under_the_bundle_build(tracing):
     metrics, bases = tracing.layer_metrics(tracer.spans)
     assert bases["builds"] == 1
     assert metrics["terminal.kstar"] == 11
+    # every construction LP runs through the traced lp_max: one routed
+    # around it would zero these counts, not fail the build
+    assert metrics["terminal.propagation_lps"] == 20
+    assert metrics["geometry.redundancy_lps"] == 53
+    assert metrics["geometry.rows_in"] == 96
     assert metrics["geometry.rows_out"] == 44
     assert metrics["mpc.controller_build_ms"] > 0.0
     assert metrics["pkpd.load_ms"] > 0.0

@@ -227,6 +227,15 @@ class TestBadConfigValues:
         key = line.split("=")[0].strip()
         assert err == f"error: {config}: unknown key '{key}' in [controller]\n"
 
+    @pytest.mark.parametrize("section", ["controler", "Controller", "mpc"])
+    def test_unknown_section_rejected_with_exit_2(self, paths, tmp_path, capsys, section):
+        config = tmp_path / "extra.ini"
+        config.write_text(controller_path().read_text() + f"[{section}]\nepsilon = 1e-6\n")
+        rc = cli.main(["steady-set", "--patient", paths[0], "--config", str(config)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {config}: unknown section [{section}]\n"
+
     def test_worst_case_bound_leaves_no_input_room(self, paths, tmp_path, capsys):
         # the computed bound (7.17, 10.33) exceeds the propofol limit 6.67
         config = _config_with(tmp_path, "disturbance_bound_mode", "worst-case")
@@ -319,6 +328,15 @@ class TestBadPatientValues:
         key = line.split("=")[0].strip().lower()
         assert err == f"error: {patient}: unknown key '{key}' in [{section}]\n"
 
+
+    @pytest.mark.parametrize("section", ["propofl", "PD", "eleveld"])
+    def test_unknown_section_rejected_with_exit_2(self, paths, tmp_path, capsys, section):
+        patient = tmp_path / "patient.ini"
+        patient.write_text(patient_path().read_text() + f"[{section}]\nCe50p = 4.47\n")
+        rc = cli.main(["steady-set", "--patient", str(patient), "--config", paths[1]])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {patient}: unknown section [{section}]\n"
 
 class TestBundleReuse:
     def test_simulate_loads_matching_ingredient_bundle(self, paths, tmp_path,

@@ -53,6 +53,83 @@ def random_lps():
         yield rng.normal(size=n), F, g
 
 
+# (c, F, g, max) of two degenerate LPs: the first reaches a Dantzig tie,
+# the second a Bland choice, where a column holding a slack comes before a
+# column with a lower variable index
+TIE_LPS = [
+    ([-1.0, 1.0, -1.0],
+     [[-2.0, -1.0, -2.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0, 2.0]],
+     [2.0, 2.0, 2.0, 1.0], 4.0),
+    ([-2.0, 1.0, -2.0],
+     [[-2.0, 1.0, 2.0], [1.0, -1.0, -2.0], [-2.0, 1.0, 1.0], [0.0, 1.0, 0.0]],
+     [0.0, 0.0, 2.0, 1.0], 2.0),
+]
+
+
+def full_tableau_lp(c, F, g, bland_after):
+    """Reference simplex on the full (m+1) x (2n+m+1) tableau with its
+    slack identity block, for g >= 0: the pivots as (entering, leaving)
+    variable indices and the final point, or None when unbounded."""
+    m, n = F.shape
+    T = np.hstack([F, -F, np.eye(m), g[:, None]])
+    T = np.vstack([T, np.concatenate([-c, c, np.zeros(m + 1)])])
+    basis = 2 * n + np.arange(m)
+    pivots = []
+    while True:
+        costs = T[-1, :-1]
+        if len(pivots) < bland_after:
+            col = int(np.argmin(costs))  # first of equal minima: lowest index
+            if costs[col] >= -geometry.OPT_TOL:
+                break
+        else:
+            improving = np.flatnonzero(costs < -geometry.OPT_TOL)
+            if improving.size == 0:
+                break
+            col = int(improving[0])
+        colvals = T[:m, col]
+        pos = colvals > geometry.FEAS_TOL
+        if not np.any(pos):
+            return pivots, None
+        ratios = np.full(m, np.inf)
+        ratios[pos] = T[:m, -1][pos] / colvals[pos]
+        cand = np.flatnonzero(ratios <= np.min(ratios) + 1e-12)
+        row = int(cand[np.argmin(basis[cand])])
+        pivots.append((col, int(basis[row])))
+        T[row] /= T[row, col]
+        colvals = T[:, col].copy()
+        colvals[row] = 0.0
+        T -= np.outer(colvals, T[row])
+        T[:, col] = 0.0
+        T[row, col] = 1.0
+        rhs = T[:-1, -1]
+        rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+        basis[row] = col
+    x = np.zeros(2 * n + m)
+    x[basis] = T[:m, -1]
+    return pivots, x[:n] - x[n:2 * n]
+
+
+def assert_random_lps_match_highs():
+    """lp_max on random_lps() against HiGHS, on status and value."""
+    from scipy.optimize import linprog
+
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for c, F, g in random_lps():
+        mine = lp_max(c, Polyhedron(F, g))
+        ref = linprog(-c, A_ub=F, b_ub=g, bounds=[(None, None)] * c.size, method="highs")
+        if ref.status == 2:
+            assert mine.status == "infeasible"
+        elif ref.status == 3:
+            assert mine.status == "unbounded"
+        else:
+            assert mine.status == "optimal"
+            assert mine.value == pytest.approx(-ref.fun, abs=1e-7)
+            assert np.all(F @ mine.argmax <= g + 1e-9)
+        statuses[mine.status] += 1
+    # the battery must actually exercise all three outcomes
+    assert all(v > 0 for v in statuses.values()), statuses
+
+
 class TestLpMax:
     def test_unit_interval(self):
         res = lp_max([1.0], box([0.0], [1.0]))
@@ -110,24 +187,120 @@ class TestLpMax:
             assert res.value <= y @ g + 1e-8
 
     def test_cross_check_against_scipy(self):
-        from scipy.optimize import linprog
+        assert_random_lps_match_highs()
 
-        statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-        for c, F, g in random_lps():
-            mine = lp_max(c, Polyhedron(F, g))
-            ref = linprog(-c, A_ub=F, b_ub=g, bounds=[(None, None)] * c.size,
-                          method="highs")
-            if ref.status == 2:
-                assert mine.status == "infeasible"
-            elif ref.status == 3:
-                assert mine.status == "unbounded"
+    def test_bland_rule_against_scipy(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_BLAND_AFTER", 0)
+        assert_random_lps_match_highs()
+
+    @pytest.mark.parametrize("bland_after", [geometry._BLAND_AFTER, 0],
+                             ids=["dantzig", "bland"])
+    def test_same_pivots_and_point_as_the_full_tableau(self, monkeypatch, bland_after):
+        # the dictionary drops the slack identity block but must pivot and
+        # round exactly as the full tableau does
+        monkeypatch.setattr(geometry, "_BLAND_AFTER", bland_after)
+        pivots = []
+        real = geometry._pivot
+
+        def recording(D, basis, nonbasic, row, col, work):
+            pivots.append((int(nonbasic[col]), int(basis[row])))
+            return real(D, basis, nonbasic, row, col, work)
+
+        monkeypatch.setattr(geometry, "_pivot", recording)
+        lps = [(c, F, np.abs(g)) for c, F, g in random_lps()]
+        lps += [(np.array(c), np.array(F), np.array(g)) for c, F, g, _ in TIE_LPS]
+        for c, F, g in lps:
+            pivots.clear()
+            ref_pivots, ref_point = full_tableau_lp(c, F, g, bland_after)
+            res = lp_max(c, Polyhedron(F, g))
+            assert pivots == ref_pivots
+            if ref_point is None:
+                assert res.status == "unbounded"
             else:
-                assert mine.status == "optimal"
-                assert mine.value == pytest.approx(-ref.fun, abs=1e-7)
-                assert np.all(F @ mine.argmax <= g + 1e-9)
-            statuses[mine.status] += 1
-        # the battery must actually exercise all three outcomes
-        assert all(v > 0 for v in statuses.values()), statuses
+                assert res.status == "optimal"
+                assert np.array_equal(res.argmax, ref_point)
+
+    @pytest.mark.parametrize("case, bland_after", [(0, geometry._BLAND_AFTER), (1, 0)],
+                             ids=["dantzig-tie", "bland"])
+    def test_entering_variable_is_the_lowest_index(self, monkeypatch, case, bland_after):
+        # the dictionary's columns hold variables out of index order after
+        # a pivot; the rule must still pick by variable index
+        c, F, g, best = TIE_LPS[case]
+        monkeypatch.setattr(geometry, "_BLAND_AFTER", bland_after)
+        out_of_order = 0
+        real = geometry._pivot
+
+        def checking(D, basis, nonbasic, row, col, work):
+            nonlocal out_of_order
+            costs = D[-1, :-1]
+            if bland_after:  # Dantzig: the columns at the lowest cost
+                cols = np.flatnonzero(costs == costs.min())
+            else:  # Bland: the improving columns
+                cols = np.flatnonzero(costs < -geometry.OPT_TOL)
+            assert nonbasic[col] == nonbasic[cols].min()
+            out_of_order += any(j < col for j in cols)
+            return real(D, basis, nonbasic, row, col, work)
+
+        monkeypatch.setattr(geometry, "_pivot", checking)
+        res = lp_max(c, Polyhedron(F, g))
+        assert out_of_order > 0
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(best, abs=1e-12)
+
+    def test_early_stop_is_sound(self):
+        # below the maximum, stop_above returns a feasible point above the
+        # level (or the optimum, or an unbounded ray); at or above it, and
+        # at +inf, exactly the plain result
+        def same(a, b):
+            return (a.status == b.status and a.value == b.value
+                    and (a.argmax is None) == (b.argmax is None)
+                    and (a.argmax is None or np.array_equal(a.argmax, b.argmax)))
+
+        stopped = 0
+        for c, F, g in random_lps():
+            P = Polyhedron(F, g)
+            plain = lp_max(c, P)
+            assert same(lp_max(c, P, stop_above=np.inf), plain)
+            if plain.status == "infeasible":
+                assert same(lp_max(c, P, stop_above=0.0), plain)
+                continue
+            if plain.status == "optimal":
+                top = plain.value
+                assert same(lp_max(c, P, stop_above=top), plain)
+                assert same(lp_max(c, P, stop_above=top + 1.0), plain)
+                levels = [top - 1e-6, top - 1.0, top - 100.0]
+            else:
+                levels = [-1.0, 0.0, 1.0, 1e3]
+            for level in levels:
+                res = lp_max(c, P, stop_above=level)
+                if res.status == "unbounded":
+                    assert plain.status == "unbounded"
+                    continue
+                assert res.status in ("exceeds", "optimal")
+                assert np.all(F @ res.argmax <= g + 1e-9)
+                assert c @ res.argmax > level
+                assert res.value == c @ res.argmax
+                if res.status == "optimal":
+                    assert same(res, plain)
+                stopped += res.status == "exceeds"
+        assert stopped > 0
+
+    def test_unconfirmed_stop_falls_back_to_the_full_lp(self, monkeypatch):
+        # a stop whose point does not clear the level (rounding) must not
+        # report "exceeds": the LP is solved again without a level
+        P = box([0.0, 0.0], [1.0, 2.0])
+        real = geometry._run_simplex
+        calls = []
+
+        def stop_at_once(D, basis, nonbasic, stop_above=np.inf):
+            calls.append(stop_above)
+            return False if len(calls) == 1 else real(D, basis, nonbasic, stop_above)
+
+        monkeypatch.setattr(geometry, "_run_simplex", stop_at_once)
+        res = lp_max([1.0, 1.0], P, stop_above=0.5)
+        assert calls == [0.5, np.inf]
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(3.0, abs=1e-12)
 
     def test_matches_linprog_on_offset_boxes_and_cuts(self):
         # boxes away from the origin (rows with negative rhs), open
@@ -368,23 +541,36 @@ class TestSlackBasisOnly:
 
     @pytest.fixture
     def rhs_minima(self, monkeypatch):
-        """Smallest rhs entry of each tableau handed to the simplex, after
-        checking that its basis is the slack columns (the last ones)."""
+        """Smallest rhs entry of each dictionary handed to the simplex, after
+        checking that its basis is the slack variables (the last ones) and
+        its columns the 2n split variables in order."""
         seen = []
         real = geometry._run_simplex
 
-        def recording(T, basis, ncols):
-            assert np.array_equal(basis, np.arange(ncols - basis.size, ncols))
-            seen.append(float(np.min(T[:-1, -1])))
-            return real(T, basis, ncols)
+        def recording(D, basis, nonbasic, *args, **kwargs):
+            assert np.array_equal(basis, nonbasic.size + np.arange(basis.size))
+            assert np.array_equal(nonbasic, np.arange(D.shape[1] - 1))
+            seen.append(float(np.min(D[:-1, -1])))
+            return real(D, basis, nonbasic, *args, **kwargs)
 
         monkeypatch.setattr(geometry, "_run_simplex", recording)
         return seen
 
-    def test_terminal_ingredients(self, disc, v_box, rhs_minima):
+    def test_terminal_ingredients(self, disc, v_box, rhs_minima, monkeypatch):
+        pivots = []
+        real = geometry._pivot
+
+        def counting(*args):
+            pivots.append(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "_pivot", counting)
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
         assert ing.X_a.nrows == 44
-        assert len(rhs_minima) > 40
+        # 20 propagation and 53 redundancy LPs; the early stop leaves 469
+        # pivots of the 584 that running every LP to its optimum takes
+        assert len(rhs_minima) == 73
+        assert len(pivots) == 469
         assert min(rhs_minima) >= 0.0
 
     def test_invariance_excess(self, ingredients, rhs_minima):

@@ -20,9 +20,9 @@ def negative_rhs(monkeypatch):
     calls = []
     real = geometry.lp_max
 
-    def recording(c, poly):
+    def recording(c, poly, **kwargs):
         calls.append(bool(np.any(poly.g < 0)))
-        return real(c, poly)
+        return real(c, poly, **kwargs)
 
     monkeypatch.setattr(geometry, "lp_max", recording)
     monkeypatch.setattr(terminal, "lp_max", recording)
@@ -219,7 +219,7 @@ class TestMaxAdmissibleInvariantSet:
         # final reduction see rows with a negative rhs
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
         assert sum(negative_rhs) <= 2
-        assert len(negative_rhs) > 40
+        assert len(negative_rhs) == 73
         assert ing.X_a.nrows == 44
         assert ing.determination_index == 11
 
