@@ -1,16 +1,20 @@
 """Tracking MPC with artificial steady-state input.
 
 Every sampling instant solves a condensed QP in the decision vector
-z = (v_0, ..., v_{N-1}, v_a): the predicted fast states are eliminated
-through the nominal dynamics, the artificial steady state is tied to the
-steady input by x_a = (I - A)^-1 B v_a, and the terminal pair
-(x_N, v_a) is constrained to the maximal admissible invariant set X_a.
-X_a lies in the lambda-tightened input box on v_a it was built on, so the
-QP has no box rows of its own on v_a, and the reachable steady inputs are
-the BIS line clipped to that box (SteadyInputSet). The applied drug rate
-is u = v_0 + D x_s, the tracking input plus the slow-state compensation.
+y = (v_0, ..., v_{N-1}, t): the predicted fast states are eliminated
+through the nominal dynamics, and the artificial steady input is
+v_a = p0 c + d t, with p0 = g_eff / |g_eff|^2 and d the unit vector
+orthogonal to g_eff, so it lies on the steady BIS line g_eff . v_a = c for
+every t and the QP has no equality row; the target level c enters only the
+linear term and the right-hand side. The artificial steady state is
+x_a = (I - A)^-1 B v_a, and the terminal pair (x_N, v_a) is constrained to
+the maximal admissible invariant set X_a. X_a lies in the lambda-tightened
+input box on v_a it was built on, so the QP has no box rows of its own on
+v_a, and the reachable steady inputs are the BIS line clipped to that box
+(SteadyInputSet). The applied drug rate is u = v_0 + D x_s, the tracking
+input plus the slow-state compensation.
 
-With n = 4 and N = 24 the dense Hessian is 50 x 50, small enough that
+With n = 4 and N = 24 the dense Hessian is 49 x 49, small enough that
 condensing beats a sparse KKT formulation, and it makes the warm start a
 plain index shift of the previous solution.
 """
@@ -165,14 +169,12 @@ class Controller:
         self.U = U
         self.ing = ingredients
         self.cfg = cfg
-        self.retarget(cfg.y_ref)
 
         A, B = disc.A_f, disc.B
         N = cfg.N
         n, m = B.shape
+        mN = m * N
         self.n, self.m, self.N = n, m, N
-        nz = m * N + m  # v_0 .. v_{N-1}, v_a
-        self.nz = nz
 
         # state prediction maps: x_k = A^k x0 + S_k v
         powers = [np.eye(n)]
@@ -187,6 +189,17 @@ class Controller:
         self.Gx = Gx
         self.T = np.linalg.solve(np.eye(n) - A, B)  # x_a = T v_a
 
+        # z = (v_0 .. v_{N-1}, v_a) = E y + e c, the two-input steady line
+        # parametrized by t; the cost and rows are built in z, then mapped
+        g = steady_output_row(disc, pd, cfg.y_ref)[0]
+        self.p0 = g / (g @ g)
+        self.d = np.array([-g[1], g[0]]) / np.linalg.norm(g)
+        E = np.zeros((mN + m, mN + 1))
+        E[:mN, :mN] = np.eye(mN)
+        E[mN:, mN] = self.d
+        e = np.concatenate([np.zeros(mN), self.p0])
+        self.ny = mN + 1
+
         # deviation map M: z -> stacked (x_k - x_a), constant part Gx x0
         M = np.hstack([S, -np.tile(self.T, (N + 1, 1))])
         Qbar = np.zeros(((N + 1) * n, (N + 1) * n))
@@ -196,59 +209,59 @@ class Controller:
         Mv = np.hstack([np.eye(m * N), -np.tile(np.eye(m), (N, 1))])
         Rbar = np.kron(np.eye(N), cfg.R)
 
-        a_sel = np.zeros(nz)
-        a_sel[m * N:] = np.asarray(cfg.vd.coeffs, float)
-        H = 2.0 * (M.T @ Qbar @ M + Mv.T @ Rbar @ Mv
-                   + cfg.vd.weight * np.outer(a_sel, a_sel))
-        self.H = 0.5 * (H + H.T)
+        a_sel = np.concatenate([np.zeros(mN), np.asarray(cfg.vd.coeffs, float)])
+        H_z = 2.0 * (M.T @ Qbar @ M + Mv.T @ Rbar @ Mv
+                     + cfg.vd.weight * np.outer(a_sel, a_sel))
+        self.H = E.T @ (0.5 * (H_z + H_z.T)) @ E
         self.Qbar = Qbar
-        # f(x0) = 2 M'Qbar Gx x0 + constant pieces from the offset cost;
-        # the dropped constant (Gx x0)'Qbar(Gx x0) + w b^2 is added back
-        # when reporting the true objective
-        self.f_x0_map = 2.0 * (M.T @ Qbar @ Gx)
-        self.f_const = -2.0 * cfg.vd.weight * cfg.vd.offset * a_sel
-        self.obj_const_offset = cfg.vd.weight * cfg.vd.offset**2
+        # f = E'(2 M'Qbar Gx x0 - 2 w b a_sel + H_z e c); the objective is
+        # the true cost less its value at y = 0, which is added back when
+        # reporting it (see retarget)
+        self.f_x0_map = E.T @ (2.0 * (M.T @ Qbar @ Gx))
+        self.f_const = E.T @ (-2.0 * cfg.vd.weight * cfg.vd.offset * a_sel)
+        self.f_per_c = E.T @ (H_z @ e)
 
-        # inequality template: the box on v_0 .. v_{N-1}, then X_a (which bounds v_a)
-        rows_v = np.hstack([np.eye(m * N), np.zeros((m * N, m))])
+        # rows: the box on v_0 .. v_{N-1}, then X_a (which bounds v_a)
+        rows_v = np.hstack([np.eye(mN), np.zeros((mN, m))])
         F_xa, g_xa = ingredients.X_a.F, ingredients.X_a.g
         Fx, Fv = F_xa[:, :n], F_xa[:, n:]
         S_N = S[N * n:, :]
-        self.A_in = np.vstack([rows_v, -rows_v, np.hstack([Fx @ S_N, Fv])])
+        A_z = np.vstack([rows_v, -rows_v, np.hstack([Fx @ S_N, Fv])])
+        self.A_in = A_z @ E
         self.b_in_base = np.concatenate([np.tile(V.upper, N), -np.tile(V.lower, N), g_xa])
-        self.term_slice = slice(2 * m * N, None)
+        self.b_in_per_c = A_z @ e
+        self.term_slice = slice(2 * mN, None)
         self.Fx_AN = Fx @ powers[N]
         self.F_xN, self.F_va = Fx, Fv
-        self.A_eq = np.concatenate([np.zeros(m * N), self.zs.g_eff])[None, :]
-        self.qp_factor = qp.QpFactor(self.H, self.A_eq, self.A_in)
+        self.qp_factor = qp.QpFactor(self.H, self.A_in)
 
-        self._warm_buf = np.empty(nz)
+        self._warm_buf = np.empty(self.ny)
         self._clamp_warned = False
+        self.retarget(cfg.y_ref)
         self.reset()
 
     # -- helpers -----------------------------------------------------------
 
     def _assemble(self, x0: np.ndarray) -> qp.QpProblem:
-        f = self.f_x0_map @ x0 + self.f_const
-        b_in = self.b_in_base.copy()
+        f = self.f_x0_map @ x0 + self.f_c
+        b_in = self.b_in_c.copy()
         b_in[self.term_slice] -= self.Fx_AN @ x0
-        return qp.QpProblem(self.H, f, self.A_eq, self.b_eq, self.A_in, b_in)
+        return qp.QpProblem(self.H, f, self.A_in, b_in)
 
-    def _shift_warm_start(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Shift the plan in z by one step and append the terminal law at
-        its predicted terminal state x; written into one buffer reused
-        across steps."""
+    def _shift_warm_start(self, y: np.ndarray, x: np.ndarray, v_a: np.ndarray) -> np.ndarray:
+        """Shift the plan in y by one step, append the terminal law at its
+        predicted terminal state x and steady input v_a, and keep t;
+        written into one buffer reused across steps."""
         mN = self.m * self.N
-        v_a = z[mN:]
         w = self._warm_buf
-        w[: mN - self.m] = z[self.m: mN]
+        w[: mN - self.m] = y[self.m: mN]
         w[mN - self.m: mN] = self.ing.K @ (x - self.T @ v_a) + v_a
-        w[mN:] = v_a
+        w[mN] = y[mN]
         return w
 
-    def predict(self, x0: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Predicted fast states x_0 .. x_N under the input plan in z."""
-        stacked = self.Gx @ x0 + self.S @ z[: self.m * self.N]
+    def predict(self, x0: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Predicted fast states x_0 .. x_N under the input plan in y."""
+        stacked = self.Gx @ x0 + self.S @ y[: self.m * self.N]
         return stacked.reshape(self.N + 1, self.n)
 
     def reset(self) -> None:
@@ -258,12 +271,19 @@ class Controller:
 
     def retarget(self, y_ref: float) -> None:
         """Set the BIS target, at construction or mid-run, by deriving the
-        steady output level c (the terminal set and input boxes stay
-        valid); raises when no steady input holds the target inside the
-        lambda-tightened box that X_a allows."""
+        steady output level c and the terms of the QP it sets (the terminal
+        set and input boxes stay valid); raises when no steady input holds
+        the target inside the lambda-tightened box that X_a allows."""
         self.zs = build_steady_input_set(self.disc, self.pd, y_ref, self.V, self.ing.lam)
-        self.b_eq = np.array([self.zs.c])
         self.cfg = replace(self.cfg, y_ref=float(y_ref))
+        c = self.zs.c
+        self.f_c = self.f_const + c * self.f_per_c
+        self.b_in_c = self.b_in_base - c * self.b_in_per_c
+        # the true cost at y = 0: zero plan, steady input v_a0 = p0 c
+        self.v_a0 = c * self.p0
+        self.x_a0 = np.tile(self.T @ self.v_a0, self.N + 1)
+        self.cost_at_zero = (self.N * self.v_a0 @ self.cfg.R @ self.v_a0
+                             + self.cfg.vd(self.v_a0))
 
     # -- main entry --------------------------------------------------------
 
@@ -296,16 +316,14 @@ class Controller:
             raise SolverInfeasibleError(
                 f"tracking QP is infeasible: {_describe(sol.infeasibility_report)}",
                 report=sol.infeasibility_report, status=sol.status)
-        z = sol.z
-        predicted = self.predict(x_f, z)
-        self._warm = self._shift_warm_start(z, predicted[-1])
-
-        m, N = self.m, self.N
-        v0 = z[:m].copy()
-        v_a = z[m * N:].copy()
+        y = sol.z
+        v0 = y[:self.m].copy()
+        v_a = self.v_a0 + self.d * y[self.m * self.N]
         x_a = self.T @ v_a
-        cvec = self.Gx @ x_f  # the state part the QP objective drops
-        cost = sol.objective + (float(cvec @ self.Qbar @ cvec) + self.obj_const_offset)
+        predicted = self.predict(x_f, y)
+        self._warm = self._shift_warm_start(y, predicted[-1], v_a)
+        dev = self.Gx @ x_f - self.x_a0  # x_k - x_a at y = 0
+        cost = sol.objective + (float(dev @ self.Qbar @ dev) + self.cost_at_zero)
 
         u = v0 + self.D @ x_s
         clamped = np.clip(u, self.U.lower, self.U.upper)

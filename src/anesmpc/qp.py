@@ -1,22 +1,22 @@
 """Dense convex QP solver: Goldfarb–Idnani dual active set on a cached factor.
 
-Solves  min 0.5 z'Hz + f'z  s.t.  A_eq z = b_eq,  A_in z <= b_in.
+Solves  min 0.5 z'Hz + f'z  s.t.  A z <= b,  with A = A_in and b = b_in.
 
-The MPC re-solves one QP whose H, A_eq and A_in never change, so a
-:class:`QpFactor` built once per controller (or inside a one-off
-:func:`qp_solve`) caches the Cholesky factor of H (regularised once if it
-fails), H^-1 A', the Gram matrix G = A H^-1 A' of A = [A_eq; A_in] and the
-factor of the equality rows' block of G, which every solve starts from.
+There are no equality rows: a caller with an equality eliminates it first,
+as the MPC does with its steady output line. The MPC re-solves one QP whose
+H and A never change, so a :class:`QpFactor` built once per controller (or
+inside a one-off :func:`qp_solve`) caches the Cholesky factor of H
+(regularised once if it fails), H^-1 A' and the Gram matrix G = A H^-1 A'.
 
-The dual method (Goldfarb & Idnani 1983) starts at z_u = -H^-1 f with the
-equality rows in the working set S, adds the most violated inequality row
-(lowest index on ties) and drops rows whose multipliers would turn negative.
-Each iterate minimises the objective on S, so no phase I is needed: G_SS
-lam = A_S z_u - b_S, A z = A z_u - G[:, S] lam, and the inverse Cholesky
-factor of G_SS grows one row per added constraint. A hot start takes the
-rows tight at a warm-start point into S with one Cholesky factorisation of
-their block of G; when a pivot comes out near zero it admits them one at a
-time instead, skipping dependent rows. Then it drops negative multipliers.
+The dual method (Goldfarb & Idnani 1983) starts at z_u = -H^-1 f with an
+empty working set S, adds the most violated row (lowest index on ties) and
+drops rows whose multipliers would turn negative. Each iterate minimises
+the objective on S, so no phase I is needed: G_SS lam = A_S z_u - b_S,
+A z = A z_u - G[:, S] lam, and the inverse Cholesky factor of G_SS grows
+one row per added constraint. A hot start takes the rows tight at a
+warm-start point into S with one Cholesky factorisation of their block of
+G; when a pivot comes out near zero it admits them one at a time instead,
+skipping dependent rows. Then it drops negative multipliers.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ _DEP_TOL = 1e-10  # squared pivot / G_pp at or below which a row is dependent
 class QpProblem:
     H: np.ndarray
     f: np.ndarray
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
     A_in: np.ndarray | None = None
     b_in: np.ndarray | None = None
 
@@ -47,14 +45,11 @@ class QpProblem:
         f = np.asarray(self.f, dtype=float).ravel()
         if H.shape != (n, n) or f.shape != (n,):
             raise ValueError("H must be square and f match its dimension")
-        Aeq = np.zeros((0, n)) if self.A_eq is None else np.atleast_2d(np.asarray(self.A_eq, float))
-        beq = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, float).ravel()
         Ain = np.zeros((0, n)) if self.A_in is None else np.atleast_2d(np.asarray(self.A_in, float))
         bin_ = np.zeros(0) if self.b_in is None else np.asarray(self.b_in, float).ravel()
-        if Aeq.shape != (beq.size, n) or Ain.shape != (bin_.size, n):
+        if Ain.shape != (bin_.size, n):
             raise ValueError("constraint matrix/vector dimensions are inconsistent")
-        for name, val in (("H", H), ("f", f), ("A_eq", Aeq), ("b_eq", beq),
-                          ("A_in", Ain), ("b_in", bin_)):
+        for name, val in (("H", H), ("f", f), ("A_in", Ain), ("b_in", bin_)):
             object.__setattr__(self, name, val)
 
     @property
@@ -65,13 +60,11 @@ class QpProblem:
 @dataclass(frozen=True)
 class KktResiduals:
     stationarity: float
-    primal_eq: float
     primal_in: float
     complementarity: float
 
     def max(self) -> float:
-        return max(self.stationarity, self.primal_eq, self.primal_in,
-                   self.complementarity)
+        return max(self.stationarity, self.primal_in, self.complementarity)
 
 
 @dataclass(frozen=True)
@@ -83,15 +76,15 @@ class QpSolution:
     iterations: int = 0
     active_set: tuple = ()
     # on "infeasible": (row, violation) of the row that cannot be met, then
-    # (row, weight) of each working row blocking it; rows are "A_eq[i]"/"A_in[i]"
+    # (row, weight) of each working row blocking it; rows are named "A_in[i]"
     infeasibility_report: list = field(default_factory=list)
 
 
 class QpFactor:
-    """Everything fixed across QPs that share H, A_eq and A_in."""
+    """Everything fixed across QPs that share H and A_in."""
 
-    def __init__(self, H: np.ndarray, A_eq: np.ndarray, A_in: np.ndarray):
-        self.source = (H, A_eq, A_in)
+    def __init__(self, H: np.ndarray, A_in: np.ndarray):
+        self.source = (H, A_in)
         self.H = 0.5 * (H + H.T)
         try:
             L = np.linalg.cholesky(self.H)
@@ -101,25 +94,17 @@ class QpFactor:
             self.H = self.H + _REG_DELTA * np.eye(len(H))
             L = np.linalg.cholesky(self.H)  # raises when H is indefinite
         self.H_inv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(len(H))))
-        self.neq = A_eq.shape[0]
-        self.A = np.vstack([A_eq, A_in])
-        self.HinvAt = np.linalg.solve(L.T, np.linalg.solve(L, self.A.T))
-        self.G = self.A @ self.HinvAt
+        self.HinvAt = np.linalg.solve(L.T, np.linalg.solve(L, A_in.T))
+        self.G = A_in @ self.HinvAt
         self.G = 0.5 * (self.G + self.G.T)
-        eq = _WorkingSet(self.G)
-        for j in range(self.neq):
-            eq.admit(j)
-        self.eq_rows, self.eq_Li = tuple(eq.rows), eq.Li  # every solve starts here
 
 
 class _WorkingSet:
-    """Working rows (indices into the stacked A) and the inverse Li of the
-    lower Cholesky factor of their block of G, so G_SS^-1 = Li' Li. Li is
-    replaced, never written in place: solves share QpFactor.eq_Li."""
+    """Working rows and the inverse Li of the lower Cholesky factor of their
+    block of G, so G_SS^-1 = Li' Li."""
 
-    def __init__(self, G: np.ndarray, rows=(), Li: np.ndarray | None = None):
-        self.G, self.rows = G, list(rows)
-        self.Li = np.zeros((0, 0)) if Li is None else Li
+    def __init__(self, G: np.ndarray):
+        self.G, self.rows, self.Li = G, [], np.zeros((0, 0))
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         return self.Li.T @ (self.Li @ v)
@@ -162,96 +147,83 @@ class _WorkingSet:
         self.Li = np.linalg.solve(L, np.eye(len(self.rows)))
 
 
-def _residuals(p: QpProblem, factor: QpFactor, b: np.ndarray, z, lam) -> KktResiduals:
-    """KKT residuals on the stacked rows A = [A_eq; A_in] and b = [b_eq; b_in],
-    with lam the equality multipliers followed by the inequality ones."""
-    neq = factor.neq
-    grad = p.H @ z + p.f + factor.A.T @ lam
-    r = factor.A @ z - b
-    slack = r[neq:]
+def _residuals(p: QpProblem, z: np.ndarray, lam: np.ndarray) -> KktResiduals:
+    slack = p.A_in @ z - p.b_in
+    grad = p.H @ z + p.f + p.A_in.T @ lam
     return KktResiduals(float(np.max(np.abs(grad), initial=0.0)),
-                        float(np.max(np.abs(r[:neq]), initial=0.0)),
                         float(np.max(slack, initial=0.0)),
-                        float(np.max(np.abs(lam[neq:] * slack), initial=0.0)))
+                        float(np.max(np.abs(lam * slack), initial=0.0)))
 
 
 def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
              max_iter: int = 500, factor: QpFactor | None = None) -> QpSolution:
     """Solve the QP; on "optimal" all KKT residuals are <= 1e-8.
 
-    Hot-starts from the inequality rows tight (or violated) at
-    ``warm_start``. ``factor`` must come from this problem's H, A_eq and
-    A_in. Each working-set change is one iteration; past ``max_iter`` the
-    current iterate is returned with status "max_iter".
+    Hot-starts from the rows tight (or violated) at ``warm_start``.
+    ``factor`` must come from this problem's H and A_in. Each working-set
+    change is one iteration; past ``max_iter`` the current iterate is
+    returned with status "max_iter".
     """
     if factor is None:
-        factor = QpFactor(p.H, p.A_eq, p.A_in)
-    elif any(a is not b for a, b in zip(factor.source, (p.H, p.A_eq, p.A_in))):
-        raise ValueError("QpFactor was built for a different H, A_eq or A_in")
-    neq, G = factor.neq, factor.G
+        factor = QpFactor(p.H, p.A_in)
+    elif any(a is not b for a, b in zip(factor.source, (p.H, p.A_in))):
+        raise ValueError("QpFactor was built for a different H or A_in")
+    G = factor.G
     z_u = -(factor.H_inv @ p.f)
     z_u -= factor.H_inv @ (factor.H @ z_u + p.f)  # one refinement step
-    b = np.concatenate([p.b_eq, p.b_in])
-    c = factor.A @ z_u - b  # row residuals at z_u
+    c = p.A_in @ z_u - p.b_in  # row residuals at z_u
 
     def finish(status, lam, it, extra=()):
         rows = ws.rows + [j for j, _ in extra]
         lam_all = np.zeros(c.size)
         lam_all[rows] = np.concatenate([lam, [t for _, t in extra]])
         z = z_u - factor.HinvAt @ lam_all
-        np.maximum(lam_all[neq:], 0.0, out=lam_all[neq:])
-        res = _residuals(p, factor, b, z, lam_all)
-        return QpSolution(z, float(0.5 * z @ p.H @ z + p.f @ z), status, res, it,
-                          tuple(sorted(j - neq for j in ws.rows[ne:])))
+        np.maximum(lam_all, 0.0, out=lam_all)
+        return QpSolution(z, float(0.5 * z @ p.H @ z + p.f @ z), status,
+                          _residuals(p, z, lam_all), it, tuple(sorted(ws.rows)))
 
-    def label(row):
-        return f"A_eq[{row}]" if row < neq else f"A_in[{row - neq}]"
-
-    def infeasible(report, it):
-        return QpSolution(None, np.inf, "infeasible", None, it, infeasibility_report=report)
-
-    ws = _WorkingSet(G, factor.eq_rows, factor.eq_Li)
-    ne = len(ws.rows)
-    if ne < neq:  # a dependent equality row must be implied by the others
-        off = np.abs(c[:neq] - G[:neq, ws.rows] @ ws.solve(c[ws.rows]))
-        if np.max(off) > _FEAS_TOL:
-            return infeasible([(label(int(np.argmax(off))), float(np.max(off)))], 0)
+    ws = _WorkingSet(G)
     if warm_start is not None:
         tight = np.flatnonzero(p.A_in @ np.ravel(warm_start) - p.b_in >= -_FEAS_TOL)
         if tight.size:
-            ws.admit_all((neq + tight).tolist())
+            ws.admit_all(tight.tolist())
     lam = ws.solve(c[ws.rows])
 
     it = 0
-    while np.min(lam[ne:], initial=0.0) < 0.0:
+    while np.min(lam, initial=0.0) < 0.0:
         if it >= max_iter:
             return finish("max_iter", lam, it)
         it += 1
-        ws.remove(ne + int(np.argmin(lam[ne:])))
+        ws.remove(int(np.argmin(lam)))
         lam = ws.solve(c[ws.rows])
 
     while True:
-        viol = c[neq:] - G[neq:, ws.rows] @ lam
-        viol[[j - neq for j in ws.rows[ne:]]] = -np.inf
-        i = int(np.argmax(viol)) if viol.size else -1
-        if i < 0 or viol[i] <= _FEAS_TOL:
+        viol = c - G[:, ws.rows] @ lam
+        viol[ws.rows] = -np.inf
+        j = int(np.argmax(viol)) if viol.size else -1
+        if j < 0 or viol[j] <= _FEAS_TOL:
             return finish("optimal", lam, it)
         # raise the multiplier t of row j from 0 until the row is met,
         # dropping working rows whose multipliers reach zero first
-        j, t, res_j = neq + i, 0.0, float(viol[i])
+        t, res_j = 0.0, float(viol[j])
         while True:
             if it >= max_iter:
                 return finish("max_iter", lam, it, extra=[(j, t)])
             it += 1
             r, d2, dependent = ws.pivot(j)  # d lam_S / d t = -r
             step_full = np.inf if dependent else res_j / d2
-            pos = ne + np.flatnonzero(r[ne:] > 0.0)
+            pos = np.flatnonzero(r > 0.0)
             ratios = np.maximum(lam[pos], 0.0) / r[pos]
             step_drop = float(np.min(ratios, initial=np.inf))
             if dependent and not pos.size:
+                # S only shrinks while t grows, and a row independent of S is
+                # independent of its subsets: j was dependent at every step,
+                # which left its violation at viol[j] (res_j only sums d2
+                # rounding over those steps)
                 big = np.abs(r) > 1e-12 * np.max(np.abs(r), initial=0.0)
-                return infeasible([(label(j), res_j)] + [
-                    (label(row), float(w)) for row, w, b in zip(ws.rows, r, big) if b], it)
+                return QpSolution(None, np.inf, "infeasible", None, it, infeasibility_report=[
+                    (f"A_in[{j}]", float(viol[j]))] + [
+                    (f"A_in[{row}]", float(w)) for row, w, b in zip(ws.rows, r, big) if b])
             step = min(step_full, step_drop)
             lam, t, res_j = lam - step * r, t + step, res_j - step * d2
             if step_full <= step_drop:
@@ -265,25 +237,21 @@ def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
 
 def enumerate_active_sets(p: QpProblem) -> tuple[float, np.ndarray | None]:
     """Oracle for small QPs: solve the KKT system of every active-set
-    guess (the equality rows plus each subset of the inequality rows),
-    keep the primal feasible candidates and return the best objective and
-    minimiser; (inf, None) when no candidate is feasible."""
+    guess (each subset of the rows), keep the primal feasible candidates
+    and return the best objective and minimiser; (inf, None) when no
+    candidate is feasible."""
     n = p.nvars
     q = p.A_in.shape[0]
     best_obj, best_z = np.inf, None
     for k in range(q + 1):
         for combo in itertools.combinations(range(q), k):
-            C = np.vstack([p.A_eq, p.A_in[list(combo)]])
-            d = np.concatenate([p.b_eq, p.b_in[list(combo)]])
-            m = C.shape[0]
-            KKT = np.block([[p.H, C.T], [C, np.zeros((m, m))]])
+            C, d = p.A_in[list(combo)], p.b_in[list(combo)]
+            KKT = np.block([[p.H, C.T], [C, np.zeros((k, k))]])
             try:
                 z = np.linalg.solve(KKT, np.concatenate([-p.f, d]))[:n]
             except np.linalg.LinAlgError:
                 continue
             if np.any(p.A_in @ z > p.b_in + 1e-8):
-                continue
-            if np.any(np.abs(p.A_eq @ z - p.b_eq) > 1e-8):
                 continue
             obj = float(0.5 * z @ p.H @ z + p.f @ z)
             if obj < best_obj - 1e-12:
@@ -293,7 +261,7 @@ def enumerate_active_sets(p: QpProblem) -> tuple[float, np.ndarray | None]:
 
 def oracle_trials(seed: int, trials: int = 100):
     """Yield (qp_solve solution, enumerated optimal objective) for random
-    strictly convex QPs with 2-6 variables and 0-3 inequality rows around
+    strictly convex QPs with 2-6 variables and 0-3 rows around
     a feasible point."""
     rng = np.random.default_rng(seed)
     for _ in range(trials):

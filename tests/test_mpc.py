@@ -65,13 +65,18 @@ class TestSteadySegment:
 
 
 class TestBuildController:
-    def test_qp_dimensions(self, controller, ingredients):
+    def test_qp_dimensions(self, controller, ingredients, zs):
+        # y = (v_0 .. v_{N-1}, t): the steady line is a parametrization,
+        # not an equality row
         N = controller.N
-        assert controller.nz == 2 * N + 2 == 50
-        assert controller.A_eq.shape == (1, 50)
+        assert controller.ny == 2 * N + 1 == 49
+        assert controller.H.shape == (49, 49)
+        assert not hasattr(controller, "A_eq")
         # no rows of its own on v_a: X_a bounds it to the lambda box
         expected_rows = 4 * N + ingredients.X_a.nrows
-        assert controller.A_in.shape == (expected_rows, 50)
+        assert controller.A_in.shape == (expected_rows, 49) == (140, 49)
+        assert zs.g_eff @ controller.d == pytest.approx(0.0, abs=1e-15)
+        assert zs.g_eff @ controller.p0 == pytest.approx(1.0, abs=1e-15)
 
     def test_horizon_below_controllability_index(self, disc, patient, gain,
                                                  v_box, zs, ingredients):
@@ -81,16 +86,19 @@ class TestBuildController:
 
     def test_target_set_as_retarget_sets_it(self, disc, patient, gain, v_box,
                                             ingredients, controller):
-        # construction and retarget derive zs and b_eq on the same path
+        # construction and retarget derive zs and the terms of f and b_in
+        # that c sets on the same path
         built = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                      ingredients, mpc.MpcConfig(y_ref=45.0))
         moved = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                      ingredients, mpc.MpcConfig())
         moved.retarget(45.0)
         assert built.zs.c == moved.zs.c != controller.zs.c
-        np.testing.assert_array_equal(built.b_eq, moved.b_eq)
-        np.testing.assert_array_equal(built.A_eq, moved.A_eq)
-        np.testing.assert_array_equal(built.b_in_base, moved.b_in_base)
+        for name in ("f_c", "b_in_c", "H", "A_in"):
+            np.testing.assert_array_equal(getattr(built, name), getattr(moved, name),
+                                          err_msg=name)
+        assert not np.array_equal(built.b_in_c, controller.b_in_c)
+        assert not np.array_equal(built.f_c, controller.f_c)
 
     def test_negative_offset_weight_rejected(self):
         with pytest.raises(ModelConfigError, match="'vd_weight'"):
@@ -278,6 +286,13 @@ class TestLyapunovDescent:
             assert abs(zs.g_eff @ log.v_a[k] - zs.c) <= 1e-8
             np.testing.assert_allclose(
                 log.x_a[k], controller.T @ log.v_a[k], atol=1e-10)
+
+    def test_steady_line_holds_to_rounding(self, reference_run, zs):
+        # v_a = p0 c + d t lies on the line by construction, not to a
+        # solver tolerance
+        log, _, _ = reference_run
+        err = np.max(np.abs(log.v_a @ zs.g_eff - zs.c))
+        assert err <= 4 * np.finfo(float).eps * max(1.0, abs(zs.c))
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from anesmpc import qp
 from anesmpc.qp import QpFactor, QpProblem, enumerate_active_sets, qp_solve
 
 
-def random_qp(rng, n, q, neq=0):
+def random_qp(rng, n, q):
     M = rng.normal(size=(n, n))
     H = M @ M.T + (0.5 + rng.uniform()) * np.eye(n)
     f = rng.normal(size=n)
@@ -13,9 +13,7 @@ def random_qp(rng, n, q, neq=0):
     # keep the feasible set nonempty: make a random point feasible
     z0 = rng.normal(size=n)
     b_in = A_in @ z0 + rng.uniform(0.1, 1.0, size=q) if q else None
-    A_eq = rng.normal(size=(neq, n)) if neq else None
-    b_eq = A_eq @ z0 if neq else None
-    return QpProblem(H, f, A_eq, b_eq, A_in, b_in)
+    return QpProblem(H, f, A_in, b_in)
 
 
 class TestBasics:
@@ -27,10 +25,16 @@ class TestBasics:
         assert sol.z[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_projection_onto_line(self):
-        # min ||z - (1,1)||^2 s.t. z1 + z2 = 1
-        p = QpProblem(2 * np.eye(2), [-2.0, -2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
-        sol = qp_solve(p)
-        np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-9)
+        # min ||z - (1,1)||^2 s.t. z1 + z2 = 1, as the opposed rows
+        # z1 + z2 <= 1 and -z1 - z2 <= -1; a hot start from a point on the
+        # line finds both tight, admits one and skips the other as dependent
+        p = QpProblem(2 * np.eye(2), [-2.0, -2.0], A_in=[[1.0, 1.0], [-1.0, -1.0]],
+                      b_in=[1.0, -1.0])
+        for warm_start in (None, [1.0, 0.0]):
+            sol = qp_solve(p, warm_start=warm_start)
+            assert sol.status == "optimal"
+            assert len(sol.active_set) == 1
+            np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-9)
 
     def test_unconstrained(self):
         H = np.diag([2.0, 4.0])
@@ -54,16 +58,9 @@ class TestBasics:
         assert report[0][1] == pytest.approx(1.0)
         assert [row for row, _ in report[1:]] == ["A_in[1]"]
 
-    def test_inconsistent_equalities_reported(self):
-        p = QpProblem(np.eye(2), [0.0, 0.0], A_eq=[[1.0, 1.0], [2.0, 2.0]],
-                      b_eq=[1.0, 3.0])
-        sol = qp_solve(p)
-        assert sol.status == "infeasible"
-        assert sol.infeasibility_report[0][0] == "A_eq[1]"
-
     def test_iteration_limit_is_not_infeasible(self):
         # MPC-sized: the cold solve needs many working-set changes
-        p = random_qp(np.random.default_rng(3), n=30, q=60, neq=2)
+        p = random_qp(np.random.default_rng(3), n=30, q=60)
         sol = qp_solve(p, max_iter=1)
         assert sol.status == "max_iter"
         assert sol.iterations == 1
@@ -73,24 +70,31 @@ class TestBasics:
 
     def test_factor_reused_only_for_its_own_data(self):
         rng = np.random.default_rng(4)
-        p = random_qp(rng, n=5, q=4, neq=1)
-        factor = QpFactor(p.H, p.A_eq, p.A_in)
-        shifted = QpProblem(p.H, p.f + 1.0, p.A_eq, p.b_eq + 0.1, p.A_in, p.b_in + 0.2)
+        p = random_qp(rng, n=5, q=4)
+        factor = QpFactor(p.H, p.A_in)
+        shifted = QpProblem(p.H, p.f + 1.0, p.A_in, p.b_in + 0.2)
         assert qp_solve(shifted, factor=factor).objective == pytest.approx(
             qp_solve(shifted).objective, abs=1e-12)
-        other = QpProblem(p.H.copy(), p.f, p.A_eq, p.b_eq, p.A_in, p.b_in)
+        other = QpProblem(p.H.copy(), p.f, p.A_in, p.b_in)
         with pytest.raises(ValueError, match="QpFactor"):
             qp_solve(other, factor=factor)
 
-    def test_equality_only_matches_kkt_solve(self):
-        rng = np.random.default_rng(1)
+    def test_reported_violation_is_positive(self):
+        # a_k z >= b_k + delta against a row a_k z <= b_k active at the
+        # optimum: hot-started there, the solver picks the opposed row,
+        # finds it dependent on the working set and takes partial steps
+        # along it before it stops
+        rng = np.random.default_rng(12)
         for _ in range(20):
-            p = random_qp(rng, n=5, q=0, neq=2)
-            sol = qp_solve(p)
-            m = p.A_eq.shape[0]
-            KKT = np.block([[p.H, p.A_eq.T], [p.A_eq, np.zeros((m, m))]])
-            ref = np.linalg.solve(KKT, np.concatenate([-p.f, p.b_eq]))[:5]
-            np.testing.assert_allclose(sol.z, ref, atol=1e-8)
+            p = random_qp(rng, n=30, q=60)
+            opt = qp_solve(p)
+            k = opt.active_set[0]
+            opposed = QpProblem(p.H, p.f, np.vstack([p.A_in, -p.A_in[k]]),
+                                np.append(p.b_in, -p.b_in[k] - rng.uniform(0.1, 1.0)))
+            sol = qp_solve(opposed, warm_start=opt.z)
+            assert sol.status == "infeasible"
+            row, amount = sol.infeasibility_report[0]
+            assert amount > 0.0, row
 
 
 class TestOracle:
@@ -107,15 +111,6 @@ class TestOracle:
             np.testing.assert_allclose(sol.z, ref_z, atol=1e-6)
             assert sol.kkt_residuals.max() <= 1e-8
 
-    def test_with_equalities_against_enumeration(self):
-        rng = np.random.default_rng(19)
-        for _ in range(30):
-            p = random_qp(rng, n=4, q=3, neq=1)
-            sol = qp_solve(p)
-            assert sol.status == "optimal"
-            ref_obj, _ = enumerate_active_sets(p)
-            assert sol.objective == pytest.approx(ref_obj, abs=1e-6)
-
 
 class TestProperties:
     def test_warm_start_same_optimum(self):
@@ -131,7 +126,7 @@ class TestProperties:
         rng = np.random.default_rng(8)
         for alpha in (0.01, 1.0, 250.0):
             p = random_qp(rng, n=4, q=2)
-            ps = QpProblem(alpha * p.H, alpha * p.f, None, None, p.A_in, p.b_in)
+            ps = QpProblem(alpha * p.H, alpha * p.f, p.A_in, p.b_in)
             z1 = qp_solve(p).z
             z2 = qp_solve(ps).z
             np.testing.assert_allclose(z1, z2, atol=1e-8)
@@ -149,10 +144,10 @@ class TestProperties:
 
     def test_kkt_residual_fields(self):
         rng = np.random.default_rng(23)
-        p = random_qp(rng, n=3, q=2, neq=1)
+        p = random_qp(rng, n=3, q=2)
         sol = qp_solve(p)
         r = sol.kkt_residuals
-        for v in (r.stationarity, r.primal_eq, r.primal_in, r.complementarity):
+        for v in (r.stationarity, r.primal_in, r.complementarity):
             assert v <= 1e-8
 
     def test_midsize_warm_start_consistency(self):
@@ -160,7 +155,7 @@ class TestProperties:
         # the same optimum (KKT certifies global optimality for convex QP)
         rng = np.random.default_rng(31)
         for _ in range(10):
-            p = random_qp(rng, n=30, q=60, neq=2)
+            p = random_qp(rng, n=30, q=60)
             cold = qp_solve(p)
             assert cold.status == "optimal"
             assert cold.kkt_residuals.max() <= 1e-8
@@ -176,7 +171,7 @@ class TestProperties:
         # optimum
         rng = np.random.default_rng(31)
         for _ in range(10):
-            p = random_qp(rng, n=30, q=60, neq=2)
+            p = random_qp(rng, n=30, q=60)
             cold = qp_solve(p)
             assert cold.status == "optimal"
             active = list(cold.active_set)
@@ -184,11 +179,10 @@ class TestProperties:
             loose = [i for i in range(60) if slack[i] > 1e-6][:12]
             assert len(loose) == 12
             # forcing the loose rows to equality gives a negative multiplier
-            C = np.vstack([p.A_eq, p.A_in[loose]])
-            m = C.shape[0]
-            KKT = np.block([[p.H, C.T], [C, np.zeros((m, m))]])
-            lam = np.linalg.solve(KKT, np.concatenate([-p.f, p.b_eq, p.b_in[loose]]))[30:]
-            assert np.min(lam[2:]) < 0.0
+            C = p.A_in[loose]
+            KKT = np.block([[p.H, C.T], [C, np.zeros((12, 12))]])
+            lam = np.linalg.solve(KKT, np.concatenate([-p.f, p.b_in[loose]]))[30:]
+            assert np.min(lam) < 0.0
             # a point where the loose rows are tight
             dz = np.linalg.lstsq(p.A_in[loose], slack[loose], rcond=None)[0]
             # duplicates and pairwise sums of the active rows, tight at the
@@ -196,7 +190,7 @@ class TestProperties:
             pairs = np.array(active[:-1]), np.array(active[1:])
             A_dep = np.vstack([p.A_in, p.A_in[active], p.A_in[pairs[0]] + p.A_in[pairs[1]]])
             b_dep = np.concatenate([p.b_in, p.b_in[active], p.b_in[pairs[0]] + p.b_in[pairs[1]]])
-            p_dep = QpProblem(p.H, p.f, p.A_eq, p.b_eq, A_dep, b_dep)
+            p_dep = QpProblem(p.H, p.f, A_dep, b_dep)
             starts = {
                 "loose rows tight": (p, cold.z + dz),
                 "dependent rows": (p_dep, cold.z),
@@ -233,8 +227,8 @@ class TestHotStart:
     def test_independent_tight_rows_match_row_by_row_and_cold(self, monkeypatch):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            p = random_qp(rng, n=30, q=60, neq=2)
-            factor = QpFactor(p.H, p.A_eq, p.A_in)
+            p = random_qp(rng, n=30, q=60)
+            factor = QpFactor(p.H, p.A_in)
             cold = qp_solve(p, factor=factor)
             assert cold.active_set
             # the cold optimum (tight rows = its active set) and a nearby point
@@ -254,10 +248,10 @@ class TestHotStart:
     def test_dependent_tight_rows_fall_back_to_row_by_row(self, monkeypatch):
         # duplicated active rows make the block of G singular
         rng = np.random.default_rng(31)
-        p = random_qp(rng, n=30, q=60, neq=2)
+        p = random_qp(rng, n=30, q=60)
         cold = qp_solve(p)
         active = list(cold.active_set)
-        p_dep = QpProblem(p.H, p.f, p.A_eq, p.b_eq, np.vstack([p.A_in, p.A_in[active]]),
+        p_dep = QpProblem(p.H, p.f, np.vstack([p.A_in, p.A_in[active]]),
                           np.concatenate([p.b_in, p.b_in[active]]))
         admits = self.count_admits(monkeypatch)
         hot = qp_solve(p_dep, warm_start=cold.z)
@@ -265,47 +259,30 @@ class TestHotStart:
         assert hot.status == "optimal"
         np.testing.assert_allclose(hot.z, cold.z, atol=1e-8)
 
-    def test_equality_factor_not_written_by_solves(self):
-        rng = np.random.default_rng(7)
-        p = random_qp(rng, n=30, q=60, neq=2)
-        factor = QpFactor(p.H, p.A_eq, p.A_in)
-        rows, Li = factor.eq_rows, factor.eq_Li.copy()
-        assert len(rows) == 2
-        iterations = 0
-        for _ in range(100):
-            shifted = QpProblem(p.H, p.f + rng.normal(scale=3.0, size=30), p.A_eq,
-                                p.b_eq, p.A_in, p.b_in)
-            sol = qp_solve(shifted, warm_start=rng.normal(size=30), factor=factor)
-            assert sol.status == "optimal"
-            iterations += sol.iterations
-        assert iterations > 100  # rows were added and dropped
-        assert factor.eq_rows == rows
-        assert np.array_equal(factor.eq_Li, Li)
-
     def test_stacked_residuals_match_per_block_formula(self, monkeypatch):
+        # the residuals over all rows at once against a loop over the rows,
         # at each solution and at a perturbed pair, where no residual is zero
         rng = np.random.default_rng(0)
         checked = []
         stacked = qp._residuals
 
-        def per_block(p, factor, b, z, lam):
-            neq = p.A_eq.shape[0]
+        def per_row(p, z, lam):
             for dz, dlam in ((0.0, 0.0), (rng.normal(size=z.size), rng.uniform(size=lam.size))):
                 zz, ll = z + dz, lam + dlam
-                got = stacked(p, factor, b, zz, ll)
-                lam_eq, lam_in = ll[:neq], ll[neq:]
-                grad = p.H @ zz + p.f + p.A_eq.T @ lam_eq + p.A_in.T @ lam_in
-                slack = p.A_in @ zz - p.b_in
-                want = (np.max(np.abs(grad), initial=0.0),
-                        np.max(np.abs(p.A_eq @ zz - p.b_eq), initial=0.0),
-                        np.max(slack, initial=0.0),
-                        np.max(np.abs(lam_in * slack), initial=0.0))
+                got = stacked(p, zz, ll)
+                grad = p.H @ zz + p.f
+                primal, comp = 0.0, 0.0
+                for a, b, l in zip(p.A_in, p.b_in, ll):
+                    grad = grad + l * a
+                    primal = max(primal, a @ zz - b)
+                    comp = max(comp, abs(l * (a @ zz - b)))
+                want = (np.max(np.abs(grad), initial=0.0), primal, comp)
                 np.testing.assert_allclose(
-                    [got.stationarity, got.primal_eq, got.primal_in, got.complementarity],
+                    [got.stationarity, got.primal_in, got.complementarity],
                     want, rtol=0, atol=1e-13)
             checked.append(1)
-            return stacked(p, factor, b, z, lam)
+            return stacked(p, z, lam)
 
-        monkeypatch.setattr(qp, "_residuals", per_block)
+        monkeypatch.setattr(qp, "_residuals", per_row)
         assert all(sol.status == "optimal" for sol, _ in qp.oracle_trials(seed=5))
         assert len(checked) == 100
