@@ -41,13 +41,14 @@ class Polyhedron:
     g: np.ndarray
 
     def __post_init__(self):
-        F = np.atleast_2d(np.asarray(self.F, dtype=float))
+        # float input passes through uncopied: set-up wraps every LP's rows
+        F = np.array(self.F, dtype=float, copy=None, ndmin=2)
         g = np.asarray(self.g, dtype=float).ravel()
         if F.shape[0] != g.shape[0]:
             raise GeometryError(
                 f"row mismatch: F has {F.shape[0]} rows, g has {g.shape[0]} entries"
             )
-        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(g))):
+        if not (np.isfinite(F).all() and np.isfinite(g).all()):
             raise GeometryError("polyhedron data contains NaN or Inf")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "g", g)

@@ -233,6 +233,8 @@ class Controller:
         self.term_slice = slice(2 * mN, None)
         self.Fx_AN = Fx @ powers[N]
         self.F_xN, self.F_va = Fx, Fv
+        self.v_lo, self.v_hi = V.lower - EQ_TOL, V.upper + EQ_TOL  # for _validate_output
+        self.g_xa_tol = g_xa + TERMINAL_TOL
         self.qp_factor = qp.QpFactor(self.H, self.A_in)
 
         self._warm_buf = np.empty(self.ny)
@@ -279,10 +281,13 @@ class Controller:
         c = self.zs.c
         self.f_c = self.f_const + c * self.f_per_c
         self.b_in_c = self.b_in_base - c * self.b_in_per_c
-        # the true cost at y = 0: zero plan, steady input v_a0 = p0 c
+        # the true cost at y = 0 (zero plan, steady input v_a0 = p0 c) as
+        # x0'cost_xx x0 + cost_x'x0 + cost_at_zero, with x_k - x_a = Gx x0 - x_a0
         self.v_a0 = c * self.p0
-        self.x_a0 = np.tile(self.T @ self.v_a0, self.N + 1)
-        self.cost_at_zero = (self.N * self.v_a0 @ self.cfg.R @ self.v_a0
+        x_a0 = np.tile(self.T @ self.v_a0, self.N + 1)
+        GxQ = self.Gx.T @ self.Qbar
+        self.cost_xx, self.cost_x = GxQ @ self.Gx, -2.0 * (GxQ @ x_a0)
+        self.cost_at_zero = (x_a0 @ self.Qbar @ x_a0 + self.N * self.v_a0 @ self.cfg.R @ self.v_a0
                              + self.cfg.vd(self.v_a0))
 
     # -- main entry --------------------------------------------------------
@@ -294,10 +299,7 @@ class Controller:
         CLAMP_TOL is logged as a warning. Raises SolverInfeasibleError when
         the QP fails or its optimum leaves the tightened box, the steady
         output line or X_a; its `step` counts the steps since reset()."""
-        x_f = as_fast_state(x_f)
-        x_s = as_slow_state(x_s)
-        if np.any(x_f < 0.0) or np.any(x_s < 0.0):
-            raise ModelConfigError("negative concentrations passed to the controller")
+        x_f, x_s = _as_states(x_f, x_s)
         try:
             out = self._solve(x_f, x_s)
         except SolverInfeasibleError as exc:
@@ -322,12 +324,12 @@ class Controller:
         x_a = self.T @ v_a
         predicted = self.predict(x_f, y)
         self._warm = self._shift_warm_start(y, predicted[-1], v_a)
-        dev = self.Gx @ x_f - self.x_a0  # x_k - x_a at y = 0
-        cost = sol.objective + (float(dev @ self.Qbar @ dev) + self.cost_at_zero)
+        cost = sol.objective + (float(x_f @ (self.cost_xx @ x_f + self.cost_x))
+                                + self.cost_at_zero)
 
         u = v0 + self.D @ x_s
-        clamped = np.clip(u, self.U.lower, self.U.upper)
-        if not self._clamp_warned and np.max(np.abs(clamped - u)) > CLAMP_TOL:
+        clamped = u.clip(self.U.lower, self.U.upper)
+        if not self._clamp_warned and np.abs(clamped - u).max() > CLAMP_TOL:
             logger.warning(
                 "applied input clamped to the input box (u=%s); the "
                 "disturbance bound is too small for this trajectory", u
@@ -342,16 +344,29 @@ class Controller:
         )
 
     def _validate_output(self, v0, v_a, predicted) -> None:
-        if np.any(v0 < self.V.lower - EQ_TOL) or np.any(v0 > self.V.upper + EQ_TOL):
+        if (v0 < self.v_lo).any() or (v0 > self.v_hi).any():
             raise SolverInfeasibleError(f"tracking input {v0} left the tightened box")
         if abs(self.zs.g_eff @ v_a - self.zs.c) > EQ_TOL:
             raise SolverInfeasibleError("steady-output equality violated at the optimum")
-        slack = self.F_xN @ predicted[-1] + self.F_va @ v_a - self.ing.X_a.g
-        if np.max(slack) > TERMINAL_TOL:
+        lhs = self.F_xN @ predicted[-1] + self.F_va @ v_a
+        if (lhs > self.g_xa_tol).any():
+            slack = lhs - self.ing.X_a.g
             worst = int(np.argmax(slack))
             raise SolverInfeasibleError(
                 f"terminal pair violates invariant-set row {worst} by {slack[worst]:.3g}"
             )
+
+
+def _as_states(x_f, x_s) -> tuple[np.ndarray, np.ndarray]:
+    """(x_f, x_s) as float vectors, checked together over all 8 entries; on
+    failure the cause is named: a wrong length, a NaN or Inf, or a sign."""
+    x_f, x_s = np.asarray(x_f, float).ravel(), np.asarray(x_s, float).ravel()
+    x = np.concatenate((x_f, x_s))
+    if x_f.size == x_s.size == 4 and 0.0 <= x.min() and x.max() < np.inf:
+        return x_f, x_s
+    as_fast_state(x_f)  # these raise on a wrong length or a NaN or Inf
+    as_slow_state(x_s)
+    raise ModelConfigError("negative concentrations passed to the controller")
 
 
 def _describe(report) -> str:

@@ -126,7 +126,7 @@ def _as_state(x, kind: str, order: tuple) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (4,):
         raise ModelConfigError(f"{kind} state must have 4 entries {order}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ModelConfigError(f"{kind} state contains NaN or Inf")
     return x
 

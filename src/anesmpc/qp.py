@@ -16,7 +16,9 @@ A z = A z_u - G[:, S] lam, and the inverse Cholesky factor of G_SS grows
 one row per added constraint. A hot start takes the rows tight at a
 warm-start point into S with one Cholesky factorisation of their block of
 G; when a pivot comes out near zero it admits them one at a time instead,
-skipping dependent rows. Then it drops negative multipliers.
+skipping dependent rows. Then it drops negative multipliers. While S is
+empty, as in most MPC steps, the iterate is z_u itself: no Cholesky factor
+is formed and no working-set algebra runs.
 """
 
 from __future__ import annotations
@@ -40,12 +42,14 @@ class QpProblem:
     b_in: np.ndarray | None = None
 
     def __post_init__(self):
+        # float arrays pass through uncopied: the MPC builds one per step
         H = np.asarray(self.H, dtype=float)
         n = H.shape[0]
         f = np.asarray(self.f, dtype=float).ravel()
         if H.shape != (n, n) or f.shape != (n,):
             raise ValueError("H must be square and f match its dimension")
-        Ain = np.zeros((0, n)) if self.A_in is None else np.atleast_2d(np.asarray(self.A_in, float))
+        Ain = (np.zeros((0, n)) if self.A_in is None
+               else np.array(self.A_in, dtype=float, copy=None, ndmin=2))
         bin_ = np.zeros(0) if self.b_in is None else np.asarray(self.b_in, float).ravel()
         if Ain.shape != (bin_.size, n):
             raise ValueError("constraint matrix/vector dimensions are inconsistent")
@@ -150,9 +154,9 @@ class _WorkingSet:
 def _residuals(p: QpProblem, z: np.ndarray, lam: np.ndarray) -> KktResiduals:
     slack = p.A_in @ z - p.b_in
     grad = p.H @ z + p.f + p.A_in.T @ lam
-    return KktResiduals(float(np.max(np.abs(grad), initial=0.0)),
-                        float(np.max(slack, initial=0.0)),
-                        float(np.max(np.abs(lam * slack), initial=0.0)))
+    return KktResiduals(float(np.abs(grad).max(initial=0.0)),
+                        float(slack.max(initial=0.0)),
+                        float(np.abs(lam * slack).max(initial=0.0)))
 
 
 def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
@@ -166,7 +170,7 @@ def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
     """
     if factor is None:
         factor = QpFactor(p.H, p.A_in)
-    elif any(a is not b for a, b in zip(factor.source, (p.H, p.A_in))):
+    elif factor.source[0] is not p.H or factor.source[1] is not p.A_in:
         raise ValueError("QpFactor was built for a different H or A_in")
     G = factor.G
     z_u = -(factor.H_inv @ p.f)
@@ -175,32 +179,35 @@ def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
 
     def finish(status, lam, it, extra=()):
         rows = ws.rows + [j for j, _ in extra]
-        lam_all = np.zeros(c.size)
-        lam_all[rows] = np.concatenate([lam, [t for _, t in extra]])
-        z = z_u - factor.HinvAt @ lam_all
-        np.maximum(lam_all, 0.0, out=lam_all)
+        lam_all, z = np.zeros(c.size), z_u
+        if rows:
+            lam_all[rows] = np.concatenate([lam, [t for _, t in extra]])
+            z = z_u - factor.HinvAt @ lam_all
+            np.maximum(lam_all, 0.0, out=lam_all)
         return QpSolution(z, float(0.5 * z @ p.H @ z + p.f @ z), status,
                           _residuals(p, z, lam_all), it, tuple(sorted(ws.rows)))
 
     ws = _WorkingSet(G)
     if warm_start is not None:
-        tight = np.flatnonzero(p.A_in @ np.ravel(warm_start) - p.b_in >= -_FEAS_TOL)
+        tight = (p.A_in @ np.ravel(warm_start) - p.b_in >= -_FEAS_TOL).nonzero()[0]
         if tight.size:
             ws.admit_all(tight.tolist())
-    lam = ws.solve(c[ws.rows])
+    lam = ws.solve(c[ws.rows]) if ws.rows else np.zeros(0)
 
     it = 0
-    while np.min(lam, initial=0.0) < 0.0:
+    while lam.size and lam.min() < 0.0:
         if it >= max_iter:
             return finish("max_iter", lam, it)
         it += 1
-        ws.remove(int(np.argmin(lam)))
+        ws.remove(int(lam.argmin()))
         lam = ws.solve(c[ws.rows])
 
     while True:
-        viol = c - G[:, ws.rows] @ lam
-        viol[ws.rows] = -np.inf
-        j = int(np.argmax(viol)) if viol.size else -1
+        viol = c
+        if ws.rows:
+            viol = c - G[:, ws.rows] @ lam
+            viol[ws.rows] = -np.inf
+        j = int(viol.argmax()) if viol.size else -1
         if j < 0 or viol[j] <= _FEAS_TOL:
             return finish("optimal", lam, it)
         # raise the multiplier t of row j from 0 until the row is met,
@@ -212,25 +219,27 @@ def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
             it += 1
             r, d2, dependent = ws.pivot(j)  # d lam_S / d t = -r
             step_full = np.inf if dependent else res_j / d2
-            pos = np.flatnonzero(r > 0.0)
+            # along a dependent row, entries of r at rounding level are zero:
+            # they would give steps of ~1e20 that drop rows r leaves alone
+            floor = 1e-12 * np.abs(r).max(initial=0.0) if dependent else 0.0
+            pos = (r > floor).nonzero()[0]
             ratios = np.maximum(lam[pos], 0.0) / r[pos]
-            step_drop = float(np.min(ratios, initial=np.inf))
+            step_drop = float(ratios.min(initial=np.inf))
             if dependent and not pos.size:
                 # S only shrinks while t grows, and a row independent of S is
                 # independent of its subsets: j was dependent at every step,
                 # which left its violation at viol[j] (res_j only sums d2
                 # rounding over those steps)
-                big = np.abs(r) > 1e-12 * np.max(np.abs(r), initial=0.0)
                 return QpSolution(None, np.inf, "infeasible", None, it, infeasibility_report=[
                     (f"A_in[{j}]", float(viol[j]))] + [
-                    (f"A_in[{row}]", float(w)) for row, w, b in zip(ws.rows, r, big) if b])
+                    (f"A_in[{row}]", float(w)) for row, w in zip(ws.rows, r) if abs(w) > floor])
             step = min(step_full, step_drop)
             lam, t, res_j = lam - step * r, t + step, res_j - step * d2
             if step_full <= step_drop:
                 ws.append(j, r, d2)
                 lam = ws.solve(c[ws.rows])
                 break
-            drop = int(pos[np.argmin(ratios)])
+            drop = int(pos[ratios.argmin()])
             ws.remove(drop)
             lam = np.delete(lam, drop)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,19 @@ class TestControlStep:
         with pytest.raises(ModelConfigError):
             controller.control_step(np.array([-1.0, 0, 0, 0]), np.zeros(4))
 
+    @pytest.mark.parametrize("x_f, x_s, cause", [
+        ([0.0, np.nan, 0.0, 0.0], np.zeros(4), "fast state contains NaN or Inf"),
+        (np.zeros(4), [0.0, 0.0, np.inf, 0.0], "slow state contains NaN or Inf"),
+        (np.zeros(3), np.zeros(4), "fast state must have 4 entries"),
+        (np.zeros(4), np.zeros(5), "slow state must have 4 entries"),
+        (np.zeros(4), [0.0, 0.0, 0.0, -1e-3], "negative concentrations"),
+        (np.zeros(4), [0.0, 0.0, 0.0, -np.inf], "slow state contains NaN or Inf"),
+    ])
+    def test_state_check_names_the_cause(self, controller, x_f, x_s, cause):
+        controller.reset()
+        with pytest.raises(ModelConfigError, match=cause):
+            controller.control_step(x_f, x_s)
+
     def test_warm_start_matches_cold_start(self, controller):
         controller.reset()
         first = controller.control_step(np.zeros(4), np.zeros(4))
@@ -246,6 +261,39 @@ class TestRetarget:
         assert all(s == "optimal" for s in second.status)
         assert abs(second.bis[-1] - 53.0) <= 2.0
         assert abs(ctrl.zs.g_eff @ second.v_a[-1] - ctrl.zs.c) <= 1e-8
+
+    def test_dependent_row_drops_no_working_row(self, disc, patient, gain, v_box,
+                                                ingredients, monkeypatch):
+        # from rest with c forced to 0.69 the QP is infeasible: the violated
+        # row ends up dependent on the working set, and the entries of r at
+        # rounding level must not count as a direction that drops rows
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                    ingredients, mpc.MpcConfig())
+        build = mpc.build_steady_input_set
+        with monkeypatch.context() as mp:
+            mp.setattr(mpc, "build_steady_input_set", lambda *a: replace(build(*a), c=0.69))
+            ctrl.retarget(50.0)
+        events = []
+        pivot, remove = qp._WorkingSet.pivot, qp._WorkingSet.remove
+
+        def logged_pivot(ws, j):
+            r, d2, dependent = pivot(ws, j)
+            events.append(("pivot", j, dependent))
+            return r, d2, dependent
+
+        def logged_remove(ws, pos):
+            events.append(("remove", ws.rows[pos], False))
+            remove(ws, pos)
+
+        monkeypatch.setattr(qp._WorkingSet, "pivot", logged_pivot)
+        monkeypatch.setattr(qp._WorkingSet, "remove", logged_remove)
+        with pytest.raises(SolverInfeasibleError) as info:
+            ctrl.control_step(np.zeros(4), np.zeros(4))
+        first = next(k for k, e in enumerate(events) if e[2])
+        assert events[first:] == [events[first]]  # reported at once, nothing dropped
+        row, amount = info.value.report[0]
+        assert row == f"A_in[{events[first][1]}]" and amount > 0.0
+        assert "blocked by" in str(info.value)
 
     def test_large_lightening_step_infeasible_with_diagnostics(
             self, disc, patient, gain, v_box, zs, ingredients):
@@ -329,3 +377,50 @@ class TestQpReuse:
         log, _, solutions = reference_run
         assert all(s.status == "optimal" for s in solutions)
         assert [k for k, s in enumerate(solutions) if k >= 30 and s.active_set] == []
+
+    def test_reported_cost_matches_direct_recomputation(self, reference_run, disc,
+                                                         ingredients, zs):
+        # the cost term precomputed in retarget, against the tracking cost
+        # summed stage by stage from each step's solution y = (v, t)
+        log, _, solutions = reference_run
+        cfg = mpc.MpcConfig()
+        N, g = cfg.N, zs.g_eff
+        p0, d = g / (g @ g), np.array([-g[1], g[0]]) / np.linalg.norm(g)
+        for k, sol in enumerate(solutions):
+            v = sol.z[:2 * N].reshape(N, 2)
+            v_a = p0 * zs.c + d * sol.z[2 * N]
+            x_a = np.linalg.solve(np.eye(4) - disc.A_f, disc.B @ v_a)
+            x, cost = log.x_f[k], cfg.vd(v_a)
+            for v_k in v:
+                cost += (x - x_a) @ cfg.Q @ (x - x_a) + (v_k - v_a) @ cfg.R @ (v_k - v_a)
+                x = disc.A_f @ x + disc.B @ v_k
+            cost += (x - x_a) @ ingredients.P @ (x - x_a)
+            assert log.cost[k] == pytest.approx(cost, rel=1e-9, abs=0.0), k
+
+    def test_steady_steps_factor_nothing(self, disc, patient, gain, v_box, ingredients,
+                                         monkeypatch):
+        # steps >= 30 of the reference run have no tight row and take 0
+        # iterations: their solves factor nothing and solve nothing with the
+        # (empty) working set
+        calls, per_solve = [], []
+        cholesky, ws_solve, solve = np.linalg.cholesky, qp._WorkingSet.solve, qp.qp_solve
+
+        def counted_solve(*args, **kwargs):
+            calls.clear()
+            sol = solve(*args, **kwargs)
+            per_solve.append((sol, list(calls)))
+            return sol
+
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda *a, **kw: calls.append("cholesky") or cholesky(*a, **kw))
+        monkeypatch.setattr(qp._WorkingSet, "solve",
+                            lambda ws, v: calls.append("solve") or ws_solve(ws, v))
+        monkeypatch.setattr(qp, "qp_solve", counted_solve)
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                    ingredients, mpc.MpcConfig())
+        sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0)
+        assert len(per_solve) == 120
+        assert "solve" in per_solve[0][1]  # the counters see the cold first solve
+        steady = per_solve[30:]
+        assert all(sol.iterations == 0 and not sol.active_set for sol, _ in steady)
+        assert [k for k, (_, seen) in enumerate(per_solve) if k >= 30 and seen] == []
