@@ -31,8 +31,7 @@ def run_ingredients(args) -> int:
     print(f"patient            {bundle.patient.label}")
     print(f"sampling period    {bundle.disc.Ts:g} s")
     print(f"lambda             {ing.lam:g}")
-    print(f"m_bar              ({bundle.m_bar[0]:.6g}, {bundle.m_bar[1]:.6g}) "
-          f"[{bundle.file_cfg.disturbance_bound_mode}]")
+    print(f"m_bar              ({bundle.m_bar[0]:.6g}, {bundle.m_bar[1]:.6g})")
     print(f"V                  [{V.lower[0]:.6g}, {V.upper[0]:.6g}] x "
           f"[{V.lower[1]:.6g}, {V.upper[1]:.6g}]")
     print(f"closed-loop radius {rho:.6g}")

@@ -7,9 +7,11 @@ box V = U (-) M, the Pontryagin difference of the input box by
 {-m_bar <= m <= 0}: for axis-aligned boxes that is exactly
 [u_min + m_bar, u_max].
 
-The bound m_bar is either supplied ("fixed") or computed ("worst-case")
-as |D x_s| at the steady state of the full model under maximal input,
-one 8 x 8 linear solve.
+The bound m_bar comes from the controller file. The model-derived bound,
+|D x_s| at the steady state under maximal input, is (Cl2+Cl3)/Cl1 * u_max
+per drug; on the shipped patient it exceeds the propofol limit and leaves
+V empty, so it is not offered. `validate` checks the configured bound
+against the nominal closed loop.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelConfigError
-from .pkpd import ContinuousDynamics, DiscreteDynamics, full_step_matrices
-
-DISTURBANCE_MODES = ("worst-case", "fixed")
+from .pkpd import ContinuousDynamics, DiscreteDynamics
 
 
 @dataclass(frozen=True)
@@ -61,29 +61,13 @@ def compensation_gain(dyn: ContinuousDynamics | DiscreteDynamics) -> Compensatio
     return CompensationGain(D=D)
 
 
-def disturbance_bound(disc: DiscreteDynamics, U: InputBox, mode: str,
-                      fixed=None) -> np.ndarray:
-    """Componentwise bound m_bar with -m_bar <= D x_s <= 0.
-
-    "worst-case" takes the global steady state of the full 8-state model
-    under maximal input, x = (I - M)^-1 B u_max, and returns m_bar =
-    -D x_s there. The model is positive, so from rest under constant
-    input the slow states rise monotonically to that point and no
-    trajectory from rest exceeds it; per drug it is the closed form
-    (Cl2+Cl3)/Cl1 * u_max. "fixed" passes through a user-supplied vector.
-    """
-    if mode == "fixed":
-        if fixed is None:
-            raise ModelConfigError("disturbance bound mode 'fixed' needs a vector")
-        m_bar = np.asarray(fixed, dtype=float).ravel()
-        if m_bar.shape != (2,) or np.any(m_bar < 0.0):
-            raise ModelConfigError("fixed disturbance bound 'm_bar' must be 2 nonnegative floats")
-        return m_bar
-    if mode == "worst-case":
-        M, B = full_step_matrices(disc)
-        x = np.linalg.solve(np.eye(8) - M, B @ U.upper)
-        return -(compensation_gain(disc).D @ x[4:])
-    raise ModelConfigError(f"unknown disturbance bound mode '{mode}'")
+def disturbance_bound(m_bar) -> np.ndarray:
+    """The configured bound m_bar with -m_bar <= D x_s <= 0, checked to be
+    2 nonnegative numbers."""
+    m_bar = np.asarray(m_bar, dtype=float).ravel()
+    if m_bar.shape != (2,) or not np.all(m_bar >= 0.0):
+        raise ModelConfigError("disturbance bound 'm_bar' must be 2 nonnegative floats")
+    return m_bar
 
 
 def tracking_input_set(U: InputBox, m_bar) -> InputBox:

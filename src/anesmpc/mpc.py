@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import qp
-from .compensation import DISTURBANCE_MODES, CompensationGain, InputBox
+from .compensation import CompensationGain, InputBox
 from .errors import ModelConfigError, SolverInfeasibleError
 from .pkpd import (DiscreteDynamics, PdParams, as_fast_state, as_slow_state, ini_numbers,
                    ini_reject_unknown, steady_output_row)
@@ -390,15 +390,14 @@ class ControllerFileConfig:
     mpc: MpcConfig
     Ts: float
     U: InputBox
-    disturbance_bound_mode: str
-    m_bar: np.ndarray | None
+    m_bar: np.ndarray
     settling_band: float
     plant_substeps: int
 
 
 _CONTROLLER_KEYS = ("N", "Ts", "Q_diag", "R_diag", "lambda", "y_ref", "u_min", "u_max",
-                   "disturbance_bound_mode", "m_bar", "vd_weight", "vd_coeffs",
-                   "vd_offset", "settling_band", "plant_substeps")
+                   "m_bar", "vd_weight", "vd_coeffs", "vd_offset", "settling_band",
+                   "plant_substeps")
 
 
 def load_controller_config(path) -> ControllerFileConfig:
@@ -411,9 +410,6 @@ def load_controller_config(path) -> ControllerFileConfig:
 
     def floats(key, count):
         return ini_numbers(cfg, "controller", key, count, path)
-
-    def text(key):
-        return cfg.get("controller", key, fallback=None)
 
     def positive_int(key):
         val = floats(key, 1)[0]
@@ -433,27 +429,19 @@ def load_controller_config(path) -> ControllerFileConfig:
         ),
         y_ref=float(floats("y_ref", 1)[0]),
     )
-    modes = " or ".join(DISTURBANCE_MODES)
-    mode = text("disturbance_bound_mode")
-    if mode is None:
-        raise ModelConfigError(f"{path}: missing key 'disturbance_bound_mode' ({modes})")
-    mode = mode.strip()
-    if mode not in DISTURBANCE_MODES:
-        raise ModelConfigError(
-            f"{path}: key 'disturbance_bound_mode' must be {modes}, not '{mode}'")
-    m_bar = floats("m_bar", 2) if mode == "fixed" else None
     u_min, u_max = floats("u_min", 2), floats("u_max", 2)
     if np.any(u_min > u_max):
         raise ModelConfigError(f"{path}: key 'u_min' exceeds 'u_max'")
-    settling_band = float(floats("settling_band", 1)[0]) if text("settling_band") else 2.0
+    settling_band = (float(floats("settling_band", 1)[0])
+                     if cfg.has_option("controller", "settling_band") else 2.0)
     if not settling_band > 0.0:
         raise ModelConfigError(f"{path}: key 'settling_band' must be positive")
     return ControllerFileConfig(
         mpc=mpc_cfg,
         Ts=float(floats("Ts", 1)[0]),
         U=InputBox(lower=u_min, upper=u_max),
-        disturbance_bound_mode=mode,
-        m_bar=m_bar,
+        m_bar=floats("m_bar", 2),
         settling_band=settling_band,
-        plant_substeps=positive_int("plant_substeps") if text("plant_substeps") else 1,
+        plant_substeps=(positive_int("plant_substeps")
+                        if cfg.has_option("controller", "plant_substeps") else 1),
     )

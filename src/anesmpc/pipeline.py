@@ -40,8 +40,7 @@ def build(patient: pkpd.PatientModel, file_cfg: mpc.ControllerFileConfig,
     cont = pkpd.build_continuous(patient.pk_propofol, patient.pk_remifentanil)
     disc = pkpd.discretize_euler(cont, file_cfg.Ts)
     gain = compensation.compensation_gain(disc)
-    m_bar = compensation.disturbance_bound(
-        disc, file_cfg.U, file_cfg.disturbance_bound_mode, fixed=file_cfg.m_bar)
+    m_bar = compensation.disturbance_bound(file_cfg.m_bar)
     V = compensation.tracking_input_set(file_cfg.U, m_bar)
     cfg = file_cfg.mpc
     if ingredients is None:
@@ -82,7 +81,6 @@ def save_ingredients(outdir, bundle: Bundle, patient_path, config_path) -> None:
     write_manifest(outdir, "ingredients", patient_path, config_path, {
         "lambda": ing.lam,
         "m_bar": [float(v) for v in bundle.m_bar],
-        "disturbance_bound_mode": bundle.file_cfg.disturbance_bound_mode,
         "determination_index": ing.determination_index,
     })
 
@@ -153,17 +151,11 @@ def write_manifest(outdir: Path, subcommand: str, patient_path, config_path,
 
 
 def _check_cancellation(bundle, shared) -> tuple[bool, str]:
-    disc, D = bundle.disc, bundle.gain.D
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(100):
-        xf = rng.uniform(0.0, 5.0, 4)
-        xs = rng.uniform(0.0, 5.0, 4)
-        v = rng.uniform(0.0, 5.0, 2)
-        full = disc.A_f @ xf + disc.B @ (v + D @ xs) + disc.A_s @ xs
-        nominal = disc.A_f @ xf + disc.B @ v
-        worst = max(worst, float(np.max(np.abs(full - nominal))))
-    return worst <= 1e-12, f"max deviation {worst:.2e}"
+    """With u = v + D x_s the full fast update exceeds the nominal one by
+    exactly (A_s + B D) x_s; bound it over the whole state box [0, 5]^4."""
+    disc = bundle.disc
+    worst = 5.0 * float(np.abs(disc.A_s + disc.B @ bundle.gain.D).sum(axis=1).max())
+    return worst <= 1e-12, f"max deviation {worst:.2e} over x_s in [0, 5]^4"
 
 
 def _check_dare(bundle, shared) -> tuple[bool, str]:
@@ -221,6 +213,13 @@ def _check_recursive_feasibility(bundle, shared) -> tuple[bool, str]:
     return ok, f"{len(log)} solves, all optimal" if ok else "a solve failed"
 
 
+def _check_disturbance_bound(bundle, shared) -> tuple[bool, str]:
+    seen = np.abs(_nominal_log(bundle, shared).x_s @ bundle.gain.D.T).max(axis=0)
+    m_bar = bundle.m_bar
+    return bool(np.all(seen <= m_bar)), (
+        f"max |D x_s| ({seen[0]:.3g}, {seen[1]:.3g}) vs m_bar ({m_bar[0]:g}, {m_bar[1]:g})")
+
+
 VALIDATION_CHECKS = (
     ("cancellation", _check_cancellation),
     ("dare-residual", _check_dare),
@@ -229,6 +228,7 @@ VALIDATION_CHECKS = (
     ("qp-oracle", _check_qp_oracle),
     ("lyapunov-descent", _check_descent),
     ("recursive-feasibility", _check_recursive_feasibility),
+    ("disturbance-bound", _check_disturbance_bound),
 )
 
 

@@ -76,3 +76,10 @@ def rollout_compensation_max(disc, U):
             return seen
         x = x_next
     pytest.fail("rollout did not reach steady state")
+
+
+def steady_state_compensation(patient, U):
+    """Closed form of |D x_s| at the steady state of the full model under
+    the maximal input: (Cl2+Cl3)/Cl1 * u_max per drug."""
+    return np.array([(pk.Cl2 + pk.Cl3) / pk.Cl1 * u for pk, u in
+                     zip((patient.pk_propofol, patient.pk_remifentanil), U.upper)])

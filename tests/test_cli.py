@@ -1,10 +1,12 @@
 import json
+import re
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anesmpc import cli, geometry, mpc, pipeline, qp
+from anesmpc import cli, geometry, mpc, pipeline, pkpd, qp
 from anesmpc.errors import GeometryError, ModelConfigError
 
 from conftest import controller_path, patient_path
@@ -87,6 +89,17 @@ class TestValidate:
             bad, checks=[("cancellation", pipeline._check_cancellation)])
         assert results[0][1] is False
 
+    def test_disturbance_bound_certified_on_the_nominal_run(self, bundle):
+        import dataclasses
+
+        checks = [("disturbance-bound", pipeline._check_disturbance_bound)]
+        ((_, ok, detail, _),) = pipeline.run_validation_checks(bundle, checks=checks)
+        assert ok and "(0.0522, 0.193) vs m_bar (0.12, 0.27)" in detail
+        # a bound below what the nominal run needs fails
+        low = dataclasses.replace(bundle, m_bar=np.array([0.05, 0.19]))
+        ((_, ok, _, _),) = pipeline.run_validation_checks(low, checks=checks)
+        assert ok is False
+
     def test_nominal_loop_simulated_once(self, bundle, monkeypatch):
         runs = []
         real = cli.sim.simulate_closed_loop
@@ -104,7 +117,8 @@ class TestValidate:
             runs.clear()
             (result,) = pipeline.run_validation_checks(bundle, checks=[(name, fn)])
             assert result[:2] == (name, True)
-            assert len(runs) == (name in ("lyapunov-descent", "recursive-feasibility"))
+            assert len(runs) == (name in ("lyapunov-descent", "recursive-feasibility",
+                                          "disturbance-bound"))
 
     def test_non_invariant_set_fails_lp_proof(self, bundle):
         import dataclasses
@@ -151,27 +165,28 @@ class TestConfigLoader:
         assert fc.mpc.N == 24
         assert fc.Ts == 5.0
         np.testing.assert_allclose(np.diag(fc.mpc.Q), [1, 10, 1, 10])
-        assert fc.disturbance_bound_mode == "fixed"
         np.testing.assert_allclose(fc.m_bar, [0.12, 0.27])
         assert fc.mpc.vd.weight == 10.0
         assert fc.settling_band == 2.0
 
-    def test_bad_mode_rejected(self, tmp_path):
-        text = controller_path().read_text().replace(
-            "disturbance_bound_mode = fixed", "disturbance_bound_mode = magic")
+    def test_missing_m_bar_named(self, tmp_path):
+        text = "\n".join(l for l in controller_path().read_text().splitlines()
+                         if not l.startswith("m_bar"))
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
-        with pytest.raises(ModelConfigError, match="disturbance_bound_mode"):
+        with pytest.raises(ModelConfigError, match="'m_bar' in \\[controller\\] is missing"):
             mpc.load_controller_config(bad)
 
-    def test_missing_mode_named_with_its_choices(self, tmp_path):
-        text = "\n".join(l for l in controller_path().read_text().splitlines()
-                         if not l.startswith("disturbance_bound_mode"))
-        bad = tmp_path / "bad.ini"
-        bad.write_text(text)
-        with pytest.raises(ModelConfigError,
-                           match="'disturbance_bound_mode' \\(worst-case or fixed\\)"):
-            mpc.load_controller_config(bad)
+    def test_readme_names_every_key(self):
+        # every key the loaders accept appears in a backquoted span of the
+        # README's config section; the retired mode key only as retired
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+        words = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", section))))
+        for key in mpc._CONTROLLER_KEYS + pkpd._PK_KEYS + pkpd._PD_KEYS:
+            assert key in words, key
+        retired = re.findall(r"[^.]*`disturbance_bound_mode`[^.]*", section)
+        assert retired and all("retired" in sentence for sentence in retired)
 
     def test_missing_key_named(self, tmp_path):
         text = "\n".join(l for l in controller_path().read_text().splitlines()
@@ -204,6 +219,7 @@ class TestBadConfigValues:
         ("u_min", "7, 0"), ("vd_weight", "-10"), ("y_ref", "99"),
         ("lambda", "1.5"), ("m_bar", "-0.1, 0.27"),
         ("settling_band", "-1"), ("settling_band", "0"),
+        ("settling_band", ""), ("plant_substeps", ""),
     ])
     def test_rejected_with_exit_2_naming_the_key(self, paths, tmp_path, capsys,
                                                   key, value):
@@ -216,6 +232,7 @@ class TestBadConfigValues:
 
     @pytest.mark.parametrize("line", [
         "epsilon = 0", "epsilon = 1e-6", "vd_linear = 0, 0", "plant_substep = 2",
+        "disturbance_bound_mode = fixed", "disturbance_bound_mode = worst-case",
     ])
     def test_unknown_key_rejected_with_exit_2(self, paths, tmp_path, capsys, line):
         config = tmp_path / "extra.ini"
@@ -237,8 +254,9 @@ class TestBadConfigValues:
         assert err == f"error: {config}: unknown section [{section}]\n"
 
     def test_worst_case_bound_leaves_no_input_room(self, paths, tmp_path, capsys):
-        # the computed bound (7.17, 10.33) exceeds the propofol limit 6.67
-        config = _config_with(tmp_path, "disturbance_bound_mode", "worst-case")
+        # a propofol bound above its limit 6.67, as the steady state under
+        # maximal input gives on this patient (7.17), leaves V empty
+        config = _config_with(tmp_path, "m_bar", "7, 0.27")
         rc = cli.main(["ingredients", "--patient", paths[0], "--config", config,
                        "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err

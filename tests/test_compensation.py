@@ -5,7 +5,8 @@ from anesmpc import compensation, pkpd
 from anesmpc.compensation import InputBox
 from anesmpc.errors import ModelConfigError
 
-from conftest import M_BAR_PAPER, U_BOUNDS, random_pk, rollout_compensation_max
+from conftest import (M_BAR_PAPER, U_BOUNDS, random_pk, rollout_compensation_max,
+                      steady_state_compensation)
 
 
 class TestCompensationGain:
@@ -57,45 +58,28 @@ class TestCompensationGain:
 
 
 class TestDisturbanceBound:
-    def test_fixed_passthrough(self, disc):
-        m = compensation.disturbance_bound(disc, U_BOUNDS, "fixed", fixed=M_BAR_PAPER)
+    def test_fixed_passthrough(self):
+        m = compensation.disturbance_bound(M_BAR_PAPER)
         np.testing.assert_array_equal(m, M_BAR_PAPER)
 
-    def test_fixed_requires_vector(self, disc):
-        with pytest.raises(ModelConfigError):
-            compensation.disturbance_bound(disc, U_BOUNDS, "fixed")
+    def test_fixed_requires_vector(self):
+        for m_bar in (None, [0.12], [0.12, 0.27, 0.1], [-0.1, 0.27], [np.nan, 0.27]):
+            with pytest.raises(ModelConfigError, match="'m_bar'"):
+                compensation.disturbance_bound(m_bar)
 
-    def test_zero_input_box_gives_zero(self, disc):
-        zero = InputBox(lower=[0.0, 0.0], upper=[0.0, 0.0])
-        m = compensation.disturbance_bound(disc, zero, "worst-case")
-        np.testing.assert_allclose(m, 0.0, atol=1e-12)
-
-    def test_worst_case_closed_form(self, patient, disc):
-        m = compensation.disturbance_bound(disc, U_BOUNDS, "worst-case")
-        pk_p, pk_r = patient.pk_propofol, patient.pk_remifentanil
-        expected = np.array([
-            (pk_p.Cl2 + pk_p.Cl3) / pk_p.Cl1 * 6.67,
-            (pk_r.Cl2 + pk_r.Cl3) / pk_r.Cl1 * 16.67,
-        ])
-        np.testing.assert_allclose(m, expected, rtol=1e-10)
-
-    def test_worst_case_dominates_simulated(self, disc):
+    def test_worst_case_dominates_simulated(self, patient, disc):
         # seen is a running maximum of a rollout from rest at u_max: no step
-        # of it exceeds the bound (1e-12 allows for rounding only)
-        wc = compensation.disturbance_bound(disc, U_BOUNDS, "worst-case")
+        # of it exceeds the steady-state bound (1e-12 allows for rounding only)
+        wc = steady_state_compensation(patient, U_BOUNDS)
         seen = rollout_compensation_max(disc, U_BOUNDS)
         assert np.all(seen <= wc * (1.0 + 1e-12))
 
-    def test_simulated_approaches_global_equilibrium(self, disc):
+    def test_simulated_approaches_global_equilibrium(self, patient, disc):
         # the slow states climb monotonically to the all-equal equilibrium
-        # u_max/Cl1, so the trajectory maximum is the worst case itself
-        wc = compensation.disturbance_bound(disc, U_BOUNDS, "worst-case")
+        # u_max/Cl1, so the trajectory maximum is the steady-state bound itself
+        wc = steady_state_compensation(patient, U_BOUNDS)
         seen = rollout_compensation_max(disc, U_BOUNDS)
         np.testing.assert_allclose(seen, wc, rtol=1e-6)
-
-    def test_unknown_mode(self, disc):
-        with pytest.raises(ModelConfigError):
-            compensation.disturbance_bound(disc, U_BOUNDS, "guess")
 
 
 class TestTrackingInputSet:

@@ -6,9 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from anesmpc import compensation, mpc, pipeline, pkpd, sim
+from anesmpc import mpc, pipeline, pkpd, sim
 
-from conftest import U_BOUNDS, rollout_compensation_max
+from conftest import U_BOUNDS, rollout_compensation_max, steady_state_compensation
 
 
 def perturbed(patient, rng, spread=0.2):
@@ -30,8 +30,8 @@ def test_pipeline_on_perturbed_patient(patient, seed):
     rng = np.random.default_rng(seed)
     pat = perturbed(patient, rng)
     file_cfg = mpc.ControllerFileConfig(
-        mpc=mpc.MpcConfig(), Ts=5.0, U=U_BOUNDS, disturbance_bound_mode="fixed",
-        m_bar=np.array([0.12, 0.27]), settling_band=2.0, plant_substeps=1)
+        mpc=mpc.MpcConfig(), Ts=5.0, U=U_BOUNDS, m_bar=np.array([0.12, 0.27]),
+        settling_band=2.0, plant_substeps=1)
     bundle = pipeline.build(pat, file_cfg)
     disc, ctrl = bundle.disc, bundle.controller
     assert bundle.ingredients.determination_index <= 500
@@ -64,12 +64,13 @@ def test_hour_long_soak(patient, disc, gain, v_box, ingredients):
 
 
 def test_disturbance_modes_consistent_on_perturbed_patient(patient):
-    # the worst-case bound is the limit of a rollout from rest at u_max
+    # the closed-form steady-state bound (Cl2+Cl3)/Cl1 * u_max is the limit
+    # of a rollout from rest at u_max
     rng = np.random.default_rng(9)
     pat = perturbed(patient, rng)
     cont = pkpd.build_continuous(pat.pk_propofol, pat.pk_remifentanil)
     disc = pkpd.discretize_euler(cont, 5.0)
-    wc = compensation.disturbance_bound(disc, U_BOUNDS, "worst-case")
+    wc = steady_state_compensation(pat, U_BOUNDS)
     seen = rollout_compensation_max(disc, U_BOUNDS)
     assert np.all(seen <= wc * (1.0 + 1e-12))
     np.testing.assert_allclose(seen, wc, rtol=1e-6)

@@ -246,6 +246,54 @@ class TestControlStep:
         assert "blocked by" in str(exc)
 
 
+class TestValidateOutput:
+    """Each check on the QP optimum raises on a doctored solution, with the
+    step at which it failed."""
+
+    @pytest.fixture
+    def ctrl(self, disc, patient, gain, v_box, ingredients):
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                    ingredients, mpc.MpcConfig())
+        ctrl.control_step(np.zeros(4), np.zeros(4))
+        return ctrl
+
+    @staticmethod
+    def doctor(monkeypatch, edit):
+        solve = qp.qp_solve
+
+        def doctored(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            z = sol.z.copy()
+            edit(z)
+            return replace(sol, z=z)
+
+        monkeypatch.setattr(qp, "qp_solve", doctored)
+
+    def step_fails(self, ctrl, match):
+        with pytest.raises(SolverInfeasibleError, match=match) as info:
+            ctrl.control_step(np.zeros(4), np.zeros(4))
+        assert info.value.step == 1
+
+    def test_input_outside_tightened_box(self, ctrl, v_box, monkeypatch):
+        def edit(z):
+            z[:2] = v_box.upper + 1e-6
+
+        self.doctor(monkeypatch, edit)
+        self.step_fails(ctrl, "left the tightened box")
+
+    def test_terminal_pair_outside_invariant_set(self, ctrl, monkeypatch):
+        # t moves v_a along the steady line, far past the box X_a allows
+        def edit(z):
+            z[-1] += 100.0
+
+        self.doctor(monkeypatch, edit)
+        self.step_fails(ctrl, "terminal pair violates invariant-set row")
+
+    def test_steady_output_equality(self, ctrl, monkeypatch):
+        monkeypatch.setattr(ctrl, "zs", replace(ctrl.zs, c=ctrl.zs.c + 1e-6))
+        self.step_fails(ctrl, "steady-output equality violated")
+
+
 class TestRetarget:
     def test_modest_setpoint_change_resettles(self, disc, patient, gain, v_box,
                                               zs, ingredients):
