@@ -44,12 +44,10 @@ def run_ingredients(args) -> int:
 
 
 def run_simulate(args) -> int:
-    bundle = build_bundle(args.patient, args.config, ingredients_dir=args.out)
+    bundle = build_bundle(args.patient, args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    log = sim.simulate_closed_loop(
-        bundle.disc, bundle.patient.pd, bundle.controller, args.duration,
-        plant_substeps=bundle.file_cfg.plant_substeps, cont=bundle.cont)
+    log = pipeline.closed_loop(bundle, args.duration)
     csv_path = outdir / "run.csv"
     log.to_csv(csv_path)
     met = sim.compute_metrics(log, bundle.file_cfg.mpc.y_ref,

@@ -1,8 +1,10 @@
 """The offline chain (PK/PD, compensation, terminal ingredients,
 controller) from in-memory configs (``build``) or INI files
-(``build_bundle``), the ingredient file format, the run manifest and the
-validation checks. Layers are called through their module attributes, so
-a wrapper patched onto a module sees every call."""
+(``build_bundle``), the closed loop a bundle runs (``closed_loop``), the
+ingredient files, the run manifest and the validation checks. Every run
+builds from its two files; a written bundle is output only. Layers are
+called through their module attributes, so a wrapper patched onto a
+module sees every call."""
 
 from __future__ import annotations
 
@@ -15,9 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, compensation, geometry, mpc, pkpd, qp, sim, terminal
-
-_MATRIX_FILES = ("K", "P", "psi", "A_w")  # ingredient fields saved as <name>.txt
-
 
 @dataclass
 class Bundle:
@@ -33,32 +32,33 @@ class Bundle:
     file_cfg: mpc.ControllerFileConfig
 
 
-def build(patient: pkpd.PatientModel, file_cfg: mpc.ControllerFileConfig,
-          ingredients: terminal.TerminalIngredients | None = None) -> Bundle:
-    """Run the construction chain; `ingredients`, when given, replace the
-    terminal-ingredient computation (they must belong to this pair)."""
+def build(patient: pkpd.PatientModel, file_cfg: mpc.ControllerFileConfig) -> Bundle:
+    """Run the construction chain."""
     cont = pkpd.build_continuous(patient.pk_propofol, patient.pk_remifentanil)
     disc = pkpd.discretize_euler(cont, file_cfg.Ts)
     gain = compensation.compensation_gain(disc)
     m_bar = compensation.disturbance_bound(file_cfg.m_bar)
     V = compensation.tracking_input_set(file_cfg.U, m_bar)
     cfg = file_cfg.mpc
-    if ingredients is None:
-        ingredients = terminal.compute_terminal_ingredients(disc, V, cfg.Q, cfg.R, cfg.lam)
+    # an input box whose lambda-shrunk part misses the steady segment is
+    # named here, before X_a is built from its (possibly huge) rows
+    mpc.build_steady_input_set(disc, patient.pd, cfg.y_ref, V, cfg.lam)
+    ingredients = terminal.compute_terminal_ingredients(disc, V, cfg.Q, cfg.R, cfg.lam)
     ctrl = mpc.build_controller(disc, patient.pd, gain, V, file_cfg.U, ingredients, cfg)
-    return Bundle(patient=patient, cont=cont, disc=disc, gain=gain, m_bar=m_bar,
-                  ingredients=ingredients, controller=ctrl, file_cfg=file_cfg)
+    return Bundle(patient, cont, disc, gain, m_bar, ingredients, ctrl, file_cfg)
 
 
-def build_bundle(patient_path, config_path, ingredients_dir=None) -> Bundle:
-    """Load both files and build, reusing the ingredients saved in
-    `ingredients_dir` when its manifest matches the two files."""
-    patient = pkpd.load_patient(patient_path)
-    file_cfg = mpc.load_controller_config(config_path)
-    ing = None
-    if ingredients_dir is not None:
-        ing = load_ingredients(Path(ingredients_dir), patient_path, config_path)
-    return build(patient, file_cfg, ing)
+def build_bundle(patient_path, config_path) -> Bundle:
+    """Load both files and build."""
+    return build(pkpd.load_patient(patient_path), mpc.load_controller_config(config_path))
+
+
+def closed_loop(bundle: Bundle, duration: float) -> sim.SimLog:
+    """The closed loop `simulate` runs and `validate` checks: the bundle's
+    controller on its plant, substepped as its config says."""
+    return sim.simulate_closed_loop(
+        bundle.disc, bundle.patient.pd, bundle.controller, duration,
+        plant_substeps=bundle.file_cfg.plant_substeps, cont=bundle.cont)
 
 
 # -- ingredient bundle files ------------------------------------------------
@@ -66,11 +66,11 @@ def build_bundle(patient_path, config_path, ingredients_dir=None) -> Bundle:
 
 def save_ingredients(outdir, bundle: Bundle, patient_path, config_path) -> None:
     """Write K, P, psi, A_w, X_a, D, m_bar, V and the steady segment, with a
-    manifest that lets load_ingredients reuse them."""
+    manifest naming the two input files and their SHA-256."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     ing, ctrl = bundle.ingredients, bundle.controller
-    for name in _MATRIX_FILES:
+    for name in ("K", "P", "psi", "A_w"):
         geometry.save_matrix(outdir / f"{name}.txt", getattr(ing, name))
     geometry.save_polyhedron(outdir / "X_a.poly", ing.X_a)
     geometry.save_matrix(outdir / "D.txt", bundle.gain.D)
@@ -83,33 +83,6 @@ def save_ingredients(outdir, bundle: Bundle, patient_path, config_path) -> None:
         "m_bar": [float(v) for v in bundle.m_bar],
         "determination_index": ing.determination_index,
     })
-
-
-def load_ingredients(outdir: Path, patient_path,
-                     config_path) -> terminal.TerminalIngredients | None:
-    """Reuse a previously written ingredient bundle when its manifest
-    matches the requested patient/config pair (paths and SHA-256 of their
-    bytes, so an input edited in place, lambda included, forces a
-    recompute); otherwise recompute."""
-    try:
-        manifest = json.loads((outdir / "manifest.json").read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if (manifest.get("subcommand") != "ingredients"
-            or manifest.get("patient") != str(patient_path)
-            or manifest.get("config") != str(config_path)
-            or manifest.get("patient_sha256") != _sha256(patient_path)
-            or manifest.get("config_sha256") != _sha256(config_path)):
-        return None
-    try:
-        return terminal.TerminalIngredients(
-            **{name: geometry.load_matrix(outdir / f"{name}.txt") for name in _MATRIX_FILES},
-            X_a=geometry.load_polyhedron(outdir / "X_a.poly"),
-            lam=float(manifest["parameters"]["lambda"]),
-            determination_index=int(manifest["parameters"]["determination_index"]),
-        )
-    except (OSError, KeyError, ValueError, TypeError):
-        return None
 
 
 def _sha256(path) -> str:
@@ -195,8 +168,7 @@ def _check_qp_oracle(bundle, shared) -> tuple[bool, str]:
 def _nominal_log(bundle, shared):
     """The nominal 600 s closed loop, simulated once per validation run."""
     if "nominal_log" not in shared:
-        shared["nominal_log"] = sim.simulate_closed_loop(
-            bundle.disc, bundle.patient.pd, bundle.controller, 600.0)
+        shared["nominal_log"] = closed_loop(bundle, 600.0)
     return shared["nominal_log"]
 
 

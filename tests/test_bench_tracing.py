@@ -1,6 +1,7 @@
-"""The benchmark's span tracer patches package names by (owner, attribute);
-a refactor that moves or renames one of them must fail here, not only
-under ``bench/run.py --trace 1``."""
+"""The benchmark's span tracer patches package names by (owner, attribute),
+and its workload checks call a few package names directly; a refactor
+that moves or renames one of them must fail here, not only under
+``bench/run.py``."""
 
 import importlib
 import sys
@@ -15,13 +16,23 @@ from conftest import controller_path, patient_path
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def _bench_module(name):
     sys.path.insert(0, str(BENCH))
     try:
-        yield importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _bench_module("tracing")
+
+
+def test_cohort_build_check_passes_on_the_shipped_bundle():
+    workloads = _bench_module("workloads")
+    bundle = cli.build_bundle(patient_path(), controller_path())
+    assert workloads.check_cohort_build("shipped", bundle) == []
 
 
 def test_every_patched_name_resolves(tracing):

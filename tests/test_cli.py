@@ -120,12 +120,30 @@ class TestValidate:
             assert len(runs) == (name in ("lyapunov-descent", "recursive-feasibility",
                                           "disturbance-bound"))
 
+    def test_reads_the_substepped_plant_simulate_runs(self, paths, bundle, tmp_path,
+                                                      capsys):
+        config = _config_with(tmp_path, "plant_substeps", "8")
+        rc = cli.main(["validate", "--patient", paths[0], "--config", config])
+        out = capsys.readouterr().out
+        assert rc == 0
+        (seen,) = re.findall(r"max \|D x_s\| \(([^)]*)\)", out)
+        rc = cli.main(["simulate", "--patient", paths[0], "--config", config,
+                       "--out", str(tmp_path / "run"), "--duration", "600"])
+        assert rc == 0
+        capsys.readouterr()
+        x_s = np.loadtxt(tmp_path / "run" / "run.csv", delimiter=",", skiprows=1,
+                         usecols=range(12, 16))
+        peak = np.abs(x_s @ bundle.gain.D.T).max(axis=0)
+        # the Ts plant would read (0.0522, 0.193)
+        assert seen == f"{peak[0]:.3g}, {peak[1]:.3g}" == "0.0523, 0.193"
+
     def test_non_invariant_set_fails_lp_proof(self, bundle):
         import dataclasses
 
         ing = bundle.ingredients
         grown = dataclasses.replace(ing, A_w=1.05 * ing.A_w)
-        bad = dataclasses.replace(bundle, ingredients=grown)
+        bad = dataclasses.replace(bundle)
+        bad.ingredients = grown
         checks = dict(pipeline.VALIDATION_CHECKS)
         (result,) = pipeline.run_validation_checks(
             bad, checks=[("invariant-set-lp", checks["invariant-set-lp"])])
@@ -263,22 +281,31 @@ class TestBadConfigValues:
         assert rc == 2
         assert "input box too tight" in err
 
-    @pytest.mark.parametrize("value", ["100, 16.67", "6.67, 100"])
+    @pytest.mark.parametrize("value", ["100, 16.67", "6.67, 100",
+                                       "1e20, 16.67", "6.67, 1e300"])
     def test_wide_input_box_misses_the_steady_segment(self, paths, tmp_path, capsys,
-                                                      value):
+                                                      monkeypatch, value):
         # lambda shrinks the wide box about its far-off centre, which lifts
-        # the steady-input floor past the whole BIS-50 segment
+        # the steady-input floor past the whole BIS-50 segment; the build
+        # says so before propagating X_a from the box's huge rows
+        built = []
+        monkeypatch.setattr(pipeline.terminal, "compute_terminal_ingredients",
+                            lambda *a, **k: built.append(1))
         config = _config_with(tmp_path, "u_max", value)
         rc = cli.main(["simulate", "--patient", paths[0], "--config", config,
                        "--out", str(tmp_path / "out"), "--duration", "10"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "'lambda'" in err and "'u_max'" in err
+        assert "'lambda'" in err and "'u_min'/'u_max'" in err
         assert err.count("\n") == 1
+        assert not built
 
-    def test_failed_polyhedron_computation_exits_2(self, paths, tmp_path, capsys):
+    def test_failed_polyhedron_computation_exits_2(self, paths, tmp_path, capsys,
+                                                   monkeypatch):
         # u_max = 1e20 leaves the set's small rows below the rounding of its
-        # large ones
+        # large ones; the steady-set check that names this box first is
+        # skipped so that X_a's own computation fails
+        monkeypatch.setattr(pipeline.mpc, "build_steady_input_set", lambda *a, **k: None)
         config = _config_with(tmp_path, "u_max", "1e20, 16.67")
         rc = cli.main(["ingredients", "--patient", paths[0], "--config", config,
                        "--out", str(tmp_path / "out")])
@@ -356,70 +383,27 @@ class TestBadPatientValues:
         assert rc == 2
         assert err == f"error: {patient}: unknown section [{section}]\n"
 
-class TestBundleReuse:
-    def test_simulate_loads_matching_ingredient_bundle(self, paths, tmp_path,
-                                                       capsys, monkeypatch):
-        out = tmp_path / "shared"
+
+class TestBundleUnread:
+    def test_simulate_ignores_a_tampered_bundle(self, paths, tmp_path, capsys):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
         rc = cli.main(["ingredients", "--patient", paths[0], "--config", paths[1],
-                       "--out", str(out)])
+                       "--out", str(shared)])
         assert rc == 0
-        calls = []
-        real = pipeline.terminal.compute_terminal_ingredients
-
-        def counting(*a, **k):
-            calls.append(1)
-            return real(*a, **k)
-
-        monkeypatch.setattr(pipeline.terminal, "compute_terminal_ingredients", counting)
-        rc = cli.main(["simulate", "--patient", paths[0], "--config", paths[1],
-                       "--out", str(out), "--duration", "100"])
-        assert rc == 0
-        assert not calls  # invariant set was loaded, not recomputed
+        X_a = geometry.load_polyhedron(shared / "X_a.poly")
+        geometry.save_polyhedron(shared / "X_a.poly",
+                                 geometry.Polyhedron(X_a.F[:-10], X_a.g[:-10]))
+        runs = []
+        for out in (shared, fresh):
+            rc = cli.main(["simulate", "--patient", paths[0], "--config", paths[1],
+                           "--out", str(out), "--duration", "600"])
+            assert rc == 0
+            runs.append([line.rsplit(",", 1)[0]
+                         for line in (out / "run.csv").read_text().splitlines()])
+        assert runs[0] == runs[1]
         # both manifests survive side by side
-        assert json.loads((out / "manifest.json").read_text())["subcommand"] == "ingredients"
-        assert (out / "manifest_simulate.json").exists()
-        capsys.readouterr()
-
-    def test_mismatched_bundle_recomputed(self, paths, tmp_path, capsys):
-        out = tmp_path / "other"
-        rc = cli.main(["ingredients", "--patient", paths[0], "--config", paths[1],
-                       "--out", str(out)])
-        assert rc == 0
-        # tamper with the manifest provenance: bundle must be ignored
-        m = json.loads((out / "manifest.json").read_text())
-        m["config"] = "/somewhere/else.ini"
-        (out / "manifest.json").write_text(json.dumps(m))
-        assert pipeline.load_ingredients(out, paths[0], paths[1]) is None
-        capsys.readouterr()
-
-
-    def test_config_edited_in_place_recomputed(self, paths, tmp_path, capsys,
-                                                monkeypatch):
-        config = tmp_path / "controller.ini"
-        config.write_text(controller_path().read_text())
-        out = tmp_path / "bundle"
-        rc = cli.main(["ingredients", "--patient", paths[0], "--config", str(config),
-                       "--out", str(out)])
-        assert rc == 0
-        cached_P = geometry.load_matrix(out / "P.txt")
-        assert pipeline.load_ingredients(out, paths[0], config) is not None
-        # same path, same lambda, new Q: the cached K, P and X_a are stale
-        config.write_text(config.read_text().replace("Q_diag = 1, 10, 1, 10",
-                                                     "Q_diag = 5, 50, 5, 50"))
-        assert pipeline.load_ingredients(out, paths[0], config) is None
-        calls = []
-        real = pipeline.terminal.compute_terminal_ingredients
-
-        def counting(*a, **k):
-            calls.append(real(*a, **k))
-            return calls[-1]
-
-        monkeypatch.setattr(pipeline.terminal, "compute_terminal_ingredients", counting)
-        rc = cli.main(["simulate", "--patient", paths[0], "--config", str(config),
-                       "--out", str(out), "--duration", "100"])
-        assert rc == 0
-        assert len(calls) == 1
-        assert abs(calls[0].P[0, 0] - cached_P[0, 0]) > 1.0
+        assert json.loads((shared / "manifest.json").read_text())["subcommand"] == "ingredients"
+        assert (shared / "manifest_simulate.json").exists()
         capsys.readouterr()
 
 
