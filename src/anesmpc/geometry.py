@@ -15,6 +15,17 @@ at the first vertex above it. Rows with a negative rhs are first shifted
 to a Chebyshev centre, whose LP lets the radius go negative until w = 0
 meets every row: that LP is the only feasibility step, and no LP needs a
 phase I.
+
+A family of LPs over one row set runs as a stack (lp_max_stack): one
+dictionary per LP in an (L, m+1, 2n+1) array, each pivoted by the rules
+of a lone LP, all in one set of numpy operations per round, in chunks of
+_STACK_CHUNK LPs so memory stays bounded whatever the row count.
+Redundancy removal tests every row against all the others in one stack,
+drops the rows whose maximum falls short of their bound by a margin,
+keeps those whose maximum tops it by the margin, and tests only the rest
+again one at a time in row order. Dropping the first kind all at once is
+sound: a row strictly redundant against all other rows is redundant
+against every subset of them that still defines the set.
 """
 
 from __future__ import annotations
@@ -31,6 +42,9 @@ OPT_TOL = 1e-9
 # pivots with Dantzig pricing before switching to Bland's rule
 _BLAND_AFTER = 5000
 _MAX_PIVOTS = 200000
+# LPs pivoted together by lp_max_stack; its two (chunk, m+1, 2n+1) arrays
+# are allocated once per chunk
+_STACK_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -132,6 +146,114 @@ def _run_simplex(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
     raise GeometryError("simplex did not converge within the pivot cap")
 
 
+def _point(D: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
+    """The vertex w = wp - wn that the dictionary D with this basis holds."""
+    m = basis.size
+    x = np.zeros(2 * n + m)
+    x[basis] = D[:m, -1]
+    return x[:n] - x[n : 2 * n]
+
+
+def _pivot_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
+                 rows: np.ndarray, cols: np.ndarray, work: np.ndarray) -> None:
+    """_pivot on every dictionary of the stack D at once, LP l exchanging
+    basis[l, rows[l]] and nonbasic[l, cols[l]]; each entry comes out as
+    _pivot computes it. work is scratch of D's shape."""
+    ar = np.arange(D.shape[0])
+    p = D[ar, rows, cols]
+    prow = D[ar, rows] / p[:, None]
+    D[ar, rows] = prow
+    colvals = D[ar, :, cols]
+    colvals[ar, rows] = 0.0
+    np.multiply(colvals[:, :, None], prow[:, None, :], out=work)
+    D -= work
+    inv = 1.0 / p
+    D[ar, :, cols] = colvals * -inv[:, None]
+    D[ar, rows, cols] = inv
+    # clamp tiny rhs drift
+    rhs = D[:, :-1, -1]
+    rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+    entering = nonbasic[ar, cols]
+    nonbasic[ar, cols] = basis[ar, rows]
+    basis[ar, rows] = entering
+
+
+def _run_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, C: np.ndarray,
+               levels: np.ndarray, skip: np.ndarray | None):
+    """_run_simplex on every dictionary of the stack D, one pivot per live
+    LP per round: Dantzig pricing with lowest-index ties, Bland's rule after
+    _BLAND_AFTER rounds, the smallest-basis-index ratio tie. LP l stops at
+    the first vertex w with C[l] . w > levels[l] ("exceeds"); when rounding
+    puts that vertex back on the level, it runs on to its optimum. Row
+    skip[l], when given, stays out of LP l's ratio test, so its slack never
+    leaves the basis: LP l is the one over the other rows.
+
+    Finished LPs are swapped out of the live prefix D[:k], so each round
+    works in place on live dictionaries only. Returns one LpResult per LP.
+    """
+    L, m = basis.shape
+    n = nonbasic.shape[1] // 2
+    C, levels = C.copy(), np.array(levels, dtype=float)
+    skip = None if skip is None else skip.copy()
+    lp = np.arange(L)  # the LP each slot holds
+    results: list[LpResult | None] = [None] * L
+    work = np.empty_like(D)
+    big = m + 2 * n  # above every variable index
+    k = L
+    bland_after = _BLAND_AFTER
+    for it in range(_MAX_PIVOTS + 1):
+        ar = np.arange(k)
+        costs = D[:k, -1, :-1]
+        if it < bland_after:
+            best = costs.min(axis=1)
+            done = best >= -OPT_TOL
+            pick = costs == best[:, None]
+        else:  # Bland: every improving column
+            pick = costs < -OPT_TOL
+            done = ~pick.any(axis=1)
+        # the lowest variable index among them, whatever its column
+        col = np.where(pick, nonbasic[:k], big).argmin(axis=1)
+        for s in done.nonzero()[0]:
+            w = _point(D[s], basis[s], n)
+            results[lp[s]] = LpResult(float(C[s] @ w), w, "optimal")
+        for s in (~done & (D[:k, -1, -1] > levels[:k])).nonzero()[0]:
+            w = _point(D[s], basis[s], n)
+            value = float(C[s] @ w)
+            if value > levels[s]:
+                results[lp[s]] = LpResult(value, w, "exceeds")
+                done[s] = True
+            else:  # rounding put the point back on the level
+                levels[s] = np.inf
+        colvals = D[ar, :m, col]
+        pos = colvals > FEAS_TOL
+        if skip is not None:
+            pos[ar, skip[:k]] = False
+        unbounded = ~done & ~pos.any(axis=1)
+        for s in unbounded.nonzero()[0]:
+            results[lp[s]] = LpResult(np.inf, None, "unbounded")
+        done |= unbounded
+        if done.any():
+            k_live = k - int(done.sum())
+            holes = done[:k_live].nonzero()[0]
+            movers = k_live + (~done[k_live:]).nonzero()[0]
+            for a, b in zip(holes, movers):
+                D[a] = D[b]
+            per_slot = [basis, nonbasic, C, levels, lp, col, colvals, pos]
+            for arr in per_slot + ([] if skip is None else [skip]):
+                arr[holes] = arr[movers]
+            k = k_live
+            if k == 0:
+                return results
+            ar, col, colvals, pos = ar[:k], col[:k], colvals[:k], pos[:k]
+        ratios = np.full((k, m), np.inf)
+        np.divide(D[:k, :m, -1], colvals, out=ratios, where=pos)
+        cand = ratios <= ratios.min(axis=1, keepdims=True) + 1e-12
+        # deterministic tie-break: smallest basis index (Bland-compatible)
+        row = np.where(cand, basis[:k], big).argmin(axis=1)
+        _pivot_stack(D[:k], basis[:k], nonbasic[:k], row, col, work[:k])
+    raise GeometryError("simplex did not converge within the pivot cap")
+
+
 def _centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
     """Chebyshev-centre LP, max r s.t. F w + |F_i| r <= g, r_lo <= r <= 1,
     solved in r - r_lo with r_lo = min(0, min_i g_i / |F_i|), where w = 0
@@ -197,15 +319,52 @@ def lp_max(c, poly: Polyhedron, stop_above: float = np.inf) -> LpResult:
             return LpResult(np.inf, None, "unbounded")
         raise
 
-    x = np.zeros(2 * n + m)
-    x[basis] = D[:m, -1]
-    w = x[:n] - x[n : 2 * n] + w0
+    w = _point(D, basis, n) + w0
     value = float(c @ w)
     if optimal:
         return LpResult(value, w, "optimal")
     if value > stop_above:
         return LpResult(value, w, "exceeds")
     return lp_max(c, poly)  # rounding put the point back on the level
+
+
+def lp_max_stack(C, poly: Polyhedron, stop_above=np.inf, skip=None) -> list[LpResult]:
+    """lp_max(C[l], rows, stop_above[l]) for every row l of C, where rows
+    are poly's rows, less row skip[l] when skip is given.
+
+    The LPs pivot together as one stack, _STACK_CHUNK at a time, each as
+    lp_max would over its rows: the same statuses, values and points.
+    poly's rhs must be nonnegative, since every LP starts from the slack
+    basis and there is no shift to a centre.
+    """
+    C = np.array(C, dtype=float, ndmin=2)
+    F, g = poly.F, poly.g
+    m, n = F.shape
+    L = C.shape[0]
+    if C.shape[1] != n:
+        raise GeometryError(f"objectives have {C.shape[1]} entries for a {n}-dim set")
+    if np.any(g < 0):
+        raise GeometryError("stacked LPs need a nonnegative rhs")
+    levels = np.broadcast_to(np.asarray(stop_above, dtype=float), (L,))
+    if skip is not None:
+        skip = np.asarray(skip, dtype=np.intp)
+    results = []
+    for lo in range(0, L, _STACK_CHUNK):
+        c = C[lo : lo + _STACK_CHUNK]
+        k = c.shape[0]
+        # w = wp - wn with slacks s, from the slack basis; minimize -c.(wp - wn)
+        D = np.empty((k, m + 1, 2 * n + 1))
+        D[:, :m, :n] = F
+        D[:, :m, n:-1] = -F
+        D[:, :m, -1] = g
+        D[:, -1, :n] = -c
+        D[:, -1, n:-1] = c
+        D[:, -1, -1] = 0.0
+        basis = np.tile(2 * n + np.arange(m), (k, 1))
+        nonbasic = np.tile(np.arange(2 * n), (k, 1))
+        results += _run_stack(D, basis, nonbasic, c, levels[lo : lo + k],
+                              None if skip is None else skip[lo : lo + k])
+    return results
 
 
 def contains(poly: Polyhedron, w, tol: float = FEAS_TOL) -> bool:
@@ -232,39 +391,58 @@ def chebyshev_centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
 
 
 def remove_redundant(poly: Polyhedron) -> Polyhedron:
-    """Drop every row whose LP-max over the remaining rows is <= g_j + 1e-9.
+    """The rows a single pass in row order keeps, where the pass drops each
+    row whose LP-max over the rows still kept is <= g_j + 1e-9.
 
-    Rows are tested one pass in the order given against the current
-    surviving set, so the output is deterministic. The LPs run on the
-    rows shifted to the Chebyshev centre w0, F u <= g - F w0 with a
-    nonnegative rhs, found once for all of them.
     A row equal to a later row (same F row and g) is dropped without an
-    LP: the later copy bounds it exactly.
+    LP: the later copy bounds it exactly. Every other row j gets the LP
+    max F_j w over all the other rows, solved together as one stack
+    (lp_max_stack) on the rows shifted to the Chebyshev centre w0,
+    F u <= h = g - F w0 with h >= 0. With margin = 1e-7 max(1, h_j),
+    row j is
+    - dropped when that maximum is below h_j - margin: a row strictly
+      redundant against all other rows is redundant against every subset
+      of them that still defines the set, so all such rows go at once;
+    - kept when the LP is unbounded or a vertex tops h_j + margin, since
+      fewer rows only raise the maximum;
+    - otherwise (weakly redundant or borderline) tested again by lp_max,
+      in row order, against the rows still kept, as the pass would.
     """
     try:
         w0, _ = chebyshev_centre(poly)
     except GeometryError:
         raise GeometryError("cannot reduce an empty polyhedron") from None
     F, g = poly.F, poly.g
-    h = np.maximum(g - F @ w0, 0.0)
     seen = set()
     repeated_later = np.zeros(poly.nrows, dtype=bool)
     for j in reversed(range(poly.nrows)):
         key = (tuple(F[j].tolist()), float(g[j]))  # -0.0 == 0.0
         repeated_later[j] = key in seen
         seen.add(key)
-    surviving = list(range(poly.nrows))
-    for j in range(poly.nrows):
-        if repeated_later[j]:
-            surviving.remove(j)
+    rows = (~repeated_later).nonzero()[0]
+    if rows.size < 2:
+        return Polyhedron(F[rows], g[rows])
+    F_u = F[rows]
+    h = np.maximum(g[rows] - F_u @ w0, 0.0)
+    margin = 1e-7 * np.maximum(1.0, h)
+    tests = lp_max_stack(F_u, Polyhedron(F_u, h), stop_above=h + margin,
+                         skip=np.arange(rows.size))
+    surviving, borderline = [], []
+    for j, res in enumerate(tests):
+        if res.status == "optimal" and res.value < h[j] - margin[j]:
             continue
+        surviving.append(j)
+        if res.status == "optimal" and res.value <= h[j] + margin[j]:
+            borderline.append(j)
+    for j in borderline:
         others = [i for i in surviving if i != j]
         if not others:
             continue
-        res = lp_max(F[j], Polyhedron(F[others], h[others]), stop_above=h[j] + FEAS_TOL)
+        res = lp_max(F_u[j], Polyhedron(F_u[others], h[others]), stop_above=h[j] + FEAS_TOL)
         if res.status == "optimal" and res.value <= h[j] + FEAS_TOL:
             surviving.remove(j)
-    return Polyhedron(F[surviving], g[surviving])
+    keep = rows[surviving]
+    return Polyhedron(F[keep], g[keep])
 
 
 def save_matrix(path, M) -> None:

@@ -8,7 +8,8 @@ as the MPC terminal constraint. The set's LPs run in coordinates shifted
 to a steady pair inside the constraints, a fixed point of the extended
 dynamics, where every propagated row keeps a nonnegative rhs: each LP
 starts from the slack basis with no Chebyshev-centre LP of its own, and
-invariance_excess proves invariance the same way.
+invariance_excess proves invariance the same way, its row LPs run as
+one stack.
 
 Sign convention: K is Schur-stabilizing for A + BK and enters the
 terminal law as v = K(x - x_a) + v_a; for the positive anesthesia
@@ -23,7 +24,7 @@ import numpy as np
 
 from .compensation import InputBox
 from .errors import GeometryError, ModelConfigError
-from .geometry import Polyhedron, chebyshev_centre, lp_max, remove_redundant
+from .geometry import Polyhedron, chebyshev_centre, lp_max, lp_max_stack, remove_redundant
 from .pkpd import DiscreteDynamics
 
 DARE_STEP_TOL = 1e-12
@@ -229,22 +230,27 @@ def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
 
 
 def invariance_excess(A_w: np.ndarray, X: Polyhedron) -> float:
-    """Largest max_{w in X} F_j A_w w - g_j over the rows j of X, one LP
-    per row started from a steady point of X as in the build; +inf if a
-    row is unbounded. X is invariant under A_w iff this is <= 0 (up to
-    the LP tolerance).
+    """Largest max_{w in X} F_j A_w w - g_j over the rows j of X; +inf if a
+    row is unbounded or X is empty. X is invariant under A_w iff this is
+    <= 0 (up to the LP tolerance). The row LPs share X's rows, so they run
+    as one stack (lp_max_stack) on the rows shifted to a steady point of
+    X as in the build, or to X's Chebyshev centre when X holds none.
     """
     F, g = X.F, X.g
     w0, h = _steady_shift(A_w, X)
-    shifted = Polyhedron(F, h)
+    if np.any(h < 0.0):
+        try:
+            w0, _ = chebyshev_centre(X)
+        except GeometryError:
+            return np.inf
+        h = np.maximum(g - F @ w0, 0.0)
     FA = F @ A_w
     offset = FA @ w0 - g
     worst = -np.inf
-    for j in range(X.nrows):
-        res = lp_max(FA[j], shifted)
+    for res, off in zip(lp_max_stack(FA, Polyhedron(F, h)), offset):
         if res.status != "optimal":
             return np.inf
-        worst = max(worst, res.value + offset[j])
+        worst = max(worst, res.value + off)
     return float(worst)
 
 

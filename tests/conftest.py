@@ -1,3 +1,4 @@
+import dataclasses
 from importlib import resources
 
 import numpy as np
@@ -59,6 +60,33 @@ def random_pk(rng):
         Cl3=rng.uniform(0.0005, 0.02),
         ke=rng.uniform(0.001, 0.01),
     )
+
+
+def scaled_patient(patient, draw, label):
+    """The patient with every PK parameter of both drugs scaled by a fresh
+    draw(), in field order, propofol first."""
+    def scale(pk):
+        fields = {f.name: getattr(pk, f.name) * float(draw())
+                  for f in dataclasses.fields(pk)}
+        return pkpd.DrugPkParams(**fields)
+
+    return pkpd.PatientModel(
+        pk_propofol=scale(patient.pk_propofol),
+        pk_remifentanil=scale(patient.pk_remifentanil),
+        pd=patient.pd,
+        label=label,
+    )
+
+
+def perturbed(patient, rng, spread=0.2):
+    """PK parameters scaled by factors uniform in [1 - spread, 1 + spread]."""
+    return scaled_patient(patient, lambda: rng.uniform(1 - spread, 1 + spread), "perturbed")
+
+
+def log_uniform_patient(patient, rng, lo=0.6, hi=1.4):
+    """PK parameters scaled by factors log-uniform in [lo, hi]."""
+    return scaled_patient(patient, lambda: np.exp(rng.uniform(np.log(lo), np.log(hi))),
+                          "log-uniform")
 
 
 def rollout_compensation_max(disc, U):

@@ -57,10 +57,12 @@ def test_build_spans_nest_under_the_bundle_build(tracing):
     metrics, bases = tracing.layer_metrics(tracer.spans)
     assert bases["builds"] == 1
     assert metrics["terminal.kstar"] == 11
-    # every construction LP runs through the traced lp_max: one routed
-    # around it would zero these counts, not fail the build
+    # every scalar construction LP runs through the traced lp_max: one
+    # routed around it would zero these counts, not fail the build. The
+    # reduction's row tests run as one stack, which the tracer does not
+    # patch, so only its Chebyshev-centre LP counts here
     assert metrics["terminal.propagation_lps"] == 20
-    assert metrics["geometry.redundancy_lps"] == 53
+    assert metrics["geometry.redundancy_lps"] == 1
     assert metrics["geometry.rows_in"] == 96
     assert metrics["geometry.rows_out"] == 44
     assert metrics["mpc.controller_build_ms"] > 0.0

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from anesmpc import geometry, terminal
+from anesmpc import compensation, geometry, pkpd, terminal
 from anesmpc.errors import GeometryError
 from anesmpc.geometry import (
     FEAS_TOL,
@@ -13,12 +13,13 @@ from anesmpc.geometry import (
     load_matrix,
     load_polyhedron,
     lp_max,
+    lp_max_stack,
     remove_redundant,
     save_matrix,
     save_polyhedron,
 )
 
-from conftest import Q_DIAG, R_EYE
+from conftest import M_BAR_PAPER, Q_DIAG, R_EYE, U_BOUNDS, log_uniform_patient, perturbed
 
 
 def box(lo, hi):
@@ -128,6 +129,41 @@ def assert_random_lps_match_highs():
         statuses[mine.status] += 1
     # the battery must actually exercise all three outcomes
     assert all(v > 0 for v in statuses.values()), statuses
+
+
+def sequential_remove_redundant(poly):
+    """The one-row-at-a-time rule remove_redundant reproduces: exact
+    duplicates of a later row dropped, then one pass in row order, each
+    row an lp_max over the rows still kept, shifted to the Chebyshev
+    centre, and dropped when that maximum is <= h_j + 1e-9."""
+    w0, _ = chebyshev_centre(poly)
+    F, g = poly.F, poly.g
+    h = np.maximum(g - F @ w0, 0.0)
+    seen, surviving = set(), []
+    for j in reversed(range(poly.nrows)):
+        key = (tuple(F[j].tolist()), float(g[j]))
+        if key not in seen:
+            surviving.insert(0, j)
+        seen.add(key)
+    for j in list(surviving):
+        others = [i for i in surviving if i != j]
+        if not others:
+            continue
+        res = lp_max(F[j], Polyhedron(F[others], h[others]), stop_above=h[j] + FEAS_TOL)
+        if res.status == "optimal" and res.value <= h[j] + FEAS_TOL:
+            surviving.remove(j)
+    return Polyhedron(F[surviving], g[surviving])
+
+
+def box_with_cuts(rows, seed):
+    """The box [-1, 1]^3 and rows - 6 random unit cuts at offsets from 0.3
+    inside to 1 outside the box's support in their direction."""
+    rng = np.random.default_rng(seed)
+    D = rng.normal(size=(rows - 6, 3))
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    B = box(-np.ones(3), np.ones(3))
+    return Polyhedron(np.vstack([B.F, D]), np.concatenate(
+        [B.g, np.abs(D).sum(axis=1) + rng.uniform(-0.3, 1.0, rows - 6)]))
 
 
 class TestLpMax:
@@ -358,6 +394,82 @@ class TestLpMax:
         assert res.value == pytest.approx(3.0, abs=1e-9)
 
 
+class TestLpMaxStack:
+    @staticmethod
+    def _stacks():
+        """Per random LP (c, F, |g|): objectives c, -c, three rows of F and
+        a random one, each with a stop level: none, 0, 1 or 1e3."""
+        rng = np.random.default_rng(29)
+        levels = np.array([np.inf, 0.0, 1.0, 1e3])
+        for c, F, g in random_lps():
+            C = np.vstack([c, -c, F[:3], rng.normal(size=c.size)])
+            yield C, Polyhedron(F, np.abs(g)), levels[rng.integers(0, 4, C.shape[0])]
+
+    @staticmethod
+    def _assert_same(stacked, scalar, c, P, level):
+        # each dictionary pivots entry for entry as lp_max's does, so the
+        # results agree to the bit
+        assert stacked.status == scalar.status
+        assert stacked.value == scalar.value
+        if scalar.status == "unbounded":
+            assert stacked.argmax is None
+            return
+        assert np.array_equal(stacked.argmax, scalar.argmax)
+        if stacked.status == "exceeds":
+            assert np.all(P.F @ stacked.argmax <= P.g + 1e-9)
+            assert c @ stacked.argmax > level
+
+    @pytest.mark.parametrize("bland_after", [geometry._BLAND_AFTER, 0],
+                             ids=["dantzig", "bland"])
+    def test_matches_lp_max_on_the_random_battery(self, monkeypatch, bland_after):
+        monkeypatch.setattr(geometry, "_BLAND_AFTER", bland_after)
+        statuses = {"optimal": 0, "exceeds": 0, "unbounded": 0}
+        for C, P, levels in self._stacks():
+            for c, level, res in zip(C, levels, lp_max_stack(C, P, stop_above=levels)):
+                self._assert_same(res, lp_max(c, P, stop_above=level), c, P, level)
+                statuses[res.status] += 1
+        assert all(v > 0 for v in statuses.values()), statuses
+
+    def test_skipped_row_is_left_out(self):
+        # LP l over every row but skip[l] is lp_max over the rows without it
+        rng = np.random.default_rng(37)
+        for C, P, levels in self._stacks():
+            skip = rng.integers(0, P.nrows, C.shape[0])
+            for c, level, j, res in zip(C, levels, skip,
+                                        lp_max_stack(C, P, stop_above=levels, skip=skip)):
+                rest = Polyhedron(np.delete(P.F, j, axis=0), np.delete(P.g, j))
+                self._assert_same(res, lp_max(c, rest, stop_above=level), c, rest, level)
+
+    def test_unconfirmed_stop_runs_on_to_the_optimum(self, monkeypatch):
+        # a stop whose point does not clear the level (rounding) must not
+        # report "exceeds": that LP runs on to its optimum
+        real = geometry._point
+        calls = []
+
+        def first_at_origin(D, basis, n):
+            calls.append(n)
+            return np.zeros(n) if len(calls) == 1 else real(D, basis, n)
+
+        monkeypatch.setattr(geometry, "_point", first_at_origin)
+        (res,) = lp_max_stack([[1.0, 1.0]], box([0.0, 0.0], [1.0, 2.0]), stop_above=0.5)
+        assert len(calls) == 2
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(3.0, abs=1e-12)
+
+    def test_empty_row_set(self):
+        res = lp_max_stack([[1.0, 0.0], [0.0, 0.0]], Polyhedron(np.zeros((0, 2)), []))
+        assert [r.status for r in res] == ["unbounded", "optimal"]
+        assert res[1].value == 0.0
+
+    @pytest.mark.parametrize("g, C, match", [
+        ([1.0, -1.0], [[1.0]], "nonnegative"),
+        ([1.0, 1.0], [[1.0, 0.0]], "entries"),
+    ], ids=["negative-rhs", "objective-length"])
+    def test_rejects_bad_input(self, g, C, match):
+        with pytest.raises(GeometryError, match=match):
+            lp_max_stack(C, Polyhedron([[1.0], [-1.0]], g))
+
+
 class TestRemoveRedundant:
     def test_dominated_row(self):
         P = Polyhedron([[1.0], [1.0]], [1.0, 2.0])
@@ -474,6 +586,96 @@ class TestRemoveRedundant:
         R = self._assert_matches_reference(Polyhedron(F, g))
         assert R.nrows == 4
 
+    def test_weakly_redundant_rows_against_reference(self, monkeypatch):
+        # scaled copies (2 F_j, 2 g_j) and extra rows through one vertex of
+        # the box tie with the rows they copy or touch: neither strictly
+        # redundant nor irredundant, so the in-order fallback decides them
+        fallback = []
+        real = geometry.lp_max
+
+        def counting(c, poly, **kwargs):
+            fallback.append("stop_above" in kwargs)
+            return real(c, poly, **kwargs)
+
+        monkeypatch.setattr(geometry, "lp_max", counting)
+        rng = np.random.default_rng(47)
+        for _ in range(12):
+            n = int(rng.integers(2, 5))
+            lo = rng.uniform(-2.0, 2.0, n)
+            hi = lo + rng.uniform(0.5, 2.0, n)
+            B = box(lo, hi)
+            cuts = rng.normal(size=(6, n))
+            cut_g = cuts @ (lo + 0.25) + rng.uniform(0.0, 2.0, 6)
+            F, g = np.vstack([B.F, cuts]), np.concatenate([B.g, cut_g])
+            copies = rng.choice(F.shape[0], 3, replace=False)
+            through = rng.uniform(0.1, 1.0, size=(3, n))  # normal cone of hi
+            F = np.vstack([F, 2.0 * F[copies], through])
+            g = np.concatenate([g, 2.0 * g[copies], through @ hi])
+            order = rng.permutation(F.shape[0])
+            self._assert_matches_reference(Polyhedron(F[order], g[order]))
+        assert sum(fallback) > 0
+
+    @pytest.mark.parametrize("which", ["shipped", "perturbed", "log-uniform"])
+    def test_construction_sets_match_the_sequential_rule(self, patient, v_box, monkeypatch,
+                                                         which):
+        # X_a's rows before reduction, on the shipped patient, the five
+        # perturbed patients of the integration tests and 12 pinned PK
+        # patients scaled log-uniformly in [0.6, 1.4]
+        if which == "shipped":
+            patients = [patient]
+        elif which == "perturbed":
+            patients = [perturbed(patient, np.random.default_rng(s)) for s in range(1, 6)]
+        else:
+            rng = np.random.default_rng(53)
+            patients = [log_uniform_patient(patient, rng) for _ in range(12)]
+        inputs = []
+        real = terminal.remove_redundant
+
+        def spy(poly):
+            inputs.append(poly)
+            return real(poly)
+
+        monkeypatch.setattr(terminal, "remove_redundant", spy)
+        for pat in patients:
+            cont = pkpd.build_continuous(pat.pk_propofol, pat.pk_remifentanil)
+            disc = pkpd.discretize_euler(cont, 5.0)
+            ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
+            ref = sequential_remove_redundant(inputs[-1])
+            assert np.array_equal(ing.X_a.F, ref.F)
+            assert np.array_equal(ing.X_a.g, ref.g)
+        assert len(inputs) == len(patients)
+
+    def test_thousands_of_rows_in_bounded_chunks(self, monkeypatch):
+        # a 2000-row polyhedron runs as chunks of at most _STACK_CHUNK LPs;
+        # the peak memory stays near one chunk's dictionaries and their
+        # scratch twin (two stacks) plus (chunk, m) arrays of a seventh of a
+        # stack each: no whole-stack copy per round and no unchunked stack,
+        # which would be 2000 / 64 times larger
+        import tracemalloc
+
+        sizes = []
+        real = geometry._run_stack
+
+        def spy(D, *args):
+            sizes.append(D.shape[0])
+            return real(D, *args)
+
+        monkeypatch.setattr(geometry, "_run_stack", spy)
+        P = box_with_cuts(2000, seed=31)
+        tracemalloc.start()
+        try:
+            R = remove_redundant(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ref = sequential_remove_redundant(P)
+        assert np.array_equal(R.F, ref.F) and np.array_equal(R.g, ref.g)
+        assert 6 < R.nrows < 200
+        assert max(sizes) == geometry._STACK_CHUNK
+        assert sum(sizes) == P.nrows
+        stack_bytes = geometry._STACK_CHUNK * (P.nrows + 1) * (2 * P.dim + 1) * 8
+        assert peak < 3.5 * stack_bytes
+
 
 class TestChebyshevCentre:
     def test_box(self):
@@ -541,42 +743,66 @@ class TestSlackBasisOnly:
 
     @pytest.fixture
     def rhs_minima(self, monkeypatch):
-        """Smallest rhs entry of each dictionary handed to the simplex, after
-        checking that its basis is the slack variables (the last ones) and
-        its columns the 2n split variables in order."""
-        seen = []
-        real = geometry._run_simplex
+        """Smallest rhs entry of each dictionary handed to the scalar simplex
+        and of each one in a stack, after checking that its basis is the
+        slack variables (the last ones) and its columns the 2n split
+        variables in order."""
+        seen = {"scalar": [], "stacked": []}
 
-        def recording(D, basis, nonbasic, *args, **kwargs):
+        def check(D, basis, nonbasic):
             assert np.array_equal(basis, nonbasic.size + np.arange(basis.size))
             assert np.array_equal(nonbasic, np.arange(D.shape[1] - 1))
-            seen.append(float(np.min(D[:-1, -1])))
+            return float(np.min(D[:-1, -1], initial=np.inf))
+
+        real, real_stack = geometry._run_simplex, geometry._run_stack
+
+        def recording(D, basis, nonbasic, *args, **kwargs):
+            seen["scalar"].append(check(D, basis, nonbasic))
             return real(D, basis, nonbasic, *args, **kwargs)
 
+        def recording_stack(D, basis, nonbasic, *args):
+            seen["stacked"] += [check(*lp) for lp in zip(D, basis, nonbasic)]
+            return real_stack(D, basis, nonbasic, *args)
+
         monkeypatch.setattr(geometry, "_run_simplex", recording)
+        monkeypatch.setattr(geometry, "_run_stack", recording_stack)
         return seen
 
-    def test_terminal_ingredients(self, disc, v_box, rhs_minima, monkeypatch):
-        pivots = []
-        real = geometry._pivot
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        """Pivots made by each kernel; a stacked round pivots every live LP."""
+        made = {"scalar": 0, "stacked": 0}
+        real, real_stack = geometry._pivot, geometry._pivot_stack
 
         def counting(*args):
-            pivots.append(args[4])
+            made["scalar"] += 1
             return real(*args)
 
+        def counting_stack(D, *args):
+            made["stacked"] += D.shape[0]
+            return real_stack(D, *args)
+
         monkeypatch.setattr(geometry, "_pivot", counting)
+        monkeypatch.setattr(geometry, "_pivot_stack", counting_stack)
+        return made
+
+    def test_terminal_ingredients(self, disc, v_box, rhs_minima, pivots):
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
         assert ing.X_a.nrows == 44
-        # 20 propagation and 53 redundancy LPs; the early stop leaves 469
-        # pivots of the 584 that running every LP to its optimum takes
-        assert len(rhs_minima) == 73
-        assert len(pivots) == 469
-        assert min(rhs_minima) >= 0.0
+        # 20 propagation LPs and the reduction's Chebyshev-centre LP run
+        # alone; the 52 row tests of the reduction run as one stack. An LP
+        # that escaped both kernels would lower these exact counts
+        assert len(rhs_minima["scalar"]) == 21
+        assert len(rhs_minima["stacked"]) == 52
+        assert pivots == {"scalar": 161, "stacked": 308}
+        assert min(rhs_minima["scalar"] + rhs_minima["stacked"]) >= 0.0
 
     def test_invariance_excess(self, ingredients, rhs_minima):
         assert terminal.invariance_excess(ingredients.A_w, ingredients.X_a) <= 1e-9
-        assert len(rhs_minima) > ingredients.X_a.nrows
-        assert min(rhs_minima) >= 0.0
+        # the steady-point LP alone, then one stacked LP per row
+        assert len(rhs_minima["scalar"]) == 1
+        assert len(rhs_minima["stacked"]) == ingredients.X_a.nrows
+        assert min(rhs_minima["scalar"] + rhs_minima["stacked"]) >= 0.0
 
     def test_random_battery(self, rhs_minima):
         negative = 0
@@ -584,7 +810,7 @@ class TestSlackBasisOnly:
             negative += bool(np.any(g < 0))
             lp_max(c, Polyhedron(F, g))
         assert negative > 0
-        assert min(rhs_minima) >= 0.0
+        assert min(rhs_minima["scalar"]) >= 0.0
 
 
 class TestContains:

@@ -1,28 +1,12 @@
 """End-to-end pipeline on perturbed patients: the construction chain and
 the closed loop must stay healthy away from the shipped parameter set."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from anesmpc import mpc, pipeline, pkpd, sim
 
-from conftest import U_BOUNDS, rollout_compensation_max, steady_state_compensation
-
-
-def perturbed(patient, rng, spread=0.2):
-    def scale(pk):
-        fields = {f.name: getattr(pk, f.name) * float(rng.uniform(1 - spread, 1 + spread))
-                  for f in dataclasses.fields(pk)}
-        return pkpd.DrugPkParams(**fields)
-
-    return pkpd.PatientModel(
-        pk_propofol=scale(patient.pk_propofol),
-        pk_remifentanil=scale(patient.pk_remifentanil),
-        pd=patient.pd,
-        label="perturbed",
-    )
+from conftest import U_BOUNDS, perturbed, rollout_compensation_max, steady_state_compensation
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

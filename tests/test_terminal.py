@@ -6,7 +6,7 @@ from anesmpc import geometry, pkpd, terminal
 from anesmpc.errors import ModelConfigError
 from anesmpc.geometry import Polyhedron, contains, lp_max
 
-from conftest import Q_DIAG, R_EYE, random_pk
+from conftest import Q_DIAG, R_EYE, perturbed, random_pk
 
 TABLE1_K_ABS = np.array([[0.671, 1.58, 0.0, 0.0], [0.0, 0.0, 0.677, 1.267]])
 TABLE1_P22 = 218.025
@@ -15,17 +15,23 @@ TABLE1_P44 = 58.574
 
 @pytest.fixture
 def negative_rhs(monkeypatch):
-    """Per lp_max call, whether its rows have a negative rhs (an extra
-    Chebyshev-centre LP)."""
-    calls = []
-    real = geometry.lp_max
+    """Per lp_max call, and per LP of each lp_max_stack call, whether its
+    rows have a negative rhs (for lp_max, an extra Chebyshev-centre LP)."""
+    calls = {"scalar": [], "stacked": []}
+    real, real_stack = geometry.lp_max, geometry.lp_max_stack
 
     def recording(c, poly, **kwargs):
-        calls.append(bool(np.any(poly.g < 0)))
+        calls["scalar"].append(bool(np.any(poly.g < 0)))
         return real(c, poly, **kwargs)
 
-    monkeypatch.setattr(geometry, "lp_max", recording)
-    monkeypatch.setattr(terminal, "lp_max", recording)
+    def recording_stack(C, poly, **kwargs):
+        results = real_stack(C, poly, **kwargs)
+        calls["stacked"] += [bool(np.any(poly.g < 0))] * len(results)
+        return results
+
+    for module in (geometry, terminal):
+        monkeypatch.setattr(module, "lp_max", recording)
+        monkeypatch.setattr(module, "lp_max_stack", recording_stack)
     return calls
 
 
@@ -216,10 +222,12 @@ class TestMaxAdmissibleInvariantSet:
 
     def test_patient_build_starts_from_a_steady_pair(self, disc, v_box, negative_rhs):
         # only the steady-point LP and the Chebyshev-centre LP of the
-        # final reduction see rows with a negative rhs
+        # final reduction see rows with a negative rhs; the reduction's 52
+        # row tests run as one stack on the rows shifted to that centre
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
-        assert sum(negative_rhs) <= 2
-        assert len(negative_rhs) == 73
+        assert sum(negative_rhs["scalar"]) <= 2
+        assert len(negative_rhs["scalar"]) == 21
+        assert negative_rhs["stacked"] == [False] * 52
         assert ing.X_a.nrows == 44
         assert ing.determination_index == 11
 
@@ -262,10 +270,50 @@ class TestInvarianceExcess:
         W = Polyhedron([[1.0]], [1.0])
         assert terminal.invariance_excess(np.array([[-2.0]]), W) == np.inf
 
+    @staticmethod
+    def _per_row_excess(A_w, X):
+        """One lp_max per row, as before the row LPs ran as a stack."""
+        w0, h = terminal._steady_shift(A_w, X)
+        FA = X.F @ A_w
+        worst = -np.inf
+        for j in range(X.nrows):
+            res = lp_max(FA[j], Polyhedron(X.F, h))
+            if res.status != "optimal":
+                return np.inf
+            worst = max(worst, res.value + FA[j] @ w0 - X.g[j])
+        return float(worst)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+    def test_matches_the_per_row_loop_on_patients(self, patient, v_box, seed):
+        # the shipped patient and the integration tests' perturbed ones;
+        # X_a is not invariant under 1.05 A_w, whose only fixed point 0
+        # lies outside X_a
+        pat = patient if seed is None else perturbed(patient, np.random.default_rng(seed))
+        cont = pkpd.build_continuous(pat.pk_propofol, pat.pk_remifentanil)
+        disc = pkpd.discretize_euler(cont, 5.0)
+        ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
+        for A_w in (ing.A_w, 1.05 * ing.A_w):
+            excess = terminal.invariance_excess(A_w, ing.X_a)
+            assert excess == pytest.approx(self._per_row_excess(A_w, ing.X_a), abs=1e-12)
+        assert excess > 1e-3
+
+    @pytest.mark.parametrize("g, expected", [
+        ([2.0, -1.0], 2.0),  # 1 <= w <= 2 under w -> 2w: w = 2 maps to 4
+        ([-1.0, 0.5], np.inf),  # w <= -1 and w >= -0.5: empty
+    ], ids=["no-steady-point", "empty"])
+    def test_without_a_steady_point(self, g, expected):
+        # the only fixed point, 0, lies outside X: the LPs run from X's
+        # Chebyshev centre instead
+        X = Polyhedron([[1.0], [-1.0]], g)
+        A_w = np.array([[2.0]])
+        assert terminal.invariance_excess(A_w, X) == pytest.approx(expected, abs=1e-12)
+        assert self._per_row_excess(A_w, X) == pytest.approx(expected, abs=1e-12)
+
     def test_lps_start_from_a_steady_pair(self, ingredients, negative_rhs):
         terminal.invariance_excess(ingredients.A_w, ingredients.X_a)
-        assert len(negative_rhs) == ingredients.X_a.nrows + 1
-        assert sum(negative_rhs) <= 1
+        assert len(negative_rhs["scalar"]) == 1
+        assert sum(negative_rhs["scalar"]) <= 1
+        assert negative_rhs["stacked"] == [False] * ingredients.X_a.nrows
 
 
 class TestSteadyInputBox:
