@@ -20,7 +20,8 @@ A family of LPs over one row set runs as a stack (lp_max_stack): one
 dictionary per LP in an (L, m+1, 2n+1) array, each pivoted by the rules
 of a lone LP, all in one set of numpy operations per round, in chunks of
 _STACK_CHUNK LPs so memory stays bounded whatever the row count.
-Redundancy removal tests every row against all the others in one stack,
+Redundancy removal tests every row against all the others in one stack
+(a chunk at a time, leaving out the rows earlier chunks dropped),
 drops the rows whose maximum falls short of their bound by a margin,
 keeps those whose maximum tops it by the margin, and tests only the rest
 again one at a time in row order. Dropping the first kind all at once is
@@ -407,6 +408,14 @@ def remove_redundant(poly: Polyhedron) -> Polyhedron:
       fewer rows only raise the maximum;
     - otherwise (weakly redundant or borderline) tested again by lp_max,
       in row order, against the rows still kept, as the pass would.
+
+    The row tests run _STACK_CHUNK at a time, and each chunk's LPs leave
+    out the rows that earlier chunks dropped. No outcome changes: those
+    rows and a strictly redundant row j can all go at once, so j's maximum
+    over the rest stays below h_j - margin; a maximum over fewer rows is
+    never lower, so no kept row turns dropped; and a row that tops
+    h_j + margin only without them would also be kept by its re-test,
+    which leaves them out as well.
     """
     try:
         w0, _ = chebyshev_centre(poly)
@@ -425,15 +434,20 @@ def remove_redundant(poly: Polyhedron) -> Polyhedron:
     F_u = F[rows]
     h = np.maximum(g[rows] - F_u @ w0, 0.0)
     margin = 1e-7 * np.maximum(1.0, h)
-    tests = lp_max_stack(F_u, Polyhedron(F_u, h), stop_above=h + margin,
-                         skip=np.arange(rows.size))
-    surviving, borderline = [], []
-    for j, res in enumerate(tests):
-        if res.status == "optimal" and res.value < h[j] - margin[j]:
-            continue
-        surviving.append(j)
-        if res.status == "optimal" and res.value <= h[j] + margin[j]:
-            borderline.append(j)
+    live = np.ones(rows.size, dtype=bool)  # not dropped by an earlier chunk
+    borderline = []
+    for lo in range(0, rows.size, _STACK_CHUNK):
+        chunk = np.arange(lo, min(lo + _STACK_CHUNK, rows.size))
+        others = live.nonzero()[0]
+        tests = lp_max_stack(F_u[chunk], Polyhedron(F_u[others], h[others]),
+                             stop_above=h[chunk] + margin[chunk],
+                             skip=np.searchsorted(others, chunk))
+        for j, res in zip(chunk.tolist(), tests):
+            if res.status == "optimal" and res.value < h[j] - margin[j]:
+                live[j] = False
+            elif res.status == "optimal" and res.value <= h[j] + margin[j]:
+                borderline.append(j)
+    surviving = live.nonzero()[0].tolist()
     for j in borderline:
         others = [i for i in surviving if i != j]
         if not others:

@@ -149,6 +149,22 @@ def steady_segment(zs: SteadyInputSet):
     return pts[order[0]], pts[order[-1]]
 
 
+def prediction_maps(A: np.ndarray, B: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gx = [I; A; ...; A^N] and S, stacked so that x_k = A^k x0 + S_k v
+    for k = 0 .. N. Block (k, j) of S is A^(k-1-j) B for j < k, so column
+    block j is the stack A^0 B, ..., A^(N-1-j) B: a leading slice of one
+    stack of the N products A^i B."""
+    n, m = B.shape
+    powers = [np.eye(n)]
+    for _ in range(N):
+        powers.append(A @ powers[-1])
+    AiB = np.vstack([P @ B for P in powers[:N]])
+    S = np.zeros(((N + 1) * n, m * N))
+    for j in range(N):
+        S[(j + 1) * n:, j * m:(j + 1) * m] = AiB[:(N - j) * n]
+    return np.vstack(powers), S
+
+
 class Controller:
     """Precomputed QP template plus the per-step solve. The admissible
     steady inputs `zs` follow from the target cfg.y_ref and the lambda of
@@ -176,15 +192,7 @@ class Controller:
         mN = m * N
         self.n, self.m, self.N = n, m, N
 
-        # state prediction maps: x_k = A^k x0 + S_k v
-        powers = [np.eye(n)]
-        for _ in range(N):
-            powers.append(A @ powers[-1])
-        S = np.zeros(((N + 1) * n, m * N))
-        for k in range(1, N + 1):
-            for j in range(k):
-                S[k * n:(k + 1) * n, j * m:(j + 1) * m] = powers[k - 1 - j] @ B
-        Gx = np.vstack(powers)
+        Gx, S = prediction_maps(A, B, N)
         self.S = S
         self.Gx = Gx
         self.T = np.linalg.solve(np.eye(n) - A, B)  # x_a = T v_a
@@ -231,7 +239,7 @@ class Controller:
         self.b_in_base = np.concatenate([np.tile(V.upper, N), -np.tile(V.lower, N), g_xa])
         self.b_in_per_c = A_z @ e
         self.term_slice = slice(2 * mN, None)
-        self.Fx_AN = Fx @ powers[N]
+        self.Fx_AN = Fx @ Gx[N * n:]
         self.F_xN, self.F_va = Fx, Fv
         self.v_lo, self.v_hi = V.lower - EQ_TOL, V.upper + EQ_TOL  # for _validate_output
         self.g_xa_tol = g_xa + TERMINAL_TOL

@@ -12,13 +12,26 @@ The dual method (Goldfarb & Idnani 1983) starts at z_u = -H^-1 f with an
 empty working set S, adds the most violated row (lowest index on ties) and
 drops rows whose multipliers would turn negative. Each iterate minimises
 the objective on S, so no phase I is needed: G_SS lam = A_S z_u - b_S,
-A z = A z_u - G[:, S] lam, and the inverse Cholesky factor of G_SS grows
-one row per added constraint. A hot start takes the rows tight at a
-warm-start point into S with one Cholesky factorisation of their block of
-G; when a pivot comes out near zero it admits them one at a time instead,
-skipping dependent rows. Then it drops negative multipliers. While S is
-empty, as in most MPC steps, the iterate is z_u itself: no Cholesky factor
-is formed and no working-set algebra runs.
+A z = A z_u - G[:, S] lam, with G_SS^-1 = Li' Li for the inverse Li of
+the lower Cholesky factor of G_SS.
+
+Li and G[:, S] live in two buffers sized once per solve for min(rows,
+nvars) working rows, the most S can hold: nvars independent rows span
+every row. G[:, S] is kept as its transpose, the rows G[S, :] (G is
+symmetric). An added row j writes one row of each in place: [-r, 1] /
+sqrt(d2) into Li, with r = G_SS^-1 G[S, j] and squared pivot d2, and
+G[j, :]. The violation update reads G[:, S] as a view. A dropped row
+shifts the buffered rows of G over it and factors their block of G again
+(a Cholesky factor and its inverse), so Li is the one a factorisation
+from scratch gives, to the bit: an O(k^2) downdate of Li is faster from
+about 25 rows on, but its rounding differs, and rounding alone can change
+which of two dependent rows ties for the most violated one. A hot start
+takes the rows tight at a warm-start point into S with one Cholesky
+factorisation of their block of G and one inverse; when a pivot comes out
+near zero it admits them one at a time instead, skipping dependent rows.
+Then it drops negative multipliers. While S is empty, as in most MPC
+steps, the iterate is z_u itself: the buffers are never allocated, no
+Cholesky factor is formed and no working-set algebra runs.
 """
 
 from __future__ import annotations
@@ -104,21 +117,43 @@ class QpFactor:
 
 
 class _WorkingSet:
-    """Working rows and the inverse Li of the lower Cholesky factor of their
-    block of G, so G_SS^-1 = Li' Li."""
+    """Working rows S, the inverse Li of the lower Cholesky factor of their
+    block of G (G_SS^-1 = Li' Li) and the rows G[S, :], in buffers of
+    ``cap`` rows allocated when the first row is admitted; :attr:`Li` and
+    :attr:`cols` (G[:, S]) are views of their first len(S) rows."""
 
-    def __init__(self, G: np.ndarray):
-        self.G, self.rows, self.Li = G, [], np.zeros((0, 0))
+    def __init__(self, G: np.ndarray, cap: int):
+        self.G, self.cap, self.rows = G, cap, []
+        self._Li = self._GS = None
+
+    def _allocate(self) -> None:
+        self._Li = np.empty((self.cap, self.cap))
+        self._GS = np.empty((self.cap, self.G.shape[0]))
+
+    @property
+    def Li(self) -> np.ndarray:
+        k = len(self.rows)
+        return self._Li[:k, :k]
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._GS[:len(self.rows)].T
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return self.Li.T @ (self.Li @ v)
+        k = len(self.rows)
+        Li = self._Li[:k, :k]
+        return Li.T @ (Li @ v)
 
     def pivot(self, j: int) -> tuple[np.ndarray, float, bool]:
-        """G_SS^-1 G[S, j], the squared pivot of row j, and whether j depends on S."""
-        g = self.G[self.rows, j]
+        """G_SS^-1 G[S, j], the squared pivot of row j, and whether j depends
+        on S; with cap = nvars rows, S spans every row."""
+        if self._Li is None:
+            self._allocate()
+        k = len(self.rows)
+        g = self._GS[:k, j].copy()  # BLAS rounds a dot with a strided vector otherwise
         r = self.solve(g)
         d2 = float(self.G[j, j] - g @ r)
-        return r, d2, d2 <= _DEP_TOL * self.G[j, j]
+        return r, d2, d2 <= _DEP_TOL * self.G[j, j] or k == self.cap
 
     def admit(self, j: int) -> None:
         r, d2, dependent = self.pivot(j)
@@ -130,25 +165,40 @@ class _WorkingSet:
         S + rows, kept only when every squared pivot passes the test of
         :meth:`pivot`; otherwise row by row, skipping dependent rows."""
         S = self.rows + rows
-        try:
-            L = np.linalg.cholesky(self.G[np.ix_(S, S)])
-        except np.linalg.LinAlgError:
-            L = None
+        k = len(S)
+        L = None
+        if k <= self.cap:
+            if self._Li is None:
+                self._allocate()
+            self._GS[:k] = self.G[S]
+            try:
+                L = np.linalg.cholesky(self._GS[:k, S])
+            except np.linalg.LinAlgError:
+                pass
         if L is not None and np.all(np.diag(L) ** 2 > _DEP_TOL * self.G[S, S]):
-            self.rows, self.Li = S, np.linalg.solve(L, np.eye(len(S)))
+            self.rows, self._Li[:k, :k] = S, np.linalg.inv(L)
         else:
             for j in rows:
                 self.admit(j)
 
     def append(self, j: int, r: np.ndarray, d2: float) -> None:
-        row = np.append(-r, 1.0) / np.sqrt(d2)
-        self.Li = np.vstack([np.hstack([self.Li, np.zeros((len(r), 1))]), row])
+        """Li gains the row [-r, 1] / sqrt(d2), G[S, :] the row G[j, :]."""
+        k = len(self.rows)
+        s = np.sqrt(d2)
+        np.divide(r, -s, out=self._Li[k, :k])
+        self._Li[k, k] = 1.0 / s
+        self._Li[:k, k] = 0.0
+        self._GS[k] = self.G[j]
         self.rows.append(j)
 
     def remove(self, pos: int) -> None:
+        """Drop the row at pos: shift the buffered rows of G over it and
+        factor their block of G again."""
         del self.rows[pos]
-        L = np.linalg.cholesky(self.G[np.ix_(self.rows, self.rows)])
-        self.Li = np.linalg.solve(L, np.eye(len(self.rows)))
+        k = len(self.rows)
+        self._GS[pos:k] = self._GS[pos + 1:k + 1]
+        if k:
+            self._Li[:k, :k] = np.linalg.inv(np.linalg.cholesky(self._GS[:k, self.rows]))
 
 
 def _residuals(p: QpProblem, z: np.ndarray, lam: np.ndarray) -> KktResiduals:
@@ -187,7 +237,7 @@ def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
         return QpSolution(z, float(0.5 * z @ p.H @ z + p.f @ z), status,
                           _residuals(p, z, lam_all), it, tuple(sorted(ws.rows)))
 
-    ws = _WorkingSet(G)
+    ws = _WorkingSet(G, min(c.size, p.nvars))
     if warm_start is not None:
         tight = (p.A_in @ np.ravel(warm_start) - p.b_in >= -_FEAS_TOL).nonzero()[0]
         if tight.size:
@@ -205,7 +255,7 @@ def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
     while True:
         viol = c
         if ws.rows:
-            viol = c - G[:, ws.rows] @ lam
+            viol = c - ws.cols @ lam
             viol[ws.rows] = -np.inf
         j = int(viol.argmax()) if viol.size else -1
         if j < 0 or viol[j] <= _FEAS_TOL:

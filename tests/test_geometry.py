@@ -650,14 +650,16 @@ class TestRemoveRedundant:
         # the peak memory stays near one chunk's dictionaries and their
         # scratch twin (two stacks) plus (chunk, m) arrays of a seventh of a
         # stack each: no whole-stack copy per round and no unchunked stack,
-        # which would be 2000 / 64 times larger
+        # which would be 2000 / 64 times larger. Each chunk's LPs leave out
+        # the rows earlier chunks dropped, so the row sets shrink.
         import tracemalloc
 
-        sizes = []
+        sizes, row_sets = [], []
         real = geometry._run_stack
 
         def spy(D, *args):
             sizes.append(D.shape[0])
+            row_sets.append(D.shape[1] - 1)
             return real(D, *args)
 
         monkeypatch.setattr(geometry, "_run_stack", spy)
@@ -673,6 +675,9 @@ class TestRemoveRedundant:
         assert 6 < R.nrows < 200
         assert max(sizes) == geometry._STACK_CHUNK
         assert sum(sizes) == P.nrows
+        assert row_sets[0] == P.nrows
+        assert all(a >= b for a, b in zip(row_sets, row_sets[1:]))
+        assert row_sets[-1] < P.nrows // 2
         stack_bytes = geometry._STACK_CHUNK * (P.nrows + 1) * (2 * P.dim + 1) * 8
         assert peak < 3.5 * stack_bytes
 

@@ -102,6 +102,28 @@ class TestBuildController:
         assert not np.array_equal(built.b_in_c, controller.b_in_c)
         assert not np.array_equal(built.f_c, controller.f_c)
 
+    def test_prediction_maps_match_the_blockwise_products(self, disc, patient, gain, v_box,
+                                                          ingredients, controller, monkeypatch):
+        # S from slices of one stack of the N products A^i B against S
+        # filled block by block, each block its own product A^(k-1-j) B:
+        # the QP data built on either is equal to the bit
+        def blockwise(A, B, N):
+            n, m = B.shape
+            powers = [np.eye(n)]
+            for _ in range(N):
+                powers.append(A @ powers[-1])
+            S = np.zeros(((N + 1) * n, m * N))
+            for k in range(1, N + 1):
+                for j in range(k):
+                    S[k * n:(k + 1) * n, j * m:(j + 1) * m] = powers[k - 1 - j] @ B
+            return np.vstack(powers), S
+
+        monkeypatch.setattr(mpc, "prediction_maps", blockwise)
+        ref = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                   ingredients, mpc.MpcConfig())
+        for name in ("S", "Gx", "Fx_AN", "H", "A_in", "f_x0_map", "b_in_per_c"):
+            assert np.array_equal(getattr(controller, name), getattr(ref, name)), name
+
     def test_negative_offset_weight_rejected(self):
         with pytest.raises(ModelConfigError, match="'vd_weight'"):
             mpc.VdSpec(weight=-10.0)
@@ -448,10 +470,11 @@ class TestQpReuse:
     def test_steady_steps_factor_nothing(self, disc, patient, gain, v_box, ingredients,
                                          monkeypatch):
         # steps >= 30 of the reference run have no tight row and take 0
-        # iterations: their solves factor nothing and solve nothing with the
-        # (empty) working set
+        # iterations: their solves factor nothing, solve nothing with the
+        # (empty) working set and allocate no working-set buffers
         calls, per_solve = [], []
         cholesky, ws_solve, solve = np.linalg.cholesky, qp._WorkingSet.solve, qp.qp_solve
+        allocate = qp._WorkingSet._allocate
 
         def counted_solve(*args, **kwargs):
             calls.clear()
@@ -463,12 +486,15 @@ class TestQpReuse:
                             lambda *a, **kw: calls.append("cholesky") or cholesky(*a, **kw))
         monkeypatch.setattr(qp._WorkingSet, "solve",
                             lambda ws, v: calls.append("solve") or ws_solve(ws, v))
+        monkeypatch.setattr(qp._WorkingSet, "_allocate",
+                            lambda ws: calls.append("allocate") or allocate(ws))
         monkeypatch.setattr(qp, "qp_solve", counted_solve)
         ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                     ingredients, mpc.MpcConfig())
         sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0)
         assert len(per_solve) == 120
-        assert "solve" in per_solve[0][1]  # the counters see the cold first solve
+        # the counters see the cold first solve
+        assert "solve" in per_solve[0][1] and per_solve[0][1].count("allocate") == 1
         steady = per_solve[30:]
         assert all(sol.iterations == 0 and not sol.active_set for sol, _ in steady)
         assert [k for k, (_, seen) in enumerate(per_solve) if k >= 30 and seen] == []

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from anesmpc import qp
+from anesmpc import mpc, qp, sim
 from anesmpc.qp import QpFactor, QpProblem, enumerate_active_sets, qp_solve
+
+from conftest import U_BOUNDS
 
 
 def random_qp(rng, n, q):
@@ -14,6 +16,40 @@ def random_qp(rng, n, q):
     z0 = rng.normal(size=n)
     b_in = A_in @ z0 + rng.uniform(0.1, 1.0, size=q) if q else None
     return QpProblem(H, f, A_in, b_in)
+
+
+def bad_hot_starts(seed=31, trials=10):
+    """Yield (cold solution, {name: (problem, warm start)}) for random
+    MPC-sized QPs and warm starts whose tight rows make a bad working set:
+    loose rows forced tight (negative multipliers) and duplicates and
+    pairwise sums of the active rows (dependent rows)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        p = random_qp(rng, n=30, q=60)
+        cold = qp_solve(p)
+        assert cold.status == "optimal"
+        active = list(cold.active_set)
+        slack = p.b_in - p.A_in @ cold.z
+        loose = [i for i in range(60) if slack[i] > 1e-6][:12]
+        assert len(loose) == 12
+        # forcing the loose rows to equality gives a negative multiplier
+        C = p.A_in[loose]
+        KKT = np.block([[p.H, C.T], [C, np.zeros((12, 12))]])
+        lam = np.linalg.solve(KKT, np.concatenate([-p.f, p.b_in[loose]]))[30:]
+        assert np.min(lam) < 0.0
+        # a point where the loose rows are tight
+        dz = np.linalg.lstsq(p.A_in[loose], slack[loose], rcond=None)[0]
+        # duplicates and pairwise sums of the active rows, tight at the
+        # optimum and dependent on the rows they repeat
+        pairs = np.array(active[:-1]), np.array(active[1:])
+        A_dep = np.vstack([p.A_in, p.A_in[active], p.A_in[pairs[0]] + p.A_in[pairs[1]]])
+        b_dep = np.concatenate([p.b_in, p.b_in[active], p.b_in[pairs[0]] + p.b_in[pairs[1]]])
+        p_dep = QpProblem(p.H, p.f, A_dep, b_dep)
+        yield cold, {
+            "loose rows tight": (p, cold.z + dz),
+            "dependent rows": (p_dep, cold.z),
+            "dependent and loose rows": (p_dep, cold.z + dz),
+        }
 
 
 class TestBasics:
@@ -169,33 +205,7 @@ class TestProperties:
         # rows, rows not tight at the optimum, rows whose multipliers come
         # out negative; the hot start must repair it and land on the cold
         # optimum
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            p = random_qp(rng, n=30, q=60)
-            cold = qp_solve(p)
-            assert cold.status == "optimal"
-            active = list(cold.active_set)
-            slack = p.b_in - p.A_in @ cold.z
-            loose = [i for i in range(60) if slack[i] > 1e-6][:12]
-            assert len(loose) == 12
-            # forcing the loose rows to equality gives a negative multiplier
-            C = p.A_in[loose]
-            KKT = np.block([[p.H, C.T], [C, np.zeros((12, 12))]])
-            lam = np.linalg.solve(KKT, np.concatenate([-p.f, p.b_in[loose]]))[30:]
-            assert np.min(lam) < 0.0
-            # a point where the loose rows are tight
-            dz = np.linalg.lstsq(p.A_in[loose], slack[loose], rcond=None)[0]
-            # duplicates and pairwise sums of the active rows, tight at the
-            # optimum and dependent on the rows they repeat
-            pairs = np.array(active[:-1]), np.array(active[1:])
-            A_dep = np.vstack([p.A_in, p.A_in[active], p.A_in[pairs[0]] + p.A_in[pairs[1]]])
-            b_dep = np.concatenate([p.b_in, p.b_in[active], p.b_in[pairs[0]] + p.b_in[pairs[1]]])
-            p_dep = QpProblem(p.H, p.f, A_dep, b_dep)
-            starts = {
-                "loose rows tight": (p, cold.z + dz),
-                "dependent rows": (p_dep, cold.z),
-                "dependent and loose rows": (p_dep, cold.z + dz),
-            }
+        for cold, starts in bad_hot_starts():
             for name, (prob, z0) in starts.items():
                 hot = qp_solve(prob, warm_start=z0)
                 assert hot.status == "optimal", name
@@ -286,3 +296,183 @@ class TestHotStart:
         monkeypatch.setattr(qp, "_residuals", per_row)
         assert all(sol.status == "optimal" for sol, _ in qp.oracle_trials(seed=5))
         assert len(checked) == 100
+
+
+class RefactorWorkingSet:
+    """The working set before its buffers, as the reference for
+    qp._WorkingSet: every add stacks a new Li, every drop factors the
+    block of G over S from scratch, and the add loop copies G[:, S]."""
+
+    def __init__(self, G, cap=None):
+        self.G, self.rows, self.Li = G, [], np.zeros((0, 0))
+
+    @property
+    def cols(self):
+        return self.G[:, self.rows]
+
+    def solve(self, v):
+        return self.Li.T @ (self.Li @ v)
+
+    def pivot(self, j):
+        g = self.G[self.rows, j]
+        r = self.solve(g)
+        d2 = float(self.G[j, j] - g @ r)
+        return r, d2, d2 <= qp._DEP_TOL * self.G[j, j]
+
+    def admit(self, j):
+        r, d2, dependent = self.pivot(j)
+        if not dependent:
+            self.append(j, r, d2)
+
+    def admit_all(self, rows):
+        S = self.rows + rows
+        try:
+            L = np.linalg.cholesky(self.G[np.ix_(S, S)])
+        except np.linalg.LinAlgError:
+            L = None
+        if L is not None and np.all(np.diag(L) ** 2 > qp._DEP_TOL * self.G[S, S]):
+            self.rows, self.Li = S, np.linalg.solve(L, np.eye(len(S)))
+        else:
+            for j in rows:
+                self.admit(j)
+
+    def append(self, j, r, d2):
+        row = np.append(-r, 1.0) / np.sqrt(d2)
+        self.Li = np.vstack([np.hstack([self.Li, np.zeros((len(r), 1))]), row])
+        self.rows.append(j)
+
+    def remove(self, pos):
+        del self.rows[pos]
+        L = np.linalg.cholesky(self.G[np.ix_(self.rows, self.rows)])
+        self.Li = np.linalg.solve(L, np.eye(len(self.rows)))
+
+
+class TestWorkingSetBuffers:
+    @staticmethod
+    def count_drops(monkeypatch):
+        drops = []
+        remove = qp._WorkingSet.remove
+
+        def counting(ws, pos):
+            drops.append(pos)
+            remove(ws, pos)
+
+        monkeypatch.setattr(qp._WorkingSet, "remove", counting)
+        return drops
+
+    @staticmethod
+    def assert_same_as_reference(monkeypatch, p, warm_start=None, factor=None, sol=None):
+        """qp_solve with the buffered working set and with the reference
+        take the same path: iterations, active set and status, z to 1e-12."""
+        if sol is None:
+            sol = qp_solve(p, warm_start=warm_start, factor=factor)
+        with monkeypatch.context() as mp:
+            mp.setattr(qp, "_WorkingSet", RefactorWorkingSet)
+            ref = qp_solve(p, warm_start=warm_start, factor=factor)
+        assert (sol.iterations, sol.active_set, sol.status) == (
+            ref.iterations, ref.active_set, ref.status)
+        if ref.z is None:
+            assert sol.z is None
+        else:
+            np.testing.assert_allclose(sol.z, ref.z, rtol=0, atol=1e-12)
+
+    def test_random_qps_cold_and_hot_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        with monkeypatch.context() as mp:
+            drops = self.count_drops(mp)
+            for _ in range(20):
+                p = random_qp(rng, n=30, q=60)
+                cold = qp_solve(p)
+                self.assert_same_as_reference(mp, p, sol=cold)
+                for scale in (0.05, 0.5):
+                    z0 = cold.z + rng.normal(scale=scale, size=30)
+                    self.assert_same_as_reference(mp, p, warm_start=z0)
+        assert len(drops) > 20
+
+    def test_bad_hot_starts_match_reference(self, monkeypatch):
+        with monkeypatch.context() as mp:
+            drops = self.count_drops(mp)
+            for _, starts in bad_hot_starts():
+                for prob, z0 in starts.values():
+                    self.assert_same_as_reference(mp, prob, warm_start=z0)
+        assert drops
+
+    def test_reference_run_matches_reference(self, disc, patient, gain, v_box, ingredients,
+                                             monkeypatch):
+        solves = []
+        solve = qp.qp_solve
+
+        def capturing(p, warm_start=None, **kwargs):
+            warm = None if warm_start is None else warm_start.copy()
+            sol = solve(p, warm_start=warm_start, **kwargs)
+            solves.append((p, warm, kwargs.get("factor"), sol))
+            return sol
+
+        monkeypatch.setattr(qp, "qp_solve", capturing)
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                    ingredients, mpc.MpcConfig())
+        sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0)
+        monkeypatch.setattr(qp, "qp_solve", solve)
+        assert len(solves) == 120
+        assert solves[0][3].iterations == 27 and len(solves[0][3].active_set) == 25
+        for p, warm, factor, sol in solves:
+            self.assert_same_as_reference(monkeypatch, p, warm_start=warm, factor=factor,
+                                          sol=sol)
+
+    def test_factor_and_columns_after_every_change(self):
+        # random admits, drops at the front, the end and in between, and
+        # hot starts that fall back to row by row: after each change
+        # Li G_SS Li' = I and the buffered columns are G[:, S] to the bit
+        rng = np.random.default_rng(7)
+        p = random_qp(rng, n=30, q=60)
+        A = np.vstack([p.A_in, p.A_in[:10], p.A_in[:5] + p.A_in[5:10]])  # 20 dependent rows
+        G = QpFactor(p.H, A).G
+        q = A.shape[0]
+        seen = {"front": 0, "end": 0, "middle": 0, "fallback": 0, "full": 0}
+
+        def check(ws):
+            S = ws.rows
+            assert len(set(S)) == len(S) <= ws.cap
+            np.testing.assert_allclose(ws.Li @ G[np.ix_(S, S)] @ ws.Li.T, np.eye(len(S)),
+                                       rtol=0, atol=1e-10)
+            assert np.array_equal(ws.cols, G[:, S])
+
+        for trial in range(30):
+            ws = qp._WorkingSet(G, min(q, 30))
+            start = list(rng.choice(q, size=int(rng.integers(1, 12)), replace=False))
+            ws.admit_all(start)
+            if len(ws.rows) < len(start):
+                seen["fallback"] += 1
+            check(ws)
+            for _ in range(60):
+                if ws.rows and rng.uniform() < 0.4:
+                    pos = int(rng.choice([0, len(ws.rows) - 1, rng.integers(len(ws.rows))]))
+                    kind = "front" if pos == 0 else "end" if pos == len(ws.rows) - 1 else "middle"
+                    seen[kind] += 1
+                    ws.remove(pos)
+                else:
+                    ws.admit(int(rng.choice([i for i in range(q) if i not in ws.rows])))
+                check(ws)
+        # a full working set (nvars independent rows) spans every row
+        for j in rng.permutation(q).tolist():
+            if j not in ws.rows:
+                full, before = len(ws.rows) == ws.cap, list(ws.rows)
+                ws.admit(j)
+                if full:
+                    seen["full"] += 1
+                    assert ws.rows == before
+                check(ws)
+        assert all(seen.values()), seen
+
+    def test_empty_working_set_allocates_nothing(self, monkeypatch):
+        allocated = []
+        allocate = qp._WorkingSet._allocate
+        monkeypatch.setattr(qp._WorkingSet, "_allocate",
+                            lambda ws: allocated.append(ws.cap) or allocate(ws))
+        p = random_qp(np.random.default_rng(3), n=30, q=60)
+        loose = QpProblem(p.H, p.f, p.A_in, p.b_in + 1e6)
+        sol = qp_solve(loose, warm_start=np.zeros(30))
+        assert sol.iterations == 0 and not sol.active_set
+        assert allocated == []
+        qp_solve(p)
+        assert allocated == [30]
