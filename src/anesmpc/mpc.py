@@ -17,6 +17,15 @@ input plus the slow-state compensation.
 With n = 4 and N = 24 the dense Hessian is 49 x 49, small enough that
 condensing beats a sparse KKT formulation, and it makes the warm start a
 plain index shift of the previous solution.
+
+A control step is two precomputed affine maps around the QP solve. Before
+it, one stacked map of x_f gives the linear term and the shift of the X_a
+rows' right-hand side. After it, one read-out map of (x_f, y), plus a part
+in v_a0 = p0 c that retarget sets, gives v_a, x_a, the predicted states,
+the terminal-law input that closes the warm start, and the rows the output
+check compares with one stacked bound vector (v_0 against the tightened
+box, the terminal pair against X_a). The applied input u = v_0 + D x_s is
+formed apart from the read-out.
 """
 
 from __future__ import annotations
@@ -233,18 +242,41 @@ class Controller:
         rows_v = np.hstack([np.eye(mN), np.zeros((mN, m))])
         F_xa, g_xa = ingredients.X_a.F, ingredients.X_a.g
         Fx, Fv = F_xa[:, :n], F_xa[:, n:]
-        S_N = S[N * n:, :]
+        A_N, S_N = Gx[N * n:], S[N * n:]
         A_z = np.vstack([rows_v, -rows_v, np.hstack([Fx @ S_N, Fv])])
         self.A_in = A_z @ E
         self.b_in_base = np.concatenate([np.tile(V.upper, N), -np.tile(V.lower, N), g_xa])
         self.b_in_per_c = A_z @ e
         self.term_slice = slice(2 * mN, None)
-        self.Fx_AN = Fx @ Gx[N * n:]
-        self.F_xN, self.F_va = Fx, Fv
-        self.v_lo, self.v_hi = V.lower - EQ_TOL, V.upper + EQ_TOL  # for _validate_output
-        self.g_xa_tol = g_xa + TERMINAL_TOL
+        self.Fx_AN = Fx @ A_N
+        # x_f -> (f, shift of the X_a rows' rhs), one stacked map
+        self.assemble_map = np.vstack([self.f_x0_map, self.Fx_AN])
         self.qp_factor = qp.QpFactor(self.H, self.A_in)
 
+        # read-out: (x_f, v, v_a) -> v_a, x_a, x_0 .. x_N, the terminal-law
+        # input K (x_N - T v_a) + v_a, then the checked rows v_0, -v_0 and
+        # F_xN x_N + F_va v_a; with v_a = v_a0 + d t it is one product with
+        # (x_f, y) plus the part at v_a0 = p0 c, which retarget sets
+        K, sel_v0 = ingredients.K, np.eye(m, mN)
+        blocks = [  # (x_f columns, v columns, v_a columns)
+            (np.zeros((m, n)), np.zeros((m, mN)), np.eye(m)),
+            (np.zeros((n, n)), np.zeros((n, mN)), self.T),
+            (Gx, S, np.zeros((len(Gx), m))),
+            (K @ A_N, K @ S_N, np.eye(m) - K @ self.T),
+            (np.zeros((m, n)), sel_v0, np.zeros((m, m))),
+            (np.zeros((m, n)), -sel_v0, np.zeros((m, m))),
+            (Fx @ A_N, Fx @ S_N, Fv),
+        ]
+        bx, bv, self.readout_va = (np.vstack(cols) for cols in zip(*blocks))
+        self.readout = np.hstack([bx, bv, (self.readout_va @ self.d)[:, None]])
+        ends = np.cumsum([len(b[0]) for b in blocks])
+        self._va_rows, self._xa_rows, self._x_rows, self._tail_rows = (
+            slice(a, b) for a, b in zip([0, *ends[:3]], ends[:4]))
+        self._checked_rows = slice(ends[3], None)
+        # bounds of the checked rows: the tightened box, then X_a
+        self.checked_bound = np.concatenate([V.upper + EQ_TOL, -(V.lower - EQ_TOL),
+                                             g_xa + TERMINAL_TOL])
+        self._xy = np.empty(n + self.ny)
         self._warm_buf = np.empty(self.ny)
         self._clamp_warned = False
         self.retarget(cfg.y_ref)
@@ -253,26 +285,21 @@ class Controller:
     # -- helpers -----------------------------------------------------------
 
     def _assemble(self, x0: np.ndarray) -> qp.QpProblem:
-        f = self.f_x0_map @ x0 + self.f_c
+        shift = self.assemble_map @ x0
+        f = shift[:self.ny] + self.f_c
         b_in = self.b_in_c.copy()
-        b_in[self.term_slice] -= self.Fx_AN @ x0
+        b_in[self.term_slice] -= shift[self.ny:]
         return qp.QpProblem(self.H, f, self.A_in, b_in)
 
-    def _shift_warm_start(self, y: np.ndarray, x: np.ndarray, v_a: np.ndarray) -> np.ndarray:
-        """Shift the plan in y by one step, append the terminal law at its
-        predicted terminal state x and steady input v_a, and keep t;
-        written into one buffer reused across steps."""
-        mN = self.m * self.N
-        w = self._warm_buf
-        w[: mN - self.m] = y[self.m: mN]
-        w[mN - self.m: mN] = self.ing.K @ (x - self.T @ v_a) + v_a
-        w[mN] = y[mN]
-        return w
-
-    def predict(self, x0: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Predicted fast states x_0 .. x_N under the input plan in y."""
-        stacked = self.Gx @ x0 + self.S @ y[: self.m * self.N]
-        return stacked.reshape(self.N + 1, self.n)
+    def read_out(self, x0: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Every quantity a step reads off its solution y at the state x0,
+        stacked: one product of the read-out map with (x0, y) plus its part
+        at v_a0, set in retarget."""
+        xy = self._xy
+        xy[:self.n], xy[self.n:] = x0, y
+        out = self.readout @ xy
+        out += self.readout_c
+        return out
 
     def reset(self) -> None:
         """Start a new run: no warm start, step count 0."""
@@ -292,6 +319,7 @@ class Controller:
         # the true cost at y = 0 (zero plan, steady input v_a0 = p0 c) as
         # x0'cost_xx x0 + cost_x'x0 + cost_at_zero, with x_k - x_a = Gx x0 - x_a0
         self.v_a0 = c * self.p0
+        self.readout_c = self.readout_va @ self.v_a0
         x_a0 = np.tile(self.T @ self.v_a0, self.N + 1)
         GxQ = self.Gx.T @ self.Qbar
         self.cost_xx, self.cost_x = GxQ @ self.Gx, -2.0 * (GxQ @ x_a0)
@@ -327,11 +355,13 @@ class Controller:
                 f"tracking QP is infeasible: {_describe(sol.infeasibility_report)}",
                 report=sol.infeasibility_report, status=sol.status)
         y = sol.z
+        mN = self.m * self.N
         v0 = y[:self.m].copy()
-        v_a = self.v_a0 + self.d * y[self.m * self.N]
-        x_a = self.T @ v_a
-        predicted = self.predict(x_f, y)
-        self._warm = self._shift_warm_start(y, predicted[-1], v_a)
+        out = self.read_out(x_f, y)
+        v_a, x_a = out[self._va_rows], out[self._xa_rows]
+        w = self._warm_buf  # the plan shifted by one step, closed by the terminal law
+        w[:mN - self.m], w[mN - self.m:mN], w[mN] = y[self.m:mN], out[self._tail_rows], y[mN]
+        self._warm = w
         cost = sol.objective + (float(x_f @ (self.cost_xx @ x_f + self.cost_x))
                                 + self.cost_at_zero)
 
@@ -345,24 +375,29 @@ class Controller:
             self._clamp_warned = True
         u = clamped
 
-        self._validate_output(v0, v_a, predicted)
+        self._validate_output(v0, v_a, out[self._checked_rows])
         return ControlOutput(
-            u=u, v0=v0, v_a=v_a, x_a=x_a, predicted_xf=predicted,
+            u=u, v0=v0, v_a=v_a, x_a=x_a,
+            predicted_xf=out[self._x_rows].reshape(self.N + 1, self.n),
             cost=cost, solver_status=sol.status, qp_iterations=sol.iterations,
         )
 
-    def _validate_output(self, v0, v_a, predicted) -> None:
-        if (v0 < self.v_lo).any() or (v0 > self.v_hi).any():
+    def _validate_output(self, v0, v_a, checked) -> None:
+        """One comparison of the checked rows (v_0, -v_0, the X_a rows at the
+        terminal pair) with their bounds, and the steady line at self.zs."""
+        outside = checked > self.checked_bound
+        off_line = abs(self.zs.g_eff @ v_a - self.zs.c) > EQ_TOL
+        if not (off_line or outside.any()):
+            return
+        if outside[:2 * self.m].any():
             raise SolverInfeasibleError(f"tracking input {v0} left the tightened box")
-        if abs(self.zs.g_eff @ v_a - self.zs.c) > EQ_TOL:
+        if off_line:
             raise SolverInfeasibleError("steady-output equality violated at the optimum")
-        lhs = self.F_xN @ predicted[-1] + self.F_va @ v_a
-        if (lhs > self.g_xa_tol).any():
-            slack = lhs - self.ing.X_a.g
-            worst = int(np.argmax(slack))
-            raise SolverInfeasibleError(
-                f"terminal pair violates invariant-set row {worst} by {slack[worst]:.3g}"
-            )
+        slack = checked[2 * self.m:] - self.ing.X_a.g
+        worst = int(np.argmax(slack))
+        raise SolverInfeasibleError(
+            f"terminal pair violates invariant-set row {worst} by {slack[worst]:.3g}"
+        )
 
 
 def _as_states(x_f, x_s) -> tuple[np.ndarray, np.ndarray]:

@@ -32,6 +32,13 @@ near zero it admits them one at a time instead, skipping dependent rows.
 Then it drops negative multipliers. While S is empty, as in most MPC
 steps, the iterate is z_u itself: the buffers are never allocated, no
 Cholesky factor is formed and no working-set algebra runs.
+
+The row residuals c = A z_u - b and those at the warm start come from one
+product of A with the pair. A solve that ends with S empty reports KKT
+residuals from what it already holds: the primal residual is c, the
+multipliers and complementarity are exactly 0, and only the stationarity
+H z + f is formed, its H z shared with the objective. A solve that ends
+with working rows recomputes every residual from (z, lam).
 """
 
 from __future__ import annotations
@@ -110,8 +117,10 @@ class QpFactor:
         except np.linalg.LinAlgError:
             self.H = self.H + _REG_DELTA * np.eye(len(H))
             L = np.linalg.cholesky(self.H)  # raises when H is indefinite
-        self.H_inv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(len(H))))
-        self.HinvAt = np.linalg.solve(L.T, np.linalg.solve(L, A_in.T))
+        # H^-1 and H^-1 A' from one pair of triangular solves over [I, A']
+        n = len(H)
+        Hinv_At = np.linalg.solve(L.T, np.linalg.solve(L, np.hstack([np.eye(n), A_in.T])))
+        self.H_inv, self.HinvAt = Hinv_At[:, :n], Hinv_At[:, n:]
         self.G = A_in @ self.HinvAt
         self.G = 0.5 * (self.G + self.G.T)
 
@@ -225,23 +234,31 @@ def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
     G = factor.G
     z_u = -(factor.H_inv @ p.f)
     z_u -= factor.H_inv @ (factor.H @ z_u + p.f)  # one refinement step
-    c = p.A_in @ z_u - p.b_in  # row residuals at z_u
+    tight = []
+    if warm_start is None:
+        c = p.A_in @ z_u - p.b_in  # row residuals at z_u
+    else:  # and at the warm start, from one product
+        c, at_warm = np.array((z_u, np.ravel(warm_start))) @ p.A_in.T - p.b_in
+        tight = (at_warm >= -_FEAS_TOL).nonzero()[0].tolist()
 
     def finish(status, lam, it, extra=()):
         rows = ws.rows + [j for j, _ in extra]
-        lam_all, z = np.zeros(c.size), z_u
-        if rows:
-            lam_all[rows] = np.concatenate([lam, [t for _, t in extra]])
-            z = z_u - factor.HinvAt @ lam_all
-            np.maximum(lam_all, 0.0, out=lam_all)
+        if not rows:
+            # z = z_u: its row residuals are c, and lam = 0 leaves only H z + f
+            Hz = p.H @ z_u
+            kkt = KktResiduals(float(np.abs(Hz + p.f).max(initial=0.0)),
+                               float(c.max(initial=0.0)), 0.0)
+            return QpSolution(z_u, float(0.5 * z_u @ Hz + p.f @ z_u), status, kkt, it)
+        lam_all = np.zeros(c.size)
+        lam_all[rows] = np.concatenate([lam, [t for _, t in extra]])
+        z = z_u - factor.HinvAt @ lam_all
+        np.maximum(lam_all, 0.0, out=lam_all)
         return QpSolution(z, float(0.5 * z @ p.H @ z + p.f @ z), status,
                           _residuals(p, z, lam_all), it, tuple(sorted(ws.rows)))
 
     ws = _WorkingSet(G, min(c.size, p.nvars))
-    if warm_start is not None:
-        tight = (p.A_in @ np.ravel(warm_start) - p.b_in >= -_FEAS_TOL).nonzero()[0]
-        if tight.size:
-            ws.admit_all(tight.tolist())
+    if tight:
+        ws.admit_all(tight)
     lam = ws.solve(c[ws.rows]) if ws.rows else np.zeros(0)
 
     it = 0

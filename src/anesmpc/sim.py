@@ -64,7 +64,8 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
     """Run the loop for `duration` seconds (a multiple of the sampling
     period) from the 8-state start x0 (default: fully awake, all zero)."""
     Ts = disc.Ts
-    steps = round(duration / Ts)
+    ratio = duration / Ts
+    steps = round(ratio) if math.isfinite(ratio) else 0  # NaN and inf have no step count
     if abs(steps * Ts - duration) > 1e-9 or steps < 1:
         raise ModelConfigError("duration must be a positive multiple of Ts")
     x = np.zeros(8) if x0 is None else np.asarray(x0, float).copy()

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,18 @@ def patient_path():
 
 def controller_path():
     return resources.files("anesmpc") / "data" / "controller.ini"
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name):
+    """A module of the benchmark in bench/, imported by name."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
 
 
 @pytest.fixture(scope="session")

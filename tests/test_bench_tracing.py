@@ -3,34 +3,23 @@ and its workload checks call a few package names directly; a refactor
 that moves or renames one of them must fail here, not only under
 ``bench/run.py``."""
 
-import importlib
-import sys
-from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from anesmpc import cli
+from anesmpc import cli, pipeline
 
-from conftest import controller_path, patient_path
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _bench_module(name):
-    sys.path.insert(0, str(BENCH))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.remove(str(BENCH))
+from conftest import bench_module, controller_path, patient_path
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    return _bench_module("tracing")
+    return bench_module("tracing")
 
 
 def test_cohort_build_check_passes_on_the_shipped_bundle():
-    workloads = _bench_module("workloads")
+    workloads = bench_module("workloads")
     bundle = cli.build_bundle(patient_path(), controller_path())
     assert workloads.check_cohort_build("shipped", bundle) == []
 
@@ -67,3 +56,19 @@ def test_build_spans_nest_under_the_bundle_build(tracing):
     assert metrics["geometry.rows_out"] == 44
     assert metrics["mpc.controller_build_ms"] > 0.0
     assert metrics["pkpd.load_ms"] > 0.0
+
+
+def test_applied_input_is_the_clipped_compensated_input_to_the_bit(tracing):
+    # the tracer counts a step as clamped whenever u differs in any bit from
+    # v0 + D x_s, so u must come from exactly that expression, clipped into
+    # U: any other rounding would count every step as a clamp
+    bundle = cli.build_bundle(patient_path(), controller_path())
+    ctrl, U = bundle.controller, bundle.controller.U
+    log = pipeline.closed_loop(bundle, 600.0)
+    for k in range(len(log)):
+        assert np.array_equal(log.u[k], np.clip(log.v[k] + ctrl.D @ log.x_s[k],
+                                                U.lower, U.upper)), k
+    clamped = [k for k in range(len(log))
+               if tracing._step_info(SimpleNamespace(u=log.u[k], v0=log.v[k]),
+                                     (ctrl, log.x_f[k], log.x_s[k]), {})["clamped"]]
+    assert clamped == []

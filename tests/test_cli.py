@@ -71,6 +71,13 @@ class TestSimulate:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration(self, paths, tmp_path, capsys, duration):
+        rc = cli.main(["simulate", "--patient", paths[0], "--config", paths[1],
+                       "--out", str(tmp_path), "--duration", duration])
+        assert rc == 2
+        assert "duration must be a positive multiple of Ts" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_default_config_all_pass(self, paths, capsys):

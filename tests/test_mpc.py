@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anesmpc import compensation, mpc, qp, sim
+from anesmpc import compensation, mpc, pipeline, qp, sim
 from anesmpc.errors import ModelConfigError, SolverInfeasibleError
 
-from conftest import U_BOUNDS
+from conftest import U_BOUNDS, bench_module, controller_path, patient_path
 
 
 @pytest.fixture(scope="module")
@@ -154,14 +154,16 @@ class TestControlStep:
         np.testing.assert_allclose(out.u, v_a + gain.D @ x_s, atol=1e-12)
 
     def test_one_prediction_per_step(self, controller, monkeypatch):
+        # the predicted states come with everything else read off the
+        # solution: one application of the read-out map per step
         calls = []
-        real = mpc.Controller.predict
+        real = mpc.Controller.read_out
 
-        def counting(self, x0, z):
+        def counting(self, x0, y):
             calls.append(1)
-            return real(self, x0, z)
+            return real(self, x0, y)
 
-        monkeypatch.setattr(mpc.Controller, "predict", counting)
+        monkeypatch.setattr(mpc.Controller, "read_out", counting)
         controller.reset()
         first = controller.control_step(np.zeros(4), np.zeros(4))
         controller.control_step(first.predicted_xf[1], np.zeros(4))
@@ -498,3 +500,73 @@ class TestQpReuse:
         steady = per_solve[30:]
         assert all(sol.iterations == 0 and not sol.active_set for sol, _ in steady)
         assert [k for k, (_, seen) in enumerate(per_solve) if k >= 30 and seen] == []
+
+
+@pytest.fixture(scope="module")
+def recorded_runs():
+    """The 600 s reference run and the benchmark's set-point schedule on
+    the shipped files, keeping every read-out (x0, y, result, c at the
+    step) and every QP (problem, solution)."""
+    workloads = bench_module("workloads")
+    read_out, solve = mpc.Controller.read_out, qp.qp_solve
+    runs = {}
+
+    def recording_read_out(ctrl, x0, y):
+        out = read_out(ctrl, x0, y)
+        reads.append((x0.copy(), y.copy(), out.copy(), ctrl.zs.c))
+        return out
+
+    def recording_solve(p, *args, **kwargs):
+        solves.append((p, solve(p, *args, **kwargs)))
+        return solves[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpc.Controller, "read_out", recording_read_out)
+        mp.setattr(qp, "qp_solve", recording_solve)
+        for name, episode in (
+                ("reference", lambda b: pipeline.closed_loop(b, 600.0)),
+                ("setpoint", lambda b: workloads.setpoint_episode(
+                    b, workloads.SETPOINT_SCHEDULE, workloads.SETPOINT_S))):
+            reads, solves = [], []
+            bundle = pipeline.build_bundle(patient_path(), controller_path())
+            log = episode(bundle)
+            runs[name] = bundle.controller, log, reads, solves
+    return runs
+
+
+class TestReadOut:
+    @pytest.mark.parametrize("run", ["reference", "setpoint"])
+    def test_read_out_matches_direct_formulas(self, recorded_runs, run):
+        # each block of the one precomputed product against its formula
+        ctrl, log, reads, _ = recorded_runs[run]
+        assert len(reads) == len(log) == {"reference": 120, "setpoint": 1440}[run]
+        n, mN = ctrl.n, ctrl.m * ctrl.N
+        K, T = ctrl.ing.K, ctrl.T
+        F_xN, F_va = ctrl.ing.X_a.F[:, :n], ctrl.ing.X_a.F[:, n:]
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        for k, (x0, y, out, c) in enumerate(reads):
+            v_a = ctrl.p0 * c + ctrl.d * y[mN]
+            xs = ctrl.Gx @ x0 + ctrl.S @ y[:mN]
+            x_N = xs[-n:]
+            checked = out[ctrl._checked_rows]
+            assert close(out[ctrl._va_rows], v_a), k
+            assert close(out[ctrl._x_rows], xs), k
+            assert close(out[ctrl._xa_rows], T @ v_a), k
+            assert close(out[ctrl._tail_rows], K @ (x_N - T @ v_a) + v_a), k
+            assert close(checked[2 * ctrl.m:], F_xN @ x_N + F_va @ v_a), k
+            # the box rows are v_0 and -v_0, exact
+            assert np.array_equal(checked[:2 * ctrl.m], np.concatenate([y[:ctrl.m], -y[:ctrl.m]])), k
+            assert np.array_equal(log.v_a[k], out[ctrl._va_rows]), k
+
+    @pytest.mark.parametrize("run", ["reference", "setpoint"])
+    def test_empty_working_set_reports_its_own_residuals(self, recorded_runs, run):
+        # a solve that ends with no working row reports, from c and H z,
+        # the residuals the full recomputation gives at (z, 0)
+        _, _, _, solves = recorded_runs[run]
+        empty = [(p, sol) for p, sol in solves if not sol.active_set]
+        assert len(empty) >= {"reference": 90, "setpoint": 1380}[run]
+        for p, sol in empty:
+            assert sol.kkt_residuals == qp._residuals(p, sol.z, np.zeros(p.b_in.size))

@@ -270,32 +270,70 @@ class TestHotStart:
         np.testing.assert_allclose(hot.z, cold.z, atol=1e-8)
 
     def test_stacked_residuals_match_per_block_formula(self, monkeypatch):
-        # the residuals over all rows at once against a loop over the rows,
-        # at each solution and at a perturbed pair, where no residual is zero
+        # every trial's reported residuals against a loop over the rows at
+        # its solution and multipliers (zero when the working set ends
+        # empty and _residuals is not called); each call of _residuals
+        # also at a perturbed pair, where no residual is zero
         rng = np.random.default_rng(0)
-        checked = []
-        stacked = qp._residuals
+        stacked, solve = qp._residuals, qp.qp_solve
+        calls, trials = [], []
 
         def per_row(p, z, lam):
-            for dz, dlam in ((0.0, 0.0), (rng.normal(size=z.size), rng.uniform(size=lam.size))):
-                zz, ll = z + dz, lam + dlam
-                got = stacked(p, zz, ll)
-                grad = p.H @ zz + p.f
-                primal, comp = 0.0, 0.0
-                for a, b, l in zip(p.A_in, p.b_in, ll):
-                    grad = grad + l * a
-                    primal = max(primal, a @ zz - b)
-                    comp = max(comp, abs(l * (a @ zz - b)))
-                want = (np.max(np.abs(grad), initial=0.0), primal, comp)
-                np.testing.assert_allclose(
-                    [got.stationarity, got.primal_in, got.complementarity],
-                    want, rtol=0, atol=1e-13)
-            checked.append(1)
+            grad = p.H @ z + p.f
+            primal, comp = 0.0, 0.0
+            for a, b, l in zip(p.A_in, p.b_in, lam):
+                grad = grad + l * a
+                primal = max(primal, a @ z - b)
+                comp = max(comp, abs(l * (a @ z - b)))
+            return np.max(np.abs(grad), initial=0.0), primal, comp
+
+        def checked(p, z, lam):
+            dz, dlam = rng.normal(size=z.size), rng.uniform(size=lam.size)
+            got = stacked(p, z + dz, lam + dlam)
+            np.testing.assert_allclose(
+                [got.stationarity, got.primal_in, got.complementarity],
+                per_row(p, z + dz, lam + dlam), rtol=0, atol=1e-13)
+            calls.append(lam)
             return stacked(p, z, lam)
 
-        monkeypatch.setattr(qp, "_residuals", per_row)
+        def recorded(p, *args, **kwargs):
+            calls.clear()
+            sol = solve(p, *args, **kwargs)
+            lam = calls[0] if calls else np.zeros(p.b_in.size)
+            trials.append((p, sol, lam, len(calls)))
+            return sol
+
+        monkeypatch.setattr(qp, "_residuals", checked)
+        monkeypatch.setattr(qp, "qp_solve", recorded)
         assert all(sol.status == "optimal" for sol, _ in qp.oracle_trials(seed=5))
-        assert len(checked) == 100
+        assert len(trials) == 100
+        for p, sol, lam, n_calls in trials:
+            r = sol.kkt_residuals
+            np.testing.assert_allclose([r.stationarity, r.primal_in, r.complementarity],
+                                       per_row(p, sol.z, lam), rtol=0, atol=1e-13)
+            assert n_calls == (len(sol.active_set) > 0)
+        # both kinds of solve are compared
+        assert 0 < sum(n for *_, n in trials) < 100
+
+    def test_empty_working_set_reuses_its_residuals(self):
+        # a solve that ends with an empty working set reports the
+        # residuals _residuals gives at (z, 0), whether it started cold or
+        # from a warm start whose tight rows it drops again
+        rng = np.random.default_rng(3)
+        empty = dropped = 0
+        for _ in range(40):
+            p = random_qp(rng, n=8, q=12)
+            # most rows loose at the unconstrained minimiser, a few not
+            z_u = -np.linalg.solve(p.H, p.f)
+            p = QpProblem(p.H, p.f, p.A_in, p.A_in @ z_u + rng.uniform(-0.05, 1.0, 12))
+            for warm in (None, z_u + rng.normal(scale=0.5, size=8), qp_solve(p).z):
+                sol = qp_solve(p, warm_start=warm)
+                if sol.active_set:
+                    continue
+                empty += 1
+                dropped += warm is not None and (p.A_in @ warm - p.b_in >= -1e-9).any()
+                assert sol.kkt_residuals == qp._residuals(p, sol.z, np.zeros(12))
+        assert empty >= 40 and dropped >= 10
 
 
 class RefactorWorkingSet:
