@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class SimLog:
     cost: np.ndarray
     status: list
     solve_ms: np.ndarray
+    # working-set changes of each step's QP; not a run.csv column
+    qp_iterations: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     def __len__(self) -> int:
         return self.t.size
@@ -92,6 +94,7 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
         cost=np.empty(steps),
         status=[],
         solve_ms=np.empty(steps),
+        qp_iterations=np.empty(steps, dtype=int),
     )
     ctrl.reset()
     for k in range(steps):
@@ -109,6 +112,7 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
         log.cost[k] = out.cost
         log.status.append(out.solver_status)
         log.solve_ms[k] = (toc - tic) * 1e3
+        log.qp_iterations[k] = out.qp_iterations
         for _ in range(plant_substeps):
             x = M @ x + B @ out.u
     return log

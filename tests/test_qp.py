@@ -256,7 +256,8 @@ class TestHotStart:
                 np.testing.assert_allclose(hot.z, cold.z, rtol=0, atol=1e-10)
 
     def test_dependent_tight_rows_fall_back_to_row_by_row(self, monkeypatch):
-        # duplicated active rows make the block of G singular
+        # duplicated active rows make the block of G singular: the active
+        # rows before them go in at once, only the duplicates one at a time
         rng = np.random.default_rng(31)
         p = random_qp(rng, n=30, q=60)
         cold = qp_solve(p)
@@ -265,7 +266,8 @@ class TestHotStart:
                           np.concatenate([p.b_in, p.b_in[active]]))
         admits = self.count_admits(monkeypatch)
         hot = qp_solve(p_dep, warm_start=cold.z)
-        assert len(admits) >= 2 * len(active)
+        assert admits == list(range(60, 60 + len(active)))
+        assert hot.active_set == cold.active_set
         assert hot.status == "optimal"
         np.testing.assert_allclose(hot.z, cold.z, atol=1e-8)
 
@@ -336,10 +338,27 @@ class TestHotStart:
         assert empty >= 40 and dropped >= 10
 
 
+def leading_run(G, rows):
+    """The longest leading run of rows whose block of G factors with
+    squared pivots that pass the dependence test, found by trying every
+    length from the longest down, and its Cholesky factor."""
+    for n in range(len(rows), 0, -1):
+        S = rows[:n]
+        try:
+            L = np.linalg.cholesky(G[np.ix_(S, S)])
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.diag(L) ** 2 > qp._DEP_TOL * G[S, S]):
+            return n, L
+    return 0, None
+
+
 class RefactorWorkingSet:
     """The working set before its buffers, as the reference for
-    qp._WorkingSet: every add stacks a new Li, every drop factors the
-    block of G over S from scratch, and the add loop copies G[:, S]."""
+    qp._WorkingSet: a start admits the longest leading run of rows that
+    factors by trying every length, every add stacks a new Li, every drop
+    factors the block of G over S from scratch, and the add loop copies
+    G[:, S]."""
 
     def __init__(self, G, cap=None):
         self.G, self.rows, self.Li = G, [], np.zeros((0, 0))
@@ -363,16 +382,11 @@ class RefactorWorkingSet:
             self.append(j, r, d2)
 
     def admit_all(self, rows):
-        S = self.rows + rows
-        try:
-            L = np.linalg.cholesky(self.G[np.ix_(S, S)])
-        except np.linalg.LinAlgError:
-            L = None
-        if L is not None and np.all(np.diag(L) ** 2 > qp._DEP_TOL * self.G[S, S]):
-            self.rows, self.Li = S, np.linalg.solve(L, np.eye(len(S)))
-        else:
-            for j in rows:
-                self.admit(j)
+        n, L = leading_run(self.G, rows)
+        if n:
+            self.rows, self.Li = rows[:n], np.linalg.solve(L, np.eye(n))
+        for j in rows[n:]:
+            self.admit(j)
 
     def append(self, j, r, d2):
         row = np.append(-r, 1.0) / np.sqrt(d2)
@@ -452,7 +466,7 @@ class TestWorkingSetBuffers:
         sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0)
         monkeypatch.setattr(qp, "qp_solve", solve)
         assert len(solves) == 120
-        assert solves[0][3].iterations == 27 and len(solves[0][3].active_set) == 25
+        assert solves[0][3].iterations == 8 and len(solves[0][3].active_set) == 25
         for p, warm, factor, sol in solves:
             self.assert_same_as_reference(monkeypatch, p, warm_start=warm, factor=factor,
                                           sol=sol)
@@ -514,3 +528,148 @@ class TestWorkingSetBuffers:
         assert allocated == []
         qp_solve(p)
         assert allocated == [30]
+
+
+def violated_at_z_u(seed, trials=150):
+    """Yield (problem, the same problem with duplicated rows) for small QPs
+    whose feasible point lies away from z_u, so that z_u violates several
+    rows; the duplicates (some scaled by 2) are shuffled in among them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        n, q = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+        M = rng.normal(size=(n, n))
+        H = M @ M.T + (0.5 + rng.uniform()) * np.eye(n)
+        f = rng.normal(size=n)
+        A = rng.normal(size=(q, n))
+        z0 = -np.linalg.solve(H, f) + rng.normal(scale=3.0, size=n)
+        b = A @ z0 + rng.uniform(0.1, 1.0, q)
+        dup = rng.choice(q, size=int(rng.integers(1, 4)))
+        scale = rng.choice([1.0, 2.0], size=dup.size)
+        order = rng.permutation(q + dup.size)
+        A_dup = np.vstack([A, scale[:, None] * A[dup]])[order]
+        b_dup = np.concatenate([b, scale * b[dup]])[order]
+        yield QpProblem(H, f, A, b), QpProblem(H, f, A_dup, b_dup)
+
+
+class TestColdStart:
+    @staticmethod
+    def count_linalg(monkeypatch):
+        """Count the calls of each numpy.linalg function."""
+        calls = {}
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                def counting(*args, _name=name, _fn=fn, **kwargs):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    def test_bulk_start_matches_empty_start_and_enumeration(self, monkeypatch):
+        # the start's first Cholesky factor raises (bisection), stops at a
+        # failed pivot or takes every row; each gives the optimum of a
+        # solve from an empty working set and of the enumeration of
+        # active sets
+        firsts = []
+
+        def first_factor(ws, rows, admit_all=qp._WorkingSet.admit_all):
+            run = rows[:ws.cap]
+            if run:
+                try:
+                    L = np.linalg.cholesky(ws.G[np.ix_(run, run)])
+                except np.linalg.LinAlgError:
+                    firsts.append("raised")
+                else:
+                    passed = np.all(np.diag(L) ** 2 > qp._DEP_TOL * ws.G[run, run])
+                    firsts.append("every row" if passed else "failed pivot")
+            admit_all(ws, rows)
+
+        paths = {"raised": 0, "failed pivot": 0, "every row": 0}
+        for base, p in violated_at_z_u(seed=17):
+            ref_obj = enumerate_active_sets(base)[0]
+            with monkeypatch.context() as mp:
+                mp.setattr(qp._WorkingSet, "admit_all", first_factor)
+                firsts.clear()
+                sol = qp_solve(p)
+            with monkeypatch.context() as mp:
+                mp.setattr(qp._WorkingSet, "admit_all", lambda ws, rows: None)
+                empty = qp_solve(p)
+            for s in (sol, empty):
+                assert s.status == "optimal"
+                assert s.kkt_residuals.max() <= 1e-8
+                assert s.objective == pytest.approx(ref_obj, rel=1e-9, abs=1e-9)
+            for kind in firsts:
+                paths[kind] += 1
+        assert min(paths.values()) >= 10, paths
+
+    def test_infeasible_cold_qp_reports_its_blockers(self):
+        # z <= 0 and z >= 1 are both violated at z_u = 0.5: the start
+        # admits one and skips the other as dependent
+        p = QpProblem(np.eye(1), [-0.5], A_in=[[1.0], [-1.0]], b_in=[0.0, -1.0])
+        sol = qp_solve(p)
+        assert sol.status == "infeasible"
+        assert [row for row, _ in sol.infeasibility_report] == ["A_in[1]", "A_in[0]"]
+        assert sol.infeasibility_report[0][1] == pytest.approx(1.0)
+        # rows violated at z_u with an opposed row right after each
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            p = random_qp(rng, n=30, q=60)
+            c = p.A_in @ np.linalg.solve(p.H, -p.f) - p.b_in
+            A, b = list(p.A_in), list(p.b_in)
+            for k in sorted((c > 0).nonzero()[0][:3], reverse=True):
+                A.insert(k + 1, -p.A_in[k])
+                b.insert(k + 1, -p.b_in[k] - rng.uniform(0.1, 1.0))
+            sol = qp_solve(QpProblem(p.H, p.f, np.array(A), np.array(b)))
+            assert sol.status == "infeasible"
+            assert sol.infeasibility_report[0][1] > 0.0
+            assert len(sol.infeasibility_report) >= 2
+
+    def test_forty_drops_keep_the_factor_and_columns(self):
+        rng = np.random.default_rng(23)
+        p = random_qp(rng, n=50, q=60)
+        G = QpFactor(p.H, p.A_in).G
+        ws = qp._WorkingSet(G, 50)
+        ws.admit_all(rng.permutation(60)[:45].tolist())
+        assert len(ws.rows) == 45
+        for _ in range(40):
+            ws.remove(int(rng.integers(len(ws.rows))))
+            S = ws.rows
+            np.testing.assert_allclose(ws.Li @ G[np.ix_(S, S)] @ ws.Li.T, np.eye(len(S)),
+                                       rtol=0, atol=1e-10)
+            assert np.array_equal(ws.cols, G[:, S])
+        assert len(ws.rows) == 5
+
+    def test_linalg_calls_and_the_leading_run(self, monkeypatch):
+        # whether its first factor takes every row, stops at a failed pivot
+        # or raises, a start admits the longest leading run that factors at
+        # once and only the rows after it one at a time, with at most
+        # ceil(log2 k) + 1 Cholesky factorisations of its k rows and one
+        # inverse; drops call no numpy.linalg routine
+        rng = np.random.default_rng(29)
+        p = random_qp(rng, n=30, q=40)
+        A = np.vstack([p.A_in, p.A_in[:10], 2.0 * p.A_in[10:20],
+                       p.A_in[20:30] + p.A_in[30:40]])  # 30 dependent rows
+        G = QpFactor(p.H, A).G
+        admits = TestHotStart.count_admits(monkeypatch)
+        calls = self.count_linalg(monkeypatch)
+        seen = {"every row": 0, "failed pivot": 0, "raised": 0}
+        for _ in range(100):
+            ws = qp._WorkingSet(G, 30)
+            rows = rng.permutation(70)[:int(rng.integers(2, 40))].tolist()
+            n, _ = leading_run(G, rows[:30])
+            calls.clear()
+            admits.clear()
+            ws.admit_all(rows)
+            assert ws.rows[:n] == rows[:n]
+            assert admits == rows[n:]
+            assert set(calls) <= {"cholesky", "inv"}
+            assert calls["cholesky"] <= int(np.ceil(np.log2(len(rows)))) + 1
+            assert calls.get("inv", 0) == (n > 0)
+            seen["every row" if n == min(len(rows), 30)
+                 else "failed pivot" if calls["cholesky"] == 1 else "raised"] += 1
+            while ws.rows:
+                calls.clear()
+                ws.remove(int(rng.integers(len(ws.rows))))
+                assert calls == {}
+        assert min(seen.values()) >= 5, seen

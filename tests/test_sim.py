@@ -193,3 +193,13 @@ class TestReferenceRun:
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
         assert log.status == ["optimal"] * 120
         assert sim.compute_metrics(log, 50.0, 2.0).settling_time == 265.0
+
+    def test_qp_iterations_per_step(self):
+        # the cold first solve admits the rows violated at the unconstrained
+        # minimiser at once; every later step is hot-started
+        bundle = pipeline.build_bundle(patient_path(), controller_path())
+        log = sim.simulate_closed_loop(bundle.disc, bundle.patient.pd,
+                                       bundle.controller, 3600.0)
+        assert log.qp_iterations.shape == (720,)
+        assert log.qp_iterations[0] == 8
+        assert log.qp_iterations.sum() == 35
