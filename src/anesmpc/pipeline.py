@@ -66,7 +66,10 @@ def closed_loop(bundle: Bundle, duration: float) -> sim.SimLog:
 
 def save_ingredients(outdir, bundle: Bundle, patient_path, config_path) -> None:
     """Write K, P, psi, A_w, X_a, D, m_bar, V and the steady segment, with a
-    manifest naming the two input files and their SHA-256."""
+    manifest naming the two input files and their SHA-256 and recording
+    X_a's invariance_excess, its LP proof of invariance (<= 1e-9 when
+    invariant). The proof runs here, on writing, so a build without
+    files does not pay for it."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     ing, ctrl = bundle.ingredients, bundle.controller
@@ -82,6 +85,7 @@ def save_ingredients(outdir, bundle: Bundle, patient_path, config_path) -> None:
         "lambda": ing.lam,
         "m_bar": [float(v) for v in bundle.m_bar],
         "determination_index": ing.determination_index,
+        "invariance_excess": terminal.invariance_excess(ing.A_w, ing.X_a),
     })
 
 

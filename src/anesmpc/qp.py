@@ -5,8 +5,10 @@ Solves  min 0.5 z'Hz + f'z  s.t.  A z <= b,  with A = A_in and b = b_in.
 There are no equality rows: a caller with an equality eliminates it first,
 as the MPC does with its steady output line. The MPC re-solves one QP whose
 H and A never change, so a :class:`QpFactor` built once per controller (or
-inside a one-off :func:`qp_solve`) caches the Cholesky factor of H
-(regularised once if it fails), H^-1 A' and the Gram matrix G = A H^-1 A'.
+inside a one-off :func:`qp_solve`) caches H^-1, H^-1 A' and the Gram
+matrix G = A H^-1 A'. H^-1 = Li' Li comes from one inverse Li of the
+Cholesky factor of H (regularised once if it fails), and H^-1 A' is one
+product with it.
 
 The dual method (Goldfarb & Idnani 1983) iterates on a working set S:
 each iterate minimises the objective with the rows of S held as
@@ -127,10 +129,10 @@ class QpFactor:
         except np.linalg.LinAlgError:
             self.H = self.H + _REG_DELTA * np.eye(len(H))
             L = np.linalg.cholesky(self.H)  # raises when H is indefinite
-        # H^-1 and H^-1 A' from one pair of triangular solves over [I, A']
-        n = len(H)
-        Hinv_At = np.linalg.solve(L.T, np.linalg.solve(L, np.hstack([np.eye(n), A_in.T])))
-        self.H_inv, self.HinvAt = Hinv_At[:, :n], Hinv_At[:, n:]
+        # H^-1 = Li' Li from one inverse Li of the factor, then H^-1 A'
+        Li = np.linalg.inv(L)
+        self.H_inv = Li.T @ Li
+        self.HinvAt = self.H_inv @ A_in.T
         self.G = A_in @ self.HinvAt
         self.G = 0.5 * (self.G + self.G.T)
 

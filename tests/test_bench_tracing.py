@@ -50,7 +50,7 @@ def test_build_spans_nest_under_the_bundle_build(tracing):
     # routed around it would zero these counts, not fail the build. The
     # reduction's row tests run as one stack, which the tracer does not
     # patch, so only its Chebyshev-centre LP counts here
-    assert metrics["terminal.propagation_lps"] == 20
+    assert metrics["terminal.propagation_lps"] == 8
     assert metrics["geometry.redundancy_lps"] == 1
     assert metrics["geometry.rows_in"] == 96
     assert metrics["geometry.rows_out"] == 44

@@ -41,6 +41,11 @@ class TestIngredients:
         assert np.max(np.abs(P[:2, 2:])) <= 1e-10
         capsys.readouterr()
 
+    def test_manifest_proves_invariance(self, paths, bundle, tmp_path):
+        pipeline.save_ingredients(tmp_path, bundle, *paths)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["parameters"]["invariance_excess"] <= 1e-9
+
     def test_summary_printed(self, paths, tmp_path, capsys):
         rc = cli.main(["ingredients", "--patient", paths[0], "--config", paths[1],
                        "--out", str(tmp_path)])

@@ -794,12 +794,13 @@ class TestSlackBasisOnly:
     def test_terminal_ingredients(self, disc, v_box, rhs_minima, pivots):
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
         assert ing.X_a.nrows == 44
-        # 20 propagation LPs and the reduction's Chebyshev-centre LP run
-        # alone; the 52 row tests of the reduction run as one stack. An LP
-        # that escaped both kernels would lower these exact counts
-        assert len(rhs_minima["scalar"]) == 21
+        # the steady-point LP, 7 propagation LPs and the reduction's
+        # Chebyshev-centre LP run alone; the 52 row tests of the reduction
+        # run as one stack. An LP that escaped both kernels would lower
+        # these exact counts
+        assert len(rhs_minima["scalar"]) == 9
         assert len(rhs_minima["stacked"]) == 52
-        assert pivots == {"scalar": 161, "stacked": 308}
+        assert pivots == {"scalar": 85, "stacked": 308}
         assert min(rhs_minima["scalar"] + rhs_minima["stacked"]) >= 0.0
 
     def test_invariance_excess(self, ingredients, rhs_minima):

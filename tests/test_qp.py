@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from anesmpc import mpc, qp, sim
+from anesmpc import mpc, pipeline, qp, sim
 from anesmpc.qp import QpFactor, QpProblem, enumerate_active_sets, qp_solve
 
-from conftest import U_BOUNDS
+from conftest import U_BOUNDS, bench_module, controller_path, patient_path
 
 
 def random_qp(rng, n, q):
@@ -654,7 +654,7 @@ class TestColdStart:
         admits = TestHotStart.count_admits(monkeypatch)
         calls = self.count_linalg(monkeypatch)
         seen = {"every row": 0, "failed pivot": 0, "raised": 0}
-        for _ in range(100):
+        for _ in range(130):
             ws = qp._WorkingSet(G, 30)
             rows = rng.permutation(70)[:int(rng.integers(2, 40))].tolist()
             n, _ = leading_run(G, rows[:30])
@@ -673,3 +673,70 @@ class TestColdStart:
                 ws.remove(int(rng.integers(len(ws.rows))))
                 assert calls == {}
         assert min(seen.values()) >= 5, seen
+
+
+class TwoSolveFactor(QpFactor):
+    """QpFactor with H^-1 and H^-1 A' from one pair of triangular solves
+    over [I, A'], the form before the single inverse, as its reference."""
+
+    def __init__(self, H, A_in):
+        super().__init__(H, A_in)
+        n = len(H)
+        L = np.linalg.cholesky(self.H)
+        X = np.linalg.solve(L.T, np.linalg.solve(L, np.hstack([np.eye(n), A_in.T])))
+        self.H_inv, self.HinvAt = X[:, :n], X[:, n:]
+        self.G = A_in @ self.HinvAt
+        self.G = 0.5 * (self.G + self.G.T)
+
+
+class TestQpFactor:
+    @staticmethod
+    def solve_paths(monkeypatch, factor, run):
+        """(iterations, active set, status) of every QP that run solves on
+        the shipped bundle, built with factor as qp.QpFactor, and the
+        applied inputs."""
+        paths = []
+        solve = qp.qp_solve
+
+        def capturing(p, warm_start=None, **kwargs):
+            sol = solve(p, warm_start=warm_start, **kwargs)
+            paths.append((sol.iterations, sol.active_set, sol.status))
+            return sol
+
+        with monkeypatch.context() as mp:
+            mp.setattr(qp, "QpFactor", factor)
+            mp.setattr(qp, "qp_solve", capturing)
+            log = run(pipeline.build_bundle(patient_path(), controller_path()))
+        return paths, log.u
+
+    def test_matches_two_solves(self):
+        rng = np.random.default_rng(37)
+        ctrl = pipeline.build_bundle(patient_path(), controller_path()).controller
+        problems = [(ctrl.H, ctrl.A_in)]
+        for _ in range(5):
+            p = random_qp(rng, n=30, q=60)
+            problems.append((p.H, p.A_in))
+        M = rng.normal(size=(8, 5))  # rank 5: H is regularised
+        problems.append((M @ M.T, rng.normal(size=(12, 8))))
+        for H, A in problems:
+            new, ref = QpFactor(H, A), TwoSolveFactor(H, A)
+            for name in ("H_inv", "HinvAt", "G"):
+                got, want = getattr(new, name), getattr(ref, name)
+                assert got.flags.c_contiguous, name
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("run", ["reference", "setpoint"])
+    def test_every_solve_keeps_its_path(self, monkeypatch, run):
+        # the 3600 s reference run and the benchmark's setpoint schedule
+        # take the same iterations and active sets under either factor
+        workloads = bench_module("workloads")
+        runs = {"reference": (720, lambda b: pipeline.closed_loop(b, 3600.0)),
+                "setpoint": (1440, lambda b: workloads.setpoint_episode(
+                    b, workloads.SETPOINT_SCHEDULE, workloads.SETPOINT_S))}
+        steps, body = runs[run]
+        paths, u = self.solve_paths(monkeypatch, QpFactor, body)
+        ref_paths, ref_u = self.solve_paths(monkeypatch, TwoSolveFactor, body)
+        assert len(paths) == steps
+        assert paths == ref_paths
+        assert any(iters for iters, _, _ in paths)
+        np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)

@@ -6,7 +6,7 @@ from anesmpc import geometry, pkpd, terminal
 from anesmpc.errors import ModelConfigError
 from anesmpc.geometry import Polyhedron, contains, lp_max
 
-from conftest import Q_DIAG, R_EYE, perturbed, random_pk
+from conftest import Q_DIAG, R_EYE, log_uniform_patient, perturbed, random_pk
 
 TABLE1_K_ABS = np.array([[0.671, 1.58, 0.0, 0.0], [0.0, 0.0, 0.677, 1.267]])
 TABLE1_P22 = 218.025
@@ -33,6 +33,59 @@ def negative_rhs(monkeypatch):
         monkeypatch.setattr(module, "lp_max", recording)
         monkeypatch.setattr(module, "lp_max_stack", recording_stack)
     return calls
+
+
+def reference_invariant_set(A_w, W, max_iter=terminal.INVARIANT_MAX_ITER):
+    """Constraint propagation with an LP for every candidate row, in row
+    order, until the first irredundant one: the loop before witness
+    points and held rows, as the reference for
+    terminal.max_admissible_invariant_set."""
+    F, g = W.F, W.g
+    _, h = terminal._steady_shift(A_w, W)
+    F_acc, h_acc = F.copy(), h.copy()
+    M = np.eye(A_w.shape[0])
+    for k in range(max_iter + 1):
+        M = M @ A_w
+        cand = F @ M
+        current = Polyhedron(F_acc, h_acc)
+        for j in range(cand.shape[0]):
+            res = lp_max(cand[j], current, stop_above=h[j] + 1e-9)
+            if res.status == "infeasible":
+                raise ModelConfigError("constraint polyhedron is empty")
+            if res.status != "optimal" or res.value > h[j] + 1e-9:
+                break
+        else:
+            return geometry.remove_redundant(Polyhedron(F_acc, np.tile(g, k + 1))), k
+        F_acc = np.vstack([F_acc, cand])
+        h_acc = np.concatenate([h_acc, h])
+    raise ModelConfigError("invariant set not finitely determined")
+
+
+def propagation_inputs(disc, v_box, lam):
+    """(A_w, W_lambda) of a patient model under the shipped tuning."""
+    _, K = terminal.solve_dare(disc.A_f, disc.B, Q_DIAG, R_EYE)
+    A_w, psi = terminal.extended_dynamics(disc, K)
+    return A_w, terminal.build_W_lambda(K, psi, v_box, lam)
+
+
+@pytest.fixture
+def witnesses(monkeypatch):
+    """Every point terminal._witness returns, checked to lie in the set it
+    was asked about and to top its candidate's level by the margin."""
+    used = []
+    real = terminal._witness
+
+    def checking(cand, h, F_acc, h_acc, points):
+        found = real(cand, h, F_acc, h_acc, points)
+        if found is not None:
+            j, w = found
+            assert np.all(F_acc @ w <= h_acc + 1e-12 * np.maximum(1.0, np.abs(h_acc)))
+            assert cand[j] @ w > h[j] + 1e-9 + 1e-7 * max(1.0, h[j])
+            used.append(w)
+        return found
+
+    monkeypatch.setattr(terminal, "_witness", checking)
+    return used
 
 
 class TestSolveDare:
@@ -226,10 +279,73 @@ class TestMaxAdmissibleInvariantSet:
         # row tests run as one stack on the rows shifted to that centre
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
         assert sum(negative_rhs["scalar"]) <= 2
-        assert len(negative_rhs["scalar"]) == 21
+        assert len(negative_rhs["scalar"]) == 9
         assert negative_rhs["stacked"] == [False] * 52
         assert ing.X_a.nrows == 44
         assert ing.determination_index == 11
+
+    def test_propagation_lps_and_pivots(self, disc, v_box, monkeypatch):
+        # held rows and witness points decide 8 of the 12 rounds: 7 LPs
+        # and 68 pivots where an LP per candidate took 19 and 144
+        made = {"lps": 0, "pivots": 0}
+        inside = [False]  # pivots count only inside a propagation LP
+        real, pivot = terminal.lp_max, geometry._pivot
+
+        def counting_lp(c, poly, **kwargs):
+            made["lps"] += 1
+            inside[0] = True
+            try:
+                return real(c, poly, **kwargs)
+            finally:
+                inside[0] = False
+
+        def counting_pivot(*args):
+            made["pivots"] += inside[0]
+            return pivot(*args)
+
+        monkeypatch.setattr(terminal, "lp_max", counting_lp)
+        monkeypatch.setattr(geometry, "_pivot", counting_pivot)
+        _, k = terminal.max_admissible_invariant_set(*propagation_inputs(disc, v_box, 0.99))
+        assert k == 11
+        assert made == {"lps": 7, "pivots": 68}
+
+    def test_matches_the_reference_on_the_shipped_pair(self, ingredients, v_box,
+                                                       witnesses):
+        W = terminal.build_W_lambda(ingredients.K, ingredients.psi, v_box, ingredients.lam)
+        X, k = terminal.max_admissible_invariant_set(ingredients.A_w, W)
+        X_ref, k_ref = reference_invariant_set(ingredients.A_w, W)
+        assert np.array_equal(X.F, X_ref.F) and np.array_equal(X.g, X_ref.g)
+        assert k == k_ref == 11
+        assert len(witnesses) == 8
+
+    @pytest.mark.parametrize("lam", [0.9, 0.95, 0.99])
+    def test_matches_the_reference_on_patients(self, patient, v_box, lam, witnesses):
+        # the shipped patient and 24 log-uniform draws, seeds 0-23
+        pats = [patient] + [log_uniform_patient(patient, np.random.default_rng(seed))
+                            for seed in range(24)]
+        for pat in pats:
+            disc = pkpd.discretize_euler(
+                pkpd.build_continuous(pat.pk_propofol, pat.pk_remifentanil), 5.0)
+            A_w, W = propagation_inputs(disc, v_box, lam)
+            X, k = terminal.max_admissible_invariant_set(A_w, W)
+            X_ref, k_ref = reference_invariant_set(A_w, W)
+            assert k == k_ref
+            assert np.array_equal(X.F, X_ref.F) and np.array_equal(X.g, X_ref.g)
+        assert len(witnesses) >= len(pats)
+
+    def test_witness_along_a_ray(self):
+        # {w_0 <= 1}: the point (-1, 1) has F p < 0, so it is a ray of the
+        # set, a witness for w_1 <= 1 and none for -w_1 <= 1; the point 0
+        # is a witness for nothing. No inf * 0 is formed
+        F_acc, h_acc = np.array([[1.0, 0.0]]), np.array([1.0])
+        points = [np.zeros(2), np.array([-1.0, 1.0])]
+        with np.errstate(all="raise"):
+            j, w = terminal._witness(np.array([[0.0, -1.0], [0.0, 1.0]]), np.ones(2),
+                                     F_acc, h_acc, points)
+            assert terminal._witness(np.array([[0.0, -1.0]]), np.ones(1),
+                                     F_acc, h_acc, points) is None
+        assert j == 1
+        assert np.all(F_acc @ w <= h_acc) and w[1] > 1.0 + 1e-7
 
     def test_no_steady_point_falls_back_to_phase_one(self):
         # w >= 1 under w -> 2w: no fixed point in W, so the rows stay
