@@ -142,17 +142,6 @@ def _check_dare(bundle, shared) -> tuple[bool, str]:
     return res <= terminal.DARE_RESIDUAL_TOL, f"residual {res:.2e}"
 
 
-def _check_invariance(bundle, shared) -> tuple[bool, str]:
-    ing = bundle.ingredients
-    samples = terminal.sample_invariant_set(ing, 1000, seed=1)
-    W = samples.T
-    for _ in range(200):
-        if not np.all(ing.X_a.F @ W <= ing.X_a.g[:, None] + 1e-8):
-            return False, "a trajectory left X_a"
-        W = ing.A_w @ W
-    return True, "1000 samples stayed in X_a for 200 steps"
-
-
 def _check_invariance_lp(bundle, shared) -> tuple[bool, str]:
     ing = bundle.ingredients
     excess = terminal.invariance_excess(ing.A_w, ing.X_a)
@@ -199,7 +188,6 @@ def _check_disturbance_bound(bundle, shared) -> tuple[bool, str]:
 VALIDATION_CHECKS = (
     ("cancellation", _check_cancellation),
     ("dare-residual", _check_dare),
-    ("invariant-set-sampling", _check_invariance),
     ("invariant-set-lp", _check_invariance_lp),
     ("qp-oracle", _check_qp_oracle),
     ("lyapunov-descent", _check_descent),

@@ -8,12 +8,16 @@ as the MPC terminal constraint. The set's LPs run in coordinates shifted
 to a steady pair inside the constraints, a fixed point of the extended
 dynamics, where every propagated row keeps a nonnegative rhs: each LP
 starts from the slack basis with no Chebyshev-centre LP of its own, and
-invariance_excess proves invariance the same way, its row LPs run as
-one stack. Since the shifted set holds the origin, a point an earlier
-propagation LP returned, scaled back into the current set, can show a
-candidate row irredundant with no LP, and a candidate that repeats a
-row already held needs none: on the shipped pair 7 LPs decide the 12
-propagation rounds, where an LP per candidate took 19.
+invariance_excess proves invariance the same way. All of them go through
+geometry's one LP front end: a propagation LP as lp_max, a family of one
+on the scalar pivot loop, and invariance_excess's row LPs as one family
+on the stack loop; where a set holds no steady pair, the front end
+shifts the rows to the set's Chebyshev centre itself. Since the shifted
+set holds the origin, a point an earlier propagation LP returned, scaled
+back into the current set, can show a candidate row irredundant with no
+LP, and a candidate that repeats a row already held needs none: on the
+shipped pair 7 LPs decide the 12 propagation rounds, where an LP per
+candidate took 19.
 
 Sign convention: K is Schur-stabilizing for A + BK and enters the
 terminal law as v = K(x - x_a) + v_a; for the positive anesthesia
@@ -290,16 +294,11 @@ def invariance_excess(A_w: np.ndarray, X: Polyhedron) -> float:
     row is unbounded or X is empty. X is invariant under A_w iff this is
     <= 0 (up to the LP tolerance). The row LPs share X's rows, so they run
     as one stack (lp_max_stack) on the rows shifted to a steady point of
-    X as in the build, or to X's Chebyshev centre when X holds none.
+    X as in the build; when X holds none, the stack shifts them to X's
+    Chebyshev centre itself.
     """
     F, g = X.F, X.g
     w0, h = _steady_shift(A_w, X)
-    if np.any(h < 0.0):
-        try:
-            w0, _ = chebyshev_centre(X)
-        except GeometryError:
-            return np.inf
-        h = np.maximum(g - F @ w0, 0.0)
     FA = F @ A_w
     offset = FA @ w0 - g
     worst = -np.inf

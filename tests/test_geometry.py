@@ -328,9 +328,12 @@ class TestLpMax:
         real = geometry._run_simplex
         calls = []
 
-        def stop_at_once(D, basis, nonbasic, stop_above=np.inf):
-            calls.append(stop_above)
-            return False if len(calls) == 1 else real(D, basis, nonbasic, stop_above)
+        def stop_at_once(D, basis, nonbasic, c, level, skip):
+            # the first LP stops at the vertex 0, below its level
+            calls.append(level)
+            if len(calls) == 1:
+                return geometry.LpResult(0.0, np.zeros(2), "exceeds")
+            return real(D, basis, nonbasic, c, level, skip)
 
         monkeypatch.setattr(geometry, "_run_simplex", stop_at_once)
         res = lp_max([1.0, 1.0], P, stop_above=0.5)
@@ -385,6 +388,11 @@ class TestLpMax:
         assert all(v > 0 for v in statuses.values()), statuses
         assert negative_optimal > 0
 
+    @pytest.mark.parametrize("c", [[np.nan, 1.0], [np.inf, 1.0]], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_objective(self, c):
+        with pytest.raises(GeometryError, match="objective contains NaN or Inf"):
+            lp_max(c, box([0.0, 0.0], [1.0, 1.0]))
+
     def test_degenerate_vertex(self):
         # four planes through one corner of the unit cube
         F = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]])
@@ -397,13 +405,16 @@ class TestLpMax:
 class TestLpMaxStack:
     @staticmethod
     def _stacks():
-        """Per random LP (c, F, |g|): objectives c, -c, three rows of F and
-        a random one, each with a stop level: none, 0, 1 or 1e3."""
+        """Per random LP (c, F, g), over the rows F w <= |g| and then over
+        F w <= g (negative rhs entries, some sets empty): objectives c, -c,
+        three rows of F and a random one, each with a stop level: none, 0,
+        1 or 1e3."""
         rng = np.random.default_rng(29)
         levels = np.array([np.inf, 0.0, 1.0, 1e3])
         for c, F, g in random_lps():
             C = np.vstack([c, -c, F[:3], rng.normal(size=c.size)])
-            yield C, Polyhedron(F, np.abs(g)), levels[rng.integers(0, 4, C.shape[0])]
+            for rhs in (np.abs(g), g):
+                yield C, Polyhedron(F, rhs), levels[rng.integers(0, 4, C.shape[0])]
 
     @staticmethod
     def _assert_same(stacked, scalar, c, P, level):
@@ -411,7 +422,7 @@ class TestLpMaxStack:
         # results agree to the bit
         assert stacked.status == scalar.status
         assert stacked.value == scalar.value
-        if scalar.status == "unbounded":
+        if scalar.argmax is None:  # "unbounded" or "infeasible"
             assert stacked.argmax is None
             return
         assert np.array_equal(stacked.argmax, scalar.argmax)
@@ -423,22 +434,64 @@ class TestLpMaxStack:
                              ids=["dantzig", "bland"])
     def test_matches_lp_max_on_the_random_battery(self, monkeypatch, bland_after):
         monkeypatch.setattr(geometry, "_BLAND_AFTER", bland_after)
-        statuses = {"optimal": 0, "exceeds": 0, "unbounded": 0}
+        statuses = {"optimal": 0, "exceeds": 0, "unbounded": 0, "infeasible": 0}
         for C, P, levels in self._stacks():
             for c, level, res in zip(C, levels, lp_max_stack(C, P, stop_above=levels)):
                 self._assert_same(res, lp_max(c, P, stop_above=level), c, P, level)
                 statuses[res.status] += 1
         assert all(v > 0 for v in statuses.values()), statuses
 
+    @staticmethod
+    def _assert_same_maximum(res, plain, c, P, level):
+        # a sound answer for max c . w over P with the level: plain is the
+        # LP solved without one
+        assert res.status != "infeasible"
+        if res.status == "unbounded":
+            assert plain.status == "unbounded"
+            return
+        assert np.all(P.F @ res.argmax <= P.g + 1e-9)
+        if res.status == "optimal":
+            assert plain.status == "optimal"
+            assert res.value == pytest.approx(plain.value, abs=1e-7)
+        else:
+            assert res.status == "exceeds" and c @ res.argmax > level
+            assert plain.status == "unbounded" or plain.value >= res.value - 1e-9
+
     def test_skipped_row_is_left_out(self):
-        # LP l over every row but skip[l] is lp_max over the rows without it
+        # LP l over every row but skip[l] is lp_max over the rows without
+        # it: to the bit on a nonnegative rhs. A negative rhs shifts every
+        # LP to the centre of all the rows, where lp_max shifts to the
+        # centre of its own, so there the maximum agrees; when all the
+        # rows hold no point, every LP is "infeasible"
         rng = np.random.default_rng(37)
+        shifted = {"optimal": 0, "exceeds": 0, "unbounded": 0, "infeasible": 0}
         for C, P, levels in self._stacks():
             skip = rng.integers(0, P.nrows, C.shape[0])
-            for c, level, j, res in zip(C, levels, skip,
-                                        lp_max_stack(C, P, stop_above=levels, skip=skip)):
+            results = lp_max_stack(C, P, stop_above=levels, skip=skip)
+            empty = geometry.is_empty(P)
+            for c, level, j, res in zip(C, levels, skip, results):
                 rest = Polyhedron(np.delete(P.F, j, axis=0), np.delete(P.g, j))
-                self._assert_same(res, lp_max(c, rest, stop_above=level), c, rest, level)
+                # the same LP alone runs on the scalar loop, to the same bits
+                alone = lp_max_stack([c], P, stop_above=level, skip=[j])[0]
+                self._assert_same(alone, res, c, rest, level)
+                if np.all(P.g >= 0):
+                    self._assert_same(res, lp_max(c, rest, stop_above=level), c, rest, level)
+                    continue
+                if empty:
+                    assert res.status == "infeasible" and res.argmax is None
+                else:
+                    self._assert_same_maximum(res, lp_max(c, rest), c, rest, level)
+                shifted[res.status] += 1
+        assert all(v > 0 for v in shifted.values()), shifted
+
+    def test_solves_a_negative_rhs_family(self):
+        # 1 <= w <= 3 excludes the slack basis point w = 0: the family runs
+        # from the centre w0 = 2; with 4 <= w <= 3 every LP is "infeasible"
+        res = lp_max_stack([[1.0], [-1.0], [2.0]], Polyhedron([[1.0], [-1.0]], [3.0, -1.0]))
+        assert [r.status for r in res] == ["optimal"] * 3
+        assert [r.value for r in res] == pytest.approx([3.0, -1.0, 6.0], abs=1e-12)
+        empty = lp_max_stack([[1.0], [-1.0]], Polyhedron([[1.0], [-1.0]], [3.0, -4.0]))
+        assert [r.status for r in empty] == ["infeasible"] * 2
 
     def test_unconfirmed_stop_runs_on_to_the_optimum(self, monkeypatch):
         # a stop whose point does not clear the level (rounding) must not
@@ -461,13 +514,14 @@ class TestLpMaxStack:
         assert [r.status for r in res] == ["unbounded", "optimal"]
         assert res[1].value == 0.0
 
-    @pytest.mark.parametrize("g, C, match", [
-        ([1.0, -1.0], [[1.0]], "nonnegative"),
-        ([1.0, 1.0], [[1.0, 0.0]], "entries"),
-    ], ids=["negative-rhs", "objective-length"])
-    def test_rejects_bad_input(self, g, C, match):
+    @pytest.mark.parametrize("C, levels, match", [
+        ([[1.0, 0.0]], np.inf, "entries"),
+        ([[np.nan]], np.inf, "objective contains NaN or Inf"),
+        ([[1.0], [-1.0]], [0.0, 1.0, 2.0], "3 levels for 2 objectives"),
+    ], ids=["objective-length", "nan-objective", "level-count"])
+    def test_rejects_bad_input(self, C, levels, match):
         with pytest.raises(GeometryError, match=match):
-            lp_max_stack(C, Polyhedron([[1.0], [-1.0]], g))
+            lp_max_stack(C, Polyhedron([[1.0], [-1.0]], [1.0, 1.0]), stop_above=levels)
 
 
 class TestRemoveRedundant:

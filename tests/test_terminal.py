@@ -15,18 +15,26 @@ TABLE1_P44 = 58.574
 
 @pytest.fixture
 def negative_rhs(monkeypatch):
-    """Per lp_max call, and per LP of each lp_max_stack call, whether its
-    rows have a negative rhs (for lp_max, an extra Chebyshev-centre LP)."""
+    """Per lp_max call, and per LP of each other lp_max_stack call, whether
+    its rows have a negative rhs (for which the front end runs an extra
+    Chebyshev-centre LP). lp_max runs as a stack of one, which counts as
+    the lp_max call only."""
     calls = {"scalar": [], "stacked": []}
     real, real_stack = geometry.lp_max, geometry.lp_max_stack
+    depth = [0]  # lp_max calls under way
 
-    def recording(c, poly, **kwargs):
+    def recording(c, poly, *args, **kwargs):
         calls["scalar"].append(bool(np.any(poly.g < 0)))
-        return real(c, poly, **kwargs)
+        depth[0] += 1
+        try:
+            return real(c, poly, *args, **kwargs)
+        finally:
+            depth[0] -= 1
 
-    def recording_stack(C, poly, **kwargs):
-        results = real_stack(C, poly, **kwargs)
-        calls["stacked"] += [bool(np.any(poly.g < 0))] * len(results)
+    def recording_stack(C, poly, *args, **kwargs):
+        results = real_stack(C, poly, *args, **kwargs)
+        if not depth[0]:
+            calls["stacked"] += [bool(np.any(poly.g < 0))] * len(results)
         return results
 
     for module in (geometry, terminal):
