@@ -35,6 +35,18 @@ keeps those whose maximum tops it by the margin, and tests only the rest
 again one at a time in row order. Dropping the first kind all at once is
 sound: a row strictly redundant against all other rows is redundant
 against every subset of them that still defines the set.
+
+A set whose rows come in exact mirror pairs (F_i' = -F_i, mirror_rows)
+with equal rhs about one point is symmetric about that point, and
+centre_of_symmetry finds it by one least-squares solve, with no LP; the
+rhs of the two rows of a pair about it are then equal to the bit. Such a
+set is reduced about that centre with one row LP per mirror pair, the
+twin taking the same verdict; any other set keeps the Chebyshev-centre
+LP. Rays from the centre along given directions show rows irredundant
+with no LP (shown_irredundant, the rule of the propagation's witness
+points). On the shipped pair X_a's 96 rows are reduced to 44 with 13
+stacked LPs and no centre LP, where one LP per row took 52 and a centre
+LP.
 """
 
 from __future__ import annotations
@@ -395,23 +407,109 @@ def chebyshev_centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
     return w0, max(r, 0.0)
 
 
-def remove_redundant(poly: Polyhedron) -> Polyhedron:
+def mirror_rows(F, g=None) -> np.ndarray | None:
+    """mirror[i] = i', the row with F[i'] = -F[i] exactly, for rows that
+    all come in such pairs, with no row repeated and none zero; None
+    otherwise. With g, also g[i'] = g[i]: {F w <= g} is then symmetric
+    about the origin."""
+    F = np.asarray(F, dtype=float)
+    m = F.shape[0]
+    if m == 0:
+        return None
+    # F's rows and their negations sort to the same sequence iff they pair
+    up, down = np.lexsort(F.T), np.lexsort(-F.T)
+    rows = F[up]
+    if (rows[1:] == rows[:-1]).all(axis=1).any() or not np.array_equal(rows, -F[down]):
+        return None
+    mirror = np.empty(m, dtype=np.intp)
+    mirror[down] = up
+    if (mirror == np.arange(m)).any():  # a zero row
+        return None
+    if g is not None and not np.array_equal(np.asarray(g)[mirror], g):
+        return None
+    return mirror
+
+
+def centre_of_symmetry(poly: Polyhedron, basis=None):
+    """The centre of a nonempty set whose rows come in mirror pairs
+    (mirror_rows) with equal rhs about the centre, found without an LP.
+
+    One least-squares solve of the pairs' midpoint equations
+    F_i w = (g_i - g_i')/2 over w = basis t (any w when basis is None)
+    gives w0; the set is symmetric about w0 when w0 solves every one to
+    1e-12 of |F_i| |w0|. Returns (w0, h, mirror): h the rhs about w0,
+    (g_i + g_i')/2 for both rows of a pair, so {F u <= h} is exactly
+    symmetric about the origin, clipped at 0 as a flat set's rounding
+    needs. Then w0 is a Chebyshev centre, of radius min h_i / |F_i|, so
+    the set is empty iff that is below -FEAS_TOL. None when the rows do
+    not pair, the equations have no solution (the set is not symmetric,
+    or not about a point in basis's span), or the set is empty.
+    """
+    F, g = poly.F, poly.g
+    mirror = mirror_rows(F)
+    if mirror is None:
+        return None
+    rep = (np.arange(poly.nrows) < mirror).nonzero()[0]
+    mid = 0.5 * (g[rep] - g[mirror[rep]])
+    A = F[rep] if basis is None else F[rep] @ basis
+    t = np.linalg.lstsq(A, mid, rcond=None)[0]
+    w0 = t if basis is None else basis @ t
+    scale = np.maximum(1.0, np.abs(F[rep]) @ np.abs(w0))
+    if np.any(np.abs(F[rep] @ w0 - mid) > 1e-12 * scale):
+        return None
+    h = 0.5 * (g + g[mirror])
+    if np.min(h / np.linalg.norm(F, axis=1)) < -FEAS_TOL:
+        return None
+    return w0, np.maximum(h, 0.0), mirror
+
+
+def ray_ratios(FP, h) -> np.ndarray:
+    """h_i / FP_iq where FP_iq > 0, +inf elsewhere, for FP = F @ P: with
+    h >= 0, the ray from 0 along column q of P meets row i's bound at that
+    multiple of it."""
+    ratio = np.full(FP.shape, np.inf)
+    np.divide(np.reshape(h, (-1, 1)), FP, out=ratio, where=FP > 0.0)
+    return ratio
+
+
+def shown_irredundant(cp, t, h) -> np.ndarray:
+    """Whether a row c . w <= h with c . p = cp along a direction p is shown
+    irredundant by the point t p where p leaves the other rows (t = inf: p
+    never does): c . (t p) > h + 1e-9 + 1e-7 max(1, h), a margin far above
+    the LP tolerance. Elementwise, with broadcasting; forms no inf * 0."""
+    value = np.zeros(np.broadcast_shapes(np.shape(cp), np.shape(t)))
+    np.multiply(cp, t, out=value, where=cp > 0.0)
+    return value > h + 1e-9 + 1e-7 * np.maximum(1.0, h)
+
+
+def remove_redundant(poly: Polyhedron, directions=None) -> Polyhedron:
     """The rows a single pass in row order keeps, where the pass drops each
     row whose LP-max over the rows still kept is <= g_j + 1e-9.
 
     A row equal to a later row (same F row and g) is dropped without an
-    LP: the later copy bounds it exactly. Every other row j gets the LP
-    max F_j w over all the other rows, solved together as one stack
-    (lp_max_stack) on the rows shifted to the Chebyshev centre w0,
-    F u <= h = g - F w0 with h >= 0. With margin = 1e-7 max(1, h_j),
-    row j is
-    - dropped when that maximum is below h_j - margin: a row strictly
-      redundant against all other rows is redundant against every subset
-      of them that still defines the set, so all such rows go at once;
-    - kept when the LP is unbounded or a vertex tops h_j + margin, since
-      fewer rows only raise the maximum;
-    - otherwise (weakly redundant or borderline) tested again by lp_max,
-      in row order, against the rows still kept, as the pass would.
+    LP: the later copy bounds it exactly. The other rows are shifted to a
+    centre w0 of the set, F u <= h with h >= 0: to its centre of symmetry
+    when the rows come in mirror pairs (centre_of_symmetry, no LP), else
+    to its Chebyshev centre (one LP), h = g - F w0. A row's twin is its
+    mirror in the first case and the row itself in the second; twins take
+    the same verdict, since mirroring maps the set onto itself and each
+    twin's LP onto the other's. With margin = 1e-7 max(1, h_j), row j is
+    - kept when a ray from w0 along one of the rows of directions (an
+      (q, n) array, optional) shows it or its twin irredundant: the ray
+      meets it first, and leaves the other rows at a point beyond it by
+      the margin (shown_irredundant);
+    - else tested by the LP max F_j u over all the other rows, for one
+      row of each twin pair, all these LPs solved together as one stack
+      (lp_max_stack), and
+      - dropped with its twin when that maximum is below h_j - margin: a
+        row strictly redundant against all other rows is redundant
+        against every subset of them that still defines the set, so all
+        such rows go at once;
+      - kept with its twin when the LP is unbounded or a vertex tops
+        h_j + margin, since fewer rows only raise the maximum;
+      - otherwise (weakly redundant or borderline) tested again with its
+        twin by lp_max, each alone, in row order, against the rows still
+        kept, as the pass would.
 
     The row tests run _STACK_CHUNK at a time, and each chunk's LPs leave
     out the rows that earlier chunks dropped. No outcome changes: those
@@ -421,10 +519,6 @@ def remove_redundant(poly: Polyhedron) -> Polyhedron:
     h_j + margin only without them would also be kept by its re-test,
     which leaves them out as well.
     """
-    try:
-        w0, _ = chebyshev_centre(poly)
-    except GeometryError:
-        raise GeometryError("cannot reduce an empty polyhedron") from None
     F, g = poly.F, poly.g
     seen = set()
     repeated_later = np.zeros(poly.nrows, dtype=bool)
@@ -433,26 +527,48 @@ def remove_redundant(poly: Polyhedron) -> Polyhedron:
         repeated_later[j] = key in seen
         seen.add(key)
     rows = (~repeated_later).nonzero()[0]
-    if rows.size < 2:
-        return Polyhedron(F[rows], g[rows])
     F_u = F[rows]
-    h = np.maximum(g[rows] - F_u @ w0, 0.0)
+    symmetric = centre_of_symmetry(Polyhedron(F_u, g[rows]))
+    if symmetric is None:
+        try:
+            w0, _ = chebyshev_centre(poly)
+        except GeometryError:
+            raise GeometryError("cannot reduce an empty polyhedron") from None
+        h = np.maximum(g[rows] - F_u @ w0, 0.0)
+        twin = np.arange(rows.size)
+    else:
+        _, h, twin = symmetric
+    if rows.size < 2:
+        return Polyhedron(F_u, g[rows])
     margin = 1e-7 * np.maximum(1.0, h)
+    kept = np.zeros(rows.size, dtype=bool)
+    if directions is not None:
+        D = np.array(directions, dtype=float, ndmin=2, copy=None)
+        if D.shape[1] != poly.dim or not np.isfinite(D).all():
+            raise GeometryError(f"directions must be finite with {poly.dim} entries each")
+        FD = F_u @ D.T
+        ratio = ray_ratios(FD, h)
+        first = ratio.argmin(axis=0)
+        beyond = np.partition(ratio, 1, axis=0)[1]  # where the ray leaves the rest
+        cp = FD[first, np.arange(D.shape[0])]
+        kept[first[shown_irredundant(cp, beyond, h[first])]] = True
+        kept |= kept[twin]
     live = np.ones(rows.size, dtype=bool)  # not dropped by an earlier chunk
-    borderline = []
-    for lo in range(0, rows.size, _STACK_CHUNK):
-        chunk = np.arange(lo, min(lo + _STACK_CHUNK, rows.size))
+    borderline = np.zeros(rows.size, dtype=bool)
+    tested = ((np.arange(rows.size) <= twin) & ~kept).nonzero()[0]
+    for lo in range(0, tested.size, _STACK_CHUNK):
+        chunk = tested[lo : lo + _STACK_CHUNK]
         others = live.nonzero()[0]
         tests = lp_max_stack(F_u[chunk], Polyhedron(F_u[others], h[others]),
                              stop_above=h[chunk] + margin[chunk],
                              skip=np.searchsorted(others, chunk))
         for j, res in zip(chunk.tolist(), tests):
             if res.status == "optimal" and res.value < h[j] - margin[j]:
-                live[j] = False
+                live[[j, twin[j]]] = False
             elif res.status == "optimal" and res.value <= h[j] + margin[j]:
-                borderline.append(j)
+                borderline[[j, twin[j]]] = True
     surviving = live.nonzero()[0].tolist()
-    for j in borderline:
+    for j in borderline.nonzero()[0].tolist():
         others = [i for i in surviving if i != j]
         if not others:
             continue

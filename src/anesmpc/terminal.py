@@ -15,9 +15,19 @@ on the stack loop; where a set holds no steady pair, the front end
 shifts the rows to the set's Chebyshev centre itself. Since the shifted
 set holds the origin, a point an earlier propagation LP returned, scaled
 back into the current set, can show a candidate row irredundant with no
-LP, and a candidate that repeats a row already held needs none: on the
-shipped pair 7 LPs decide the 12 propagation rounds, where an LP per
-candidate took 19.
+LP, and a candidate that repeats a row already held needs none.
+
+W_lambda shrinks the input box and the steady-input box about their own
+centre, so it and every propagated set are symmetric about the steady
+pair at that centre: each row has its exact negation, with the same rhs
+about it. That pair is the shift, found without an LP; each LP point's
+mirror is a witness too, and a candidate whose mirror was just shown
+redundant needs no LP. On the shipped pair 5 LPs decide the 12
+propagation rounds, where an LP per candidate took 19, and the final
+reduction of 96 rows (26 mirror pairs once exact copies go) runs one
+stacked LP for 13 pairs, the LP points and their images under A_w
+showing the other 13 irredundant. A W without mirror pairs keeps the
+Chebyshev-centre LP.
 
 Sign convention: K is Schur-stabilizing for A + BK and enters the
 terminal law as v = K(x - x_a) + v_a; for the positive anesthesia
@@ -32,7 +42,17 @@ import numpy as np
 
 from .compensation import InputBox
 from .errors import GeometryError, ModelConfigError
-from .geometry import Polyhedron, chebyshev_centre, lp_max, lp_max_stack, remove_redundant
+from .geometry import (
+    Polyhedron,
+    centre_of_symmetry,
+    chebyshev_centre,
+    lp_max,
+    lp_max_stack,
+    mirror_rows,
+    ray_ratios,
+    remove_redundant,
+    shown_irredundant,
+)
 from .pkpd import DiscreteDynamics
 
 DARE_STEP_TOL = 1e-12
@@ -180,9 +200,13 @@ def build_W_lambda(K: np.ndarray, psi: np.ndarray, V: InputBox, lam: float) -> P
 
 
 def _steady_shift(A_w: np.ndarray, W: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
-    """A fixed point w0 = A_w w0 inside W, by one Chebyshev-centre LP over
-    the fixed subspace (for the extended dynamics: the steady pairs), and
-    the rhs h = g - F w0 of W's rows shifted to it.
+    """A fixed point w0 = A_w w0 inside W and the rhs h >= 0 of W's rows
+    shifted to it. When W's rows come in mirror pairs about a fixed point,
+    w0 is that centre of symmetry (centre_of_symmetry over the fixed
+    subspace, no LP; for the extended dynamics, the steady pair at the
+    centre of the lambda box) and {F u <= h} is exactly symmetric. Any
+    other W gets one Chebyshev-centre LP over the fixed subspace (for the
+    extended dynamics: the steady pairs).
 
     Since F A_w^k w0 = F w0, every row F A_w^k w <= g shifted to w0 has
     the rhs h >= 0, so LPs over such rows start from the slack basis.
@@ -191,6 +215,9 @@ def _steady_shift(A_w: np.ndarray, W: Polyhedron) -> tuple[np.ndarray, np.ndarra
     dim = A_w.shape[0]
     _, s, Vt = np.linalg.svd(A_w - np.eye(dim))
     N = Vt[s <= _RANK_TOL * max(1.0, s[0])].T
+    symmetric = centre_of_symmetry(W, basis=N)
+    if symmetric is not None:
+        return symmetric[0], symmetric[1]
     try:
         t, _ = chebyshev_centre(Polyhedron(W.F @ N, W.g))
     except GeometryError:
@@ -201,8 +228,9 @@ def _steady_shift(A_w: np.ndarray, W: Polyhedron) -> tuple[np.ndarray, np.ndarra
 
 def _witness(cand: np.ndarray, h: np.ndarray, F_acc: np.ndarray, h_acc: np.ndarray,
              points: list) -> tuple[int, np.ndarray] | None:
-    """A candidate row j and a point of {F_acc w <= h_acc} where cand[j]
-    tops h[j] + 1e-9 by the margin 1e-7 max(1, h[j]), or None.
+    """A candidate row j and a point of {F_acc w <= h_acc} that shows it
+    irredundant (shown_irredundant: cand[j] tops h[j] + 1e-9 by the margin
+    1e-7 max(1, h[j])), or None.
 
     Needs h_acc >= 0: the set then holds 0 and, with each point p, the
     point t p with t = min h_acc_i / (F_acc p)_i over the rows where
@@ -210,20 +238,13 @@ def _witness(cand: np.ndarray, h: np.ndarray, F_acc: np.ndarray, h_acc: np.ndarr
     of the set, and a witness for the rows with cand[j] . p > 0.
     """
     P = np.array(points).T
-    FP = F_acc @ P
-    ratio = np.full(FP.shape, np.inf)
-    np.divide(h_acc[:, None], FP, out=ratio, where=FP > 0.0)
-    t = ratio.min(axis=0)
-    bounded = np.isfinite(t)
+    t = ray_ratios(F_acc @ P, h_acc).min(axis=0)
     CP = cand @ P
-    values = np.where(CP > 0.0, np.inf, 0.0)  # along a ray
-    values[:, bounded] = CP[:, bounded] * t[bounded]
-    top = h + 1e-9 + 1e-7 * np.maximum(1.0, h)
-    hit = (values > top[:, None]).nonzero()
+    hit = shown_irredundant(CP, t, h[:, None]).nonzero()
     if not hit[0].size:
         return None
     j, q = int(hit[0][0]), int(hit[1][0])
-    scale = t[q] if bounded[q] else 2.0 * top[j] / CP[j, q]
+    scale = t[q] if np.isfinite(t[q]) else 2.0 * (h[j] + 1.0) / CP[j, q]
     return j, scale * P[:, q]
 
 
@@ -248,21 +269,32 @@ def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
       ends a round does not matter, only that one does: the round ends
       as its LPs would end it, appending the same block.
 
+    When the shifted W is symmetric about the origin (rows in mirror
+    pairs with equal rhs, mirror_rows) and each block F A_w^i keeps the
+    pairs exact, so is every X_k: the mirror -p of each LP's point is a
+    point of X_k too, and a candidate whose mirror an LP of this round
+    just showed redundant is redundant as well, with no LP of its own.
+
     Only the rounds neither rule decides run their LPs, in row order,
     so the rows, k* and the reduced set are those of one LP per
     candidate. Without a steady point in W the rules are off: the LPs
-    then also report an empty W.
+    then also report an empty W. The reduction takes the LP points, their
+    mirrors and their images under A_w^s, s = 1..k*, as directions that
+    show rows of the result irredundant without an LP.
 
     Returns (polyhedron, determination index k*).
     """
     F, g = W.F, W.g
     _, h = _steady_shift(A_w, W)
     points = [] if np.all(h >= 0.0) else None
+    mirror = None if points is None else mirror_rows(F, h)
     F_acc, h_acc = F.copy(), h.copy()
     M = np.eye(A_w.shape[0])
     for k in range(max_iter + 1):
         M = M @ A_w
         cand = F @ M
+        if mirror is not None and not np.array_equal(cand[mirror], -cand):
+            mirror = None  # X_(k+1) need not be symmetric
         if points is None:
             rows = range(cand.shape[0])
         else:  # a row equal to the previous block's is held
@@ -270,17 +302,30 @@ def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
         all_redundant = not (points and _witness(cand[rows], h[rows], F_acc, h_acc, points))
         if all_redundant:
             current = Polyhedron(F_acc, h_acc)
+            redundant = set()
             for j in rows:
+                if mirror is not None and mirror[j] in redundant:
+                    continue
                 res = lp_max(cand[j], current, stop_above=h[j] + 1e-9)
                 if res.status == "infeasible":
                     raise ModelConfigError("constraint polyhedron is empty")
                 if points is not None and res.argmax is not None:
                     points.append(res.argmax)
+                    if mirror is not None:
+                        points.append(-res.argmax)
                 if res.status != "optimal" or res.value > h[j] + 1e-9:
                     all_redundant = False
                     break
+                redundant.add(j)
         if all_redundant:
-            return remove_redundant(Polyhedron(F_acc, np.tile(g, k + 1))), k
+            directions = None
+            if points:
+                images = [np.array(points)]
+                for _ in range(k):
+                    images.append(images[-1] @ A_w.T)
+                directions = np.vstack(images)
+            return remove_redundant(Polyhedron(F_acc, np.tile(g, k + 1)),
+                                    directions=directions), k
         F_acc = np.vstack([F_acc, cand])
         h_acc = np.concatenate([h_acc, h])
     raise ModelConfigError(
@@ -295,18 +340,24 @@ def invariance_excess(A_w: np.ndarray, X: Polyhedron) -> float:
     <= 0 (up to the LP tolerance). The row LPs share X's rows, so they run
     as one stack (lp_max_stack) on the rows shifted to a steady point of
     X as in the build; when X holds none, the stack shifts them to X's
-    Chebyshev centre itself.
+    Chebyshev centre itself. When the shifted X is symmetric about the
+    origin and the rows F A_w keep its mirror pairs, the two rows of a
+    pair have the same maximum, so one LP per pair runs.
     """
     F, g = X.F, X.g
     w0, h = _steady_shift(A_w, X)
     FA = F @ A_w
     offset = FA @ w0 - g
-    worst = -np.inf
-    for res, off in zip(lp_max_stack(FA, Polyhedron(F, h)), offset):
+    twin = mirror_rows(F, h)
+    if twin is None or not np.array_equal(FA[twin], -FA):
+        twin = np.arange(X.nrows)
+    tested = (np.arange(X.nrows) <= twin).nonzero()[0]
+    value = np.empty(X.nrows)
+    for j, res in zip(tested, lp_max_stack(FA[tested], Polyhedron(F, h))):
         if res.status != "optimal":
             return np.inf
-        worst = max(worst, res.value + off)
-    return float(worst)
+        value[[j, twin[j]]] = res.value
+    return float(np.max(value + offset, initial=-np.inf))
 
 
 def compute_terminal_ingredients(dyn: DiscreteDynamics, V: InputBox, Q, R,
@@ -323,7 +374,7 @@ def compute_terminal_ingredients(dyn: DiscreteDynamics, V: InputBox, Q, R,
 def sample_invariant_set(ing: TerminalIngredients, n_samples: int,
                          seed: int = 0, burn_in: int = 50) -> np.ndarray:
     """Hit-and-run samples from X_a, started at the steady pair that
-    _steady_shift picks: the Chebyshev centre of X_a's fixed points."""
+    _steady_shift picks: X_a's centre of symmetry."""
     F, g = ing.X_a.F, ing.X_a.g
     dim = F.shape[1]
     w, _ = _steady_shift(ing.A_w, ing.X_a)

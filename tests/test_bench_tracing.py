@@ -47,11 +47,12 @@ def test_build_spans_nest_under_the_bundle_build(tracing):
     assert bases["builds"] == 1
     assert metrics["terminal.kstar"] == 11
     # every scalar construction LP runs through the traced lp_max: one
-    # routed around it would zero these counts, not fail the build. The
+    # routed around it would zero these counts, not fail the build. Both
+    # centres are centres of symmetry, found without an LP, and the
     # reduction's row tests run as one stack, which the tracer does not
-    # patch, so only its Chebyshev-centre LP counts here
-    assert metrics["terminal.propagation_lps"] == 8
-    assert metrics["geometry.redundancy_lps"] == 1
+    # patch, so only the 5 propagation LPs count here
+    assert metrics["terminal.propagation_lps"] == 5
+    assert metrics["geometry.redundancy_lps"] == 0
     assert metrics["geometry.rows_in"] == 96
     assert metrics["geometry.rows_out"] == 44
     assert metrics["mpc.controller_build_ms"] > 0.0

@@ -2,18 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anesmpc import compensation, geometry, pkpd, terminal
 from anesmpc.errors import GeometryError
 from anesmpc.geometry import (
     FEAS_TOL,
     Polyhedron,
+    centre_of_symmetry,
     chebyshev_centre,
     contains,
     load_matrix,
     load_polyhedron,
     lp_max,
     lp_max_stack,
+    mirror_rows,
     remove_redundant,
     save_matrix,
     save_polyhedron,
@@ -164,6 +168,45 @@ def box_with_cuts(rows, seed):
     B = box(-np.ones(3), np.ones(3))
     return Polyhedron(np.vstack([B.F, D]), np.concatenate(
         [B.g, np.abs(D).sum(axis=1) + rng.uniform(-0.3, 1.0, rows - 6)]))
+
+
+def mirrored_polytope(rng, n, cuts=4):
+    """A box about a random centre c, with cuts in mirror pairs about c:
+    each cut's offset from c is 0.7 (irredundant) or 1.3 (strictly
+    redundant) times the box's support, and two rows through the vertex
+    c + half (weakly redundant) and a copy 2 F_j, 2 g_j of a box row
+    (weakly redundant with it) come with their mirrors. Rows shuffled."""
+    c = rng.uniform(-3.0, 3.0, n)
+    half = rng.uniform(0.5, 2.0, n)
+    D = rng.normal(size=(cuts, n))
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    through = rng.uniform(0.1, 1.0, size=(2, n))
+    k = int(rng.integers(n))
+    rows = np.vstack([np.eye(n), D, through, 2.0 * np.eye(n)[k]])
+    offsets = np.concatenate([half, (np.abs(D) @ half) * rng.choice([0.7, 1.3], cuts),
+                              through @ half, [2.0 * half[k]]])
+    F = np.vstack([rows, -rows])
+    g = np.concatenate([rows @ c + offsets, -rows @ c + offsets])
+    order = rng.permutation(F.shape[0])
+    return Polyhedron(F[order], g[order])
+
+
+def stacked_and_lone_lps(monkeypatch):
+    """LPs run by the stack loop and the objectives of lone lp_max calls."""
+    made = {"stacked": 0, "lone": []}
+    real_stack, real = geometry._run_stack, geometry.lp_max
+
+    def counting_stack(D, *args):
+        made["stacked"] += D.shape[0]
+        return real_stack(D, *args)
+
+    def recording(c, poly, **kwargs):
+        made["lone"].append(np.asarray(c))
+        return real(c, poly, **kwargs)
+
+    monkeypatch.setattr(geometry, "_run_stack", counting_stack)
+    monkeypatch.setattr(geometry, "lp_max", recording)
+    return made
 
 
 class TestLpMax:
@@ -669,6 +712,84 @@ class TestRemoveRedundant:
             self._assert_matches_reference(Polyhedron(F[order], g[order]))
         assert sum(fallback) > 0
 
+    def test_mirrored_polytopes_stack_one_lp_per_pair(self, monkeypatch):
+        # twins take one verdict: one stacked LP per mirror pair and no
+        # centre LP; weakly redundant twins are both tested again alone, in
+        # row order
+        rng = np.random.default_rng(61)
+        polys = [mirrored_polytope(rng, int(rng.integers(2, 5))) for _ in range(12)]
+        refs = [sequential_remove_redundant(P) for P in polys]
+        made = stacked_and_lone_lps(monkeypatch)
+        retested = 0
+        for P, ref in zip(polys, refs):
+            made["stacked"], made["lone"] = 0, []
+            R = remove_redundant(P)
+            assert np.array_equal(R.F, ref.F) and np.array_equal(R.g, ref.g)
+            assert made["stacked"] == P.nrows // 2
+            rows = [int(np.flatnonzero((P.F == c).all(axis=1))[0]) for c in made["lone"]]
+            assert rows == sorted(rows)
+            assert sorted(mirror_rows(P.F)[rows]) == rows
+            retested += len(rows)
+        assert retested > 0
+
+    def test_empty_symmetric_polyhedron_raises(self):
+        # x <= -1 and x >= 1; a box with lower > upper in one coordinate
+        for P in (Polyhedron([[1.0], [-1.0]], [-1.0, -1.0]), box([0.0, 2.0], [1.0, 1.0])):
+            assert mirror_rows(P.F) is not None
+            with pytest.raises(GeometryError, match="empty"):
+                remove_redundant(P)
+
+    def test_directions_spare_row_lps(self, monkeypatch):
+        # a ray from the centre along e_i meets row e_i first and no other
+        # row after it: every row of a box is shown irredundant, with no LP
+        P = box([1.0, -2.0, 0.5], [3.0, 1.0, 0.75])
+        made = stacked_and_lone_lps(monkeypatch)
+        R = remove_redundant(P, directions=np.eye(3))
+        assert np.array_equal(R.F, P.F) and np.array_equal(R.g, P.g)
+        assert made == {"stacked": 0, "lone": []}
+
+    def test_tied_directions_certify_nothing(self, monkeypatch):
+        # rays from the centre to vertices meet several rows at once
+        rng = np.random.default_rng(67)
+        P = mirrored_polytope(rng, 3)
+        w0, _, _ = centre_of_symmetry(P)
+        D = np.array([lp_max(c, P).argmax - w0 for c in rng.normal(size=(8, 3))])
+        made = stacked_and_lone_lps(monkeypatch)
+        R = remove_redundant(P, directions=D)
+        ref = sequential_remove_redundant(P)
+        assert np.array_equal(R.F, ref.F) and np.array_equal(R.g, ref.g)
+        assert made["stacked"] == P.nrows // 2
+
+    @pytest.mark.parametrize("D", [np.ones((2, 3)), [[np.nan, 1.0]]], ids=["width", "nan"])
+    def test_rejects_bad_directions(self, D):
+        with pytest.raises(GeometryError, match="directions"):
+            remove_redundant(box([0.0, 0.0], [1.0, 1.0]), directions=D)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), mirrored=st.booleans())
+    def test_directions_change_no_outcome(self, seed, mirrored):
+        # random polytopes, mirrored about a centre or boxes with random cuts
+        # off the origin, and random directions, row normals, and rays from
+        # the centre to vertices, along which the nearest rows tie
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        if mirrored:
+            P = mirrored_polytope(rng, n)
+            w0, _, _ = centre_of_symmetry(P)
+        else:
+            lo = rng.uniform(-3.0, 3.0, n)
+            B = box(lo, lo + rng.uniform(0.5, 2.0, n))
+            cuts = rng.normal(size=(6, n))
+            P = Polyhedron(np.vstack([B.F, cuts]), np.concatenate(
+                [B.g, cuts @ (lo + 0.25) + rng.uniform(0.0, 2.0, 6)]))
+            w0, _ = chebyshev_centre(P)
+        vertices = [lp_max(c, P).argmax - w0 for c in rng.normal(size=(4, n))]
+        D = np.vstack([rng.normal(size=(8, n)), P.F, vertices])
+        R = remove_redundant(P, directions=D)
+        plain, ref = remove_redundant(P), sequential_remove_redundant(P)
+        for other in (plain, ref):
+            assert np.array_equal(R.F, other.F) and np.array_equal(R.g, other.g)
+
     @pytest.mark.parametrize("which", ["shipped", "perturbed", "log-uniform"])
     def test_construction_sets_match_the_sequential_rule(self, patient, v_box, monkeypatch,
                                                          which):
@@ -685,9 +806,9 @@ class TestRemoveRedundant:
         inputs = []
         real = terminal.remove_redundant
 
-        def spy(poly):
+        def spy(poly, **kwargs):
             inputs.append(poly)
-            return real(poly)
+            return real(poly, **kwargs)
 
         monkeypatch.setattr(terminal, "remove_redundant", spy)
         for pat in patients:
@@ -734,6 +855,59 @@ class TestRemoveRedundant:
         assert row_sets[-1] < P.nrows // 2
         stack_bytes = geometry._STACK_CHUNK * (P.nrows + 1) * (2 * P.dim + 1) * 8
         assert peak < 3.5 * stack_bytes
+
+
+class TestCentreOfSymmetry:
+    def test_mirror_rows(self):
+        F = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, -0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(mirror_rows(F), [2, 3, 0, 1])
+        np.testing.assert_array_equal(mirror_rows(F, np.array([1.0, 2.0, 1.0, 2.0])),
+                                      [2, 3, 0, 1])
+        assert mirror_rows(F, np.array([1.0, 2.0, 1.5, 2.0])) is None  # unequal rhs
+        assert mirror_rows(F[:3]) is None  # a row without its mirror
+        assert mirror_rows(np.vstack([F, F[:1]])) is None  # a repeated row
+        assert mirror_rows(np.vstack([F, [[0.0, 0.0]]])) is None  # a zero row
+        inexact = np.array([[1.0, 0.1], [-1.0, -0.1 * (1 + 2**-52)]])
+        assert mirror_rows(inexact) is None
+        assert mirror_rows(np.empty((0, 2))) is None
+
+    def test_box_far_from_the_origin(self, monkeypatch):
+        lps = []
+        monkeypatch.setattr(geometry, "lp_max", lambda *a, **k: lps.append(a))
+        w0, h, mirror = centre_of_symmetry(box([100.0, -300.0], [101.0, -297.0]))
+        np.testing.assert_allclose(w0, [100.5, -298.5], atol=1e-12)
+        np.testing.assert_array_equal(h, [0.5, 1.5, 0.5, 1.5])
+        np.testing.assert_array_equal(mirror, [2, 3, 0, 1])
+        assert lps == []
+
+    def test_flat_segment(self):
+        # x1 = 5, 2 <= x2 <= 3: the pair on x1 has rhs 0 about the centre
+        P = Polyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                       [5.0, -5.0, 3.0, -2.0])
+        w0, h, _ = centre_of_symmetry(P)
+        np.testing.assert_allclose(w0, [5.0, 2.5], atol=1e-12)
+        np.testing.assert_array_equal(h, [0.0, 0.0, 0.5, 0.5])
+
+    def test_pairs_without_a_common_centre(self):
+        # the unit square and 0 <= x + y <= 1.5: midpoints (0.5, 0.5) and
+        # x + y = 0.75 disagree, so the reduction takes the Chebyshev centre
+        P = Polyhedron(np.vstack([box([0.0, 0.0], [1.0, 1.0]).F, [[1.0, 1.0], [-1.0, -1.0]]]),
+                       [1.0, 1.0, 0.0, 0.0, 1.5, 0.0])
+        assert mirror_rows(P.F) is not None
+        assert centre_of_symmetry(P) is None
+        R, ref = remove_redundant(P), sequential_remove_redundant(P)
+        assert np.array_equal(R.F, ref.F) and np.array_equal(R.g, ref.g)
+        assert R.nrows == 5
+
+    def test_centre_within_a_basis(self):
+        # [1, 3]^2 is symmetric about (2, 2), on the diagonal, off the x axis
+        P = box([1.0, 1.0], [3.0, 3.0])
+        assert centre_of_symmetry(P, basis=np.array([[1.0], [0.0]])) is None
+        w0, _, _ = centre_of_symmetry(P, basis=np.array([[1.0], [1.0]]) / np.sqrt(2.0))
+        np.testing.assert_allclose(w0, [2.0, 2.0], atol=1e-12)
+
+    def test_empty(self):
+        assert centre_of_symmetry(Polyhedron([[1.0], [-1.0]], [-1.0, -1.0])) is None
 
 
 class TestChebyshevCentre:
@@ -848,20 +1022,20 @@ class TestSlackBasisOnly:
     def test_terminal_ingredients(self, disc, v_box, rhs_minima, pivots):
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
         assert ing.X_a.nrows == 44
-        # the steady-point LP, 7 propagation LPs and the reduction's
-        # Chebyshev-centre LP run alone; the 52 row tests of the reduction
-        # run as one stack. An LP that escaped both kernels would lower
-        # these exact counts
-        assert len(rhs_minima["scalar"]) == 9
-        assert len(rhs_minima["stacked"]) == 52
-        assert pivots == {"scalar": 85, "stacked": 308}
+        # the 5 propagation LPs run alone; the reduction's 13 row tests (one
+        # per mirror pair not shown irredundant by a direction) run as one
+        # stack. No centre LP runs: both centres are centres of symmetry. An
+        # LP that escaped both kernels would lower these exact counts
+        assert len(rhs_minima["scalar"]) == 5
+        assert len(rhs_minima["stacked"]) == 13
+        assert pivots == {"scalar": 44, "stacked": 74}
         assert min(rhs_minima["scalar"] + rhs_minima["stacked"]) >= 0.0
 
     def test_invariance_excess(self, ingredients, rhs_minima):
         assert terminal.invariance_excess(ingredients.A_w, ingredients.X_a) <= 1e-9
-        # the steady-point LP alone, then one stacked LP per row
-        assert len(rhs_minima["scalar"]) == 1
-        assert len(rhs_minima["stacked"]) == ingredients.X_a.nrows
+        # one stacked LP per mirror pair, from the centre of symmetry
+        assert len(rhs_minima["scalar"]) == 0
+        assert len(rhs_minima["stacked"]) == ingredients.X_a.nrows // 2 == 22
         assert min(rhs_minima["scalar"] + rhs_minima["stacked"]) >= 0.0
 
     def test_random_battery(self, rhs_minima):

@@ -281,20 +281,62 @@ class TestMaxAdmissibleInvariantSet:
         _, k2 = terminal.max_admissible_invariant_set(ingredients.A_w, W_scaled)
         assert k1 == k2 == ingredients.determination_index
 
+    def test_centre_of_W_lambda_is_the_steady_pair_at_the_box_centre(self, disc, v_box,
+                                                                        ingredients):
+        # both boxes of W_lambda are centred at c_V, so W_lambda is symmetric
+        # about the steady pair (T c_V, c_V), T = (I - A)^-1 B; about it each
+        # pair's rhs is the half-width of its box, V's or the lambda box's
+        W = terminal.build_W_lambda(ingredients.K, ingredients.psi, v_box, ingredients.lam)
+        w0, h = terminal._steady_shift(ingredients.A_w, W)
+        c_V = 0.5 * (v_box.lower + v_box.upper)
+        T = np.linalg.solve(np.eye(4) - disc.A_f, disc.B)
+        np.testing.assert_allclose(w0, np.concatenate([T @ c_V, c_V]), rtol=1e-12)
+        mirror = geometry.mirror_rows(W.F)
+        np.testing.assert_array_equal(mirror, [2, 3, 0, 1, 6, 7, 4, 5])
+        about = W.g - W.F @ w0
+        np.testing.assert_allclose(about[mirror], about, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(h, about, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(h[mirror], h)
+        half = 0.5 * (v_box.upper - v_box.lower)
+        np.testing.assert_allclose(h[:2], half, rtol=1e-15)
+        np.testing.assert_allclose(h[4:6], ingredients.lam * half, rtol=1e-15)
+
+    def test_unpaired_rows_take_the_chebyshev_path(self, ingredients, v_box, negative_rhs):
+        # the row-scaled W has no exact mirror pairs: the shift is the
+        # Chebyshev centre of its steady pairs, by one LP, and the build
+        # matches the reference
+        W = terminal.build_W_lambda(ingredients.K, ingredients.psi, v_box, ingredients.lam)
+        scale = np.array([3.0, 0.5, 7.0, 1.0, 0.2, 5.0, 1.0, 0.1])
+        W_scaled = Polyhedron(W.F * scale[:, None], W.g * scale)
+        assert geometry.mirror_rows(W_scaled.F) is None
+        A_w = ingredients.A_w
+        _, s, Vt = np.linalg.svd(A_w - np.eye(6))
+        N = Vt[s <= terminal._RANK_TOL * max(1.0, s[0])].T
+        t, _ = geometry.chebyshev_centre(Polyhedron(W_scaled.F @ N, W_scaled.g))
+        w0, h = terminal._steady_shift(A_w, W_scaled)
+        assert len(negative_rhs["scalar"]) == 2  # the centre LP above, and _steady_shift's
+        assert np.array_equal(w0, N @ t)
+        assert np.array_equal(h, np.maximum(W_scaled.g - W_scaled.F @ w0, 0.0))
+        X, k = terminal.max_admissible_invariant_set(A_w, W_scaled)
+        X_ref, k_ref = reference_invariant_set(A_w, W_scaled)
+        assert k == k_ref == 11
+        assert np.array_equal(X.F, X_ref.F) and np.array_equal(X.g, X_ref.g)
+
     def test_patient_build_starts_from_a_steady_pair(self, disc, v_box, negative_rhs):
-        # only the steady-point LP and the Chebyshev-centre LP of the
-        # final reduction see rows with a negative rhs; the reduction's 52
-        # row tests run as one stack on the rows shifted to that centre
+        # no LP sees rows with a negative rhs: the 5 propagation LPs run on
+        # rows shifted to the steady pair at W's centre of symmetry, and the
+        # reduction's 13 row tests run as one stack on the rows shifted to
+        # X_a's; neither centre takes an LP
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
-        assert sum(negative_rhs["scalar"]) <= 2
-        assert len(negative_rhs["scalar"]) == 9
-        assert negative_rhs["stacked"] == [False] * 52
+        assert negative_rhs["scalar"] == [False] * 5
+        assert negative_rhs["stacked"] == [False] * 13
         assert ing.X_a.nrows == 44
         assert ing.determination_index == 11
 
     def test_propagation_lps_and_pivots(self, disc, v_box, monkeypatch):
-        # held rows and witness points decide 8 of the 12 rounds: 7 LPs
-        # and 68 pivots where an LP per candidate took 19 and 144
+        # held rows and witness points decide 8 of the 12 rounds, and the
+        # mirrors of candidates shown redundant need no LP: 5 LPs and 44
+        # pivots where an LP per candidate took 19 and 144
         made = {"lps": 0, "pivots": 0}
         inside = [False]  # pivots count only inside a propagation LP
         real, pivot = terminal.lp_max, geometry._pivot
@@ -315,7 +357,7 @@ class TestMaxAdmissibleInvariantSet:
         monkeypatch.setattr(geometry, "_pivot", counting_pivot)
         _, k = terminal.max_admissible_invariant_set(*propagation_inputs(disc, v_box, 0.99))
         assert k == 11
-        assert made == {"lps": 7, "pivots": 68}
+        assert made == {"lps": 5, "pivots": 44}
 
     def test_matches_the_reference_on_the_shipped_pair(self, ingredients, v_box,
                                                        witnesses):
@@ -434,10 +476,11 @@ class TestInvarianceExcess:
         assert self._per_row_excess(A_w, X) == pytest.approx(expected, abs=1e-12)
 
     def test_lps_start_from_a_steady_pair(self, ingredients, negative_rhs):
+        # X_a's centre of symmetry is a steady pair, found without an LP;
+        # the two rows of a mirror pair share one LP
         terminal.invariance_excess(ingredients.A_w, ingredients.X_a)
-        assert len(negative_rhs["scalar"]) == 1
-        assert sum(negative_rhs["scalar"]) <= 1
-        assert negative_rhs["stacked"] == [False] * ingredients.X_a.nrows
+        assert negative_rhs["scalar"] == []
+        assert negative_rhs["stacked"] == [False] * (ingredients.X_a.nrows // 2)
 
 
 class TestSteadyInputBox:
