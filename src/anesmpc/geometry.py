@@ -520,6 +520,10 @@ def remove_redundant(poly: Polyhedron, directions=None) -> Polyhedron:
     which leaves them out as well.
     """
     F, g = poly.F, poly.g
+    if directions is not None:
+        D = np.array(directions, dtype=float, ndmin=2, copy=None)
+        if D.shape[1] != poly.dim or not np.isfinite(D).all():
+            raise GeometryError(f"directions must be finite with {poly.dim} entries each")
     seen = set()
     repeated_later = np.zeros(poly.nrows, dtype=bool)
     for j in reversed(range(poly.nrows)):
@@ -543,9 +547,6 @@ def remove_redundant(poly: Polyhedron, directions=None) -> Polyhedron:
     margin = 1e-7 * np.maximum(1.0, h)
     kept = np.zeros(rows.size, dtype=bool)
     if directions is not None:
-        D = np.array(directions, dtype=float, ndmin=2, copy=None)
-        if D.shape[1] != poly.dim or not np.isfinite(D).all():
-            raise GeometryError(f"directions must be finite with {poly.dim} entries each")
         FD = F_u @ D.T
         ratio = ray_ratios(FD, h)
         first = ratio.argmin(axis=0)

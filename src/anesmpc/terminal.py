@@ -17,17 +17,18 @@ set holds the origin, a point an earlier propagation LP returned, scaled
 back into the current set, can show a candidate row irredundant with no
 LP, and a candidate that repeats a row already held needs none.
 
-W_lambda shrinks the input box and the steady-input box about their own
-centre, so it and every propagated set are symmetric about the steady
-pair at that centre: each row has its exact negation, with the same rhs
-about it. That pair is the shift, found without an LP; each LP point's
-mirror is a witness too, and a candidate whose mirror was just shown
-redundant needs no LP. On the shipped pair 5 LPs decide the 12
-propagation rounds, where an LP per candidate took 19, and the final
-reduction of 96 rows (26 mirror pairs once exact copies go) runs one
-stacked LP for 13 pairs, the LP points and their images under A_w
-showing the other 13 irredundant. A W without mirror pairs keeps the
-Chebyshev-centre LP.
+W_lambda bounds the terminal-law input by the box V and the steady input
+by V shrunk about its centre, so both boxes share that centre, and
+W_lambda and every propagated set are symmetric about the steady pair at
+it: each row has its exact negation, with the same rhs about it. That
+pair is the shift, found without an LP; each LP point's mirror is a
+witness too, a candidate whose mirror was just shown redundant needs no
+LP, and invariance_excess runs one LP per mirror pair. On the shipped
+pair 5 LPs decide the 12 propagation rounds, where an LP per candidate
+took 19, and the final reduction of 96 rows (26 mirror pairs once exact
+copies go) runs one stacked LP for 13 pairs, the LP points and their
+images under A_w showing the other 13 irredundant. A W without mirror
+pairs keeps the Chebyshev-centre LP.
 
 Sign convention: K is Schur-stabilizing for A + BK and enters the
 terminal law as v = K(x - x_a) + v_a; for the positive anesthesia
