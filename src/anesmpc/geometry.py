@@ -6,11 +6,12 @@ variables, at most a few thousand rows), so no sparse machinery is used.
 
 Every LP goes through one front end, lp_max_stack, which solves a
 family of LPs max C[l] . w over one row set; lp_max is a family of one.
-Every LP starts from the slack basis, so the front end first shifts rows
-with a negative rhs to a Chebyshev centre, whose LP lets the radius go
-negative until w = 0 meets every row: that LP is the only feasibility
-step, and no LP needs a phase I. The simplex keeps a dictionary tableau:
-one column per nonbasic variable (2n of them for the split free
+Every LP starts from the slack basis, so the front end first shifts a
+family whose rows have a negative rhs to the set's centre (centre, which
+states the one rule for that point): no LP needs a phase I, and the only
+feasibility step is the Chebyshev-centre LP, which lets the radius go
+negative until w = 0 meets every row. The simplex keeps a dictionary
+tableau: one column per nonbasic variable (2n of them for the split free
 variables) plus the rhs, with the basic columns, always unit vectors,
 left implicit. Dantzig pricing breaks ties by the lowest variable index
 and falls back to Bland's rule after a fixed number of pivots to break
@@ -36,17 +37,12 @@ again one at a time in row order. Dropping the first kind all at once is
 sound: a row strictly redundant against all other rows is redundant
 against every subset of them that still defines the set.
 
-A set whose rows come in exact mirror pairs (F_i' = -F_i, mirror_rows)
-with equal rhs about one point is symmetric about that point, and
-centre_of_symmetry finds it by one least-squares solve, with no LP; the
-rhs of the two rows of a pair about it are then equal to the bit. Such a
-set is reduced about that centre with one row LP per mirror pair, the
-twin taking the same verdict; any other set keeps the Chebyshev-centre
-LP. Rays from the centre along given directions show rows irredundant
-with no LP (shown_irredundant, the rule of the propagation's witness
-points). On the shipped pair X_a's 96 rows are reduced to 44 with 13
-stacked LPs and no centre LP, where one LP per row took 52 and a centre
-LP.
+Redundancy removal shifts the rows to the same centre and runs one row
+LP per pair of twins there, the twin taking the same verdict: one LP per
+mirror pair for a symmetric set. Rays from the centre along given
+directions show rows irredundant with no LP (shown_irredundant, the rule
+of the propagation's witness points). On the shipped pair X_a's 96 rows
+are reduced to 44 with 13 stacked LPs and no centre LP.
 """
 
 from __future__ import annotations
@@ -323,10 +319,10 @@ def lp_max_stack(C, poly: Polyhedron, stop_above=np.inf, skip=None) -> list[LpRe
     longer clears the level once shifted back is solved again without one.
 
     Every LP starts from the slack basis. When some g_i < 0 the rows are
-    first shifted to poly's Chebyshev centre w0, F u <= g - F w0 with a
-    nonnegative rhs, and the results shifted back; when poly is empty,
-    every LP is "infeasible", skipped row or not. A family of one runs on
-    the scalar loop, a larger one as stacks of _STACK_CHUNK LPs.
+    first shifted to poly's centre w0 (centre), F u <= h with h >= 0, and
+    the results shifted back; when poly is empty, every LP is
+    "infeasible", skipped row or not. A family of one runs on the scalar
+    loop, a larger one as stacks of _STACK_CHUNK LPs.
     """
     C = np.array(C, dtype=float, ndmin=2, copy=None)
     F, g = poly.F, poly.g
@@ -344,10 +340,10 @@ def lp_max_stack(C, poly: Polyhedron, stop_above=np.inf, skip=None) -> list[LpRe
     levels = stop
     shifted = (g < 0).any()
     if shifted:
-        w0, r = _centre(poly)
-        if r < -FEAS_TOL:
+        frame = centre(poly)
+        if frame is None:
             return [LpResult(-np.inf, None, "infeasible")] * L
-        g = np.maximum(g - F @ w0, 0.0)
+        w0, g, _ = frame
         levels = stop - (C * w0).sum(axis=1)
     if skip is not None:
         skip = np.asarray(skip, dtype=np.intp)
@@ -396,22 +392,10 @@ def is_empty(poly: Polyhedron) -> bool:
     return lp_max(np.zeros(poly.dim), poly).status == "infeasible"
 
 
-def chebyshev_centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
-    """Centre w0 and radius r of a largest ball in the set, by one LP with
-    the radius capped at 1 (see _centre). A flat set gives r = 0; an
-    empty one raises GeometryError.
-    """
-    w0, r = _centre(poly)
-    if r < -FEAS_TOL:
-        raise GeometryError("polyhedron is empty")
-    return w0, max(r, 0.0)
-
-
-def mirror_rows(F, g=None) -> np.ndarray | None:
+def mirror_rows(F) -> np.ndarray | None:
     """mirror[i] = i', the row with F[i'] = -F[i] exactly, for rows that
     all come in such pairs, with no row repeated and none zero; None
-    otherwise. With g, also g[i'] = g[i]: {F w <= g} is then symmetric
-    about the origin."""
+    otherwise."""
     F = np.asarray(F, dtype=float)
     m = F.shape[0]
     if m == 0:
@@ -425,42 +409,48 @@ def mirror_rows(F, g=None) -> np.ndarray | None:
     mirror[down] = up
     if (mirror == np.arange(m)).any():  # a zero row
         return None
-    if g is not None and not np.array_equal(np.asarray(g)[mirror], g):
-        return None
     return mirror
 
 
-def centre_of_symmetry(poly: Polyhedron, basis=None):
-    """The centre of a nonempty set whose rows come in mirror pairs
-    (mirror_rows) with equal rhs about the centre, found without an LP.
+def centre(poly: Polyhedron, basis=None) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The point w0 an LP family over poly's rows is shifted to, so that it
+    starts from the slack basis: (w0, h, twin), with h >= 0 the rhs about
+    w0 (F u <= h for u = w - w0) and twin[i] the row that takes row i's LP
+    maximum; None when the set holds no point (of basis's span, when
+    given: w0 = basis t).
 
-    One least-squares solve of the pairs' midpoint equations
-    F_i w = (g_i - g_i')/2 over w = basis t (any w when basis is None)
-    gives w0; the set is symmetric about w0 when w0 solves every one to
-    1e-12 of |F_i| |w0|. Returns (w0, h, mirror): h the rhs about w0,
-    (g_i + g_i')/2 for both rows of a pair, so {F u <= h} is exactly
-    symmetric about the origin, clipped at 0 as a flat set's rounding
-    needs. Then w0 is a Chebyshev centre, of radius min h_i / |F_i|, so
-    the set is empty iff that is below -FEAS_TOL. None when the rows do
-    not pair, the equations have no solution (the set is not symmetric,
-    or not about a point in basis's span), or the set is empty.
+    This is the one centre rule. When the rows come in mirror pairs
+    (mirror_rows) about one point of basis's span, w0 is that centre of
+    symmetry, found with no LP: one least-squares solve of the pairs'
+    midpoint equations F_i w = (g_i - g_i')/2, accepted when w0 solves
+    every one to 1e-12 of |F_i| |w0|. Then both rows of a pair get
+    h = (g_i + g_i')/2, so {F u <= h} is exactly symmetric about the
+    origin, twin is the pairing (mirroring maps the set and each row's LP
+    onto its twin's), and the set is empty iff some h_i / |F_i| is below
+    -FEAS_TOL. Otherwise w0 is the Chebyshev centre of the set (of its
+    points in basis's span), by one _centre LP, h = g - F w0 and twin the
+    identity. Either way h is clipped at 0, as a flat set's rounding
+    needs.
     """
     F, g = poly.F, poly.g
     mirror = mirror_rows(F)
-    if mirror is None:
+    if mirror is not None:
+        rep = (np.arange(poly.nrows) < mirror).nonzero()[0]
+        mid = 0.5 * (g[rep] - g[mirror[rep]])
+        A = F[rep] if basis is None else F[rep] @ basis
+        t = np.linalg.lstsq(A, mid, rcond=None)[0]
+        w0 = t if basis is None else basis @ t
+        scale = np.maximum(1.0, np.abs(F[rep]) @ np.abs(w0))
+        if np.all(np.abs(F[rep] @ w0 - mid) <= 1e-12 * scale):
+            h = 0.5 * (g + g[mirror])
+            if np.min(h / np.linalg.norm(F, axis=1)) < -FEAS_TOL:
+                return None
+            return w0, np.maximum(h, 0.0), mirror
+    t, r = _centre(poly if basis is None else Polyhedron(F @ basis, g))
+    if r < -FEAS_TOL:
         return None
-    rep = (np.arange(poly.nrows) < mirror).nonzero()[0]
-    mid = 0.5 * (g[rep] - g[mirror[rep]])
-    A = F[rep] if basis is None else F[rep] @ basis
-    t = np.linalg.lstsq(A, mid, rcond=None)[0]
     w0 = t if basis is None else basis @ t
-    scale = np.maximum(1.0, np.abs(F[rep]) @ np.abs(w0))
-    if np.any(np.abs(F[rep] @ w0 - mid) > 1e-12 * scale):
-        return None
-    h = 0.5 * (g + g[mirror])
-    if np.min(h / np.linalg.norm(F, axis=1)) < -FEAS_TOL:
-        return None
-    return w0, np.maximum(h, 0.0), mirror
+    return w0, np.maximum(g - F @ w0, 0.0), np.arange(poly.nrows)
 
 
 def ray_ratios(FP, h) -> np.ndarray:
@@ -487,13 +477,10 @@ def remove_redundant(poly: Polyhedron, directions=None) -> Polyhedron:
     row whose LP-max over the rows still kept is <= g_j + 1e-9.
 
     A row equal to a later row (same F row and g) is dropped without an
-    LP: the later copy bounds it exactly. The other rows are shifted to a
-    centre w0 of the set, F u <= h with h >= 0: to its centre of symmetry
-    when the rows come in mirror pairs (centre_of_symmetry, no LP), else
-    to its Chebyshev centre (one LP), h = g - F w0. A row's twin is its
-    mirror in the first case and the row itself in the second; twins take
-    the same verdict, since mirroring maps the set onto itself and each
-    twin's LP onto the other's. With margin = 1e-7 max(1, h_j), row j is
+    LP: the later copy bounds it exactly. The other rows are shifted to
+    their centre w0 (centre), F u <= h with h >= 0, and a row and its
+    twin there take the same verdict. With margin = 1e-7 max(1, h_j),
+    row j is
     - kept when a ray from w0 along one of the rows of directions (an
       (q, n) array, optional) shows it or its twin irredundant: the ray
       meets it first, and leaves the other rows at a point beyond it by
@@ -532,16 +519,10 @@ def remove_redundant(poly: Polyhedron, directions=None) -> Polyhedron:
         seen.add(key)
     rows = (~repeated_later).nonzero()[0]
     F_u = F[rows]
-    symmetric = centre_of_symmetry(Polyhedron(F_u, g[rows]))
-    if symmetric is None:
-        try:
-            w0, _ = chebyshev_centre(poly)
-        except GeometryError:
-            raise GeometryError("cannot reduce an empty polyhedron") from None
-        h = np.maximum(g[rows] - F_u @ w0, 0.0)
-        twin = np.arange(rows.size)
-    else:
-        _, h, twin = symmetric
+    frame = centre(Polyhedron(F_u, g[rows]))
+    if frame is None:
+        raise GeometryError("cannot reduce an empty polyhedron")
+    _, h, twin = frame
     if rows.size < 2:
         return Polyhedron(F_u, g[rows])
     margin = 1e-7 * np.maximum(1.0, h)
@@ -590,15 +571,6 @@ def save_matrix(path, M) -> None:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        r, c = (int(t) for t in fh.readline().split())
-        M = np.array([[float(t) for t in fh.readline().split()] for _ in range(r)])
-    if M.shape != (r, c):
-        raise GeometryError(f"matrix file {path} does not match its header")
-    return M
-
-
 def save_polyhedron(path, poly: Polyhedron) -> None:
     """Header 'n k', then the k rows of F, then one line holding g."""
     with open(path, "w") as fh:
@@ -606,13 +578,3 @@ def save_polyhedron(path, poly: Polyhedron) -> None:
         for row in poly.F:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
         fh.write(" ".join(f"{v:.17g}" for v in poly.g) + "\n")
-
-
-def load_polyhedron(path) -> Polyhedron:
-    with open(path) as fh:
-        n, k = (int(t) for t in fh.readline().split())
-        F = np.array([[float(t) for t in fh.readline().split()] for _ in range(k)])
-        g = np.array([float(t) for t in fh.readline().split()])
-    if F.shape != (k, n) or g.shape != (k,):
-        raise GeometryError(f"polyhedron file {path} does not match its header")
-    return Polyhedron(F, g)

@@ -118,18 +118,6 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
     return log
 
 
-def simulate_nominal_fast(disc: DiscreteDynamics, v_seq: np.ndarray, x0=None) -> np.ndarray:
-    """Replay a tracking-input sequence through the compensated 4-state
-    model x+ = A x + B v; returns the state trajectory (len(v_seq)+1, 4)."""
-    x = np.zeros(4) if x0 is None else np.asarray(x0, float).copy()
-    out = np.empty((len(v_seq) + 1, 4))
-    out[0] = x
-    for k, v in enumerate(v_seq):
-        x = disc.A_f @ x + disc.B @ v
-        out[k + 1] = x
-    return out
-
-
 def compute_metrics(log: SimLog, y_ref: float, band: float) -> Metrics:
     """Settling time (first entry into the band with no later exit),
     undershoot and final tracking error."""

@@ -6,29 +6,29 @@ dynamics of (fast state, artificial steady input) pairs under the
 terminal law, and the maximal admissible invariant set for tracking used
 as the MPC terminal constraint. The set's LPs run in coordinates shifted
 to a steady pair inside the constraints, a fixed point of the extended
-dynamics, where every propagated row keeps a nonnegative rhs: each LP
-starts from the slack basis with no Chebyshev-centre LP of its own, and
-invariance_excess proves invariance the same way. All of them go through
-geometry's one LP front end: a propagation LP as lp_max, a family of one
-on the scalar pivot loop, and invariance_excess's row LPs as one family
-on the stack loop; where a set holds no steady pair, the front end
-shifts the rows to the set's Chebyshev centre itself. Since the shifted
-set holds the origin, a point an earlier propagation LP returned, scaled
-back into the current set, can show a candidate row irredundant with no
-LP, and a candidate that repeats a row already held needs none.
+dynamics picked by geometry.centre's rule over the steady pairs, where
+every propagated row keeps a nonnegative rhs: each LP starts from the
+slack basis with no shift of its own, and invariance_excess proves
+invariance the same way. All of them go through geometry's one LP front
+end: a propagation LP as lp_max, a family of one on the scalar pivot
+loop, and invariance_excess's row LPs as one family on the stack loop;
+where a set holds no steady pair, the front end shifts the rows to the
+set's centre itself. Since the shifted set holds the origin, a point an
+earlier propagation LP returned, scaled back into the current set, can
+show a candidate row irredundant with no LP, and a candidate that
+repeats a row already held needs none.
 
 W_lambda bounds the terminal-law input by the box V and the steady input
 by V shrunk about its centre, so both boxes share that centre, and
 W_lambda and every propagated set are symmetric about the steady pair at
 it: each row has its exact negation, with the same rhs about it. That
-pair is the shift, found without an LP; each LP point's mirror is a
-witness too, a candidate whose mirror was just shown redundant needs no
-LP, and invariance_excess runs one LP per mirror pair. On the shipped
-pair 5 LPs decide the 12 propagation rounds, where an LP per candidate
-took 19, and the final reduction of 96 rows (26 mirror pairs once exact
-copies go) runs one stacked LP for 13 pairs, the LP points and their
-images under A_w showing the other 13 irredundant. A W without mirror
-pairs keeps the Chebyshev-centre LP.
+pair is the shift, and the rows' pairing comes with it; each LP point's
+mirror is a witness too, a candidate whose mirror was just shown
+redundant needs no LP, and invariance_excess runs one LP per mirror
+pair. On the shipped pair 5 LPs decide the 12 propagation rounds, and
+the final reduction of 96 rows (26 mirror pairs once exact copies go)
+runs one stacked LP for 13 pairs, the LP points and their images under
+A_w showing the other 13 irredundant.
 
 Sign convention: K is Schur-stabilizing for A + BK and enters the
 terminal law as v = K(x - x_a) + v_a; for the positive anesthesia
@@ -42,14 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compensation import InputBox
-from .errors import GeometryError, ModelConfigError
+from .errors import ModelConfigError
 from .geometry import (
     Polyhedron,
-    centre_of_symmetry,
-    chebyshev_centre,
+    centre,
     lp_max,
     lp_max_stack,
-    mirror_rows,
     ray_ratios,
     remove_redundant,
     shown_irredundant,
@@ -200,31 +198,23 @@ def build_W_lambda(K: np.ndarray, psi: np.ndarray, V: InputBox, lam: float) -> P
     return Polyhedron(F, g)
 
 
-def _steady_shift(A_w: np.ndarray, W: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
-    """A fixed point w0 = A_w w0 inside W and the rhs h >= 0 of W's rows
-    shifted to it. When W's rows come in mirror pairs about a fixed point,
-    w0 is that centre of symmetry (centre_of_symmetry over the fixed
-    subspace, no LP; for the extended dynamics, the steady pair at the
-    centre of the lambda box) and {F u <= h} is exactly symmetric. Any
-    other W gets one Chebyshev-centre LP over the fixed subspace (for the
-    extended dynamics: the steady pairs).
+def _steady_shift(A_w: np.ndarray, W: Polyhedron) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """geometry.centre of W over the fixed points w = A_w w: (w0, h, twin)
+    with w0 = A_w w0. For the extended dynamics the fixed points are the
+    steady pairs, and W_lambda's centre is the steady pair at the centre
+    of the lambda box, found with no LP.
 
     Since F A_w^k w0 = F w0, every row F A_w^k w <= g shifted to w0 has
     the rhs h >= 0, so LPs over such rows start from the slack basis.
-    When W holds no fixed point, w0 = 0 and h = g: no shift.
+    When W holds no fixed point, (0, g, identity): no shift.
     """
     dim = A_w.shape[0]
     _, s, Vt = np.linalg.svd(A_w - np.eye(dim))
     N = Vt[s <= _RANK_TOL * max(1.0, s[0])].T
-    symmetric = centre_of_symmetry(W, basis=N)
-    if symmetric is not None:
-        return symmetric[0], symmetric[1]
-    try:
-        t, _ = chebyshev_centre(Polyhedron(W.F @ N, W.g))
-    except GeometryError:
-        return np.zeros(dim), W.g
-    w0 = N @ t
-    return w0, np.maximum(W.g - W.F @ w0, 0.0)
+    frame = centre(W, basis=N)
+    if frame is None:
+        return np.zeros(dim), W.g, np.arange(W.nrows)
+    return frame
 
 
 def _witness(cand: np.ndarray, h: np.ndarray, F_acc: np.ndarray, h_acc: np.ndarray,
@@ -270,11 +260,12 @@ def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
       ends a round does not matter, only that one does: the round ends
       as its LPs would end it, appending the same block.
 
-    When the shifted W is symmetric about the origin (rows in mirror
-    pairs with equal rhs, mirror_rows) and each block F A_w^i keeps the
-    pairs exact, so is every X_k: the mirror -p of each LP's point is a
-    point of X_k too, and a candidate whose mirror an LP of this round
-    just showed redundant is redundant as well, with no LP of its own.
+    When the shift is W's centre of symmetry (the twins that come with it
+    are mirror pairs) and each block F A_w^i keeps the pairs exact, every
+    shifted X_k is symmetric about the origin: the mirror -p of each LP's
+    point is a point of X_k too, and a candidate whose mirror an LP of
+    this round just showed redundant is redundant as well, with no LP of
+    its own.
 
     Only the rounds neither rule decides run their LPs, in row order,
     so the rows, k* and the reduced set are those of one LP per
@@ -286,9 +277,9 @@ def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
     Returns (polyhedron, determination index k*).
     """
     F, g = W.F, W.g
-    _, h = _steady_shift(A_w, W)
+    _, h, twin = _steady_shift(A_w, W)
     points = [] if np.all(h >= 0.0) else None
-    mirror = None if points is None else mirror_rows(F, h)
+    mirror = None if (twin == np.arange(twin.size)).all() else twin  # pairs, if any
     F_acc, h_acc = F.copy(), h.copy()
     M = np.eye(A_w.shape[0])
     for k in range(max_iter + 1):
@@ -340,17 +331,16 @@ def invariance_excess(A_w: np.ndarray, X: Polyhedron) -> float:
     row is unbounded or X is empty. X is invariant under A_w iff this is
     <= 0 (up to the LP tolerance). The row LPs share X's rows, so they run
     as one stack (lp_max_stack) on the rows shifted to a steady point of
-    X as in the build; when X holds none, the stack shifts them to X's
-    Chebyshev centre itself. When the shifted X is symmetric about the
-    origin and the rows F A_w keep its mirror pairs, the two rows of a
-    pair have the same maximum, so one LP per pair runs.
+    X as in the build (_steady_shift); when X holds none, the stack
+    shifts them to X's centre itself. When the rows F A_w keep the
+    pairing of twins that comes with the shift, the two rows of a pair
+    have the same maximum, so one LP per pair runs.
     """
     F, g = X.F, X.g
-    w0, h = _steady_shift(A_w, X)
+    w0, h, twin = _steady_shift(A_w, X)
     FA = F @ A_w
     offset = FA @ w0 - g
-    twin = mirror_rows(F, h)
-    if twin is None or not np.array_equal(FA[twin], -FA):
+    if not np.array_equal(FA[twin], -FA):
         twin = np.arange(X.nrows)
     tested = (np.arange(X.nrows) <= twin).nonzero()[0]
     value = np.empty(X.nrows)
@@ -370,33 +360,3 @@ def compute_terminal_ingredients(dyn: DiscreteDynamics, V: InputBox, Q, R,
     X_a, kstar = max_admissible_invariant_set(A_w, W)
     return TerminalIngredients(K=K, P=P, psi=psi, A_w=A_w, X_a=X_a, lam=lam,
                                determination_index=kstar)
-
-
-def sample_invariant_set(ing: TerminalIngredients, n_samples: int,
-                         seed: int = 0, burn_in: int = 50) -> np.ndarray:
-    """Hit-and-run samples from X_a, started at the steady pair that
-    _steady_shift picks: X_a's centre of symmetry."""
-    F, g = ing.X_a.F, ing.X_a.g
-    dim = F.shape[1]
-    w, _ = _steady_shift(ing.A_w, ing.X_a)
-    if np.any(g - F @ w <= 0.0):
-        raise ModelConfigError("hit-and-run start is not interior to X_a")
-    rng = np.random.default_rng(seed)
-    out = np.empty((n_samples, dim))
-    kept = 0
-    steps = 0
-    while kept < n_samples:
-        d = rng.normal(size=dim)
-        d /= np.linalg.norm(d)
-        Fd = F @ d
-        resid = g - F @ w
-        with np.errstate(divide="ignore"):
-            t_hi = np.min(np.where(Fd > 1e-14, resid / Fd, np.inf))
-            t_lo = np.max(np.where(Fd < -1e-14, resid / Fd, -np.inf))
-        if np.isfinite(t_hi) and np.isfinite(t_lo) and t_hi > t_lo:
-            w = w + rng.uniform(t_lo, t_hi) * d
-            steps += 1
-            if steps > burn_in:
-                out[kept] = w
-                kept += 1
-    return out

@@ -16,6 +16,7 @@ import pytest
 from anesmpc import cli, mpc, pipeline, pkpd, qp, sim, terminal
 
 from conftest import controller_path, patient_path
+from oracles import sample_invariant_set, simulate_nominal_fast
 
 TABLE_K_ABS = np.array([[0.671, 1.58, 0.0, 0.0], [0.0, 0.0, 0.677, 1.267]])
 TABLE_P22, TABLE_P44 = 218.025, 58.574
@@ -93,7 +94,7 @@ def test_criterion_3_ratio_convergence(run, bundle):
 
 def test_criterion_4_compensation_exactness(run, bundle):
     log, _ = run
-    nominal = sim.simulate_nominal_fast(bundle.disc, log.v)
+    nominal = simulate_nominal_fast(bundle.disc, log.v)
     err = float(np.max(np.abs(nominal[:-1] - log.x_f)))
     ok = err <= 1e-9
     assert report(4, ok, f"nominal-vs-full fast-state divergence {err:.2e} (<= 1e-9)")
@@ -123,7 +124,7 @@ def test_criterion_6_invariant_set(bundle):
         bundle.disc, bundle.controller.V, bundle.file_cfg.mpc.Q, bundle.file_cfg.mpc.R,
         bundle.file_cfg.mpc.lam)
     build_time = time.perf_counter() - tic
-    samples = terminal.sample_invariant_set(ing, 1000, seed=11)
+    samples = sample_invariant_set(ing, 1000, seed=11)
     W = samples.T
     worst = -np.inf
     Wl = terminal.build_W_lambda(ing.K, ing.psi, bundle.controller.V, ing.lam)

@@ -10,6 +10,7 @@ from anesmpc import cli, geometry, mpc, pipeline, pkpd, qp
 from anesmpc.errors import GeometryError, ModelConfigError
 
 from conftest import controller_path, patient_path
+from oracles import load_matrix, load_polyhedron
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +36,8 @@ class TestIngredients:
         assert manifest["parameters"]["lambda"] == 0.99
         assert manifest["parameters"]["m_bar"] == [0.12, 0.27]
         # written K/P round-trip and show the two-drug sparsity pattern
-        K = geometry.load_matrix(out / "K.txt")
-        P = geometry.load_matrix(out / "P.txt")
+        K = load_matrix(out / "K.txt")
+        P = load_matrix(out / "P.txt")
         assert np.max(np.abs(K[0, 2:])) <= 1e-10
         assert np.max(np.abs(P[:2, 2:])) <= 1e-10
         capsys.readouterr()
@@ -402,7 +403,7 @@ class TestBundleUnread:
         rc = cli.main(["ingredients", "--patient", paths[0], "--config", paths[1],
                        "--out", str(shared)])
         assert rc == 0
-        X_a = geometry.load_polyhedron(shared / "X_a.poly")
+        X_a = load_polyhedron(shared / "X_a.poly")
         geometry.save_polyhedron(shared / "X_a.poly",
                                  geometry.Polyhedron(X_a.F[:-10], X_a.g[:-10]))
         runs = []

@@ -1,20 +1,18 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anesmpc import compensation, geometry, pkpd, terminal
+from anesmpc import geometry, pkpd, terminal
 from anesmpc.errors import GeometryError
 from anesmpc.geometry import (
     FEAS_TOL,
     Polyhedron,
-    centre_of_symmetry,
-    chebyshev_centre,
+    centre,
     contains,
-    load_matrix,
-    load_polyhedron,
     lp_max,
     lp_max_stack,
     mirror_rows,
@@ -23,7 +21,10 @@ from anesmpc.geometry import (
     save_polyhedron,
 )
 
-from conftest import M_BAR_PAPER, Q_DIAG, R_EYE, U_BOUNDS, log_uniform_patient, perturbed
+from conftest import Q_DIAG, R_EYE, log_uniform_patient, perturbed
+from oracles import chebyshev_centre, load_matrix, load_polyhedron
+
+REFERENCE_X_A = Path(__file__).parent / "data" / "reference_X_a.poly"
 
 
 def box(lo, hi):
@@ -207,6 +208,20 @@ def stacked_and_lone_lps(monkeypatch):
     monkeypatch.setattr(geometry, "_run_stack", counting_stack)
     monkeypatch.setattr(geometry, "lp_max", recording)
     return made
+
+
+@pytest.fixture
+def centre_lps(monkeypatch):
+    """The row count of each Chebyshev-centre LP run."""
+    calls = []
+    real = geometry._centre
+
+    def counting(poly):
+        calls.append(poly.nrows)
+        return real(poly)
+
+    monkeypatch.setattr(geometry, "_centre", counting)
+    return calls
 
 
 class TestLpMax:
@@ -536,6 +551,34 @@ class TestLpMaxStack:
         empty = lp_max_stack([[1.0], [-1.0]], Polyhedron([[1.0], [-1.0]], [3.0, -4.0]))
         assert [r.status for r in empty] == ["infeasible"] * 2
 
+    @pytest.mark.parametrize("which", ["stored X_a", "shifted box", "unpaired"])
+    def test_negative_rhs_family_takes_one_centre(self, centre_lps, which):
+        # a family whose rows pair about a point is shifted to it with no
+        # centre LP; any other takes one per family: one for the stack of
+        # eight, then one for each lp_max
+        from scipy.optimize import linprog
+
+        if which == "stored X_a":
+            P = load_polyhedron(REFERENCE_X_A)
+        elif which == "shifted box":
+            P = box([100.0, -300.0, 5.0], [101.0, -297.0, 6.5])
+        else:  # the shifted box with one corner cut off
+            P = box([100.0, -300.0, 5.0], [101.0, -297.0, 6.5])
+            P = Polyhedron(np.vstack([P.F, [[1.0, -1.0, 1.0]]]), np.append(P.g, 405.0))
+        assert np.any(P.g < 0)
+        C = np.random.default_rng(71).normal(size=(8, P.dim))
+        results = lp_max_stack(C, P)
+        assert len(centre_lps) == (which == "unpaired")
+        for c, res in zip(C, results):
+            ref = linprog(-c, A_ub=P.F, b_ub=P.g, bounds=[(None, None)] * P.dim,
+                          method="highs")
+            assert ref.status == 0 and res.status == "optimal"
+            assert res.value == pytest.approx(-ref.fun, abs=1e-9)
+            assert np.all(P.F @ res.argmax <= P.g + 1e-9)
+            alone = lp_max(c, P)
+            assert alone.value == pytest.approx(-ref.fun, abs=1e-9)
+        assert len(centre_lps) == (which == "unpaired") * (1 + C.shape[0])
+
     def test_unconfirmed_stop_runs_on_to_the_optimum(self, monkeypatch):
         # a stop whose point does not clear the level (rounding) must not
         # report "exceeds": that LP runs on to its optimum
@@ -752,7 +795,7 @@ class TestRemoveRedundant:
         # rays from the centre to vertices meet several rows at once
         rng = np.random.default_rng(67)
         P = mirrored_polytope(rng, 3)
-        w0, _, _ = centre_of_symmetry(P)
+        w0, _, _ = centre(P)
         D = np.array([lp_max(c, P).argmax - w0 for c in rng.normal(size=(8, 3))])
         made = stacked_and_lone_lps(monkeypatch)
         R = remove_redundant(P, directions=D)
@@ -775,7 +818,7 @@ class TestRemoveRedundant:
         n = int(rng.integers(2, 5))
         if mirrored:
             P = mirrored_polytope(rng, n)
-            w0, _, _ = centre_of_symmetry(P)
+            w0, _, _ = centre(P)
         else:
             lo = rng.uniform(-3.0, 3.0, n)
             B = box(lo, lo + rng.uniform(0.5, 2.0, n))
@@ -858,12 +901,12 @@ class TestRemoveRedundant:
 
 
 class TestCentreOfSymmetry:
+    """geometry.centre: a set's centre of symmetry, or its Chebyshev centre
+    where the rows do not pair about one point."""
+
     def test_mirror_rows(self):
         F = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, -0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(mirror_rows(F), [2, 3, 0, 1])
-        np.testing.assert_array_equal(mirror_rows(F, np.array([1.0, 2.0, 1.0, 2.0])),
-                                      [2, 3, 0, 1])
-        assert mirror_rows(F, np.array([1.0, 2.0, 1.5, 2.0])) is None  # unequal rhs
         assert mirror_rows(F[:3]) is None  # a row without its mirror
         assert mirror_rows(np.vstack([F, F[:1]])) is None  # a repeated row
         assert mirror_rows(np.vstack([F, [[0.0, 0.0]]])) is None  # a zero row
@@ -874,7 +917,7 @@ class TestCentreOfSymmetry:
     def test_box_far_from_the_origin(self, monkeypatch):
         lps = []
         monkeypatch.setattr(geometry, "lp_max", lambda *a, **k: lps.append(a))
-        w0, h, mirror = centre_of_symmetry(box([100.0, -300.0], [101.0, -297.0]))
+        w0, h, mirror = centre(box([100.0, -300.0], [101.0, -297.0]))
         np.testing.assert_allclose(w0, [100.5, -298.5], atol=1e-12)
         np.testing.assert_array_equal(h, [0.5, 1.5, 0.5, 1.5])
         np.testing.assert_array_equal(mirror, [2, 3, 0, 1])
@@ -884,30 +927,57 @@ class TestCentreOfSymmetry:
         # x1 = 5, 2 <= x2 <= 3: the pair on x1 has rhs 0 about the centre
         P = Polyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                        [5.0, -5.0, 3.0, -2.0])
-        w0, h, _ = centre_of_symmetry(P)
+        w0, h, _ = centre(P)
         np.testing.assert_allclose(w0, [5.0, 2.5], atol=1e-12)
         np.testing.assert_array_equal(h, [0.0, 0.0, 0.5, 0.5])
 
-    def test_pairs_without_a_common_centre(self):
+    def test_pairs_without_a_common_centre(self, centre_lps):
         # the unit square and 0 <= x + y <= 1.5: midpoints (0.5, 0.5) and
-        # x + y = 0.75 disagree, so the reduction takes the Chebyshev centre
+        # x + y = 0.75 disagree, so the centre is the Chebyshev centre, by
+        # one LP, and every row is its own twin
         P = Polyhedron(np.vstack([box([0.0, 0.0], [1.0, 1.0]).F, [[1.0, 1.0], [-1.0, -1.0]]]),
                        [1.0, 1.0, 0.0, 0.0, 1.5, 0.0])
         assert mirror_rows(P.F) is not None
-        assert centre_of_symmetry(P) is None
+        w0, h, twin = centre(P)
+        assert centre_lps == [6]
+        assert np.array_equal(w0, chebyshev_centre(P)[0])
+        assert np.array_equal(h, np.maximum(P.g - P.F @ w0, 0.0))
+        np.testing.assert_array_equal(twin, np.arange(6))
         R, ref = remove_redundant(P), sequential_remove_redundant(P)
         assert np.array_equal(R.F, ref.F) and np.array_equal(R.g, ref.g)
         assert R.nrows == 5
 
-    def test_centre_within_a_basis(self):
-        # [1, 3]^2 is symmetric about (2, 2), on the diagonal, off the x axis
-        P = box([1.0, 1.0], [3.0, 3.0])
-        assert centre_of_symmetry(P, basis=np.array([[1.0], [0.0]])) is None
-        w0, _, _ = centre_of_symmetry(P, basis=np.array([[1.0], [1.0]]) / np.sqrt(2.0))
-        np.testing.assert_allclose(w0, [2.0, 2.0], atol=1e-12)
+    def test_unpaired_rows(self, centre_lps):
+        # the triangle x, y >= 1, x + y <= 4 off the origin
+        P = Polyhedron([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [-1.0, -1.0, 4.0])
+        w0, h, twin = centre(P)
+        assert centre_lps == [3]
+        assert np.array_equal(w0, chebyshev_centre(P)[0])
+        assert contains(P, w0) and np.all(h >= 0.0)
+        assert np.array_equal(h, np.maximum(P.g - P.F @ w0, 0.0))
+        np.testing.assert_array_equal(twin, np.arange(3))
 
-    def test_empty(self):
-        assert centre_of_symmetry(Polyhedron([[1.0], [-1.0]], [-1.0, -1.0])) is None
+    def test_centre_within_a_basis(self, centre_lps):
+        # [1, 3]^2 is symmetric about (2, 2), on the diagonal, off the x
+        # axis, which it misses; [1, 3] x [-1, 3] meets the x axis in
+        # [1, 3] x {0}, whose Chebyshev centre is (2, 0)
+        P = box([1.0, 1.0], [3.0, 3.0])
+        assert centre(P, basis=np.array([[1.0], [0.0]])) is None
+        w0, _, twin = centre(P, basis=np.array([[1.0], [1.0]]) / np.sqrt(2.0))
+        np.testing.assert_allclose(w0, [2.0, 2.0], atol=1e-12)
+        np.testing.assert_array_equal(twin, [2, 3, 0, 1])
+        assert centre_lps == [4]  # the x axis only
+        w0, h, twin = centre(box([1.0, -1.0], [3.0, 3.0]), basis=np.array([[1.0], [0.0]]))
+        np.testing.assert_allclose(w0, [2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(h, [1.0, 3.0, 1.0, 1.0], atol=1e-12)
+        np.testing.assert_array_equal(twin, np.arange(4))
+
+    def test_empty(self, centre_lps):
+        # mirrored rows with a negative rhs about their centre need no LP
+        assert centre(Polyhedron([[1.0], [-1.0]], [-1.0, -1.0])) is None
+        assert centre_lps == []
+        assert centre(Polyhedron([[1.0], [-2.0]], [-1.0, -1.0])) is None
+        assert centre_lps == [2]
 
 
 class TestChebyshevCentre:

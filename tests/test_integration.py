@@ -7,6 +7,7 @@ import pytest
 from anesmpc import mpc, pipeline, pkpd, sim
 
 from conftest import U_BOUNDS, perturbed, rollout_compensation_max, steady_state_compensation
+from oracles import simulate_nominal_fast
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -27,7 +28,7 @@ def test_pipeline_on_perturbed_patient(patient, seed):
     # drive the BIS into the safe band and hold it
     assert met.undershoot >= 40.0
     assert abs(log.bis[-1] - 50.0) <= 2.0
-    nominal = sim.simulate_nominal_fast(disc, log.v)
+    nominal = simulate_nominal_fast(disc, log.v)
     np.testing.assert_allclose(nominal[:-1], log.x_f, atol=1e-9)
 
 

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anesmpc import geometry, mpc, pipeline, pkpd
+from anesmpc import mpc, pipeline, pkpd
 
 from conftest import controller_path, patient_path
+from oracles import load_polyhedron
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,7 @@ REFERENCE_X_A = Path(__file__).parent / "data" / "reference_X_a.poly"
 def test_shipped_build_reproduces_reference_X_a(from_files):
     # tests/data/reference_X_a.poly holds X_a of the shipped patient and
     # controller files, written with geometry.save_polyhedron
-    ref = geometry.load_polyhedron(REFERENCE_X_A)
+    ref = load_polyhedron(REFERENCE_X_A)
     ing = from_files.ingredients
     assert ing.X_a.nrows == ref.nrows == 44
     assert ing.determination_index == 11

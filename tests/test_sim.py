@@ -8,6 +8,7 @@ from anesmpc import compensation, mpc, pipeline, pkpd, sim
 from anesmpc.errors import ModelConfigError
 
 from conftest import U_BOUNDS, controller_path, patient_path
+from oracles import simulate_nominal_fast
 
 # 600 s run of the shipped patient and tuning, at full precision: the
 # numeric columns of run.csv without solve_ms, every status "optimal"
@@ -84,7 +85,7 @@ class TestClosedLoop:
         # replaying the logged v through the nominal 4-state model must
         # reproduce the full plant's fast states
         log = closed_loop_log
-        nominal = sim.simulate_nominal_fast(disc, log.v)
+        nominal = simulate_nominal_fast(disc, log.v)
         np.testing.assert_allclose(nominal[:-1], log.x_f, atol=1e-9)
 
     def test_all_solves_optimal(self, closed_loop_log):

@@ -7,6 +7,7 @@ from anesmpc.errors import ModelConfigError
 from anesmpc.geometry import Polyhedron, contains, lp_max
 
 from conftest import Q_DIAG, R_EYE, log_uniform_patient, perturbed, random_pk
+from oracles import chebyshev_centre, sample_invariant_set
 
 TABLE1_K_ABS = np.array([[0.671, 1.58, 0.0, 0.0], [0.0, 0.0, 0.677, 1.267]])
 TABLE1_P22 = 218.025
@@ -16,9 +17,9 @@ TABLE1_P44 = 58.574
 @pytest.fixture
 def negative_rhs(monkeypatch):
     """Per lp_max call, and per LP of each other lp_max_stack call, whether
-    its rows have a negative rhs (for which the front end runs an extra
-    Chebyshev-centre LP). lp_max runs as a stack of one, which counts as
-    the lp_max call only."""
+    its rows have a negative rhs (which the front end first shifts to
+    geometry.centre, by an extra LP unless they pair). lp_max runs as a
+    stack of one, which counts as the lp_max call only."""
     calls = {"scalar": [], "stacked": []}
     real, real_stack = geometry.lp_max, geometry.lp_max_stack
     depth = [0]  # lp_max calls under way
@@ -49,7 +50,7 @@ def reference_invariant_set(A_w, W, max_iter=terminal.INVARIANT_MAX_ITER):
     points and held rows, as the reference for
     terminal.max_admissible_invariant_set."""
     F, g = W.F, W.g
-    _, h = terminal._steady_shift(A_w, W)
+    _, h, _ = terminal._steady_shift(A_w, W)
     F_acc, h_acc = F.copy(), h.copy()
     M = np.eye(A_w.shape[0])
     for k in range(max_iter + 1):
@@ -265,7 +266,7 @@ class TestMaxAdmissibleInvariantSet:
                 assert abs(w) <= 1.0 + 1e-12
 
     def test_patient_set_invariance_by_sampling(self, ingredients):
-        samples = terminal.sample_invariant_set(ingredients, 200, seed=7)
+        samples = sample_invariant_set(ingredients, 200, seed=7)
         X_a, A_w = ingredients.X_a, ingredients.A_w
         W = samples.T
         for _ in range(200):
@@ -287,12 +288,13 @@ class TestMaxAdmissibleInvariantSet:
         # about the steady pair (T c_V, c_V), T = (I - A)^-1 B; about it each
         # pair's rhs is the half-width of its box, V's or the lambda box's
         W = terminal.build_W_lambda(ingredients.K, ingredients.psi, v_box, ingredients.lam)
-        w0, h = terminal._steady_shift(ingredients.A_w, W)
+        w0, h, twin = terminal._steady_shift(ingredients.A_w, W)
         c_V = 0.5 * (v_box.lower + v_box.upper)
         T = np.linalg.solve(np.eye(4) - disc.A_f, disc.B)
         np.testing.assert_allclose(w0, np.concatenate([T @ c_V, c_V]), rtol=1e-12)
         mirror = geometry.mirror_rows(W.F)
         np.testing.assert_array_equal(mirror, [2, 3, 0, 1, 6, 7, 4, 5])
+        np.testing.assert_array_equal(twin, mirror)
         about = W.g - W.F @ w0
         np.testing.assert_allclose(about[mirror], about, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(h, about, rtol=1e-12, atol=1e-12)
@@ -312,9 +314,10 @@ class TestMaxAdmissibleInvariantSet:
         A_w = ingredients.A_w
         _, s, Vt = np.linalg.svd(A_w - np.eye(6))
         N = Vt[s <= terminal._RANK_TOL * max(1.0, s[0])].T
-        t, _ = geometry.chebyshev_centre(Polyhedron(W_scaled.F @ N, W_scaled.g))
-        w0, h = terminal._steady_shift(A_w, W_scaled)
+        t, _ = chebyshev_centre(Polyhedron(W_scaled.F @ N, W_scaled.g))
+        w0, h, twin = terminal._steady_shift(A_w, W_scaled)
         assert len(negative_rhs["scalar"]) == 2  # the centre LP above, and _steady_shift's
+        np.testing.assert_array_equal(twin, np.arange(W_scaled.nrows))
         assert np.array_equal(w0, N @ t)
         assert np.array_equal(h, np.maximum(W_scaled.g - W_scaled.F @ w0, 0.0))
         X, k = terminal.max_admissible_invariant_set(A_w, W_scaled)
@@ -439,7 +442,7 @@ class TestInvarianceExcess:
     @staticmethod
     def _per_row_excess(A_w, X):
         """One lp_max per row, as before the row LPs ran as a stack."""
-        w0, h = terminal._steady_shift(A_w, X)
+        w0, h, _ = terminal._steady_shift(A_w, X)
         FA = X.F @ A_w
         worst = -np.inf
         for j in range(X.nrows):
@@ -513,7 +516,7 @@ class TestSteadyInputBox:
         ing = terminal.TerminalIngredients(
             K=np.zeros((1, 2)), P=np.eye(2), psi=np.zeros((1, 1)), A_w=A_w,
             X_a=X_a, lam=0.99)
-        samples = terminal.sample_invariant_set(ing, 50, seed=3)
+        samples = sample_invariant_set(ing, 50, seed=3)
         assert samples.shape == (50, 3)
         assert np.all(X_a.F @ samples.T <= g[:, None] + 1e-12)
 
