@@ -19,13 +19,14 @@ condensing beats a sparse KKT formulation, and it makes the warm start a
 plain index shift of the previous solution.
 
 A control step is two precomputed affine maps around the QP solve. Before
-it, one stacked map of x_f gives the linear term and the shift of the X_a
-rows' right-hand side. After it, one read-out map of (x_f, y), plus a part
-in v_a0 = p0 c that retarget sets, gives v_a, x_a, the predicted states,
-the terminal-law input that closes the warm start, and the rows the output
-check compares with one stacked bound vector (v_0 against the tightened
-box, the terminal pair against X_a). The applied input u = v_0 + D x_s is
-formed apart from the read-out.
+it, one stacked map of x_f gives the linear term, the shift of the X_a
+rows' right-hand side and the quadratic part of the cost at y = 0, which
+the reported cost adds to the QP's objective. After it, one read-out map
+of (x_f, y), plus a part in v_a0 = p0 c that retarget sets, gives v_a,
+x_a, the predicted states, the terminal-law input that closes the warm
+start, and the rows the output check compares with one stacked bound
+vector (v_0 against the tightened box, the terminal pair against X_a).
+The applied input u = v_0 + D x_s is formed apart from the read-out.
 """
 
 from __future__ import annotations
@@ -249,8 +250,10 @@ class Controller:
         self.b_in_per_c = A_z @ e
         self.term_slice = slice(2 * mN, None)
         self.Fx_AN = Fx @ A_N
-        # x_f -> (f, shift of the X_a rows' rhs), one stacked map
-        self.assemble_map = np.vstack([self.f_x0_map, self.Fx_AN])
+        # x_f -> (f, shift of the X_a rows' rhs, cost_xx x_f), one stacked
+        # map; cost_xx = Gx'Qbar Gx is the cost's quadratic part at y = 0
+        self.assemble_map = np.vstack([self.f_x0_map, self.Fx_AN, Gx.T @ Qbar @ Gx])
+        self._cost_rows = slice(len(self.assemble_map) - n, None)
         self.qp_factor = qp.QpFactor(self.H, self.A_in)
 
         # read-out: (x_f, v, v_a) -> v_a, x_a, x_0 .. x_N, the terminal-law
@@ -284,12 +287,15 @@ class Controller:
 
     # -- helpers -----------------------------------------------------------
 
-    def _assemble(self, x0: np.ndarray) -> qp.QpProblem:
+    def _assemble(self, x0: np.ndarray) -> tuple[qp.QpProblem, float]:
+        """The QP at x0 and the true cost at y = 0, from one product of the
+        stacked map with x0."""
         shift = self.assemble_map @ x0
         f = shift[:self.ny] + self.f_c
         b_in = self.b_in_c.copy()
-        b_in[self.term_slice] -= shift[self.ny:]
-        return qp.QpProblem(self.H, f, self.A_in, b_in)
+        b_in[self.term_slice] -= shift[self.ny:self._cost_rows.start]
+        cost0 = float(x0 @ (shift[self._cost_rows] + self.cost_x)) + self.cost_at_zero
+        return qp.QpProblem(self.H, f, self.A_in, b_in), cost0
 
     def read_out(self, x0: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Every quantity a step reads off its solution y at the state x0,
@@ -318,11 +324,11 @@ class Controller:
         self.b_in_c = self.b_in_base - c * self.b_in_per_c
         # the true cost at y = 0 (zero plan, steady input v_a0 = p0 c) as
         # x0'cost_xx x0 + cost_x'x0 + cost_at_zero, with x_k - x_a = Gx x0 - x_a0
+        # (cost_xx x0 comes from the assemble map)
         self.v_a0 = c * self.p0
         self.readout_c = self.readout_va @ self.v_a0
         x_a0 = np.tile(self.T @ self.v_a0, self.N + 1)
-        GxQ = self.Gx.T @ self.Qbar
-        self.cost_xx, self.cost_x = GxQ @ self.Gx, -2.0 * (GxQ @ x_a0)
+        self.cost_x = -2.0 * (self.Gx.T @ self.Qbar @ x_a0)
         self.cost_at_zero = (x_a0 @ self.Qbar @ x_a0 + self.N * self.v_a0 @ self.cfg.R @ self.v_a0
                              + self.cfg.vd(self.v_a0))
 
@@ -345,7 +351,8 @@ class Controller:
         return out
 
     def _solve(self, x_f: np.ndarray, x_s: np.ndarray) -> ControlOutput:
-        sol = qp.qp_solve(self._assemble(x_f), warm_start=self._warm, factor=self.qp_factor)
+        problem, cost0 = self._assemble(x_f)
+        sol = qp.qp_solve(problem, warm_start=self._warm, factor=self.qp_factor)
         if sol.status == "max_iter":
             raise SolverInfeasibleError(
                 f"tracking QP stopped after {sol.iterations} iterations",
@@ -362,8 +369,7 @@ class Controller:
         w = self._warm_buf  # the plan shifted by one step, closed by the terminal law
         w[:mN - self.m], w[mN - self.m:mN], w[mN] = y[self.m:mN], out[self._tail_rows], y[mN]
         self._warm = w
-        cost = sol.objective + (float(x_f @ (self.cost_xx @ x_f + self.cost_x))
-                                + self.cost_at_zero)
+        cost = sol.objective + cost0
 
         u = v0 + self.D @ x_s
         clamped = u.clip(self.U.lower, self.U.upper)

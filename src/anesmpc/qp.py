@@ -5,10 +5,10 @@ Solves  min 0.5 z'Hz + f'z  s.t.  A z <= b,  with A = A_in and b = b_in.
 There are no equality rows: a caller with an equality eliminates it first,
 as the MPC does with its steady output line. The MPC re-solves one QP whose
 H and A never change, so a :class:`QpFactor` built once per controller (or
-inside a one-off :func:`qp_solve`) caches H^-1, H^-1 A' and the Gram
+inside a one-off :func:`qp_solve`) caches -H^-1, H^-1 A' and the Gram
 matrix G = A H^-1 A'. H^-1 = Li' Li comes from one inverse Li of the
 Cholesky factor of H (regularised once if it fails), and H^-1 A' is one
-product with it.
+product with it; z_u = -H^-1 f is one product with the negated copy.
 
 The dual method (Goldfarb & Idnani 1983) iterates on a working set S:
 each iterate minimises the objective with the rows of S held as
@@ -19,15 +19,17 @@ _TIE_TOL of the largest tie, and the lowest index wins) and drops rows
 whose multipliers would turn negative.
 
 One start rule serves cold and hot solves, as in parametric active-set
-solvers (qpOASES): S starts from the rows tight or violated at the warm
-start, or, with none, from the rows violated at z_u. The longest leading
-run of them whose block of G factors with passing pivots goes in with one
-Cholesky factorisation and one inverse; when the factorisation raises,
-the run's length is found by bisection. The rows after the run go in one
-at a time, skipping dependent rows. Then the start drops multipliers
-below a rounding-level tolerance, most negative first, and the dual loop
-runs from there. From rest, the MPC's cold solve thus admits 25 rows at
-once and takes 8 iterations where adding one row per iteration took 27.
+solvers (qpOASES). When no row is violated at z_u, z_u is the optimum
+and S stays empty, whatever the warm start. Otherwise S starts from the
+rows tight or violated at the warm start, or, with none given, from the
+rows violated at z_u. The longest leading run of them whose block of G
+factors with passing pivots goes in with one Cholesky factorisation and
+one inverse; when the factorisation raises, the run's length is found by
+bisection. The rows after the run go in one at a time, skipping
+dependent rows. Then the start drops multipliers below a rounding-level
+tolerance, most negative first, and the dual loop runs from there. From
+rest, the MPC's cold solve thus admits 25 rows at once and takes 8
+iterations where adding one row per iteration took 27.
 
 Li and G[:, S] live in two buffers sized once per solve for min(rows,
 nvars) working rows, the most S can hold: nvars independent rows span
@@ -38,16 +40,18 @@ G[j, :]; this bordering needs only Li' Li = G_SS^-1, not a triangular Li.
 The violation update reads G[:, S] as a view. A dropped row shifts the
 buffered rows of G over it and deletes its column of Li; one Householder
 reflection then restores Li' Li = G_SS^-1 in O(k^2) operations, with no
-factorisation. While S is empty, as in most MPC steps, the iterate is z_u
-itself: the buffers are never allocated, no Cholesky factor is formed and
-no working-set algebra runs.
+factorisation.
 
-The row residuals c = A z_u - b and those at the warm start come from one
-product of A with the pair. A solve that ends with S empty reports KKT
-residuals from what it already holds: the primal residual is c, the
-multipliers and complementarity are exactly 0, and only the stationarity
-H z + f is formed, its H z shared with the objective. A solve that ends
-with working rows recomputes every residual from (z, lam).
+A solve first forms the row residuals c = A z_u - b, one product of A
+with z_u, and evaluates the rows at the warm start (a second product)
+only when max c exceeds _FEAS_TOL. When it does not, as in most MPC
+steps, the solve returns z_u with 0 iterations and S empty: no buffer
+is allocated, no Cholesky factor is formed and no working-set algebra
+runs. Its KKT residuals come from what it already holds: the primal
+residual is max c, the multipliers and complementarity are exactly 0,
+and only the stationarity g = H z + f is formed, which also gives the
+objective z'(g + f)/2. A solve that ends with working rows recomputes
+every residual from (z, lam).
 """
 
 from __future__ import annotations
@@ -129,10 +133,12 @@ class QpFactor:
         except np.linalg.LinAlgError:
             self.H = self.H + _REG_DELTA * np.eye(len(H))
             L = np.linalg.cholesky(self.H)  # raises when H is indefinite
-        # H^-1 = Li' Li from one inverse Li of the factor, then H^-1 A'
+        # H^-1 = Li' Li from one inverse Li of the factor, then H^-1 A';
+        # -H^-1 is kept, so z_u = -H^-1 f is one product
         Li = np.linalg.inv(L)
-        self.H_inv = Li.T @ Li
-        self.HinvAt = self.H_inv @ A_in.T
+        H_inv = Li.T @ Li
+        self.neg_H_inv = -H_inv
+        self.HinvAt = H_inv @ A_in.T
         self.G = A_in @ self.HinvAt
         self.G = 0.5 * (self.G + self.G.T)
 
@@ -258,35 +264,38 @@ def qp_solve(p: QpProblem, warm_start: np.ndarray | None = None,
              max_iter: int = 500, factor: QpFactor | None = None) -> QpSolution:
     """Solve the QP; on "optimal" all KKT residuals are <= 1e-8.
 
-    Starts from the rows tight or violated at ``warm_start``, or with no
-    warm start from the rows violated at the unconstrained minimiser
-    z_u; a start with no such row is z_u itself. ``factor`` must come from
-    this problem's H and A_in. Each working-set change after the start's
-    admissions is one iteration; past ``max_iter`` the current iterate is
-    returned with status "max_iter".
+    Returns the unconstrained minimiser z_u, with 0 iterations and no
+    active row and without reading ``warm_start``, when z_u violates no
+    row by more than _FEAS_TOL. Otherwise starts from the rows tight or
+    violated at ``warm_start``, or with no warm start from the rows
+    violated at z_u. ``factor`` must come from this problem's H and A_in.
+    Each working-set change after the start's admissions is one
+    iteration; past ``max_iter`` the current iterate is returned with
+    status "max_iter".
     """
     if factor is None:
         factor = QpFactor(p.H, p.A_in)
     elif factor.source[0] is not p.H or factor.source[1] is not p.A_in:
         raise ValueError("QpFactor was built for a different H or A_in")
     G = factor.G
-    z_u = -(factor.H_inv @ p.f)
-    z_u -= factor.H_inv @ (factor.H @ z_u + p.f)  # one refinement step
+    z_u = factor.neg_H_inv @ p.f
+    z_u += factor.neg_H_inv @ (factor.H @ z_u + p.f)  # one refinement step
+    c = p.A_in @ z_u - p.b_in  # row residuals at z_u
+    top = c.max(initial=0.0)
+    if top <= _FEAS_TOL:
+        # z_u is the optimum: its primal residual is top, lam = 0 leaves
+        # only the stationarity g = H z + f, and the objective is z'(g + f)/2
+        g = p.H @ z_u + p.f
+        kkt = KktResiduals(float(np.abs(g).max(initial=0.0)), float(top), 0.0)
+        return QpSolution(z_u, float(0.5 * z_u @ (g + p.f)), "optimal", kkt)
     if warm_start is None:
-        c = p.A_in @ z_u - p.b_in  # row residuals at z_u
         start = (c > _FEAS_TOL).nonzero()[0].tolist()
-    else:  # and at the warm start, from one product
-        c, at_warm = np.array((z_u, np.ravel(warm_start))) @ p.A_in.T - p.b_in
+    else:
+        at_warm = p.A_in @ np.ravel(warm_start) - p.b_in
         start = (at_warm >= -_FEAS_TOL).nonzero()[0].tolist()
 
     def finish(status, lam, it, extra=()):
         rows = ws.rows + [j for j, _ in extra]
-        if not rows:
-            # z = z_u: its row residuals are c, and lam = 0 leaves only H z + f
-            Hz = p.H @ z_u
-            kkt = KktResiduals(float(np.abs(Hz + p.f).max(initial=0.0)),
-                               float(c.max(initial=0.0)), 0.0)
-            return QpSolution(z_u, float(0.5 * z_u @ Hz + p.f @ z_u), status, kkt, it)
         lam_all = np.zeros(c.size)
         lam_all[rows] = np.concatenate([lam, [t for _, t in extra]])
         z = z_u - factor.HinvAt @ lam_all

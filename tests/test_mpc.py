@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anesmpc import compensation, mpc, pipeline, qp, sim
+from anesmpc import compensation, mpc, pipeline, pkpd, qp, sim
 from anesmpc.errors import ModelConfigError, SolverInfeasibleError
 
 from conftest import U_BOUNDS, bench_module, controller_path, patient_path
@@ -168,6 +168,46 @@ class TestControlStep:
         first = controller.control_step(np.zeros(4), np.zeros(4))
         controller.control_step(first.predicted_xf[1], np.zeros(4))
         assert len(calls) == 2
+
+    def test_each_step_solves_once_and_keeps_what_it_returned(self, disc, patient, gain,
+                                                               v_box, ingredients, monkeypatch):
+        # every step solves one QP through qp.qp_solve and gets its KKT
+        # residuals back (the benchmark's KKT check needs one per step); the
+        # problem a step solved and the output it returned stay as they were
+        # after the next step and after retarget; u is v0 + D x_s, clipped
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                    ingredients, mpc.MpcConfig())
+        M, B = pkpd.full_step_matrices(disc)
+        solves, solve = [], qp.qp_solve
+
+        def recording(p, *args, **kwargs):
+            solves.append((p, solve(p, *args, **kwargs)))
+            return solves[-1][1]
+
+        def arrays(p, out):
+            return (p.H, p.f, p.A_in, p.b_in, out.u, out.v0, out.v_a, out.x_a,
+                    out.predicted_xf, np.array([out.cost, out.qp_iterations]))
+
+        def unchanged(step):
+            return all(np.array_equal(a, b) for a, b in zip(arrays(*step[:2]), step[2]))
+
+        monkeypatch.setattr(qp, "qp_solve", recording)
+        x, steps = np.zeros(8), []
+        for k in range(120):
+            if k == 60:
+                ctrl.retarget(55.0)
+                assert all(unchanged(step) for step in steps), "retarget"
+            out = ctrl.control_step(x[:4], x[4:])
+            assert len(solves) == k + 1
+            p, sol = solves[-1]
+            assert sol.kkt_residuals is not None
+            assert np.array_equal(out.u, (out.v0 + ctrl.D @ x[4:]).clip(
+                ctrl.U.lower, ctrl.U.upper)), k
+            if steps:
+                assert unchanged(steps[-1]), k - 1
+            steps.append((p, out, [a.copy() for a in arrays(p, out)]))
+            x = M @ x + B @ out.u
+        assert any(out.qp_iterations for _, out, _ in steps[60:])  # retarget's work
 
     def test_applied_input_clipped_into_box(self, disc, patient, gain, v_box,
                                             ingredients, caplog):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anesmpc import mpc, pipeline, qp, sim
 from anesmpc.qp import QpFactor, QpProblem, enumerate_active_sets, qp_solve
@@ -212,6 +214,43 @@ class TestProperties:
                 assert hot.kkt_residuals.max() <= 1e-8, name
                 np.testing.assert_allclose(hot.z, cold.z, atol=1e-7, err_msg=name)
                 assert hot.objective == pytest.approx(cold.objective, abs=1e-7)
+
+
+class TestStartRule:
+    def test_feasible_z_u_ignores_rows_tight_at_the_warm_start(self):
+        # z_u meets every row and the warm start has ten rows tight at it:
+        # the solve returns what the cold solve does, z_u, to the bit, with
+        # no iteration and no working row
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            p = random_qp(rng, n=30, q=60)
+            z_u = np.linalg.solve(p.H, -p.f)
+            w = z_u + rng.normal(size=30)
+            A = p.A_in * np.sign(p.A_in @ (w - z_u))[:, None]  # A w > A z_u
+            b = A @ w + np.where(np.arange(60) < 10, 0.0, rng.uniform(0.1, 1.0, 60))
+            p = QpProblem(p.H, p.f, A, b)
+            cold, warm = qp_solve(p), qp_solve(p, warm_start=w)
+            assert (A @ w - b >= -1e-9).sum() == 10
+            assert np.array_equal(warm.z, cold.z)
+            assert np.abs(warm.z - z_u).max() <= 1e-10 * np.abs(z_u).max()
+            assert warm.iterations == cold.iterations == 0
+            assert warm.active_set == cold.active_set == ()
+            assert warm.objective == cold.objective
+            assert warm.kkt_residuals == cold.kkt_residuals
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), q=st.integers(0, 60),
+           scale=st.sampled_from([0.0, 0.01, 1.0, 100.0]))
+    def test_warm_and_cold_solves_agree(self, seed, n, q, scale):
+        # random strictly convex QPs, warm-started at, near and far from
+        # the cold optimum: the same status and objective, KKT met by both
+        rng = np.random.default_rng(seed)
+        p = random_qp(rng, n, q)
+        cold = qp_solve(p)
+        warm = qp_solve(p, warm_start=cold.z + scale * rng.normal(size=n))
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
+        assert max(cold.kkt_residuals.max(), warm.kkt_residuals.max()) <= 1e-8
 
 
 class TestHotStart:
@@ -676,7 +715,7 @@ class TestColdStart:
 
 
 class TwoSolveFactor(QpFactor):
-    """QpFactor with H^-1 and H^-1 A' from one pair of triangular solves
+    """QpFactor with -H^-1 and H^-1 A' from one pair of triangular solves
     over [I, A'], the form before the single inverse, as its reference."""
 
     def __init__(self, H, A_in):
@@ -684,7 +723,7 @@ class TwoSolveFactor(QpFactor):
         n = len(H)
         L = np.linalg.cholesky(self.H)
         X = np.linalg.solve(L.T, np.linalg.solve(L, np.hstack([np.eye(n), A_in.T])))
-        self.H_inv, self.HinvAt = X[:, :n], X[:, n:]
+        self.neg_H_inv, self.HinvAt = -X[:, :n], X[:, n:]
         self.G = A_in @ self.HinvAt
         self.G = 0.5 * (self.G + self.G.T)
 
@@ -720,7 +759,7 @@ class TestQpFactor:
         problems.append((M @ M.T, rng.normal(size=(12, 8))))
         for H, A in problems:
             new, ref = QpFactor(H, A), TwoSolveFactor(H, A)
-            for name in ("H_inv", "HinvAt", "G"):
+            for name in ("neg_H_inv", "HinvAt", "G"):
                 got, want = getattr(new, name), getattr(ref, name)
                 assert got.flags.c_contiguous, name
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name

@@ -197,10 +197,13 @@ class TestReferenceRun:
 
     def test_qp_iterations_per_step(self):
         # the cold first solve admits the rows violated at the unconstrained
-        # minimiser at once; every later step is hot-started
+        # minimiser at once; every later step is hot-started, except that a
+        # step whose z_u meets every row returns it at once (step 15, with a
+        # row tight at its warm start)
         bundle = pipeline.build_bundle(patient_path(), controller_path())
         log = sim.simulate_closed_loop(bundle.disc, bundle.patient.pd,
                                        bundle.controller, 3600.0)
         assert log.qp_iterations.shape == (720,)
         assert log.qp_iterations[0] == 8
-        assert log.qp_iterations.sum() == 35
+        assert log.qp_iterations[15] == 0
+        assert log.qp_iterations.sum() == 34
