@@ -15,19 +15,18 @@ tableau: one column per nonbasic variable (2n of them for the split free
 variables) plus the rhs, with the basic columns, always unit vectors,
 left implicit. Dantzig pricing breaks ties by the lowest variable index
 and falls back to Bland's rule after a fixed number of pivots to break
-cycling; feasibility and optimality tolerances are both 1e-9. An LP asked
-only whether its maximum exceeds a level stops at the first vertex above
-it.
+cycling; feasibility and optimality tolerances are both 1e-9. Every LP
+runs to its optimum or to a ray that shows it unbounded.
 
 Two pivot loops apply these rules. A family of one runs on the scalar
 loop (_run_simplex, _pivot); a larger family runs as a stack
 (_run_stack, _pivot_stack): one dictionary per LP in an (L, m+1, 2n+1)
 array, all pivoted in one set of numpy operations per round, in chunks
 of _STACK_CHUNK LPs so memory stays bounded whatever the row count. Each
-loop is the fast one for its calls (fastest of 200 on a shared 2-vCPU
-host, shipped pair): a lone LP on the stack loop took 2-3 times as long
-(an 8-row LP 0.05 -> 0.16 ms, the set-up 9.8 -> 12.1-12.5 ms), and
-redundancy removal as a loop of lone LPs 3.0 -> 8.0 ms.
+loop is the fast one for its calls (shipped pair, 2-vCPU host): a lone
+LP on the stack loop takes about 3 times as long (an 8-row LP 0.053 ->
+0.151 ms, the set-up 7.6 -> 9.6 ms), and the reduction's 13 row LPs as
+lone LPs 1.0 -> 2.0 ms.
 
 Redundancy removal tests every row against all the others in one stack
 (a chunk at a time, leaving out the rows earlier chunks dropped),
@@ -97,7 +96,7 @@ class Polyhedron:
 class LpResult:
     value: float
     argmax: np.ndarray | None
-    status: str  # "optimal" | "exceeds" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible" | "unbounded"
 
 
 def _pivot(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, col: int,
@@ -123,11 +122,11 @@ def _pivot(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, col
 
 
 def _run_simplex(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, c: np.ndarray,
-                 level: float, skip: int | None) -> LpResult:
+                 skip: int | None) -> LpResult:
     """_run_stack on the one dictionary D (last row = reduced costs of
     minimizing -c . w and, in its last entry, the objective gained so far;
-    last column = rhs >= 0), with c, level and skip in the place of C[l],
-    levels[l] and skip[l]: the same pivots, in scalar steps."""
+    last column = rhs >= 0), with c and skip in the place of C[l] and
+    skip[l]: the same pivots, in scalar steps."""
     m = basis.size
     n = nonbasic.size // 2
     costs = D[-1, :-1]
@@ -148,12 +147,6 @@ def _run_simplex(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, c: np.n
                 break
         # the lowest variable index among them, whatever its column
         col = min(cols, key=nonbasic.__getitem__)
-        if D[-1, -1] > level:
-            w = _point(D, basis, n)
-            value = float(c @ w)
-            if value > level:
-                return LpResult(value, w, "exceeds")
-            level = np.inf  # rounding put the point back on the level
         colvals = D[:m, col]
         pos = colvals > FEAS_TOL
         if skip is not None:
@@ -205,14 +198,12 @@ def _pivot_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
 
 
 def _run_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, C: np.ndarray,
-               levels: np.ndarray, skip: np.ndarray | None):
-    """Pivot every dictionary of the stack D, one pivot per live LP per
-    round: Dantzig pricing with lowest-index ties, Bland's rule after
-    _BLAND_AFTER rounds, the smallest-basis-index ratio tie. LP l stops at
-    the first vertex w with C[l] . w > levels[l] ("exceeds"); when rounding
-    puts that vertex back on the level, it runs on to its optimum. Row
-    skip[l], when given, stays out of LP l's ratio test, so its slack never
-    leaves the basis: LP l is the one over the other rows.
+               skip: np.ndarray | None):
+    """Pivot every dictionary of the stack D to its optimum or to a ray,
+    one pivot per live LP per round: Dantzig pricing with lowest-index
+    ties, Bland's rule after _BLAND_AFTER rounds, the smallest-basis-index
+    ratio tie. Row skip[l], when given, stays out of LP l's ratio test, so
+    its slack never leaves the basis: LP l is the one over the other rows.
 
     Finished LPs are swapped out of the live prefix D[:k], so each round
     works in place on live dictionaries only. Returns one LpResult per LP,
@@ -220,7 +211,7 @@ def _run_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, C: np.nda
     """
     L, m = basis.shape
     n = nonbasic.shape[1] // 2
-    C, levels = C.copy(), np.array(levels, dtype=float)
+    C = C.copy()
     skip = None if skip is None else skip.copy()
     lp = np.arange(L)  # the LP each slot holds
     results: list[LpResult | None] = [None] * L
@@ -243,14 +234,6 @@ def _run_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, C: np.nda
         for s in done.nonzero()[0]:
             w = _point(D[s], basis[s], n)
             results[lp[s]] = LpResult(float(C[s] @ w), w, "optimal")
-        for s in (~done & (D[:k, -1, -1] > levels[:k])).nonzero()[0]:
-            w = _point(D[s], basis[s], n)
-            value = float(C[s] @ w)
-            if value > levels[s]:
-                results[lp[s]] = LpResult(value, w, "exceeds")
-                done[s] = True
-            else:  # rounding put the point back on the level
-                levels[s] = np.inf
         colvals = D[ar, :m, col]
         pos = colvals > FEAS_TOL
         if skip is not None:
@@ -265,7 +248,7 @@ def _run_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, C: np.nda
             movers = k_live + (~done[k_live:]).nonzero()[0]
             for a, b in zip(holes, movers):
                 D[a] = D[b]
-            per_slot = [basis, nonbasic, C, levels, lp, col, colvals, pos]
+            per_slot = [basis, nonbasic, C, lp, col, colvals, pos]
             for arr in per_slot + ([] if skip is None else [skip]):
                 arr[holes] = arr[movers]
             k = k_live
@@ -301,22 +284,19 @@ def _centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
     return res.argmax[:n], float(res.argmax[n]) + r_lo
 
 
-def lp_max(c, poly: Polyhedron, stop_above: float = np.inf) -> LpResult:
+def lp_max(c, poly: Polyhedron) -> LpResult:
     """Maximize c . w over {F w <= g} with free variables w: lp_max_stack
     of the one objective c."""
-    return lp_max_stack(np.reshape(c, (1, -1)), poly, stop_above)[0]
+    return lp_max_stack(np.reshape(c, (1, -1)), poly)[0]
 
 
-def lp_max_stack(C, poly: Polyhedron, stop_above=np.inf, skip=None) -> list[LpResult]:
-    """Maximize C[l] . w over poly's rows, less row skip[l] when skip is
-    given, for every row l of C, with free variables w.
+def lp_max_stack(C, poly: Polyhedron, skip=None) -> list[LpResult]:
+    """Maximize C[l] . w over poly's rows, less row skip[l] (an integer in
+    [0, m)) when skip is given, for every row l of C, with free variables w.
 
     Each LpResult's status is "optimal", "infeasible" or "unbounded"; on
-    "optimal" the argmax satisfies F w <= g + 1e-9. With a finite level
-    stop_above[l] (one for all LPs when a scalar) LP l returns at the first
-    vertex w with C[l] . w > stop_above[l], status "exceeds": a feasible
-    point that proves the maximum exceeds the level. A stop whose point no
-    longer clears the level once shifted back is solved again without one.
+    "optimal" the argmax satisfies F w <= g + 1e-9 and the value is
+    C[l] . argmax.
 
     Every LP starts from the slack basis. When some g_i < 0 the rows are
     first shifted to poly's centre w0 (centre), F u <= h with h >= 0, and
@@ -332,21 +312,16 @@ def lp_max_stack(C, poly: Polyhedron, stop_above=np.inf, skip=None) -> list[LpRe
         raise GeometryError(f"objectives have {C.shape[1]} entries for a {n}-dim set")
     if not np.isfinite(C).all():
         raise GeometryError("objective contains NaN or Inf")
-    stop = np.asarray(stop_above, dtype=float)
-    if stop.ndim == 0:
-        stop = np.full(L, stop)
-    elif stop.shape != (L,):
-        raise GeometryError(f"{stop.size} levels for {L} objectives")
-    levels = stop
+    if skip is not None:
+        skip = np.asarray(skip)
+        if skip.shape != (L,) or skip.dtype.kind not in "iu" or np.any((skip < 0) | (skip >= m)):
+            raise GeometryError(f"skip must hold {L} integers in [0, {m})")
     shifted = (g < 0).any()
     if shifted:
         frame = centre(poly)
         if frame is None:
             return [LpResult(-np.inf, None, "infeasible")] * L
         w0, g, _ = frame
-        levels = stop - (C * w0).sum(axis=1)
-    if skip is not None:
-        skip = np.asarray(skip, dtype=np.intp)
     results = []
     for lo in range(0, L, _STACK_CHUNK):
         c = C[lo : lo + _STACK_CHUNK]
@@ -364,19 +339,15 @@ def lp_max_stack(C, poly: Polyhedron, stop_above=np.inf, skip=None) -> list[LpRe
         nonbasic = np.empty((k, 2 * n), dtype=np.intp)
         nonbasic[:] = np.arange(2 * n)
         if L == 1:
-            results.append(_run_simplex(D[0], basis[0], nonbasic[0], c[0], levels[0],
+            results.append(_run_simplex(D[0], basis[0], nonbasic[0], c[0],
                                         None if skip is None else skip[0]))
         else:
-            results += _run_stack(D, basis, nonbasic, c, levels[lo : lo + k],
+            results += _run_stack(D, basis, nonbasic, c,
                                   None if skip is None else skip[lo : lo + k])
     for l, res in enumerate(results):
         if shifted and res.argmax is not None:
             w = res.argmax + w0
-            res = results[l] = LpResult(float(C[l] @ w), w, res.status)
-        if res.status == "exceeds" and not res.value > stop[l]:
-            # rounding put the point back on the level
-            again = None if skip is None else skip[l : l + 1]
-            results[l] = lp_max_stack(C[l], poly, skip=again)[0]
+            results[l] = LpResult(float(C[l] @ w), w, res.status)
     return results
 
 
@@ -542,7 +513,6 @@ def remove_redundant(poly: Polyhedron, directions=None) -> Polyhedron:
         chunk = tested[lo : lo + _STACK_CHUNK]
         others = live.nonzero()[0]
         tests = lp_max_stack(F_u[chunk], Polyhedron(F_u[others], h[others]),
-                             stop_above=h[chunk] + margin[chunk],
                              skip=np.searchsorted(others, chunk))
         for j, res in zip(chunk.tolist(), tests):
             if res.status == "optimal" and res.value < h[j] - margin[j]:
@@ -554,7 +524,7 @@ def remove_redundant(poly: Polyhedron, directions=None) -> Polyhedron:
         others = [i for i in surviving if i != j]
         if not others:
             continue
-        res = lp_max(F_u[j], Polyhedron(F_u[others], h[others]), stop_above=h[j] + FEAS_TOL)
+        res = lp_max(F_u[j], Polyhedron(F_u[others], h[others]))
         if res.status == "optimal" and res.value <= h[j] + FEAS_TOL:
             surviving.remove(j)
     keep = rows[surviving]

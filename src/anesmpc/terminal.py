@@ -25,7 +25,7 @@ it: each row has its exact negation, with the same rhs about it. That
 pair is the shift, and the rows' pairing comes with it; each LP point's
 mirror is a witness too, a candidate whose mirror was just shown
 redundant needs no LP, and invariance_excess runs one LP per mirror
-pair. On the shipped pair 5 LPs decide the 12 propagation rounds, and
+pair. On the shipped pair 6 LPs decide the 12 propagation rounds, and
 the final reduction of 96 rows (26 mirror pairs once exact copies go)
 runs one stacked LP for 13 pairs, the LP points and their images under
 A_w showing the other 13 irredundant.
@@ -246,19 +246,19 @@ def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
     set X_k, then strip redundant rows.
 
     The LPs run in coordinates shifted to a steady point of W (see
-    _steady_shift), where each starts from the slack basis, and stop at
-    the first vertex that breaks their row's bound. A round ends at the
-    first candidate shown irredundant, so with the origin in X_k (every
-    shifted rhs h >= 0) two rules decide most rounds without an LP:
+    _steady_shift), where each starts from the slack basis and runs to
+    its optimum. A round ends at the first candidate shown irredundant,
+    so with the origin in X_k (every shifted rhs h >= 0) two rules decide
+    most rounds without an LP:
 
     - a candidate equal to the same row of the previous block is a row
       of X_k with the same rhs, so it is redundant;
     - a point of X_k, scaled from a point an earlier LP returned (see
-      _witness), on which a candidate tops its level by a margin far
+      _witness), on which a candidate tops its bound by a margin far
       above the LP tolerance bounds that candidate's LP maximum from
-      below, so its LP would report the level exceeded. Which candidate
-      ends a round does not matter, only that one does: the round ends
-      as its LPs would end it, appending the same block.
+      below, so its LP would show it irredundant. Which candidate ends
+      a round does not matter, only that one does: the round ends as its
+      LPs would end it, appending the same block.
 
     When the shift is W's centre of symmetry (the twins that come with it
     are mirror pairs) and each block F A_w^i keeps the pairs exact, every
@@ -298,7 +298,7 @@ def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
             for j in rows:
                 if mirror is not None and mirror[j] in redundant:
                     continue
-                res = lp_max(cand[j], current, stop_above=h[j] + 1e-9)
+                res = lp_max(cand[j], current)
                 if res.status == "infeasible":
                     raise ModelConfigError("constraint polyhedron is empty")
                 if points is not None and res.argmax is not None:

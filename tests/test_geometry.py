@@ -154,7 +154,7 @@ def sequential_remove_redundant(poly):
         others = [i for i in surviving if i != j]
         if not others:
             continue
-        res = lp_max(F[j], Polyhedron(F[others], h[others]), stop_above=h[j] + FEAS_TOL)
+        res = lp_max(F[j], Polyhedron(F[others], h[others]))
         if res.status == "optimal" and res.value <= h[j] + FEAS_TOL:
             surviving.remove(j)
     return Polyhedron(F[surviving], g[surviving])
@@ -201,9 +201,9 @@ def stacked_and_lone_lps(monkeypatch):
         made["stacked"] += D.shape[0]
         return real_stack(D, *args)
 
-    def recording(c, poly, **kwargs):
+    def recording(c, poly):
         made["lone"].append(np.asarray(c))
-        return real(c, poly, **kwargs)
+        return real(c, poly)
 
     monkeypatch.setattr(geometry, "_run_stack", counting_stack)
     monkeypatch.setattr(geometry, "lp_max", recording)
@@ -341,64 +341,6 @@ class TestLpMax:
         assert res.status == "optimal"
         assert res.value == pytest.approx(best, abs=1e-12)
 
-    def test_early_stop_is_sound(self):
-        # below the maximum, stop_above returns a feasible point above the
-        # level (or the optimum, or an unbounded ray); at or above it, and
-        # at +inf, exactly the plain result
-        def same(a, b):
-            return (a.status == b.status and a.value == b.value
-                    and (a.argmax is None) == (b.argmax is None)
-                    and (a.argmax is None or np.array_equal(a.argmax, b.argmax)))
-
-        stopped = 0
-        for c, F, g in random_lps():
-            P = Polyhedron(F, g)
-            plain = lp_max(c, P)
-            assert same(lp_max(c, P, stop_above=np.inf), plain)
-            if plain.status == "infeasible":
-                assert same(lp_max(c, P, stop_above=0.0), plain)
-                continue
-            if plain.status == "optimal":
-                top = plain.value
-                assert same(lp_max(c, P, stop_above=top), plain)
-                assert same(lp_max(c, P, stop_above=top + 1.0), plain)
-                levels = [top - 1e-6, top - 1.0, top - 100.0]
-            else:
-                levels = [-1.0, 0.0, 1.0, 1e3]
-            for level in levels:
-                res = lp_max(c, P, stop_above=level)
-                if res.status == "unbounded":
-                    assert plain.status == "unbounded"
-                    continue
-                assert res.status in ("exceeds", "optimal")
-                assert np.all(F @ res.argmax <= g + 1e-9)
-                assert c @ res.argmax > level
-                assert res.value == c @ res.argmax
-                if res.status == "optimal":
-                    assert same(res, plain)
-                stopped += res.status == "exceeds"
-        assert stopped > 0
-
-    def test_unconfirmed_stop_falls_back_to_the_full_lp(self, monkeypatch):
-        # a stop whose point does not clear the level (rounding) must not
-        # report "exceeds": the LP is solved again without a level
-        P = box([0.0, 0.0], [1.0, 2.0])
-        real = geometry._run_simplex
-        calls = []
-
-        def stop_at_once(D, basis, nonbasic, c, level, skip):
-            # the first LP stops at the vertex 0, below its level
-            calls.append(level)
-            if len(calls) == 1:
-                return geometry.LpResult(0.0, np.zeros(2), "exceeds")
-            return real(D, basis, nonbasic, c, level, skip)
-
-        monkeypatch.setattr(geometry, "_run_simplex", stop_at_once)
-        res = lp_max([1.0, 1.0], P, stop_above=0.5)
-        assert calls == [0.5, np.inf]
-        assert res.status == "optimal"
-        assert res.value == pytest.approx(3.0, abs=1e-12)
-
     def test_matches_linprog_on_offset_boxes_and_cuts(self):
         # boxes away from the origin (rows with negative rhs), open
         # half-space stacks (unbounded) and boxes cut off by a contradictory
@@ -465,17 +407,15 @@ class TestLpMaxStack:
     def _stacks():
         """Per random LP (c, F, g), over the rows F w <= |g| and then over
         F w <= g (negative rhs entries, some sets empty): objectives c, -c,
-        three rows of F and a random one, each with a stop level: none, 0,
-        1 or 1e3."""
+        three rows of F and a random one."""
         rng = np.random.default_rng(29)
-        levels = np.array([np.inf, 0.0, 1.0, 1e3])
         for c, F, g in random_lps():
             C = np.vstack([c, -c, F[:3], rng.normal(size=c.size)])
             for rhs in (np.abs(g), g):
-                yield C, Polyhedron(F, rhs), levels[rng.integers(0, 4, C.shape[0])]
+                yield C, Polyhedron(F, rhs)
 
     @staticmethod
-    def _assert_same(stacked, scalar, c, P, level):
+    def _assert_same(stacked, scalar):
         # each dictionary pivots entry for entry as lp_max's does, so the
         # results agree to the bit
         assert stacked.status == scalar.status
@@ -484,36 +424,28 @@ class TestLpMaxStack:
             assert stacked.argmax is None
             return
         assert np.array_equal(stacked.argmax, scalar.argmax)
-        if stacked.status == "exceeds":
-            assert np.all(P.F @ stacked.argmax <= P.g + 1e-9)
-            assert c @ stacked.argmax > level
 
     @pytest.mark.parametrize("bland_after", [geometry._BLAND_AFTER, 0],
                              ids=["dantzig", "bland"])
     def test_matches_lp_max_on_the_random_battery(self, monkeypatch, bland_after):
         monkeypatch.setattr(geometry, "_BLAND_AFTER", bland_after)
-        statuses = {"optimal": 0, "exceeds": 0, "unbounded": 0, "infeasible": 0}
-        for C, P, levels in self._stacks():
-            for c, level, res in zip(C, levels, lp_max_stack(C, P, stop_above=levels)):
-                self._assert_same(res, lp_max(c, P, stop_above=level), c, P, level)
+        statuses = {"optimal": 0, "unbounded": 0, "infeasible": 0}
+        for C, P in self._stacks():
+            for c, res in zip(C, lp_max_stack(C, P)):
+                self._assert_same(res, lp_max(c, P))
+                if res.status == "optimal":
+                    assert res.value == c @ res.argmax
+                    assert np.all(P.F @ res.argmax <= P.g + 1e-9)
                 statuses[res.status] += 1
         assert all(v > 0 for v in statuses.values()), statuses
 
     @staticmethod
-    def _assert_same_maximum(res, plain, c, P, level):
-        # a sound answer for max c . w over P with the level: plain is the
-        # LP solved without one
-        assert res.status != "infeasible"
-        if res.status == "unbounded":
-            assert plain.status == "unbounded"
-            return
-        assert np.all(P.F @ res.argmax <= P.g + 1e-9)
+    def _assert_same_maximum(res, plain, P):
+        # the maximum of c . w over P that plain, lp_max's result, holds
+        assert res.status == plain.status != "infeasible"
         if res.status == "optimal":
-            assert plain.status == "optimal"
+            assert np.all(P.F @ res.argmax <= P.g + 1e-9)
             assert res.value == pytest.approx(plain.value, abs=1e-7)
-        else:
-            assert res.status == "exceeds" and c @ res.argmax > level
-            assert plain.status == "unbounded" or plain.value >= res.value - 1e-9
 
     def test_skipped_row_is_left_out(self):
         # LP l over every row but skip[l] is lp_max over the rows without
@@ -522,23 +454,22 @@ class TestLpMaxStack:
         # centre of its own, so there the maximum agrees; when all the
         # rows hold no point, every LP is "infeasible"
         rng = np.random.default_rng(37)
-        shifted = {"optimal": 0, "exceeds": 0, "unbounded": 0, "infeasible": 0}
-        for C, P, levels in self._stacks():
+        shifted = {"optimal": 0, "unbounded": 0, "infeasible": 0}
+        for C, P in self._stacks():
             skip = rng.integers(0, P.nrows, C.shape[0])
-            results = lp_max_stack(C, P, stop_above=levels, skip=skip)
+            results = lp_max_stack(C, P, skip=skip)
             empty = geometry.is_empty(P)
-            for c, level, j, res in zip(C, levels, skip, results):
+            for c, j, res in zip(C, skip, results):
                 rest = Polyhedron(np.delete(P.F, j, axis=0), np.delete(P.g, j))
                 # the same LP alone runs on the scalar loop, to the same bits
-                alone = lp_max_stack([c], P, stop_above=level, skip=[j])[0]
-                self._assert_same(alone, res, c, rest, level)
+                self._assert_same(lp_max_stack([c], P, skip=[j])[0], res)
                 if np.all(P.g >= 0):
-                    self._assert_same(res, lp_max(c, rest, stop_above=level), c, rest, level)
+                    self._assert_same(res, lp_max(c, rest))
                     continue
                 if empty:
                     assert res.status == "infeasible" and res.argmax is None
                 else:
-                    self._assert_same_maximum(res, lp_max(c, rest), c, rest, level)
+                    self._assert_same_maximum(res, lp_max(c, rest), rest)
                 shifted[res.status] += 1
         assert all(v > 0 for v in shifted.values()), shifted
 
@@ -579,35 +510,25 @@ class TestLpMaxStack:
             assert alone.value == pytest.approx(-ref.fun, abs=1e-9)
         assert len(centre_lps) == (which == "unpaired") * (1 + C.shape[0])
 
-    def test_unconfirmed_stop_runs_on_to_the_optimum(self, monkeypatch):
-        # a stop whose point does not clear the level (rounding) must not
-        # report "exceeds": that LP runs on to its optimum
-        real = geometry._point
-        calls = []
-
-        def first_at_origin(D, basis, n):
-            calls.append(n)
-            return np.zeros(n) if len(calls) == 1 else real(D, basis, n)
-
-        monkeypatch.setattr(geometry, "_point", first_at_origin)
-        (res,) = lp_max_stack([[1.0, 1.0]], box([0.0, 0.0], [1.0, 2.0]), stop_above=0.5)
-        assert len(calls) == 2
-        assert res.status == "optimal"
-        assert res.value == pytest.approx(3.0, abs=1e-12)
-
     def test_empty_row_set(self):
         res = lp_max_stack([[1.0, 0.0], [0.0, 0.0]], Polyhedron(np.zeros((0, 2)), []))
         assert [r.status for r in res] == ["unbounded", "optimal"]
         assert res[1].value == 0.0
 
-    @pytest.mark.parametrize("C, levels, match", [
-        ([[1.0, 0.0]], np.inf, "entries"),
-        ([[np.nan]], np.inf, "objective contains NaN or Inf"),
-        ([[1.0], [-1.0]], [0.0, 1.0, 2.0], "3 levels for 2 objectives"),
-    ], ids=["objective-length", "nan-objective", "level-count"])
-    def test_rejects_bad_input(self, C, levels, match):
+    @pytest.mark.parametrize("C, skip, match", [
+        ([[1.0, 0.0]], None, "entries"),
+        ([[np.nan]], None, "objective contains NaN or Inf"),
+        ([[1.0], [-1.0]], [-4, 0], r"skip must hold 2 integers in \[0, 2\)"),
+        ([[1.0], [-1.0]], [0, 2], r"skip must hold 2 integers in \[0, 2\)"),
+        ([[1.0], [-1.0]], [0.5, 1], r"skip must hold 2 integers in \[0, 2\)"),
+        ([[1.0], [-1.0]], [True, False], r"skip must hold 2 integers in \[0, 2\)"),
+        ([[1.0], [-1.0]], [0, 1, 1], r"skip must hold 2 integers in \[0, 2\)"),
+        ([[1.0], [-1.0]], [[0, 1]], r"skip must hold 2 integers in \[0, 2\)"),
+    ], ids=["objective-length", "nan-objective", "skip-negative", "skip-past-the-end",
+            "skip-fraction", "skip-bool", "skip-count", "skip-shape"])
+    def test_rejects_bad_input(self, C, skip, match):
         with pytest.raises(GeometryError, match=match):
-            lp_max_stack(C, Polyhedron([[1.0], [-1.0]], [1.0, 1.0]), stop_above=levels)
+            lp_max_stack(C, Polyhedron([[1.0], [-1.0]], [1.0, 1.0]), skip=skip)
 
 
 class TestRemoveRedundant:
@@ -729,15 +650,11 @@ class TestRemoveRedundant:
     def test_weakly_redundant_rows_against_reference(self, monkeypatch):
         # scaled copies (2 F_j, 2 g_j) and extra rows through one vertex of
         # the box tie with the rows they copy or touch: neither strictly
-        # redundant nor irredundant, so the in-order fallback decides them
-        fallback = []
-        real = geometry.lp_max
-
-        def counting(c, poly, **kwargs):
-            fallback.append("stop_above" in kwargs)
-            return real(c, poly, **kwargs)
-
-        monkeypatch.setattr(geometry, "lp_max", counting)
+        # redundant nor irredundant, so the in-order fallback decides them.
+        # Its lone LPs maximize a row of the set; the centre LP's objective
+        # has one entry more
+        made = stacked_and_lone_lps(monkeypatch)
+        fallback = 0
         rng = np.random.default_rng(47)
         for _ in range(12):
             n = int(rng.integers(2, 5))
@@ -752,8 +669,11 @@ class TestRemoveRedundant:
             F = np.vstack([F, 2.0 * F[copies], through])
             g = np.concatenate([g, 2.0 * g[copies], through @ hi])
             order = rng.permutation(F.shape[0])
-            self._assert_matches_reference(Polyhedron(F[order], g[order]))
-        assert sum(fallback) > 0
+            P = Polyhedron(F[order], g[order])
+            made["lone"] = []
+            self._assert_matches_reference(P)
+            fallback += sum(c.size == n and (P.F == c).all(axis=1).any() for c in made["lone"])
+        assert fallback > 0
 
     def test_mirrored_polytopes_stack_one_lp_per_pair(self, monkeypatch):
         # twins take one verdict: one stacked LP per mirror pair and no
@@ -1092,13 +1012,13 @@ class TestSlackBasisOnly:
     def test_terminal_ingredients(self, disc, v_box, rhs_minima, pivots):
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
         assert ing.X_a.nrows == 44
-        # the 5 propagation LPs run alone; the reduction's 13 row tests (one
+        # the 6 propagation LPs run alone; the reduction's 13 row tests (one
         # per mirror pair not shown irredundant by a direction) run as one
         # stack. No centre LP runs: both centres are centres of symmetry. An
         # LP that escaped both kernels would lower these exact counts
-        assert len(rhs_minima["scalar"]) == 5
+        assert len(rhs_minima["scalar"]) == 6
         assert len(rhs_minima["stacked"]) == 13
-        assert pivots == {"scalar": 44, "stacked": 74}
+        assert pivots == {"scalar": 50, "stacked": 89}
         assert min(rhs_minima["scalar"] + rhs_minima["stacked"]) >= 0.0
 
     def test_invariance_excess(self, ingredients, rhs_minima):

@@ -24,11 +24,11 @@ def negative_rhs(monkeypatch):
     real, real_stack = geometry.lp_max, geometry.lp_max_stack
     depth = [0]  # lp_max calls under way
 
-    def recording(c, poly, *args, **kwargs):
+    def recording(c, poly):
         calls["scalar"].append(bool(np.any(poly.g < 0)))
         depth[0] += 1
         try:
-            return real(c, poly, *args, **kwargs)
+            return real(c, poly)
         finally:
             depth[0] -= 1
 
@@ -58,7 +58,7 @@ def reference_invariant_set(A_w, W, max_iter=terminal.INVARIANT_MAX_ITER):
         cand = F @ M
         current = Polyhedron(F_acc, h_acc)
         for j in range(cand.shape[0]):
-            res = lp_max(cand[j], current, stop_above=h[j] + 1e-9)
+            res = lp_max(cand[j], current)
             if res.status == "infeasible":
                 raise ModelConfigError("constraint polyhedron is empty")
             if res.status != "optimal" or res.value > h[j] + 1e-9:
@@ -326,29 +326,29 @@ class TestMaxAdmissibleInvariantSet:
         assert np.array_equal(X.F, X_ref.F) and np.array_equal(X.g, X_ref.g)
 
     def test_patient_build_starts_from_a_steady_pair(self, disc, v_box, negative_rhs):
-        # no LP sees rows with a negative rhs: the 5 propagation LPs run on
+        # no LP sees rows with a negative rhs: the 6 propagation LPs run on
         # rows shifted to the steady pair at W's centre of symmetry, and the
         # reduction's 13 row tests run as one stack on the rows shifted to
         # X_a's; neither centre takes an LP
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
-        assert negative_rhs["scalar"] == [False] * 5
+        assert negative_rhs["scalar"] == [False] * 6
         assert negative_rhs["stacked"] == [False] * 13
         assert ing.X_a.nrows == 44
         assert ing.determination_index == 11
 
     def test_propagation_lps_and_pivots(self, disc, v_box, monkeypatch):
-        # held rows and witness points decide 8 of the 12 rounds, and the
-        # mirrors of candidates shown redundant need no LP: 5 LPs and 44
-        # pivots where an LP per candidate took 19 and 144
+        # held rows and witness points decide 7 of the 12 rounds, and the
+        # mirrors of candidates shown redundant need no LP: 6 LPs and 50
+        # pivots where an LP per candidate takes 19 and 149
         made = {"lps": 0, "pivots": 0}
         inside = [False]  # pivots count only inside a propagation LP
         real, pivot = terminal.lp_max, geometry._pivot
 
-        def counting_lp(c, poly, **kwargs):
+        def counting_lp(c, poly):
             made["lps"] += 1
             inside[0] = True
             try:
-                return real(c, poly, **kwargs)
+                return real(c, poly)
             finally:
                 inside[0] = False
 
@@ -360,7 +360,37 @@ class TestMaxAdmissibleInvariantSet:
         monkeypatch.setattr(geometry, "_pivot", counting_pivot)
         _, k = terminal.max_admissible_invariant_set(*propagation_inputs(disc, v_box, 0.99))
         assert k == 11
-        assert made == {"lps": 5, "pivots": 44}
+        assert made == {"lps": 6, "pivots": 50}
+
+    def test_every_lp_of_the_build_runs_to_its_maximum(self, disc, v_box, monkeypatch):
+        # the propagation LPs (terminal.lp_max), the reduction's stack and
+        # invariance_excess's stack: each LP ends "optimal" or "unbounded",
+        # and an optimal value is C[l] . argmax at a point of the LP's rows
+        statuses = []
+        real = geometry.lp_max_stack
+
+        def checking(C, poly, skip=None):
+            results = real(C, poly, skip=skip)
+            C = np.array(C, dtype=float, ndmin=2)
+            for l, res in enumerate(results):
+                statuses.append(res.status)
+                assert res.status in ("optimal", "unbounded")
+                if res.status == "optimal":
+                    rows = np.ones(poly.nrows, dtype=bool)
+                    if skip is not None:
+                        rows[skip[l]] = False
+                    assert res.value == C[l] @ res.argmax
+                    assert np.all(poly.F[rows] @ res.argmax <= poly.g[rows] + 1e-9)
+            return results
+
+        for module in (geometry, terminal):
+            monkeypatch.setattr(module, "lp_max_stack", checking)
+        ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
+        assert ing.determination_index == 11
+        assert len(statuses) == 6 + 13
+        assert terminal.invariance_excess(ing.A_w, ing.X_a) <= 1e-9
+        assert len(statuses) == 6 + 13 + 22
+        assert statuses[0] == "unbounded"  # the first propagation LP
 
     def test_matches_the_reference_on_the_shipped_pair(self, ingredients, v_box,
                                                        witnesses):
@@ -369,7 +399,7 @@ class TestMaxAdmissibleInvariantSet:
         X_ref, k_ref = reference_invariant_set(ingredients.A_w, W)
         assert np.array_equal(X.F, X_ref.F) and np.array_equal(X.g, X_ref.g)
         assert k == k_ref == 11
-        assert len(witnesses) == 8
+        assert len(witnesses) == 7
 
     @pytest.mark.parametrize("lam", [0.9, 0.95, 0.99])
     def test_matches_the_reference_on_patients(self, patient, v_box, lam, witnesses):
