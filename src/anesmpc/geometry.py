@@ -16,7 +16,8 @@ variables) plus the rhs, with the basic columns, always unit vectors,
 left implicit. Dantzig pricing breaks ties by the lowest variable index
 and falls back to Bland's rule after a fixed number of pivots to break
 cycling; feasibility and optimality tolerances are both 1e-9. Every LP
-runs to its optimum or to a ray that shows it unbounded.
+runs to its optimum or to a ray that shows it unbounded, and returns that
+point or the ray's direction.
 
 Two pivot loops apply these rules. A family of one runs on the scalar
 loop (_run_simplex, _pivot); a larger family runs as a stack
@@ -95,6 +96,8 @@ class Polyhedron:
 @dataclass(frozen=True)
 class LpResult:
     value: float
+    # "optimal": the maximiser; "unbounded": the direction of a ray of the
+    # set along which the objective grows, not a point; "infeasible": None
     argmax: np.ndarray | None
     status: str  # "optimal" | "infeasible" | "unbounded"
 
@@ -152,7 +155,7 @@ def _run_simplex(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, c: np.n
         if skip is not None:
             pos[skip] = False
         if not pos.any():
-            return LpResult(np.inf, None, "unbounded")
+            return LpResult(np.inf, _ray(D, basis, nonbasic, col, n), "unbounded")
         ratios.fill(np.inf)
         np.divide(rhs, colvals, out=ratios, where=pos)
         cand = (ratios <= ratios.min() + 1e-12).nonzero()[0]
@@ -170,6 +173,19 @@ def _point(D: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
     m = basis.size
     x = np.zeros(2 * n + m)
     x[basis] = D[:m, -1]
+    return x[:n] - x[n : 2 * n]
+
+
+def _ray(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, col: int,
+         n: int) -> np.ndarray:
+    """The direction in w of the ray that column col of the dictionary D
+    shows when no entry of it is positive: the entering variable grows at
+    rate 1 and each basic variable falls at its entry of the column, so
+    every slack stays nonnegative while the objective grows."""
+    m = basis.size
+    x = np.zeros(2 * n + m)
+    x[basis] = -D[:m, col]
+    x[nonbasic[col]] = 1.0
     return x[:n] - x[n : 2 * n]
 
 
@@ -240,7 +256,8 @@ def _run_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, C: np.nda
             pos[ar, skip[:k]] = False
         unbounded = ~done & ~pos.any(axis=1)
         for s in unbounded.nonzero()[0]:
-            results[lp[s]] = LpResult(np.inf, None, "unbounded")
+            results[lp[s]] = LpResult(np.inf, _ray(D[s], basis[s], nonbasic[s], col[s], n),
+                                      "unbounded")
         done |= unbounded
         if done.any():
             k_live = k - int(done.sum())
@@ -296,7 +313,9 @@ def lp_max_stack(C, poly: Polyhedron, skip=None) -> list[LpResult]:
 
     Each LpResult's status is "optimal", "infeasible" or "unbounded"; on
     "optimal" the argmax satisfies F w <= g + 1e-9 and the value is
-    C[l] . argmax.
+    C[l] . argmax. On "unbounded" the argmax is a direction d, not a point:
+    the ray of the entering column that ends the LP, along which C[l] . d
+    > 0 and no row but skip[l] has F_i d above the feasibility tolerance.
 
     Every LP starts from the slack basis. When some g_i < 0 the rows are
     first shifted to poly's centre w0 (centre), F u <= h with h >= 0, and
@@ -345,7 +364,7 @@ def lp_max_stack(C, poly: Polyhedron, skip=None) -> list[LpResult]:
             results += _run_stack(D, basis, nonbasic, c,
                                   None if skip is None else skip[lo : lo + k])
     for l, res in enumerate(results):
-        if shifted and res.argmax is not None:
+        if shifted and res.status == "optimal":  # a ray needs no shift
             w = res.argmax + w0
             results[l] = LpResult(float(C[l] @ w), w, res.status)
     return results

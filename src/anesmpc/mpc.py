@@ -18,15 +18,24 @@ With n = 4 and N = 24 the dense Hessian is 49 x 49, small enough that
 condensing beats a sparse KKT formulation, and it makes the warm start a
 plain index shift of the previous solution.
 
-A control step is two precomputed affine maps around the QP solve. Before
-it, one stacked map of x_f gives the linear term, the shift of the X_a
-rows' right-hand side and the quadratic part of the cost at y = 0, which
-the reported cost adds to the QP's objective. After it, one read-out map
-of (x_f, y), plus a part in v_a0 = p0 c that retarget sets, gives v_a,
-x_a, the predicted states, the terminal-law input that closes the warm
-start, and the rows the output check compares with one stacked bound
-vector (v_0 against the tightened box, the terminal pair against X_a).
-The applied input u = v_0 + D x_s is formed apart from the read-out.
+A control step is one precomputed affine map of x_f around the QP solve.
+The QP is one parametric family in x_f (qp.QpFactor): H and A_in stay,
+while the linear term f and the right-hand side of the X_a rows move
+affinely with x_f. One product of the step map with x_f, plus its part
+in c, which retarget sets, gives f, the unconstrained minimiser
+z_u = -H^-1 f (refined once when the map is built), the row residuals
+A_in z_u - b_in, everything the step reads off its solution at y = z_u,
+and the quadratic part of the cost at y = 0, which the reported cost
+adds to the QP's objective. The read-out is v_a, x_a, the predicted
+states, the terminal-law input that closes the warm start, and the rows
+the output check compares with one stacked bound vector (v_0 against
+the tightened box, the terminal pair against X_a). When z_u meets every
+row, as in most steps, the solve returns it, and the step is that
+product, a max over the residuals, the stationarity and the output
+checks. Otherwise the solve runs its start rule and dual loop from the
+same z_u and residuals, forms b_in, and the read-out is one product of
+the read-out matrix with (x_f, y). The applied input u = v_0 + D x_s is
+formed apart from the read-out.
 """
 
 from __future__ import annotations
@@ -203,7 +212,6 @@ class Controller:
         self.n, self.m, self.N = n, m, N
 
         Gx, S = prediction_maps(A, B, N)
-        self.S = S
         self.Gx = Gx
         self.T = np.linalg.solve(np.eye(n) - A, B)  # x_a = T v_a
 
@@ -235,11 +243,12 @@ class Controller:
         # f = E'(2 M'Qbar Gx x0 - 2 w b a_sel + H_z e c); the objective is
         # the true cost less its value at y = 0, which is added back when
         # reporting it (see retarget)
-        self.f_x0_map = E.T @ (2.0 * (M.T @ Qbar @ Gx))
+        f_x = E.T @ (2.0 * (M.T @ Qbar @ Gx))
         self.f_const = E.T @ (-2.0 * cfg.vd.weight * cfg.vd.offset * a_sel)
         self.f_per_c = E.T @ (H_z @ e)
 
-        # rows: the box on v_0 .. v_{N-1}, then X_a (which bounds v_a)
+        # rows: the box on v_0 .. v_{N-1}, then X_a (which bounds v_a),
+        # whose rhs moves with x_f by -Fx A_N x_f
         rows_v = np.hstack([np.eye(mN), np.zeros((mN, m))])
         F_xa, g_xa = ingredients.X_a.F, ingredients.X_a.g
         Fx, Fv = F_xa[:, :n], F_xa[:, n:]
@@ -248,13 +257,9 @@ class Controller:
         self.A_in = A_z @ E
         self.b_in_base = np.concatenate([np.tile(V.upper, N), -np.tile(V.lower, N), g_xa])
         self.b_in_per_c = A_z @ e
-        self.term_slice = slice(2 * mN, None)
-        self.Fx_AN = Fx @ A_N
-        # x_f -> (f, shift of the X_a rows' rhs, cost_xx x_f), one stacked
-        # map; cost_xx = Gx'Qbar Gx is the cost's quadratic part at y = 0
-        self.assemble_map = np.vstack([self.f_x0_map, self.Fx_AN, Gx.T @ Qbar @ Gx])
-        self._cost_rows = slice(len(self.assemble_map) - n, None)
-        self.qp_factor = qp.QpFactor(self.H, self.A_in)
+        b_x = np.zeros((len(self.A_in), n))
+        b_x[2 * mN:] = Fx @ A_N
+        self.qp_factor = qp.QpFactor(self.H, self.A_in, F=f_x, B=b_x)
 
         # read-out: (x_f, v, v_a) -> v_a, x_a, x_0 .. x_N, the terminal-law
         # input K (x_N - T v_a) + v_a, then the checked rows v_0, -v_0 and
@@ -279,6 +284,17 @@ class Controller:
         # bounds of the checked rows: the tightened box, then X_a
         self.checked_bound = np.concatenate([V.upper + EQ_TOL, -(V.lower - EQ_TOL),
                                              g_xa + TERMINAL_TOL])
+
+        # the step map: x_f -> (f, z_u, c) of the QP family, the read-out
+        # at y = z_u, then cost_xx x_f, the cost's quadratic part at y = 0
+        # (cost_xx = Gx'Qbar Gx); its part in c is set by retarget
+        fam = self.qp_factor
+        Z = fam.theta_map[fam.rows[1]]
+        self.step_map = np.vstack([fam.theta_map, self.readout[:, :n] + self.readout[:, n:] @ Z,
+                                   Gx.T @ Qbar @ Gx])
+        q = fam.rows[2].stop
+        self._out_rows = slice(q, q + len(self.readout))
+        self._cost_rows = slice(q + len(self.readout), None)
         self._xy = np.empty(n + self.ny)
         self._warm_buf = np.empty(self.ny)
         self._clamp_warned = False
@@ -287,20 +303,14 @@ class Controller:
 
     # -- helpers -----------------------------------------------------------
 
-    def _assemble(self, x0: np.ndarray) -> tuple[qp.QpProblem, float]:
-        """The QP at x0 and the true cost at y = 0, from one product of the
-        stacked map with x0."""
-        shift = self.assemble_map @ x0
-        f = shift[:self.ny] + self.f_c
-        b_in = self.b_in_c.copy()
-        b_in[self.term_slice] -= shift[self.ny:self._cost_rows.start]
-        cost0 = float(x0 @ (shift[self._cost_rows] + self.cost_x)) + self.cost_at_zero
-        return qp.QpProblem(self.H, f, self.A_in, b_in), cost0
-
-    def read_out(self, x0: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def read_out(self, x0: np.ndarray, y: np.ndarray, p: qp.ParametricQp) -> np.ndarray:
         """Every quantity a step reads off its solution y at the state x0,
-        stacked: one product of the read-out map with (x0, y) plus its part
-        at v_a0, set in retarget."""
+        stacked (see __init__). At y = z_u of the step's QP p they are rows
+        of the step map's values; at any other y, one product of the
+        read-out matrix with (x0, y) plus its part at v_a0, set in
+        retarget."""
+        if y is p.z_u:
+            return p.values[self._out_rows]
         xy = self._xy
         xy[:self.n], xy[self.n:] = x0, y
         out = self.readout @ xy
@@ -314,23 +324,26 @@ class Controller:
 
     def retarget(self, y_ref: float) -> None:
         """Set the BIS target, at construction or mid-run, by deriving the
-        steady output level c and the terms of the QP it sets (the terminal
-        set and input boxes stay valid); raises when no steady input holds
-        the target inside the lambda-tightened box that X_a allows."""
+        steady output level c and the part of the step map it sets (the
+        terminal set and input boxes stay valid); raises when no steady
+        input holds the target inside the lambda-tightened box that X_a
+        allows."""
         self.zs = build_steady_input_set(self.disc, self.pd, y_ref, self.V, self.ing.lam)
         self.cfg = replace(self.cfg, y_ref=float(y_ref))
         c = self.zs.c
-        self.f_c = self.f_const + c * self.f_per_c
         self.b_in_c = self.b_in_base - c * self.b_in_per_c
+        offset = self.qp_factor.offset(self.f_const + c * self.f_per_c, self.b_in_c)
         # the true cost at y = 0 (zero plan, steady input v_a0 = p0 c) as
         # x0'cost_xx x0 + cost_x'x0 + cost_at_zero, with x_k - x_a = Gx x0 - x_a0
-        # (cost_xx x0 comes from the assemble map)
-        self.v_a0 = c * self.p0
-        self.readout_c = self.readout_va @ self.v_a0
-        x_a0 = np.tile(self.T @ self.v_a0, self.N + 1)
-        self.cost_x = -2.0 * (self.Gx.T @ self.Qbar @ x_a0)
-        self.cost_at_zero = (x_a0 @ self.Qbar @ x_a0 + self.N * self.v_a0 @ self.cfg.R @ self.v_a0
-                             + self.cfg.vd(self.v_a0))
+        v_a0 = c * self.p0
+        self.readout_c = self.readout_va @ v_a0
+        x_a0 = np.tile(self.T @ v_a0, self.N + 1)
+        cost_x = -2.0 * (self.Gx.T @ self.Qbar @ x_a0)
+        self.cost_at_zero = (x_a0 @ self.Qbar @ x_a0 + self.N * v_a0 @ self.cfg.R @ v_a0
+                             + self.cfg.vd(v_a0))
+        z0 = offset[self.qp_factor.rows[1]]
+        self.step_c = np.concatenate([offset, self.readout[:, self.n:] @ z0 + self.readout_c,
+                                      cost_x])
 
     # -- main entry --------------------------------------------------------
 
@@ -351,8 +364,10 @@ class Controller:
         return out
 
     def _solve(self, x_f: np.ndarray, x_s: np.ndarray) -> ControlOutput:
-        problem, cost0 = self._assemble(x_f)
-        sol = qp.qp_solve(problem, warm_start=self._warm, factor=self.qp_factor)
+        s = self.step_map @ x_f
+        s += self.step_c
+        problem = qp.ParametricQp(self.qp_factor, x_f, s, self.b_in_c)
+        sol = qp.qp_solve(problem, warm_start=self._warm)
         if sol.status == "max_iter":
             raise SolverInfeasibleError(
                 f"tracking QP stopped after {sol.iterations} iterations",
@@ -364,12 +379,12 @@ class Controller:
         y = sol.z
         mN = self.m * self.N
         v0 = y[:self.m].copy()
-        out = self.read_out(x_f, y)
+        out = self.read_out(x_f, y, problem)
         v_a, x_a = out[self._va_rows], out[self._xa_rows]
         w = self._warm_buf  # the plan shifted by one step, closed by the terminal law
         w[:mN - self.m], w[mN - self.m:mN], w[mN] = y[self.m:mN], out[self._tail_rows], y[mN]
         self._warm = w
-        cost = sol.objective + cost0
+        cost = sol.objective + float(x_f @ s[self._cost_rows]) + self.cost_at_zero
 
         u = v0 + self.D @ x_s
         clamped = u.clip(self.U.lower, self.U.upper)
@@ -410,9 +425,9 @@ def _as_states(x_f, x_s) -> tuple[np.ndarray, np.ndarray]:
     """(x_f, x_s) as float vectors, checked together over all 8 entries; on
     failure the cause is named: a wrong length, a NaN or Inf, or a sign."""
     x_f, x_s = np.asarray(x_f, float).ravel(), np.asarray(x_s, float).ravel()
-    x = np.concatenate((x_f, x_s))
+    x = np.concatenate((x_f, x_s))  # a copy: the step's QP keeps x_f
     if x_f.size == x_s.size == 4 and 0.0 <= x.min() and x.max() < np.inf:
-        return x_f, x_s
+        return x[:4], x[4:]
     as_fast_state(x_f)  # these raise on a wrong length or a NaN or Inf
     as_slow_state(x_s)
     raise ModelConfigError("negative concentrations passed to the controller")

@@ -14,9 +14,9 @@ end: a propagation LP as lp_max, a family of one on the scalar pivot
 loop, and invariance_excess's row LPs as one family on the stack loop;
 where a set holds no steady pair, the front end shifts the rows to the
 set's centre itself. Since the shifted set holds the origin, a point an
-earlier propagation LP returned, scaled back into the current set, can
-show a candidate row irredundant with no LP, and a candidate that
-repeats a row already held needs none.
+earlier propagation LP returned, scaled back into the current set, or
+the ray an unbounded one returned can show a candidate row irredundant
+with no LP, and a candidate that repeats a row already held needs none.
 
 W_lambda bounds the terminal-law input by the box V and the steady input
 by V shrunk about its centre, so both boxes share that centre, and
@@ -25,7 +25,7 @@ it: each row has its exact negation, with the same rhs about it. That
 pair is the shift, and the rows' pairing comes with it; each LP point's
 mirror is a witness too, a candidate whose mirror was just shown
 redundant needs no LP, and invariance_excess runs one LP per mirror
-pair. On the shipped pair 6 LPs decide the 12 propagation rounds, and
+pair. On the shipped pair 5 LPs decide the 12 propagation rounds, and
 the final reduction of 96 rows (26 mirror pairs once exact copies go)
 runs one stacked LP for 13 pairs, the LP points and their images under
 A_w showing the other 13 irredundant.
@@ -253,12 +253,13 @@ def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
 
     - a candidate equal to the same row of the previous block is a row
       of X_k with the same rhs, so it is redundant;
-    - a point of X_k, scaled from a point an earlier LP returned (see
-      _witness), on which a candidate tops its bound by a margin far
-      above the LP tolerance bounds that candidate's LP maximum from
-      below, so its LP would show it irredundant. Which candidate ends
-      a round does not matter, only that one does: the round ends as its
-      LPs would end it, appending the same block.
+    - a point of X_k, scaled from a point an earlier LP returned or
+      taken along the ray an unbounded LP returned (see _witness), on
+      which a candidate tops its bound by a margin far above the LP
+      tolerance, bounds that candidate's LP maximum from below, so its
+      LP would show it irredundant. Which candidate ends a round does
+      not matter, only that one does: the round ends as its LPs would
+      end it, appending the same block.
 
     When the shift is W's centre of symmetry (the twins that come with it
     are mirror pairs) and each block F A_w^i keeps the pairs exact, every

@@ -420,7 +420,7 @@ class TestLpMaxStack:
         # results agree to the bit
         assert stacked.status == scalar.status
         assert stacked.value == scalar.value
-        if scalar.argmax is None:  # "unbounded" or "infeasible"
+        if scalar.argmax is None:  # "infeasible"
             assert stacked.argmax is None
             return
         assert np.array_equal(stacked.argmax, scalar.argmax)
@@ -436,6 +436,10 @@ class TestLpMaxStack:
                 if res.status == "optimal":
                     assert res.value == c @ res.argmax
                     assert np.all(P.F @ res.argmax <= P.g + 1e-9)
+                if res.status == "unbounded":  # a ray: no row stops it, c grows
+                    d = res.argmax
+                    assert np.all(P.F @ d <= 1e-9 * np.abs(P.F).max() * np.abs(d).max())
+                    assert c @ d > 0.0
                 statuses[res.status] += 1
         assert all(v > 0 for v in statuses.values()), statuses
 
@@ -1012,13 +1016,13 @@ class TestSlackBasisOnly:
     def test_terminal_ingredients(self, disc, v_box, rhs_minima, pivots):
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
         assert ing.X_a.nrows == 44
-        # the 6 propagation LPs run alone; the reduction's 13 row tests (one
+        # the 5 propagation LPs run alone; the reduction's 13 row tests (one
         # per mirror pair not shown irredundant by a direction) run as one
         # stack. No centre LP runs: both centres are centres of symmetry. An
         # LP that escaped both kernels would lower these exact counts
-        assert len(rhs_minima["scalar"]) == 6
+        assert len(rhs_minima["scalar"]) == 5
         assert len(rhs_minima["stacked"]) == 13
-        assert pivots == {"scalar": 50, "stacked": 89}
+        assert pivots == {"scalar": 44, "stacked": 89}
         assert min(rhs_minima["scalar"] + rhs_minima["stacked"]) >= 0.0
 
     def test_invariance_excess(self, ingredients, rhs_minima):

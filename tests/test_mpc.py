@@ -88,25 +88,26 @@ class TestBuildController:
 
     def test_target_set_as_retarget_sets_it(self, disc, patient, gain, v_box,
                                             ingredients, controller):
-        # construction and retarget derive zs and the terms of f and b_in
-        # that c sets on the same path
+        # construction and retarget derive zs and the part of the step map
+        # and of b_in that c sets on the same path
         built = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                      ingredients, mpc.MpcConfig(y_ref=45.0))
         moved = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                      ingredients, mpc.MpcConfig())
         moved.retarget(45.0)
         assert built.zs.c == moved.zs.c != controller.zs.c
-        for name in ("f_c", "b_in_c", "H", "A_in"):
+        for name in ("step_c", "b_in_c", "step_map", "H", "A_in"):
             np.testing.assert_array_equal(getattr(built, name), getattr(moved, name),
                                           err_msg=name)
         assert not np.array_equal(built.b_in_c, controller.b_in_c)
-        assert not np.array_equal(built.f_c, controller.f_c)
+        assert not np.array_equal(built.step_c, controller.step_c)
 
     def test_prediction_maps_match_the_blockwise_products(self, disc, patient, gain, v_box,
                                                           ingredients, controller, monkeypatch):
         # S from slices of one stack of the N products A^i B against S
         # filled block by block, each block its own product A^(k-1-j) B:
-        # the QP data built on either is equal to the bit
+        # the QP data and the maps a step applies, built on either, are
+        # equal to the bit
         def blockwise(A, B, N):
             n, m = B.shape
             powers = [np.eye(n)]
@@ -121,8 +122,9 @@ class TestBuildController:
         monkeypatch.setattr(mpc, "prediction_maps", blockwise)
         ref = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                    ingredients, mpc.MpcConfig())
-        for name in ("S", "Gx", "Fx_AN", "H", "A_in", "f_x0_map", "b_in_per_c"):
+        for name in ("Gx", "H", "A_in", "b_in_per_c", "readout", "step_map", "step_c"):
             assert np.array_equal(getattr(controller, name), getattr(ref, name)), name
+        assert np.array_equal(controller.qp_factor.B, ref.qp_factor.B)
 
     def test_negative_offset_weight_rejected(self):
         with pytest.raises(ModelConfigError, match="'vd_weight'"):
@@ -159,9 +161,9 @@ class TestControlStep:
         calls = []
         real = mpc.Controller.read_out
 
-        def counting(self, x0, y):
+        def counting(self, *args):
             calls.append(1)
-            return real(self, x0, y)
+            return real(self, *args)
 
         monkeypatch.setattr(mpc.Controller, "read_out", counting)
         controller.reset()
@@ -439,6 +441,28 @@ class TestRetarget:
         with pytest.raises(ModelConfigError):
             ctrl.retarget(0.5)
 
+    def test_next_steps_match_a_controller_built_at_the_target(self, disc, patient, gain,
+                                                               v_box, ingredients):
+        # retarget to 45 after 400 s at 50: the next steps, from the same
+        # state and warm start, are those of a controller built at 45
+        M, B = pkpd.full_step_matrices(disc)
+        moved = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                     ingredients, mpc.MpcConfig())
+        x = np.zeros(8)
+        for _ in range(80):
+            x = M @ x + B @ moved.control_step(x[:4], x[4:]).u
+        moved.retarget(45.0)
+        built = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                     ingredients, mpc.MpcConfig(y_ref=45.0))
+        built._warm = moved._warm.copy()
+        for k in range(30):
+            a, b = moved.control_step(x[:4], x[4:]), built.control_step(x[:4], x[4:])
+            for name in ("u", "v_a"):
+                want = getattr(b, name)
+                assert np.abs(getattr(a, name) - want).max() <= 1e-12 * np.abs(want).max(), k
+            assert a.cost == pytest.approx(b.cost, rel=1e-12, abs=0.0), k
+            x = M @ x + B @ a.u
+
 
 class TestLyapunovDescent:
     def test_cost_non_increasing_nominal(self, controller, disc, patient):
@@ -561,8 +585,8 @@ def recorded_runs():
     read_out, solve = mpc.Controller.read_out, qp.qp_solve
     runs = {}
 
-    def recording_read_out(ctrl, x0, y):
-        out = read_out(ctrl, x0, y)
+    def recording_read_out(ctrl, x0, y, p):
+        out = read_out(ctrl, x0, y, p)
         reads.append((x0.copy(), y.copy(), out.copy(), ctrl.zs.c))
         return out
 
@@ -592,6 +616,7 @@ class TestReadOut:
         assert len(reads) == len(log) == {"reference": 120, "setpoint": 1440}[run]
         n, mN = ctrl.n, ctrl.m * ctrl.N
         K, T = ctrl.ing.K, ctrl.T
+        _, S = mpc.prediction_maps(ctrl.disc.A_f, ctrl.disc.B, ctrl.N)
         F_xN, F_va = ctrl.ing.X_a.F[:, :n], ctrl.ing.X_a.F[:, n:]
 
         def close(got, want):
@@ -599,7 +624,7 @@ class TestReadOut:
 
         for k, (x0, y, out, c) in enumerate(reads):
             v_a = ctrl.p0 * c + ctrl.d * y[mN]
-            xs = ctrl.Gx @ x0 + ctrl.S @ y[:mN]
+            xs = ctrl.Gx @ x0 + S @ y[:mN]
             x_N = xs[-n:]
             checked = out[ctrl._checked_rows]
             assert close(out[ctrl._va_rows], v_a), k
@@ -620,3 +645,26 @@ class TestReadOut:
         assert len(empty) >= {"reference": 90, "setpoint": 1380}[run]
         for p, sol in empty:
             assert sol.kkt_residuals == qp._residuals(p, sol.z, np.zeros(p.b_in.size))
+
+
+class TestStepMap:
+    """The step map's z_u and row residuals against the QP each step solved,
+    recomputed directly from that step's f and b_in."""
+
+    @pytest.mark.parametrize("run", ["reference", "setpoint"])
+    def test_z_u_and_residuals_match_a_direct_solve(self, recorded_runs, run):
+        _, log, _, solves = recorded_runs[run]
+        assert len(solves) == len(log)
+        for k, (p, sol) in enumerate(solves):
+            z_u = np.linalg.solve(p.H, -p.f)
+            c = p.A_in @ z_u - p.b_in
+            assert np.abs(p.z_u - z_u).max() <= 1e-12 * np.abs(z_u).max(), k
+            assert np.abs(p.c - c).max() <= 1e-12 * np.abs(p.b_in).max(), k
+            # the same empty / non-empty decision on either
+            steady = p.c.max() <= qp._FEAS_TOL
+            assert steady == (c.max() <= qp._FEAS_TOL), k
+            assert steady == (sol.iterations == 0 and not sol.active_set), k
+            assert steady == (sol.z is p.z_u), k
+            assert sol.z.base is None, k  # a kept solution keeps no row of the step map
+            assert sol.kkt_residuals.stationarity <= 1e-10, k
+

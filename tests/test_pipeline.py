@@ -20,7 +20,7 @@ def from_files():
 def test_in_memory_build_matches_file_build(from_files):
     bundle = pipeline.build(pkpd.load_patient(patient_path()),
                             mpc.load_controller_config(controller_path()))
-    for name in ("H", "A_in", "b_in_base", "f_c", "b_in_c"):
+    for name in ("H", "A_in", "b_in_base", "b_in_c", "step_map", "step_c"):
         np.testing.assert_array_equal(getattr(bundle.controller, name),
                                       getattr(from_files.controller, name), err_msg=name)
 

@@ -718,14 +718,17 @@ class TwoSolveFactor(QpFactor):
     """QpFactor with -H^-1 and H^-1 A' from one pair of triangular solves
     over [I, A'], the form before the single inverse, as its reference."""
 
-    def __init__(self, H, A_in):
-        super().__init__(H, A_in)
+    def __init__(self, H, A_in, F=None, B=None):
+        super().__init__(H, A_in, F, B)
         n = len(H)
         L = np.linalg.cholesky(self.H)
         X = np.linalg.solve(L.T, np.linalg.solve(L, np.hstack([np.eye(n), A_in.T])))
         self.neg_H_inv, self.HinvAt = -X[:, :n], X[:, n:]
         self.G = A_in @ self.HinvAt
         self.G = 0.5 * (self.G + self.G.T)
+        # the family's map from the same inverse
+        Z = self.unconstrained(np.eye(n) if F is None else F)
+        self.theta_map = np.vstack([self.theta_map[self.rows[0]], Z, A_in @ Z + self.B])
 
 
 class TestQpFactor:

@@ -326,20 +326,21 @@ class TestMaxAdmissibleInvariantSet:
         assert np.array_equal(X.F, X_ref.F) and np.array_equal(X.g, X_ref.g)
 
     def test_patient_build_starts_from_a_steady_pair(self, disc, v_box, negative_rhs):
-        # no LP sees rows with a negative rhs: the 6 propagation LPs run on
+        # no LP sees rows with a negative rhs: the 5 propagation LPs run on
         # rows shifted to the steady pair at W's centre of symmetry, and the
         # reduction's 13 row tests run as one stack on the rows shifted to
         # X_a's; neither centre takes an LP
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
-        assert negative_rhs["scalar"] == [False] * 6
+        assert negative_rhs["scalar"] == [False] * 5
         assert negative_rhs["stacked"] == [False] * 13
         assert ing.X_a.nrows == 44
         assert ing.determination_index == 11
 
     def test_propagation_lps_and_pivots(self, disc, v_box, monkeypatch):
-        # held rows and witness points decide 7 of the 12 rounds, and the
-        # mirrors of candidates shown redundant need no LP: 6 LPs and 50
-        # pivots where an LP per candidate takes 19 and 149
+        # held rows and witness points (the first LP's ray among them)
+        # decide 8 of the 12 rounds, and the mirrors of candidates shown
+        # redundant need no LP: 5 LPs and 44 pivots where an LP per
+        # candidate takes 19 and 149
         made = {"lps": 0, "pivots": 0}
         inside = [False]  # pivots count only inside a propagation LP
         real, pivot = terminal.lp_max, geometry._pivot
@@ -360,7 +361,7 @@ class TestMaxAdmissibleInvariantSet:
         monkeypatch.setattr(geometry, "_pivot", counting_pivot)
         _, k = terminal.max_admissible_invariant_set(*propagation_inputs(disc, v_box, 0.99))
         assert k == 11
-        assert made == {"lps": 6, "pivots": 50}
+        assert made == {"lps": 5, "pivots": 44}
 
     def test_every_lp_of_the_build_runs_to_its_maximum(self, disc, v_box, monkeypatch):
         # the propagation LPs (terminal.lp_max), the reduction's stack and
@@ -387,9 +388,9 @@ class TestMaxAdmissibleInvariantSet:
             monkeypatch.setattr(module, "lp_max_stack", checking)
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
         assert ing.determination_index == 11
-        assert len(statuses) == 6 + 13
+        assert len(statuses) == 5 + 13
         assert terminal.invariance_excess(ing.A_w, ing.X_a) <= 1e-9
-        assert len(statuses) == 6 + 13 + 22
+        assert len(statuses) == 5 + 13 + 22
         assert statuses[0] == "unbounded"  # the first propagation LP
 
     def test_matches_the_reference_on_the_shipped_pair(self, ingredients, v_box,
@@ -399,7 +400,7 @@ class TestMaxAdmissibleInvariantSet:
         X_ref, k_ref = reference_invariant_set(ingredients.A_w, W)
         assert np.array_equal(X.F, X_ref.F) and np.array_equal(X.g, X_ref.g)
         assert k == k_ref == 11
-        assert len(witnesses) == 7
+        assert len(witnesses) == 8
 
     @pytest.mark.parametrize("lam", [0.9, 0.95, 0.99])
     def test_matches_the_reference_on_patients(self, patient, v_box, lam, witnesses):
