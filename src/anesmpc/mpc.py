@@ -4,38 +4,44 @@ Every sampling instant solves a condensed QP in the decision vector
 y = (v_0, ..., v_{N-1}, t): the predicted fast states are eliminated
 through the nominal dynamics, and the artificial steady input is
 v_a = p0 c + d t, with p0 = g_eff / |g_eff|^2 and d the unit vector
-orthogonal to g_eff, so it lies on the steady BIS line g_eff . v_a = c for
-every t and the QP has no equality row; the target level c enters only the
-linear term and the right-hand side. The artificial steady state is
-x_a = (I - A)^-1 B v_a, and the terminal pair (x_N, v_a) is constrained to
-the maximal admissible invariant set X_a. X_a lies in the lambda-tightened
-input box on v_a it was built on, so the QP has no box rows of its own on
-v_a, and the reachable steady inputs are the BIS line clipped to that box
-(SteadyInputSet). The applied drug rate is u = v_0 + D x_s, the tracking
-input plus the slow-state compensation.
+orthogonal to g_eff (steady_line), so it lies on the steady BIS line
+g_eff . v_a = c for every t and the QP has no equality row. The
+artificial steady state is x_a = (I - A)^-1 B v_a, and the terminal pair
+(x_N, v_a) is constrained to the maximal admissible invariant set X_a.
+X_a lies in the lambda-tightened input box on v_a it was built on, so
+the QP has no box rows of its own on v_a, and the reachable steady
+inputs are the BIS line clipped to that box (SteadyInputSet). The
+applied drug rate is u = v_0 + D x_s, the tracking input plus the
+slow-state compensation.
 
 With n = 4 and N = 24 the dense Hessian is 49 x 49, small enough that
 condensing beats a sparse KKT formulation, and it makes the warm start a
 plain index shift of the previous solution.
 
-A control step is one precomputed affine map of x_f around the QP solve.
-The QP is one parametric family in x_f (qp.QpFactor): H and A_in stay,
-while the linear term f and the right-hand side of the X_a rows move
-affinely with x_f. One product of the step map with x_f, plus its part
-in c, which retarget sets, gives f, the unconstrained minimiser
-z_u = -H^-1 f (refined once when the map is built), the row residuals
-A_in z_u - b_in, everything the step reads off its solution at y = z_u,
-and the quadratic part of the cost at y = 0, which the reported cost
-adds to the QP's objective. The read-out is v_a, x_a, the predicted
-states, the terminal-law input that closes the warm start, and the rows
-the output check compares with one stacked bound vector (v_0 against
-the tightened box, the terminal pair against X_a). When z_u meets every
-row, as in most steps, the solve returns it, and the step is that
-product, a max over the residuals, the stationarity and the output
-checks. Otherwise the solve runs its start rule and dual loop from the
-same z_u and residuals, forms b_in, and the read-out is one product of
-the read-out matrix with (x_f, y). The applied input u = v_0 + D x_s is
-formed apart from the read-out.
+A control step is one precomputed linear map of theta = (x_f, c, 1)
+around the QP solve: the target level c is a parameter of the QP, next
+to the state, as the reference is in explicit MPC. The cost, the rows
+and the read-out are built once over w = (x_f, v_0 .. v_{N-1}, v_a) and
+a constant 1, and mapped to the decision y and theta. The QP is one
+parametric family in theta (qp.QpFactor): H and A_in stay, and f = F
+theta and b_in = B theta; H, F and W are blocks of the cost's Hessian
+over (y, theta), and theta'W theta is the cost at y = 0, which the
+reported cost adds to the QP's objective. retarget only validates the
+target and sets the c entry of theta. One product of the step map with
+theta gives f, the unconstrained minimiser z_u = -H^-1 f (refined once
+when the map is built), the row residuals A_in z_u - b_in, everything
+the step reads off its solution at y = z_u, and W theta. The read-out is
+v_a, x_a, the predicted states, the terminal-law input that closes the
+warm start, and the rows the output check compares with one stacked
+bound vector (v_0 against the tightened box, the terminal pair against
+X_a). When z_u meets every row, as in most steps, the solve returns it,
+and the step is that product, a max over the residuals, the
+stationarity and the output checks. Otherwise the solve runs its start
+rule and dual loop from the same z_u and residuals, forms b_in, the
+read-out adds the read-out matrix times y - z_u to its rows of the
+product, and v_0, held on a bound of V by a working row, is clipped
+into V against rounding. The applied input u = v_0 + D x_s is formed
+apart from the read-out.
 """
 
 from __future__ import annotations
@@ -74,11 +80,6 @@ class VdSpec:
             raise ModelConfigError(
                 "offset cost weight 'vd_weight' must be nonnegative: a negative "
                 "weight makes the offset cost concave")
-
-    def __call__(self, v_a) -> float:
-        v_a = np.asarray(v_a, float)
-        a = np.asarray(self.coeffs, float)
-        return float(self.weight * (a @ v_a - self.offset) ** 2)
 
 
 @dataclass(frozen=True)
@@ -142,30 +143,29 @@ def build_steady_input_set(disc: DiscreteDynamics, pd: PdParams, y_ref: float,
     return zs
 
 
+def steady_line(g_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p0 = g_eff / |g_eff|^2 and the unit d orthogonal to g_eff: the
+    steady inputs g_eff . v_a = c are the line v_a = p0 c + d t. Raises
+    when g_eff = 0, the only degenerate row."""
+    norm = np.linalg.norm(g_eff)
+    if not norm > 0.0:
+        raise ModelConfigError("steady output row is zero: no steady input moves BIS")
+    return g_eff / (g_eff @ g_eff), np.array([-g_eff[1], g_eff[0]]) / norm
+
+
 def steady_segment(zs: SteadyInputSet):
-    """Endpoints of the admissible steady-input segment (line clipped to
-    the box). Raises when the intersection is empty."""
-    g1, g2 = zs.g_eff
-    if abs(g2) < 1e-15:
-        raise ModelConfigError("steady output row is degenerate in the second input")
-    # parametrize by v1 and clip the induced v2 range to its bounds
-    lo1, hi1 = zs.lower[0], zs.upper[0]
-    lo2, hi2 = zs.lower[1], zs.upper[1]
-    # v2(v1) = (c - g1 v1)/g2, monotone in v1 (sign of -g1/g2)
-    cands = []
-    for v1 in (lo1, hi1):
-        v2 = (zs.c - g1 * v1) / g2
-        if lo2 - 1e-12 <= v2 <= hi2 + 1e-12:
-            cands.append((v1, min(max(v2, lo2), hi2)))
-    for v2 in (lo2, hi2) if abs(g1) > 1e-15 else ():
-        v1 = (zs.c - g2 * v2) / g1
-        if lo1 - 1e-12 <= v1 <= hi1 + 1e-12:
-            cands.append((min(max(v1, lo1), hi1), v2))
-    if not cands:
+    """Endpoints of the admissible steady-input segment, ordered by v1: the
+    interval of t where lower <= p0 c + d t <= upper. Raises when it is
+    empty."""
+    p0, d = steady_line(zs.g_eff)
+    base = p0 * zs.c
+    with np.errstate(divide="ignore"):  # d_i = 0: the bound holds for every t or none
+        ends = np.sort((np.array([zs.lower, zs.upper]) - base) / d, axis=0)
+    t_lo, t_hi = ends[0].max(), ends[1].min()
+    if not t_lo <= t_hi:
         raise ModelConfigError("no admissible steady input for the BIS target")
-    pts = np.array(cands)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    return pts[order[0]], pts[order[-1]]
+    a, b = base + d * t_lo, base + d * t_hi
+    return (a, b) if tuple(a) <= tuple(b) else (b, a)
 
 
 def prediction_maps(A: np.ndarray, B: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,74 +210,65 @@ class Controller:
         n, m = B.shape
         mN = m * N
         self.n, self.m, self.N = n, m, N
+        self.ny = ny = mN + 1
 
         Gx, S = prediction_maps(A, B, N)
-        self.Gx = Gx
+        A_N, S_N = Gx[N * n:], S[N * n:]
         self.T = np.linalg.solve(np.eye(n) - A, B)  # x_a = T v_a
+        self.p0, self.d = steady_line(steady_output_row(disc, pd, cfg.y_ref)[0])
 
-        # z = (v_0 .. v_{N-1}, v_a) = E y + e c, the two-input steady line
-        # parametrized by t; the cost and rows are built in z, then mapped
-        g = steady_output_row(disc, pd, cfg.y_ref)[0]
-        self.p0 = g / (g @ g)
-        self.d = np.array([-g[1], g[0]]) / np.linalg.norm(g)
-        E = np.zeros((mN + m, mN + 1))
-        E[:mN, :mN] = np.eye(mN)
-        E[mN:, mN] = self.d
-        e = np.concatenate([np.zeros(mN), self.p0])
-        self.ny = mN + 1
+        def y_theta(X, one=0.0):
+            """Rows X over w = (x_f, v_0 .. v_{N-1}, v_a) plus `one` times 1
+            as rows over (y, theta): X w + one = y_theta(X, one) (y, theta),
+            since v_a = p0 c + d t."""
+            x, v, v_a = np.split(X, [n, n + mN], axis=1)
+            return np.column_stack([v, v_a @ self.d, x, v_a @ self.p0,
+                                    np.broadcast_to(one, len(X))])
 
-        # deviation map M: z -> stacked (x_k - x_a), constant part Gx x0
-        M = np.hstack([S, -np.tile(self.T, (N + 1, 1))])
-        Qbar = np.zeros(((N + 1) * n, (N + 1) * n))
-        for k in range(N):
-            Qbar[k * n:(k + 1) * n, k * n:(k + 1) * n] = cfg.Q
+        # the cost is the weighted sum of squares of three groups of rows
+        # over (w, 1): the state deviations x_k - x_a (k = 0 .. N, weights Q
+        # and P), the input deviations v_k - v_a (R) and a . v_a - b (the
+        # offset cost). Hc is its Hessian over (y, theta): H and F (f = F
+        # theta) are its blocks, and so is W, with theta'W theta the cost at
+        # y = 0, which the reported cost adds to the QP objective. The groups
+        # are summed apart: one product over all their rows rounds W's c
+        # entry about 20 ulp off, and the reported cost, a difference of
+        # terms some 1e5 times larger than itself, carries that error
+        Qbar = np.kron(np.eye(N + 1), cfg.Q)
         Qbar[N * n:, N * n:] = ingredients.P
-        Mv = np.hstack([np.eye(m * N), -np.tile(np.eye(m), (N, 1))])
-        Rbar = np.kron(np.eye(N), cfg.R)
+        Hc = sum(dev.T @ weight @ dev for dev, weight in (
+            (y_theta(np.hstack([Gx, S, -np.tile(self.T, (N + 1, 1))])), Qbar),
+            (y_theta(np.hstack([np.zeros((mN, n)), np.eye(mN), -np.tile(np.eye(m), (N, 1))])),
+             np.kron(np.eye(N), cfg.R)),
+            (y_theta(np.concatenate([np.zeros(n + mN), cfg.vd.coeffs])[None], -cfg.vd.offset),
+             np.array([[cfg.vd.weight]]))))
+        Hc = Hc + Hc.T  # twice the symmetric part
+        self.H, F, W = Hc[:ny, :ny], Hc[:ny, ny:], 0.5 * Hc[ny:, ny:]
 
-        a_sel = np.concatenate([np.zeros(mN), np.asarray(cfg.vd.coeffs, float)])
-        H_z = 2.0 * (M.T @ Qbar @ M + Mv.T @ Rbar @ Mv
-                     + cfg.vd.weight * np.outer(a_sel, a_sel))
-        self.H = E.T @ (0.5 * (H_z + H_z.T)) @ E
-        self.Qbar = Qbar
-        # f = E'(2 M'Qbar Gx x0 - 2 w b a_sel + H_z e c); the objective is
-        # the true cost less its value at y = 0, which is added back when
-        # reporting it (see retarget)
-        f_x = E.T @ (2.0 * (M.T @ Qbar @ Gx))
-        self.f_const = E.T @ (-2.0 * cfg.vd.weight * cfg.vd.offset * a_sel)
-        self.f_per_c = E.T @ (H_z @ e)
-
-        # rows: the box on v_0 .. v_{N-1}, then X_a (which bounds v_a),
-        # whose rhs moves with x_f by -Fx A_N x_f
-        rows_v = np.hstack([np.eye(mN), np.zeros((mN, m))])
+        # rows: the box on v_0 .. v_{N-1}, then X_a (which bounds v_a), each
+        # a row over (w, 1) that must be <= 0; the rhs b = B theta
         F_xa, g_xa = ingredients.X_a.F, ingredients.X_a.g
         Fx, Fv = F_xa[:, :n], F_xa[:, n:]
-        A_N, S_N = Gx[N * n:], S[N * n:]
-        A_z = np.vstack([rows_v, -rows_v, np.hstack([Fx @ S_N, Fv])])
-        self.A_in = A_z @ E
-        self.b_in_base = np.concatenate([np.tile(V.upper, N), -np.tile(V.lower, N), g_xa])
-        self.b_in_per_c = A_z @ e
-        b_x = np.zeros((len(self.A_in), n))
-        b_x[2 * mN:] = Fx @ A_N
-        self.qp_factor = qp.QpFactor(self.H, self.A_in, F=f_x, B=b_x)
+        box = np.eye(mN, n + mN + m, n)
+        rows = np.vstack([box, -box, np.hstack([Fx @ A_N, Fx @ S_N, Fv])])
+        bound = np.concatenate([np.tile(V.upper, N), -np.tile(V.lower, N), g_xa])
+        A_theta = y_theta(rows, -bound)
+        self.A_in = A_theta[:, :ny]
+        self.qp_factor = qp.QpFactor(self.H, self.A_in, F=F, B=-A_theta[:, ny:])
 
-        # read-out: (x_f, v, v_a) -> v_a, x_a, x_0 .. x_N, the terminal-law
-        # input K (x_N - T v_a) + v_a, then the checked rows v_0, -v_0 and
-        # F_xN x_N + F_va v_a; with v_a = v_a0 + d t it is one product with
-        # (x_f, y) plus the part at v_a0 = p0 c, which retarget sets
-        K, sel_v0 = ingredients.K, np.eye(m, mN)
-        blocks = [  # (x_f columns, v columns, v_a columns)
-            (np.zeros((m, n)), np.zeros((m, mN)), np.eye(m)),
-            (np.zeros((n, n)), np.zeros((n, mN)), self.T),
-            (Gx, S, np.zeros((len(Gx), m))),
-            (K @ A_N, K @ S_N, np.eye(m) - K @ self.T),
-            (np.zeros((m, n)), sel_v0, np.zeros((m, m))),
-            (np.zeros((m, n)), -sel_v0, np.zeros((m, m))),
-            (Fx @ A_N, Fx @ S_N, Fv),
-        ]
-        bx, bv, self.readout_va = (np.vstack(cols) for cols in zip(*blocks))
-        self.readout = np.hstack([bx, bv, (self.readout_va @ self.d)[:, None]])
-        ends = np.cumsum([len(b[0]) for b in blocks])
+        # read-out, over w: v_a, x_a, x_0 .. x_N, the terminal-law input
+        # K (x_N - T v_a) + v_a, then the checked rows, those of v_0, -v_0
+        # and X_a at the terminal pair
+        K = ingredients.K
+        checked = np.r_[0:m, mN:mN + m, 2 * mN:len(rows)]
+        blocks = [np.eye(m, n + mN + m, n + mN),
+                  np.hstack([np.zeros((n, n + mN)), self.T]),
+                  np.hstack([Gx, S, np.zeros((len(Gx), m))]),
+                  np.hstack([K @ A_N, K @ S_N, np.eye(m) - K @ self.T]),
+                  rows[checked]]
+        readout = y_theta(np.vstack(blocks))
+        self.readout_y = readout[:, :ny]
+        ends = np.cumsum([len(b) for b in blocks])
         self._va_rows, self._xa_rows, self._x_rows, self._tail_rows = (
             slice(a, b) for a, b in zip([0, *ends[:3]], ends[:4]))
         self._checked_rows = slice(ends[3], None)
@@ -285,36 +276,30 @@ class Controller:
         self.checked_bound = np.concatenate([V.upper + EQ_TOL, -(V.lower - EQ_TOL),
                                              g_xa + TERMINAL_TOL])
 
-        # the step map: x_f -> (f, z_u, c) of the QP family, the read-out
-        # at y = z_u, then cost_xx x_f, the cost's quadratic part at y = 0
-        # (cost_xx = Gx'Qbar Gx); its part in c is set by retarget
+        # the step map: theta -> (f, z_u, c) of the QP family, the read-out
+        # at y = z_u, then W theta
         fam = self.qp_factor
         Z = fam.theta_map[fam.rows[1]]
-        self.step_map = np.vstack([fam.theta_map, self.readout[:, :n] + self.readout[:, n:] @ Z,
-                                   Gx.T @ Qbar @ Gx])
+        self.step_map = np.vstack([fam.theta_map, readout[:, ny:] + self.readout_y @ Z, W])
         q = fam.rows[2].stop
-        self._out_rows = slice(q, q + len(self.readout))
-        self._cost_rows = slice(q + len(self.readout), None)
-        self._xy = np.empty(n + self.ny)
-        self._warm_buf = np.empty(self.ny)
+        self._out_rows = slice(q, q + len(readout))
+        self._cost_rows = slice(q + len(readout), None)
+        self._theta_tail = np.array([np.nan, 1.0])  # (c, 1), set by retarget
+        self._warm_buf = np.empty(ny)
         self._clamp_warned = False
         self.retarget(cfg.y_ref)
         self.reset()
 
     # -- helpers -----------------------------------------------------------
 
-    def read_out(self, x0: np.ndarray, y: np.ndarray, p: qp.ParametricQp) -> np.ndarray:
-        """Every quantity a step reads off its solution y at the state x0,
-        stacked (see __init__). At y = z_u of the step's QP p they are rows
-        of the step map's values; at any other y, one product of the
-        read-out matrix with (x0, y) plus its part at v_a0, set in
-        retarget."""
+    def read_out(self, y: np.ndarray, p: qp.ParametricQp) -> np.ndarray:
+        """Every quantity a step reads off its solution y of the step's QP
+        p, stacked (see __init__): rows of the step map's values, which
+        hold them at y = z_u, moved by the read-out matrix times y - z_u."""
         if y is p.z_u:
             return p.values[self._out_rows]
-        xy = self._xy
-        xy[:self.n], xy[self.n:] = x0, y
-        out = self.readout @ xy
-        out += self.readout_c
+        out = self.readout_y @ (y - p.z_u)
+        out += p.values[self._out_rows]
         return out
 
     def reset(self) -> None:
@@ -323,27 +308,14 @@ class Controller:
         self._steps = 0
 
     def retarget(self, y_ref: float) -> None:
-        """Set the BIS target, at construction or mid-run, by deriving the
-        steady output level c and the part of the step map it sets (the
-        terminal set and input boxes stay valid); raises when no steady
-        input holds the target inside the lambda-tightened box that X_a
-        allows."""
+        """Set the BIS target, at construction or mid-run: the steady output
+        level c is an entry of the step's parameter theta, so the QP family
+        and every map stay (as do the terminal set and input boxes); raises
+        when no steady input holds the target inside the lambda-tightened
+        box that X_a allows."""
         self.zs = build_steady_input_set(self.disc, self.pd, y_ref, self.V, self.ing.lam)
         self.cfg = replace(self.cfg, y_ref=float(y_ref))
-        c = self.zs.c
-        self.b_in_c = self.b_in_base - c * self.b_in_per_c
-        offset = self.qp_factor.offset(self.f_const + c * self.f_per_c, self.b_in_c)
-        # the true cost at y = 0 (zero plan, steady input v_a0 = p0 c) as
-        # x0'cost_xx x0 + cost_x'x0 + cost_at_zero, with x_k - x_a = Gx x0 - x_a0
-        v_a0 = c * self.p0
-        self.readout_c = self.readout_va @ v_a0
-        x_a0 = np.tile(self.T @ v_a0, self.N + 1)
-        cost_x = -2.0 * (self.Gx.T @ self.Qbar @ x_a0)
-        self.cost_at_zero = (x_a0 @ self.Qbar @ x_a0 + self.N * v_a0 @ self.cfg.R @ v_a0
-                             + self.cfg.vd(v_a0))
-        z0 = offset[self.qp_factor.rows[1]]
-        self.step_c = np.concatenate([offset, self.readout[:, self.n:] @ z0 + self.readout_c,
-                                      cost_x])
+        self._theta_tail[0] = self.zs.c
 
     # -- main entry --------------------------------------------------------
 
@@ -354,19 +326,18 @@ class Controller:
         CLAMP_TOL is logged as a warning. Raises SolverInfeasibleError when
         the QP fails or its optimum leaves the tightened box, the steady
         output line or X_a; its `step` counts the steps since reset()."""
-        x_f, x_s = _as_states(x_f, x_s)
+        theta, x_s = _as_states(x_f, x_s, self._theta_tail)
         try:
-            out = self._solve(x_f, x_s)
+            out = self._solve(theta, x_s)
         except SolverInfeasibleError as exc:
             exc.step = self._steps
             raise
         self._steps += 1
         return out
 
-    def _solve(self, x_f: np.ndarray, x_s: np.ndarray) -> ControlOutput:
-        s = self.step_map @ x_f
-        s += self.step_c
-        problem = qp.ParametricQp(self.qp_factor, x_f, s, self.b_in_c)
+    def _solve(self, theta: np.ndarray, x_s: np.ndarray) -> ControlOutput:
+        s = self.step_map @ theta
+        problem = qp.ParametricQp(self.qp_factor, theta, s)
         sol = qp.qp_solve(problem, warm_start=self._warm)
         if sol.status == "max_iter":
             raise SolverInfeasibleError(
@@ -379,12 +350,16 @@ class Controller:
         y = sol.z
         mN = self.m * self.N
         v0 = y[:self.m].copy()
-        out = self.read_out(x_f, y, problem)
+        out = self.read_out(y, problem)
         v_a, x_a = out[self._va_rows], out[self._xa_rows]
         w = self._warm_buf  # the plan shifted by one step, closed by the terminal law
         w[:mN - self.m], w[mN - self.m:mN], w[mN] = y[self.m:mN], out[self._tail_rows], y[mN]
         self._warm = w
-        cost = sol.objective + float(x_f @ s[self._cost_rows]) + self.cost_at_zero
+        cost = sol.objective + float(theta @ s[self._cost_rows])
+        self._validate_output(v0, v_a, out[self._checked_rows])
+        if y is not problem.z_u:
+            # working rows hold v_0 on a bound of V, which rounding can leave
+            np.clip(v0, self.V.lower, self.V.upper, out=v0)
 
         u = v0 + self.D @ x_s
         clamped = u.clip(self.U.lower, self.U.upper)
@@ -394,11 +369,8 @@ class Controller:
                 "disturbance bound is too small for this trajectory", u
             )
             self._clamp_warned = True
-        u = clamped
-
-        self._validate_output(v0, v_a, out[self._checked_rows])
         return ControlOutput(
-            u=u, v0=v0, v_a=v_a, x_a=x_a,
+            u=clamped, v0=v0, v_a=v_a, x_a=x_a,
             predicted_xf=out[self._x_rows].reshape(self.N + 1, self.n),
             cost=cost, solver_status=sol.status, qp_iterations=sol.iterations,
         )
@@ -421,13 +393,15 @@ class Controller:
         )
 
 
-def _as_states(x_f, x_s) -> tuple[np.ndarray, np.ndarray]:
-    """(x_f, x_s) as float vectors, checked together over all 8 entries; on
-    failure the cause is named: a wrong length, a NaN or Inf, or a sign."""
+def _as_states(x_f, x_s, tail) -> tuple[np.ndarray, np.ndarray]:
+    """theta = (x_f, tail) and x_s as float vectors, from one copy (the
+    step's QP keeps theta); the 8 state entries are checked together with
+    the tail, whose entries (c, 1) are positive. On failure the cause is
+    named: a wrong length, a NaN or Inf, or a sign."""
     x_f, x_s = np.asarray(x_f, float).ravel(), np.asarray(x_s, float).ravel()
-    x = np.concatenate((x_f, x_s))  # a copy: the step's QP keeps x_f
+    x = np.concatenate((x_f, tail, x_s))
     if x_f.size == x_s.size == 4 and 0.0 <= x.min() and x.max() < np.inf:
-        return x[:4], x[4:]
+        return x[:-4], x[-4:]
     as_fast_state(x_f)  # these raise on a wrong length or a NaN or Inf
     as_slow_state(x_s)
     raise ModelConfigError("negative concentrations passed to the controller")

@@ -4,20 +4,20 @@ Solves  min 0.5 z'Hz + f'z  s.t.  A z <= b,  with A = A_in and b = b_in.
 
 There are no equality rows: a caller with an equality eliminates it first,
 as the MPC does with its steady output line. The MPC re-solves one QP whose
-H and A never change while f and b move affinely with the state, so it is
-one parametric family (as in explicit MPC and qpOASES): a
+H and A never change while f and b move with its state and target, so it
+is one parametric family (as in explicit MPC and qpOASES): a
 :class:`QpFactor`, built once per controller (or inside a one-off
-:func:`qp_solve`), holds f = f0 + F theta and b = b0 - B theta. It caches
--H^-1, H^-1 A' and the Gram matrix G = A H^-1 A', with H^-1 = Li' Li from
-one inverse Li of the Cholesky factor of H (regularised once if it
-fails). It also caches one stacked map of theta to f, to the
-unconstrained minimiser z_u = -H^-1 f and to the row residuals
-c = A z_u - b. Z = -H^-1 F is refined by one step when the family is
-built, and z_u0 = -H^-1 f0 when its offset is, so a solve refines
-nothing. A caller that owns the family forms (f, z_u, c)
-in one product and hands them over as a :class:`ParametricQp`; a plain
-:class:`QpProblem` is the family with theta = f (F = I, B = 0), and both
-go through the same start.
+:func:`qp_solve`), holds f = F theta and b = B theta, linear in a
+parameter theta that may carry a constant 1. It caches -H^-1, H^-1 A'
+and the Gram matrix G = A H^-1 A', with H^-1 = Li' Li from one inverse
+Li of the Cholesky factor of H (regularised once if it fails). It also
+caches one stacked map of theta to f, to the unconstrained minimiser
+z_u = -H^-1 f and to the row residuals c = A z_u - b. Z = -H^-1 F is
+refined by one step when the family is built, so a solve refines
+nothing. A caller that owns the family forms (f, z_u, c) in one product
+and hands them over as a :class:`ParametricQp`; a plain
+:class:`QpProblem` is the family with theta = (f, b) (F = [I 0],
+B = [0 I]), and both go through the same start.
 
 The dual method (Goldfarb & Idnani 1983) iterates on a working set S:
 each iterate minimises the objective with the rows of S held as
@@ -130,19 +130,17 @@ class QpSolution:
 
 
 class QpFactor:
-    """A family of QPs that share H and A_in, with f and b affine in a
-    parameter theta: f = f0 + F theta and b = b0 - B theta. Without F and
-    B it is the family of plain QPs, theta = f (F = I, B = 0, f0 = 0).
+    """A family of QPs that share H and A_in, with f and b linear in a
+    parameter theta: f = F theta and b = B theta. Without F and B it is
+    the family of plain QPs, theta = (f, b) (F = [I 0], B = [0 I]).
 
     Caches -H^-1, H^-1 A', the Gram matrix G = A H^-1 A' and the stacked
     map of theta to (f, z_u, c): Z = -H^-1 F, refined once, gives z_u,
-    and A_in Z + B the row residuals c = A_in z_u - b. Their part at
-    theta = 0 is offset(f0, b0)."""
+    and A_in Z - B the row residuals c = A_in z_u - b."""
 
     def __init__(self, H: np.ndarray, A_in: np.ndarray, F: np.ndarray | None = None,
                  B: np.ndarray | None = None):
         self.source = (H, A_in)
-        self.plain = F is None and B is None
         self.H = 0.5 * (H + H.T)
         try:
             L = np.linalg.cholesky(self.H)
@@ -159,11 +157,11 @@ class QpFactor:
         self.G = A_in @ self.HinvAt
         self.G = 0.5 * (self.G + self.G.T)
         q, n = A_in.shape
-        F = np.eye(n) if F is None else F
-        B = np.zeros((q, F.shape[1])) if B is None else B
+        if F is None:
+            F, B = np.eye(n, n + q), np.eye(q, n + q, n)
         self.B = B
         Z = self.unconstrained(F)
-        self.theta_map = np.vstack([F, Z, A_in @ Z + B])
+        self.theta_map = np.vstack([F, Z, A_in @ Z - B])
         self.rows = (slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + q))  # f, z_u, c
 
     def unconstrained(self, f: np.ndarray) -> np.ndarray:
@@ -173,26 +171,19 @@ class QpFactor:
         z += self.neg_H_inv @ (self.H @ z + f)
         return z
 
-    def offset(self, f0: np.ndarray, b0: np.ndarray) -> np.ndarray:
-        """(f, z_u, c) at theta = 0, stacked as the rows of theta_map."""
-        z0 = self.unconstrained(f0)
-        return np.concatenate([f0, z0, self.source[1] @ z0 - b0])
-
 
 class ParametricQp:
     """The QP of a family at theta: f, z_u = -H^-1 f and the row residuals
     c = A_in z_u - b are read off values, the family's theta_map times
-    theta plus its offset (values may hold more rows after those). f and
-    c are views; z_u is a copy, so the solution that returns it keeps no
-    other row of values alive. b = b0 - B theta is formed on first use: a
-    solve whose z_u meets every row never needs it. theta and b0 are
-    kept, not copied."""
+    theta (values may hold more rows after those). f and c are views;
+    z_u is a copy, so the solution that returns it keeps no other row of
+    values alive. b = B theta is formed on first use: a solve whose z_u
+    meets every row never needs it. theta is kept, not copied."""
 
-    __slots__ = ("factor", "theta", "values", "b0", "H", "A_in", "f", "z_u", "c", "_b_in")
+    __slots__ = ("factor", "theta", "values", "H", "A_in", "f", "z_u", "c", "_b_in")
 
-    def __init__(self, factor: QpFactor, theta: np.ndarray, values: np.ndarray,
-                 b0: np.ndarray):
-        self.factor, self.theta, self.values, self.b0 = factor, theta, values, b0
+    def __init__(self, factor: QpFactor, theta: np.ndarray, values: np.ndarray):
+        self.factor, self.theta, self.values = factor, theta, values
         self.H, self.A_in = factor.source
         rows_f, rows_z, rows_c = factor.rows
         self.f, self.z_u, self.c = values[rows_f], values[rows_z].copy(), values[rows_c]
@@ -201,7 +192,7 @@ class ParametricQp:
     @property
     def b_in(self) -> np.ndarray:
         if self._b_in is None:
-            self._b_in = self.b0 - self.factor.B @ self.theta
+            self._b_in = self.factor.B @ self.theta
         return self._b_in
 
 
@@ -323,13 +314,12 @@ def _residuals(p: QpProblem | ParametricQp, z: np.ndarray, lam: np.ndarray) -> K
 
 
 def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
-             max_iter: int = 500, factor: QpFactor | None = None) -> QpSolution:
+             max_iter: int = 500) -> QpSolution:
     """Solve the QP; on "optimal" all KKT residuals are <= 1e-8.
 
-    A plain QpProblem is solved as the plain family's QP at theta = f,
-    on ``factor`` when given (built from this problem's H and A_in, with
-    no F or B), else on a factor built here. A ParametricQp brings its
-    family, z_u and row residuals.
+    A plain QpProblem is solved as the plain family's QP at theta = (f, b),
+    on a factor built here. A ParametricQp brings its family, z_u and row
+    residuals.
 
     Returns the unconstrained minimiser z_u, with 0 iterations and no
     active row and without reading ``warm_start``, when z_u violates no
@@ -340,12 +330,9 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
     with status "max_iter".
     """
     if isinstance(p, QpProblem):
-        if factor is None:
-            factor = QpFactor(p.H, p.A_in)
-        elif factor.source[0] is not p.H or factor.source[1] is not p.A_in or not factor.plain:
-            raise ValueError("QpFactor was built for a different H or A_in")
-        values = factor.theta_map @ p.f + factor.offset(np.zeros(p.nvars), p.b_in)
-        p = ParametricQp(factor, p.f, values, p.b_in)
+        factor = QpFactor(p.H, p.A_in)
+        theta = np.concatenate([p.f, p.b_in])
+        p = ParametricQp(factor, theta, factor.theta_map @ theta)
     factor, z_u, c = p.factor, p.z_u, p.c
     top = c.max(initial=0.0)
     if top <= _FEAS_TOL:

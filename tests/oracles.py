@@ -1,13 +1,15 @@
 """Test oracles and file readers that no run of the package calls: the
 hit-and-run sampler of X_a, the open-loop replay of the compensated
-model, the readers of a bundle's matrix and polyhedron files, and the
-Chebyshev centre as a function of its own."""
+model, the readers of a bundle's matrix and polyhedron files, the
+Chebyshev centre as a function of its own and the offset cost of a
+steady input."""
 
 import numpy as np
 
 from anesmpc import geometry, terminal
 from anesmpc.errors import GeometryError, ModelConfigError
 from anesmpc.geometry import FEAS_TOL, Polyhedron
+from anesmpc.mpc import VdSpec
 from anesmpc.pkpd import DiscreteDynamics
 from anesmpc.terminal import TerminalIngredients
 
@@ -82,3 +84,9 @@ def chebyshev_centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
     if r < -FEAS_TOL:
         raise GeometryError("polyhedron is empty")
     return w0, max(r, 0.0)
+
+
+def offset_cost(vd: VdSpec, v_a) -> float:
+    """The offset cost q (a . v_a - b)^2 of the steady input v_a."""
+    v_a = np.asarray(v_a, float)
+    return float(vd.weight * (np.asarray(vd.coeffs, float) @ v_a - vd.offset) ** 2)

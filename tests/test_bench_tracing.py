@@ -1,8 +1,9 @@
 """The benchmark's span tracer patches package names by (owner, attribute),
 and its workload checks call a few package names directly; a refactor
-that moves or renames one of them must fail here, not only under
-``bench/run.py``."""
+that moves or renames one of them, or breaks a check of a closed-loop
+workload, must fail here, not only under ``bench/run.py``."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,3 +74,17 @@ def test_applied_input_is_the_clipped_compensated_input_to_the_bit(tracing):
                if tracing._step_info(SimpleNamespace(u=log.u[k], v0=log.v[k]),
                                      (ctrl, log.x_f[k], log.x_s[k]), {})["clamped"]]
     assert clamped == []
+
+
+@pytest.mark.parametrize("workload", ["induction", "setpoint"])
+def test_closed_loop_workload_checks_pass(workload, tmp_path):
+    # one 0 s run of the workload with its own checks: settling at 265 s,
+    # KKT residuals, a non-increasing cost, bit-identical episodes and the
+    # set-point segment ends
+    workloads = bench_module("workloads")
+    inputs = workloads.make_inputs(workload, 0, Path(patient_path()).parent, tmp_path)
+    rec = workloads.Record()
+    workloads.RUNNERS[workload](inputs, 0.0, rec, builds=1)
+    assert rec.attempted > 0 and rec.episode_s
+    assert rec.failures == []
+    assert rec.failed == 0

@@ -7,6 +7,7 @@ from anesmpc import compensation, mpc, pipeline, pkpd, qp, sim
 from anesmpc.errors import ModelConfigError, SolverInfeasibleError
 
 from conftest import U_BOUNDS, bench_module, controller_path, patient_path
+from oracles import offset_cost
 
 
 @pytest.fixture(scope="module")
@@ -88,19 +89,60 @@ class TestBuildController:
 
     def test_target_set_as_retarget_sets_it(self, disc, patient, gain, v_box,
                                             ingredients, controller):
-        # construction and retarget derive zs and the part of the step map
-        # and of b_in that c sets on the same path
+        # construction and retarget derive zs and theta's tail (c, 1) on the
+        # same path; the QP family and the step map do not depend on the
+        # target
         built = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                      ingredients, mpc.MpcConfig(y_ref=45.0))
         moved = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                      ingredients, mpc.MpcConfig())
         moved.retarget(45.0)
         assert built.zs.c == moved.zs.c != controller.zs.c
-        for name in ("step_c", "b_in_c", "step_map", "H", "A_in"):
-            np.testing.assert_array_equal(getattr(built, name), getattr(moved, name),
-                                          err_msg=name)
-        assert not np.array_equal(built.b_in_c, controller.b_in_c)
-        assert not np.array_equal(built.step_c, controller.step_c)
+        assert np.array_equal(built._theta_tail, [built.zs.c, 1.0])
+        assert np.array_equal(built._theta_tail, moved._theta_tail)
+        assert not np.array_equal(built._theta_tail, controller._theta_tail)
+        for ctrl in (moved, controller):
+            for name in ("step_map", "H", "A_in", "readout_y"):
+                assert np.array_equal(getattr(built, name), getattr(ctrl, name)), name
+            assert np.array_equal(built.qp_factor.B, ctrl.qp_factor.B)
+
+    def test_retarget_moves_only_the_target_entry_of_theta(self, disc, patient, gain, v_box,
+                                                           ingredients):
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                    ingredients, mpc.MpcConfig())
+        factor, tail = ctrl.qp_factor, ctrl._theta_tail
+        kept = [(ctrl, name) for name in ("step_map", "H", "A_in", "readout_y")]
+        kept += [(factor, name) for name in ("theta_map", "B", "neg_H_inv", "HinvAt", "G")]
+        before = [(getattr(owner, name), getattr(owner, name).copy()) for owner, name in kept]
+        c50 = ctrl.zs.c
+        ctrl.retarget(45.0)
+        assert ctrl.qp_factor is factor and ctrl._theta_tail is tail
+        for (owner, name), (obj, bits) in zip(kept, before):
+            assert getattr(owner, name) is obj and np.array_equal(obj, bits), name
+        assert tail[1] == 1.0 and tail[0] == ctrl.zs.c != c50
+
+    def test_cost_at_zero_plan_is_the_stage_cost_sum(self, disc, patient, gain, v_box,
+                                                     ingredients):
+        # theta'W theta, the cost the reported cost adds to the QP objective,
+        # against the stage costs summed directly for the zero plan y = 0:
+        # v_k = 0 and v_a = p0 c, for random states and targets; an offset
+        # b != 0 puts a term on theta's constant entry
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS, ingredients,
+                                    mpc.MpcConfig(vd=mpc.VdSpec(offset=0.5)))
+        cfg, W = ctrl.cfg, ctrl.step_map[ctrl._cost_rows]
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            ctrl.retarget(rng.uniform(40.0, 55.0))
+            x = rng.uniform(0.0, 10.0, size=4) * rng.uniform(size=4).round()
+            theta = np.concatenate([x, ctrl._theta_tail])
+            v_a = ctrl.p0 * ctrl.zs.c
+            x_a = ctrl.T @ v_a
+            cost = offset_cost(cfg.vd, v_a)
+            for _ in range(cfg.N):
+                cost += (x - x_a) @ cfg.Q @ (x - x_a) + v_a @ cfg.R @ v_a
+                x = disc.A_f @ x
+            cost += (x - x_a) @ ingredients.P @ (x - x_a)
+            assert theta @ W @ theta == pytest.approx(cost, rel=1e-12, abs=0.0)
 
     def test_prediction_maps_match_the_blockwise_products(self, disc, patient, gain, v_box,
                                                           ingredients, controller, monkeypatch):
@@ -122,7 +164,7 @@ class TestBuildController:
         monkeypatch.setattr(mpc, "prediction_maps", blockwise)
         ref = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                    ingredients, mpc.MpcConfig())
-        for name in ("Gx", "H", "A_in", "b_in_per_c", "readout", "step_map", "step_c"):
+        for name in ("H", "A_in", "readout_y", "step_map"):
             assert np.array_equal(getattr(controller, name), getattr(ref, name)), name
         assert np.array_equal(controller.qp_factor.B, ref.qp_factor.B)
 
@@ -136,8 +178,8 @@ class TestBuildController:
 
     def test_offset_cost_default_is_rank_one(self):
         vd = mpc.VdSpec()
-        assert vd(np.array([1.0, 2.0])) == pytest.approx(0.0)
-        assert vd(np.array([1.0, 0.0])) == pytest.approx(10.0)
+        assert offset_cost(vd, np.array([1.0, 2.0])) == pytest.approx(0.0)
+        assert offset_cost(vd, np.array([1.0, 0.0])) == pytest.approx(10.0)
 
 
 class TestControlStep:
@@ -152,7 +194,7 @@ class TestControlStep:
         out = controller.control_step(x_a, x_s)
         np.testing.assert_allclose(out.v0, v_a, atol=1e-6)
         np.testing.assert_allclose(out.v_a, v_a, atol=1e-6)
-        assert out.cost == pytest.approx(controller.cfg.vd(v_a), abs=1e-6)
+        assert out.cost == pytest.approx(offset_cost(controller.cfg.vd, v_a), abs=1e-6)
         np.testing.assert_allclose(out.u, v_a + gain.D @ x_s, atol=1e-12)
 
     def test_one_prediction_per_step(self, controller, monkeypatch):
@@ -232,6 +274,20 @@ class TestControlStep:
         assert out.u[1] < u[1]
         assert np.all(out.u >= tight.lower) and np.all(out.u <= tight.upper)
         assert "clamped" in caplog.text
+
+    def test_active_steps_keep_v0_inside_the_box(self, disc, patient, gain, v_box,
+                                                  ingredients):
+        # working rows hold v_0 on a bound of V, which rounding in the solve
+        # must not leave: from rest the first step puts the propofol rate on
+        # the upper bound of V (and of U), to the bit, and no step of a
+        # 600 s run leaves V
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                    ingredients, mpc.MpcConfig())
+        first = ctrl.control_step(np.zeros(4), np.zeros(4))
+        assert first.qp_iterations > 0
+        assert first.v0[0] == first.u[0] == v_box.upper[0] == U_BOUNDS.upper[0]
+        log = sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0)
+        assert np.all((log.v >= v_box.lower) & (log.v <= v_box.upper))
 
     def test_awake_patient_feasible(self, controller, v_box):
         controller.reset()
@@ -526,7 +582,7 @@ class TestQpReuse:
 
     def test_reported_cost_matches_direct_recomputation(self, reference_run, disc,
                                                          ingredients, zs):
-        # the cost term precomputed in retarget, against the tracking cost
+        # the QP objective plus theta'W theta, against the tracking cost
         # summed stage by stage from each step's solution y = (v, t)
         log, _, solutions = reference_run
         cfg = mpc.MpcConfig()
@@ -536,7 +592,7 @@ class TestQpReuse:
             v = sol.z[:2 * N].reshape(N, 2)
             v_a = p0 * zs.c + d * sol.z[2 * N]
             x_a = np.linalg.solve(np.eye(4) - disc.A_f, disc.B @ v_a)
-            x, cost = log.x_f[k], cfg.vd(v_a)
+            x, cost = log.x_f[k], offset_cost(cfg.vd, v_a)
             for v_k in v:
                 cost += (x - x_a) @ cfg.Q @ (x - x_a) + (v_k - v_a) @ cfg.R @ (v_k - v_a)
                 x = disc.A_f @ x + disc.B @ v_k
@@ -580,14 +636,15 @@ class TestQpReuse:
 def recorded_runs():
     """The 600 s reference run and the benchmark's set-point schedule on
     the shipped files, keeping every read-out (x0, y, result, c at the
-    step) and every QP (problem, solution)."""
+    step, from theta's tail) and every QP (problem, solution)."""
     workloads = bench_module("workloads")
     read_out, solve = mpc.Controller.read_out, qp.qp_solve
     runs = {}
 
-    def recording_read_out(ctrl, x0, y, p):
-        out = read_out(ctrl, x0, y, p)
-        reads.append((x0.copy(), y.copy(), out.copy(), ctrl.zs.c))
+    def recording_read_out(ctrl, y, p):
+        out = read_out(ctrl, y, p)
+        assert np.array_equal(p.theta[ctrl.n:], [ctrl.zs.c, 1.0])
+        reads.append((p.theta[:ctrl.n].copy(), y.copy(), out.copy(), p.theta[ctrl.n]))
         return out
 
     def recording_solve(p, *args, **kwargs):
@@ -616,7 +673,7 @@ class TestReadOut:
         assert len(reads) == len(log) == {"reference": 120, "setpoint": 1440}[run]
         n, mN = ctrl.n, ctrl.m * ctrl.N
         K, T = ctrl.ing.K, ctrl.T
-        _, S = mpc.prediction_maps(ctrl.disc.A_f, ctrl.disc.B, ctrl.N)
+        Gx, S = mpc.prediction_maps(ctrl.disc.A_f, ctrl.disc.B, ctrl.N)
         F_xN, F_va = ctrl.ing.X_a.F[:, :n], ctrl.ing.X_a.F[:, n:]
 
         def close(got, want):
@@ -624,7 +681,7 @@ class TestReadOut:
 
         for k, (x0, y, out, c) in enumerate(reads):
             v_a = ctrl.p0 * c + ctrl.d * y[mN]
-            xs = ctrl.Gx @ x0 + S @ y[:mN]
+            xs = Gx @ x0 + S @ y[:mN]
             x_N = xs[-n:]
             checked = out[ctrl._checked_rows]
             assert close(out[ctrl._va_rows], v_a), k
@@ -632,8 +689,7 @@ class TestReadOut:
             assert close(out[ctrl._xa_rows], T @ v_a), k
             assert close(out[ctrl._tail_rows], K @ (x_N - T @ v_a) + v_a), k
             assert close(checked[2 * ctrl.m:], F_xN @ x_N + F_va @ v_a), k
-            # the box rows are v_0 and -v_0, exact
-            assert np.array_equal(checked[:2 * ctrl.m], np.concatenate([y[:ctrl.m], -y[:ctrl.m]])), k
+            assert close(checked[:2 * ctrl.m], np.concatenate([y[:ctrl.m], -y[:ctrl.m]])), k
             assert np.array_equal(log.v_a[k], out[ctrl._va_rows]), k
 
     @pytest.mark.parametrize("run", ["reference", "setpoint"])

@@ -106,16 +106,20 @@ class TestBasics:
         assert sol.kkt_residuals.primal_in > 1e-8
         assert qp_solve(p).status == "optimal"
 
-    def test_factor_reused_only_for_its_own_data(self):
+    def test_plain_family_solves_any_f_and_b_on_one_factor(self):
+        # a QpProblem is the plain family's QP at theta = (f, b): one factor
+        # serves every f and b for its H and A_in
         rng = np.random.default_rng(4)
         p = random_qp(rng, n=5, q=4)
         factor = QpFactor(p.H, p.A_in)
-        shifted = QpProblem(p.H, p.f + 1.0, p.A_in, p.b_in + 0.2)
-        assert qp_solve(shifted, factor=factor).objective == pytest.approx(
-            qp_solve(shifted).objective, abs=1e-12)
-        other = QpProblem(p.H.copy(), p.f, p.A_in, p.b_in)
-        with pytest.raises(ValueError, match="QpFactor"):
-            qp_solve(other, factor=factor)
+        for shift in (0.0, 1.0):
+            shifted = QpProblem(p.H, p.f + shift, p.A_in, p.b_in + 0.2 * shift)
+            theta = np.concatenate([shifted.f, shifted.b_in])
+            family = qp.ParametricQp(factor, theta, factor.theta_map @ theta)
+            assert np.array_equal(family.f, shifted.f)
+            assert np.array_equal(family.b_in, shifted.b_in)
+            assert qp_solve(family).objective == pytest.approx(
+                qp_solve(shifted).objective, abs=1e-12)
 
     def test_reported_violation_is_positive(self):
         # a_k z >= b_k + delta against a row a_k z <= b_k active at the
@@ -277,18 +281,17 @@ class TestHotStart:
         rng = np.random.default_rng(31)
         for _ in range(10):
             p = random_qp(rng, n=30, q=60)
-            factor = QpFactor(p.H, p.A_in)
-            cold = qp_solve(p, factor=factor)
+            cold = qp_solve(p)
             assert cold.active_set
             # the cold optimum (tight rows = its active set) and a nearby point
             for z0 in (cold.z, cold.z + rng.normal(scale=0.05, size=30)):
                 with monkeypatch.context() as mp:
                     admits = self.count_admits(mp)
-                    hot = qp_solve(p, warm_start=z0, factor=factor)
+                    hot = qp_solve(p, warm_start=z0)
                 assert admits == []  # one Cholesky took every tight row
                 with monkeypatch.context() as mp:
                     self.row_by_row(mp)
-                    ref = qp_solve(p, warm_start=z0, factor=factor)
+                    ref = qp_solve(p, warm_start=z0)
                 assert hot.active_set == ref.active_set == cold.active_set
                 assert hot.iterations == ref.iterations
                 np.testing.assert_allclose(hot.z, ref.z, rtol=0, atol=1e-10)
@@ -452,14 +455,14 @@ class TestWorkingSetBuffers:
         return drops
 
     @staticmethod
-    def assert_same_as_reference(monkeypatch, p, warm_start=None, factor=None, sol=None):
+    def assert_same_as_reference(monkeypatch, p, warm_start=None, sol=None):
         """qp_solve with the buffered working set and with the reference
         take the same path: iterations, active set and status, z to 1e-12."""
         if sol is None:
-            sol = qp_solve(p, warm_start=warm_start, factor=factor)
+            sol = qp_solve(p, warm_start=warm_start)
         with monkeypatch.context() as mp:
             mp.setattr(qp, "_WorkingSet", RefactorWorkingSet)
-            ref = qp_solve(p, warm_start=warm_start, factor=factor)
+            ref = qp_solve(p, warm_start=warm_start)
         assert (sol.iterations, sol.active_set, sol.status) == (
             ref.iterations, ref.active_set, ref.status)
         if ref.z is None:
@@ -496,7 +499,7 @@ class TestWorkingSetBuffers:
         def capturing(p, warm_start=None, **kwargs):
             warm = None if warm_start is None else warm_start.copy()
             sol = solve(p, warm_start=warm_start, **kwargs)
-            solves.append((p, warm, kwargs.get("factor"), sol))
+            solves.append((p, warm, sol))
             return sol
 
         monkeypatch.setattr(qp, "qp_solve", capturing)
@@ -505,10 +508,9 @@ class TestWorkingSetBuffers:
         sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0)
         monkeypatch.setattr(qp, "qp_solve", solve)
         assert len(solves) == 120
-        assert solves[0][3].iterations == 8 and len(solves[0][3].active_set) == 25
-        for p, warm, factor, sol in solves:
-            self.assert_same_as_reference(monkeypatch, p, warm_start=warm, factor=factor,
-                                          sol=sol)
+        assert solves[0][2].iterations == 8 and len(solves[0][2].active_set) == 25
+        for p, warm, sol in solves:
+            self.assert_same_as_reference(monkeypatch, p, warm_start=warm, sol=sol)
 
     def test_factor_and_columns_after_every_change(self):
         # random admits, drops at the front, the end and in between, and
@@ -727,8 +729,9 @@ class TwoSolveFactor(QpFactor):
         self.G = A_in @ self.HinvAt
         self.G = 0.5 * (self.G + self.G.T)
         # the family's map from the same inverse
-        Z = self.unconstrained(np.eye(n) if F is None else F)
-        self.theta_map = np.vstack([self.theta_map[self.rows[0]], Z, A_in @ Z + self.B])
+        F = self.theta_map[self.rows[0]]
+        Z = self.unconstrained(F)
+        self.theta_map = np.vstack([F, Z, A_in @ Z - self.B])
 
 
 class TestQpFactor:
