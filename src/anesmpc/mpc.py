@@ -22,32 +22,33 @@ A control step is one precomputed linear map of theta = (x_f, c, 1)
 around the QP solve: the target level c is a parameter of the QP, next
 to the state, as the reference is in explicit MPC. The cost, the rows
 and the read-out are built once over w = (x_f, v_0 .. v_{N-1}, v_a) and
-a constant 1, and mapped to the decision y and theta. The QP is one
-parametric family in theta (qp.QpFactor): H and A_in stay, and f = F
-theta and b_in = B theta; H, F and W are blocks of the cost's Hessian
-over (y, theta), and theta'W theta is the cost at y = 0, which the
-reported cost adds to the QP's objective. retarget only validates the
-target and sets the c entry of theta. One product of the step map with
-theta gives f, the unconstrained minimiser z_u = -H^-1 f (refined once
-when the map is built), the row residuals A_in z_u - b_in, everything
-the step reads off its solution at y = z_u, and W theta. The read-out is
-v_a, x_a, the predicted states, the terminal-law input that closes the
-warm start, and the rows the output check compares with one stacked
-bound vector (v_0 against the tightened box, the terminal pair against
-X_a). When z_u meets every row, as in most steps, the solve returns it,
-and the step is that product, a max over the residuals, the
-stationarity and the output checks. Otherwise the solve runs its start
-rule and dual loop from the same z_u and residuals, forms b_in, the
-read-out adds the read-out matrix times y - z_u to its rows of the
-product, and v_0, held on a bound of V by a working row, is clipped
-into V against rounding. The applied input u = v_0 + D x_s is formed
-apart from the read-out.
+a constant 1, and mapped to the decision y and theta. The cost is the
+sum of squares of weighted residual rows r = S_y y + S_theta theta. The
+QP is one parametric family in theta (qp.QpFactor): H and A_in stay,
+and f = F theta and b_in = B theta; H and F are blocks of 2 S'S for
+S = [S_y S_theta]. retarget only validates the target and sets the c
+entry of theta. One product of the step map with theta gives f, the
+unconstrained minimiser z_u = -H^-1 f (refined once when the map is
+built), the row residuals A_in z_u - b_in and everything the step reads
+off its solution at y = z_u. The read-out is v_a, x_a, the predicted
+states, the terminal-law input that closes the warm start, the rows the
+output check compares with one stacked bound vector (v_0 against the
+tightened box, the terminal pair against X_a) and r, so the reported
+cost is r . r, a sum of squares with nothing to cancel. When z_u meets
+every row, as in most steps, the solve returns it, and the step is that
+product, a max over the residuals, the stationarity and the output
+checks. Otherwise the solve runs its start rule and dual loop from the
+same z_u and residuals, forms b_in, the read-out adds the read-out
+matrix times y - z_u to its rows of the product, and v_0, held on a
+bound of V by a working row, is clipped into V against rounding. The
+applied input u = v_0 + D x_s is formed apart from the read-out.
 """
 
 from __future__ import annotations
 
 import configparser
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -58,7 +59,7 @@ from .compensation import CompensationGain, InputBox
 from .errors import ModelConfigError, SolverInfeasibleError
 from .pkpd import (DiscreteDynamics, PdParams, as_fast_state, as_slow_state, ini_numbers,
                    ini_reject_unknown, steady_output_row)
-from .terminal import TerminalIngredients, controllability_index, tighten_box
+from .terminal import TerminalIngredients, controllability_index, psd_sqrt, tighten_box
 
 logger = logging.getLogger(__name__)
 
@@ -225,25 +226,21 @@ class Controller:
             return np.column_stack([v, v_a @ self.d, x, v_a @ self.p0,
                                     np.broadcast_to(one, len(X))])
 
-        # the cost is the weighted sum of squares of three groups of rows
-        # over (w, 1): the state deviations x_k - x_a (k = 0 .. N, weights Q
-        # and P), the input deviations v_k - v_a (R) and a . v_a - b (the
-        # offset cost). Hc is its Hessian over (y, theta): H and F (f = F
-        # theta) are its blocks, and so is W, with theta'W theta the cost at
-        # y = 0, which the reported cost adds to the QP objective. The groups
-        # are summed apart: one product over all their rows rounds W's c
-        # entry about 20 ulp off, and the reported cost, a difference of
-        # terms some 1e5 times larger than itself, carries that error
-        Qbar = np.kron(np.eye(N + 1), cfg.Q)
-        Qbar[N * n:, N * n:] = ingredients.P
-        Hc = sum(dev.T @ weight @ dev for dev, weight in (
-            (y_theta(np.hstack([Gx, S, -np.tile(self.T, (N + 1, 1))])), Qbar),
-            (y_theta(np.hstack([np.zeros((mN, n)), np.eye(mN), -np.tile(np.eye(m), (N, 1))])),
-             np.kron(np.eye(N), cfg.R)),
-            (y_theta(np.concatenate([np.zeros(n + mN), cfg.vd.coeffs])[None], -cfg.vd.offset),
-             np.array([[cfg.vd.weight]]))))
-        Hc = Hc + Hc.T  # twice the symmetric part
-        self.H, F, W = Hc[:ny, :ny], Hc[:ny, ny:], 0.5 * Hc[ny:, ny:]
+        # the cost is the sum of squares of residual rows over (w, 1): the
+        # state deviations x_k - x_a (k = 0 .. N) weighted by Q^1/2 and, at
+        # k = N, P^1/2, the input deviations v_k - v_a by R^1/2, and
+        # a . v_a - b by sqrt(vd_weight). As rows S over (y, theta), H and F
+        # (f = F theta) are blocks of 2 S'S, one product of S with itself
+        Qh = np.kron(np.eye(N + 1), psd_sqrt(cfg.Q, "Q"))
+        Qh[N * n:, N * n:] = psd_sqrt(ingredients.P, "P")
+        Rh, vd = psd_sqrt(cfg.R, "R"), math.sqrt(cfg.vd.weight)
+        residual = y_theta(np.vstack([
+            Qh @ np.hstack([Gx, S, -np.tile(self.T, (N + 1, 1))]),
+            np.hstack([np.zeros((mN, n)), np.kron(np.eye(N), Rh), -np.tile(Rh, (N, 1))]),
+            vd * np.concatenate([np.zeros(n + mN), cfg.vd.coeffs])]),
+            np.r_[np.zeros((N + 1) * n + mN), -vd * cfg.vd.offset])
+        StS = residual.T @ residual
+        self.H, F = 2.0 * StS[:ny, :ny], 2.0 * StS[:ny, ny:]
 
         # rows: the box on v_0 .. v_{N-1}, then X_a (which bounds v_a), each
         # a row over (w, 1) that must be <= 0; the rhs b = B theta
@@ -257,8 +254,8 @@ class Controller:
         self.qp_factor = qp.QpFactor(self.H, self.A_in, F=F, B=-A_theta[:, ny:])
 
         # read-out, over w: v_a, x_a, x_0 .. x_N, the terminal-law input
-        # K (x_N - T v_a) + v_a, then the checked rows, those of v_0, -v_0
-        # and X_a at the terminal pair
+        # K (x_N - T v_a) + v_a, the checked rows, those of v_0, -v_0 and
+        # X_a at the terminal pair, then the cost's residual rows
         K = ingredients.K
         checked = np.r_[0:m, mN:mN + m, 2 * mN:len(rows)]
         blocks = [np.eye(m, n + mN + m, n + mN),
@@ -266,24 +263,21 @@ class Controller:
                   np.hstack([Gx, S, np.zeros((len(Gx), m))]),
                   np.hstack([K @ A_N, K @ S_N, np.eye(m) - K @ self.T]),
                   rows[checked]]
-        readout = y_theta(np.vstack(blocks))
+        readout = np.vstack([y_theta(np.vstack(blocks)), residual])
         self.readout_y = readout[:, :ny]
-        ends = np.cumsum([len(b) for b in blocks])
-        self._va_rows, self._xa_rows, self._x_rows, self._tail_rows = (
-            slice(a, b) for a, b in zip([0, *ends[:3]], ends[:4]))
-        self._checked_rows = slice(ends[3], None)
+        ends = np.cumsum([len(b) for b in blocks] + [len(residual)])
+        (self._va_rows, self._xa_rows, self._x_rows, self._tail_rows, self._checked_rows,
+         self._cost_rows) = (slice(a, b) for a, b in zip([0, *ends[:-1]], ends))
         # bounds of the checked rows: the tightened box, then X_a
         self.checked_bound = np.concatenate([V.upper + EQ_TOL, -(V.lower - EQ_TOL),
                                              g_xa + TERMINAL_TOL])
 
-        # the step map: theta -> (f, z_u, c) of the QP family, the read-out
-        # at y = z_u, then W theta
+        # the step map: theta -> (f, z_u, c) of the QP family, then the
+        # read-out at y = z_u
         fam = self.qp_factor
         Z = fam.theta_map[fam.rows[1]]
-        self.step_map = np.vstack([fam.theta_map, readout[:, ny:] + self.readout_y @ Z, W])
-        q = fam.rows[2].stop
-        self._out_rows = slice(q, q + len(readout))
-        self._cost_rows = slice(q + len(readout), None)
+        self.step_map = np.vstack([fam.theta_map, readout[:, ny:] + self.readout_y @ Z])
+        self._out_rows = slice(fam.rows[2].stop, None)
         self._theta_tail = np.array([np.nan, 1.0])  # (c, 1), set by retarget
         self._warm_buf = np.empty(ny)
         self._clamp_warned = False
@@ -355,7 +349,8 @@ class Controller:
         w = self._warm_buf  # the plan shifted by one step, closed by the terminal law
         w[:mN - self.m], w[mN - self.m:mN], w[mN] = y[self.m:mN], out[self._tail_rows], y[mN]
         self._warm = w
-        cost = sol.objective + float(theta @ s[self._cost_rows])
+        r = out[self._cost_rows]
+        cost = float(r @ r)
         self._validate_output(v0, v_a, out[self._checked_rows])
         if y is not problem.z_u:
             # working rows hold v_0 on a bound of V, which rounding can leave
@@ -398,9 +393,8 @@ def _as_states(x_f, x_s, tail) -> tuple[np.ndarray, np.ndarray]:
     step's QP keeps theta); the 8 state entries are checked together with
     the tail, whose entries (c, 1) are positive. On failure the cause is
     named: a wrong length, a NaN or Inf, or a sign."""
-    x_f, x_s = np.asarray(x_f, float).ravel(), np.asarray(x_s, float).ravel()
-    x = np.concatenate((x_f, tail, x_s))
-    if x_f.size == x_s.size == 4 and 0.0 <= x.min() and x.max() < np.inf:
+    x = np.concatenate((x_f, tail, x_s), axis=None, dtype=float)
+    if x.size == 10 and np.size(x_f) == 4 and 0.0 <= x.min() and x.max() < np.inf:
         return x[:-4], x[-4:]
     as_fast_state(x_f)  # these raise on a wrong length or a NaN or Inf
     as_slow_state(x_s)

@@ -8,9 +8,10 @@ H and A never change while f and b move with its state and target, so it
 is one parametric family (as in explicit MPC and qpOASES): a
 :class:`QpFactor`, built once per controller (or inside a one-off
 :func:`qp_solve`), holds f = F theta and b = B theta, linear in a
-parameter theta that may carry a constant 1. It caches -H^-1, H^-1 A'
-and the Gram matrix G = A H^-1 A', with H^-1 = Li' Li from one inverse
-Li of the Cholesky factor of H (regularised once if it fails). It also
+parameter theta that may carry a constant 1. It keeps the square-root
+rows M = A Li', with Li the inverse of the Cholesky factor L of H
+(regularised once if it fails), and from them the Gram matrix
+G = A H^-1 A' = M M', H^-1 A' = Li' M' and -H^-1 = -Li' Li. It also
 caches one stacked map of theta to f, to the unconstrained minimiser
 z_u = -H^-1 f and to the row residuals c = A z_u - b. Z = -H^-1 F is
 refined by one step when the family is built, so a solve refines
@@ -31,14 +32,15 @@ One start rule serves cold and hot solves, as in parametric active-set
 solvers (qpOASES). When no row is violated at z_u, z_u is the optimum
 and S stays empty, whatever the warm start. Otherwise S starts from the
 rows tight or violated at the warm start, or, with none given, from the
-rows violated at z_u. The longest leading run of them whose block of G
-factors with passing pivots goes in with one Cholesky factorisation and
-one inverse; when the factorisation raises, the run's length is found by
-bisection. The rows after the run go in one at a time, skipping
-dependent rows. Then the start drops multipliers below a rounding-level
-tolerance, most negative first, and the dual loop runs from there. From
-rest, the MPC's cold solve thus admits 25 rows at once and takes 8
-iterations where adding one row per iteration took 27.
+rows violated at z_u. One QR factorisation of their square-root rows,
+M_S' = Q R, the square-root form in which Goldfarb and Idnani state
+the method, gives G_SS = R'R: its squared pivots diag(R)^2 end the
+leading run at the first that fails the dependence test, and the run
+goes in with Li = R^-T, one inverse. The rows after the run go in one at
+a time, skipping dependent rows. Then the start drops multipliers below
+a rounding-level tolerance, most negative first, and the dual loop runs
+from there. From rest, the MPC's cold solve thus admits 25 rows at once
+and takes 8 iterations where adding one row per iteration took 27.
 
 Li and G[:, S] live in two buffers sized once per solve for min(rows,
 nvars) working rows, the most S can hold: nvars independent rows span
@@ -55,7 +57,7 @@ A solve starts from the row residuals c at z_u, which come with the
 problem, and evaluates the rows at the warm start (one product of A
 with it, and b formed then) only when max c exceeds _FEAS_TOL. When it
 does not, as in most MPC steps, the solve returns z_u with 0 iterations
-and S empty: no buffer is allocated, no Cholesky factor is formed and no
+and S empty: no buffer is allocated, nothing is factorised and no
 working-set algebra runs. Its KKT residuals come from what it already
 holds: the primal residual is max c, the multipliers and
 complementarity are exactly 0, and only the stationarity g = H z + f is
@@ -134,9 +136,12 @@ class QpFactor:
     parameter theta: f = F theta and b = B theta. Without F and B it is
     the family of plain QPs, theta = (f, b) (F = [I 0], B = [0 I]).
 
-    Caches -H^-1, H^-1 A', the Gram matrix G = A H^-1 A' and the stacked
-    map of theta to (f, z_u, c): Z = -H^-1 F, refined once, gives z_u,
-    and A_in Z - B the row residuals c = A_in z_u - b."""
+    Caches the square-root rows M = A Li' (Li the inverse of the
+    Cholesky factor of H), -H^-1 = -Li' Li, H^-1 A' = Li' M', the Gram
+    matrix G = A H^-1 A' = M M', the lower-triangular mask with which a
+    start reads its QR factor, and the stacked map of theta to
+    (f, z_u, c): Z = -H^-1 F, refined once, gives z_u, and A_in Z - B the
+    row residuals c = A_in z_u - b."""
 
     def __init__(self, H: np.ndarray, A_in: np.ndarray, F: np.ndarray | None = None,
                  B: np.ndarray | None = None):
@@ -149,14 +154,15 @@ class QpFactor:
         except np.linalg.LinAlgError:
             self.H = self.H + _REG_DELTA * np.eye(len(H))
             L = np.linalg.cholesky(self.H)  # raises when H is indefinite
-        # H^-1 = Li' Li from one inverse Li of the factor, then H^-1 A'
+        # H^-1 = Li' Li from one inverse Li of the factor; G = M M' is
+        # symmetric to the bit (one product of M with its own transpose)
         Li = np.linalg.inv(L)
-        H_inv = Li.T @ Li
-        self.neg_H_inv = -H_inv
-        self.HinvAt = H_inv @ A_in.T
-        self.G = A_in @ self.HinvAt
-        self.G = 0.5 * (self.G + self.G.T)
+        self.neg_H_inv = -(Li.T @ Li)
+        self.M = A_in @ Li.T
+        self.HinvAt = Li.T @ self.M.T
+        self.G = self.M @ self.M.T
         q, n = A_in.shape
+        self.lower = np.tri(min(q, n))  # reads R' faster than qr's mode "r" (triu)
         if F is None:
             F, B = np.eye(n, n + q), np.eye(q, n + q, n)
         self.B = B
@@ -197,14 +203,16 @@ class ParametricQp:
 
 
 class _WorkingSet:
-    """Working rows S, a square Li with Li' Li = G_SS^-1 (the inverse of
-    the lower Cholesky factor of G_SS until a row is dropped) and the rows
-    G[S, :], in buffers of
-    ``cap`` rows allocated when the first row is admitted; :attr:`Li` and
-    :attr:`cols` (G[:, S]) are views of their first len(S) rows."""
+    """Working rows S, a square Li with Li' Li = G_SS^-1 (R^-T for the QR
+    factor R of the start's square-root rows until a row is dropped) and
+    the rows G[S, :], in buffers of ``cap`` rows allocated when the first
+    row is admitted; :attr:`Li` and :attr:`cols` (G[:, S]) are views of
+    their first len(S) rows. G and the square-root rows M come from the
+    family's factor."""
 
-    def __init__(self, G: np.ndarray, cap: int):
-        self.G, self.cap, self.rows = G, cap, []
+    def __init__(self, factor: QpFactor, cap: int):
+        self.G, self.M, self.lower, self.cap = factor.G, factor.M, factor.lower, cap
+        self.rows = []
         self._Li = self._GS = None
 
     def _allocate(self) -> None:
@@ -242,35 +250,23 @@ class _WorkingSet:
             self.append(j, r, d2)
 
     def admit_all(self, rows: list[int]) -> None:
-        """Start an empty working set from rows: the longest leading run of
-        them whose block of G factors with squared pivots that pass the test
-        of :meth:`pivot` goes in with one Cholesky factor and one inverse,
-        the rows after it one at a time, skipping dependent rows.
-
-        A factor whose pivot fails at position p ends the run there; when
-        the factorisation raises, the run's length is found by bisection,
-        so at most ceil(log2 len(rows)) + 1 factorisations are made."""
-        m = min(len(rows), self.cap)  # the longest run the buffers hold
+        """Start an empty working set from rows: one QR factor
+        M_run' = Q R of the square-root rows of its first
+        min(len(rows), cap) rows gives G over them as R'R, so diag(R)^2 are
+        their squared pivots. The leading run up to the first pivot that
+        fails the test of :meth:`pivot` goes in with Li = R^-T, the rows
+        after it one at a time, skipping dependent rows."""
         self._allocate()
-        run = rows[:m]
-        self._GS[:m] = self.G[run]
-        block, floor = self._GS[:m, run], _DEP_TOL * self.G[run, run]
-        lo, hi, n = 0, m + 1, m  # a run of lo rows passes, one of hi rows does not
-        while hi - lo > 1:
-            try:
-                L_n = np.linalg.cholesky(block[:n, :n])
-            except np.linalg.LinAlgError:
-                hi = n
-            else:
-                bad = (np.diag(L_n) ** 2 <= floor[:n]).nonzero()[0]
-                L, lo = L_n, int(bad[0]) if bad.size else n
-                if bad.size:
-                    hi = lo + 1
-            n = (lo + hi) // 2
-        if lo:
-            self._Li[:lo, :lo] = np.linalg.inv(L[:lo, :lo])
-            self.rows = run[:lo]
-        for j in rows[lo:]:
+        run = rows[:self.cap]
+        h = np.linalg.qr(self.M[run].T, mode="raw")[0]  # R' in its lower triangle
+        bad = (np.diag(h) ** 2 <= _DEP_TOL * self.G[run, run]).nonzero()[0]
+        k = int(bad[0]) if bad.size else len(run)
+        if k:
+            R = (h[:k, :k] * self.lower[:k, :k]).T
+            self._Li[:k, :k] = np.linalg.inv(R).T
+            self._GS[:k] = self.G[run[:k]]
+            self.rows = run[:k]
+        for j in rows[k:]:
             self.admit(j)
 
     def append(self, j: int, r: np.ndarray, d2: float) -> None:
@@ -356,7 +352,7 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
         return QpSolution(z, float(0.5 * z @ p.H @ z + p.f @ z), status,
                           _residuals(p, z, lam_all), it, tuple(sorted(ws.rows)))
 
-    ws = _WorkingSet(factor.G, min(c.size, z_u.size))
+    ws = _WorkingSet(factor, min(c.size, z_u.size))
     if start:
         ws.admit_all(start)
     lam = ws.solve(c[ws.rows]) if ws.rows else np.zeros(0)

@@ -86,12 +86,18 @@ def _check_stabilizable(A: np.ndarray, B: np.ndarray) -> None:
                 )
 
 
+def psd_sqrt(M: np.ndarray, name: str) -> np.ndarray:
+    """The symmetric square root of the weight M (its symmetric part);
+    raises, naming it, when M is not positive semidefinite."""
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    if w.min() < -1e-10:
+        raise ModelConfigError(f"{name} must be positive semidefinite")
+    return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
+
+
 def _check_observable_sqrtQ(A: np.ndarray, Q: np.ndarray) -> None:
     n = A.shape[0]
-    w, V = np.linalg.eigh(0.5 * (Q + Q.T))
-    if w.min() < -1e-10:
-        raise ModelConfigError("Q must be positive semidefinite")
-    C = V @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ V.T
+    C = psd_sqrt(Q, "Q")
     obs = np.vstack([C @ np.linalg.matrix_power(A, k) for k in range(n)])
     if _rank(obs) < n:
         raise ModelConfigError("(Q^1/2, A) is not observable")

@@ -112,7 +112,7 @@ class TestBuildController:
                                     ingredients, mpc.MpcConfig())
         factor, tail = ctrl.qp_factor, ctrl._theta_tail
         kept = [(ctrl, name) for name in ("step_map", "H", "A_in", "readout_y")]
-        kept += [(factor, name) for name in ("theta_map", "B", "neg_H_inv", "HinvAt", "G")]
+        kept += [(factor, name) for name in ("theta_map", "B", "M", "neg_H_inv", "HinvAt", "G")]
         before = [(getattr(owner, name), getattr(owner, name).copy()) for owner, name in kept]
         c50 = ctrl.zs.c
         ctrl.retarget(45.0)
@@ -123,18 +123,21 @@ class TestBuildController:
 
     def test_cost_at_zero_plan_is_the_stage_cost_sum(self, disc, patient, gain, v_box,
                                                      ingredients):
-        # theta'W theta, the cost the reported cost adds to the QP objective,
-        # against the stage costs summed directly for the zero plan y = 0:
-        # v_k = 0 and v_a = p0 c, for random states and targets; an offset
-        # b != 0 puts a term on theta's constant entry
+        # the cost's residual rows, read off at the zero plan y = 0 (v_k = 0
+        # and v_a = p0 c) as a step reads them at its solution: their sum of
+        # squares against the stage costs summed directly, for random
+        # states and targets; an offset b != 0 puts a term on theta's
+        # constant entry
         ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS, ingredients,
                                     mpc.MpcConfig(vd=mpc.VdSpec(offset=0.5)))
-        cfg, W = ctrl.cfg, ctrl.step_map[ctrl._cost_rows]
+        cfg, zero = ctrl.cfg, np.zeros(ctrl.ny)
         rng = np.random.default_rng(5)
         for _ in range(20):
             ctrl.retarget(rng.uniform(40.0, 55.0))
             x = rng.uniform(0.0, 10.0, size=4) * rng.uniform(size=4).round()
             theta = np.concatenate([x, ctrl._theta_tail])
+            r = ctrl.read_out(zero, qp.ParametricQp(ctrl.qp_factor, theta,
+                                                    ctrl.step_map @ theta))[ctrl._cost_rows]
             v_a = ctrl.p0 * ctrl.zs.c
             x_a = ctrl.T @ v_a
             cost = offset_cost(cfg.vd, v_a)
@@ -142,7 +145,7 @@ class TestBuildController:
                 cost += (x - x_a) @ cfg.Q @ (x - x_a) + v_a @ cfg.R @ v_a
                 x = disc.A_f @ x
             cost += (x - x_a) @ ingredients.P @ (x - x_a)
-            assert theta @ W @ theta == pytest.approx(cost, rel=1e-12, abs=0.0)
+            assert r @ r == pytest.approx(cost, rel=1e-12, abs=0.0)
 
     def test_prediction_maps_match_the_blockwise_products(self, disc, patient, gain, v_box,
                                                           ingredients, controller, monkeypatch):
@@ -580,24 +583,32 @@ class TestQpReuse:
         assert all(s.status == "optimal" for s in solutions)
         assert [k for k, s in enumerate(solutions) if k >= 30 and s.active_set] == []
 
-    def test_reported_cost_matches_direct_recomputation(self, reference_run, disc,
-                                                         ingredients, zs):
-        # the QP objective plus theta'W theta, against the tracking cost
-        # summed stage by stage from each step's solution y = (v, t)
-        log, _, solutions = reference_run
-        cfg = mpc.MpcConfig()
-        N, g = cfg.N, zs.g_eff
-        p0, d = g / (g @ g), np.array([-g[1], g[0]]) / np.linalg.norm(g)
-        for k, sol in enumerate(solutions):
-            v = sol.z[:2 * N].reshape(N, 2)
-            v_a = p0 * zs.c + d * sol.z[2 * N]
-            x_a = np.linalg.solve(np.eye(4) - disc.A_f, disc.B @ v_a)
-            x, cost = log.x_f[k], offset_cost(cfg.vd, v_a)
-            for v_k in v:
-                cost += (x - x_a) @ cfg.Q @ (x - x_a) + (v_k - v_a) @ cfg.R @ (v_k - v_a)
-                x = disc.A_f @ x + disc.B @ v_k
-            cost += (x - x_a) @ ingredients.P @ (x - x_a)
-            assert log.cost[k] == pytest.approx(cost, rel=1e-9, abs=0.0), k
+    def test_reported_cost_matches_direct_recomputation(self, recorded_runs):
+        # on the reference run and the setpoint schedule, the sum of squares
+        # of the read-out's residual rows against the tracking cost summed
+        # stage by stage in long double from each step's state, solution
+        # y = (v, t) and target c
+        ld = np.longdouble
+        for run, (ctrl, log, reads, _) in recorded_runs.items():
+            cfg, P, N = ctrl.cfg, ctrl.ing.P.astype(ld), ctrl.N
+            A, B = ctrl.disc.A_f.astype(ld), ctrl.disc.B.astype(ld)
+            g = ctrl.zs.g_eff.astype(ld)
+            p0, d = g / (g @ g), np.array([-g[1], g[0]]) / np.sqrt(g @ g)
+            I_A = np.eye(4, dtype=ld) - A
+            a, b, q = np.asarray(cfg.vd.coeffs, ld), ld(cfg.vd.offset), ld(cfg.vd.weight)
+            assert len(reads) == len(log)
+            for k, (x0, y, _, c) in enumerate(reads):
+                y = y.astype(ld)
+                v_a = p0 * ld(c) + d * y[2 * N]
+                # x_a = (I - A)^-1 B v_a, with one refinement step in long double
+                x_a = np.linalg.solve(I_A.astype(float), (B @ v_a).astype(float)).astype(ld)
+                x_a += np.linalg.solve(I_A.astype(float), (B @ v_a - I_A @ x_a).astype(float))
+                x, cost = x0.astype(ld), q * (a @ v_a - b) ** 2
+                for v_k in y[:2 * N].reshape(N, 2):
+                    cost += (x - x_a) @ cfg.Q @ (x - x_a) + (v_k - v_a) @ cfg.R @ (v_k - v_a)
+                    x = A @ x + B @ v_k
+                cost += (x - x_a) @ P @ (x - x_a)
+                assert log.cost[k] == pytest.approx(float(cost), rel=1e-12, abs=0.0), (run, k)
 
     def test_steady_steps_factor_nothing(self, disc, patient, gain, v_box, ingredients,
                                          monkeypatch):
@@ -605,7 +616,7 @@ class TestQpReuse:
         # iterations: their solves factor nothing, solve nothing with the
         # (empty) working set and allocate no working-set buffers
         calls, per_solve = [], []
-        cholesky, ws_solve, solve = np.linalg.cholesky, qp._WorkingSet.solve, qp.qp_solve
+        qr, ws_solve, solve = np.linalg.qr, qp._WorkingSet.solve, qp.qp_solve
         allocate = qp._WorkingSet._allocate
 
         def counted_solve(*args, **kwargs):
@@ -614,8 +625,7 @@ class TestQpReuse:
             per_solve.append((sol, list(calls)))
             return sol
 
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda *a, **kw: calls.append("cholesky") or cholesky(*a, **kw))
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append("qr") or qr(*a, **kw))
         monkeypatch.setattr(qp._WorkingSet, "solve",
                             lambda ws, v: calls.append("solve") or ws_solve(ws, v))
         monkeypatch.setattr(qp._WorkingSet, "_allocate",
@@ -626,10 +636,35 @@ class TestQpReuse:
         sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0)
         assert len(per_solve) == 120
         # the counters see the cold first solve
-        assert "solve" in per_solve[0][1] and per_solve[0][1].count("allocate") == 1
+        assert per_solve[0][1].count("qr") == per_solve[0][1].count("allocate") == 1
+        assert "solve" in per_solve[0][1]
         steady = per_solve[30:]
         assert all(sol.iterations == 0 and not sol.active_set for sol, _ in steady)
         assert [k for k, (_, seen) in enumerate(per_solve) if k >= 30 and seen] == []
+
+    def test_cold_first_solve_factors_once(self, disc, patient, gain, v_box, ingredients,
+                                           monkeypatch):
+        # the reference run's cold first solve, from rest, admits its 25-row
+        # leading run from one QR factor of the run's square-root rows
+        # and one inverse, forms no Cholesky factor and takes 8 iterations
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                    ingredients, mpc.MpcConfig())
+        calls, singles = {}, []
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                def counting(*args, _name=name, _fn=fn, **kwargs):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(np.linalg, name, counting)
+        admit = qp._WorkingSet.admit
+        monkeypatch.setattr(qp._WorkingSet, "admit",
+                            lambda ws, j: singles.append(len(ws.rows)) or admit(ws, j))
+        out = ctrl.control_step(np.zeros(4), np.zeros(4))
+        assert calls == {"qr": 1, "inv": 1}
+        assert singles[0] == 25  # the rows after the run go in one at a time
+        assert out.qp_iterations == 8
 
 
 @pytest.fixture(scope="module")

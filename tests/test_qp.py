@@ -402,8 +402,8 @@ class RefactorWorkingSet:
     factors the block of G over S from scratch, and the add loop copies
     G[:, S]."""
 
-    def __init__(self, G, cap=None):
-        self.G, self.rows, self.Li = G, [], np.zeros((0, 0))
+    def __init__(self, factor, cap=None):
+        self.G, self.rows, self.Li = factor.G, [], np.zeros((0, 0))
 
     @property
     def cols(self):
@@ -519,7 +519,8 @@ class TestWorkingSetBuffers:
         rng = np.random.default_rng(7)
         p = random_qp(rng, n=30, q=60)
         A = np.vstack([p.A_in, p.A_in[:10], p.A_in[:5] + p.A_in[5:10]])  # 20 dependent rows
-        G = QpFactor(p.H, A).G
+        factor = QpFactor(p.H, A)
+        G = factor.G
         q = A.shape[0]
         seen = {"front": 0, "end": 0, "middle": 0, "fallback": 0, "full": 0}
 
@@ -531,7 +532,7 @@ class TestWorkingSetBuffers:
             assert np.array_equal(ws.cols, G[:, S])
 
         for trial in range(30):
-            ws = qp._WorkingSet(G, min(q, 30))
+            ws = qp._WorkingSet(factor, min(q, 30))
             start = list(rng.choice(q, size=int(rng.integers(1, 12)), replace=False))
             ws.admit_all(start)
             if len(ws.rows) < len(start):
@@ -608,25 +609,19 @@ class TestColdStart:
         return calls
 
     def test_bulk_start_matches_empty_start_and_enumeration(self, monkeypatch):
-        # the start's first Cholesky factor raises (bisection), stops at a
-        # failed pivot or takes every row; each gives the optimum of a
-        # solve from an empty working set and of the enumeration of
-        # active sets
+        # the start's QR factor ends its run at a failing pivot or takes
+        # every row; each gives the optimum of a solve from an empty
+        # working set and of the enumeration of active sets
         firsts = []
 
         def first_factor(ws, rows, admit_all=qp._WorkingSet.admit_all):
             run = rows[:ws.cap]
-            if run:
-                try:
-                    L = np.linalg.cholesky(ws.G[np.ix_(run, run)])
-                except np.linalg.LinAlgError:
-                    firsts.append("raised")
-                else:
-                    passed = np.all(np.diag(L) ** 2 > qp._DEP_TOL * ws.G[run, run])
-                    firsts.append("every row" if passed else "failed pivot")
+            R = np.linalg.qr(ws.M[run].T, mode="r")
+            passed = np.all(np.diag(R) ** 2 > qp._DEP_TOL * ws.G[run, run])
+            firsts.append("every row" if passed else "failed pivot")
             admit_all(ws, rows)
 
-        paths = {"raised": 0, "failed pivot": 0, "every row": 0}
+        paths = {"failed pivot": 0, "every row": 0}
         for base, p in violated_at_z_u(seed=17):
             ref_obj = enumerate_active_sets(base)[0]
             with monkeypatch.context() as mp:
@@ -669,8 +664,9 @@ class TestColdStart:
     def test_forty_drops_keep_the_factor_and_columns(self):
         rng = np.random.default_rng(23)
         p = random_qp(rng, n=50, q=60)
-        G = QpFactor(p.H, p.A_in).G
-        ws = qp._WorkingSet(G, 50)
+        factor = QpFactor(p.H, p.A_in)
+        G = factor.G
+        ws = qp._WorkingSet(factor, 50)
         ws.admit_all(rng.permutation(60)[:45].tolist())
         assert len(ws.rows) == 45
         for _ in range(40):
@@ -682,21 +678,21 @@ class TestColdStart:
         assert len(ws.rows) == 5
 
     def test_linalg_calls_and_the_leading_run(self, monkeypatch):
-        # whether its first factor takes every row, stops at a failed pivot
-        # or raises, a start admits the longest leading run that factors at
-        # once and only the rows after it one at a time, with at most
-        # ceil(log2 k) + 1 Cholesky factorisations of its k rows and one
-        # inverse; drops call no numpy.linalg routine
+        # whether its run takes every row or ends at a failed pivot, a start
+        # admits the longest leading run that factors at once and only the
+        # rows after it one at a time, from one QR factorisation of its
+        # rows and one inverse; drops call no numpy.linalg routine
         rng = np.random.default_rng(29)
         p = random_qp(rng, n=30, q=40)
         A = np.vstack([p.A_in, p.A_in[:10], 2.0 * p.A_in[10:20],
                        p.A_in[20:30] + p.A_in[30:40]])  # 30 dependent rows
-        G = QpFactor(p.H, A).G
+        factor = QpFactor(p.H, A)
+        G = factor.G
         admits = TestHotStart.count_admits(monkeypatch)
         calls = self.count_linalg(monkeypatch)
-        seen = {"every row": 0, "failed pivot": 0, "raised": 0}
+        seen = {"every row": 0, "failed pivot": 0}
         for _ in range(130):
-            ws = qp._WorkingSet(G, 30)
+            ws = qp._WorkingSet(factor, 30)
             rows = rng.permutation(70)[:int(rng.integers(2, 40))].tolist()
             n, _ = leading_run(G, rows[:30])
             calls.clear()
@@ -704,11 +700,8 @@ class TestColdStart:
             ws.admit_all(rows)
             assert ws.rows[:n] == rows[:n]
             assert admits == rows[n:]
-            assert set(calls) <= {"cholesky", "inv"}
-            assert calls["cholesky"] <= int(np.ceil(np.log2(len(rows)))) + 1
-            assert calls.get("inv", 0) == (n > 0)
-            seen["every row" if n == min(len(rows), 30)
-                 else "failed pivot" if calls["cholesky"] == 1 else "raised"] += 1
+            assert calls == ({"qr": 1, "inv": 1} if n else {"qr": 1})
+            seen["every row" if n == min(len(rows), 30) else "failed pivot"] += 1
             while ws.rows:
                 calls.clear()
                 ws.remove(int(rng.integers(len(ws.rows))))
@@ -717,14 +710,17 @@ class TestColdStart:
 
 
 class TwoSolveFactor(QpFactor):
-    """QpFactor with -H^-1 and H^-1 A' from one pair of triangular solves
-    over [I, A'], the form before the single inverse, as its reference."""
+    """QpFactor with the square-root rows M = A L^-T, -H^-1 and H^-1 A'
+    from one pair of triangular solves over [I, A'], the form before the
+    single inverse, as its reference."""
 
     def __init__(self, H, A_in, F=None, B=None):
         super().__init__(H, A_in, F, B)
         n = len(H)
         L = np.linalg.cholesky(self.H)
-        X = np.linalg.solve(L.T, np.linalg.solve(L, np.hstack([np.eye(n), A_in.T])))
+        Y = np.linalg.solve(L, np.hstack([np.eye(n), A_in.T]))
+        X = np.linalg.solve(L.T, Y)
+        self.M = Y[:, n:].T
         self.neg_H_inv, self.HinvAt = -X[:, :n], X[:, n:]
         self.G = A_in @ self.HinvAt
         self.G = 0.5 * (self.G + self.G.T)
@@ -765,7 +761,7 @@ class TestQpFactor:
         problems.append((M @ M.T, rng.normal(size=(12, 8))))
         for H, A in problems:
             new, ref = QpFactor(H, A), TwoSolveFactor(H, A)
-            for name in ("neg_H_inv", "HinvAt", "G"):
+            for name in ("M", "neg_H_inv", "HinvAt", "G"):
                 got, want = getattr(new, name), getattr(ref, name)
                 assert got.flags.c_contiguous, name
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
