@@ -31,17 +31,17 @@ entry of theta. One product of the step map with theta gives f, the
 unconstrained minimiser z_u = -H^-1 f (refined once when the map is
 built), the row residuals A_in z_u - b_in and everything the step reads
 off its solution at y = z_u. The read-out is v_a, x_a, the predicted
-states, the terminal-law input that closes the warm start, the rows the
-output check compares with one stacked bound vector (v_0 against the
-tightened box, the terminal pair against X_a) and r, so the reported
-cost is r . r, a sum of squares with nothing to cancel. When z_u meets
-every row, as in most steps, the solve returns it, and the step is that
-product, a max over the residuals, the stationarity and the output
-checks. Otherwise the solve runs its start rule and dual loop from the
-same z_u and residuals, forms b_in, the read-out adds the read-out
-matrix times y - z_u to its rows of the product, and v_0, held on a
-bound of V by a working row, is clipped into V against rounding. The
-applied input u = v_0 + D x_s is formed apart from the read-out.
+states, the terminal-law input that closes the warm start and r, so the
+reported cost is r . r, a sum of squares with nothing to cancel. The
+output check reads the QP's own row residuals A_in y - b_in. When z_u
+meets every row, as in most steps, the solve returns it, and the step is
+that product, a max over the residuals, the stationarity and the output
+checks on the same residuals. Otherwise the solve runs its start rule
+and dual loop from the same z_u and residuals, forms b_in, the read-out
+adds the read-out matrix times y - z_u to its rows of the product, the
+check forms A_in y - b_in, and v_0, held on a bound of V by a working
+row, is clipped into V against rounding. The applied input
+u = v_0 + D x_s is formed apart from the read-out.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .terminal import TerminalIngredients, controllability_index, psd_sqrt, tigh
 logger = logging.getLogger(__name__)
 
 EQ_TOL = 1e-8
-TERMINAL_TOL = 1e-8
 CLAMP_TOL = 1e-12  # clip of the applied input beyond which it is reported
 
 
@@ -244,33 +243,26 @@ class Controller:
 
         # rows: the box on v_0 .. v_{N-1}, then X_a (which bounds v_a), each
         # a row over (w, 1) that must be <= 0; the rhs b = B theta
-        F_xa, g_xa = ingredients.X_a.F, ingredients.X_a.g
-        Fx, Fv = F_xa[:, :n], F_xa[:, n:]
+        Fx, Fv = np.split(ingredients.X_a.F, [n], axis=1)
         box = np.eye(mN, n + mN + m, n)
         rows = np.vstack([box, -box, np.hstack([Fx @ A_N, Fx @ S_N, Fv])])
-        bound = np.concatenate([np.tile(V.upper, N), -np.tile(V.lower, N), g_xa])
+        bound = np.concatenate([np.tile(V.upper, N), -np.tile(V.lower, N), ingredients.X_a.g])
         A_theta = y_theta(rows, -bound)
         self.A_in = A_theta[:, :ny]
         self.qp_factor = qp.QpFactor(self.H, self.A_in, F=F, B=-A_theta[:, ny:])
 
         # read-out, over w: v_a, x_a, x_0 .. x_N, the terminal-law input
-        # K (x_N - T v_a) + v_a, the checked rows, those of v_0, -v_0 and
-        # X_a at the terminal pair, then the cost's residual rows
+        # K (x_N - T v_a) + v_a, then the cost's residual rows
         K = ingredients.K
-        checked = np.r_[0:m, mN:mN + m, 2 * mN:len(rows)]
         blocks = [np.eye(m, n + mN + m, n + mN),
                   np.hstack([np.zeros((n, n + mN)), self.T]),
                   np.hstack([Gx, S, np.zeros((len(Gx), m))]),
-                  np.hstack([K @ A_N, K @ S_N, np.eye(m) - K @ self.T]),
-                  rows[checked]]
+                  np.hstack([K @ A_N, K @ S_N, np.eye(m) - K @ self.T])]
         readout = np.vstack([y_theta(np.vstack(blocks)), residual])
         self.readout_y = readout[:, :ny]
         ends = np.cumsum([len(b) for b in blocks] + [len(residual)])
-        (self._va_rows, self._xa_rows, self._x_rows, self._tail_rows, self._checked_rows,
+        (self._va_rows, self._xa_rows, self._x_rows, self._tail_rows,
          self._cost_rows) = (slice(a, b) for a, b in zip([0, *ends[:-1]], ends))
-        # bounds of the checked rows: the tightened box, then X_a
-        self.checked_bound = np.concatenate([V.upper + EQ_TOL, -(V.lower - EQ_TOL),
-                                             g_xa + TERMINAL_TOL])
 
         # the step map: theta -> (f, z_u, c) of the QP family, then the
         # read-out at y = z_u
@@ -351,8 +343,9 @@ class Controller:
         self._warm = w
         r = out[self._cost_rows]
         cost = float(r @ r)
-        self._validate_output(v0, v_a, out[self._checked_rows])
-        if y is not problem.z_u:
+        at_z_u = y is problem.z_u
+        self._validate_output(y, v_a, problem.c if at_z_u else self.A_in @ y - problem.b_in)
+        if not at_z_u:
             # working rows hold v_0 on a bound of V, which rounding can leave
             np.clip(v0, self.V.lower, self.V.upper, out=v0)
 
@@ -370,18 +363,22 @@ class Controller:
             cost=cost, solver_status=sol.status, qp_iterations=sol.iterations,
         )
 
-    def _validate_output(self, v0, v_a, checked) -> None:
-        """One comparison of the checked rows (v_0, -v_0, the X_a rows at the
-        terminal pair) with their bounds, and the steady line at self.zs."""
-        outside = checked > self.checked_bound
+    def _validate_output(self, y, v_a, residuals) -> None:
+        """The plan y against every row of its QP, from the row residuals
+        A_in y - b_in (the box on each v_k, then X_a at the terminal pair),
+        and v_a against the steady line at self.zs, each to EQ_TOL. A box
+        row is named first: a v_k outside the box also moves the pair."""
         off_line = abs(self.zs.g_eff @ v_a - self.zs.c) > EQ_TOL
-        if not (off_line or outside.any()):
+        if not (off_line or residuals.max() > EQ_TOL):
             return
-        if outside[:2 * self.m].any():
-            raise SolverInfeasibleError(f"tracking input {v0} left the tightened box")
+        m, mN = self.m, self.m * self.N
+        if (box := residuals[:2 * mN] > EQ_TOL).any():
+            k = int(box.argmax()) % mN // m
+            raise SolverInfeasibleError(
+                f"tracking input v_{k} = {y[k * m:(k + 1) * m]} left the tightened box")
         if off_line:
             raise SolverInfeasibleError("steady-output equality violated at the optimum")
-        slack = checked[2 * self.m:] - self.ing.X_a.g
+        slack = residuals[2 * mN:]
         worst = int(np.argmax(slack))
         raise SolverInfeasibleError(
             f"terminal pair violates invariant-set row {worst} by {slack[worst]:.3g}"

@@ -150,11 +150,11 @@ def _check_invariance_lp(bundle, shared) -> tuple[bool, str]:
 
 
 def _check_qp_oracle(bundle, shared) -> tuple[bool, str]:
-    for trial, (sol, best) in enumerate(qp.oracle_trials(seed=2)):
+    for trial, (problem, sol, best) in enumerate(qp.oracle_trials(seed=2)):
         if sol.status != "optimal" or sol.kkt_residuals.max() > 1e-8:
             return False, f"trial {trial}: status {sol.status}"
-        if abs(sol.objective - best) > 1e-6:
-            return False, f"trial {trial}: objective off by {abs(sol.objective - best):.2e}"
+        if (off := abs(qp.objective(problem, sol.z) - best)) > 1e-6:
+            return False, f"trial {trial}: objective off by {off:.2e}"
     return True, "100 random QPs match enumeration to 1e-6"
 
 

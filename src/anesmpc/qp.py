@@ -60,16 +60,16 @@ does not, as in most MPC steps, the solve returns z_u with 0 iterations
 and S empty: no buffer is allocated, nothing is factorised and no
 working-set algebra runs. Its KKT residuals come from what it already
 holds: the primal residual is max c, the multipliers and
-complementarity are exactly 0, and only the stationarity g = H z + f is
-formed, which also gives the objective z'(g + f)/2. A solve that ends
-with working rows recomputes every residual from (z, lam).
+complementarity are exactly 0, and only the stationarity H z + f is
+formed. A solve that ends with working rows recomputes every residual
+from (z, lam). No solve forms the objective (see :func:`objective`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,14 +121,13 @@ class KktResiduals:
 @dataclass(frozen=True)
 class QpSolution:
     z: np.ndarray | None
-    objective: float
     status: str  # "optimal" | "infeasible" | "max_iter"
     kkt_residuals: KktResiduals | None
     iterations: int = 0
     active_set: tuple = ()
     # on "infeasible": (row, violation) of the row that cannot be met, then
     # (row, weight) of each working row blocking it; rows are named "A_in[i]"
-    infeasibility_report: list = field(default_factory=list)
+    infeasibility_report: tuple = ()
 
 
 class QpFactor:
@@ -311,7 +310,8 @@ def _residuals(p: QpProblem | ParametricQp, z: np.ndarray, lam: np.ndarray) -> K
 
 def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
              max_iter: int = 500) -> QpSolution:
-    """Solve the QP; on "optimal" all KKT residuals are <= 1e-8.
+    """Solve the QP; on "optimal" all KKT residuals are <= 1e-8. The
+    solution holds neither p nor its objective (see :func:`objective`).
 
     A plain QpProblem is solved as the plain family's QP at theta = (f, b),
     on a factor built here. A ParametricQp brings its family, z_u and row
@@ -332,11 +332,10 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
     factor, z_u, c = p.factor, p.z_u, p.c
     top = c.max(initial=0.0)
     if top <= _FEAS_TOL:
-        # z_u is the optimum: its primal residual is top, lam = 0 leaves
-        # only the stationarity g = H z + f, and the objective is z'(g + f)/2
-        g = p.H @ z_u + p.f
-        kkt = KktResiduals(float(np.abs(g).max(initial=0.0)), float(top), 0.0)
-        return QpSolution(z_u, float(0.5 * z_u @ (g + p.f)), "optimal", kkt)
+        # z_u is the optimum: its primal residual is top, and lam = 0
+        # leaves only the stationarity H z + f
+        g = float(np.abs(p.H @ z_u + p.f).max(initial=0.0))
+        return QpSolution(z_u, "optimal", KktResiduals(g, float(top), 0.0))
     if warm_start is None:
         start = (c > _FEAS_TOL).nonzero()[0].tolist()
     else:
@@ -349,8 +348,7 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
         lam_all[rows] = np.concatenate([lam, [t for _, t in extra]])
         z = z_u - factor.HinvAt @ lam_all
         np.maximum(lam_all, 0.0, out=lam_all)
-        return QpSolution(z, float(0.5 * z @ p.H @ z + p.f @ z), status,
-                          _residuals(p, z, lam_all), it, tuple(sorted(ws.rows)))
+        return QpSolution(z, status, _residuals(p, z, lam_all), it, tuple(sorted(ws.rows)))
 
     ws = _WorkingSet(factor, min(c.size, z_u.size))
     if start:
@@ -394,9 +392,9 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
                 # independent of its subsets: j was dependent at every step,
                 # which left its violation at viol[j] (res_j only sums d2
                 # rounding over those steps)
-                return QpSolution(None, np.inf, "infeasible", None, it, infeasibility_report=[
-                    (f"A_in[{j}]", float(viol[j]))] + [
-                    (f"A_in[{row}]", float(w)) for row, w in zip(ws.rows, r) if abs(w) > floor])
+                return QpSolution(None, "infeasible", None, it, infeasibility_report=(
+                    (f"A_in[{j}]", float(viol[j])),
+                    *((f"A_in[{row}]", float(w)) for row, w in zip(ws.rows, r) if abs(w) > floor)))
             step = min(step_full, step_drop)
             lam, t, res_j = lam - step * r, t + step, res_j - step * d2
             if step_full <= step_drop:
@@ -406,6 +404,11 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
             drop = int(pos[ratios.argmin()])
             ws.remove(drop)
             lam = np.delete(lam, drop)
+
+
+def objective(p: QpProblem | ParametricQp, z: np.ndarray) -> float:
+    """The objective 0.5 z'Hz + f'z of the QP p at z."""
+    return float(0.5 * z @ p.H @ z + p.f @ z)
 
 
 def enumerate_active_sets(p: QpProblem) -> tuple[float, np.ndarray | None]:
@@ -426,16 +429,15 @@ def enumerate_active_sets(p: QpProblem) -> tuple[float, np.ndarray | None]:
                 continue
             if np.any(p.A_in @ z > p.b_in + 1e-8):
                 continue
-            obj = float(0.5 * z @ p.H @ z + p.f @ z)
-            if obj < best_obj - 1e-12:
+            if (obj := objective(p, z)) < best_obj - 1e-12:
                 best_obj, best_z = obj, z
     return best_obj, best_z
 
 
 def oracle_trials(seed: int, trials: int = 100):
-    """Yield (qp_solve solution, enumerated optimal objective) for random
-    strictly convex QPs with 2-6 variables and 0-3 rows around
-    a feasible point."""
+    """Yield (problem, qp_solve solution, enumerated optimal objective) for
+    random strictly convex QPs with 2-6 variables and 0-3 rows around a
+    feasible point."""
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         n = int(rng.integers(2, 7))
@@ -447,4 +449,4 @@ def oracle_trials(seed: int, trials: int = 100):
         A_in = rng.normal(size=(nq, n))
         b_in = A_in @ z0 + rng.uniform(0.1, 1.0, nq)
         problem = QpProblem(H, f, A_in=A_in, b_in=b_in)
-        yield qp_solve(problem), enumerate_active_sets(problem)[0]
+        yield problem, qp_solve(problem), enumerate_active_sets(problem)[0]

@@ -78,6 +78,9 @@ class TestBuildController:
         # no rows of its own on v_a: X_a bounds it to the lambda box
         expected_rows = 4 * N + ingredients.X_a.nrows
         assert controller.A_in.shape == (expected_rows, 49) == (140, 49)
+        # theta -> (f, z_u, c) then the read-out; no row of A_in is read out
+        assert controller.readout_y.shape == (257, 49)
+        assert controller.step_map.shape == (49 + 49 + 140 + 257, 6) == (495, 6)
         assert zs.g_eff @ controller.d == pytest.approx(0.0, abs=1e-15)
         assert zs.g_eff @ controller.p0 == pytest.approx(1.0, abs=1e-15)
 
@@ -406,6 +409,15 @@ class TestValidateOutput:
         self.doctor(monkeypatch, edit)
         self.step_fails(ctrl, "left the tightened box")
 
+    def test_later_input_outside_tightened_box(self, ctrl, v_box, monkeypatch):
+        # every v_k is checked, not only the applied v_0
+        def edit(z):
+            assert np.all(z[:2] <= v_box.upper + mpc.EQ_TOL)
+            z[10:12] = v_box.upper + 1e-6
+
+        self.doctor(monkeypatch, edit)
+        self.step_fails(ctrl, r"tracking input v_5 = .* left the tightened box")
+
     def test_terminal_pair_outside_invariant_set(self, ctrl, monkeypatch):
         # t moves v_a along the steady line, far past the box X_a allows
         def edit(z):
@@ -589,7 +601,7 @@ class TestQpReuse:
         # stage by stage in long double from each step's state, solution
         # y = (v, t) and target c
         ld = np.longdouble
-        for run, (ctrl, log, reads, _) in recorded_runs.items():
+        for run, (ctrl, log, reads, _, _) in recorded_runs.items():
             cfg, P, N = ctrl.cfg, ctrl.ing.P.astype(ld), ctrl.N
             A, B = ctrl.disc.A_f.astype(ld), ctrl.disc.B.astype(ld)
             g = ctrl.zs.g_eff.astype(ld)
@@ -671,9 +683,11 @@ class TestQpReuse:
 def recorded_runs():
     """The 600 s reference run and the benchmark's set-point schedule on
     the shipped files, keeping every read-out (x0, y, result, c at the
-    step, from theta's tail) and every QP (problem, solution)."""
+    step, from theta's tail), every QP (problem, solution) and every row
+    residual vector the output check reads."""
     workloads = bench_module("workloads")
     read_out, solve = mpc.Controller.read_out, qp.qp_solve
+    validate = mpc.Controller._validate_output
     runs = {}
 
     def recording_read_out(ctrl, y, p):
@@ -686,52 +700,56 @@ def recorded_runs():
         solves.append((p, solve(p, *args, **kwargs)))
         return solves[-1][1]
 
+    def recording_validate(ctrl, y, v_a, residuals):
+        checks.append(residuals.copy())
+        validate(ctrl, y, v_a, residuals)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mpc.Controller, "read_out", recording_read_out)
         mp.setattr(qp, "qp_solve", recording_solve)
+        mp.setattr(mpc.Controller, "_validate_output", recording_validate)
         for name, episode in (
                 ("reference", lambda b: pipeline.closed_loop(b, 600.0)),
                 ("setpoint", lambda b: workloads.setpoint_episode(
                     b, workloads.SETPOINT_SCHEDULE, workloads.SETPOINT_S))):
-            reads, solves = [], []
+            reads, solves, checks = [], [], []
             bundle = pipeline.build_bundle(patient_path(), controller_path())
             log = episode(bundle)
-            runs[name] = bundle.controller, log, reads, solves
+            runs[name] = bundle.controller, log, reads, solves, checks
     return runs
 
 
 class TestReadOut:
     @pytest.mark.parametrize("run", ["reference", "setpoint"])
     def test_read_out_matches_direct_formulas(self, recorded_runs, run):
-        # each block of the one precomputed product against its formula
-        ctrl, log, reads, _ = recorded_runs[run]
-        assert len(reads) == len(log) == {"reference": 120, "setpoint": 1440}[run]
+        # each block of the one precomputed product against its formula, and
+        # the row residuals the output check reads against A_in y - b_in
+        ctrl, log, reads, solves, checks = recorded_runs[run]
+        assert len(reads) == len(solves) == len(checks) == len(log)
+        assert len(log) == {"reference": 120, "setpoint": 1440}[run]
         n, mN = ctrl.n, ctrl.m * ctrl.N
         K, T = ctrl.ing.K, ctrl.T
         Gx, S = mpc.prediction_maps(ctrl.disc.A_f, ctrl.disc.B, ctrl.N)
-        F_xN, F_va = ctrl.ing.X_a.F[:, :n], ctrl.ing.X_a.F[:, n:]
 
         def close(got, want):
             return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-        for k, (x0, y, out, c) in enumerate(reads):
+        for k, ((x0, y, out, c), (p, _), residuals) in enumerate(zip(reads, solves, checks)):
             v_a = ctrl.p0 * c + ctrl.d * y[mN]
             xs = Gx @ x0 + S @ y[:mN]
             x_N = xs[-n:]
-            checked = out[ctrl._checked_rows]
             assert close(out[ctrl._va_rows], v_a), k
             assert close(out[ctrl._x_rows], xs), k
             assert close(out[ctrl._xa_rows], T @ v_a), k
             assert close(out[ctrl._tail_rows], K @ (x_N - T @ v_a) + v_a), k
-            assert close(checked[2 * ctrl.m:], F_xN @ x_N + F_va @ v_a), k
-            assert close(checked[:2 * ctrl.m], np.concatenate([y[:ctrl.m], -y[:ctrl.m]])), k
             assert np.array_equal(log.v_a[k], out[ctrl._va_rows]), k
+            assert close(residuals, ctrl.A_in @ y - p.b_in), k
 
     @pytest.mark.parametrize("run", ["reference", "setpoint"])
     def test_empty_working_set_reports_its_own_residuals(self, recorded_runs, run):
         # a solve that ends with no working row reports, from c and H z,
         # the residuals the full recomputation gives at (z, 0)
-        _, _, _, solves = recorded_runs[run]
+        _, _, _, solves, _ = recorded_runs[run]
         empty = [(p, sol) for p, sol in solves if not sol.active_set]
         assert len(empty) >= {"reference": 90, "setpoint": 1380}[run]
         for p, sol in empty:
@@ -744,7 +762,7 @@ class TestStepMap:
 
     @pytest.mark.parametrize("run", ["reference", "setpoint"])
     def test_z_u_and_residuals_match_a_direct_solve(self, recorded_runs, run):
-        _, log, _, solves = recorded_runs[run]
+        _, log, _, solves, _ = recorded_runs[run]
         assert len(solves) == len(log)
         for k, (p, sol) in enumerate(solves):
             z_u = np.linalg.solve(p.H, -p.f)
