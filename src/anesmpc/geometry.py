@@ -13,11 +13,13 @@ feasibility step is the Chebyshev-centre LP, which lets the radius go
 negative until w = 0 meets every row. The simplex keeps a dictionary
 tableau: one column per nonbasic variable (2n of them for the split free
 variables) plus the rhs, with the basic columns, always unit vectors,
-left implicit. Dantzig pricing breaks ties by the lowest variable index
-and falls back to Bland's rule after a fixed number of pivots to break
-cycling; feasibility and optimality tolerances are both 1e-9. Every LP
-runs to its optimum or to a ray that shows it unbounded, and returns that
-point or the ray's direction.
+left implicit. Every pivot follows Bland's rule, which cannot cycle: the
+entering variable is the improving one (reduced cost below -OPT_TOL) of
+lowest variable index, and of the rows tied in the ratio test the one
+whose basic variable has the lowest index leaves. Feasibility and
+optimality tolerances are both 1e-9. Every LP runs to its optimum or to a
+ray that shows it unbounded, and returns that point or the ray's
+direction; _MAX_PIVOTS is only a safety cap.
 
 Two pivot loops apply these rules. A family of one runs on the scalar
 loop (_run_simplex, _pivot); a larger family runs as a stack
@@ -56,8 +58,6 @@ from .errors import GeometryError
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 
-# pivots with Dantzig pricing before switching to Bland's rule
-_BLAND_AFTER = 5000
 _MAX_PIVOTS = 200000
 # LPs pivoted together by lp_max_stack; its two (chunk, m+1, 2n+1) arrays
 # are allocated once per chunk
@@ -129,25 +129,17 @@ def _run_simplex(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, c: np.n
     """_run_stack on the one dictionary D (last row = reduced costs of
     minimizing -c . w and, in its last entry, the objective gained so far;
     last column = rhs >= 0), with c and skip in the place of C[l] and
-    skip[l]: the same pivots, in scalar steps."""
+    skip[l]: the same Bland's-rule pivots, in scalar steps."""
     m = basis.size
     n = nonbasic.size // 2
     costs = D[-1, :-1]
     rhs = D[:m, -1]
     ratios = np.empty(m)
     work = np.empty_like(D)
-    bland_after = _BLAND_AFTER
-    for it in range(_MAX_PIVOTS + 1):
-        cl = costs.tolist()
-        if it < bland_after:
-            best = min(cl)
-            if best >= -OPT_TOL:
-                break
-            cols = [j for j, v in enumerate(cl) if v == best]
-        else:  # Bland: every improving column
-            cols = [j for j, v in enumerate(cl) if v < -OPT_TOL]
-            if not cols:
-                break
+    for _ in range(_MAX_PIVOTS + 1):
+        cols = [j for j, v in enumerate(costs.tolist()) if v < -OPT_TOL]
+        if not cols:
+            break
         # the lowest variable index among them, whatever its column
         col = min(cols, key=nonbasic.__getitem__)
         colvals = D[:m, col]
@@ -159,7 +151,7 @@ def _run_simplex(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, c: np.n
         ratios.fill(np.inf)
         np.divide(rhs, colvals, out=ratios, where=pos)
         cand = (ratios <= ratios.min() + 1e-12).nonzero()[0]
-        # deterministic tie-break: smallest basis index (Bland-compatible)
+        # Bland's tie-break: the smallest basis index
         row = int(cand[0]) if cand.size == 1 else int(cand[basis[cand].argmin()])
         _pivot(D, basis, nonbasic, row, col, work)
     else:
@@ -216,10 +208,10 @@ def _pivot_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
 def _run_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, C: np.ndarray,
                skip: np.ndarray | None):
     """Pivot every dictionary of the stack D to its optimum or to a ray,
-    one pivot per live LP per round: Dantzig pricing with lowest-index
-    ties, Bland's rule after _BLAND_AFTER rounds, the smallest-basis-index
-    ratio tie. Row skip[l], when given, stays out of LP l's ratio test, so
-    its slack never leaves the basis: LP l is the one over the other rows.
+    one pivot per live LP per round, each by Bland's rule (the module
+    docstring). Row skip[l], when given, stays out of LP l's ratio test,
+    so its slack never leaves the basis: LP l is the one over the other
+    rows.
 
     Finished LPs are swapped out of the live prefix D[:k], so each round
     works in place on live dictionaries only. Returns one LpResult per LP,
@@ -234,17 +226,10 @@ def _run_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, C: np.nda
     work = np.empty_like(D)
     big = m + 2 * n  # above every variable index
     k = L
-    bland_after = _BLAND_AFTER
-    for it in range(_MAX_PIVOTS + 1):
+    for _ in range(_MAX_PIVOTS + 1):
         ar = np.arange(k)
-        costs = D[:k, -1, :-1]
-        if it < bland_after:
-            best = costs.min(axis=1)
-            done = best >= -OPT_TOL
-            pick = costs == best[:, None]
-        else:  # Bland: every improving column
-            pick = costs < -OPT_TOL
-            done = ~pick.any(axis=1)
+        pick = D[:k, -1, :-1] < -OPT_TOL  # the improving columns
+        done = ~pick.any(axis=1)
         # the lowest variable index among them, whatever its column
         col = np.where(pick, nonbasic[:k], big).argmin(axis=1)
         for s in done.nonzero()[0]:
@@ -275,7 +260,7 @@ def _run_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, C: np.nda
         ratios = np.full((k, m), np.inf)
         np.divide(D[:k, :m, -1], colvals, out=ratios, where=pos)
         cand = ratios <= ratios.min(axis=1, keepdims=True) + 1e-12
-        # deterministic tie-break: smallest basis index (Bland-compatible)
+        # Bland's tie-break: the smallest basis index
         row = np.where(cand, basis[:k], big).argmin(axis=1)
         _pivot_stack(D[:k], basis[:k], nonbasic[:k], row, col, work[:k])
     raise GeometryError("simplex did not converge within the pivot cap")

@@ -215,7 +215,9 @@ class Controller:
         Gx, S = prediction_maps(A, B, N)
         A_N, S_N = Gx[N * n:], S[N * n:]
         self.T = np.linalg.solve(np.eye(n) - A, B)  # x_a = T v_a
-        self.p0, self.d = steady_line(steady_output_row(disc, pd, cfg.y_ref)[0])
+        self._theta_tail = np.array([np.nan, 1.0])  # (c, 1), set by retarget
+        self.retarget(cfg.y_ref)
+        self.p0, self.d = steady_line(self.zs.g_eff)
 
         def y_theta(X, one=0.0):
             """Rows X over w = (x_f, v_0 .. v_{N-1}, v_a) plus `one` times 1
@@ -270,10 +272,8 @@ class Controller:
         Z = fam.theta_map[fam.rows[1]]
         self.step_map = np.vstack([fam.theta_map, readout[:, ny:] + self.readout_y @ Z])
         self._out_rows = slice(fam.rows[2].stop, None)
-        self._theta_tail = np.array([np.nan, 1.0])  # (c, 1), set by retarget
         self._warm_buf = np.empty(ny)
         self._clamp_warned = False
-        self.retarget(cfg.y_ref)
         self.reset()
 
     # -- helpers -----------------------------------------------------------

@@ -204,19 +204,16 @@ class ParametricQp:
 class _WorkingSet:
     """Working rows S, a square Li with Li' Li = G_SS^-1 (R^-T for the QR
     factor R of the start's square-root rows until a row is dropped) and
-    the rows G[S, :], in buffers of ``cap`` rows allocated when the first
-    row is admitted; :attr:`Li` and :attr:`cols` (G[:, S]) are views of
-    their first len(S) rows. G and the square-root rows M come from the
-    family's factor."""
+    the rows G[S, :], in buffers of ``cap`` rows; :attr:`Li` and
+    :attr:`cols` (G[:, S]) are views of their first len(S) rows. G and the
+    square-root rows M come from the family's factor. A solve builds one
+    only when z_u violates a row, so its buffers are always used."""
 
     def __init__(self, factor: QpFactor, cap: int):
         self.G, self.M, self.lower, self.cap = factor.G, factor.M, factor.lower, cap
         self.rows = []
-        self._Li = self._GS = None
-
-    def _allocate(self) -> None:
-        self._Li = np.empty((self.cap, self.cap))
-        self._GS = np.empty((self.cap, self.G.shape[0]))
+        self._Li = np.empty((cap, cap))
+        self._GS = np.empty((cap, self.G.shape[0]))
 
     @property
     def Li(self) -> np.ndarray:
@@ -235,8 +232,6 @@ class _WorkingSet:
     def pivot(self, j: int) -> tuple[np.ndarray, float, bool]:
         """G_SS^-1 G[S, j], the squared pivot of row j, and whether j depends
         on S; with cap = nvars rows, S spans every row."""
-        if self._Li is None:
-            self._allocate()
         k = len(self.rows)
         g = self._GS[:k, j].copy()  # BLAS rounds a dot with a strided vector otherwise
         r = self.solve(g)
@@ -255,7 +250,6 @@ class _WorkingSet:
         their squared pivots. The leading run up to the first pivot that
         fails the test of :meth:`pivot` goes in with Li = R^-T, the rows
         after it one at a time, skipping dependent rows."""
-        self._allocate()
         run = rows[:self.cap]
         h = np.linalg.qr(self.M[run].T, mode="raw")[0]  # R' in its lower triangle
         bad = (np.diag(h) ** 2 <= _DEP_TOL * self.G[run, run]).nonzero()[0]

@@ -119,16 +119,14 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
 
 
 def compute_metrics(log: SimLog, y_ref: float, band: float) -> Metrics:
-    """Settling time (first entry into the band with no later exit),
-    undershoot and final tracking error."""
+    """Settling time (the time of the sample after the last one outside
+    the band, NaN counting as outside: the first sample's when none is,
+    inf when the last one is), undershoot and final tracking error."""
     if len(log) == 0:
         raise ModelConfigError("empty simulation log")
-    inside = np.abs(log.bis - y_ref) <= band
-    settle = math.inf
-    for i in range(len(log)):
-        if inside[i:].all():
-            settle = float(log.t[i])
-            break
+    outside = (~(np.abs(log.bis - y_ref) <= band)).nonzero()[0]
+    first = outside[-1] + 1 if outside.size else 0
+    settle = float(log.t[first]) if first < len(log) else math.inf
     return Metrics(
         settling_time=settle,
         undershoot=float(np.min(log.bis)),

@@ -59,9 +59,8 @@ def random_lps():
         yield rng.normal(size=n), F, g
 
 
-# (c, F, g, max) of two degenerate LPs: the first reaches a Dantzig tie,
-# the second a Bland choice, where a column holding a slack comes before a
-# column with a lower variable index
+# (c, F, g, max) of two degenerate LPs; in the second, Bland's rule meets
+# a column holding a slack before a column with a lower variable index
 TIE_LPS = [
     ([-1.0, 1.0, -1.0],
      [[-2.0, -1.0, -2.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0, 2.0]],
@@ -72,26 +71,21 @@ TIE_LPS = [
 ]
 
 
-def full_tableau_lp(c, F, g, bland_after):
-    """Reference simplex on the full (m+1) x (2n+m+1) tableau with its
-    slack identity block, for g >= 0: the pivots as (entering, leaving)
-    variable indices and the final point, or None when unbounded."""
+def full_tableau_lp(c, F, g):
+    """Reference simplex by Bland's rule on the full (m+1) x (2n+m+1)
+    tableau with its slack identity block, for g >= 0: the pivots as
+    (entering, leaving) variable indices and the final point, or None when
+    unbounded."""
     m, n = F.shape
     T = np.hstack([F, -F, np.eye(m), g[:, None]])
     T = np.vstack([T, np.concatenate([-c, c, np.zeros(m + 1)])])
     basis = 2 * n + np.arange(m)
     pivots = []
     while True:
-        costs = T[-1, :-1]
-        if len(pivots) < bland_after:
-            col = int(np.argmin(costs))  # first of equal minima: lowest index
-            if costs[col] >= -geometry.OPT_TOL:
-                break
-        else:
-            improving = np.flatnonzero(costs < -geometry.OPT_TOL)
-            if improving.size == 0:
-                break
-            col = int(improving[0])
+        improving = np.flatnonzero(T[-1, :-1] < -geometry.OPT_TOL)
+        if improving.size == 0:
+            break
+        col = int(improving[0])
         colvals = T[:m, col]
         pos = colvals > geometry.FEAS_TOL
         if not np.any(pos):
@@ -249,6 +243,35 @@ class TestLpMax:
         assert res.status == "optimal"
         assert res.value == 0.0
 
+    def test_beale_lp_does_not_cycle(self, monkeypatch):
+        # Beale's degenerate LP, on which pricing by the most negative
+        # reduced cost cycles: Bland's rule reaches the optimum 1.25 at
+        # (1, 0, 1, 0) in 8 pivots, alone and as a stack of two
+        c = np.array([0.75, -20.0, 0.5, -6.0])
+        F = np.vstack([[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+                       -np.eye(4)])
+        P = Polyhedron(F, [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        pivots = [0]
+        real, real_stack = geometry._pivot, geometry._pivot_stack
+
+        def counting(*args):
+            pivots[0] += 1
+            return real(*args)
+
+        def counting_stack(D, *args):
+            pivots[0] += D.shape[0]
+            return real_stack(D, *args)
+
+        monkeypatch.setattr(geometry, "_pivot", counting)
+        monkeypatch.setattr(geometry, "_pivot_stack", counting_stack)
+        for C in ([c], [c, c]):
+            pivots[0] = 0
+            for res in lp_max_stack(C, P):
+                assert res.status == "optimal"
+                assert abs(res.value - 1.25) <= 1e-15
+                np.testing.assert_allclose(res.argmax, [1.0, 0.0, 1.0, 0.0], rtol=0, atol=1e-15)
+            assert pivots[0] <= 20 * len(C)
+
     def test_negative_rhs_needs_phase_one(self):
         # 1 <= w <= 3 written with a negative rhs row
         P = Polyhedron([[1.0], [-1.0]], [3.0, -1.0])
@@ -283,16 +306,9 @@ class TestLpMax:
     def test_cross_check_against_scipy(self):
         assert_random_lps_match_highs()
 
-    def test_bland_rule_against_scipy(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_BLAND_AFTER", 0)
-        assert_random_lps_match_highs()
-
-    @pytest.mark.parametrize("bland_after", [geometry._BLAND_AFTER, 0],
-                             ids=["dantzig", "bland"])
-    def test_same_pivots_and_point_as_the_full_tableau(self, monkeypatch, bland_after):
+    def test_same_pivots_and_point_as_the_full_tableau(self, monkeypatch):
         # the dictionary drops the slack identity block but must pivot and
         # round exactly as the full tableau does
-        monkeypatch.setattr(geometry, "_BLAND_AFTER", bland_after)
         pivots = []
         real = geometry._pivot
 
@@ -305,7 +321,7 @@ class TestLpMax:
         lps += [(np.array(c), np.array(F), np.array(g)) for c, F, g, _ in TIE_LPS]
         for c, F, g in lps:
             pivots.clear()
-            ref_pivots, ref_point = full_tableau_lp(c, F, g, bland_after)
+            ref_pivots, ref_point = full_tableau_lp(c, F, g)
             res = lp_max(c, Polyhedron(F, g))
             assert pivots == ref_pivots
             if ref_point is None:
@@ -314,23 +330,16 @@ class TestLpMax:
                 assert res.status == "optimal"
                 assert np.array_equal(res.argmax, ref_point)
 
-    @pytest.mark.parametrize("case, bland_after", [(0, geometry._BLAND_AFTER), (1, 0)],
-                             ids=["dantzig-tie", "bland"])
-    def test_entering_variable_is_the_lowest_index(self, monkeypatch, case, bland_after):
+    def test_entering_variable_is_the_lowest_index(self, monkeypatch):
         # the dictionary's columns hold variables out of index order after
         # a pivot; the rule must still pick by variable index
-        c, F, g, best = TIE_LPS[case]
-        monkeypatch.setattr(geometry, "_BLAND_AFTER", bland_after)
+        c, F, g, best = TIE_LPS[1]
         out_of_order = 0
         real = geometry._pivot
 
         def checking(D, basis, nonbasic, row, col, work):
             nonlocal out_of_order
-            costs = D[-1, :-1]
-            if bland_after:  # Dantzig: the columns at the lowest cost
-                cols = np.flatnonzero(costs == costs.min())
-            else:  # Bland: the improving columns
-                cols = np.flatnonzero(costs < -geometry.OPT_TOL)
+            cols = np.flatnonzero(D[-1, :-1] < -geometry.OPT_TOL)  # the improving columns
             assert nonbasic[col] == nonbasic[cols].min()
             out_of_order += any(j < col for j in cols)
             return real(D, basis, nonbasic, row, col, work)
@@ -425,10 +434,7 @@ class TestLpMaxStack:
             return
         assert np.array_equal(stacked.argmax, scalar.argmax)
 
-    @pytest.mark.parametrize("bland_after", [geometry._BLAND_AFTER, 0],
-                             ids=["dantzig", "bland"])
-    def test_matches_lp_max_on_the_random_battery(self, monkeypatch, bland_after):
-        monkeypatch.setattr(geometry, "_BLAND_AFTER", bland_after)
+    def test_matches_lp_max_on_the_random_battery(self):
         statuses = {"optimal": 0, "unbounded": 0, "infeasible": 0}
         for C, P in self._stacks():
             for c, res in zip(C, lp_max_stack(C, P)):
@@ -1022,7 +1028,7 @@ class TestSlackBasisOnly:
         # LP that escaped both kernels would lower these exact counts
         assert len(rhs_minima["scalar"]) == 5
         assert len(rhs_minima["stacked"]) == 13
-        assert pivots == {"scalar": 44, "stacked": 89}
+        assert pivots == {"scalar": 43, "stacked": 93}
         assert min(rhs_minima["scalar"] + rhs_minima["stacked"]) >= 0.0
 
     def test_invariance_excess(self, ingredients, rhs_minima):

@@ -625,11 +625,10 @@ class TestQpReuse:
     def test_steady_steps_factor_nothing(self, disc, patient, gain, v_box, ingredients,
                                          monkeypatch):
         # steps >= 30 of the reference run have no tight row and take 0
-        # iterations: their solves factor nothing, solve nothing with the
-        # (empty) working set and allocate no working-set buffers
+        # iterations: their solves factor nothing and build no working set
         calls, per_solve = [], []
         qr, ws_solve, solve = np.linalg.qr, qp._WorkingSet.solve, qp.qp_solve
-        allocate = qp._WorkingSet._allocate
+        init = qp._WorkingSet.__init__
 
         def counted_solve(*args, **kwargs):
             calls.clear()
@@ -640,15 +639,15 @@ class TestQpReuse:
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append("qr") or qr(*a, **kw))
         monkeypatch.setattr(qp._WorkingSet, "solve",
                             lambda ws, v: calls.append("solve") or ws_solve(ws, v))
-        monkeypatch.setattr(qp._WorkingSet, "_allocate",
-                            lambda ws: calls.append("allocate") or allocate(ws))
+        monkeypatch.setattr(qp._WorkingSet, "__init__",
+                            lambda ws, *a: calls.append("build") or init(ws, *a))
         monkeypatch.setattr(qp, "qp_solve", counted_solve)
         ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                     ingredients, mpc.MpcConfig())
         sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0)
         assert len(per_solve) == 120
         # the counters see the cold first solve
-        assert per_solve[0][1].count("qr") == per_solve[0][1].count("allocate") == 1
+        assert per_solve[0][1].count("qr") == per_solve[0][1].count("build") == 1
         assert "solve" in per_solve[0][1]
         steady = per_solve[30:]
         assert all(sol.iterations == 0 and not sol.active_set for sol, _ in steady)

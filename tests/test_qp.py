@@ -562,17 +562,19 @@ class TestWorkingSetBuffers:
         assert all(seen.values()), seen
 
     def test_empty_working_set_allocates_nothing(self, monkeypatch):
-        allocated = []
-        allocate = qp._WorkingSet._allocate
-        monkeypatch.setattr(qp._WorkingSet, "_allocate",
-                            lambda ws: allocated.append(ws.cap) or allocate(ws))
+        # a solve builds a working set, and with it its buffers, only when
+        # z_u violates a row
+        built = []
+        init = qp._WorkingSet.__init__
+        monkeypatch.setattr(qp._WorkingSet, "__init__",
+                            lambda ws, factor, cap: built.append(cap) or init(ws, factor, cap))
         p = random_qp(np.random.default_rng(3), n=30, q=60)
         loose = QpProblem(p.H, p.f, p.A_in, p.b_in + 1e6)
         sol = qp_solve(loose, warm_start=np.zeros(30))
         assert sol.iterations == 0 and not sol.active_set
-        assert allocated == []
+        assert built == []
         qp_solve(p)
-        assert allocated == [30]
+        assert built == [30]
 
 
 def violated_at_z_u(seed, trials=150):

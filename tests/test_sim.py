@@ -153,6 +153,12 @@ class TestMetrics:
         met = sim.compute_metrics(self.make_log(bis), 50.0, 2.0)
         assert met.settling_time == 10.0
 
+    def test_settles_after_the_last_exit(self):
+        # in at 10 s, out at 20 s, back in at 25 s: the last exit counts
+        bis = [80.0, 60.0, 51.0, 50.5, 53.0, 50.0, 49.0, 50.0]
+        met = sim.compute_metrics(self.make_log(bis), 50.0, 2.0)
+        assert met.settling_time == 25.0
+
     def test_empty_log_rejected(self):
         with pytest.raises(ModelConfigError):
             sim.compute_metrics(self.make_log([]), 50.0, 2.0)

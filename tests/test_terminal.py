@@ -339,8 +339,8 @@ class TestMaxAdmissibleInvariantSet:
     def test_propagation_lps_and_pivots(self, disc, v_box, monkeypatch):
         # held rows and witness points (the first LP's ray among them)
         # decide 8 of the 12 rounds, and the mirrors of candidates shown
-        # redundant need no LP: 5 LPs and 44 pivots where an LP per
-        # candidate takes 19 and 149
+        # redundant need no LP: 5 LPs and 43 pivots where an LP per
+        # candidate takes 19 LPs
         made = {"lps": 0, "pivots": 0}
         inside = [False]  # pivots count only inside a propagation LP
         real, pivot = terminal.lp_max, geometry._pivot
@@ -361,7 +361,7 @@ class TestMaxAdmissibleInvariantSet:
         monkeypatch.setattr(geometry, "_pivot", counting_pivot)
         _, k = terminal.max_admissible_invariant_set(*propagation_inputs(disc, v_box, 0.99))
         assert k == 11
-        assert made == {"lps": 5, "pivots": 44}
+        assert made == {"lps": 5, "pivots": 43}
 
     def test_every_lp_of_the_build_runs_to_its_maximum(self, disc, v_box, monkeypatch):
         # the propagation LPs (terminal.lp_max), the reduction's stack and
