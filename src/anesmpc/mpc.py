@@ -42,6 +42,15 @@ adds the read-out matrix times y - z_u to its rows of the product, the
 check forms A_in y - b_in, and v_0, held on a bound of V by a working
 row, is clipped into V against rounding. The applied input
 u = v_0 + D x_s is formed apart from the read-out.
+
+The fixed cost around that product is kept small, as most steps are
+nothing else. The state check runs on Python floats: one concatenate
+builds theta and x_s, and one loop over its entries tests
+0 <= v < inf, which a NaN fails. The steady-line check and the clamp
+report read the two entries of v_a and u as floats. ControlOutput is an
+immutable tuple record, as are the QP's solution and KKT residuals
+(see qp). Only a plan that passes the output check becomes the next
+hot start.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +125,7 @@ class SteadyInputSet:
     upper: np.ndarray
 
 
-@dataclass(frozen=True)
-class ControlOutput:
+class ControlOutput(NamedTuple):
     u: np.ndarray
     v0: np.ndarray
     v_a: np.ndarray
@@ -334,41 +343,43 @@ class Controller:
                 f"tracking QP is infeasible: {_describe(sol.infeasibility_report)}",
                 report=sol.infeasibility_report, status=sol.status)
         y = sol.z
-        mN = self.m * self.N
-        v0 = y[:self.m].copy()
+        m, mN = self.m, self.m * self.N
+        v0 = y[:m].copy()
         out = self.read_out(y, problem)
-        v_a, x_a = out[self._va_rows], out[self._xa_rows]
-        w = self._warm_buf  # the plan shifted by one step, closed by the terminal law
-        w[:mN - self.m], w[mN - self.m:mN], w[mN] = y[self.m:mN], out[self._tail_rows], y[mN]
-        self._warm = w
+        v_a = out[self._va_rows]
         r = out[self._cost_rows]
         cost = float(r @ r)
         at_z_u = y is problem.z_u
         self._validate_output(y, v_a, problem.c if at_z_u else self.A_in @ y - problem.b_in)
+        # only an accepted plan becomes the next hot start: shifted by one
+        # step and closed by the terminal law
+        w = self._warm_buf
+        w[:mN - m], w[mN - m:mN], w[mN] = y[m:mN], out[self._tail_rows], y[mN]
+        self._warm = w
         if not at_z_u:
             # working rows hold v_0 on a bound of V, which rounding can leave
             np.clip(v0, self.V.lower, self.V.upper, out=v0)
 
         u = v0 + self.D @ x_s
         clamped = u.clip(self.U.lower, self.U.upper)
-        if not self._clamp_warned and np.abs(clamped - u).max() > CLAMP_TOL:
+        if not self._clamp_warned and max(map(abs, (clamped - u).tolist())) > CLAMP_TOL:
             logger.warning(
                 "applied input clamped to the input box (u=%s); the "
                 "disturbance bound is too small for this trajectory", u
             )
             self._clamp_warned = True
-        return ControlOutput(
-            u=clamped, v0=v0, v_a=v_a, x_a=x_a,
-            predicted_xf=out[self._x_rows].reshape(self.N + 1, self.n),
-            cost=cost, solver_status=sol.status, qp_iterations=sol.iterations,
-        )
+        return ControlOutput(clamped, v0, v_a, out[self._xa_rows],
+                             out[self._x_rows].reshape(self.N + 1, self.n), cost,
+                             sol.status, sol.iterations)
 
     def _validate_output(self, y, v_a, residuals) -> None:
         """The plan y against every row of its QP, from the row residuals
         A_in y - b_in (the box on each v_k, then X_a at the terminal pair),
         and v_a against the steady line at self.zs, each to EQ_TOL. A box
         row is named first: a v_k outside the box also moves the pair."""
-        off_line = abs(self.zs.g_eff @ v_a - self.zs.c) > EQ_TOL
+        zs, (va1, va2) = self.zs, v_a.tolist()
+        g1, g2 = zs.g_eff.tolist()
+        off_line = abs(g1 * va1 + g2 * va2 - zs.c) > EQ_TOL
         if not (off_line or residuals.max() > EQ_TOL):
             return
         m, mN = self.m, self.m * self.N
@@ -388,11 +399,17 @@ class Controller:
 def _as_states(x_f, x_s, tail) -> tuple[np.ndarray, np.ndarray]:
     """theta = (x_f, tail) and x_s as float vectors, from one copy (the
     step's QP keeps theta); the 8 state entries are checked together with
-    the tail, whose entries (c, 1) are positive. On failure the cause is
-    named: a wrong length, a NaN or Inf, or a sign."""
+    the tail, whose entries (c, 1) are positive, as Python floats in one
+    pass (a NaN fails 0 <= v, so none slips by as it would past a min or
+    max of the list). On failure the cause is named: a wrong length, a NaN
+    or Inf, or a sign."""
     x = np.concatenate((x_f, tail, x_s), axis=None, dtype=float)
-    if x.size == 10 and np.size(x_f) == 4 and 0.0 <= x.min() and x.max() < np.inf:
-        return x[:-4], x[-4:]
+    if x.size == 10 and np.size(x_f) == 4:
+        for v in x.tolist():
+            if not 0.0 <= v < math.inf:
+                break
+        else:
+            return x[:-4], x[-4:]
     as_fast_state(x_f)  # these raise on a wrong length or a NaN or Inf
     as_slow_state(x_s)
     raise ModelConfigError("negative concentrations passed to the controller")

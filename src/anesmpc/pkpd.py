@@ -14,6 +14,7 @@ the clinical units (volumes L, clearances L/min, ke 1/min).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -206,10 +207,18 @@ def full_step_matrices(disc: DiscreteDynamics) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bis_output(xf, pd: PdParams) -> float:
-    """BIS from the effect-site concentrations (additive interaction)."""
-    xf = as_fast_state(xf)
-    U = xf[1] / pd.Ce50p + xf[3] / pd.Ce50r
-    return float(pd.E0 - pd.Emax * U**pd.gamma / (1.0 + U**pd.gamma))
+    """BIS from the effect-site concentrations (additive interaction).
+    xf is checked as as_fast_state checks it, and the Hill curve is
+    evaluated on Python floats: a closed loop calls this once per step,
+    where numpy's fixed cost on 4 entries would outweigh the arithmetic.
+    Where numpy's power gave NaN or inf, math.pow raises: on a negative
+    potency sum (non-integer gamma) or a power that overflows."""
+    x = np.asarray(xf, dtype=float).ravel().tolist()
+    if len(x) != 4 or not all(map(math.isfinite, x)):
+        as_fast_state(xf)  # raises on a wrong length or a NaN or Inf
+    U = x[1] / pd.Ce50p + x[3] / pd.Ce50r
+    Ug = math.pow(U, pd.gamma)
+    return pd.E0 - pd.Emax * Ug / (1.0 + Ug)
 
 
 def hill_invert(y_ref: float, pd: PdParams) -> float:

@@ -63,6 +63,12 @@ holds: the primal residual is max c, the multipliers and
 complementarity are exactly 0, and only the stationarity H z + f is
 formed. A solve that ends with working rows recomputes every residual
 from (z, lam). No solve forms the objective (see :func:`objective`).
+
+A solution and its KKT residuals are immutable tuple records
+(``typing.NamedTuple``), not frozen dataclasses: most MPC steps build
+both and little else, and a frozen dataclass sets each field through
+``object.__setattr__``, which costs several times a tuple's
+construction. ``sol._replace(z=...)`` gives a copy with a field changed.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +115,7 @@ class QpProblem:
         return self.H.shape[0]
 
 
-@dataclass(frozen=True)
-class KktResiduals:
+class KktResiduals(NamedTuple):
     stationarity: float
     primal_in: float
     complementarity: float
@@ -118,8 +124,7 @@ class KktResiduals:
         return max(self.stationarity, self.primal_in, self.complementarity)
 
 
-@dataclass(frozen=True)
-class QpSolution:
+class QpSolution(NamedTuple):
     z: np.ndarray | None
     status: str  # "optimal" | "infeasible" | "max_iter"
     kkt_residuals: KktResiduals | None

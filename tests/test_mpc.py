@@ -337,11 +337,33 @@ class TestControlStep:
         (np.zeros(4), np.zeros(5), "slow state must have 4 entries"),
         (np.zeros(4), [0.0, 0.0, 0.0, -1e-3], "negative concentrations"),
         (np.zeros(4), [0.0, 0.0, 0.0, -np.inf], "slow state contains NaN or Inf"),
+        # each cause in each state; a NaN between other entries, which a
+        # min or max over Python floats would skip
+        ([np.inf, 0.0, 0.0, 0.0], np.zeros(4), "fast state contains NaN or Inf"),
+        ([0.0, 0.0, -np.inf, 0.0], np.zeros(4), "fast state contains NaN or Inf"),
+        ([0.0, 0.0, 0.0, -1e-3], np.zeros(4), "negative concentrations"),
+        ([1.0, np.nan, 0.5, 2.0], np.zeros(4), "fast state contains NaN or Inf"),
+        (np.zeros(4), [0.1, np.nan, 0.2, 0.3], "slow state contains NaN or Inf"),
+        (np.zeros(5), np.zeros(4), "fast state must have 4 entries"),
+        (np.zeros(4), np.zeros(3), "slow state must have 4 entries"),
+        (np.zeros(3), np.zeros(5), "fast state must have 4 entries"),  # 8 entries in all
     ])
     def test_state_check_names_the_cause(self, controller, x_f, x_s, cause):
         controller.reset()
         with pytest.raises(ModelConfigError, match=cause):
             controller.control_step(x_f, x_s)
+
+    def test_state_check_bounds(self, controller):
+        # -0.0 is a zero concentration, and entries near the largest float
+        # pass the check (a finiteness test through a sum would overflow)
+        tail = np.array([0.5, 1.0])
+        theta, x_s = mpc._as_states(np.full(4, 1e308), np.full(4, 1e308), tail)
+        assert np.all(theta == [1e308] * 4 + [0.5, 1.0]) and np.all(x_s == 1e308)
+        controller.reset()
+        rest = controller.control_step(np.zeros(4), np.zeros(4))
+        controller.reset()
+        signed = controller.control_step(np.full(4, -0.0), np.full(4, -0.0))
+        np.testing.assert_array_equal(signed.u, rest.u)
 
     def test_warm_start_matches_cold_start(self, controller):
         controller.reset()
@@ -374,6 +396,44 @@ class TestControlStep:
         assert "blocked by" in str(exc)
 
 
+class TestStepRecords:
+    """The records of a step are immutable tuples that keep every field,
+    in order and with its default, that the benchmark's tracing and
+    workloads read."""
+
+    def test_fields_and_immutability(self, controller, monkeypatch):
+        solutions, solve = [], qp.qp_solve
+
+        def kept(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(qp, "qp_solve", kept)
+        controller.reset()
+        out = controller.control_step(np.zeros(4), np.zeros(4))
+        sol, = solutions
+        kkt = sol.kkt_residuals
+        assert kkt._fields == ("stationarity", "primal_in", "complementarity")
+        assert kkt.max() == max(kkt) <= 1e-8
+        assert sol._fields == ("z", "status", "kkt_residuals", "iterations", "active_set",
+                               "infeasibility_report")
+        assert sol._field_defaults == {"iterations": 0, "active_set": (),
+                                       "infeasibility_report": ()}
+        assert (sol.status, sol.iterations, sol.infeasibility_report) == ("optimal", 8, ())
+        assert len(sol.active_set) == 25 and sol.z.shape == (controller.ny,)
+        assert out._fields == ("u", "v0", "v_a", "x_a", "predicted_xf", "cost",
+                               "solver_status", "qp_iterations")
+        assert out._field_defaults == {"qp_iterations": 0}
+        assert (out.solver_status, out.qp_iterations) == ("optimal", 8)
+        assert out.u.shape == out.v0.shape == out.v_a.shape == (2,)
+        assert out.x_a.shape == (4,) and out.predicted_xf.shape == (controller.N + 1, 4)
+        assert type(out.cost) is float
+        for record, name in ((out, "u"), (out, "cost"), (sol, "z"), (sol, "status"),
+                             (kkt, "primal_in"), (out, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
 class TestValidateOutput:
     """Each check on the QP optimum raises on a doctored solution, with the
     step at which it failed."""
@@ -393,7 +453,7 @@ class TestValidateOutput:
             sol = solve(*args, **kwargs)
             z = sol.z.copy()
             edit(z)
-            return replace(sol, z=z)
+            return sol._replace(z=z)
 
         monkeypatch.setattr(qp, "qp_solve", doctored)
 
@@ -429,6 +489,30 @@ class TestValidateOutput:
     def test_steady_output_equality(self, ctrl, monkeypatch):
         monkeypatch.setattr(ctrl, "zs", replace(ctrl.zs, c=ctrl.zs.c + 1e-6))
         self.step_fails(ctrl, "steady-output equality violated")
+
+    def test_steady_path_checks_the_rows_not_the_solver_report(self, ctrl, monkeypatch):
+        # a solve that returns z_u itself and reports no residual, on the
+        # cold step from rest, where z_u leaves the box: the check reduces
+        # the step's own row residuals, whatever the solver reports
+        def solve(p, warm_start=None, max_iter=500):
+            return qp.QpSolution(p.z_u, "optimal", qp.KktResiduals(0.0, 0.0, 0.0))
+
+        monkeypatch.setattr(qp, "qp_solve", solve)
+        ctrl.reset()
+        with pytest.raises(SolverInfeasibleError,
+                           match=r"tracking input v_0 = .* left the tightened box") as info:
+            ctrl.control_step(np.zeros(4), np.zeros(4))
+        assert info.value.step == 0
+
+    def test_rejected_plan_is_not_the_next_warm_start(self, ctrl, monkeypatch):
+        before = ctrl._warm.copy()
+
+        def edit(z):
+            z[-1] += 100.0
+
+        self.doctor(monkeypatch, edit)
+        self.step_fails(ctrl, "terminal pair violates invariant-set row")
+        assert np.array_equal(ctrl._warm, before)
 
 
 class TestRetarget:

@@ -157,6 +157,39 @@ class TestHill:
                 bumped[idx] += 0.05
                 assert pkpd.bis_output(bumped, pd) < base
 
+    def test_float_evaluation_matches_the_numpy_formula(self, patient):
+        # the Hill curve as numpy scalars, the reference bis_output must
+        # match to the bit
+        pd = patient.pd
+        rng = np.random.default_rng(11)
+        scale = np.array([1.0, pd.Ce50p, 1.0, pd.Ce50r])
+        for _ in range(1000):
+            xf = rng.uniform(0.0, 3.0, size=4) * scale
+            ref = pkpd.as_fast_state(xf)
+            U = ref[1] / pd.Ce50p + ref[3] / pd.Ce50r
+            expected = float(pd.E0 - pd.Emax * U**pd.gamma / (1.0 + U**pd.gamma))
+            got = pkpd.bis_output(xf, pd)
+            assert type(got) is float and got == expected
+
+    def test_negative_potency_raises(self, patient):
+        assert patient.pd.gamma != int(patient.pd.gamma)
+        with pytest.raises(ValueError):
+            pkpd.bis_output([0.0, -1.0, 0.0, 0.0], patient.pd)
+
+    @pytest.mark.parametrize("xf, cause", [
+        (np.zeros(3), "fast state must have 4 entries"),
+        (np.zeros(5), "fast state must have 4 entries"),
+        ([0.0, np.nan, 0.0, 0.0], "fast state contains NaN or Inf"),
+        ([0.0, 0.0, 0.0, np.inf], "fast state contains NaN or Inf"),
+        ([-np.inf, 0.0, 0.0, 0.0], "fast state contains NaN or Inf"),
+    ])
+    def test_state_checked_as_as_fast_state_checks_it(self, patient, xf, cause):
+        with pytest.raises(ModelConfigError, match=cause) as info:
+            pkpd.bis_output(xf, patient.pd)
+        with pytest.raises(ModelConfigError) as direct:
+            pkpd.as_fast_state(xf)
+        assert str(info.value) == str(direct.value)
+
 
 class TestSteadyOutputRow:
     def test_equilibrium_invariant_to_ts(self, cont, patient):
