@@ -358,7 +358,8 @@ class Controller:
         self._warm = w
         if not at_z_u:
             # working rows hold v_0 on a bound of V, which rounding can leave
-            np.clip(v0, self.V.lower, self.V.upper, out=v0)
+            np.maximum(v0, self.V.lower, out=v0)
+            np.minimum(v0, self.V.upper, out=v0)
 
         u = v0 + self.D @ x_s
         clamped = u.clip(self.U.lower, self.U.upper)

@@ -34,22 +34,27 @@ and S stays empty, whatever the warm start. Otherwise S starts from the
 rows tight or violated at the warm start, or, with none given, from the
 rows violated at z_u. One QR factorisation of their square-root rows,
 M_S' = Q R, the square-root form in which Goldfarb and Idnani state
-the method, gives G_SS = R'R: its squared pivots diag(R)^2 end the
-leading run at the first that fails the dependence test, and the run
-goes in with Li = R^-T, one inverse. The rows after the run go in one at
-a time, skipping dependent rows. Then the start drops multipliers below
-a rounding-level tolerance, most negative first, and the dual loop runs
-from there. From rest, the MPC's cold solve thus admits 25 rows at once
-and takes 8 iterations where adding one row per iteration took 27.
+the method, gives G_SS = R'R: its squared pivots diag(R)^2, tested in
+one pass against the factor's floors _DEP_TOL G_jj, end the leading run
+at the first that fails, and the run goes in with Li = R'^-1, one
+inverse of R' read in place from the lower triangle of the raw factor.
+The rows after the run go in one at a time, skipping dependent rows.
+Then the start drops multipliers below a rounding-level tolerance, most
+negative first (each test is one argmin, and an argmax only past the
+tolerance), and the dual loop runs from there. From rest, the MPC's cold
+solve thus admits 25 rows at once and takes 8 iterations where adding
+one row per iteration took 27.
 
-Li and G[:, S] live in two buffers sized once per solve for min(rows,
-nvars) working rows, the most S can hold: nvars independent rows span
-every row. G[:, S] is kept as its transpose, the rows G[S, :] (G is
-symmetric). An added row j writes one row of each in place: [-r, 1] /
-sqrt(d2) into Li, with r = G_SS^-1 G[S, j] and squared pivot d2, and
-G[j, :]; this bordering needs only Li' Li = G_SS^-1, not a triangular Li.
-The violation update reads G[:, S] as a view. A dropped row shifts the
-buffered rows of G over it and deletes its column of Li; one Householder
+S, Li and G[:, S] live in three buffers sized once per solve for
+min(rows, nvars) working rows, the most S can hold: nvars independent
+rows span every row. S is kept as an index array, so gathering the
+working entries of a vector converts no list. G[:, S] is kept as its
+transpose, the rows G[S, :] (G is symmetric). An added row j writes one
+entry or row of each in place: j, [-r, 1] / sqrt(d2) into Li, with
+r = G_SS^-1 G[S, j] and squared pivot d2, and G[j, :]; this bordering
+needs only Li' Li = G_SS^-1, not a triangular Li. The violation update
+reads G[:, S] as a view. A dropped row shifts the buffered entries of S
+and rows of G over it and deletes its column of Li; one Householder
 reflection then restores Li' Li = G_SS^-1 in O(k^2) operations, with no
 factorisation.
 
@@ -142,8 +147,9 @@ class QpFactor:
 
     Caches the square-root rows M = A Li' (Li the inverse of the
     Cholesky factor of H), -H^-1 = -Li' Li, H^-1 A' = Li' M', the Gram
-    matrix G = A H^-1 A' = M M', the lower-triangular mask with which a
-    start reads its QR factor, and the stacked map of theta to
+    matrix G = A H^-1 A' = M M', the floors _DEP_TOL G_jj at or below
+    which a squared pivot is dependent, the lower-triangular mask with
+    which a start reads its QR factor, and the stacked map of theta to
     (f, z_u, c): Z = -H^-1 F, refined once, gives z_u, and A_in Z - B the
     row residuals c = A_in z_u - b."""
 
@@ -167,6 +173,7 @@ class QpFactor:
         self.G = self.M @ self.M.T
         q, n = A_in.shape
         self.lower = np.tri(min(q, n))  # reads R' faster than qr's mode "r" (triu)
+        self.dep_floor = _DEP_TOL * np.diag(self.G)
         if F is None:
             F, B = np.eye(n, n + q), np.eye(q, n + q, n)
         self.B = B
@@ -207,84 +214,103 @@ class ParametricQp:
 
 
 class _WorkingSet:
-    """Working rows S, a square Li with Li' Li = G_SS^-1 (R^-T for the QR
-    factor R of the start's square-root rows until a row is dropped) and
-    the rows G[S, :], in buffers of ``cap`` rows; :attr:`Li` and
-    :attr:`cols` (G[:, S]) are views of their first len(S) rows. G and the
-    square-root rows M come from the family's factor. A solve builds one
-    only when z_u violates a row, so its buffers are always used."""
+    """Working rows S, a square Li with Li' Li = G_SS^-1 (R'^-1 for the
+    QR factor R of the start's square-root rows until a row is dropped)
+    and the rows G[S, :], in buffers of ``cap`` rows; :attr:`idx` (S as
+    an index array), :attr:`Li` and :attr:`cols` (G[:, S]) are views of
+    their first len(S) rows, :attr:`rows` is S as a list. G, the
+    square-root rows M and the dependence floors _DEP_TOL diag(G) come
+    from the family's factor. A solve builds one only when z_u violates a
+    row, so its buffers are always used."""
 
     def __init__(self, factor: QpFactor, cap: int):
-        self.G, self.M, self.lower, self.cap = factor.G, factor.M, factor.lower, cap
-        self.rows = []
+        self.G, self.M, self.lower = factor.G, factor.M, factor.lower
+        self.dep_floor = factor.dep_floor
+        self.cap, self.k = cap, 0
+        self._S = np.empty(cap, dtype=np.intp)
         self._Li = np.empty((cap, cap))
         self._GS = np.empty((cap, self.G.shape[0]))
 
     @property
+    def idx(self) -> np.ndarray:
+        return self._S[:self.k]
+
+    @property
+    def rows(self) -> list[int]:
+        return self._S[:self.k].tolist()
+
+    @property
     def Li(self) -> np.ndarray:
-        k = len(self.rows)
-        return self._Li[:k, :k]
+        return self._Li[:self.k, :self.k]
 
     @property
     def cols(self) -> np.ndarray:
-        return self._GS[:len(self.rows)].T
+        return self._GS[:self.k].T
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        k = len(self.rows)
-        Li = self._Li[:k, :k]
+        Li = self._Li[:self.k, :self.k]
         return Li.T @ (Li @ v)
 
     def pivot(self, j: int) -> tuple[np.ndarray, float, bool]:
         """G_SS^-1 G[S, j], the squared pivot of row j, and whether j depends
         on S; with cap = nvars rows, S spans every row."""
-        k = len(self.rows)
+        k = self.k
         g = self._GS[:k, j].copy()  # BLAS rounds a dot with a strided vector otherwise
         r = self.solve(g)
         d2 = float(self.G[j, j] - g @ r)
-        return r, d2, d2 <= _DEP_TOL * self.G[j, j] or k == self.cap
+        return r, d2, d2 <= self.dep_floor[j] or k == self.cap
 
     def admit(self, j: int) -> None:
         r, d2, dependent = self.pivot(j)
         if not dependent:
             self.append(j, r, d2)
 
-    def admit_all(self, rows: list[int]) -> None:
-        """Start an empty working set from rows: one QR factor
-        M_run' = Q R of the square-root rows of its first
+    def admit_all(self, rows) -> None:
+        """Start an empty working set from rows (a list or an index array):
+        one QR factor M_run' = Q R of the square-root rows of its first
         min(len(rows), cap) rows gives G over them as R'R, so diag(R)^2 are
         their squared pivots. The leading run up to the first pivot that
-        fails the test of :meth:`pivot` goes in with Li = R^-T, the rows
-        after it one at a time, skipping dependent rows."""
+        fails the test of :meth:`pivot` goes in with Li = R'^-1, read in
+        place from the lower triangle of the raw factor, the rows after it
+        one at a time, skipping dependent rows."""
+        rows = np.asarray(rows, dtype=np.intp)
         run = rows[:self.cap]
-        h = np.linalg.qr(self.M[run].T, mode="raw")[0]  # R' in its lower triangle
-        bad = (np.diag(h) ** 2 <= _DEP_TOL * self.G[run, run]).nonzero()[0]
-        k = int(bad[0]) if bad.size else len(run)
+        h = np.linalg.qr(self.M.take(run, axis=0).T, mode="raw")[0]  # R' in its lower triangle
+        d = h.diagonal()
+        failed = d * d <= self.dep_floor[run]
+        k = int(failed.argmax())
+        if not failed[k]:
+            k = run.size
         if k:
-            R = (h[:k, :k] * self.lower[:k, :k]).T
-            self._Li[:k, :k] = np.linalg.inv(R).T
-            self._GS[:k] = self.G[run[:k]]
-            self.rows = run[:k]
-        for j in rows[k:]:
+            Rt = h[:k, :k]
+            Rt *= self.lower[:k, :k]
+            self._Li[:k, :k] = np.linalg.inv(Rt)
+            self.G.take(run[:k], axis=0, out=self._GS[:k])
+            self._S[:k] = run[:k]
+            self.k = k
+        for j in rows[k:].tolist():
             self.admit(j)
 
     def append(self, j: int, r: np.ndarray, d2: float) -> None:
         """Li gains the row [-r, 1] / sqrt(d2), G[S, :] the row G[j, :]."""
-        k = len(self.rows)
-        s = np.sqrt(d2)
+        k = self.k
+        s = math.sqrt(d2)
         np.divide(r, -s, out=self._Li[k, :k])
         self._Li[k, k] = 1.0 / s
         self._Li[:k, k] = 0.0
         self._GS[k] = self.G[j]
-        self.rows.append(j)
+        self._S[k] = j
+        self.k = k + 1
 
     def remove(self, pos: int) -> None:
-        """Drop the row at pos: shift the buffered rows of G over it and
-        delete column pos, l, of Li, leaving M. The smaller block's inverse
-        is M'(I - l l'/l'l)M = R'R for the leading k-1 rows R of Q M, where
-        the Householder reflection Q maps l onto a multiple of e_k: O(k^2)
-        operations and no factorisation."""
-        k = len(self.rows)
-        del self.rows[pos]
+        """Drop the row at pos: shift the buffered rows of S and G over it
+        and delete column pos, l, of Li, leaving M. The smaller block's
+        inverse is M'(I - l l'/l'l)M = R'R for the leading k-1 rows R of
+        Q M, where the Householder reflection Q maps l onto a multiple of
+        e_k: O(k^2) operations and no factorisation."""
+        k = self.k
+        self.k = k - 1
+        self._S[pos:k - 1] = self._S[pos + 1:k]
         self._GS[pos:k - 1] = self._GS[pos + 1:k]
         if k > 1:
             Li = self._Li[:k, :k]
@@ -336,39 +362,40 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
         g = float(np.abs(p.H @ z_u + p.f).max(initial=0.0))
         return QpSolution(z_u, "optimal", KktResiduals(g, float(top), 0.0))
     if warm_start is None:
-        start = (c > _FEAS_TOL).nonzero()[0].tolist()
+        start = (c > _FEAS_TOL).nonzero()[0]
     else:
         at_warm = p.A_in @ np.ravel(warm_start) - p.b_in
-        start = (at_warm >= -_FEAS_TOL).nonzero()[0].tolist()
+        start = (at_warm >= -_FEAS_TOL).nonzero()[0]
 
-    def finish(status, lam, it, extra=()):
-        rows = ws.rows + [j for j, _ in extra]
+    def finish(status, lam, it, extra=None):
         lam_all = np.zeros(c.size)
-        lam_all[rows] = np.concatenate([lam, [t for _, t in extra]])
+        lam_all[ws.idx] = lam
+        if extra is not None:
+            lam_all[extra[0]] = extra[1]
         z = z_u - factor.HinvAt @ lam_all
         np.maximum(lam_all, 0.0, out=lam_all)
         return QpSolution(z, status, _residuals(p, z, lam_all), it, tuple(sorted(ws.rows)))
 
     ws = _WorkingSet(factor, min(c.size, z_u.size))
-    if start:
+    if start.size:
         ws.admit_all(start)
-    lam = ws.solve(c[ws.rows]) if ws.rows else np.zeros(0)
+    lam = ws.solve(c[ws.idx])
 
     it = 0
-    while lam.size and (low := lam.min()) < -_LAM_TOL * max(1.0, -low, lam.max()):
+    while (drop := _most_negative(lam)) >= 0:
         if it >= max_iter:
             return finish("max_iter", lam, it)
         it += 1
-        ws.remove(int(lam.argmin()))
-        lam = ws.solve(c[ws.rows])
+        ws.remove(drop)
+        lam = ws.solve(c[ws.idx])
 
     while True:
         viol = c
-        if ws.rows:
+        if ws.k:
             viol = c - ws.cols @ lam
-            viol[ws.rows] = -np.inf
-        j = int(viol.argmax()) if viol.size else -1
-        if j < 0 or viol[j] <= _FEAS_TOL:
+            viol[ws.idx] = -np.inf
+        j = int(viol.argmax())
+        if viol[j] <= _FEAS_TOL:
             return finish("optimal", lam, it)
         j = int((viol >= viol[j] - _TIE_TOL * max(1.0, viol[j])).argmax())
         # raise the multiplier t of row j from 0 until the row is met,
@@ -376,7 +403,7 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
         t, res_j = 0.0, float(viol[j])
         while True:
             if it >= max_iter:
-                return finish("max_iter", lam, it, extra=[(j, t)])
+                return finish("max_iter", lam, it, extra=(j, t))
             it += 1
             r, d2, dependent = ws.pivot(j)  # d lam_S / d t = -r
             step_full = np.inf if dependent else res_j / d2
@@ -384,8 +411,6 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
             # they would give steps of ~1e20 that drop rows r leaves alone
             floor = 1e-12 * np.abs(r).max(initial=0.0) if dependent else 0.0
             pos = (r > floor).nonzero()[0]
-            ratios = np.maximum(lam[pos], 0.0) / r[pos]
-            step_drop = float(ratios.min(initial=np.inf))
             if dependent and not pos.size:
                 # S only shrinks while t grows, and a row independent of S is
                 # independent of its subsets: j was dependent at every step,
@@ -394,15 +419,35 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
                 return QpSolution(None, "infeasible", None, it, infeasibility_report=(
                     (f"A_in[{j}]", float(viol[j])),
                     *((f"A_in[{row}]", float(w)) for row, w in zip(ws.rows, r) if abs(w) > floor)))
+            step_drop = np.inf
+            if pos.size:
+                ratios = np.maximum(lam[pos], 0.0) / r[pos]
+                first = int(ratios.argmin())
+                step_drop = float(ratios[first])
             step = min(step_full, step_drop)
             lam, t, res_j = lam - step * r, t + step, res_j - step * d2
             if step_full <= step_drop:
                 ws.append(j, r, d2)
-                lam = ws.solve(c[ws.rows])
+                lam = ws.solve(c[ws.idx])
                 break
-            drop = int(pos[ratios.argmin()])
+            drop = int(pos[first])
             ws.remove(drop)
-            lam = np.delete(lam, drop)
+            lam[drop:-1] = lam[drop + 1:]  # lam is this step's own array
+            lam = lam[:-1]
+
+
+def _most_negative(lam: np.ndarray) -> int:
+    """The position of the most negative multiplier (the first of equals)
+    when it lies below -_LAM_TOL max(1, max |lam|), the start's drop
+    test, else -1; from one argmin, and an argmax only for a multiplier
+    below -_LAM_TOL."""
+    if not lam.size:
+        return -1
+    i = int(lam.argmin())
+    low = lam[i]
+    if low < -_LAM_TOL and low < -_LAM_TOL * max(1.0, -low, lam[lam.argmax()]):
+        return i
+    return -1
 
 
 def objective(p: QpProblem | ParametricQp, z: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import sys
 from importlib import resources
@@ -24,6 +25,28 @@ def controller_path():
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def path_digest(paths):
+    """The first 16 hex digits of the sha256 of a run's solver path: the
+    QP iterations and the sorted active set of each step, in order."""
+    text = ";".join(f"{it}:{','.join(map(str, rows))}" for it, rows in paths)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def count_linalg(monkeypatch):
+    """Count the calls of each numpy.linalg function, by name, into the
+    returned dict."""
+    calls = {}
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            def counting(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 def bench_module(name):

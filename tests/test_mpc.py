@@ -6,7 +6,7 @@ import pytest
 from anesmpc import compensation, mpc, pipeline, pkpd, qp, sim
 from anesmpc.errors import ModelConfigError, SolverInfeasibleError
 
-from conftest import U_BOUNDS, bench_module, controller_path, patient_path
+from conftest import U_BOUNDS, bench_module, controller_path, count_linalg, patient_path
 from oracles import offset_cost
 
 
@@ -744,15 +744,7 @@ class TestQpReuse:
         # and one inverse, forms no Cholesky factor and takes 8 iterations
         ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                     ingredients, mpc.MpcConfig())
-        calls, singles = {}, []
-        for name in np.linalg.__all__:
-            fn = getattr(np.linalg, name)
-            if callable(fn) and not isinstance(fn, type):
-                def counting(*args, _name=name, _fn=fn, **kwargs):
-                    calls[_name] = calls.get(_name, 0) + 1
-                    return _fn(*args, **kwargs)
-
-                monkeypatch.setattr(np.linalg, name, counting)
+        calls, singles = count_linalg(monkeypatch), []
         admit = qp._WorkingSet.admit
         monkeypatch.setattr(qp._WorkingSet, "admit",
                             lambda ws, j: singles.append(len(ws.rows)) or admit(ws, j))
@@ -760,6 +752,32 @@ class TestQpReuse:
         assert calls == {"qr": 1, "inv": 1}
         assert singles[0] == 25  # the rows after the run go in one at a time
         assert out.qp_iterations == 8
+
+    def test_hot_starts_factor_once(self, monkeypatch):
+        # on the 3600 s reference run, each hot-started solve that builds a
+        # working set (steps 1-14) calls numpy.linalg.qr once, inv at most
+        # once and no other numpy.linalg routine; every other step, whose
+        # z_u meets every row (step 15 on), calls none
+        bundle = pipeline.build_bundle(patient_path(), controller_path())
+        calls, per_step, solve = count_linalg(monkeypatch), [], qp.qp_solve
+
+        def counted(p, *args, **kwargs):
+            calls.clear()
+            sol = solve(p, *args, **kwargs)
+            per_step.append((sol.z is not p.z_u, dict(calls)))
+            return sol
+
+        monkeypatch.setattr(qp, "qp_solve", counted)
+        sim.simulate_closed_loop(bundle.disc, bundle.patient.pd, bundle.controller, 3600.0)
+        assert len(per_step) == 720
+        built = [k for k, (ws, _) in enumerate(per_step) if ws]
+        assert built == list(range(15))
+        for k, (ws, seen) in enumerate(per_step[1:], start=1):
+            if ws:
+                assert seen.get("qr") == 1 and seen.get("inv", 0) <= 1, (k, seen)
+                assert set(seen) <= {"qr", "inv"}, (k, seen)
+            else:
+                assert seen == {}, (k, seen)
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from anesmpc import mpc, pipeline, qp, sim
 from anesmpc.qp import QpFactor, QpProblem, enumerate_active_sets, qp_solve
 
-from conftest import U_BOUNDS, bench_module, controller_path, patient_path
+from conftest import (U_BOUNDS, bench_module, controller_path, count_linalg, path_digest,
+                      patient_path)
 
 
 def random_qp(rng, n, q):
@@ -260,6 +261,23 @@ class TestStartRule:
         assert max(cold.kkt_residuals.max(), warm.kkt_residuals.max()) <= 1e-8
 
 
+def test_drop_test_matches_the_min_max_rule():
+    # the start's drop test, from one argmin, against the rule as written
+    # with min and max: the first most negative multiplier goes while it
+    # lies below -_LAM_TOL max(1, -min, max), and a NaN drops nothing
+    rng = np.random.default_rng(7)
+    cases = [np.zeros(0), np.array([np.nan, -1.0]), np.array([-1.0, np.nan]),
+             np.array([-1e-12, 0.5]), np.array([-2e-12, 1e3]), np.array([-3.0, -3.0, 1.0])]
+    for _ in range(500):
+        lam = rng.normal(size=int(rng.integers(1, 30))) * 10.0 ** rng.uniform(-14, 4)
+        cases.append(lam + rng.uniform(0.0, 2.0) * np.abs(lam).max())
+    for lam in cases:
+        low = lam.min(initial=np.inf)
+        want = int(lam.argmin()) if low < -qp._LAM_TOL * max(1.0, -low, lam.max(initial=0.0)) else -1
+        assert qp._most_negative(lam) == want, lam
+    assert sum(qp._most_negative(lam) >= 0 for lam in cases) > 50
+
+
 class TestHotStart:
     @staticmethod
     def row_by_row(monkeypatch):
@@ -409,6 +427,14 @@ class RefactorWorkingSet:
         self.G, self.rows, self.Li = factor.G, [], np.zeros((0, 0))
 
     @property
+    def k(self):
+        return len(self.rows)
+
+    @property
+    def idx(self):
+        return np.array(self.rows, dtype=np.intp)
+
+    @property
     def cols(self):
         return self.G[:, self.rows]
 
@@ -427,6 +453,7 @@ class RefactorWorkingSet:
             self.append(j, r, d2)
 
     def admit_all(self, rows):
+        rows = [int(j) for j in rows]
         n, L = leading_run(self.G, rows)
         if n:
             self.rows, self.Li = rows[:n], np.linalg.solve(L, np.eye(n))
@@ -599,20 +626,6 @@ def violated_at_z_u(seed, trials=150):
 
 
 class TestColdStart:
-    @staticmethod
-    def count_linalg(monkeypatch):
-        """Count the calls of each numpy.linalg function."""
-        calls = {}
-        for name in np.linalg.__all__:
-            fn = getattr(np.linalg, name)
-            if callable(fn) and not isinstance(fn, type):
-                def counting(*args, _name=name, _fn=fn, **kwargs):
-                    calls[_name] = calls.get(_name, 0) + 1
-                    return _fn(*args, **kwargs)
-
-                monkeypatch.setattr(np.linalg, name, counting)
-        return calls
-
     def test_bulk_start_matches_empty_start_and_enumeration(self, monkeypatch):
         # the start's QR factor ends its run at a failing pivot or takes
         # every row; each gives the optimum of a solve from an empty
@@ -694,7 +707,7 @@ class TestColdStart:
         factor = QpFactor(p.H, A)
         G = factor.G
         admits = TestHotStart.count_admits(monkeypatch)
-        calls = self.count_linalg(monkeypatch)
+        calls = count_linalg(monkeypatch)
         seen = {"every row": 0, "failed pivot": 0}
         for _ in range(130):
             ws = qp._WorkingSet(factor, 30)
@@ -774,7 +787,9 @@ class TestQpFactor:
     @pytest.mark.parametrize("run", ["reference", "setpoint"])
     def test_every_solve_keeps_its_path(self, monkeypatch, run):
         # the 3600 s reference run and the benchmark's setpoint schedule
-        # take the same iterations and active sets under either factor
+        # take the same iterations and active sets under either factor,
+        # and the path each step took when it was pinned: its iterations
+        # and active set, as a digest of the run
         workloads = bench_module("workloads")
         runs = {"reference": (720, lambda b: pipeline.closed_loop(b, 3600.0)),
                 "setpoint": (1440, lambda b: workloads.setpoint_episode(
@@ -785,4 +800,7 @@ class TestQpFactor:
         assert len(paths) == steps
         assert paths == ref_paths
         assert any(iters for iters, _, _ in paths)
+        pins = {"reference": (34, "b54c11f82015b145"), "setpoint": (155, "c3d06f895f50d362")}
+        assert sum(iters for iters, _, _ in paths) == pins[run][0]
+        assert path_digest((iters, rows) for iters, rows, _ in paths) == pins[run][1]
         np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anesmpc import compensation, mpc, pipeline, pkpd, sim
+from anesmpc import compensation, mpc, pipeline, pkpd, qp, sim
 from anesmpc.errors import ModelConfigError
 
-from conftest import U_BOUNDS, controller_path, patient_path
+from conftest import U_BOUNDS, controller_path, path_digest, patient_path
 from oracles import simulate_nominal_fast
 
 # 600 s run of the shipped patient and tuning, at full precision: the
@@ -201,15 +201,25 @@ class TestReferenceRun:
         assert log.status == ["optimal"] * 120
         assert sim.compute_metrics(log, 50.0, 2.0).settling_time == 265.0
 
-    def test_qp_iterations_per_step(self):
+    def test_qp_iterations_per_step(self, monkeypatch):
         # the cold first solve admits the rows violated at the unconstrained
         # minimiser at once; every later step is hot-started, except that a
         # step whose z_u meets every row returns it at once (step 15, with a
-        # row tight at its warm start)
+        # row tight at its warm start). Each step's iterations and active
+        # set are pinned as the digest of the run's path.
         bundle = pipeline.build_bundle(patient_path(), controller_path())
+        active, solve = [], qp.qp_solve
+
+        def recording(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            active.append(sol.active_set)
+            return sol
+
+        monkeypatch.setattr(qp, "qp_solve", recording)
         log = sim.simulate_closed_loop(bundle.disc, bundle.patient.pd,
                                        bundle.controller, 3600.0)
         assert log.qp_iterations.shape == (720,)
         assert log.qp_iterations[0] == 8
         assert log.qp_iterations[15] == 0
         assert log.qp_iterations.sum() == 34
+        assert path_digest(zip(log.qp_iterations.tolist(), active)) == "b54c11f82015b145"
