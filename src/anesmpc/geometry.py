@@ -13,43 +13,34 @@ feasibility step is the Chebyshev-centre LP, which lets the radius go
 negative until w = 0 meets every row. The simplex keeps a dictionary
 tableau: one column per nonbasic variable (2n of them for the split free
 variables) plus the rhs, with the basic columns, always unit vectors,
-left implicit. Every pivot follows Bland's rule, which cannot cycle: the
-entering variable is the improving one (reduced cost below -OPT_TOL) of
-lowest variable index, and of the rows tied in the ratio test the one
-whose basic variable has the lowest index leaves. Feasibility and
-optimality tolerances are both 1e-9. Every LP runs to its optimum or to a
-ray that shows it unbounded, and returns that point or the ray's
-direction; _MAX_PIVOTS is only a safety cap.
+left implicit. It is stored transposed, a column to a row of the array,
+so that the ratio test and the pivot read contiguous columns. One pivot
+loop (_run_simplex, _pivot) solves every LP, alone or in a family, by
+Bland's rule (_run_simplex states it) with feasibility and optimality
+tolerances of 1e-9: the front end builds the family's dictionary once,
+and each LP pivots its own copy of it, so a family holds one dictionary
+at a time whatever its size. Every LP runs to its optimum or to a ray
+that shows it unbounded, and returns that point or the ray's direction.
 
-Two pivot loops apply these rules. A family of one runs on the scalar
-loop (_run_simplex, _pivot); a larger family runs as a stack
-(_run_stack, _pivot_stack): one dictionary per LP in an (L, m+1, 2n+1)
-array, all pivoted in one set of numpy operations per round, in chunks
-of _STACK_CHUNK LPs so memory stays bounded whatever the row count. Each
-loop is the fast one for its calls (shipped pair, 2-vCPU host): a lone
-LP on the stack loop takes about 3 times as long (an 8-row LP 0.053 ->
-0.151 ms, the set-up 7.6 -> 9.6 ms), and the reduction's 13 row LPs as
-lone LPs 1.0 -> 2.0 ms.
-
-Redundancy removal tests every row against all the others in one stack
-(a chunk at a time, leaving out the rows earlier chunks dropped),
-drops the rows whose maximum falls short of their bound by a margin,
-keeps those whose maximum tops it by the margin, and tests only the rest
-again one at a time in row order. Dropping the first kind all at once is
-sound: a row strictly redundant against all other rows is redundant
-against every subset of them that still defines the set.
+Redundancy removal tests every row against all the others in one
+family, drops the rows whose maximum falls short of their bound by a
+margin, keeps those whose maximum tops it by the margin, and tests only
+the rest again one at a time in row order. Dropping the first kind all
+at once is sound: a row strictly redundant against all other rows is
+redundant against every subset of them that still defines the set.
 
 Redundancy removal shifts the rows to the same centre and runs one row
 LP per pair of twins there, the twin taking the same verdict: one LP per
 mirror pair for a symmetric set. Rays from the centre along given
 directions show rows irredundant with no LP (shown_irredundant, the rule
 of the propagation's witness points). On the shipped pair X_a's 96 rows
-are reduced to 44 with 13 stacked LPs and no centre LP.
+are reduced to 44 with a family of 13 LPs and no centre LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +50,6 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 
 _MAX_PIVOTS = 200000
-# LPs pivoted together by lp_max_stack; its two (chunk, m+1, 2n+1) arrays
-# are allocated once per chunk
-_STACK_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -93,8 +81,7 @@ class Polyhedron:
         return self.F.shape[0]
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     value: float
     # "optimal": the maximiser; "unbounded": the direction of a ray of the
     # set along which the objective grows, not a point; "infeasible": None
@@ -102,57 +89,70 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
 
 
-def _pivot(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, col: int,
+def _pivot(D: np.ndarray, basis: list, nonbasic: list, row: int, col: int,
            work: np.ndarray) -> None:
-    """Exchange basis[row] and nonbasic[col] in the dictionary D. The
-    leaving variable takes the entering one's column, colvals * (-1/p)
-    with 1/p in the pivot row; every entry comes out as the full tableau
-    computes it. work is scratch of D's shape."""
-    p = D[row, col]
-    D[row] /= p
-    colvals = D[:, col].copy()
+    """Exchange basis[row] and nonbasic[col] in the dictionary D, stored
+    transposed (D[col] is column col). The leaving variable takes the
+    entering one's column, colvals * (-1/p) with 1/p in the pivot row;
+    every entry comes out as the full tableau computes it. work is
+    scratch of D's shape."""
+    p = D.item(col, row)
+    D[:, row] /= p
+    colvals = D[col].copy()
     colvals[row] = 0.0
-    np.multiply(colvals[:, None], D[row], out=work)
+    np.multiply(D[:, row : row + 1], colvals, out=work)
     D -= work
     inv = 1.0 / p
-    np.multiply(colvals, -inv, out=D[:, col])
-    D[row, col] = inv
+    np.multiply(colvals, -inv, out=D[col])
+    D[col, row] = inv
     # clamp tiny rhs drift
-    rhs = D[:-1, -1]
-    if rhs.min() < 0.0:
+    rhs = D[-1, :-1]
+    if rhs[rhs.argmin()] < 0.0:
         rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
     basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _run_simplex(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, c: np.ndarray,
-                 skip: int | None) -> LpResult:
-    """_run_stack on the one dictionary D (last row = reduced costs of
-    minimizing -c . w and, in its last entry, the objective gained so far;
-    last column = rhs >= 0), with c and skip in the place of C[l] and
-    skip[l]: the same Bland's-rule pivots, in scalar steps."""
-    m = basis.size
-    n = nonbasic.size // 2
-    costs = D[-1, :-1]
-    rhs = D[:m, -1]
-    ratios = np.empty(m)
-    work = np.empty_like(D)
+def _run_simplex(D: np.ndarray, basis: list, nonbasic: list, c: np.ndarray,
+                 skip: int | None, work: np.ndarray, ratios: np.ndarray) -> LpResult:
+    """Pivot the dictionary D to its optimum or to a ray that shows the LP
+    unbounded. D holds it transposed, D[j, i] the entry of row i in column
+    j: D[-1] is the rhs column (>= 0), D[:, -1] the cost row (the reduced
+    costs of minimizing -c . w), and D[-1, -1] the objective gained so
+    far. basis and nonbasic list the variables of its rows and columns
+    (w = wp - wn as variables 0..2n-1, then the slacks).
+
+    Every pivot follows Bland's rule, which cannot cycle: the entering
+    variable is the improving one (reduced cost below -OPT_TOL) of lowest
+    variable index, and of the rows tied in the ratio test (within 1e-12
+    of its minimum over the entries above FEAS_TOL) the one whose basic
+    variable has the lowest index leaves; with no such entry the entering
+    column is a ray. Row skip, when given, stays out of the ratio test, so
+    its slack never leaves the basis: the LP is the one over the other
+    rows. _MAX_PIVOTS is only a safety cap. work and ratios are scratch of
+    D's shape and of the rhs's.
+    """
+    m = len(basis)
+    n = len(nonbasic) // 2
+    costs = D[:-1, -1]
+    rhs = D[-1, :m]
     for _ in range(_MAX_PIVOTS + 1):
         cols = [j for j, v in enumerate(costs.tolist()) if v < -OPT_TOL]
         if not cols:
             break
         # the lowest variable index among them, whatever its column
-        col = min(cols, key=nonbasic.__getitem__)
-        colvals = D[:m, col]
+        col = cols[0] if len(cols) == 1 else min(cols, key=nonbasic.__getitem__)
+        colvals = D[col, :m]
         pos = colvals > FEAS_TOL
         if skip is not None:
             pos[skip] = False
-        if not pos.any():
-            return LpResult(np.inf, _ray(D, basis, nonbasic, col, n), "unbounded")
         ratios.fill(np.inf)
         np.divide(rhs, colvals, out=ratios, where=pos)
-        cand = (ratios <= ratios.min() + 1e-12).nonzero()[0]
+        least = ratios.item(ratios.argmin()) if m else np.inf
+        if least == np.inf:
+            return LpResult(np.inf, _ray(D, basis, nonbasic, col, n), "unbounded")
+        cand = (ratios <= least + 1e-12).nonzero()[0].tolist()
         # Bland's tie-break: the smallest basis index
-        row = int(cand[0]) if cand.size == 1 else int(cand[basis[cand].argmin()])
+        row = cand[0] if len(cand) == 1 else min(cand, key=basis.__getitem__)
         _pivot(D, basis, nonbasic, row, col, work)
     else:
         raise GeometryError("simplex did not converge within the pivot cap")
@@ -160,110 +160,24 @@ def _run_simplex(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, c: np.n
     return LpResult(float(c @ w), w, "optimal")
 
 
-def _point(D: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
+def _point(D: np.ndarray, basis: list, n: int) -> np.ndarray:
     """The vertex w = wp - wn that the dictionary D with this basis holds."""
-    m = basis.size
+    m = len(basis)
     x = np.zeros(2 * n + m)
-    x[basis] = D[:m, -1]
+    x.put(basis, D[-1, :m])
     return x[:n] - x[n : 2 * n]
 
 
-def _ray(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, col: int,
-         n: int) -> np.ndarray:
+def _ray(D: np.ndarray, basis: list, nonbasic: list, col: int, n: int) -> np.ndarray:
     """The direction in w of the ray that column col of the dictionary D
     shows when no entry of it is positive: the entering variable grows at
     rate 1 and each basic variable falls at its entry of the column, so
     every slack stays nonnegative while the objective grows."""
-    m = basis.size
+    m = len(basis)
     x = np.zeros(2 * n + m)
-    x[basis] = -D[:m, col]
+    x.put(basis, -D[col, :m])
     x[nonbasic[col]] = 1.0
     return x[:n] - x[n : 2 * n]
-
-
-def _pivot_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
-                 rows: np.ndarray, cols: np.ndarray, work: np.ndarray) -> None:
-    """_pivot on every dictionary of the stack D at once, LP l exchanging
-    basis[l, rows[l]] and nonbasic[l, cols[l]]; each entry comes out as
-    _pivot computes it. work is scratch of D's shape."""
-    ar = np.arange(D.shape[0])
-    p = D[ar, rows, cols]
-    prow = D[ar, rows] / p[:, None]
-    D[ar, rows] = prow
-    colvals = D[ar, :, cols]
-    colvals[ar, rows] = 0.0
-    np.multiply(colvals[:, :, None], prow[:, None, :], out=work)
-    D -= work
-    inv = 1.0 / p
-    D[ar, :, cols] = colvals * -inv[:, None]
-    D[ar, rows, cols] = inv
-    # clamp tiny rhs drift
-    rhs = D[:, :-1, -1]
-    rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
-    entering = nonbasic[ar, cols]
-    nonbasic[ar, cols] = basis[ar, rows]
-    basis[ar, rows] = entering
-
-
-def _run_stack(D: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, C: np.ndarray,
-               skip: np.ndarray | None):
-    """Pivot every dictionary of the stack D to its optimum or to a ray,
-    one pivot per live LP per round, each by Bland's rule (the module
-    docstring). Row skip[l], when given, stays out of LP l's ratio test,
-    so its slack never leaves the basis: LP l is the one over the other
-    rows.
-
-    Finished LPs are swapped out of the live prefix D[:k], so each round
-    works in place on live dictionaries only. Returns one LpResult per LP,
-    in D's coordinates.
-    """
-    L, m = basis.shape
-    n = nonbasic.shape[1] // 2
-    C = C.copy()
-    skip = None if skip is None else skip.copy()
-    lp = np.arange(L)  # the LP each slot holds
-    results: list[LpResult | None] = [None] * L
-    work = np.empty_like(D)
-    big = m + 2 * n  # above every variable index
-    k = L
-    for _ in range(_MAX_PIVOTS + 1):
-        ar = np.arange(k)
-        pick = D[:k, -1, :-1] < -OPT_TOL  # the improving columns
-        done = ~pick.any(axis=1)
-        # the lowest variable index among them, whatever its column
-        col = np.where(pick, nonbasic[:k], big).argmin(axis=1)
-        for s in done.nonzero()[0]:
-            w = _point(D[s], basis[s], n)
-            results[lp[s]] = LpResult(float(C[s] @ w), w, "optimal")
-        colvals = D[ar, :m, col]
-        pos = colvals > FEAS_TOL
-        if skip is not None:
-            pos[ar, skip[:k]] = False
-        unbounded = ~done & ~pos.any(axis=1)
-        for s in unbounded.nonzero()[0]:
-            results[lp[s]] = LpResult(np.inf, _ray(D[s], basis[s], nonbasic[s], col[s], n),
-                                      "unbounded")
-        done |= unbounded
-        if done.any():
-            k_live = k - int(done.sum())
-            holes = done[:k_live].nonzero()[0]
-            movers = k_live + (~done[k_live:]).nonzero()[0]
-            for a, b in zip(holes, movers):
-                D[a] = D[b]
-            per_slot = [basis, nonbasic, C, lp, col, colvals, pos]
-            for arr in per_slot + ([] if skip is None else [skip]):
-                arr[holes] = arr[movers]
-            k = k_live
-            if k == 0:
-                return results
-            ar, col, colvals, pos = ar[:k], col[:k], colvals[:k], pos[:k]
-        ratios = np.full((k, m), np.inf)
-        np.divide(D[:k, :m, -1], colvals, out=ratios, where=pos)
-        cand = ratios <= ratios.min(axis=1, keepdims=True) + 1e-12
-        # Bland's tie-break: the smallest basis index
-        row = np.where(cand, basis[:k], big).argmin(axis=1)
-        _pivot_stack(D[:k], basis[:k], nonbasic[:k], row, col, work[:k])
-    raise GeometryError("simplex did not converge within the pivot cap")
 
 
 def _centre(poly: Polyhedron) -> tuple[np.ndarray, float]:
@@ -305,8 +219,8 @@ def lp_max_stack(C, poly: Polyhedron, skip=None) -> list[LpResult]:
     Every LP starts from the slack basis. When some g_i < 0 the rows are
     first shifted to poly's centre w0 (centre), F u <= h with h >= 0, and
     the results shifted back; when poly is empty, every LP is
-    "infeasible", skipped row or not. A family of one runs on the scalar
-    loop, a larger one as stacks of _STACK_CHUNK LPs.
+    "infeasible", skipped row or not. The family's dictionary is built
+    once, and each LP runs on _run_simplex from its own copy of it.
     """
     C = np.array(C, dtype=float, ndmin=2, copy=None)
     F, g = poly.F, poly.g
@@ -326,32 +240,25 @@ def lp_max_stack(C, poly: Polyhedron, skip=None) -> list[LpResult]:
         if frame is None:
             return [LpResult(-np.inf, None, "infeasible")] * L
         w0, g, _ = frame
+    # w = wp - wn with slacks s, from the slack basis; minimize -c.(wp - wn)
+    template = np.empty((2 * n + 1, m + 1))
+    template[:n, :m] = F.T
+    template[n:-1, :m] = -F.T
+    template[-1, :m] = g
+    template[-1, -1] = 0.0
+    D, work, ratios = np.empty_like(template), np.empty_like(template), np.empty(m)
+    basis, nonbasic = list(range(2 * n, 2 * n + m)), list(range(2 * n))
     results = []
-    for lo in range(0, L, _STACK_CHUNK):
-        c = C[lo : lo + _STACK_CHUNK]
-        k = c.shape[0]
-        # w = wp - wn with slacks s, from the slack basis; minimize -c.(wp - wn)
-        D = np.empty((k, m + 1, 2 * n + 1))
-        D[:, :m, :n] = F
-        D[:, :m, n:-1] = -F
-        D[:, :m, -1] = g
-        D[:, -1, :n] = -c
-        D[:, -1, n:-1] = c
-        D[:, -1, -1] = 0.0
-        basis = np.empty((k, m), dtype=np.intp)
-        basis[:] = np.arange(2 * n, 2 * n + m)
-        nonbasic = np.empty((k, 2 * n), dtype=np.intp)
-        nonbasic[:] = np.arange(2 * n)
-        if L == 1:
-            results.append(_run_simplex(D[0], basis[0], nonbasic[0], c[0],
-                                        None if skip is None else skip[0]))
-        else:
-            results += _run_stack(D, basis, nonbasic, c,
-                                  None if skip is None else skip[lo : lo + k])
-    for l, res in enumerate(results):
+    for l, c in enumerate(C):
+        np.copyto(D, template)
+        D[:n, -1] = -c
+        D[n:-1, -1] = c
+        res = _run_simplex(D, basis.copy(), nonbasic.copy(), c,
+                           None if skip is None else skip[l], work, ratios)
         if shifted and res.status == "optimal":  # a ray needs no shift
             w = res.argmax + w0
-            results[l] = LpResult(float(C[l] @ w), w, res.status)
+            res = LpResult(float(c @ w), w, res.status)
+        results.append(res)
     return results
 
 
@@ -461,7 +368,7 @@ def remove_redundant(poly: Polyhedron, directions=None) -> Polyhedron:
       meets it first, and leaves the other rows at a point beyond it by
       the margin (shown_irredundant);
     - else tested by the LP max F_j u over all the other rows, for one
-      row of each twin pair, all these LPs solved together as one stack
+      row of each twin pair, all these LPs solved as one family
       (lp_max_stack), and
       - dropped with its twin when that maximum is below h_j - margin: a
         row strictly redundant against all other rows is redundant
@@ -472,14 +379,6 @@ def remove_redundant(poly: Polyhedron, directions=None) -> Polyhedron:
       - otherwise (weakly redundant or borderline) tested again with its
         twin by lp_max, each alone, in row order, against the rows still
         kept, as the pass would.
-
-    The row tests run _STACK_CHUNK at a time, and each chunk's LPs leave
-    out the rows that earlier chunks dropped. No outcome changes: those
-    rows and a strictly redundant row j can all go at once, so j's maximum
-    over the rest stays below h_j - margin; a maximum over fewer rows is
-    never lower, so no kept row turns dropped; and a row that tops
-    h_j + margin only without them would also be kept by its re-test,
-    which leaves them out as well.
     """
     F, g = poly.F, poly.g
     if directions is not None:
@@ -510,19 +409,15 @@ def remove_redundant(poly: Polyhedron, directions=None) -> Polyhedron:
         cp = FD[first, np.arange(D.shape[0])]
         kept[first[shown_irredundant(cp, beyond, h[first])]] = True
         kept |= kept[twin]
-    live = np.ones(rows.size, dtype=bool)  # not dropped by an earlier chunk
+    live = np.ones(rows.size, dtype=bool)
     borderline = np.zeros(rows.size, dtype=bool)
     tested = ((np.arange(rows.size) <= twin) & ~kept).nonzero()[0]
-    for lo in range(0, tested.size, _STACK_CHUNK):
-        chunk = tested[lo : lo + _STACK_CHUNK]
-        others = live.nonzero()[0]
-        tests = lp_max_stack(F_u[chunk], Polyhedron(F_u[others], h[others]),
-                             skip=np.searchsorted(others, chunk))
-        for j, res in zip(chunk.tolist(), tests):
-            if res.status == "optimal" and res.value < h[j] - margin[j]:
-                live[[j, twin[j]]] = False
-            elif res.status == "optimal" and res.value <= h[j] + margin[j]:
-                borderline[[j, twin[j]]] = True
+    tests = lp_max_stack(F_u[tested], Polyhedron(F_u, h), skip=tested)
+    for j, res in zip(tested.tolist(), tests):
+        if res.status == "optimal" and res.value < h[j] - margin[j]:
+            live[[j, twin[j]]] = False
+        elif res.status == "optimal" and res.value <= h[j] + margin[j]:
+            borderline[[j, twin[j]]] = True
     surviving = live.nonzero()[0].tolist()
     for j in borderline.nonzero()[0].tolist():
         others = [i for i in surviving if i != j]

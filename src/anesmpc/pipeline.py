@@ -145,8 +145,8 @@ def _check_dare(bundle, shared) -> tuple[bool, str]:
 def _check_invariance_lp(bundle, shared) -> tuple[bool, str]:
     ing = bundle.ingredients
     excess = terminal.invariance_excess(ing.A_w, ing.X_a)
-    return excess <= 1e-9, (f"{ing.X_a.nrows} LPs, max over X_a of F_j A_w w - g_j "
-                            f"= {excess:.2e}")
+    lps = terminal.invariance_lps(ing.A_w, ing.X_a)
+    return excess <= 1e-9, f"{lps} LPs, max over X_a of F_j A_w w - g_j = {excess:.2e}"
 
 
 def _check_qp_oracle(bundle, shared) -> tuple[bool, str]:

@@ -223,8 +223,9 @@ def bis_output(xf, pd: PdParams) -> float:
 
 def hill_invert(y_ref: float, pd: PdParams) -> float:
     """Normalized potency total c with bis_output == y_ref whenever
-    x4p/Ce50p + x4r/Ce50r == c. Defined for y_ref in (E0 - Emax, E0]."""
-    if y_ref > pd.E0 or y_ref <= pd.E0 - pd.Emax:
+    x4p/Ce50p + x4r/Ce50r == c. Defined for y_ref in (E0 - Emax, E0];
+    NaN lies in no range."""
+    if not pd.E0 - pd.Emax < y_ref <= pd.E0:
         raise ModelConfigError(
             f"BIS target 'y_ref' = {y_ref:g} outside the reachable range "
             f"({pd.E0 - pd.Emax:.6g}, {pd.E0:.6g}]"

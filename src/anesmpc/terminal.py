@@ -10,13 +10,13 @@ dynamics picked by geometry.centre's rule over the steady pairs, where
 every propagated row keeps a nonnegative rhs: each LP starts from the
 slack basis with no shift of its own, and invariance_excess proves
 invariance the same way. All of them go through geometry's one LP front
-end: a propagation LP as lp_max, a family of one on the scalar pivot
-loop, and invariance_excess's row LPs as one family on the stack loop;
-where a set holds no steady pair, the front end shifts the rows to the
-set's centre itself. Since the shifted set holds the origin, a point an
-earlier propagation LP returned, scaled back into the current set, or
-the ray an unbounded one returned can show a candidate row irredundant
-with no LP, and a candidate that repeats a row already held needs none.
+end and its one pivot loop: a propagation LP as lp_max, a family of
+one, and invariance_excess's row LPs as one family; where a set holds
+no steady pair, the front end shifts the rows to the set's centre
+itself. Since the shifted set holds the origin, a point an earlier
+propagation LP returned, scaled back into the current set, or the ray
+an unbounded one returned can show a candidate row irredundant with no
+LP, and a candidate that repeats a row already held needs none.
 
 W_lambda bounds the terminal-law input by the box V and the steady input
 by V shrunk about its centre, so both boxes share that centre, and
@@ -27,8 +27,8 @@ mirror is a witness too, a candidate whose mirror was just shown
 redundant needs no LP, and invariance_excess runs one LP per mirror
 pair. On the shipped pair 5 LPs decide the 12 propagation rounds, and
 the final reduction of 96 rows (26 mirror pairs once exact copies go)
-runs one stacked LP for 13 pairs, the LP points and their images under
-A_w showing the other 13 irredundant.
+runs a family of 13 LPs, one for each of 13 pairs (93 pivots), the LP
+points and their images under A_w showing the other 13 irredundant.
 
 Sign convention: K is Schur-stabilizing for A + BK and enters the
 terminal law as v = K(x - x_a) + v_a; for the positive anesthesia
@@ -333,29 +333,41 @@ def max_admissible_invariant_set(A_w: np.ndarray, W: Polyhedron,
     )
 
 
+def _invariance_family(A_w: np.ndarray, X: Polyhedron):
+    """invariance_excess's row LPs: (FA, w0, h, twin, tested) with FA =
+    F A_w, X's rows shifted to w0 as in the build (_steady_shift), F u <=
+    h, twin[j] the row that takes row j's maximum, and tested the rows
+    whose LP runs, one per twin pair."""
+    w0, h, twin = _steady_shift(A_w, X)
+    FA = X.F @ A_w
+    if not np.array_equal(FA[twin], -FA):
+        twin = np.arange(X.nrows)
+    return FA, w0, h, twin, (np.arange(X.nrows) <= twin).nonzero()[0]
+
+
 def invariance_excess(A_w: np.ndarray, X: Polyhedron) -> float:
     """Largest max_{w in X} F_j A_w w - g_j over the rows j of X; +inf if a
     row is unbounded or X is empty. X is invariant under A_w iff this is
     <= 0 (up to the LP tolerance). The row LPs share X's rows, so they run
-    as one stack (lp_max_stack) on the rows shifted to a steady point of
-    X as in the build (_steady_shift); when X holds none, the stack
+    as one family (lp_max_stack) on the rows shifted to a steady point of
+    X as in the build (_steady_shift); when X holds none, the front end
     shifts them to X's centre itself. When the rows F A_w keep the
     pairing of twins that comes with the shift, the two rows of a pair
-    have the same maximum, so one LP per pair runs.
+    have the same maximum, so one LP per pair runs (invariance_lps).
     """
-    F, g = X.F, X.g
-    w0, h, twin = _steady_shift(A_w, X)
-    FA = F @ A_w
-    offset = FA @ w0 - g
-    if not np.array_equal(FA[twin], -FA):
-        twin = np.arange(X.nrows)
-    tested = (np.arange(X.nrows) <= twin).nonzero()[0]
+    FA, w0, h, twin, tested = _invariance_family(A_w, X)
+    offset = FA @ w0 - X.g
     value = np.empty(X.nrows)
-    for j, res in zip(tested, lp_max_stack(FA[tested], Polyhedron(F, h))):
+    for j, res in zip(tested, lp_max_stack(FA[tested], Polyhedron(X.F, h))):
         if res.status != "optimal":
             return np.inf
         value[[j, twin[j]]] = res.value
     return float(np.max(value + offset, initial=-np.inf))
+
+
+def invariance_lps(A_w: np.ndarray, X: Polyhedron) -> int:
+    """The number of row LPs invariance_excess runs on (A_w, X)."""
+    return _invariance_family(A_w, X)[-1].size
 
 
 def compute_terminal_ingredients(dyn: DiscreteDynamics, V: InputBox, Q, R,

@@ -47,11 +47,11 @@ def test_build_spans_nest_under_the_bundle_build(tracing):
     metrics, bases = tracing.layer_metrics(tracer.spans)
     assert bases["builds"] == 1
     assert metrics["terminal.kstar"] == 11
-    # every scalar construction LP runs through the traced lp_max: one
+    # every lone construction LP runs through the traced lp_max: one
     # routed around it would zero these counts, not fail the build. Both
     # centres are centres of symmetry, found without an LP, and the
-    # reduction's row tests run as one stack, which the tracer does not
-    # patch, so only the 5 propagation LPs count here
+    # reduction's row tests run as one family (lp_max_stack), which the
+    # tracer does not patch, so only the 5 propagation LPs count here
     assert metrics["terminal.propagation_lps"] == 5
     assert metrics["geometry.redundancy_lps"] == 0
     assert metrics["geometry.rows_in"] == 96

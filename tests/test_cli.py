@@ -164,7 +164,8 @@ class TestValidate:
         (result,) = pipeline.run_validation_checks(
             bundle, checks=[("invariant-set-lp", checks["invariant-set-lp"])])
         assert result[1] is True
-        assert f"{ing.X_a.nrows} LPs" in result[2]
+        # one LP per mirror pair of X_a runs
+        assert ing.X_a.nrows // 2 == 22 and result[2].startswith("22 LPs, ")
 
     def test_lambda_one_rejected_cleanly(self, paths, tmp_path, capsys):
         cfg_text = controller_path().read_text().replace("lambda = 0.99", "lambda = 1.0")

@@ -186,20 +186,26 @@ def mirrored_polytope(rng, n, cuts=4):
     return Polyhedron(F[order], g[order])
 
 
-def stacked_and_lone_lps(monkeypatch):
-    """LPs run by the stack loop and the objectives of lone lp_max calls."""
-    made = {"stacked": 0, "lone": []}
-    real_stack, real = geometry._run_stack, geometry.lp_max
+def family_and_lone_lps(monkeypatch):
+    """LPs run by the pivot loop outside a lone lp_max call (those of a
+    family) and the objectives of lone lp_max calls."""
+    made = {"family": 0, "lone": []}
+    real_run, real = geometry._run_simplex, geometry.lp_max
+    lone = [False]  # an lp_max call under way
 
-    def counting_stack(D, *args):
-        made["stacked"] += D.shape[0]
-        return real_stack(D, *args)
+    def counting(*args):
+        made["family"] += not lone[0]
+        return real_run(*args)
 
     def recording(c, poly):
         made["lone"].append(np.asarray(c))
-        return real(c, poly)
+        lone[0] = True
+        try:
+            return real(c, poly)
+        finally:
+            lone[0] = False
 
-    monkeypatch.setattr(geometry, "_run_stack", counting_stack)
+    monkeypatch.setattr(geometry, "_run_simplex", counting)
     monkeypatch.setattr(geometry, "lp_max", recording)
     return made
 
@@ -246,31 +252,36 @@ class TestLpMax:
     def test_beale_lp_does_not_cycle(self, monkeypatch):
         # Beale's degenerate LP, on which pricing by the most negative
         # reduced cost cycles: Bland's rule reaches the optimum 1.25 at
-        # (1, 0, 1, 0) in 8 pivots, alone and as a stack of two
+        # (1, 0, 1, 0) in 8 pivots, alone and as a family of two
         c = np.array([0.75, -20.0, 0.5, -6.0])
         F = np.vstack([[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
                        -np.eye(4)])
         P = Polyhedron(F, [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
         pivots = [0]
-        real, real_stack = geometry._pivot, geometry._pivot_stack
+        real = geometry._pivot
 
         def counting(*args):
             pivots[0] += 1
             return real(*args)
 
-        def counting_stack(D, *args):
-            pivots[0] += D.shape[0]
-            return real_stack(D, *args)
-
         monkeypatch.setattr(geometry, "_pivot", counting)
-        monkeypatch.setattr(geometry, "_pivot_stack", counting_stack)
         for C in ([c], [c, c]):
             pivots[0] = 0
             for res in lp_max_stack(C, P):
                 assert res.status == "optimal"
                 assert abs(res.value - 1.25) <= 1e-15
                 np.testing.assert_allclose(res.argmax, [1.0, 0.0, 1.0, 0.0], rtol=0, atol=1e-15)
-            assert pivots[0] <= 20 * len(C)
+            assert pivots[0] == 8 * len(C)
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        # the safety cap holds alone and in a family: a random LP that takes
+        # more pivots than the cap raises instead of returning a vertex
+        c, F, g = next((c, F, np.abs(g)) for c, F, g in random_lps()
+                       if len(full_tableau_lp(c, F, np.abs(g))[0]) > 2)
+        monkeypatch.setattr(geometry, "_MAX_PIVOTS", 2)
+        for C in ([c], [-c, c]):
+            with pytest.raises(GeometryError, match="pivot cap"):
+                lp_max_stack(C, Polyhedron(F, g))
 
     def test_negative_rhs_needs_phase_one(self):
         # 1 <= w <= 3 written with a negative rhs row
@@ -339,8 +350,8 @@ class TestLpMax:
 
         def checking(D, basis, nonbasic, row, col, work):
             nonlocal out_of_order
-            cols = np.flatnonzero(D[-1, :-1] < -geometry.OPT_TOL)  # the improving columns
-            assert nonbasic[col] == nonbasic[cols].min()
+            cols = np.flatnonzero(D[:-1, -1] < -geometry.OPT_TOL)  # the improving columns
+            assert nonbasic[col] == min(nonbasic[j] for j in cols)
             out_of_order += any(j < col for j in cols)
             return real(D, basis, nonbasic, row, col, work)
 
@@ -424,15 +435,15 @@ class TestLpMaxStack:
                 yield C, Polyhedron(F, rhs)
 
     @staticmethod
-    def _assert_same(stacked, scalar):
-        # each dictionary pivots entry for entry as lp_max's does, so the
-        # results agree to the bit
-        assert stacked.status == scalar.status
-        assert stacked.value == scalar.value
-        if scalar.argmax is None:  # "infeasible"
-            assert stacked.argmax is None
+    def _assert_same(member, alone):
+        # each LP of a family pivots its copy of the family's dictionary
+        # as lp_max pivots its own, so the results agree to the bit
+        assert member.status == alone.status
+        assert member.value == alone.value
+        if alone.argmax is None:  # "infeasible"
+            assert member.argmax is None
             return
-        assert np.array_equal(stacked.argmax, scalar.argmax)
+        assert np.array_equal(member.argmax, alone.argmax)
 
     def test_matches_lp_max_on_the_random_battery(self):
         statuses = {"optimal": 0, "unbounded": 0, "infeasible": 0}
@@ -471,7 +482,7 @@ class TestLpMaxStack:
             empty = geometry.is_empty(P)
             for c, j, res in zip(C, skip, results):
                 rest = Polyhedron(np.delete(P.F, j, axis=0), np.delete(P.g, j))
-                # the same LP alone runs on the scalar loop, to the same bits
+                # the same LP as a family of one, to the same bits
                 self._assert_same(lp_max_stack([c], P, skip=[j])[0], res)
                 if np.all(P.g >= 0):
                     self._assert_same(res, lp_max(c, rest))
@@ -495,7 +506,7 @@ class TestLpMaxStack:
     @pytest.mark.parametrize("which", ["stored X_a", "shifted box", "unpaired"])
     def test_negative_rhs_family_takes_one_centre(self, centre_lps, which):
         # a family whose rows pair about a point is shifted to it with no
-        # centre LP; any other takes one per family: one for the stack of
+        # centre LP; any other takes one per family: one for the family of
         # eight, then one for each lp_max
         from scipy.optimize import linprog
 
@@ -663,7 +674,7 @@ class TestRemoveRedundant:
         # redundant nor irredundant, so the in-order fallback decides them.
         # Its lone LPs maximize a row of the set; the centre LP's objective
         # has one entry more
-        made = stacked_and_lone_lps(monkeypatch)
+        made = family_and_lone_lps(monkeypatch)
         fallback = 0
         rng = np.random.default_rng(47)
         for _ in range(12):
@@ -686,19 +697,19 @@ class TestRemoveRedundant:
         assert fallback > 0
 
     def test_mirrored_polytopes_stack_one_lp_per_pair(self, monkeypatch):
-        # twins take one verdict: one stacked LP per mirror pair and no
-        # centre LP; weakly redundant twins are both tested again alone, in
-        # row order
+        # twins take one verdict: one LP of the family per mirror pair and
+        # no centre LP; weakly redundant twins are both tested again alone,
+        # in row order
         rng = np.random.default_rng(61)
         polys = [mirrored_polytope(rng, int(rng.integers(2, 5))) for _ in range(12)]
         refs = [sequential_remove_redundant(P) for P in polys]
-        made = stacked_and_lone_lps(monkeypatch)
+        made = family_and_lone_lps(monkeypatch)
         retested = 0
         for P, ref in zip(polys, refs):
-            made["stacked"], made["lone"] = 0, []
+            made["family"], made["lone"] = 0, []
             R = remove_redundant(P)
             assert np.array_equal(R.F, ref.F) and np.array_equal(R.g, ref.g)
-            assert made["stacked"] == P.nrows // 2
+            assert made["family"] == P.nrows // 2
             rows = [int(np.flatnonzero((P.F == c).all(axis=1))[0]) for c in made["lone"]]
             assert rows == sorted(rows)
             assert sorted(mirror_rows(P.F)[rows]) == rows
@@ -716,10 +727,10 @@ class TestRemoveRedundant:
         # a ray from the centre along e_i meets row e_i first and no other
         # row after it: every row of a box is shown irredundant, with no LP
         P = box([1.0, -2.0, 0.5], [3.0, 1.0, 0.75])
-        made = stacked_and_lone_lps(monkeypatch)
+        made = family_and_lone_lps(monkeypatch)
         R = remove_redundant(P, directions=np.eye(3))
         assert np.array_equal(R.F, P.F) and np.array_equal(R.g, P.g)
-        assert made == {"stacked": 0, "lone": []}
+        assert made == {"family": 0, "lone": []}
 
     def test_tied_directions_certify_nothing(self, monkeypatch):
         # rays from the centre to vertices meet several rows at once
@@ -727,11 +738,11 @@ class TestRemoveRedundant:
         P = mirrored_polytope(rng, 3)
         w0, _, _ = centre(P)
         D = np.array([lp_max(c, P).argmax - w0 for c in rng.normal(size=(8, 3))])
-        made = stacked_and_lone_lps(monkeypatch)
-        R = remove_redundant(P, directions=D)
         ref = sequential_remove_redundant(P)
+        made = family_and_lone_lps(monkeypatch)
+        R = remove_redundant(P, directions=D)
         assert np.array_equal(R.F, ref.F) and np.array_equal(R.g, ref.g)
-        assert made["stacked"] == P.nrows // 2
+        assert made["family"] == P.nrows // 2
 
     @pytest.mark.parametrize("D", [np.ones((2, 3)), [[np.nan, 1.0]]], ids=["width", "nan"])
     def test_rejects_bad_directions(self, D):
@@ -793,41 +804,40 @@ class TestRemoveRedundant:
             assert np.array_equal(ing.X_a.g, ref.g)
         assert len(inputs) == len(patients)
 
-    def test_thousands_of_rows_in_bounded_chunks(self, monkeypatch):
-        # a 2000-row polyhedron runs as chunks of at most _STACK_CHUNK LPs;
-        # the peak memory stays near one chunk's dictionaries and their
-        # scratch twin (two stacks) plus (chunk, m) arrays of a seventh of a
-        # stack each: no whole-stack copy per round and no unchunked stack,
-        # which would be 2000 / 64 times larger. Each chunk's LPs leave out
-        # the rows earlier chunks dropped, so the row sets shrink.
+    def test_thousands_of_rows_hold_one_dictionary(self, monkeypatch):
+        # a 2000-row polyhedron's row tests run as one family of 2000 LPs,
+        # which holds one dictionary at a time: above what it returns, its
+        # peak memory is the family's dictionary, the LP's copy and their
+        # scratch twin (2n + 1 columns each), plus a few vectors as long as
+        # a column (16 measured, numpy's buffer for the pivot's outer
+        # product among them). A stack of 64 dictionaries took 64 times one
         import tracemalloc
 
-        sizes, row_sets = [], []
-        real = geometry._run_stack
+        families = []
+        real = geometry.lp_max_stack
 
-        def spy(D, *args):
-            sizes.append(D.shape[0])
-            row_sets.append(D.shape[1] - 1)
-            return real(D, *args)
+        def spy(C, poly, skip=None):
+            tracemalloc.reset_peak()
+            results = real(C, poly, skip=skip)
+            held, peak = tracemalloc.get_traced_memory()
+            families.append((len(results), poly.nrows, peak - held))
+            return results
 
-        monkeypatch.setattr(geometry, "_run_stack", spy)
+        monkeypatch.setattr(geometry, "lp_max_stack", spy)
         P = box_with_cuts(2000, seed=31)
         tracemalloc.start()
         try:
             R = remove_redundant(P)
-            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        monkeypatch.undo()
         ref = sequential_remove_redundant(P)
         assert np.array_equal(R.F, ref.F) and np.array_equal(R.g, ref.g)
         assert 6 < R.nrows < 200
-        assert max(sizes) == geometry._STACK_CHUNK
-        assert sum(sizes) == P.nrows
-        assert row_sets[0] == P.nrows
-        assert all(a >= b for a, b in zip(row_sets, row_sets[1:]))
-        assert row_sets[-1] < P.nrows // 2
-        stack_bytes = geometry._STACK_CHUNK * (P.nrows + 1) * (2 * P.dim + 1) * 8
-        assert peak < 3.5 * stack_bytes
+        (lps, rows, working), = [f for f in families if f[0] > 1]
+        assert lps == rows == P.nrows
+        column_bytes = (P.nrows + 1) * 8
+        assert working < 3 * (2 * P.dim + 1) * column_bytes + 20 * column_bytes
 
 
 class TestCentreOfSymmetry:
@@ -976,67 +986,55 @@ class TestSlackBasisOnly:
 
     @pytest.fixture
     def rhs_minima(self, monkeypatch):
-        """Smallest rhs entry of each dictionary handed to the scalar simplex
-        and of each one in a stack, after checking that its basis is the
-        slack variables (the last ones) and its columns the 2n split
-        variables in order."""
-        seen = {"scalar": [], "stacked": []}
+        """Smallest rhs entry of each dictionary handed to the simplex,
+        after checking that its basis is the slack variables (the last
+        ones) and its columns the 2n split variables in order."""
+        seen = []
+        real = geometry._run_simplex
 
-        def check(D, basis, nonbasic):
-            assert np.array_equal(basis, nonbasic.size + np.arange(basis.size))
-            assert np.array_equal(nonbasic, np.arange(D.shape[1] - 1))
-            return float(np.min(D[:-1, -1], initial=np.inf))
-
-        real, real_stack = geometry._run_simplex, geometry._run_stack
-
-        def recording(D, basis, nonbasic, *args, **kwargs):
-            seen["scalar"].append(check(D, basis, nonbasic))
-            return real(D, basis, nonbasic, *args, **kwargs)
-
-        def recording_stack(D, basis, nonbasic, *args):
-            seen["stacked"] += [check(*lp) for lp in zip(D, basis, nonbasic)]
-            return real_stack(D, basis, nonbasic, *args)
+        def recording(D, basis, nonbasic, *args):
+            assert basis == list(range(len(nonbasic), len(nonbasic) + len(basis)))
+            assert nonbasic == list(range(D.shape[0] - 1))
+            seen.append(float(np.min(D[-1, :-1], initial=np.inf)))
+            return real(D, basis, nonbasic, *args)
 
         monkeypatch.setattr(geometry, "_run_simplex", recording)
-        monkeypatch.setattr(geometry, "_run_stack", recording_stack)
         return seen
 
     @pytest.fixture
     def pivots(self, monkeypatch):
-        """Pivots made by each kernel; a stacked round pivots every live LP."""
-        made = {"scalar": 0, "stacked": 0}
-        real, real_stack = geometry._pivot, geometry._pivot_stack
+        """Pivots made by each LP, in the order the LPs run."""
+        made = []
+        real_run, real = geometry._run_simplex, geometry._pivot
+
+        def running(*args):
+            made.append(0)
+            return real_run(*args)
 
         def counting(*args):
-            made["scalar"] += 1
+            made[-1] += 1
             return real(*args)
 
-        def counting_stack(D, *args):
-            made["stacked"] += D.shape[0]
-            return real_stack(D, *args)
-
+        monkeypatch.setattr(geometry, "_run_simplex", running)
         monkeypatch.setattr(geometry, "_pivot", counting)
-        monkeypatch.setattr(geometry, "_pivot_stack", counting_stack)
         return made
 
     def test_terminal_ingredients(self, disc, v_box, rhs_minima, pivots):
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
         assert ing.X_a.nrows == 44
-        # the 5 propagation LPs run alone; the reduction's 13 row tests (one
-        # per mirror pair not shown irredundant by a direction) run as one
-        # stack. No centre LP runs: both centres are centres of symmetry. An
-        # LP that escaped both kernels would lower these exact counts
-        assert len(rhs_minima["scalar"]) == 5
-        assert len(rhs_minima["stacked"]) == 13
-        assert pivots == {"scalar": 43, "stacked": 93}
-        assert min(rhs_minima["scalar"] + rhs_minima["stacked"]) >= 0.0
+        # the 5 propagation LPs run alone, then the reduction's 13 row tests
+        # (one per mirror pair not shown irredundant by a direction) as one
+        # family. No centre LP runs: both centres are centres of symmetry.
+        # An LP that escaped the pivot loop would lower these exact counts
+        assert len(rhs_minima) == len(pivots) == 18
+        assert (sum(pivots[:5]), sum(pivots[5:])) == (43, 93)
+        assert min(rhs_minima) >= 0.0
 
     def test_invariance_excess(self, ingredients, rhs_minima):
         assert terminal.invariance_excess(ingredients.A_w, ingredients.X_a) <= 1e-9
-        # one stacked LP per mirror pair, from the centre of symmetry
-        assert len(rhs_minima["scalar"]) == 0
-        assert len(rhs_minima["stacked"]) == ingredients.X_a.nrows // 2 == 22
-        assert min(rhs_minima["scalar"] + rhs_minima["stacked"]) >= 0.0
+        # one LP of the family per mirror pair, from the centre of symmetry
+        assert len(rhs_minima) == ingredients.X_a.nrows // 2 == 22
+        assert min(rhs_minima) >= 0.0
 
     def test_random_battery(self, rhs_minima):
         negative = 0
@@ -1044,7 +1042,7 @@ class TestSlackBasisOnly:
             negative += bool(np.any(g < 0))
             lp_max(c, Polyhedron(F, g))
         assert negative > 0
-        assert min(rhs_minima["scalar"]) >= 0.0
+        assert min(rhs_minima) >= 0.0
 
 
 class TestContains:

@@ -596,6 +596,18 @@ class TestRetarget:
         with pytest.raises(ModelConfigError):
             ctrl.retarget(0.5)
 
+    def test_nan_target_rejected_as_unreachable(self, disc, patient, gain, v_box,
+                                                ingredients):
+        # NaN lies in no range: the message names the reachable range, not
+        # the input box, and the controller keeps its target
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                    ingredients, mpc.MpcConfig())
+        zs, cfg, tail = ctrl.zs, ctrl.cfg, ctrl._theta_tail.copy()
+        with pytest.raises(ModelConfigError, match="outside the reachable range"):
+            ctrl.retarget(float("nan"))
+        assert ctrl.zs is zs and ctrl.cfg is cfg
+        assert np.array_equal(ctrl._theta_tail, tail)
+
     def test_next_steps_match_a_controller_built_at_the_target(self, disc, patient, gain,
                                                                v_box, ingredients):
         # retarget to 45 after 400 s at 50: the next steps, from the same

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
@@ -19,28 +21,28 @@ def negative_rhs(monkeypatch):
     """Per lp_max call, and per LP of each other lp_max_stack call, whether
     its rows have a negative rhs (which the front end first shifts to
     geometry.centre, by an extra LP unless they pair). lp_max runs as a
-    stack of one, which counts as the lp_max call only."""
-    calls = {"scalar": [], "stacked": []}
-    real, real_stack = geometry.lp_max, geometry.lp_max_stack
+    family of one, which counts as the lp_max call only."""
+    calls = {"lone": [], "family": []}
+    real, real_family = geometry.lp_max, geometry.lp_max_stack
     depth = [0]  # lp_max calls under way
 
     def recording(c, poly):
-        calls["scalar"].append(bool(np.any(poly.g < 0)))
+        calls["lone"].append(bool(np.any(poly.g < 0)))
         depth[0] += 1
         try:
             return real(c, poly)
         finally:
             depth[0] -= 1
 
-    def recording_stack(C, poly, *args, **kwargs):
-        results = real_stack(C, poly, *args, **kwargs)
+    def recording_family(C, poly, *args, **kwargs):
+        results = real_family(C, poly, *args, **kwargs)
         if not depth[0]:
-            calls["stacked"] += [bool(np.any(poly.g < 0))] * len(results)
+            calls["family"] += [bool(np.any(poly.g < 0))] * len(results)
         return results
 
     for module in (geometry, terminal):
         monkeypatch.setattr(module, "lp_max", recording)
-        monkeypatch.setattr(module, "lp_max_stack", recording_stack)
+        monkeypatch.setattr(module, "lp_max_stack", recording_family)
     return calls
 
 
@@ -316,7 +318,7 @@ class TestMaxAdmissibleInvariantSet:
         N = Vt[s <= terminal._RANK_TOL * max(1.0, s[0])].T
         t, _ = chebyshev_centre(Polyhedron(W_scaled.F @ N, W_scaled.g))
         w0, h, twin = terminal._steady_shift(A_w, W_scaled)
-        assert len(negative_rhs["scalar"]) == 2  # the centre LP above, and _steady_shift's
+        assert len(negative_rhs["lone"]) == 2  # the centre LP above, and _steady_shift's
         np.testing.assert_array_equal(twin, np.arange(W_scaled.nrows))
         assert np.array_equal(w0, N @ t)
         assert np.array_equal(h, np.maximum(W_scaled.g - W_scaled.F @ w0, 0.0))
@@ -328,11 +330,11 @@ class TestMaxAdmissibleInvariantSet:
     def test_patient_build_starts_from_a_steady_pair(self, disc, v_box, negative_rhs):
         # no LP sees rows with a negative rhs: the 5 propagation LPs run on
         # rows shifted to the steady pair at W's centre of symmetry, and the
-        # reduction's 13 row tests run as one stack on the rows shifted to
+        # reduction's 13 row tests run as one family on the rows shifted to
         # X_a's; neither centre takes an LP
         ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=0.99)
-        assert negative_rhs["scalar"] == [False] * 5
-        assert negative_rhs["stacked"] == [False] * 13
+        assert negative_rhs["lone"] == [False] * 5
+        assert negative_rhs["family"] == [False] * 13
         assert ing.X_a.nrows == 44
         assert ing.determination_index == 11
 
@@ -364,8 +366,8 @@ class TestMaxAdmissibleInvariantSet:
         assert made == {"lps": 5, "pivots": 43}
 
     def test_every_lp_of_the_build_runs_to_its_maximum(self, disc, v_box, monkeypatch):
-        # the propagation LPs (terminal.lp_max), the reduction's stack and
-        # invariance_excess's stack: each LP ends "optimal" or "unbounded",
+        # the propagation LPs (terminal.lp_max), the reduction's family and
+        # invariance_excess's family: each LP ends "optimal" or "unbounded",
         # and an optimal value is C[l] . argmax at a point of the LP's rows
         statuses = []
         real = geometry.lp_max_stack
@@ -416,6 +418,26 @@ class TestMaxAdmissibleInvariantSet:
             assert k == k_ref
             assert np.array_equal(X.F, X_ref.F) and np.array_equal(X.g, X_ref.g)
         assert len(witnesses) >= len(pats)
+
+    def test_sets_match_their_recorded_digest(self, patient, v_box):
+        # the reference comparisons run the same LP code on both sides, so
+        # only a recorded pin shows a changed pivot: sha256 over X_a's F and
+        # g, k* and invariance_excess as little-endian float64, for the
+        # shipped patient and 24 log-uniform draws (seeds 0-23), each at
+        # lambda 0.9, 0.95 and 0.99 in turn
+        pats = [patient] + [log_uniform_patient(patient, np.random.default_rng(seed))
+                            for seed in range(24)]
+        digest = hashlib.sha256()
+        for pat in pats:
+            disc = pkpd.discretize_euler(
+                pkpd.build_continuous(pat.pk_propofol, pat.pk_remifentanil), 5.0)
+            for lam in (0.9, 0.95, 0.99):
+                ing = terminal.compute_terminal_ingredients(disc, v_box, Q_DIAG, R_EYE, lam=lam)
+                excess = terminal.invariance_excess(ing.A_w, ing.X_a)
+                for part in (ing.X_a.F, ing.X_a.g, [ing.determination_index], [excess]):
+                    digest.update(np.asarray(part, dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "67868c5a9ca7bafa26a9e55a1dff2c4e4f28f9e0b0f785685928f8279e84e58e")
 
     def test_witness_along_a_ray(self):
         # {w_0 <= 1}: the point (-1, 1) has F p < 0, so it is a ray of the
@@ -472,7 +494,7 @@ class TestInvarianceExcess:
 
     @staticmethod
     def _per_row_excess(A_w, X):
-        """One lp_max per row, as before the row LPs ran as a stack."""
+        """One lp_max per row, as before the row LPs ran as one family."""
         w0, h, _ = terminal._steady_shift(A_w, X)
         FA = X.F @ A_w
         worst = -np.inf
@@ -513,8 +535,8 @@ class TestInvarianceExcess:
         # X_a's centre of symmetry is a steady pair, found without an LP;
         # the two rows of a mirror pair share one LP
         terminal.invariance_excess(ingredients.A_w, ingredients.X_a)
-        assert negative_rhs["scalar"] == []
-        assert negative_rhs["stacked"] == [False] * (ingredients.X_a.nrows // 2)
+        assert negative_rhs["lone"] == []
+        assert negative_rhs["family"] == [False] * (ingredients.X_a.nrows // 2)
 
 
 class TestSteadyInputBox:
