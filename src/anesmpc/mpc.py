@@ -35,8 +35,9 @@ states, the terminal-law input that closes the warm start and r, so the
 reported cost is r . r, a sum of squares with nothing to cancel. The
 output check reads the QP's own row residuals A_in y - b_in. When z_u
 meets every row, as in most steps, the solve returns it, and the step is
-that product, a max over the residuals, the stationarity and the output
-checks on the same residuals. Otherwise the solve runs its start rule
+that product, a max over the residuals and the output checks on the same
+residuals; the solution's KKT residuals are formed only if read (see
+qp). Otherwise the solve runs its start rule
 and dual loop from the same z_u and residuals, forms b_in, the read-out
 adds the read-out matrix times y - z_u to its rows of the product, the
 check forms A_in y - b_in, and v_0, held on a bound of V by a working
@@ -46,11 +47,13 @@ u = v_0 + D x_s is formed apart from the read-out.
 The fixed cost around that product is kept small, as most steps are
 nothing else. The state check runs on Python floats: one concatenate
 builds theta and x_s, and one loop over its entries tests
-0 <= v < inf, which a NaN fails. The steady-line check and the clamp
-report read the two entries of v_a and u as floats. ControlOutput is an
-immutable tuple record, as are the QP's solution and KKT residuals
-(see qp). Only a plan that passes the output check becomes the next
-hot start.
+0 <= v < inf, which a NaN fails. The steady-line check reads the two
+entries of v_a against g_eff, kept as floats by retarget, and u is
+tested against U's bounds, kept as floats at construction: clip runs
+only on a u outside them, and its move, against CLAMP_TOL, is the
+output's `clamped`. ControlOutput is an immutable tuple record, as is
+the QP's solution (see qp). Only a plan that passes the output check
+becomes the next hot start.
 """
 
 from __future__ import annotations
@@ -134,6 +137,7 @@ class ControlOutput(NamedTuple):
     cost: float
     solver_status: str
     qp_iterations: int = 0
+    clamped: bool = False  # the clip into U moved u by more than CLAMP_TOL
 
 
 def build_steady_input_set(disc: DiscreteDynamics, pd: PdParams, y_ref: float,
@@ -211,6 +215,7 @@ class Controller:
         self.D = gain.D
         self.V = V
         self.U = U
+        self._u_bounds = (U.lower.tolist(), U.upper.tolist())
         self.ing = ingredients
         self.cfg = cfg
 
@@ -310,15 +315,16 @@ class Controller:
         box that X_a allows."""
         self.zs = build_steady_input_set(self.disc, self.pd, y_ref, self.V, self.ing.lam)
         self.cfg = replace(self.cfg, y_ref=float(y_ref))
+        self._g_eff = self.zs.g_eff.tolist()
         self._theta_tail[0] = self.zs.c
 
     # -- main entry --------------------------------------------------------
 
     def control_step(self, x_f, x_s) -> ControlOutput:
         """Solve the tracking QP at (x_f, x_s), hot-started from the shifted
-        previous plan, and return u = v_0 + D x_s clipped into U. The clip
-        is always applied; the first one that moves u by more than
-        CLAMP_TOL is logged as a warning. Raises SolverInfeasibleError when
+        previous plan, and return u = v_0 + D x_s clipped into U. A clip
+        that moves u by more than CLAMP_TOL sets the output's `clamped`;
+        the first one is logged as a warning. Raises SolverInfeasibleError when
         the QP fails or its optimum leaves the tightened box, the steady
         output line or X_a; its `step` counts the steps since reset()."""
         theta, x_s = _as_states(x_f, x_s, self._theta_tail)
@@ -362,25 +368,30 @@ class Controller:
             np.minimum(v0, self.V.upper, out=v0)
 
         u = v0 + self.D @ x_s
-        clamped = u.clip(self.U.lower, self.U.upper)
-        if not self._clamp_warned and max(map(abs, (clamped - u).tolist())) > CLAMP_TOL:
-            logger.warning(
-                "applied input clamped to the input box (u=%s); the "
-                "disturbance bound is too small for this trajectory", u
-            )
-            self._clamp_warned = True
-        return ControlOutput(clamped, v0, v_a, out[self._xa_rows],
+        (lo1, lo2), (hi1, hi2) = self._u_bounds
+        u1, u2 = u.tolist()
+        clamped = False
+        if not (lo1 <= u1 <= hi1 and lo2 <= u2 <= hi2):
+            applied = u.clip(self.U.lower, self.U.upper)
+            clamped = max(map(abs, (applied - u).tolist())) > CLAMP_TOL
+            if clamped and not self._clamp_warned:
+                logger.warning(
+                    "applied input clamped to the input box (u=%s); the "
+                    "disturbance bound is too small for this trajectory", u
+                )
+                self._clamp_warned = True
+            u = applied
+        return ControlOutput(u, v0, v_a, out[self._xa_rows],
                              out[self._x_rows].reshape(self.N + 1, self.n), cost,
-                             sol.status, sol.iterations)
+                             sol.status, sol.iterations, clamped)
 
     def _validate_output(self, y, v_a, residuals) -> None:
         """The plan y against every row of its QP, from the row residuals
         A_in y - b_in (the box on each v_k, then X_a at the terminal pair),
         and v_a against the steady line at self.zs, each to EQ_TOL. A box
         row is named first: a v_k outside the box also moves the pair."""
-        zs, (va1, va2) = self.zs, v_a.tolist()
-        g1, g2 = zs.g_eff.tolist()
-        off_line = abs(g1 * va1 + g2 * va2 - zs.c) > EQ_TOL
+        (va1, va2), (g1, g2) = v_a.tolist(), self._g_eff
+        off_line = abs(g1 * va1 + g2 * va2 - self.zs.c) > EQ_TOL
         if not (off_line or residuals.max() > EQ_TOL):
             return
         m, mN = self.m, self.m * self.N

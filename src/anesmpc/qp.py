@@ -63,17 +63,23 @@ problem, and evaluates the rows at the warm start (one product of A
 with it, and b formed then) only when max c exceeds _FEAS_TOL. When it
 does not, as in most MPC steps, the solve returns z_u with 0 iterations
 and S empty: no buffer is allocated, nothing is factorised and no
-working-set algebra runs. Its KKT residuals come from what it already
-holds: the primal residual is max c, the multipliers and
+working-set algebra runs. No solve forms its KKT residuals: it returns a
+:class:`KktRecord` that forms them on first read, once, from what the
+solve holds. At z_u the primal residual is max c, the multipliers and
 complementarity are exactly 0, and only the stationarity H z + f is
-formed. A solve that ends with working rows recomputes every residual
-from (z, lam). No solve forms the objective (see :func:`objective`).
+left to form; a solve that ends with working rows recomputes every
+residual from (z, lam) and b. The MPC reads neither on a step that
+succeeds; the benchmark, ``validate`` and the tests read both. The
+record keeps H, z, a copy of f and max c, or H, A, b, z, the clipped
+lam and a copy of f. No solve forms the objective (see
+:func:`objective`).
 
-A solution and its KKT residuals are immutable tuple records
-(``typing.NamedTuple``), not frozen dataclasses: most MPC steps build
-both and little else, and a frozen dataclass sets each field through
-``object.__setattr__``, which costs several times a tuple's
-construction. ``sol._replace(z=...)`` gives a copy with a field changed.
+A solution and the residuals its record forms are immutable tuple
+records (``typing.NamedTuple``), not frozen dataclasses: most MPC steps
+build a solution and little else, and a frozen dataclass sets each
+field through ``object.__setattr__``, which costs several times a
+tuple's construction. ``sol._replace(z=...)`` gives a copy with a field
+changed.
 """
 
 from __future__ import annotations
@@ -129,10 +135,58 @@ class KktResiduals(NamedTuple):
         return max(self.stationarity, self.primal_in, self.complementarity)
 
 
+class KktRecord:
+    """A solution's KKT residuals, formed on first read: ``form(*args)``
+    gives the :class:`KktResiduals`, which the record keeps while it drops
+    ``form`` and ``args``. It reads as the residuals it forms: the same
+    fields, :meth:`max`, iteration and equality with a
+    :class:`KktResiduals` or another record. Its arrays are those the
+    solve formed for itself or copies, so it keeps no view of a
+    ParametricQp's ``values``."""
+
+    __slots__ = ("_form", "_args", "_kkt")
+
+    def __init__(self, form, *args):
+        self._form, self._args, self._kkt = form, args, None
+
+    @property
+    def residuals(self) -> KktResiduals:
+        if self._kkt is None:
+            self._kkt = self._form(*self._args)
+            self._form = self._args = None
+        return self._kkt
+
+    @property
+    def stationarity(self) -> float:
+        return self.residuals.stationarity
+
+    @property
+    def primal_in(self) -> float:
+        return self.residuals.primal_in
+
+    @property
+    def complementarity(self) -> float:
+        return self.residuals.complementarity
+
+    def max(self) -> float:
+        return self.residuals.max()
+
+    def __iter__(self):
+        return iter(self.residuals)
+
+    def __eq__(self, other):
+        if isinstance(other, KktRecord):
+            other = other.residuals
+        return self.residuals == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"KktRecord{tuple(self.residuals)}"
+
+
 class QpSolution(NamedTuple):
     z: np.ndarray | None
     status: str  # "optimal" | "infeasible" | "max_iter"
-    kkt_residuals: KktResiduals | None
+    kkt_residuals: KktRecord | KktResiduals | None
     iterations: int = 0
     active_set: tuple = ()
     # on "infeasible": (row, violation) of the row that cannot be met, then
@@ -325,7 +379,25 @@ class _WorkingSet:
             Li[:k - 1, :k - 1] -= v[:k - 1, None] * w
 
 
-def _residuals(p: QpProblem | ParametricQp, z: np.ndarray, lam: np.ndarray) -> KktResiduals:
+class _Rows(NamedTuple):
+    """The arrays of a QP that :func:`_residuals` reads, f copied off a
+    ParametricQp's values."""
+
+    H: np.ndarray
+    A_in: np.ndarray
+    b_in: np.ndarray
+    f: np.ndarray
+
+
+def _steady_residuals(H: np.ndarray, z: np.ndarray, f: np.ndarray, top) -> KktResiduals:
+    """The residuals at z = z_u with no working row: the primal residual is
+    the max row residual top, lam = 0 makes complementarity exactly 0 and
+    leaves only the stationarity H z + f."""
+    return KktResiduals(float(np.abs(H @ z + f).max(initial=0.0)), float(top), 0.0)
+
+
+def _residuals(p: QpProblem | ParametricQp | _Rows, z: np.ndarray,
+               lam: np.ndarray) -> KktResiduals:
     slack = p.A_in @ z - p.b_in
     grad = p.H @ z + p.f + p.A_in.T @ lam
     return KktResiduals(float(np.abs(grad).max(initial=0.0)),
@@ -357,10 +429,8 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
     factor, z_u, c = p.factor, p.z_u, p.c
     top = c.max(initial=0.0)
     if top <= _FEAS_TOL:
-        # z_u is the optimum: its primal residual is top, and lam = 0
-        # leaves only the stationarity H z + f
-        g = float(np.abs(p.H @ z_u + p.f).max(initial=0.0))
-        return QpSolution(z_u, "optimal", KktResiduals(g, float(top), 0.0))
+        # z_u is the optimum
+        return QpSolution(z_u, "optimal", KktRecord(_steady_residuals, p.H, z_u, p.f.copy(), top))
     if warm_start is None:
         start = (c > _FEAS_TOL).nonzero()[0]
     else:
@@ -374,7 +444,9 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
             lam_all[extra[0]] = extra[1]
         z = z_u - factor.HinvAt @ lam_all
         np.maximum(lam_all, 0.0, out=lam_all)
-        return QpSolution(z, status, _residuals(p, z, lam_all), it, tuple(sorted(ws.rows)))
+        rows = _Rows(p.H, p.A_in, p.b_in, p.f.copy())
+        return QpSolution(z, status, KktRecord(_residuals, rows, z, lam_all), it,
+                          tuple(sorted(ws.rows)))
 
     ws = _WorkingSet(factor, min(c.size, z_u.size))
     if start.size:

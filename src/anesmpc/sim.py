@@ -37,8 +37,10 @@ class SimLog:
     cost: np.ndarray
     status: list
     solve_ms: np.ndarray
-    # working-set changes of each step's QP; not a run.csv column
+    # working-set changes of each step's QP, and whether the clip into U
+    # moved the step's input by more than mpc.CLAMP_TOL; not run.csv columns
     qp_iterations: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    clamped: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     def __len__(self) -> int:
         return self.t.size
@@ -71,8 +73,8 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
     if abs(steps * Ts - duration) > 1e-9 or steps < 1:
         raise ModelConfigError("duration must be a positive multiple of Ts")
     x = np.zeros(8) if x0 is None else np.asarray(x0, float).copy()
-    if x.shape != (8,) or np.any(x < 0.0):
-        raise ModelConfigError("x0 must be 8 nonnegative concentrations")
+    if x.shape != (8,) or not np.all((0.0 <= x) & (x < np.inf)):  # NaN fails both
+        raise ModelConfigError("x0 must be 8 finite nonnegative concentrations")
 
     if plant_substeps == 1:
         M, B = full_step_matrices(disc)
@@ -95,6 +97,7 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
         status=[],
         solve_ms=np.empty(steps),
         qp_iterations=np.empty(steps, dtype=int),
+        clamped=np.empty(steps, dtype=bool),
     )
     ctrl.reset()
     for k in range(steps):
@@ -113,6 +116,7 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
         log.status.append(out.solver_status)
         log.solve_ms[k] = (toc - tic) * 1e3
         log.qp_iterations[k] = out.qp_iterations
+        log.clamped[k] = out.clamped
         for _ in range(plant_substeps):
             x = M @ x + B @ out.u
     return log

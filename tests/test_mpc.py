@@ -266,9 +266,10 @@ class TestControlStep:
         ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                     ingredients, mpc.MpcConfig())
         with caplog.at_level("WARNING", logger="anesmpc.mpc"):
-            u = ctrl.control_step(np.zeros(4), np.zeros(4)).u
+            first = ctrl.control_step(np.zeros(4), np.zeros(4))
+        u = first.u
         assert np.all(u >= U_BOUNDS.lower) and np.all(u <= U_BOUNDS.upper)
-        assert not caplog.records
+        assert not caplog.records and first.clamped is False
         # a box that ends 1e-7 (relative) below the remifentanil rate:
         # u is clipped onto it and the clip is reported
         tight = compensation.InputBox(lower=U_BOUNDS.lower,
@@ -279,7 +280,35 @@ class TestControlStep:
             out = ctrl.control_step(np.zeros(4), np.zeros(4))
         assert out.u[1] < u[1]
         assert np.all(out.u >= tight.lower) and np.all(out.u <= tight.upper)
-        assert "clamped" in caplog.text
+        assert "clamped" in caplog.text and out.clamped is True
+
+    def test_setpoint_clamps_are_reported_per_step(self, caplog):
+        # the benchmark's set-point schedule clips u into U on four steps,
+        # by about 0.03 each: every one sets the output's flag, the
+        # warning fires once, and every other step applies v_0 + D x_s
+        workloads = bench_module("workloads")
+        bundle = pipeline.build_bundle(patient_path(), controller_path())
+        step, outputs = mpc.Controller.control_step, []
+
+        def recording(ctrl, x_f, x_s):
+            out = step(ctrl, x_f, x_s)
+            outputs.append((out, out.v0 + ctrl.D @ x_s))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp, \
+                caplog.at_level("WARNING", logger="anesmpc.mpc"):
+            mp.setattr(mpc.Controller, "control_step", recording)
+            workloads.setpoint_episode(bundle, workloads.SETPOINT_SCHEDULE,
+                                       workloads.SETPOINT_S)
+        assert len(outputs) == 1440
+        assert [k for k, (out, _) in enumerate(outputs) if out.clamped] == [720, 721, 722, 723]
+        for k, (out, free) in enumerate(outputs):
+            moved = np.abs(out.u - free).max()
+            if out.clamped:
+                assert 0.028 < moved < 0.031, k
+            else:
+                assert np.array_equal(out.u, free), k
+        assert caplog.text.count("clamped") == 1
 
     def test_active_steps_keep_v0_inside_the_box(self, disc, patient, gain, v_box,
                                                   ingredients):
@@ -413,7 +442,8 @@ class TestStepRecords:
         out = controller.control_step(np.zeros(4), np.zeros(4))
         sol, = solutions
         kkt = sol.kkt_residuals
-        assert kkt._fields == ("stationarity", "primal_in", "complementarity")
+        assert type(kkt) is qp.KktRecord
+        assert kkt.residuals._fields == ("stationarity", "primal_in", "complementarity")
         assert kkt.max() == max(kkt) <= 1e-8
         assert sol._fields == ("z", "status", "kkt_residuals", "iterations", "active_set",
                                "infeasibility_report")
@@ -422,14 +452,15 @@ class TestStepRecords:
         assert (sol.status, sol.iterations, sol.infeasibility_report) == ("optimal", 8, ())
         assert len(sol.active_set) == 25 and sol.z.shape == (controller.ny,)
         assert out._fields == ("u", "v0", "v_a", "x_a", "predicted_xf", "cost",
-                               "solver_status", "qp_iterations")
-        assert out._field_defaults == {"qp_iterations": 0}
-        assert (out.solver_status, out.qp_iterations) == ("optimal", 8)
+                               "solver_status", "qp_iterations", "clamped")
+        assert out._field_defaults == {"qp_iterations": 0, "clamped": False}
+        assert (out.solver_status, out.qp_iterations, out.clamped) == ("optimal", 8, False)
         assert out.u.shape == out.v0.shape == out.v_a.shape == (2,)
         assert out.x_a.shape == (4,) and out.predicted_xf.shape == (controller.N + 1, 4)
         assert type(out.cost) is float
-        for record, name in ((out, "u"), (out, "cost"), (sol, "z"), (sol, "status"),
-                             (kkt, "primal_in"), (out, "extra")):
+        for record, name in ((out, "u"), (out, "cost"), (out, "clamped"), (sol, "z"),
+                             (sol, "status"), (kkt, "primal_in"), (kkt.residuals, "primal_in"),
+                             (out, "extra")):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
 

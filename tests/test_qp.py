@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,8 +192,17 @@ class TestProperties:
         p = random_qp(rng, n=3, q=2)
         sol = qp_solve(p)
         r = sol.kkt_residuals
+        assert type(r) is qp.KktRecord
         for v in (r.stationarity, r.primal_in, r.complementarity):
             assert v <= 1e-8
+        assert type(r.residuals) is qp.KktResiduals
+        assert r.residuals._fields == ("stationarity", "primal_in", "complementarity")
+        assert tuple(r) == r.residuals and r.max() == max(r)
+        assert r == r.residuals and r.residuals == r and r == qp.KktRecord(lambda: r.residuals)
+        assert r != qp.KktResiduals(1.0, 0.0, 0.0) and r != "residuals"
+        for name in ("stationarity", "residuals", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0.0)
 
     def test_midsize_warm_start_consistency(self):
         # MPC-sized problems: any warm start, however bad, must land on
@@ -364,6 +375,7 @@ class TestHotStart:
         def recorded(p, *args, **kwargs):
             calls.clear()
             sol = solve(p, *args, **kwargs)
+            sol.kkt_residuals.max()  # formed on first read
             lam = calls[0] if calls else np.zeros(p.b_in.size)
             trials.append((p, sol, lam, len(calls)))
             return sol
@@ -399,6 +411,68 @@ class TestHotStart:
                 dropped += warm is not None and (p.A_in @ warm - p.b_in >= -1e-9).any()
                 assert sol.kkt_residuals == qp._residuals(p, sol.z, np.zeros(12))
         assert empty >= 40 and dropped >= 10
+
+
+class _Counted(np.ndarray):
+    """An array that counts the matrix products taken with it or its
+    transpose."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _Counted.products += 1
+        return np.asarray(self) @ other
+
+
+class TestKktRecord:
+    """A solution's KKT residuals are formed on their first read, once, to
+    the bit of the eager forms, from arrays that share no memory with the
+    step map's values."""
+
+    @pytest.fixture(scope="class")
+    def thetas(self):
+        """The shipped controller and theta = (x_f, c, 1) at steps 0 (a
+        working-set solve from rest) and 100 (a steady one) of its 600 s
+        reference run."""
+        bundle = pipeline.build_bundle(patient_path(), controller_path())
+        ctrl = bundle.controller
+        log = pipeline.closed_loop(bundle, 600.0)
+        return ctrl, {k: np.concatenate([log.x_f[k], [ctrl.zs.c, 1.0]]) for k in (0, 100)}
+
+    @pytest.mark.parametrize("step", [0, 100])
+    def test_formed_once_on_first_read(self, thetas, step):
+        ctrl, theta = thetas[0], thetas[1][step]
+        values = ctrl.step_map @ theta
+        factor = copy.copy(ctrl.qp_factor)
+        factor.source = tuple(a.view(_Counted) for a in factor.source)
+        p = qp.ParametricQp(factor, theta, values)
+        _Counted.products = 0
+        sol = qp_solve(p)
+        assert (len(sol.active_set) > 0) == (step == 0)
+        kkt = sol.kkt_residuals
+        assert _Counted.products == 0
+        held = [a for arg in kkt._args
+                for a in (arg if isinstance(arg, tuple) else (arg,))]
+        assert any(a is sol.z for a in held)
+        assert not any(np.shares_memory(a, values) for a in held
+                       if isinstance(a, np.ndarray))
+        lam = held[-1] if step == 0 else None
+
+        first = kkt.stationarity
+        assert _Counted.products == (3 if step == 0 else 1)
+        assert kkt._args is None and kkt._form is None
+        H = np.asarray(ctrl.H)
+        if step == 0:
+            want = qp._residuals(p, sol.z, lam)
+        else:
+            want = qp.KktResiduals(float(np.abs(H @ sol.z + p.f).max()), float(p.c.max(initial=0.0)), 0.0)
+        got = kkt.residuals
+        assert got == want and first == want.stationarity
+        assert max(want) <= 1e-8
+        # a second read forms nothing
+        products = _Counted.products
+        assert kkt.residuals is got and kkt == want and tuple(kkt) == tuple(want)
+        assert _Counted.products == products
 
 
 def leading_run(G, rows):

@@ -80,6 +80,7 @@ class TestClosedLoop:
         log = closed_loop_log
         u_expected = log.v + log.x_s @ gain.D.T
         np.testing.assert_allclose(log.u, u_expected, atol=1e-12)
+        assert log.clamped.shape == (120,) and not log.clamped.any()
 
     def test_compensation_equivalence(self, closed_loop_log, disc):
         # replaying the logged v through the nominal 4-state model must
@@ -103,6 +104,15 @@ class TestClosedLoop:
         x0 = np.zeros(8)
         x0[0] = -0.1
         with pytest.raises(ModelConfigError):
+            sim.simulate_closed_loop(disc, patient.pd, controller, 10.0, x0=x0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [0, 6])
+    def test_non_finite_x0_rejected(self, disc, patient, controller, bad, entry):
+        # named as the start's fault, not the controller's fast or slow state
+        x0 = np.zeros(8)
+        x0[entry] = bad
+        with pytest.raises(ModelConfigError, match="x0 must be 8 finite nonnegative"):
             sim.simulate_closed_loop(disc, patient.pd, controller, 10.0, x0=x0)
 
     def test_substepping_needs_continuous(self, disc, patient, controller):
