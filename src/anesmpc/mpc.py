@@ -27,22 +27,24 @@ sum of squares of weighted residual rows r = S_y y + S_theta theta. The
 QP is one parametric family in theta (qp.QpFactor): H and A_in stay,
 and f = F theta and b_in = B theta; H and F are blocks of 2 S'S for
 S = [S_y S_theta]. retarget only validates the target and sets the c
-entry of theta. One product of the step map with theta gives f, the
+entry of theta. One product of the step map with theta gives the
 unconstrained minimiser z_u = -H^-1 f (refined once when the map is
 built), the row residuals A_in z_u - b_in and everything the step reads
-off its solution at y = z_u. The read-out is v_a, x_a, the predicted
-states, the terminal-law input that closes the warm start and r, so the
-reported cost is r . r, a sum of squares with nothing to cancel. The
-output check reads the QP's own row residuals A_in y - b_in. When z_u
-meets every row, as in most steps, the solve returns it, and the step is
-that product, a max over the residuals and the output checks on the same
+off its solution at y = z_u; f itself is formed only if read. Each step
+builds a fresh theta, which its QP and the solution's KKT record keep
+uncopied. The read-out is v_a, x_a, the predicted states, the
+terminal-law input that closes the warm start and r, so the reported
+cost is r . r, a sum of squares with nothing to cancel. The output check
+reads the QP's own row residuals A_in y - b_in. When z_u meets every
+row, as in most steps, the solve returns it, and the step is that
+product, a max over the residuals and the output checks on the same
 residuals; the solution's KKT residuals are formed only if read (see
-qp). Otherwise the solve runs its start rule
-and dual loop from the same z_u and residuals, forms b_in, the read-out
-adds the read-out matrix times y - z_u to its rows of the product, the
-check forms A_in y - b_in, and v_0, held on a bound of V by a working
-row, is clipped into V against rounding. The applied input
-u = v_0 + D x_s is formed apart from the read-out.
+qp). Otherwise the solve runs its start rule and dual loop from the
+same z_u and residuals, forms b_in, the read-out adds the read-out
+matrix times y - z_u to its rows of the product, the check forms
+A_in y - b_in, and v_0, held on a bound of V by a working row, is
+clipped into V against rounding. The applied input u = v_0 + D x_s is
+formed apart from the read-out.
 
 The fixed cost around that product is kept small, as most steps are
 nothing else. The state check runs on Python floats: one concatenate
@@ -280,12 +282,13 @@ class Controller:
         (self._va_rows, self._xa_rows, self._x_rows, self._tail_rows,
          self._cost_rows) = (slice(a, b) for a, b in zip([0, *ends[:-1]], ends))
 
-        # the step map: theta -> (f, z_u, c) of the QP family, then the
+        # the step map: theta -> (z_u, c) of the QP family, then the
         # read-out at y = z_u
         fam = self.qp_factor
-        Z = fam.theta_map[fam.rows[1]]
-        self.step_map = np.vstack([fam.theta_map, readout[:, ny:] + self.readout_y @ Z])
-        self._out_rows = slice(fam.rows[2].stop, None)
+        rows_z, rows_c = fam.rows
+        self.step_map = np.vstack([fam.theta_map,
+                                   readout[:, ny:] + self.readout_y @ fam.theta_map[rows_z]])
+        self._out_rows = slice(rows_c.stop, None)
         self._warm_buf = np.empty(ny)
         self._clamp_warned = False
         self.reset()

@@ -6,19 +6,21 @@ There are no equality rows: a caller with an equality eliminates it first,
 as the MPC does with its steady output line. The MPC re-solves one QP whose
 H and A never change while f and b move with its state and target, so it
 is one parametric family (as in explicit MPC and qpOASES): a
-:class:`QpFactor`, built once per controller (or inside a one-off
-:func:`qp_solve`), holds f = F theta and b = B theta, linear in a
+:class:`QpFactor`, built once per controller (or by a one-off
+:class:`QpProblem`), holds f = F theta and b = B theta, linear in a
 parameter theta that may carry a constant 1. It keeps the square-root
 rows M = A Li', with Li the inverse of the Cholesky factor L of H
 (regularised once if it fails), and from them the Gram matrix
-G = A H^-1 A' = M M', H^-1 A' = Li' M' and -H^-1 = -Li' Li. It also
-caches one stacked map of theta to f, to the unconstrained minimiser
-z_u = -H^-1 f and to the row residuals c = A z_u - b. Z = -H^-1 F is
-refined by one step when the family is built, so a solve refines
-nothing. A caller that owns the family forms (f, z_u, c) in one product
-and hands them over as a :class:`ParametricQp`; a plain
-:class:`QpProblem` is the family with theta = (f, b) (F = [I 0],
-B = [0 I]), and both go through the same start.
+G = A H^-1 A' = M M', H^-1 A' = Li' M' and -H^-1 = -Li' Li. It keeps F
+and B and caches one stacked map theta_map = [Z; A Z - B] of theta to
+the unconstrained minimiser z_u = -H^-1 f and the row residuals
+c = A z_u - b. Z = -H^-1 F is refined by one step when the family is
+built, so a solve refines nothing. A QP is its family and theta, a
+:class:`ParametricQp`: a caller that owns the family forms (z_u, c) in
+one product and hands them over with theta, and f = F theta and
+b = B theta are formed only if read. A plain :class:`QpProblem` is the
+plain family's QP at theta = (f, b) (F = [I 0], B = [0 I]), so every
+QP goes through the same start.
 
 The dual method (Goldfarb & Idnani 1983) iterates on a working set S:
 each iterate minimises the objective with the rows of S held as
@@ -64,14 +66,14 @@ with it, and b formed then) only when max c exceeds _FEAS_TOL. When it
 does not, as in most MPC steps, the solve returns z_u with 0 iterations
 and S empty: no buffer is allocated, nothing is factorised and no
 working-set algebra runs. No solve forms its KKT residuals: it returns a
-:class:`KktRecord` that forms them on first read, once, from what the
-solve holds. At z_u the primal residual is max c, the multipliers and
-complementarity are exactly 0, and only the stationarity H z + f is
-left to form; a solve that ends with working rows recomputes every
-residual from (z, lam) and b. The MPC reads neither on a step that
-succeeds; the benchmark, ``validate`` and the tests read both. The
-record keeps H, z, a copy of f and max c, or H, A, b, z, the clipped
-lam and a copy of f. No solve forms the objective (see
+:class:`KktRecord` that forms them on first read, once, from the family,
+theta, z and either max c or the clipped lam. At z_u the primal residual
+is max c, the multipliers and complementarity are exactly 0, and only
+the stationarity H z + f is left to form; a solve that ends with working
+rows recomputes every residual from (z, lam), f and b. The MPC reads
+neither on a step that succeeds; the benchmark, ``validate`` and the
+tests read both. The record copies nothing, so theta must not change
+while it may still be read. No solve forms the objective (see
 :func:`objective`).
 
 A solution and the residuals its record forms are immutable tuple
@@ -86,7 +88,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -99,33 +100,6 @@ _LAM_TOL = 1e-12  # a start drops multipliers below -_LAM_TOL max(1, max |lam|)
 _TIE_TOL = 1e-10  # violations within _TIE_TOL max(1, top) of the top one tie
 
 
-@dataclass(frozen=True)
-class QpProblem:
-    H: np.ndarray
-    f: np.ndarray
-    A_in: np.ndarray | None = None
-    b_in: np.ndarray | None = None
-
-    def __post_init__(self):
-        # float arrays pass through uncopied: the MPC builds one per step
-        H = np.asarray(self.H, dtype=float)
-        n = H.shape[0]
-        f = np.asarray(self.f, dtype=float).ravel()
-        if H.shape != (n, n) or f.shape != (n,):
-            raise ValueError("H must be square and f match its dimension")
-        Ain = (np.zeros((0, n)) if self.A_in is None
-               else np.array(self.A_in, dtype=float, copy=None, ndmin=2))
-        bin_ = np.zeros(0) if self.b_in is None else np.asarray(self.b_in, float).ravel()
-        if Ain.shape != (bin_.size, n):
-            raise ValueError("constraint matrix/vector dimensions are inconsistent")
-        for name, val in (("H", H), ("f", f), ("A_in", Ain), ("b_in", bin_)):
-            object.__setattr__(self, name, val)
-
-    @property
-    def nvars(self) -> int:
-        return self.H.shape[0]
-
-
 class KktResiduals(NamedTuple):
     stationarity: float
     primal_in: float
@@ -136,57 +110,44 @@ class KktResiduals(NamedTuple):
 
 
 class KktRecord:
-    """A solution's KKT residuals, formed on first read: ``form(*args)``
-    gives the :class:`KktResiduals`, which the record keeps while it drops
-    ``form`` and ``args``. It reads as the residuals it forms: the same
-    fields, :meth:`max`, iteration and equality with a
-    :class:`KktResiduals` or another record. Its arrays are those the
-    solve formed for itself or copies, so it keeps no view of a
-    ParametricQp's ``values``."""
+    """A solution's KKT residuals, formed on first read from the family,
+    theta, z and lam, the clipped multipliers, or max c at z = z_u with
+    no working row: :attr:`residuals` forms them once and drops the rest.
+    theta is kept, not copied: it must not change while the record may
+    still be read."""
 
-    __slots__ = ("_form", "_args", "_kkt")
+    __slots__ = ("_factor", "_theta", "_z", "_lam", "_kkt")
 
-    def __init__(self, form, *args):
-        self._form, self._args, self._kkt = form, args, None
+    def __init__(self, factor: QpFactor, theta: np.ndarray, z: np.ndarray, lam):
+        self._factor, self._theta, self._z, self._lam, self._kkt = factor, theta, z, lam, None
 
     @property
     def residuals(self) -> KktResiduals:
         if self._kkt is None:
-            self._kkt = self._form(*self._args)
-            self._form = self._args = None
+            self._kkt = self._form()
+            self._factor = self._theta = self._z = self._lam = None
         return self._kkt
-
-    @property
-    def stationarity(self) -> float:
-        return self.residuals.stationarity
-
-    @property
-    def primal_in(self) -> float:
-        return self.residuals.primal_in
-
-    @property
-    def complementarity(self) -> float:
-        return self.residuals.complementarity
 
     def max(self) -> float:
         return self.residuals.max()
 
-    def __iter__(self):
-        return iter(self.residuals)
-
-    def __eq__(self, other):
-        if isinstance(other, KktRecord):
-            other = other.residuals
-        return self.residuals == other if isinstance(other, tuple) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"KktRecord{tuple(self.residuals)}"
+    def _form(self) -> KktResiduals:
+        fam, theta, z, lam = self._factor, self._theta, self._z, self._lam
+        H, A_in = fam.source
+        grad = H @ z + fam.F @ theta
+        if not isinstance(lam, np.ndarray):  # z = z_u, lam is max c
+            return KktResiduals(float(np.abs(grad).max(initial=0.0)), float(lam), 0.0)
+        slack = A_in @ z - fam.B @ theta
+        grad += A_in.T @ lam
+        return KktResiduals(float(np.abs(grad).max(initial=0.0)),
+                            float(slack.max(initial=0.0)),
+                            float(np.abs(lam * slack).max(initial=0.0)))
 
 
 class QpSolution(NamedTuple):
     z: np.ndarray | None
     status: str  # "optimal" | "infeasible" | "max_iter"
-    kkt_residuals: KktRecord | KktResiduals | None
+    kkt_residuals: KktRecord | None
     iterations: int = 0
     active_set: tuple = ()
     # on "infeasible": (row, violation) of the row that cannot be met, then
@@ -203,9 +164,9 @@ class QpFactor:
     Cholesky factor of H), -H^-1 = -Li' Li, H^-1 A' = Li' M', the Gram
     matrix G = A H^-1 A' = M M', the floors _DEP_TOL G_jj at or below
     which a squared pivot is dependent, the lower-triangular mask with
-    which a start reads its QR factor, and the stacked map of theta to
-    (f, z_u, c): Z = -H^-1 F, refined once, gives z_u, and A_in Z - B the
-    row residuals c = A_in z_u - b."""
+    which a start reads its QR factor, F, B and the stacked map
+    theta_map = [Z; A_in Z - B] of theta to (z_u, c): Z = -H^-1 F, refined
+    once, gives z_u, and A_in Z - B the row residuals c = A_in z_u - b."""
 
     def __init__(self, H: np.ndarray, A_in: np.ndarray, F: np.ndarray | None = None,
                  B: np.ndarray | None = None):
@@ -230,10 +191,10 @@ class QpFactor:
         self.dep_floor = _DEP_TOL * np.diag(self.G)
         if F is None:
             F, B = np.eye(n, n + q), np.eye(q, n + q, n)
-        self.B = B
+        self.F, self.B = F, B
         Z = self.unconstrained(F)
-        self.theta_map = np.vstack([F, Z, A_in @ Z - B])
-        self.rows = (slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + q))  # f, z_u, c
+        self.theta_map = np.vstack([Z, A_in @ Z - B])
+        self.rows = (slice(0, n), slice(n, n + q))  # z_u, c
 
     def unconstrained(self, f: np.ndarray) -> np.ndarray:
         """-H^-1 f with one refinement step, for a vector f or for each
@@ -244,27 +205,67 @@ class QpFactor:
 
 
 class ParametricQp:
-    """The QP of a family at theta: f, z_u = -H^-1 f and the row residuals
+    """The QP of a family at theta: z_u = -H^-1 f and the row residuals
     c = A_in z_u - b are read off values, the family's theta_map times
-    theta (values may hold more rows after those). f and c are views;
-    z_u is a copy, so the solution that returns it keeps no other row of
-    values alive. b = B theta is formed on first use: a solve whose z_u
-    meets every row never needs it. theta is kept, not copied."""
+    theta (values may hold more rows after those). c is a view; z_u is a
+    copy, so the solution that returns it keeps no other row of values
+    alive. f = F theta and b = B theta are formed on first read: a solve
+    whose z_u meets every row reads neither. theta is kept, not copied: it
+    must not change while the QP or a record of its solution may still be
+    read."""
 
-    __slots__ = ("factor", "theta", "values", "H", "A_in", "f", "z_u", "c", "_b_in")
+    __slots__ = ("factor", "theta", "values", "H", "A_in", "z_u", "c", "_f", "_b_in")
 
     def __init__(self, factor: QpFactor, theta: np.ndarray, values: np.ndarray):
         self.factor, self.theta, self.values = factor, theta, values
         self.H, self.A_in = factor.source
-        rows_f, rows_z, rows_c = factor.rows
-        self.f, self.z_u, self.c = values[rows_f], values[rows_z].copy(), values[rows_c]
-        self._b_in = None
+        rows_z, rows_c = factor.rows
+        self.z_u, self.c = values[rows_z].copy(), values[rows_c]
+        self._f = self._b_in = None
+
+    @property
+    def f(self) -> np.ndarray:
+        if self._f is None:
+            self._f = self.factor.F @ self.theta
+        return self._f
 
     @property
     def b_in(self) -> np.ndarray:
         if self._b_in is None:
             self._b_in = self.factor.B @ self.theta
         return self._b_in
+
+    @property
+    def nvars(self) -> int:
+        return self.H.shape[0]
+
+
+class QpProblem(ParametricQp):
+    """The plain QP  min 0.5 z'Hz + f'z  s.t.  A_in z <= b_in  (no rows
+    without A_in and b_in): the plain family's QP at theta = (f, b), on a
+    factor built here. Every entry must be finite; f and b_in are kept as
+    given, float arrays uncopied."""
+
+    __slots__ = ()
+
+    def __init__(self, H, f, A_in=None, b_in=None):
+        H = np.asarray(H, dtype=float)
+        n = H.shape[0]
+        f = np.asarray(f, dtype=float).ravel()
+        if H.shape != (n, n) or f.shape != (n,):
+            raise ValueError("H must be square and f match its dimension")
+        A_in = (np.zeros((0, n)) if A_in is None
+                else np.array(A_in, dtype=float, copy=None, ndmin=2))
+        b_in = np.zeros(0) if b_in is None else np.asarray(b_in, float).ravel()
+        if A_in.shape != (b_in.size, n):
+            raise ValueError("constraint matrix/vector dimensions are inconsistent")
+        for name, val in (("H", H), ("f", f), ("A_in", A_in), ("b_in", b_in)):
+            if not np.isfinite(val).all():
+                raise ValueError(f"{name} contains NaN or Inf")
+        factor = QpFactor(H, A_in)
+        theta = np.concatenate([f, b_in])
+        super().__init__(factor, theta, factor.theta_map @ theta)
+        self._f, self._b_in = f, b_in
 
 
 class _WorkingSet:
@@ -379,40 +380,13 @@ class _WorkingSet:
             Li[:k - 1, :k - 1] -= v[:k - 1, None] * w
 
 
-class _Rows(NamedTuple):
-    """The arrays of a QP that :func:`_residuals` reads, f copied off a
-    ParametricQp's values."""
-
-    H: np.ndarray
-    A_in: np.ndarray
-    b_in: np.ndarray
-    f: np.ndarray
-
-
-def _steady_residuals(H: np.ndarray, z: np.ndarray, f: np.ndarray, top) -> KktResiduals:
-    """The residuals at z = z_u with no working row: the primal residual is
-    the max row residual top, lam = 0 makes complementarity exactly 0 and
-    leaves only the stationarity H z + f."""
-    return KktResiduals(float(np.abs(H @ z + f).max(initial=0.0)), float(top), 0.0)
-
-
-def _residuals(p: QpProblem | ParametricQp | _Rows, z: np.ndarray,
-               lam: np.ndarray) -> KktResiduals:
-    slack = p.A_in @ z - p.b_in
-    grad = p.H @ z + p.f + p.A_in.T @ lam
-    return KktResiduals(float(np.abs(grad).max(initial=0.0)),
-                        float(slack.max(initial=0.0)),
-                        float(np.abs(lam * slack).max(initial=0.0)))
-
-
-def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
+def qp_solve(p: ParametricQp, warm_start: np.ndarray | None = None,
              max_iter: int = 500) -> QpSolution:
     """Solve the QP; on "optimal" all KKT residuals are <= 1e-8. The
     solution holds neither p nor its objective (see :func:`objective`).
 
-    A plain QpProblem is solved as the plain family's QP at theta = (f, b),
-    on a factor built here. A ParametricQp brings its family, z_u and row
-    residuals.
+    p brings its family, theta, z_u and row residuals (a QpProblem is the
+    plain family's QP at theta = (f, b)).
 
     Returns the unconstrained minimiser z_u, with 0 iterations and no
     active row and without reading ``warm_start``, when z_u violates no
@@ -422,15 +396,11 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
     is one iteration; past ``max_iter`` the current iterate is returned
     with status "max_iter".
     """
-    if isinstance(p, QpProblem):
-        factor = QpFactor(p.H, p.A_in)
-        theta = np.concatenate([p.f, p.b_in])
-        p = ParametricQp(factor, theta, factor.theta_map @ theta)
     factor, z_u, c = p.factor, p.z_u, p.c
     top = c.max(initial=0.0)
     if top <= _FEAS_TOL:
         # z_u is the optimum
-        return QpSolution(z_u, "optimal", KktRecord(_steady_residuals, p.H, z_u, p.f.copy(), top))
+        return QpSolution(z_u, "optimal", KktRecord(factor, p.theta, z_u, top))
     if warm_start is None:
         start = (c > _FEAS_TOL).nonzero()[0]
     else:
@@ -444,8 +414,7 @@ def qp_solve(p: QpProblem | ParametricQp, warm_start: np.ndarray | None = None,
             lam_all[extra[0]] = extra[1]
         z = z_u - factor.HinvAt @ lam_all
         np.maximum(lam_all, 0.0, out=lam_all)
-        rows = _Rows(p.H, p.A_in, p.b_in, p.f.copy())
-        return QpSolution(z, status, KktRecord(_residuals, rows, z, lam_all), it,
+        return QpSolution(z, status, KktRecord(factor, p.theta, z, lam_all), it,
                           tuple(sorted(ws.rows)))
 
     ws = _WorkingSet(factor, min(c.size, z_u.size))
@@ -522,12 +491,12 @@ def _most_negative(lam: np.ndarray) -> int:
     return -1
 
 
-def objective(p: QpProblem | ParametricQp, z: np.ndarray) -> float:
+def objective(p: ParametricQp, z: np.ndarray) -> float:
     """The objective 0.5 z'Hz + f'z of the QP p at z."""
     return float(0.5 * z @ p.H @ z + p.f @ z)
 
 
-def enumerate_active_sets(p: QpProblem) -> tuple[float, np.ndarray | None]:
+def enumerate_active_sets(p: ParametricQp) -> tuple[float, np.ndarray | None]:
     """Oracle for small QPs: solve the KKT system of every active-set
     guess (each subset of the rows), keep the primal feasible candidates
     and return the best objective and minimiser; (inf, None) when no

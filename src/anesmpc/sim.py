@@ -9,6 +9,7 @@ reads the exact fast and slow states.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -66,7 +67,10 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
                          duration: float, x0=None, plant_substeps: int = 1,
                          cont: ContinuousDynamics | None = None) -> SimLog:
     """Run the loop for `duration` seconds (a multiple of the sampling
-    period) from the 8-state start x0 (default: fully awake, all zero)."""
+    period) from the 8-state start x0 (default: fully awake, all zero),
+    with plant_substeps Euler substeps of the plant per sampling period."""
+    if not (isinstance(plant_substeps, numbers.Integral) and plant_substeps >= 1):
+        raise ModelConfigError(f"plant_substeps must be an integer >= 1, got {plant_substeps!r}")
     Ts = disc.Ts
     ratio = duration / Ts
     steps = round(ratio) if math.isfinite(ratio) else 0  # NaN and inf have no step count

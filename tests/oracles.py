@@ -1,12 +1,12 @@
 """Test oracles and file readers that no run of the package calls: the
 hit-and-run sampler of X_a, the open-loop replay of the compensated
 model, the readers of a bundle's matrix and polyhedron files, the
-Chebyshev centre as a function of its own and the offset cost of a
-steady input."""
+Chebyshev centre as a function of its own, the offset cost of a
+steady input and the KKT residuals of a QP at a primal-dual pair."""
 
 import numpy as np
 
-from anesmpc import geometry, terminal
+from anesmpc import geometry, qp, terminal
 from anesmpc.errors import GeometryError, ModelConfigError
 from anesmpc.geometry import FEAS_TOL, Polyhedron
 from anesmpc.mpc import VdSpec
@@ -90,3 +90,14 @@ def offset_cost(vd: VdSpec, v_a) -> float:
     """The offset cost q (a . v_a - b)^2 of the steady input v_a."""
     v_a = np.asarray(v_a, float)
     return float(vd.weight * (np.asarray(vd.coeffs, float) @ v_a - vd.offset) ** 2)
+
+
+def kkt_residuals(p: qp.ParametricQp, z, lam) -> qp.KktResiduals:
+    """The KKT residuals of the QP p at (z, lam), each from its whole
+    stacked vector: |H z + f + A_in' lam|, A_in z - b_in and
+    |lam (A_in z - b_in)|, maxima floored at 0."""
+    slack = p.A_in @ z - p.b_in
+    grad = p.H @ z + p.f + p.A_in.T @ lam
+    return qp.KktResiduals(float(np.abs(grad).max(initial=0.0)),
+                           float(slack.max(initial=0.0)),
+                           float(np.abs(lam * slack).max(initial=0.0)))

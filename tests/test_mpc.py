@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from anesmpc import compensation, mpc, pipeline, pkpd, qp, sim
 from anesmpc.errors import ModelConfigError, SolverInfeasibleError
 
 from conftest import U_BOUNDS, bench_module, controller_path, count_linalg, patient_path
-from oracles import offset_cost
+from oracles import kkt_residuals, offset_cost
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +79,11 @@ class TestBuildController:
         # no rows of its own on v_a: X_a bounds it to the lambda box
         expected_rows = 4 * N + ingredients.X_a.nrows
         assert controller.A_in.shape == (expected_rows, 49) == (140, 49)
-        # theta -> (f, z_u, c) then the read-out; no row of A_in is read out
+        # theta -> (z_u, c) then the read-out; no row of A_in is read out,
+        # and f = F theta is formed only if read
         assert controller.readout_y.shape == (257, 49)
-        assert controller.step_map.shape == (49 + 49 + 140 + 257, 6) == (495, 6)
+        assert controller.step_map.shape == (49 + 140 + 257, 6) == (446, 6)
+        assert controller.qp_factor.F.shape == (49, 6)
         assert zs.g_eff @ controller.d == pytest.approx(0.0, abs=1e-15)
         assert zs.g_eff @ controller.p0 == pytest.approx(1.0, abs=1e-15)
 
@@ -115,7 +118,7 @@ class TestBuildController:
                                     ingredients, mpc.MpcConfig())
         factor, tail = ctrl.qp_factor, ctrl._theta_tail
         kept = [(ctrl, name) for name in ("step_map", "H", "A_in", "readout_y")]
-        kept += [(factor, name) for name in ("theta_map", "B", "M", "neg_H_inv", "HinvAt", "G")]
+        kept += [(factor, name) for name in ("theta_map", "F", "B", "M", "neg_H_inv", "HinvAt", "G")]
         before = [(getattr(owner, name), getattr(owner, name).copy()) for owner, name in kept]
         c50 = ctrl.zs.c
         ctrl.retarget(45.0)
@@ -444,7 +447,7 @@ class TestStepRecords:
         kkt = sol.kkt_residuals
         assert type(kkt) is qp.KktRecord
         assert kkt.residuals._fields == ("stationarity", "primal_in", "complementarity")
-        assert kkt.max() == max(kkt) <= 1e-8
+        assert kkt.max() == max(kkt.residuals) <= 1e-8
         assert sol._fields == ("z", "status", "kkt_residuals", "iterations", "active_set",
                                "infeasibility_report")
         assert sol._field_defaults == {"iterations": 0, "active_set": (),
@@ -459,10 +462,33 @@ class TestStepRecords:
         assert out.x_a.shape == (4,) and out.predicted_xf.shape == (controller.N + 1, 4)
         assert type(out.cost) is float
         for record, name in ((out, "u"), (out, "cost"), (out, "clamped"), (sol, "z"),
-                             (sol, "status"), (kkt, "primal_in"), (kkt.residuals, "primal_in"),
+                             (sol, "status"), (kkt, "residuals"), (kkt.residuals, "primal_in"),
                              (out, "extra")):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+
+    def test_steady_records_hold_the_family_theta_and_z(self, monkeypatch):
+        # on the benchmark's set-point schedule, the record of each solve
+        # that returns z_u refers to the QP family, its step's theta and z
+        # and to no other array or container: it keeps no copy of f
+        workloads = bench_module("workloads")
+        bundle = pipeline.build_bundle(patient_path(), controller_path())
+        kept, solve = [], qp.qp_solve
+
+        def keeping(p, *args, **kwargs):
+            kept.append((p.theta, solve(p, *args, **kwargs)))
+            return kept[-1][1]
+
+        monkeypatch.setattr(qp, "qp_solve", keeping)
+        workloads.setpoint_episode(bundle, workloads.SETPOINT_SCHEDULE, workloads.SETPOINT_S)
+        steady = [(theta, sol) for theta, sol in kept if not sol.active_set]
+        assert len(kept) == 1440 and len(steady) == 1385
+        for theta, sol in steady:
+            refs = gc.get_referents(sol.kkt_residuals)
+            assert sum(r is bundle.controller.qp_factor for r in refs) == 1
+            assert sorted(map(id, (r for r in refs if isinstance(r, np.ndarray)))) == sorted(
+                map(id, (theta, sol.z)))
+            assert not any(isinstance(r, (tuple, list, dict)) for r in refs)
 
 
 class TestValidateOutput:
@@ -897,7 +923,7 @@ class TestReadOut:
         empty = [(p, sol) for p, sol in solves if not sol.active_set]
         assert len(empty) >= {"reference": 90, "setpoint": 1380}[run]
         for p, sol in empty:
-            assert sol.kkt_residuals == qp._residuals(p, sol.z, np.zeros(p.b_in.size))
+            assert sol.kkt_residuals.residuals == kkt_residuals(p, sol.z, np.zeros(p.b_in.size))
 
 
 class TestStepMap:
@@ -919,5 +945,5 @@ class TestStepMap:
             assert steady == (sol.iterations == 0 and not sol.active_set), k
             assert steady == (sol.z is p.z_u), k
             assert sol.z.base is None, k  # a kept solution keeps no row of the step map
-            assert sol.kkt_residuals.stationarity <= 1e-10, k
+            assert sol.kkt_residuals.residuals.stationarity <= 1e-10, k
 

@@ -1,7 +1,7 @@
-"""The package holds what a run calls: every public top-level function and
-class of anesmpc has a reference in the package outside its own
-definition, or an export from anesmpc/__init__.py. Helpers only tests
-call live in tests/oracles.py."""
+"""The package holds what a run calls: every top-level function, class
+and module constant of anesmpc, public or private, has a reference in the
+package outside its own definition, or an export from
+anesmpc/__init__.py. Helpers only tests call live in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -31,20 +31,40 @@ def _referenced(node) -> set:
     return names
 
 
+def _defined(node) -> list:
+    """The names a top-level statement defines: a function, a class or
+    the plain names it assigns (module constants), dunders aside."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("__")]
+
+
+def _statements() -> list:
+    """(module, node) of each top-level statement of the package."""
+    return [(path.stem, node) for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body]
+
+
 def unreferenced() -> list:
-    """module.name of each public top-level function or class that no
-    other top-level statement of the package names."""
-    statements = []  # (module, node)
-    for path in sorted(PACKAGE.glob("*.py")):
-        statements += [(path.stem, node) for node in ast.parse(path.read_text()).body]
+    """module.name of each top-level function, class or module constant
+    that no other top-level statement of the package names."""
+    statements = _statements()
     uses = [_referenced(node) for _, node in statements]
-    found = []
-    for i, (module, node) in enumerate(statements):
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-            continue
-        if not any(node.name in names for j, names in enumerate(uses) if j != i):
-            found.append(f"{module}.{node.name}")
-    return found
+    return [f"{module}.{name}" for i, (module, node) in enumerate(statements)
+            for name in _defined(node)
+            if not any(name in names for j, names in enumerate(uses) if j != i)]
+
+
+def test_private_helpers_and_constants_are_checked():
+    defined = {f"{module}.{name}" for module, node in _statements() for name in _defined(node)}
+    assert {"qp._most_negative", "qp._WorkingSet", "qp._FEAS_TOL", "mpc.CLAMP_TOL",
+            "sim.CSV_HEADER", "mpc.logger"} <= defined
+    assert "anesmpc.__version__" not in defined
 
 
 def test_every_public_definition_has_a_package_caller():

@@ -1,4 +1,5 @@
 import copy
+import gc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from anesmpc.qp import QpFactor, QpProblem, enumerate_active_sets, qp_solve
 
 from conftest import (U_BOUNDS, bench_module, controller_path, count_linalg, path_digest,
                       patient_path)
+from oracles import kkt_residuals
 
 
 def random_qp(rng, n, q):
@@ -106,7 +108,7 @@ class TestBasics:
         assert sol.status == "max_iter"
         assert sol.iterations == 1
         assert sol.z is not None and sol.kkt_residuals is not None
-        assert sol.kkt_residuals.primal_in > 1e-8
+        assert sol.kkt_residuals.residuals.primal_in > 1e-8
         assert qp_solve(p).status == "optimal"
 
     def test_plain_family_solves_any_f_and_b_on_one_factor(self):
@@ -118,11 +120,24 @@ class TestBasics:
         for shift in (0.0, 1.0):
             shifted = QpProblem(p.H, p.f + shift, p.A_in, p.b_in + 0.2 * shift)
             theta = np.concatenate([shifted.f, shifted.b_in])
+            assert isinstance(shifted, qp.ParametricQp) and shifted.nvars == 5
+            assert np.array_equal(shifted.theta, theta) and shifted.factor.source[0] is shifted.H
             family = qp.ParametricQp(factor, theta, factor.theta_map @ theta)
             assert np.array_equal(family.f, shifted.f)
             assert np.array_equal(family.b_in, shifted.b_in)
             assert qp.objective(family, qp_solve(family).z) == pytest.approx(
                 qp.objective(shifted, qp_solve(shifted).z), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["H", "f", "A_in", "b_in"])
+    def test_non_finite_entry_is_named(self, name):
+        # a NaN crashed the solve, and an infinite f or b_in came back
+        # "optimal" at a non-finite z; now each is named before any factor
+        for bad in (np.nan, np.inf, -np.inf):
+            data = {"H": 2 * np.eye(2), "f": np.zeros(2), "A_in": np.eye(2), "b_in": np.ones(2)}
+            data[name] = data[name].copy()
+            data[name].flat[-1] = bad
+            with pytest.raises(ValueError, match=f"^{name} contains NaN or Inf$"):
+                QpProblem(**data)
 
     def test_reported_violation_is_positive(self):
         # a_k z >= b_k + delta against a row a_k z <= b_k active at the
@@ -193,16 +208,16 @@ class TestProperties:
         sol = qp_solve(p)
         r = sol.kkt_residuals
         assert type(r) is qp.KktRecord
-        for v in (r.stationarity, r.primal_in, r.complementarity):
-            assert v <= 1e-8
         assert type(r.residuals) is qp.KktResiduals
         assert r.residuals._fields == ("stationarity", "primal_in", "complementarity")
-        assert tuple(r) == r.residuals and r.max() == max(r)
-        assert r == r.residuals and r.residuals == r and r == qp.KktRecord(lambda: r.residuals)
-        assert r != qp.KktResiduals(1.0, 0.0, 0.0) and r != "residuals"
-        for name in ("stationarity", "residuals", "extra"):
+        assert r.max() == max(r.residuals) <= 1e-8
+        # the record is read through residuals and max() alone
+        for name in ("stationarity", "primal_in", "complementarity"):
+            assert not hasattr(r, name)
+        assert r.residuals is r.residuals and r != r.residuals
+        for record, name in ((r, "residuals"), (r, "extra"), (r.residuals, "stationarity")):
             with pytest.raises(AttributeError):
-                setattr(r, name, 0.0)
+                setattr(record, name, 0.0)
 
     def test_midsize_warm_start_consistency(self):
         # MPC-sized problems: any warm start, however bad, must land on
@@ -254,7 +269,7 @@ class TestStartRule:
             assert warm.iterations == cold.iterations == 0
             assert warm.active_set == cold.active_set == ()
             assert qp.objective(p, warm.z) == qp.objective(p, cold.z)
-            assert warm.kkt_residuals == cold.kkt_residuals
+            assert warm.kkt_residuals.residuals == cold.kkt_residuals.residuals
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), q=st.integers(0, 60),
@@ -348,10 +363,11 @@ class TestHotStart:
     def test_stacked_residuals_match_per_block_formula(self, monkeypatch):
         # every trial's reported residuals against a loop over the rows at
         # its solution and multipliers (zero when the working set ends
-        # empty and _residuals is not called); each call of _residuals
-        # also at a perturbed pair, where no residual is zero
+        # empty and the record holds max c, not lam); each record that
+        # holds lam is also formed at a perturbed pair, where no residual
+        # is zero
         rng = np.random.default_rng(0)
-        stacked, solve = qp._residuals, qp.qp_solve
+        stacked, solve = qp.KktRecord._form, qp.qp_solve
         calls, trials = [], []
 
         def per_row(p, z, lam):
@@ -363,39 +379,39 @@ class TestHotStart:
                 comp = max(comp, abs(l * (a @ z - b)))
             return np.max(np.abs(grad), initial=0.0), primal, comp
 
-        def checked(p, z, lam):
-            dz, dlam = rng.normal(size=z.size), rng.uniform(size=lam.size)
-            got = stacked(p, z + dz, lam + dlam)
-            np.testing.assert_allclose(
-                [got.stationarity, got.primal_in, got.complementarity],
-                per_row(p, z + dz, lam + dlam), rtol=0, atol=1e-13)
-            calls.append(lam)
-            return stacked(p, z, lam)
+        def checked(record):
+            lam = record._lam
+            if isinstance(lam, np.ndarray):
+                z, dz, dlam = record._z, rng.normal(size=record._z.size), rng.uniform(size=lam.size)
+                got = stacked(qp.KktRecord(record._factor, record._theta, z + dz, lam + dlam))
+                calls.append((lam, got, z + dz, lam + dlam))
+            return stacked(record)
 
         def recorded(p, *args, **kwargs):
             calls.clear()
             sol = solve(p, *args, **kwargs)
             sol.kkt_residuals.max()  # formed on first read
-            lam = calls[0] if calls else np.zeros(p.b_in.size)
-            trials.append((p, sol, lam, len(calls)))
+            trials.append((p, sol, list(calls)))
             return sol
 
-        monkeypatch.setattr(qp, "_residuals", checked)
+        monkeypatch.setattr(qp.KktRecord, "_form", checked)
         monkeypatch.setattr(qp, "qp_solve", recorded)
         assert all(sol.status == "optimal" for _, sol, _ in qp.oracle_trials(seed=5))
         assert len(trials) == 100
-        for p, sol, lam, n_calls in trials:
-            r = sol.kkt_residuals
-            np.testing.assert_allclose([r.stationarity, r.primal_in, r.complementarity],
-                                       per_row(p, sol.z, lam), rtol=0, atol=1e-13)
-            assert n_calls == (len(sol.active_set) > 0)
+        for p, sol, formed in trials:
+            lam = formed[0][0] if formed else np.zeros(p.b_in.size)
+            np.testing.assert_allclose(sol.kkt_residuals.residuals, per_row(p, sol.z, lam),
+                                       rtol=0, atol=1e-13)
+            for _, got, z, lam_perturbed in formed:
+                np.testing.assert_allclose(got, per_row(p, z, lam_perturbed), rtol=0, atol=1e-13)
+            assert len(formed) == (len(sol.active_set) > 0)
         # both kinds of solve are compared
-        assert 0 < sum(n for *_, n in trials) < 100
+        assert 0 < sum(len(formed) for *_, formed in trials) < 100
 
     def test_empty_working_set_reuses_its_residuals(self):
         # a solve that ends with an empty working set reports the
-        # residuals _residuals gives at (z, 0), whether it started cold or
-        # from a warm start whose tight rows it drops again
+        # residuals the stacked formula gives at (z, 0), whether it started
+        # cold or from a warm start whose tight rows it drops again
         rng = np.random.default_rng(3)
         empty = dropped = 0
         for _ in range(40):
@@ -409,7 +425,7 @@ class TestHotStart:
                     continue
                 empty += 1
                 dropped += warm is not None and (p.A_in @ warm - p.b_in >= -1e-9).any()
-                assert sol.kkt_residuals == qp._residuals(p, sol.z, np.zeros(12))
+                assert sol.kkt_residuals.residuals == kkt_residuals(p, sol.z, np.zeros(12))
         assert empty >= 40 and dropped >= 10
 
 
@@ -451,27 +467,25 @@ class TestKktRecord:
         assert (len(sol.active_set) > 0) == (step == 0)
         kkt = sol.kkt_residuals
         assert _Counted.products == 0
-        held = [a for arg in kkt._args
-                for a in (arg if isinstance(arg, tuple) else (arg,))]
-        assert any(a is sol.z for a in held)
-        assert not any(np.shares_memory(a, values) for a in held
-                       if isinstance(a, np.ndarray))
-        lam = held[-1] if step == 0 else None
+        # the record holds the family, theta, z and lam or max c, and
+        # shares no memory with the step map's values
+        assert kkt._factor is factor and kkt._theta is theta and kkt._z is sol.z
+        held = [a for a in gc.get_referents(kkt) if isinstance(a, np.ndarray)]
+        assert not any(np.shares_memory(a, values) for a in held)
+        lam = kkt._lam if step == 0 else np.zeros(p.b_in.size)
 
-        first = kkt.stationarity
+        got = kkt.residuals
         assert _Counted.products == (3 if step == 0 else 1)
-        assert kkt._args is None and kkt._form is None
+        assert kkt._factor is kkt._theta is kkt._z is kkt._lam is None
         H = np.asarray(ctrl.H)
         if step == 0:
-            want = qp._residuals(p, sol.z, lam)
+            want = kkt_residuals(p, sol.z, lam)
         else:
             want = qp.KktResiduals(float(np.abs(H @ sol.z + p.f).max()), float(p.c.max(initial=0.0)), 0.0)
-        got = kkt.residuals
-        assert got == want and first == want.stationarity
-        assert max(want) <= 1e-8
+        assert got == want and kkt.max() == max(want) <= 1e-8
         # a second read forms nothing
         products = _Counted.products
-        assert kkt.residuals is got and kkt == want and tuple(kkt) == tuple(want)
+        assert kkt.residuals is got
         assert _Counted.products == products
 
 
@@ -817,9 +831,8 @@ class TwoSolveFactor(QpFactor):
         self.G = A_in @ self.HinvAt
         self.G = 0.5 * (self.G + self.G.T)
         # the family's map from the same inverse
-        F = self.theta_map[self.rows[0]]
-        Z = self.unconstrained(F)
-        self.theta_map = np.vstack([F, Z, A_in @ Z - self.B])
+        Z = self.unconstrained(self.F)
+        self.theta_map = np.vstack([Z, A_in @ Z - self.B])
 
 
 class TestQpFactor:

@@ -115,6 +115,15 @@ class TestClosedLoop:
         with pytest.raises(ModelConfigError, match="x0 must be 8 finite nonnegative"):
             sim.simulate_closed_loop(disc, patient.pd, controller, 10.0, x0=x0)
 
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "2", None])
+    def test_plant_substeps_must_be_a_positive_integer(self, disc, cont, patient, controller,
+                                                        bad):
+        # named as the argument's fault: 0 divided by zero, -1 blamed Ts and
+        # 2.5 raised a TypeError
+        with pytest.raises(ModelConfigError, match="^plant_substeps must be an integer >= 1"):
+            sim.simulate_closed_loop(disc, patient.pd, controller, 10.0,
+                                     plant_substeps=bad, cont=cont)
+
     def test_substepping_needs_continuous(self, disc, patient, controller):
         with pytest.raises(ModelConfigError, match="substepping"):
             sim.simulate_closed_loop(disc, patient.pd, controller, 10.0,
