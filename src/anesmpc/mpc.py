@@ -15,8 +15,7 @@ applied drug rate is u = v_0 + D x_s, the tracking input plus the
 slow-state compensation.
 
 With n = 4 and N = 24 the dense Hessian is 49 x 49, small enough that
-condensing beats a sparse KKT formulation, and it makes the warm start a
-plain index shift of the previous solution.
+condensing beats a sparse KKT formulation.
 
 A control step is one precomputed linear map of theta = (x_f, c, 1)
 around the QP solve: the target level c is a parameter of the QP, next
@@ -32,19 +31,28 @@ unconstrained minimiser z_u = -H^-1 f (refined once when the map is
 built), the row residuals A_in z_u - b_in and everything the step reads
 off its solution at y = z_u; f itself is formed only if read. Each step
 builds a fresh theta, which its QP and the solution's KKT record keep
-uncopied. The read-out is v_a, x_a, the predicted states, the
-terminal-law input that closes the warm start and r, so the reported
-cost is r . r, a sum of squares with nothing to cancel. The output check
-reads the QP's own row residuals A_in y - b_in. When z_u meets every
-row, as in most steps, the solve returns it, and the step is that
-product, a max over the residuals and the output checks on the same
-residuals; the solution's KKT residuals are formed only if read (see
-qp). Otherwise the solve runs its start rule and dual loop from the
-same z_u and residuals, forms b_in, the read-out adds the read-out
-matrix times y - z_u to its rows of the product, the check forms
+uncopied. The read-out is v_a, x_a, the predicted states and r, so the
+reported cost is r . r, a sum of squares with nothing to cancel. The
+output check reads the QP's own row residuals A_in y - b_in. When z_u
+meets every row, as in most steps, the solve returns it, and the step
+is that product, a max over the residuals and the output checks on the
+same residuals; the solution's KKT residuals are formed only if read
+(see qp). Otherwise the solve runs its start and dual loop from the
+same z_u and residuals, the read-out adds the read-out matrix times
+y - z_u to its rows of the product, the check forms b_in and
 A_in y - b_in, and v_0, held on a bound of V by a working row, is
 clipped into V against rounding. The applied input u = v_0 + D x_s is
 formed apart from the read-out.
+
+The controller owns one qp.WorkingSet for its QP family, its buffers
+sized once, and each solve continues from the working set the previous
+step ended with: consecutive steps that hold working rows differ by a
+few rows, so such a step factorises nothing. Only an accepted step's
+working set is carried. reset(), a step that returns z_u (its working
+set is empty) and a step that raises (its QP failed or its plan failed
+the output check) leave no row to carry, and the next solve starts from
+the rows violated at its z_u. Each output reports the size of the
+step's final working set as `active_rows`.
 
 The fixed cost around that product is kept small, as most steps are
 nothing else. The state check runs on Python floats: one concatenate
@@ -54,8 +62,7 @@ entries of v_a against g_eff, kept as floats by retarget, and u is
 tested against U's bounds, kept as floats at construction: clip runs
 only on a u outside them, and its move, against CLAMP_TOL, is the
 output's `clamped`. ControlOutput is an immutable tuple record, as is
-the QP's solution (see qp). Only a plan that passes the output check
-becomes the next hot start.
+the QP's solution (see qp).
 """
 
 from __future__ import annotations
@@ -140,6 +147,7 @@ class ControlOutput(NamedTuple):
     solver_status: str
     qp_iterations: int = 0
     clamped: bool = False  # the clip into U moved u by more than CLAMP_TOL
+    active_rows: int = 0  # rows of the QP's final working set
 
 
 def build_steady_input_set(disc: DiscreteDynamics, pd: PdParams, y_ref: float,
@@ -269,17 +277,15 @@ class Controller:
         self.A_in = A_theta[:, :ny]
         self.qp_factor = qp.QpFactor(self.H, self.A_in, F=F, B=-A_theta[:, ny:])
 
-        # read-out, over w: v_a, x_a, x_0 .. x_N, the terminal-law input
-        # K (x_N - T v_a) + v_a, then the cost's residual rows
-        K = ingredients.K
+        # read-out, over w: v_a, x_a, x_0 .. x_N, then the cost's residual
+        # rows
         blocks = [np.eye(m, n + mN + m, n + mN),
                   np.hstack([np.zeros((n, n + mN)), self.T]),
-                  np.hstack([Gx, S, np.zeros((len(Gx), m))]),
-                  np.hstack([K @ A_N, K @ S_N, np.eye(m) - K @ self.T])]
+                  np.hstack([Gx, S, np.zeros((len(Gx), m))])]
         readout = np.vstack([y_theta(np.vstack(blocks)), residual])
         self.readout_y = readout[:, :ny]
         ends = np.cumsum([len(b) for b in blocks] + [len(residual)])
-        (self._va_rows, self._xa_rows, self._x_rows, self._tail_rows,
+        (self._va_rows, self._xa_rows, self._x_rows,
          self._cost_rows) = (slice(a, b) for a, b in zip([0, *ends[:-1]], ends))
 
         # the step map: theta -> (z_u, c) of the QP family, then the
@@ -289,7 +295,7 @@ class Controller:
         self.step_map = np.vstack([fam.theta_map,
                                    readout[:, ny:] + self.readout_y @ fam.theta_map[rows_z]])
         self._out_rows = slice(rows_c.stop, None)
-        self._warm_buf = np.empty(ny)
+        self._ws = qp.WorkingSet(fam)
         self._clamp_warned = False
         self.reset()
 
@@ -306,8 +312,8 @@ class Controller:
         return out
 
     def reset(self) -> None:
-        """Start a new run: no warm start, step count 0."""
-        self._warm: np.ndarray | None = None
+        """Start a new run: no working row carried, step count 0."""
+        self._ws.clear()
         self._steps = 0
 
     def retarget(self, y_ref: float) -> None:
@@ -324,17 +330,21 @@ class Controller:
     # -- main entry --------------------------------------------------------
 
     def control_step(self, x_f, x_s) -> ControlOutput:
-        """Solve the tracking QP at (x_f, x_s), hot-started from the shifted
-        previous plan, and return u = v_0 + D x_s clipped into U. A clip
-        that moves u by more than CLAMP_TOL sets the output's `clamped`;
-        the first one is logged as a warning. Raises SolverInfeasibleError when
-        the QP fails or its optimum leaves the tightened box, the steady
-        output line or X_a; its `step` counts the steps since reset()."""
+        """Solve the tracking QP at (x_f, x_s), continuing from the working
+        set the previous accepted step ended with, and return
+        u = v_0 + D x_s clipped into U. A clip that moves u by more than
+        CLAMP_TOL sets the output's `clamped`; the first one is logged as
+        a warning. Raises SolverInfeasibleError when the QP fails or its
+        optimum leaves the tightened box, the steady output line or X_a;
+        its `step` counts the steps since reset(). A step that raises
+        carries no working row to the next."""
         theta, x_s = _as_states(x_f, x_s, self._theta_tail)
         try:
             out = self._solve(theta, x_s)
-        except SolverInfeasibleError as exc:
-            exc.step = self._steps
+        except BaseException as exc:
+            self._ws.clear()  # only an accepted step's working set is carried
+            if isinstance(exc, SolverInfeasibleError):
+                exc.step = self._steps
             raise
         self._steps += 1
         return out
@@ -342,7 +352,7 @@ class Controller:
     def _solve(self, theta: np.ndarray, x_s: np.ndarray) -> ControlOutput:
         s = self.step_map @ theta
         problem = qp.ParametricQp(self.qp_factor, theta, s)
-        sol = qp.qp_solve(problem, warm_start=self._warm)
+        sol = qp.qp_solve(problem, self._ws)
         if sol.status == "max_iter":
             raise SolverInfeasibleError(
                 f"tracking QP stopped after {sol.iterations} iterations",
@@ -352,19 +362,13 @@ class Controller:
                 f"tracking QP is infeasible: {_describe(sol.infeasibility_report)}",
                 report=sol.infeasibility_report, status=sol.status)
         y = sol.z
-        m, mN = self.m, self.m * self.N
-        v0 = y[:m].copy()
+        v0 = y[:self.m].copy()
         out = self.read_out(y, problem)
         v_a = out[self._va_rows]
         r = out[self._cost_rows]
         cost = float(r @ r)
         at_z_u = y is problem.z_u
         self._validate_output(y, v_a, problem.c if at_z_u else self.A_in @ y - problem.b_in)
-        # only an accepted plan becomes the next hot start: shifted by one
-        # step and closed by the terminal law
-        w = self._warm_buf
-        w[:mN - m], w[mN - m:mN], w[mN] = y[m:mN], out[self._tail_rows], y[mN]
-        self._warm = w
         if not at_z_u:
             # working rows hold v_0 on a bound of V, which rounding can leave
             np.maximum(v0, self.V.lower, out=v0)
@@ -386,7 +390,7 @@ class Controller:
             u = applied
         return ControlOutput(u, v0, v_a, out[self._xa_rows],
                              out[self._x_rows].reshape(self.N + 1, self.n), cost,
-                             sol.status, sol.iterations, clamped)
+                             sol.status, sol.iterations, clamped, len(sol.active_set))
 
     def _validate_output(self, y, v_a, residuals) -> None:
         """The plan y against every row of its QP, from the row residuals

@@ -30,24 +30,30 @@ square Li. The loop adds the most violated row (violations within
 _TIE_TOL of the largest tie, and the lowest index wins) and drops rows
 whose multipliers would turn negative.
 
-One start rule serves cold and hot solves, as in parametric active-set
-solvers (qpOASES). When no row is violated at z_u, z_u is the optimum
-and S stays empty, whatever the warm start. Otherwise S starts from the
-rows tight or violated at the warm start, or, with none given, from the
-rows violated at z_u. One QR factorisation of their square-root rows,
-M_S' = Q R, the square-root form in which Goldfarb and Idnani state
-the method, gives G_SS = R'R: its squared pivots diag(R)^2, tested in
-one pass against the factor's floors _DEP_TOL G_jj, end the leading run
-at the first that fails, and the run goes in with Li = R'^-1, one
-inverse of R' read in place from the lower triangle of the raw factor.
-The rows after the run go in one at a time, skipping dependent rows.
-Then the start drops multipliers below a rounding-level tolerance, most
-negative first (each test is one argmin, and an argmax only past the
-tolerance), and the dual loop runs from there. From rest, the MPC's cold
-solve thus admits 25 rows at once and takes 8 iterations where adding
-one row per iteration took 27.
+A solve continues from a :class:`WorkingSet` of its family, as the
+online active-set strategy of qpOASES keeps its active set and its
+factorisation along a parametric family (Ferreau, Bock & Diehl 2008).
+When no row is violated at z_u, z_u is the optimum and the working set
+is emptied. Otherwise S starts from the rows the working set carries
+from the previous solve, with the Li and G[S, :] that solve left, so a
+carried start factorises and evaluates nothing. With no row carried,
+S starts from the rows violated at z_u (the cold rule): one QR
+factorisation of their square-root rows, M_S' = Q R, the square-root
+form in which Goldfarb and Idnani state the method, gives G_SS = R'R:
+its squared pivots diag(R)^2, tested in one pass against the factor's
+floors _DEP_TOL G_jj, end the leading run at the first that fails, and
+the run goes in with Li = R'^-1, one inverse of R' read in place from
+the lower triangle of the raw factor. The rows after the run go in one
+at a time, skipping dependent rows. Either way the start then drops
+multipliers below a rounding-level tolerance, most negative first (each
+test is one argmin, and an argmax only past the tolerance), and the
+dual loop runs from there. From rest, the MPC's cold solve thus admits
+25 rows at once and takes 8 iterations where adding one row per
+iteration took 27. The caller decides what is carried; in the MPC only
+an accepted step's working set is carried, and reset() and a step that
+raises empty it.
 
-S, Li and G[:, S] live in three buffers sized once per solve for
+S, Li and G[:, S] live in three buffers sized once per working set for
 min(rows, nvars) working rows, the most S can hold: nvars independent
 rows span every row. S is kept as an index array, so gathering the
 working entries of a vector converts no list. G[:, S] is kept as its
@@ -58,14 +64,14 @@ needs only Li' Li = G_SS^-1, not a triangular Li. The violation update
 reads G[:, S] as a view. A dropped row shifts the buffered entries of S
 and rows of G over it and deletes its column of Li; one Householder
 reflection then restores Li' Li = G_SS^-1 in O(k^2) operations, with no
-factorisation.
+factorisation. A chain of such updates keeps Li' Li G_SS = I to 1e-10
+on the MPC's runs (see the tests).
 
 A solve starts from the row residuals c at z_u, which come with the
-problem, and evaluates the rows at the warm start (one product of A
-with it, and b formed then) only when max c exceeds _FEAS_TOL. When it
-does not, as in most MPC steps, the solve returns z_u with 0 iterations
-and S empty: no buffer is allocated, nothing is factorised and no
-working-set algebra runs. No solve forms its KKT residuals: it returns a
+problem. When max c does not exceed _FEAS_TOL, as in most MPC steps,
+the solve returns z_u with 0 iterations and S empty: nothing is
+factorised, no working-set algebra runs, and a solve given no working
+set builds none. No solve forms its KKT residuals: it returns a
 :class:`KktRecord` that forms them on first read, once, from the family,
 theta, z and either max c or the clipped lam. At z_u the primal residual
 is max c, the multipliers and complementarity are exactly 0, and only
@@ -268,23 +274,30 @@ class QpProblem(ParametricQp):
         self._f, self._b_in = f, b_in
 
 
-class _WorkingSet:
-    """Working rows S, a square Li with Li' Li = G_SS^-1 (R'^-1 for the
-    QR factor R of the start's square-root rows until a row is dropped)
-    and the rows G[S, :], in buffers of ``cap`` rows; :attr:`idx` (S as
-    an index array), :attr:`Li` and :attr:`cols` (G[:, S]) are views of
-    their first len(S) rows, :attr:`rows` is S as a list. G, the
-    square-root rows M and the dependence floors _DEP_TOL diag(G) come
-    from the family's factor. A solve builds one only when z_u violates a
-    row, so its buffers are always used."""
+class WorkingSet:
+    """The working rows S of a family's QPs, a square Li with
+    Li' Li = G_SS^-1 (R'^-1 for the QR factor R of a start's square-root
+    rows until a row is dropped) and the rows G[S, :], in buffers of
+    ``cap`` = min(rows, nvars) rows sized once; :attr:`idx` (S as an index
+    array), :attr:`Li` and :attr:`cols` (G[:, S]) are views of their first
+    len(S) rows, :attr:`rows` is S as a list. G, the square-root rows M
+    and the dependence floors _DEP_TOL diag(G) come from the family's
+    factor. A caller that solves a sequence of the family's QPs keeps one
+    and passes it to every :func:`qp_solve`, which continues from the rows
+    it holds and leaves the rows it ends with."""
 
-    def __init__(self, factor: QpFactor, cap: int):
+    def __init__(self, factor: QpFactor):
+        self.factor = factor
         self.G, self.M, self.lower = factor.G, factor.M, factor.lower
         self.dep_floor = factor.dep_floor
-        self.cap, self.k = cap, 0
-        self._S = np.empty(cap, dtype=np.intp)
-        self._Li = np.empty((cap, cap))
-        self._GS = np.empty((cap, self.G.shape[0]))
+        self.cap, self.k = min(factor.M.shape), 0
+        self._S = np.empty(self.cap, dtype=np.intp)
+        self._Li = np.empty((self.cap, self.cap))
+        self._GS = np.empty((self.cap, self.G.shape[0]))
+
+    def clear(self) -> None:
+        """Empty S: the next solve starts fresh."""
+        self.k = 0
 
     @property
     def idx(self) -> np.ndarray:
@@ -380,32 +393,35 @@ class _WorkingSet:
             Li[:k - 1, :k - 1] -= v[:k - 1, None] * w
 
 
-def qp_solve(p: ParametricQp, warm_start: np.ndarray | None = None,
+def qp_solve(p: ParametricQp, ws: WorkingSet | None = None,
              max_iter: int = 500) -> QpSolution:
     """Solve the QP; on "optimal" all KKT residuals are <= 1e-8. The
     solution holds neither p nor its objective (see :func:`objective`).
 
     p brings its family, theta, z_u and row residuals (a QpProblem is the
-    plain family's QP at theta = (f, b)).
+    plain family's QP at theta = (f, b)). ``ws``, a working set of p's
+    family, carries rows from one solve to the next: the solve starts
+    from the rows it holds and leaves in it the rows it ends with, so a
+    sequence of the family's QPs passes one. Without it, the solve builds
+    its own when it needs one. Raises ValueError when ``ws`` belongs to
+    another family.
 
     Returns the unconstrained minimiser z_u, with 0 iterations and no
-    active row and without reading ``warm_start``, when z_u violates no
-    row by more than _FEAS_TOL. Otherwise starts from the rows tight or
-    violated at ``warm_start``, or with no warm start from the rows
-    violated at z_u. Each working-set change after the start's admissions
-    is one iteration; past ``max_iter`` the current iterate is returned
-    with status "max_iter".
+    active row, and empties ``ws``, when z_u violates no row by more than
+    _FEAS_TOL. Otherwise starts from the rows of ``ws`` or, with none,
+    from the rows violated at z_u. Each working-set change after the
+    start's admissions is one iteration; past ``max_iter`` the current
+    iterate is returned with status "max_iter".
     """
     factor, z_u, c = p.factor, p.z_u, p.c
+    if ws is not None and ws.factor is not factor:
+        raise ValueError("the working set belongs to another QP family")
     top = c.max(initial=0.0)
     if top <= _FEAS_TOL:
         # z_u is the optimum
+        if ws is not None:
+            ws.clear()
         return QpSolution(z_u, "optimal", KktRecord(factor, p.theta, z_u, top))
-    if warm_start is None:
-        start = (c > _FEAS_TOL).nonzero()[0]
-    else:
-        at_warm = p.A_in @ np.ravel(warm_start) - p.b_in
-        start = (at_warm >= -_FEAS_TOL).nonzero()[0]
 
     def finish(status, lam, it, extra=None):
         lam_all = np.zeros(c.size)
@@ -417,9 +433,10 @@ def qp_solve(p: ParametricQp, warm_start: np.ndarray | None = None,
         return QpSolution(z, status, KktRecord(factor, p.theta, z, lam_all), it,
                           tuple(sorted(ws.rows)))
 
-    ws = _WorkingSet(factor, min(c.size, z_u.size))
-    if start.size:
-        ws.admit_all(start)
+    if ws is None:
+        ws = WorkingSet(factor)
+    if not ws.k:
+        ws.admit_all((c > _FEAS_TOL).nonzero()[0])
     lam = ws.solve(c[ws.idx])
 
     it = 0

@@ -38,9 +38,11 @@ class SimLog:
     cost: np.ndarray
     status: list
     solve_ms: np.ndarray
-    # working-set changes of each step's QP, and whether the clip into U
-    # moved the step's input by more than mpc.CLAMP_TOL; not run.csv columns
+    # working-set changes of each step's QP, the rows of its final working
+    # set, and whether the clip into U moved the step's input by more than
+    # mpc.CLAMP_TOL; not run.csv columns
     qp_iterations: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    active_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     clamped: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     def __len__(self) -> int:
@@ -101,6 +103,7 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
         status=[],
         solve_ms=np.empty(steps),
         qp_iterations=np.empty(steps, dtype=int),
+        active_rows=np.empty(steps, dtype=int),
         clamped=np.empty(steps, dtype=bool),
     )
     ctrl.reset()
@@ -120,6 +123,7 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
         log.status.append(out.solver_status)
         log.solve_ms[k] = (toc - tic) * 1e3
         log.qp_iterations[k] = out.qp_iterations
+        log.active_rows[k] = out.active_rows
         log.clamped[k] = out.clamped
         for _ in range(plant_substeps):
             x = M @ x + B @ out.u

@@ -2,7 +2,9 @@
 hit-and-run sampler of X_a, the open-loop replay of the compensated
 model, the readers of a bundle's matrix and polyhedron files, the
 Chebyshev centre as a function of its own, the offset cost of a
-steady input and the KKT residuals of a QP at a primal-dual pair."""
+steady input, the KKT residuals of a QP at a primal-dual pair and
+working sets started from chosen rows or from the rows tight at a
+point."""
 
 import numpy as np
 
@@ -101,3 +103,19 @@ def kkt_residuals(p: qp.ParametricQp, z, lam) -> qp.KktResiduals:
     return qp.KktResiduals(float(np.abs(grad).max(initial=0.0)),
                            float(slack.max(initial=0.0)),
                            float(np.abs(lam * slack).max(initial=0.0)))
+
+
+def working_set(p: qp.ParametricQp, rows) -> qp.WorkingSet:
+    """A working set of p's family started from rows through
+    qp.WorkingSet.admit_all (dependent rows skipped), for a solve of p to
+    continue from."""
+    ws = qp.WorkingSet(p.factor)
+    if len(rows):
+        ws.admit_all(rows)
+    return ws
+
+
+def hot_start(p: qp.ParametricQp, w) -> qp.WorkingSet:
+    """A working set of p's family started from the rows tight or violated
+    at the point w (A_in w - b_in >= -1e-9), in row order."""
+    return working_set(p, (p.A_in @ np.ravel(w) - p.b_in >= -1e-9).nonzero()[0])

@@ -80,9 +80,9 @@ class TestBuildController:
         expected_rows = 4 * N + ingredients.X_a.nrows
         assert controller.A_in.shape == (expected_rows, 49) == (140, 49)
         # theta -> (z_u, c) then the read-out; no row of A_in is read out,
-        # and f = F theta is formed only if read
-        assert controller.readout_y.shape == (257, 49)
-        assert controller.step_map.shape == (49 + 140 + 257, 6) == (446, 6)
+        # f = F theta is formed only if read, and no shifted plan is formed
+        assert controller.readout_y.shape == (255, 49)
+        assert controller.step_map.shape == (49 + 140 + 255, 6) == (444, 6)
         assert controller.qp_factor.F.shape == (49, 6)
         assert zs.g_eff @ controller.d == pytest.approx(0.0, abs=1e-15)
         assert zs.g_eff @ controller.p0 == pytest.approx(1.0, abs=1e-15)
@@ -455,9 +455,10 @@ class TestStepRecords:
         assert (sol.status, sol.iterations, sol.infeasibility_report) == ("optimal", 8, ())
         assert len(sol.active_set) == 25 and sol.z.shape == (controller.ny,)
         assert out._fields == ("u", "v0", "v_a", "x_a", "predicted_xf", "cost",
-                               "solver_status", "qp_iterations", "clamped")
-        assert out._field_defaults == {"qp_iterations": 0, "clamped": False}
-        assert (out.solver_status, out.qp_iterations, out.clamped) == ("optimal", 8, False)
+                               "solver_status", "qp_iterations", "clamped", "active_rows")
+        assert out._field_defaults == {"qp_iterations": 0, "clamped": False, "active_rows": 0}
+        assert (out.solver_status, out.qp_iterations, out.clamped, out.active_rows) == (
+            "optimal", 8, False, 25)
         assert out.u.shape == out.v0.shape == out.v_a.shape == (2,)
         assert out.x_a.shape == (4,) and out.predicted_xf.shape == (controller.N + 1, 4)
         assert type(out.cost) is float
@@ -551,7 +552,7 @@ class TestValidateOutput:
         # a solve that returns z_u itself and reports no residual, on the
         # cold step from rest, where z_u leaves the box: the check reduces
         # the step's own row residuals, whatever the solver reports
-        def solve(p, warm_start=None, max_iter=500):
+        def solve(p, ws=None, max_iter=500):
             return qp.QpSolution(p.z_u, "optimal", qp.KktResiduals(0.0, 0.0, 0.0))
 
         monkeypatch.setattr(qp, "qp_solve", solve)
@@ -561,15 +562,44 @@ class TestValidateOutput:
             ctrl.control_step(np.zeros(4), np.zeros(4))
         assert info.value.step == 0
 
-    def test_rejected_plan_is_not_the_next_warm_start(self, ctrl, monkeypatch):
-        before = ctrl._warm.copy()
+    def test_rejected_plan_is_not_the_next_warm_start(self, ctrl, disc, patient, gain, v_box,
+                                                      ingredients, monkeypatch):
+        # the step from rest ended with 25 working rows; a step whose plan
+        # is rejected carries none, so the next step starts as after reset()
+        assert ctrl._ws.k == 25
 
         def edit(z):
             z[-1] += 100.0
 
-        self.doctor(monkeypatch, edit)
-        self.step_fails(ctrl, "terminal pair violates invariant-set row")
-        assert np.array_equal(ctrl._warm, before)
+        with monkeypatch.context() as mp:
+            self.doctor(mp, edit)
+            self.step_fails(ctrl, "terminal pair violates invariant-set row")
+        assert ctrl._ws.k == 0
+        fresh = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                     ingredients, mpc.MpcConfig())
+        # from rest again: the 25 rows would be the optimum at once, and a
+        # fresh start takes 8 iterations to them
+        got = ctrl.control_step(np.zeros(4), np.zeros(4))
+        want = fresh.control_step(np.zeros(4), np.zeros(4))
+        assert np.array_equal(got.u, want.u) and got.qp_iterations == want.qp_iterations == 8
+
+    def test_iteration_limit_carries_no_rows(self, ctrl, monkeypatch):
+        # a solve stopped by max_iter leaves rows in the working set; the
+        # step raises and carries none of them
+        solve = qp.qp_solve
+        left = []
+
+        def limited(p, ws):
+            sol = solve(p, ws, max_iter=1)
+            left.append(ws.k)
+            return sol
+
+        monkeypatch.setattr(qp, "qp_solve", limited)
+        ctrl.reset()
+        with pytest.raises(SolverInfeasibleError, match="stopped after 1 iterations") as info:
+            ctrl.control_step(np.zeros(4), np.zeros(4))
+        assert info.value.status == "max_iter" and left[0] > 0
+        assert ctrl._ws.k == 0
 
 
 class TestRetarget:
@@ -602,8 +632,8 @@ class TestRetarget:
         # events of the start's admissions are not logged: the add loop's
         # are counted from its first pivot of a dependent row
         events, starting = [], []
-        pivot, remove = qp._WorkingSet.pivot, qp._WorkingSet.remove
-        admit_all = qp._WorkingSet.admit_all
+        pivot, remove = qp.WorkingSet.pivot, qp.WorkingSet.remove
+        admit_all = qp.WorkingSet.admit_all
 
         def unlogged_admit_all(ws, rows):
             starting.append(True)
@@ -620,9 +650,9 @@ class TestRetarget:
             events.append(("remove", ws.rows[pos], False))
             remove(ws, pos)
 
-        monkeypatch.setattr(qp._WorkingSet, "pivot", logged_pivot)
-        monkeypatch.setattr(qp._WorkingSet, "remove", logged_remove)
-        monkeypatch.setattr(qp._WorkingSet, "admit_all", unlogged_admit_all)
+        monkeypatch.setattr(qp.WorkingSet, "pivot", logged_pivot)
+        monkeypatch.setattr(qp.WorkingSet, "remove", logged_remove)
+        monkeypatch.setattr(qp.WorkingSet, "admit_all", unlogged_admit_all)
         with pytest.raises(SolverInfeasibleError) as info:
             ctrl.control_step(np.zeros(4), np.zeros(4))
         first = next(k for k, e in enumerate(events) if e[2])
@@ -668,7 +698,7 @@ class TestRetarget:
     def test_next_steps_match_a_controller_built_at_the_target(self, disc, patient, gain,
                                                                v_box, ingredients):
         # retarget to 45 after 400 s at 50: the next steps, from the same
-        # state and warm start, are those of a controller built at 45
+        # state and no carried row, are those of a controller built at 45
         M, B = pkpd.full_step_matrices(disc)
         moved = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                      ingredients, mpc.MpcConfig())
@@ -678,7 +708,7 @@ class TestRetarget:
         moved.retarget(45.0)
         built = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                      ingredients, mpc.MpcConfig(y_ref=45.0))
-        built._warm = moved._warm.copy()
+        assert moved._ws.k == 0  # both start fresh: the run rests at step 80
         for k in range(30):
             a, b = moved.control_step(x[:4], x[4:]), built.control_step(x[:4], x[4:])
             for name in ("u", "v_a"):
@@ -778,10 +808,12 @@ class TestQpReuse:
     def test_steady_steps_factor_nothing(self, disc, patient, gain, v_box, ingredients,
                                          monkeypatch):
         # steps >= 30 of the reference run have no tight row and take 0
-        # iterations: their solves factor nothing and build no working set
+        # iterations: their solves factor nothing and touch no working row.
+        # The controller builds its one working set with itself, and no
+        # solve builds another
         calls, per_solve = [], []
-        qr, ws_solve, solve = np.linalg.qr, qp._WorkingSet.solve, qp.qp_solve
-        init = qp._WorkingSet.__init__
+        qr, ws_solve, solve = np.linalg.qr, qp.WorkingSet.solve, qp.qp_solve
+        init = qp.WorkingSet.__init__
 
         def counted_solve(*args, **kwargs):
             calls.clear()
@@ -790,18 +822,19 @@ class TestQpReuse:
             return sol
 
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append("qr") or qr(*a, **kw))
-        monkeypatch.setattr(qp._WorkingSet, "solve",
+        monkeypatch.setattr(qp.WorkingSet, "solve",
                             lambda ws, v: calls.append("solve") or ws_solve(ws, v))
-        monkeypatch.setattr(qp._WorkingSet, "__init__",
+        monkeypatch.setattr(qp.WorkingSet, "__init__",
                             lambda ws, *a: calls.append("build") or init(ws, *a))
         monkeypatch.setattr(qp, "qp_solve", counted_solve)
         ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                     ingredients, mpc.MpcConfig())
+        assert calls == ["build"]
         sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0)
         assert len(per_solve) == 120
         # the counters see the cold first solve
-        assert per_solve[0][1].count("qr") == per_solve[0][1].count("build") == 1
-        assert "solve" in per_solve[0][1]
+        assert per_solve[0][1].count("qr") == 1 and "solve" in per_solve[0][1]
+        assert not any("build" in seen for _, seen in per_solve)
         steady = per_solve[30:]
         assert all(sol.iterations == 0 and not sol.active_set for sol, _ in steady)
         assert [k for k, (_, seen) in enumerate(per_solve) if k >= 30 and seen] == []
@@ -814,8 +847,8 @@ class TestQpReuse:
         ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
                                     ingredients, mpc.MpcConfig())
         calls, singles = count_linalg(monkeypatch), []
-        admit = qp._WorkingSet.admit
-        monkeypatch.setattr(qp._WorkingSet, "admit",
+        admit = qp.WorkingSet.admit
+        monkeypatch.setattr(qp.WorkingSet, "admit",
                             lambda ws, j: singles.append(len(ws.rows)) or admit(ws, j))
         out = ctrl.control_step(np.zeros(4), np.zeros(4))
         assert calls == {"qr": 1, "inv": 1}
@@ -823,30 +856,28 @@ class TestQpReuse:
         assert out.qp_iterations == 8
 
     def test_hot_starts_factor_once(self, monkeypatch):
-        # on the 3600 s reference run, each hot-started solve that builds a
-        # working set (steps 1-14) calls numpy.linalg.qr once, inv at most
-        # once and no other numpy.linalg routine; every other step, whose
-        # z_u meets every row (step 15 on), calls none
+        # on the 3600 s reference run, the fresh start from rest calls
+        # numpy.linalg.qr and inv once each; steps 1-14 continue from the
+        # working set the step before ended with and call no numpy.linalg
+        # routine, nor does any step whose z_u meets every row (step 15 on)
         bundle = pipeline.build_bundle(patient_path(), controller_path())
         calls, per_step, solve = count_linalg(monkeypatch), [], qp.qp_solve
 
-        def counted(p, *args, **kwargs):
+        def counted(p, ws):
             calls.clear()
-            sol = solve(p, *args, **kwargs)
-            per_step.append((sol.z is not p.z_u, dict(calls)))
+            carried = ws.k
+            sol = solve(p, ws)
+            per_step.append((carried, sol.z is not p.z_u, dict(calls)))
             return sol
 
         monkeypatch.setattr(qp, "qp_solve", counted)
         sim.simulate_closed_loop(bundle.disc, bundle.patient.pd, bundle.controller, 3600.0)
         assert len(per_step) == 720
-        built = [k for k, (ws, _) in enumerate(per_step) if ws]
-        assert built == list(range(15))
-        for k, (ws, seen) in enumerate(per_step[1:], start=1):
-            if ws:
-                assert seen.get("qr") == 1 and seen.get("inv", 0) <= 1, (k, seen)
-                assert set(seen) <= {"qr", "inv"}, (k, seen)
-            else:
-                assert seen == {}, (k, seen)
+        assert [k for k, (_, active, _) in enumerate(per_step) if active] == list(range(15))
+        assert [k for k, (carried, _, _) in enumerate(per_step) if carried] == list(range(1, 16))
+        assert per_step[0] == (0, True, {"qr": 1, "inv": 1})
+        for k, (_, _, seen) in enumerate(per_step[1:], start=1):
+            assert seen == {}, (k, seen)
 
 
 @pytest.fixture(scope="module")
@@ -897,8 +928,7 @@ class TestReadOut:
         ctrl, log, reads, solves, checks = recorded_runs[run]
         assert len(reads) == len(solves) == len(checks) == len(log)
         assert len(log) == {"reference": 120, "setpoint": 1440}[run]
-        n, mN = ctrl.n, ctrl.m * ctrl.N
-        K, T = ctrl.ing.K, ctrl.T
+        mN, T = ctrl.m * ctrl.N, ctrl.T
         Gx, S = mpc.prediction_maps(ctrl.disc.A_f, ctrl.disc.B, ctrl.N)
 
         def close(got, want):
@@ -907,11 +937,9 @@ class TestReadOut:
         for k, ((x0, y, out, c), (p, _), residuals) in enumerate(zip(reads, solves, checks)):
             v_a = ctrl.p0 * c + ctrl.d * y[mN]
             xs = Gx @ x0 + S @ y[:mN]
-            x_N = xs[-n:]
             assert close(out[ctrl._va_rows], v_a), k
             assert close(out[ctrl._x_rows], xs), k
             assert close(out[ctrl._xa_rows], T @ v_a), k
-            assert close(out[ctrl._tail_rows], K @ (x_N - T @ v_a) + v_a), k
             assert np.array_equal(log.v_a[k], out[ctrl._va_rows]), k
             assert close(residuals, ctrl.A_in @ y - p.b_in), k
 
@@ -947,3 +975,97 @@ class TestStepMap:
             assert sol.z.base is None, k  # a kept solution keeps no row of the step map
             assert sol.kkt_residuals.residuals.stationarity <= 1e-10, k
 
+
+@pytest.fixture(scope="module")
+def carried_runs():
+    """The 3600 s reference run and the benchmark's set-point schedule on
+    the shipped files, keeping each QP, its solution and, when the step
+    starts from carried rows, those rows and their factor Li."""
+    workloads = bench_module("workloads")
+    solve = qp.qp_solve
+    runs = {}
+
+    def recording(p, ws):
+        start = (ws.rows, ws.Li.copy()) if ws.k else None
+        solves.append((p, solve(p, ws), start))
+        return solves[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "qp_solve", recording)
+        for name, episode in (
+                ("reference", lambda b: pipeline.closed_loop(b, 3600.0)),
+                ("setpoint", lambda b: workloads.setpoint_episode(
+                    b, workloads.SETPOINT_SCHEDULE, workloads.SETPOINT_S))):
+            solves = []
+            bundle = pipeline.build_bundle(patient_path(), controller_path())
+            episode(bundle)
+            runs[name] = bundle.controller, solves
+    return runs
+
+
+class TestCarriedWorkingSet:
+    """Each step continues from the working set the previous accepted
+    step ended with; reset(), a step that returns z_u and a step that
+    raises leave no row to carry."""
+
+    @pytest.mark.parametrize("run", ["reference", "setpoint"])
+    def test_carried_solves_match_fresh_starts(self, carried_runs, run):
+        # every solve against a fresh cold-rule solve of the same QP, and
+        # the factor of every carried start against its block of G, so
+        # that no drift builds up along a chain
+        ctrl, solves = carried_runs[run]
+        G = ctrl.qp_factor.G
+        assert len(solves) == {"reference": 720, "setpoint": 1440}[run]
+        carried = 0
+        for k, (p, sol, start) in enumerate(solves):
+            fresh = qp.qp_solve(p)
+            assert sol.status == fresh.status == "optimal", k
+            assert np.abs(sol.z - fresh.z).max() <= 1e-12, k
+            if start is not None:
+                carried += 1
+                rows, Li = start
+                np.testing.assert_allclose(Li.T @ Li @ G[np.ix_(rows, rows)], np.eye(len(rows)),
+                                           rtol=0, atol=1e-10, err_msg=str(k))
+        assert carried == {"reference": 15, "setpoint": 55}[run]
+
+    def test_reset_carries_no_rows(self, disc, patient, gain, v_box, ingredients):
+        # an episode cut off mid-chain, then a full one: the full episode
+        # is that of a fresh controller, bit for bit, as the benchmark's
+        # repeated episodes require
+        workloads = bench_module("workloads")
+        M, B = pkpd.full_step_matrices(disc)
+
+        def build():
+            return mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                        ingredients, mpc.MpcConfig())
+
+        ctrl, x = build(), np.zeros(8)
+        for _ in range(6):
+            x = M @ x + B @ ctrl.control_step(x[:4], x[4:]).u
+        assert ctrl._ws.k == 24
+        ctrl.reset()
+        assert ctrl._ws.k == 0
+        for episode in range(2):
+            assert workloads.same_log(sim.simulate_closed_loop(disc, patient.pd, ctrl, 600.0),
+                                      sim.simulate_closed_loop(disc, patient.pd, build(), 600.0))
+
+    def test_retarget_mid_chain_matches_a_fresh_start(self, disc, patient, gain, v_box,
+                                                      ingredients):
+        # BIS 50 -> 45 at induction step 5, whose QP starts from the 24
+        # rows step 4 ended with: the same step as from no carried row
+        M, B = pkpd.full_step_matrices(disc)
+        moved, fresh = (mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS,
+                                             ingredients, mpc.MpcConfig()) for _ in range(2))
+        x = np.zeros(8)
+        for _ in range(5):
+            x = M @ x + B @ moved.control_step(x[:4], x[4:]).u
+        moved.retarget(45.0)
+        fresh.retarget(45.0)
+        assert moved._ws.k == 24 and fresh._ws.k == 0
+        a, b = moved.control_step(x[:4], x[4:]), fresh.control_step(x[:4], x[4:])
+        assert a.solver_status == b.solver_status == "optimal"
+        for name in ("u", "v0", "v_a"):
+            want = getattr(b, name)
+            assert np.abs(getattr(a, name) - want).max() <= 1e-12 * np.abs(want).max(), name
+        assert a.cost == pytest.approx(b.cost, rel=1e-12, abs=0.0)
+        assert a.active_rows == b.active_rows > 0

@@ -62,7 +62,7 @@ def unreferenced() -> list:
 
 def test_private_helpers_and_constants_are_checked():
     defined = {f"{module}.{name}" for module, node in _statements() for name in _defined(node)}
-    assert {"qp._most_negative", "qp._WorkingSet", "qp._FEAS_TOL", "mpc.CLAMP_TOL",
+    assert {"qp._most_negative", "qp.WorkingSet", "qp._FEAS_TOL", "mpc.CLAMP_TOL",
             "sim.CSV_HEADER", "mpc.logger"} <= defined
     assert "anesmpc.__version__" not in defined
 

@@ -11,7 +11,7 @@ from anesmpc.qp import QpFactor, QpProblem, enumerate_active_sets, qp_solve
 
 from conftest import (U_BOUNDS, bench_module, controller_path, count_linalg, path_digest,
                       patient_path)
-from oracles import kkt_residuals
+from oracles import hot_start, kkt_residuals, working_set
 
 
 def random_qp(rng, n, q):
@@ -73,8 +73,8 @@ class TestBasics:
         # line finds both tight, admits one and skips the other as dependent
         p = QpProblem(2 * np.eye(2), [-2.0, -2.0], A_in=[[1.0, 1.0], [-1.0, -1.0]],
                       b_in=[1.0, -1.0])
-        for warm_start in (None, [1.0, 0.0]):
-            sol = qp_solve(p, warm_start=warm_start)
+        for ws in (None, hot_start(p, [1.0, 0.0])):
+            sol = qp_solve(p, ws)
             assert sol.status == "optimal"
             assert len(sol.active_set) == 1
             np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-9)
@@ -151,7 +151,7 @@ class TestBasics:
             k = opt.active_set[0]
             opposed = QpProblem(p.H, p.f, np.vstack([p.A_in, -p.A_in[k]]),
                                 np.append(p.b_in, -p.b_in[k] - rng.uniform(0.1, 1.0)))
-            sol = qp_solve(opposed, warm_start=opt.z)
+            sol = qp_solve(opposed, hot_start(opposed, opt.z))
             assert sol.status == "infeasible"
             row, amount = sol.infeasibility_report[0]
             assert amount > 0.0, row
@@ -178,7 +178,7 @@ class TestProperties:
         for _ in range(20):
             p = random_qp(rng, n=5, q=3)
             cold = qp_solve(p)
-            warm = qp_solve(p, warm_start=cold.z + rng.normal(scale=0.1, size=5))
+            warm = qp_solve(p, hot_start(p, cold.z + rng.normal(scale=0.1, size=5)))
             assert warm.status == "optimal"
             assert qp.objective(p, warm.z) == pytest.approx(qp.objective(p, cold.z), abs=1e-8)
 
@@ -229,7 +229,7 @@ class TestProperties:
             assert cold.status == "optimal"
             assert cold.kkt_residuals.max() <= 1e-8
             for scale in (1.0, 100.0):
-                warm = qp_solve(p, warm_start=rng.normal(scale=scale, size=30))
+                warm = qp_solve(p, hot_start(p, rng.normal(scale=scale, size=30)))
                 assert warm.status == "optimal"
                 assert qp.objective(p, warm.z) == pytest.approx(qp.objective(p, cold.z),
                                                                 abs=1e-7)
@@ -241,7 +241,7 @@ class TestProperties:
         # optimum
         for cold, starts in bad_hot_starts():
             for name, (prob, z0) in starts.items():
-                hot = qp_solve(prob, warm_start=z0)
+                hot = qp_solve(prob, hot_start(prob, z0))
                 assert hot.status == "optimal", name
                 assert hot.kkt_residuals.max() <= 1e-8, name
                 np.testing.assert_allclose(hot.z, cold.z, atol=1e-7, err_msg=name)
@@ -262,8 +262,10 @@ class TestStartRule:
             A = p.A_in * np.sign(p.A_in @ (w - z_u))[:, None]  # A w > A z_u
             b = A @ w + np.where(np.arange(60) < 10, 0.0, rng.uniform(0.1, 1.0, 60))
             p = QpProblem(p.H, p.f, A, b)
-            cold, warm = qp_solve(p), qp_solve(p, warm_start=w)
+            ws = hot_start(p, w)
+            cold, warm = qp_solve(p), qp_solve(p, ws)
             assert (A @ w - b >= -1e-9).sum() == 10
+            assert ws.k == 0  # the carried rows are dropped with z_u
             assert np.array_equal(warm.z, cold.z)
             assert np.abs(warm.z - z_u).max() <= 1e-10 * np.abs(z_u).max()
             assert warm.iterations == cold.iterations == 0
@@ -280,11 +282,98 @@ class TestStartRule:
         rng = np.random.default_rng(seed)
         p = random_qp(rng, n, q)
         cold = qp_solve(p)
-        warm = qp_solve(p, warm_start=cold.z + scale * rng.normal(size=n))
+        warm = qp_solve(p, hot_start(p, cold.z + scale * rng.normal(size=n)))
         assert warm.status == cold.status == "optimal"
         assert qp.objective(p, warm.z) == pytest.approx(qp.objective(p, cold.z),
                                                         rel=1e-9, abs=0.0)
         assert max(cold.kkt_residuals.max(), warm.kkt_residuals.max()) <= 1e-8
+
+
+def random_family(rng, n=30, q=60, nx=5):
+    """A random parametric family in theta = (x, 1, w): the point
+    z0 = P x + zbar meets every row with slack s0 > 0 (b = A z0 + s0), and
+    f = -H z0 + w g, so z_u = z0 - w H^-1 g meets every row at w = 0 and
+    violates more rows as |w| grows."""
+    M = rng.normal(size=(n, n))
+    H = M @ M.T + (0.5 + rng.uniform()) * np.eye(n)
+    A = rng.normal(size=(q, n))
+    P, zbar, g = rng.normal(size=(n, nx)), rng.normal(size=n), rng.normal(size=n)
+    s0 = rng.uniform(0.5, 1.5, q)
+    F = np.column_stack([-H @ P, -H @ zbar, g])
+    B = np.column_stack([A @ P, A @ zbar + s0, np.zeros(q)])
+    return QpFactor(H, A, F=F, B=B)
+
+
+def family_qp(factor, theta):
+    return qp.ParametricQp(factor, theta, factor.theta_map @ theta)
+
+
+class TestCarriedSets:
+    """A sequence of one family's QPs solved with one carried working set
+    against fresh solves of each QP."""
+
+    def test_sequences_match_fresh_solves(self):
+        rng = np.random.default_rng(41)
+        seen = {"emptied": 0, "max_iter": 0, "carried": 0}
+        for _ in range(6):
+            factor = random_family(rng)
+            ws = qp.WorkingSet(factor)
+            x, w, before, jumps = rng.normal(size=5), 3.0, (), {10, 25}
+            for step in range(40):
+                if step in (10, 25):
+                    x, w = x + rng.normal(scale=2.0, size=5), -w  # a jump
+                elif step == 18:
+                    w = 0.0  # z_u is the optimum: the set empties
+                else:
+                    x, w = x + rng.normal(scale=0.05, size=5), (w or 3.0) * rng.uniform(0.95, 1.05)
+                p = family_qp(factor, np.concatenate([x, [1.0, w]]))
+                fresh = qp_solve(p)
+                assert fresh.status == "optimal"
+                if step == 25:
+                    # a solve stopped mid-chain leaves a valid start behind
+                    assert qp_solve(p, ws, max_iter=1).status == "max_iter"
+                    seen["max_iter"] += 1
+                seen["carried"] += ws.k > 0
+                sol = qp_solve(p, ws)
+                assert sol.status == "optimal", step
+                assert qp.objective(p, sol.z) == pytest.approx(qp.objective(p, fresh.z),
+                                                               rel=1e-9, abs=1e-9), step
+                assert sol.kkt_residuals.max() <= 1e-8, step
+                assert ws.k == len(sol.active_set) and sorted(ws.rows) == list(sol.active_set)
+                if w == 0.0:
+                    assert sol.z is p.z_u and ws.k == 0
+                    seen["emptied"] += 1
+                if set(before) - set(sol.active_set) and set(sol.active_set) - set(before):
+                    jumps.discard(step)
+                before = sol.active_set
+            assert not jumps  # each jump dropped rows and added others
+        assert seen["emptied"] == seen["max_iter"] == 6 and seen["carried"] >= 150, seen
+
+    def test_carried_start_makes_no_factorisation(self, monkeypatch):
+        # a fresh start makes one QR factor and one inverse; a start from
+        # carried rows calls no numpy.linalg routine
+        factor = random_family(np.random.default_rng(43))
+        ws = qp.WorkingSet(factor)
+        theta = np.concatenate([np.zeros(5), [1.0, 3.0]])
+        calls = count_linalg(monkeypatch)
+        qp_solve(family_qp(factor, theta), ws)
+        assert calls == {"qr": 1, "inv": 1} and ws.k
+        calls.clear()
+        theta[-1] = 3.1
+        sol = qp_solve(family_qp(factor, theta), ws)
+        assert calls == {} and sol.status == "optimal" and ws.k
+
+    def test_working_set_of_another_family_is_refused(self):
+        rng = np.random.default_rng(47)
+        factor, other = random_family(rng), random_family(rng)
+        theta = np.concatenate([np.zeros(5), [1.0, 3.0]])
+        ws = qp.WorkingSet(other)
+        with pytest.raises(ValueError, match="another QP family"):
+            qp_solve(family_qp(factor, theta), ws)
+        # a same-sized plain QP has a family of its own
+        p = random_qp(rng, n=30, q=60)
+        with pytest.raises(ValueError, match="another QP family"):
+            qp_solve(p, qp.WorkingSet(QpFactor(p.H, p.A_in)))
 
 
 def test_drop_test_matches_the_min_max_rule():
@@ -308,20 +397,20 @@ class TestHotStart:
     @staticmethod
     def row_by_row(monkeypatch):
         """Make every hot start admit its rows one at a time."""
-        monkeypatch.setattr(qp._WorkingSet, "admit_all",
+        monkeypatch.setattr(qp.WorkingSet, "admit_all",
                             lambda ws, rows: [ws.admit(j) for j in rows])
 
     @staticmethod
     def count_admits(monkeypatch):
         """Record each row admitted one at a time."""
         calls = []
-        admit = qp._WorkingSet.admit
+        admit = qp.WorkingSet.admit
 
         def counting(ws, j):
             calls.append(j)
             admit(ws, j)
 
-        monkeypatch.setattr(qp._WorkingSet, "admit", counting)
+        monkeypatch.setattr(qp.WorkingSet, "admit", counting)
         return calls
 
     def test_independent_tight_rows_match_row_by_row_and_cold(self, monkeypatch):
@@ -334,11 +423,11 @@ class TestHotStart:
             for z0 in (cold.z, cold.z + rng.normal(scale=0.05, size=30)):
                 with monkeypatch.context() as mp:
                     admits = self.count_admits(mp)
-                    hot = qp_solve(p, warm_start=z0)
+                    hot = qp_solve(p, hot_start(p, z0))
                 assert admits == []  # one Cholesky took every tight row
                 with monkeypatch.context() as mp:
                     self.row_by_row(mp)
-                    ref = qp_solve(p, warm_start=z0)
+                    ref = qp_solve(p, hot_start(p, z0))
                 assert hot.active_set == ref.active_set == cold.active_set
                 assert hot.iterations == ref.iterations
                 np.testing.assert_allclose(hot.z, ref.z, rtol=0, atol=1e-10)
@@ -354,7 +443,7 @@ class TestHotStart:
         p_dep = QpProblem(p.H, p.f, np.vstack([p.A_in, p.A_in[active]]),
                           np.concatenate([p.b_in, p.b_in[active]]))
         admits = self.count_admits(monkeypatch)
-        hot = qp_solve(p_dep, warm_start=cold.z)
+        hot = qp_solve(p_dep, hot_start(p_dep, cold.z))
         assert admits == list(range(60, 60 + len(active)))
         assert hot.active_set == cold.active_set
         assert hot.status == "optimal"
@@ -411,7 +500,8 @@ class TestHotStart:
     def test_empty_working_set_reuses_its_residuals(self):
         # a solve that ends with an empty working set reports the
         # residuals the stacked formula gives at (z, 0), whether it started
-        # cold or from a warm start whose tight rows it drops again
+        # cold or from a working set of rows tight at a point, which it
+        # drops again
         rng = np.random.default_rng(3)
         empty = dropped = 0
         for _ in range(40):
@@ -420,7 +510,7 @@ class TestHotStart:
             z_u = -np.linalg.solve(p.H, p.f)
             p = QpProblem(p.H, p.f, p.A_in, p.A_in @ z_u + rng.uniform(-0.05, 1.0, 12))
             for warm in (None, z_u + rng.normal(scale=0.5, size=8), qp_solve(p).z):
-                sol = qp_solve(p, warm_start=warm)
+                sol = qp_solve(p, None if warm is None else hot_start(p, warm))
                 if sol.active_set:
                     continue
                 empty += 1
@@ -506,13 +596,16 @@ def leading_run(G, rows):
 
 class RefactorWorkingSet:
     """The working set before its buffers, as the reference for
-    qp._WorkingSet: a start admits the longest leading run of rows that
+    qp.WorkingSet: a start admits the longest leading run of rows that
     factors by trying every length, every add stacks a new Li, every drop
     factors the block of G over S from scratch, and the add loop copies
     G[:, S]."""
 
-    def __init__(self, factor, cap=None):
-        self.G, self.rows, self.Li = factor.G, [], np.zeros((0, 0))
+    def __init__(self, factor):
+        self.factor, self.G, self.rows, self.Li = factor, factor.G, [], np.zeros((0, 0))
+
+    def clear(self):
+        self.rows, self.Li = [], np.zeros((0, 0))
 
     @property
     def k(self):
@@ -563,24 +656,25 @@ class TestWorkingSetBuffers:
     @staticmethod
     def count_drops(monkeypatch):
         drops = []
-        remove = qp._WorkingSet.remove
+        remove = qp.WorkingSet.remove
 
         def counting(ws, pos):
             drops.append(pos)
             remove(ws, pos)
 
-        monkeypatch.setattr(qp._WorkingSet, "remove", counting)
+        monkeypatch.setattr(qp.WorkingSet, "remove", counting)
         return drops
 
     @staticmethod
-    def assert_same_as_reference(monkeypatch, p, warm_start=None, sol=None):
-        """qp_solve with the buffered working set and with the reference
-        take the same path: iterations, active set and status, z to 1e-12."""
+    def assert_same_as_reference(monkeypatch, p, rows=None, sol=None):
+        """qp_solve with the buffered working set and with the reference,
+        each started from rows (a fresh start when None), take the same
+        path: iterations, active set and status, z to 1e-12."""
         if sol is None:
-            sol = qp_solve(p, warm_start=warm_start)
+            sol = qp_solve(p, None if rows is None else working_set(p, rows))
         with monkeypatch.context() as mp:
-            mp.setattr(qp, "_WorkingSet", RefactorWorkingSet)
-            ref = qp_solve(p, warm_start=warm_start)
+            mp.setattr(qp, "WorkingSet", RefactorWorkingSet)
+            ref = qp_solve(p, None if rows is None else working_set(p, rows))
         assert (sol.iterations, sol.active_set, sol.status) == (
             ref.iterations, ref.active_set, ref.status)
         if ref.z is None:
@@ -598,7 +692,8 @@ class TestWorkingSetBuffers:
                 self.assert_same_as_reference(mp, p, sol=cold)
                 for scale in (0.05, 0.5):
                     z0 = cold.z + rng.normal(scale=scale, size=30)
-                    self.assert_same_as_reference(mp, p, warm_start=z0)
+                    self.assert_same_as_reference(
+                        mp, p, rows=(p.A_in @ z0 - p.b_in >= -1e-9).nonzero()[0])
         assert len(drops) > 20
 
     def test_bad_hot_starts_match_reference(self, monkeypatch):
@@ -606,7 +701,8 @@ class TestWorkingSetBuffers:
             drops = self.count_drops(mp)
             for _, starts in bad_hot_starts():
                 for prob, z0 in starts.values():
-                    self.assert_same_as_reference(mp, prob, warm_start=z0)
+                    self.assert_same_as_reference(
+                        mp, prob, rows=(prob.A_in @ z0 - prob.b_in >= -1e-9).nonzero()[0])
         assert drops
 
     def test_reference_run_matches_reference(self, disc, patient, gain, v_box, ingredients,
@@ -614,10 +710,10 @@ class TestWorkingSetBuffers:
         solves = []
         solve = qp.qp_solve
 
-        def capturing(p, warm_start=None, **kwargs):
-            warm = None if warm_start is None else warm_start.copy()
-            sol = solve(p, warm_start=warm_start, **kwargs)
-            solves.append((p, warm, sol))
+        def capturing(p, ws=None, **kwargs):
+            rows = ws.rows if ws is not None and ws.k else None  # carried, in order
+            sol = solve(p, ws, **kwargs)
+            solves.append((p, rows, sol))
             return sol
 
         monkeypatch.setattr(qp, "qp_solve", capturing)
@@ -627,8 +723,10 @@ class TestWorkingSetBuffers:
         monkeypatch.setattr(qp, "qp_solve", solve)
         assert len(solves) == 120
         assert solves[0][2].iterations == 8 and len(solves[0][2].active_set) == 25
-        for p, warm, sol in solves:
-            self.assert_same_as_reference(monkeypatch, p, warm_start=warm, sol=sol)
+        # steps 1-15 carry rows; step 15 returns z_u and drops them
+        assert [k for k, (_, rows, _) in enumerate(solves) if rows is not None] == list(range(1, 16))
+        for p, rows, sol in solves:
+            self.assert_same_as_reference(monkeypatch, p, rows=rows, sol=sol)
 
     def test_factor_and_columns_after_every_change(self):
         # random admits, drops at the front, the end and in between, and
@@ -650,7 +748,8 @@ class TestWorkingSetBuffers:
             assert np.array_equal(ws.cols, G[:, S])
 
         for trial in range(30):
-            ws = qp._WorkingSet(factor, min(q, 30))
+            ws = qp.WorkingSet(factor)
+            assert ws.cap == min(q, 30)
             start = list(rng.choice(q, size=int(rng.integers(1, 12)), replace=False))
             ws.admit_all(start)
             if len(ws.rows) < len(start):
@@ -680,12 +779,12 @@ class TestWorkingSetBuffers:
         # a solve builds a working set, and with it its buffers, only when
         # z_u violates a row
         built = []
-        init = qp._WorkingSet.__init__
-        monkeypatch.setattr(qp._WorkingSet, "__init__",
-                            lambda ws, factor, cap: built.append(cap) or init(ws, factor, cap))
+        init = qp.WorkingSet.__init__
+        monkeypatch.setattr(qp.WorkingSet, "__init__",
+                            lambda ws, factor: init(ws, factor) or built.append(ws.cap))
         p = random_qp(np.random.default_rng(3), n=30, q=60)
         loose = QpProblem(p.H, p.f, p.A_in, p.b_in + 1e6)
-        sol = qp_solve(loose, warm_start=np.zeros(30))
+        sol = qp_solve(loose)
         assert sol.iterations == 0 and not sol.active_set
         assert built == []
         qp_solve(p)
@@ -720,7 +819,7 @@ class TestColdStart:
         # working set and of the enumeration of active sets
         firsts = []
 
-        def first_factor(ws, rows, admit_all=qp._WorkingSet.admit_all):
+        def first_factor(ws, rows, admit_all=qp.WorkingSet.admit_all):
             run = rows[:ws.cap]
             R = np.linalg.qr(ws.M[run].T, mode="r")
             passed = np.all(np.diag(R) ** 2 > qp._DEP_TOL * ws.G[run, run])
@@ -731,11 +830,11 @@ class TestColdStart:
         for base, p in violated_at_z_u(seed=17):
             ref_obj = enumerate_active_sets(base)[0]
             with monkeypatch.context() as mp:
-                mp.setattr(qp._WorkingSet, "admit_all", first_factor)
+                mp.setattr(qp.WorkingSet, "admit_all", first_factor)
                 firsts.clear()
                 sol = qp_solve(p)
             with monkeypatch.context() as mp:
-                mp.setattr(qp._WorkingSet, "admit_all", lambda ws, rows: None)
+                mp.setattr(qp.WorkingSet, "admit_all", lambda ws, rows: None)
                 empty = qp_solve(p)
             for s in (sol, empty):
                 assert s.status == "optimal"
@@ -772,7 +871,7 @@ class TestColdStart:
         p = random_qp(rng, n=50, q=60)
         factor = QpFactor(p.H, p.A_in)
         G = factor.G
-        ws = qp._WorkingSet(factor, 50)
+        ws = qp.WorkingSet(factor)
         ws.admit_all(rng.permutation(60)[:45].tolist())
         assert len(ws.rows) == 45
         for _ in range(40):
@@ -798,7 +897,7 @@ class TestColdStart:
         calls = count_linalg(monkeypatch)
         seen = {"every row": 0, "failed pivot": 0}
         for _ in range(130):
-            ws = qp._WorkingSet(factor, 30)
+            ws = qp.WorkingSet(factor)
             rows = rng.permutation(70)[:int(rng.integers(2, 40))].tolist()
             n, _ = leading_run(G, rows[:30])
             calls.clear()
@@ -844,8 +943,8 @@ class TestQpFactor:
         paths = []
         solve = qp.qp_solve
 
-        def capturing(p, warm_start=None, **kwargs):
-            sol = solve(p, warm_start=warm_start, **kwargs)
+        def capturing(p, *args, **kwargs):
+            sol = solve(p, *args, **kwargs)
             paths.append((sol.iterations, sol.active_set, sol.status))
             return sol
 
@@ -887,7 +986,7 @@ class TestQpFactor:
         assert len(paths) == steps
         assert paths == ref_paths
         assert any(iters for iters, _, _ in paths)
-        pins = {"reference": (34, "b54c11f82015b145"), "setpoint": (155, "c3d06f895f50d362")}
+        pins = {"reference": (36, "8717842a2d0f3ae2"), "setpoint": (144, "ef76af3fb6681bb0")}
         assert sum(iters for iters, _, _ in paths) == pins[run][0]
         assert path_digest((iters, rows) for iters, rows, _ in paths) == pins[run][1]
         np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)

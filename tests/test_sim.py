@@ -222,10 +222,11 @@ class TestReferenceRun:
 
     def test_qp_iterations_per_step(self, monkeypatch):
         # the cold first solve admits the rows violated at the unconstrained
-        # minimiser at once; every later step is hot-started, except that a
-        # step whose z_u meets every row returns it at once (step 15, with a
-        # row tight at its warm start). Each step's iterations and active
-        # set are pinned as the digest of the run's path.
+        # minimiser at once; steps 1-14 continue from the working set the
+        # step before ended with, and a step whose z_u meets every row
+        # returns it at once (step 15, which drops the one row carried into
+        # it). Each step's iterations and active set are pinned as the
+        # digest of the run's path.
         bundle = pipeline.build_bundle(patient_path(), controller_path())
         active, solve = [], qp.qp_solve
 
@@ -240,5 +241,17 @@ class TestReferenceRun:
         assert log.qp_iterations.shape == (720,)
         assert log.qp_iterations[0] == 8
         assert log.qp_iterations[15] == 0
-        assert log.qp_iterations.sum() == 34
-        assert path_digest(zip(log.qp_iterations.tolist(), active)) == "b54c11f82015b145"
+        assert log.qp_iterations.sum() == 36
+        assert path_digest(zip(log.qp_iterations.tolist(), active)) == "8717842a2d0f3ae2"
+
+    def test_active_rows_per_step(self):
+        # the size of each step's final working set, kept beside its
+        # iterations: the cold first solve ends on 25 rows, the working
+        # set shrinks over steps 1-14, and every later step returns z_u
+        bundle = pipeline.build_bundle(patient_path(), controller_path())
+        log = sim.simulate_closed_loop(bundle.disc, bundle.patient.pd,
+                                       bundle.controller, 3600.0)
+        assert log.active_rows.shape == log.qp_iterations.shape == (720,)
+        assert log.active_rows[:15].tolist() == [25, 25, 25, 25, 24, 24, 21, 16, 13, 11, 10,
+                                                 8, 5, 4, 1]
+        assert not log.active_rows[15:].any()
