@@ -68,7 +68,6 @@ the QP's solution (see qp).
 from __future__ import annotations
 
 import configparser
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -83,10 +82,10 @@ from .pkpd import (DiscreteDynamics, PdParams, as_fast_state, as_slow_state, ini
                    ini_reject_unknown, steady_output_row)
 from .terminal import TerminalIngredients, controllability_index, psd_sqrt, tighten_box
 
-logger = logging.getLogger(__name__)
-
 EQ_TOL = 1e-8
 CLAMP_TOL = 1e-12  # clip of the applied input beyond which it is reported
+N_MAX = 200  # largest horizon a controller config may set
+PLANT_SUBSTEPS_MAX = 1000  # most plant substeps per sampling period a config may set
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,7 @@ class Controller:
             vd * np.concatenate([np.zeros(n + mN), cfg.vd.coeffs])]),
             np.r_[np.zeros((N + 1) * n + mN), -vd * cfg.vd.offset])
         StS = residual.T @ residual
-        self.H, F = 2.0 * StS[:ny, :ny], 2.0 * StS[:ny, ny:]
+        self.H, F = _finite_cost(2.0 * StS[:ny, :ny]), 2.0 * StS[:ny, ny:]
 
         # rows: the box on v_0 .. v_{N-1}, then X_a (which bounds v_a), each
         # a row over (w, 1) that must be <= 0; the rhs b = B theta
@@ -292,11 +291,10 @@ class Controller:
         # read-out at y = z_u
         fam = self.qp_factor
         rows_z, rows_c = fam.rows
-        self.step_map = np.vstack([fam.theta_map,
-                                   readout[:, ny:] + self.readout_y @ fam.theta_map[rows_z]])
+        self.step_map = _finite_cost(np.vstack([
+            fam.theta_map, readout[:, ny:] + self.readout_y @ fam.theta_map[rows_z]]))
         self._out_rows = slice(rows_c.stop, None)
         self._ws = qp.WorkingSet(fam)
-        self._clamp_warned = False
         self.reset()
 
     # -- helpers -----------------------------------------------------------
@@ -333,11 +331,10 @@ class Controller:
         """Solve the tracking QP at (x_f, x_s), continuing from the working
         set the previous accepted step ended with, and return
         u = v_0 + D x_s clipped into U. A clip that moves u by more than
-        CLAMP_TOL sets the output's `clamped`; the first one is logged as
-        a warning. Raises SolverInfeasibleError when the QP fails or its
-        optimum leaves the tightened box, the steady output line or X_a;
-        its `step` counts the steps since reset(). A step that raises
-        carries no working row to the next."""
+        CLAMP_TOL sets the output's `clamped`. Raises SolverInfeasibleError
+        when the QP fails or its optimum leaves the tightened box, the
+        steady output line or X_a; its `step` counts the steps since
+        reset(). A step that raises carries no working row to the next."""
         theta, x_s = _as_states(x_f, x_s, self._theta_tail)
         try:
             out = self._solve(theta, x_s)
@@ -381,12 +378,6 @@ class Controller:
         if not (lo1 <= u1 <= hi1 and lo2 <= u2 <= hi2):
             applied = u.clip(self.U.lower, self.U.upper)
             clamped = max(map(abs, (applied - u).tolist())) > CLAMP_TOL
-            if clamped and not self._clamp_warned:
-                logger.warning(
-                    "applied input clamped to the input box (u=%s); the "
-                    "disturbance bound is too small for this trajectory", u
-                )
-                self._clamp_warned = True
             u = applied
         return ControlOutput(u, v0, v_a, out[self._xa_rows],
                              out[self._x_rows].reshape(self.N + 1, self.n), cost,
@@ -434,6 +425,14 @@ def _as_states(x_f, x_s, tail) -> tuple[np.ndarray, np.ndarray]:
     raise ModelConfigError("negative concentrations passed to the controller")
 
 
+def _finite_cost(X: np.ndarray) -> np.ndarray:
+    """X, H or the step map, if finite: a cost too large for floats overflows."""
+    if not np.isfinite(X).all():
+        raise ModelConfigError("the cost keys 'Q_diag', 'R_diag', 'vd_weight', 'vd_coeffs' and "
+                               "'vd_offset' give a QP that overflows in floating point")
+    return X
+
+
 def _describe(report) -> str:
     """'<row> violated by <amount>, blocked by <rows>' from a QP
     infeasibility report."""
@@ -476,14 +475,14 @@ def load_controller_config(path) -> ControllerFileConfig:
     def floats(key, count):
         return ini_numbers(cfg, "controller", key, count, path)
 
-    def positive_int(key):
+    def positive_int(key, most):
         val = floats(key, 1)[0]
-        if val < 1 or val != int(val):
-            raise ModelConfigError(f"{path}: key '{key}' must be an integer >= 1")
+        if not (1 <= val <= most and val == int(val)):
+            raise ModelConfigError(f"{path}: key '{key}' must be an integer in [1, {most}]")
         return int(val)
 
     mpc_cfg = MpcConfig(
-        N=positive_int("N"),
+        N=positive_int("N", N_MAX),
         Q=np.diag(floats("Q_diag", 4)),
         R=np.diag(floats("R_diag", 2)),
         lam=float(floats("lambda", 1)[0]),
@@ -507,6 +506,6 @@ def load_controller_config(path) -> ControllerFileConfig:
         U=InputBox(lower=u_min, upper=u_max),
         m_bar=floats("m_bar", 2),
         settling_band=settling_band,
-        plant_substeps=(positive_int("plant_substeps")
+        plant_substeps=(positive_int("plant_substeps", PLANT_SUBSTEPS_MAX)
                         if cfg.has_option("controller", "plant_substeps") else 1),
     )

@@ -404,7 +404,8 @@ def qp_solve(p: ParametricQp, ws: WorkingSet | None = None,
     from the rows it holds and leaves in it the rows it ends with, so a
     sequence of the family's QPs passes one. Without it, the solve builds
     its own when it needs one. Raises ValueError when ``ws`` belongs to
-    another family.
+    another family, or when a row residual is NaN (it neither meets nor
+    violates its row).
 
     Returns the unconstrained minimiser z_u, with 0 iterations and no
     active row, and empties ``ws``, when z_u violates no row by more than
@@ -422,6 +423,9 @@ def qp_solve(p: ParametricQp, ws: WorkingSet | None = None,
         if ws is not None:
             ws.clear()
         return QpSolution(z_u, "optimal", KktRecord(factor, p.theta, z_u, top))
+    if not top > _FEAS_TOL:
+        raise ValueError("the row residuals A_in z_u - b hold NaN: theta or the family's maps "
+                         "are not finite")
 
     def finish(status, lam, it, extra=None):
         lam_all = np.zeros(c.size)

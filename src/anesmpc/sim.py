@@ -8,6 +8,7 @@ reads the exact fast and slow states.
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 import time
@@ -19,6 +20,8 @@ from .errors import ModelConfigError
 from .mpc import Controller
 from .pkpd import (ContinuousDynamics, DiscreteDynamics, PdParams, bis_output,
                    discretize_euler, full_step_matrices)
+
+logger = logging.getLogger(__name__)
 
 CSV_HEADER = "t,bis,u_p,u_r,v_p,v_r,va_p,va_r,p1,p4,r1,r4,p2,p3,r2,r3,status,solve_ms"
 
@@ -70,7 +73,8 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
                          cont: ContinuousDynamics | None = None) -> SimLog:
     """Run the loop for `duration` seconds (a multiple of the sampling
     period) from the 8-state start x0 (default: fully awake, all zero),
-    with plant_substeps Euler substeps of the plant per sampling period."""
+    with plant_substeps Euler substeps of the plant per sampling period.
+    Logs the run's first clamp of the applied input into U as a warning."""
     if not (isinstance(plant_substeps, numbers.Integral) and plant_substeps >= 1):
         raise ModelConfigError(f"plant_substeps must be an integer >= 1, got {plant_substeps!r}")
     Ts = disc.Ts
@@ -89,45 +93,30 @@ def simulate_closed_loop(disc: DiscreteDynamics, pd: PdParams, ctrl: Controller,
             raise ModelConfigError("plant substepping needs the continuous dynamics")
         M, B = full_step_matrices(discretize_euler(cont, Ts / plant_substeps))
 
-    t = np.arange(steps) * Ts
-    log = SimLog(
-        t=t,
-        bis=np.empty(steps),
-        u=np.empty((steps, 2)),
-        v=np.empty((steps, 2)),
-        v_a=np.empty((steps, 2)),
-        x_f=np.empty((steps, 4)),
-        x_s=np.empty((steps, 4)),
-        x_a=np.empty((steps, 4)),
-        cost=np.empty(steps),
-        status=[],
-        solve_ms=np.empty(steps),
-        qp_iterations=np.empty(steps, dtype=int),
-        active_rows=np.empty(steps, dtype=int),
-        clamped=np.empty(steps, dtype=bool),
-    )
+    # a step's record keeps its vectors as floats: v_a and x_a are views of
+    # the step's 444-entry read-out vector
+    states, records, warned = np.empty((steps, 8)), [], False
     ctrl.reset()
     for k in range(steps):
+        states[k] = x
         x_f, x_s = x[:4], x[4:]
         tic = time.perf_counter()
         out = ctrl.control_step(x_f, x_s)
-        toc = time.perf_counter()
-        log.bis[k] = bis_output(x_f, pd)
-        log.u[k] = out.u
-        log.v[k] = out.v0
-        log.v_a[k] = out.v_a
-        log.x_f[k] = x_f
-        log.x_s[k] = x_s
-        log.x_a[k] = out.x_a
-        log.cost[k] = out.cost
-        log.status.append(out.solver_status)
-        log.solve_ms[k] = (toc - tic) * 1e3
-        log.qp_iterations[k] = out.qp_iterations
-        log.active_rows[k] = out.active_rows
-        log.clamped[k] = out.clamped
+        solve_ms = (time.perf_counter() - tic) * 1e3
+        records.append((out.u.tolist(), out.v0.tolist(), out.v_a.tolist(), out.x_a.tolist(),
+                        out.cost, out.solver_status, solve_ms, out.qp_iterations,
+                        out.active_rows, out.clamped))
+        if out.clamped and not warned:
+            warned = True
+            logger.warning("applied input clamped to the input box at step %d (u=%s); the "
+                           "disturbance bound is too small for this trajectory", k, out.u)
         for _ in range(plant_substeps):
             x = M @ x + B @ out.u
-    return log
+    u, v, v_a, x_a, cost, status, solve_ms, iters, active, clamped = map(np.array, zip(*records))
+    bis = np.array([bis_output(x_f, pd) for x_f in states[:, :4]])
+    return SimLog(t=np.arange(steps) * Ts, bis=bis, u=u, v=v, v_a=v_a, x_f=states[:, :4],
+                  x_s=states[:, 4:], x_a=x_a, cost=cost, status=status.tolist(),
+                  solve_ms=solve_ms, qp_iterations=iters, active_rows=active, clamped=clamped)
 
 
 def compute_metrics(log: SimLog, y_ref: float, band: float) -> Metrics:

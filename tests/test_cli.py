@@ -262,6 +262,37 @@ class TestBadConfigValues:
         assert rc == 2
         assert f"'{key}'" in err
 
+    def test_overflowing_cost_exits_2(self, paths, tmp_path, capsys):
+        # H stays finite at vd_weight = 1e300, but the step map overflows
+        # (numpy's overflow warnings are the case under test): the build
+        # names the cost keys instead of a solve failing on NaN
+        config = _config_with(tmp_path, "vd_weight", "1e300")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["simulate", "--patient", paths[0], "--config", config,
+                           "--out", str(tmp_path / "out"), "--duration", "10"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "'vd_weight'" in err and "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value, most", [
+        ("N", "1e300", 200), ("N", "201", 200),
+        ("plant_substeps", "1e7", 1000), ("plant_substeps", "1001", 1000),
+    ])
+    def test_counts_above_their_bound_rejected(self, tmp_path, key, value, most):
+        # an unbounded horizon never finished building, and an unbounded
+        # substep count ran that many plant steps per control step
+        with pytest.raises(ModelConfigError,
+                           match=rf"key '{key}' must be an integer in \[1, {most}\]"):
+            mpc.load_controller_config(_config_with(tmp_path, key, value))
+
+    @pytest.mark.parametrize("key, value", [
+        ("N", "1"), ("N", "24"), ("N", "200"),
+        ("plant_substeps", "5"), ("plant_substeps", "8"), ("plant_substeps", "1000"),
+    ])
+    def test_counts_within_their_bound_accepted(self, tmp_path, key, value):
+        cfg = mpc.load_controller_config(_config_with(tmp_path, key, value))
+        assert (cfg.mpc.N if key == "N" else cfg.plant_substeps) == int(value)
+
     @pytest.mark.parametrize("line", [
         "epsilon = 0", "epsilon = 1e-6", "vd_linear = 0, 0", "plant_substep = 2",
         "disturbance_bound_mode = fixed", "disturbance_bound_mode = worst-case",

@@ -375,6 +375,19 @@ class TestCarriedSets:
         with pytest.raises(ValueError, match="another QP family"):
             qp_solve(p, qp.WorkingSet(QpFactor(p.H, p.A_in)))
 
+    def test_nan_row_residuals_are_named(self):
+        # a theta that holds NaN gives NaN row residuals, which neither meet
+        # nor violate a row: the solve names them, from a fresh start or
+        # from carried rows
+        factor = random_family(np.random.default_rng(53))
+        ws = qp.WorkingSet(factor)
+        assert qp_solve(family_qp(factor, np.concatenate([np.zeros(5), [1.0, 3.0]])), ws).status \
+            == "optimal" and ws.k
+        theta = np.concatenate([np.zeros(5), [1.0, np.nan]])
+        for start in (None, ws):
+            with pytest.raises(ValueError, match="row residuals A_in z_u - b hold NaN"):
+                qp_solve(family_qp(factor, theta), start)
+
 
 def test_drop_test_matches_the_min_max_rule():
     # the start's drop test, from one argmin, against the rule as written

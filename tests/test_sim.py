@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -24,6 +26,21 @@ def controller(disc, patient, gain, v_box, ingredients):
 @pytest.fixture(scope="module")
 def closed_loop_log(disc, patient, controller):
     return sim.simulate_closed_loop(disc, patient.pd, controller, 600.0)
+
+
+def log_digest(log) -> str:
+    """sha256 over every SimLog field but solve_ms: each field's name,
+    dtype, shape and bytes, the statuses joined by commas."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(log):
+        if f.name == "solve_ms":
+            continue
+        value = getattr(log, f.name)
+        a = np.asarray(value)
+        h.update(f"{f.name}:{a.dtype.str}:{a.shape}".encode())
+        h.update(",".join(value).encode() if f.name == "status"
+                 else np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def open_loop(disc, u, steps, x0=None):
@@ -255,3 +272,34 @@ class TestReferenceRun:
         assert log.active_rows[:15].tolist() == [25, 25, 25, 25, 24, 24, 21, 16, 13, 11, 10,
                                                  8, 5, 4, 1]
         assert not log.active_rows[15:].any()
+
+    def test_log_digest(self):
+        # every field of the 3600-s run but solve_ms, to the bit, as the
+        # loop that filled a preallocated log field by field recorded it
+        bundle = pipeline.build_bundle(patient_path(), controller_path())
+        log = sim.simulate_closed_loop(bundle.disc, bundle.patient.pd,
+                                       bundle.controller, 3600.0)
+        assert len(log) == 720
+        assert log_digest(log) == ("c1d6b66c69136bf454b8237ddc043d93"
+                                   "d69c6efb24f4b5190748d6203fa16e64")
+
+
+class TestClampWarning:
+    def test_each_run_warns_once(self, disc, patient, gain, v_box, ingredients, caplog):
+        # a box that ends 1e-7 (relative) below the first remifentanil rate
+        # from rest clips that input; two runs on one controller each log
+        # their first clamp once, naming the step
+        rest = mpc.build_controller(disc, patient.pd, gain, v_box, U_BOUNDS, ingredients,
+                                    mpc.MpcConfig()).control_step(np.zeros(4), np.zeros(4))
+        tight = compensation.InputBox(lower=U_BOUNDS.lower,
+                                      upper=[U_BOUNDS.upper[0], rest.u[1] * (1 - 1e-7)])
+        ctrl = mpc.build_controller(disc, patient.pd, gain, v_box, tight, ingredients,
+                                    mpc.MpcConfig())
+        with caplog.at_level("WARNING", logger="anesmpc"):
+            logs = [sim.simulate_closed_loop(disc, patient.pd, ctrl, 100.0) for _ in range(2)]
+        warnings = [r for r in caplog.records if "clamped" in r.getMessage()]
+        assert len(warnings) == 2
+        for log, record in zip(logs, warnings):
+            first = int(log.clamped.argmax())
+            assert log.clamped[first] and record.name == "anesmpc.sim"
+            assert f"at step {first} " in record.getMessage()
